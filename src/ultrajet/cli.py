@@ -137,7 +137,14 @@ def validate_config(raw: dict) -> dict:
     if cfg["jet"] is not None:
         _reject_unknown(cfg["jet"], {"preset", "A_max", "rho",
                                      "source_sequence", "P_max"}, "jet")
-        _validate_jet_preset(cfg["jet"].get("preset"))
+        preset = cfg["jet"].get("preset")
+        _validate_jet_preset(preset)
+        if cfg["compact_set"] is not None:
+            n_axes = len(preset.get("axes", [])) if preset["kind"] == "tensor" else 1
+            dim = _points(cfg["compact_set"]).shape[1]
+            if n_axes != dim:
+                raise ConfigError(f"jet.preset has {n_axes} axes but the "
+                                  f"compact_set points have dimension {dim}")
         cfg["jet"].setdefault("A_max", 12)
         cfg["jet"].setdefault("rho", 1.0)
         cfg["jet"].setdefault("P_max", cfg["jet"]["A_max"])
@@ -159,6 +166,18 @@ def _validate_jet_preset(spec):
     for key in ("factors", "terms", "axes"):
         for sub in spec.get(key, []):
             _validate_jet_preset(sub)
+            if sub["kind"] == "tensor":
+                raise ConfigError("a tensor jet preset is allowed only at "
+                                  "the top level")
+
+
+def _points(compact_set: dict) -> np.ndarray:
+    """The compact_set points as an (n, dim) array; a flat list is 1D."""
+    try:
+        pts = np.asarray(compact_set["points"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"compact_set.points: {exc}") from None
+    return pts.reshape(-1, 1) if pts.ndim == 1 else pts
 
 
 class _Context:
@@ -233,9 +252,7 @@ class _Context:
         cs = self.cfg["compact_set"]
         if cs is None:
             raise ConfigError("compact_set required for this command")
-        pts = np.asarray(cs["points"], dtype=float)
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, 1)
+        pts = _points(cs)
         if cs.get("box"):
             return jets.CompactSet(pts, tuple(tuple(b) for b in cs["box"]))
         return jets.CompactSet.from_points(pts)
@@ -528,12 +545,7 @@ def _run_extend(ctx: _Context, report: dict, out: Path) -> int:
         _write_csv(out / "jet_table.csv", ["point", "alpha", "value"], rows)
     if ctx.cfg["output"]["csv"]:
         dec = fld.pou.dec
-        axes = [np.linspace(b[0], b[1], 400) for b in dec.box]
-        if dec.dim == 1:
-            grid = axes[0].reshape(-1, 1)
-        else:
-            xx, yy = np.meshgrid(axes[0], axes[1])
-            grid = np.column_stack([xx.ravel(), yy.ravel()])
+        grid = geometry.box_grid(dec.box, 400)
         vals = fld.value(grid)
         hdr = [f"x_{d}" for d in range(dec.dim)] + ["f"]
         rows = [list(map(float, grid[i])) + [float(vals[i])]

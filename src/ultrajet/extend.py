@@ -20,16 +20,23 @@ two Taylor-field bounds that drive the construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 
 from .conditions import ChainCertificate, check_almost_increasing
 from .errors import IncompatibleGeometry, RangeExhausted
 from .fncore import WeightMatrix
-from .geometry import CubeDecomposition, EXPANSION, nearest
-from .jets import Ultrajet, multi_indices, taylor_grid
-from .pou import Bump1D, PartitionOfUnity, _leibniz_fold
+from .geometry import CubeDecomposition, EXPANSION, box_grid, nearest
+from .jets import (
+    Ultrajet,
+    _leibniz_fold,
+    _leibniz_terms,
+    _taylor_plan,
+    multi_indices,
+    taylor_grid,
+)
+from .pou import Bump1D, PartitionOfUnity
 from .seqcore import (
     SequenceView,
     WeightSequence,
@@ -185,48 +192,14 @@ class ExtensionField:
         stored jet values; collar points evaluate through the same sum and
         should be read together with point_flags."""
         alpha = tuple(alpha)
-        dec = self.pou.dec
-        pts = np.asarray(x, dtype=float).reshape(-1, dec.dim)
-        out = np.zeros(len(pts))
-        q = sum(alpha)
-        multis = [m for m in multi_indices(dec.dim, q)]
-        for i in range(dec.n_cubes):
-            half = dec.sides[i] * EXPANSION / 2.0
-            mask = np.all(np.abs(pts - dec.centers[i]) <= half, axis=1)
-            if not np.any(mask):
-                continue
-            sub = pts[mask]
-            tables = self.pou.phi_derivs(i, sub, up_to=q)
-            acc = np.zeros(len(sub))
-            p_i = int(self.sched.degrees[i])
-            for beta in multis:
-                if any(b > a for b, a in zip(beta, alpha)):
-                    continue
-                if sum(beta) > p_i:
-                    continue
-                gamma = tuple(a - b for a, b in zip(alpha, beta))
-                coef = 1.0
-                for a_c, b_c in zip(alpha, beta):
-                    coef *= comb(a_c, b_c)
-                acc += coef * tables[gamma] * taylor_grid(
-                    self.jet, int(self.anchor_idx[i]), p_i, beta, sub)
-            out[mask] += acc
-        if self.cutoff is not None:
-            cut = self.cutoff.derivs(pts, q)
-            total = np.zeros(len(pts))
-            for beta in multis:
-                if any(b > a for b, a in zip(beta, alpha)):
-                    continue
-                gamma = tuple(a - b for a, b in zip(alpha, beta))
-                coef = 1.0
-                for a_c, b_c in zip(alpha, beta):
-                    coef *= comb(a_c, b_c)
-                if beta == alpha:
-                    raw = out
-                else:
-                    raw = self._raw_derivative(pts, beta)
-                total += coef * cut[gamma] * raw
-            out = total
+        pts = np.asarray(x, dtype=float).reshape(-1, self.pou.dec.dim)
+        if self.cutoff is None:
+            out = self._cube_sum(pts, alpha)
+        else:
+            cut = self.cutoff.derivs(pts, sum(alpha))
+            out = np.zeros(len(pts))
+            for beta, gamma, coef in _leibniz_terms(alpha):
+                out += coef * cut[gamma] * self._cube_sum(pts, beta)
         flags = self.point_flags(pts)
         if np.any(flags["on_set"]):
             idx = np.where(flags["on_set"])[0]
@@ -235,28 +208,24 @@ class ExtensionField:
                 out[k] = self.jet.value(j, alpha)
         return out
 
-    def _raw_derivative(self, pts, alpha) -> np.ndarray:
+    def _cube_sum(self, pts, alpha) -> np.ndarray:
+        """d^alpha of sum_i phi_i T_i, cube by cube, without the cutoff and
+        without the on-set values."""
         dec = self.pou.dec
         out = np.zeros(len(pts))
-        q = sum(alpha)
         for i in range(dec.n_cubes):
             half = dec.sides[i] * EXPANSION / 2.0
             mask = np.all(np.abs(pts - dec.centers[i]) <= half, axis=1)
             if not np.any(mask):
                 continue
             sub = pts[mask]
-            tables = self.pou.phi_derivs(i, sub, up_to=q)
+            tables = self.pou.phi_derivs(i, sub, up_to=sum(alpha))
             acc = np.zeros(len(sub))
             p_i = int(self.sched.degrees[i])
-            for beta in multi_indices(dec.dim, q):
-                if any(b > a for b, a in zip(beta, alpha)) or sum(beta) > p_i:
-                    continue
-                gamma = tuple(a - b for a, b in zip(alpha, beta))
-                coef = 1.0
-                for a_c, b_c in zip(alpha, beta):
-                    coef *= comb(a_c, b_c)
-                acc += coef * tables[gamma] * taylor_grid(
-                    self.jet, int(self.anchor_idx[i]), p_i, beta, sub)
+            for beta, gamma, coef in _leibniz_terms(alpha):
+                if sum(beta) <= p_i:
+                    acc += coef * tables[gamma] * taylor_grid(
+                        self.jet, int(self.anchor_idx[i]), p_i, beta, sub)
             out[mask] += acc
         return out
 
@@ -308,18 +277,9 @@ def _taylor_sup_bound(field: ExtensionField, i: int, beta) -> float:
     half = dec.sides[i] * EXPANSION / 2.0
     corners = np.array(np.meshgrid(*[[-half, half]] * dec.dim)).T.reshape(-1, dec.dim)
     r_max = float(np.max(np.linalg.norm(dec.centers[i] + corners - anchor, axis=1)))
-    ai = int(field.anchor_idx[i])
-    total = 0.0
-    if dec.dim == 1:
-        for j in range(0, p_i - beta[0] + 1):
-            total += abs(jet.value(ai, (beta[0] + j,))) / factorial(j) * r_max ** j
-    else:
-        for j1 in range(0, p_i - sum(beta) + 1):
-            for j2 in range(0, p_i - sum(beta) - j1 + 1):
-                g = (beta[0] + j1, beta[1] + j2)
-                total += (abs(jet.value(ai, g))
-                          / (factorial(j1) * factorial(j2)) * r_max ** (j1 + j2))
-    return total
+    ranks, _, inv_fact, order = _taylor_plan(dec.dim, tuple(beta), p_i - sum(beta))
+    coef = np.abs(jet.values[int(field.anchor_idx[i]), ranks]) * inv_fact
+    return float(coef @ r_max ** order)
 
 
 def derivative_bounds(field: ExtensionField, up_to: int) -> dict:
@@ -335,13 +295,7 @@ def derivative_bounds(field: ExtensionField, up_to: int) -> dict:
         per_point_max = 0.0
         for i in range(dec.n_cubes):
             acc = 0.0
-            for beta in multis:
-                if any(b > a for b, a in zip(beta, m)):
-                    continue
-                gamma = tuple(a - b for a, b in zip(m, beta))
-                coef = 1.0
-                for a_c, b_c in zip(m, beta):
-                    coef *= comb(a_c, b_c)
+            for beta, gamma, coef in _leibniz_terms(m):
                 acc += (coef * field.pou.phi_bound(i, gamma)
                         * _taylor_sup_bound(field, i, beta))
             per_point_max = max(per_point_max, acc)
@@ -350,13 +304,7 @@ def derivative_bounds(field: ExtensionField, up_to: int) -> dict:
         folded = {}
         for m in multis:
             acc = 0.0
-            for beta in multis:
-                if any(b > a for b, a in zip(beta, m)):
-                    continue
-                gamma = tuple(a - b for a, b in zip(m, beta))
-                coef = 1.0
-                for a_c, b_c in zip(m, beta):
-                    coef *= comb(a_c, b_c)
+            for beta, gamma, coef in _leibniz_terms(m):
                 acc += coef * field.cutoff.bound(gamma) * out[beta]
             folded[m] = acc
         out = folded
@@ -438,13 +386,7 @@ def verify(field: ExtensionField, target_seq: WeightSequence, orders,
     # growth certificate: certified bounds (grid-free), sampled sups reported
     g_ord = growth_orders if growth_orders is not None else max(
         (sum(a) if isinstance(a, (tuple, list)) else int(a)) for a in orders)
-    axes = [np.linspace(lo, hi, int(round(grid_points ** (1.0 / dec.dim))))
-            for lo, hi in box]
-    if dec.dim == 1:
-        grid = axes[0].reshape(-1, 1)
-    else:
-        xx, yy = np.meshgrid(axes[0], axes[1])
-        grid = np.column_stack([xx.ravel(), yy.ravel()])
+    grid = box_grid(box, int(round(grid_points ** (1.0 / dec.dim))))
     sups = {}
     for m in multi_indices(dec.dim, g_ord):
         sups[m] = float(np.max(np.abs(field.derivative_grid(grid, m))))

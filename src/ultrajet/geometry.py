@@ -1,8 +1,9 @@
 """Dyadic cube covers of the complement of a finite compact set.
 
-A box around the set is subdivided (bisection tree in 1D, quadtree in 2D):
-a node cube is accepted once its diameter is at most its distance to the
-set, split otherwise, and truncated at a depth cap.  Accepted cubes satisfy
+A cubical box around the set in R^d is subdivided by a 2^d-ary tree (each
+node cube splits into its 2^d children of half the side): a node cube is
+accepted once its diameter is at most its distance to the set, split
+otherwise, and truncated at a depth cap.  Accepted cubes satisfy
 ``diam Q <= d(Q, E) <= 4 diam Q``; the unaccepted depth-cap cubes form the
 *collar*, the thin uncovered shell around the set whose width halves with
 every extra level.
@@ -23,6 +24,18 @@ from .errors import DepthExhausted, InvariantViolation
 from .jets import CompactSet
 
 EXPANSION = 9.0 / 8.0  # expanded cube Q* has the same center, 9/8 the side
+MAX_GRID_POINTS = 160_000
+
+
+def box_grid(box, per_axis: int) -> np.ndarray:
+    """Tensor grid of ``per_axis`` equispaced samples per coordinate of the
+    box, one row per point, coordinate 0 varying fastest.  The per-axis
+    count is lowered so that the grid holds at most MAX_GRID_POINTS points."""
+    dim = len(box)
+    per_axis = min(per_axis, int(MAX_GRID_POINTS ** (1.0 / dim) + 1e-9))
+    axes = [np.linspace(lo, hi, per_axis) for lo, hi in box]
+    mesh = np.meshgrid(*axes[::-1], indexing="ij")
+    return np.column_stack([m.ravel() for m in mesh[::-1]])
 
 
 def nearest(x, cset: CompactSet) -> np.ndarray:

@@ -2,7 +2,9 @@
 Whitney remainders, and growth certificates.
 
 A jet is a complete table of values F^alpha(a) for every multi-index up to
-an order cap and every point of a finite set.  Preset generators produce the
+an order cap and every point of a finite set in R^d, any d >= 1.  The
+multi-index kernel here (graded multi-indices and their ranks, Leibniz
+terms, Taylor plans) serves every dimension and every module.  Preset generators produce the
 tables from exact derivative recurrences, so tests can treat them as ground
 truth.  Certification searches the smallest constant making the two growth
 bounds (pointwise derivative bound, and scaled remainder bound at every pair
@@ -12,7 +14,9 @@ and degree) hold over all stored data, by plain enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import factorial
+from functools import lru_cache
+from itertools import product
+from math import comb, factorial, prod
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -23,33 +27,76 @@ from .seqcore import WeightSequence
 DEFAULT_A_MAX = 12
 
 
+@lru_cache(maxsize=None)
+def _graded(dim: int, up_to: int) -> tuple:
+    return tuple(sorted((m for m in product(range(up_to + 1), repeat=dim)
+                         if sum(m) <= up_to), key=lambda m: (sum(m), m)))
+
+
 def multi_indices(dim: int, up_to: int) -> list[tuple[int, ...]]:
     """All multi-indices with |alpha| <= up_to in graded lexicographic order."""
-    if dim == 1:
-        return [(k,) for k in range(up_to + 1)]
-    if dim == 2:
-        out = []
-        for total in range(up_to + 1):
-            out.extend((i, total - i) for i in range(total + 1))
-        return out
-    raise ValueError("only dimensions 1 and 2 are supported")
+    return list(_graded(dim, up_to))
+
+
+@lru_cache(maxsize=None)
+def _ranks(dim: int, up_to: int) -> dict:
+    """Position of each multi-index in the graded order.  Lower degrees come
+    first, so a position does not depend on ``up_to``."""
+    return {m: r for r, m in enumerate(_graded(dim, up_to))}
+
+
+@lru_cache(maxsize=None)
+def _leibniz_terms(m: tuple) -> tuple:
+    """Leibniz rule for d^m: the triples (beta, m - beta, prod_d C(m_d, beta_d))
+    over beta <= m in lexicographic order."""
+    return tuple((beta, tuple(k - b for k, b in zip(m, beta)),
+                  prod(comb(k, b) for k, b in zip(m, beta)))
+                 for beta in product(*(range(k + 1) for k in m)))
+
+
+def _leibniz_fold(left: dict, right: dict, multis) -> dict:
+    """Derivative tables of a product from the tables of its two factors."""
+    out = {}
+    for m in multis:
+        acc = 0.0
+        for beta, gamma, coef in _leibniz_terms(m):
+            acc = acc + coef * left[beta] * right[gamma]
+        out[m] = acc
+    return out
+
+
+@lru_cache(maxsize=None)
+def _taylor_plan(dim: int, alpha: tuple, q: int) -> tuple:
+    """Terms of the degree-q Taylor field of F^alpha, one per |gamma| <= q:
+    the ranks of alpha + gamma, the exponents gamma (one array per
+    coordinate), 1/gamma! and |gamma|."""
+    gammas = [g for g in product(range(q + 1), repeat=dim) if sum(g) <= q]
+    ranks = _ranks(dim, sum(alpha) + q)
+    return (np.array([ranks[tuple(a + g for a, g in zip(alpha, gam))]
+                      for gam in gammas], dtype=np.intp),
+            tuple(np.array(column, dtype=np.intp) for column in zip(*gammas)),
+            np.array([1.0 / prod(map(factorial, g)) for g in gammas]),
+            np.array([sum(g) for g in gammas]))
 
 
 @dataclass(frozen=True)
 class CompactSet:
-    """Finite point set in dimension 1 or 2 with its bounding box."""
+    """Finite set of pairwise distinct points in R^dim, any dim >= 1, with a
+    box ((lo, hi) per coordinate) that contains it."""
 
     points: np.ndarray  # shape (n_points, dim)
     box: tuple          # ((lo, hi),) * dim
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] not in (1, 2):
-            raise ValueError("points must have shape (n, 1) or (n, 2)")
+        if pts.ndim != 2 or pts.shape[1] < 1:
+            raise ValueError("points must have shape (n, dim) with dim >= 1")
         if len(pts) == 0:
             raise ValueError("compact set must be non-empty")
         if len(np.unique(pts, axis=0)) != len(pts):
             raise ValueError("points must be pairwise distinct")
+        if len(self.box) != pts.shape[1]:
+            raise ValueError("box must have one (lo, hi) pair per coordinate")
         for d, (lo, hi) in enumerate(self.box):
             if np.any(pts[:, d] < lo) or np.any(pts[:, d] > hi):
                 raise ValueError("points must lie inside the box")
@@ -58,8 +105,6 @@ class CompactSet:
     @classmethod
     def from_points(cls, pts, pad: float = 2.0) -> "CompactSet":
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if pts.shape[0] == 1 and pts.shape[1] > 2:
-            pts = pts.T
         box = tuple((float(pts[:, d].min() - pad), float(pts[:, d].max() + pad))
                     for d in range(pts.shape[1]))
         return cls(pts, box)
@@ -145,11 +190,9 @@ class Product1D(Preset1D):
         out = self.factors[0].table(x, up_to)
         for f in self.factors[1:]:
             g = f.table(x, up_to)
-            new = np.zeros(up_to + 1)
-            for j in range(up_to + 1):
-                for i in range(j + 1):
-                    new[j] += _binom(j, i) * out[i] * g[j - i]
-            out = new
+            out = np.array([sum(coef * out[i] * g[k]
+                                for (i,), (k,), coef in _leibniz_terms((j,)))
+                            for j in range(up_to + 1)])
         return out
 
 
@@ -161,20 +204,21 @@ class Sum1D(Preset1D):
         return np.sum([t.table(x, up_to) for t in self.terms], axis=0)
 
 
-class Tensor2D:
-    """Separable two-variable generator f(x1) * g(x2)."""
+class Tensor:
+    """Separable generator f_1(x_1) * ... * f_d(x_d), one axis per coordinate."""
 
-    def __init__(self, fx: Preset1D, fy: Preset1D):
-        self.fx, self.fy = fx, fy
+    def __init__(self, *axes: Preset1D):
+        if not axes or not all(isinstance(a, Preset1D) for a in axes):
+            raise ValueError("tensor axes must be one or more one-variable presets")
+        self.axes = axes
 
-    def table2d(self, pt, up_to):
-        tx = self.fx.table(pt[0], up_to)
-        ty = self.fy.table(pt[1], up_to)
-        return np.outer(tx, ty)
-
-
-def _binom(n, k):
-    return factorial(n) // (factorial(k) * factorial(n - k))
+    def table(self, pt, up_to):
+        """Array t with t[alpha] = d^alpha of the product at pt, each
+        alpha_d <= up_to."""
+        out = self.axes[0].table(float(pt[0]), up_to)
+        for axis, x in zip(self.axes[1:], pt[1:]):
+            out = np.multiply.outer(out, axis.table(float(x), up_to))
+        return out
 
 
 def make_preset(spec: dict):
@@ -193,7 +237,7 @@ def make_preset(spec: dict):
     if kind == "sum":
         return Sum1D(*[make_preset(s) for s in spec["terms"]])
     if kind == "tensor":
-        return Tensor2D(make_preset(spec["axes"][0]), make_preset(spec["axes"][1]))
+        return Tensor(*[make_preset(s) for s in spec["axes"]])
     raise ValueError(f"unknown preset kind {kind!r}")
 
 
@@ -224,19 +268,21 @@ class Ultrajet:
     values: np.ndarray  # (n_points, n_multi)
     certificate: JetCertificate | None = None
     _multi: tuple = field(default=(), repr=False)
+    _rank: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        multi = multi_indices(self.cset.dim, self.A_max)
+        multi = _graded(self.cset.dim, self.A_max)
         if self.values.shape != (len(self.cset.points), len(multi)):
             raise ValueError("value table does not match point/order layout")
-        object.__setattr__(self, "_multi", tuple(multi))
+        object.__setattr__(self, "_multi", multi)
+        object.__setattr__(self, "_rank", _ranks(self.cset.dim, self.A_max))
 
     @property
     def multi(self) -> tuple:
         return self._multi
 
     def rank(self, alpha) -> int:
-        return self._multi.index(tuple(alpha))
+        return self._rank[tuple(alpha)]
 
     def value(self, point_index: int, alpha) -> float:
         return float(self.values[point_index, self.rank(alpha)])
@@ -246,16 +292,17 @@ class Ultrajet:
 
 
 def jet_from_preset(preset, cset: CompactSet, A_max: int = DEFAULT_A_MAX) -> Ultrajet:
-    """Tabulate exact derivatives of a preset over the set."""
-    multi = multi_indices(cset.dim, A_max)
+    """Tabulate exact derivatives of a preset over the set.  A one-variable
+    preset is a tensor with one axis; a tensor needs one axis per coordinate."""
+    tensor = preset if isinstance(preset, Tensor) else Tensor(preset)
+    if len(tensor.axes) != cset.dim:
+        raise ValueError(f"preset has {len(tensor.axes)} axes but the set "
+                         f"has dimension {cset.dim}")
+    multi = _graded(cset.dim, A_max)
     vals = np.empty((len(cset.points), len(multi)))
     for i, pt in enumerate(cset.points):
-        if cset.dim == 1:
-            table = preset.table(float(pt[0]), A_max)
-            vals[i] = [table[a[0]] for a in multi]
-        else:
-            table = preset.table2d(pt, A_max)
-            vals[i] = [table[a[0], a[1]] for a in multi]
+        table = tensor.table(pt, A_max)
+        vals[i] = [table[m] for m in multi]
     return Ultrajet(cset, A_max, vals)
 
 
@@ -275,26 +322,15 @@ def taylor_grid(jet: Ultrajet, a_index: int, p: int, alpha, x) -> np.ndarray:
         raise OrderCapExceeded(f"degree {p} exceeds stored order {jet.A_max}")
     if sum(alpha) > p:
         raise OrderCapExceeded(f"derivative {alpha} exceeds degree {p}")
-    a = jet.cset.points[a_index]
     dim = jet.cset.dim
-    x = np.asarray(x, dtype=float)
-    pts = x.reshape(-1, dim)
-    out = np.zeros(len(pts))
-    if dim == 1:
-        dx = pts[:, 0] - a[0]
-        power = np.ones_like(dx)
-        for j in range(0, p - alpha[0] + 1):
-            out += jet.value(a_index, (alpha[0] + j,)) / factorial(j) * power
-            power = power * dx
-        return out
-    dx = pts[:, 0] - a[0]
-    dy = pts[:, 1] - a[1]
-    for j1 in range(0, p - sum(alpha) + 1):
-        for j2 in range(0, p - sum(alpha) - j1 + 1):
-            beta = (alpha[0] + j1, alpha[1] + j2)
-            out += (jet.value(a_index, beta) / (factorial(j1) * factorial(j2))
-                    * dx ** j1 * dy ** j2)
-    return out
+    q = p - sum(alpha)
+    ranks, exponents, inv_fact, _ = _taylor_plan(dim, alpha, q)
+    dx = np.asarray(x, dtype=float).reshape(-1, dim) - jet.cset.points[a_index]
+    powers = dx.T ** np.arange(q + 1)[:, None, None]  # powers[k, d] = dx_d^k
+    monomials = powers[exponents[0], 0]
+    for d in range(1, dim):
+        monomials *= powers[exponents[d], d]
+    return (jet.values[a_index, ranks] * inv_fact) @ monomials
 
 
 def taylor(jet: Ultrajet, a, p: int, alpha, x) -> float:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import OrderCapExceeded, QuasianalyticInput, StageOverflow
 from .geometry import CubeDecomposition, EXPANSION
-from .jets import multi_indices
+from .jets import _leibniz_fold, multi_indices
 from .seqcore import WeightSequence
 
 # radii must fit in this fraction of the half-width so that the plateau
@@ -395,22 +395,6 @@ class PartitionOfUnity:
             half = self.dec.sides[i] / 2.0
             out |= np.all(np.abs(pts - self.dec.centers[i]) <= half, axis=1)
         return out
-
-
-def _leibniz_fold(left: dict, right: dict, multis) -> dict:
-    out = {}
-    for m in multis:
-        acc = 0.0
-        if len(m) == 1:
-            for i in range(m[0] + 1):
-                acc = acc + comb(m[0], i) * left[(i,)] * right[(m[0] - i,)]
-        else:
-            for i in range(m[0] + 1):
-                for j in range(m[1] + 1):
-                    acc = acc + (comb(m[0], i) * comb(m[1], j)
-                                 * left[(i, j)] * right[(m[0] - i, m[1] - j)])
-        out[m] = acc
-    return out
 
 
 def build_pou(dec: CubeDecomposition, seq: WeightSequence,

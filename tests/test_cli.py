@@ -41,6 +41,48 @@ def test_config_error_exit_code(tmp_path):
     assert rep["errors"][0]["kind"] == "config"
 
 
+def _jet_config(points, preset):
+    return {"sequences": [{"name": "S", "generator": "gevrey",
+                           "params": {"s": 1.0}}],
+            "compact_set": {"points": points},
+            "jet": {"preset": preset, "A_max": 4, "source_sequence": "S"},
+            "decomposition": {"depth_cap": 2},
+            "pou": {"order_cap": 2, "sequence": "S"}}
+
+
+SIN, EXP = {"kind": "sin"}, {"kind": "exp", "a": 0.5}
+
+
+@pytest.mark.parametrize("points, preset", [
+    ([[0.0], [1.0]], {"kind": "tensor", "axes": [SIN, EXP]}),
+    ([[0.0, 0.0], [1.0, 1.0]], SIN),
+    ([[0.0, 0.0], [1.0, 1.0]], {"kind": "tensor", "axes": [SIN, EXP, SIN]}),
+    ([[0.0, 0.0], [1.0, 1.0]],
+     {"kind": "product", "factors": [{"kind": "tensor", "axes": [SIN, EXP]}]}),
+])
+def test_preset_dimension_mismatch_is_config_error(tmp_path, points, preset):
+    with pytest.raises(ConfigError):
+        validate_config(_jet_config(points, preset))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_jet_config(points, preset)))
+    assert run("extend", str(path), str(tmp_path / "out")) == 2
+    assert load_report(tmp_path / "out")["errors"][0]["kind"] == "config"
+
+
+def test_extend_in_three_dimensions(tmp_path):
+    cfg = _jet_config([[0.0, 0.0, 0.0]],
+                      {"kind": "tensor", "axes": [SIN, EXP, SIN]})
+    cfg["compact_set"]["box"] = [[-1.0, 1.0]] * 3
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run("extend", str(path), str(tmp_path / "out")) == 0
+    with open(tmp_path / "out" / "field_samples.csv") as fh:
+        header = next(fh)
+        n_lines = 1 + sum(1 for _ in fh)
+    assert header == "x_0,x_1,x_2,f\n"
+    assert n_lines <= 160_001
+
+
 # -- check pipelines ----------------------------------------------------------------
 
 def test_power_strong_config_passes(tmp_path):

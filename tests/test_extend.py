@@ -117,12 +117,12 @@ def test_zero_jet_extends_to_zero(pair_setup):
 
 
 def test_extension_in_two_dimensions():
-    from ultrajet.jets import Exp, Tensor2D
+    from ultrajet.jets import Exp, Tensor
     cs = CompactSet(np.array([[0.0, 0.0]]), ((-1.0, 1.0), (-1.0, 1.0)))
     dec = decompose(cs.box, cs, depth_cap=6)
     seq = gevrey(1.0)
     pu = build_pou(dec, seq, order_cap=2)
-    jet = jet_from_preset(Tensor2D(Exp(1.0), Sin(1.0)), cs, A_max=8)
+    jet = jet_from_preset(Tensor(Exp(1.0), Sin(1.0)), cs, A_max=8)
     jet = jet.with_certificate(certify(jet, seq, rho=2.0, P_max=8))
     sched = schedule(dec, seq, L=default_L(jet), A_max=8)
     fld = extend(jet, pu, sched)
@@ -153,6 +153,27 @@ def test_extension_in_two_dimensions():
     fd = (plus - minus) / (2.0 * h)
     scale = float(np.max(np.abs(vals))) + 1.0
     assert float(np.max(np.abs(vals - fd))) / scale < 1e-4
+
+
+def test_extension_in_three_dimensions():
+    from ultrajet.jets import Exp, Tensor
+    cs = CompactSet.from_points([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    dec = decompose(cs.box, cs, depth_cap=3)
+    seq = gevrey(1.0)
+    pu = build_pou(dec, seq, order_cap=2)
+    rng = np.random.default_rng(3)
+    lo, hi = np.array(cs.box).T
+    xs = rng.uniform(lo, hi, size=(1000, 3))
+    covered = pu.covered(xs)
+    assert covered.sum() > 500
+    # the ordered product telescopes to one; the sum of its factors is one
+    # up to a few rounding steps
+    assert np.max(np.abs(pu.sum_phi(xs[covered]) - 1.0)) <= 1e-15
+    jet = jet_from_preset(Tensor(Sin(1.0), Exp(0.5), Poly([1.0, 0.0, 1.0])),
+                          cs, A_max=6)
+    jet = jet.with_certificate(certify(jet, seq, rho=2.0))
+    fld = extend(jet, pu, schedule(dec, seq, L=default_L(jet), A_max=6))
+    assert np.array_equal(fld.value(cs.points), jet.values[:, 0])
 
 
 def test_polynomial_reproduction_near_set(pair_setup):

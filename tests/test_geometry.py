@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ultrajet.errors import DepthExhausted
-from ultrajet.geometry import cube_diagnostics, decompose, nearest
+from ultrajet.geometry import box_grid, cube_diagnostics, decompose, nearest
 from ultrajet.jets import CompactSet
 
 
@@ -139,3 +139,16 @@ def test_center_at_expanded_cube_has_no_anchor_spread(dec_origin_1d):
         spread = float(np.linalg.norm(xhat_i - nearest(x, dec.cset)))
         assert spread <= 4.0 * dec.center_dist[i]
         assert spread == 0.0
+
+
+def test_box_grid_rows_and_cap():
+    x = np.linspace(-1.0, 2.0, 7)
+    assert np.array_equal(box_grid(((-1.0, 2.0),), 7), x.reshape(-1, 1))
+    xx, yy = np.meshgrid(np.linspace(-1.0, 2.0, 5), np.linspace(0.0, 3.0, 5))
+    assert np.array_equal(box_grid(((-1.0, 2.0), (0.0, 3.0)), 5),
+                          np.column_stack([xx.ravel(), yy.ravel()]))
+    assert box_grid(((0.0, 1.0),) * 2, 400).shape == (160_000, 2)
+    grid = box_grid(((0.0, 1.0), (0.0, 2.0), (0.0, 3.0)), 400)
+    assert grid.shape == (54 ** 3, 3)
+    assert np.array_equal(grid[:54, 0], np.linspace(0.0, 1.0, 54))
+    assert np.all(grid[:54, 1:] == 0.0)

@@ -12,7 +12,7 @@ from ultrajet.jets import (
     Runge,
     Sin,
     Sum1D,
-    Tensor2D,
+    Tensor,
     certify,
     jet_from_preset,
     make_preset,
@@ -51,12 +51,24 @@ def test_multi_index_order():
     assert multi_indices(2, 2) == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
 
 
+def test_multi_index_order_3d():
+    assert multi_indices(3, 1) == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    for p in range(0, 7):
+        multi = multi_indices(3, p)
+        assert len(multi) == math.comb(p + 3, 3)
+        assert multi == sorted(set(multi), key=lambda m: (sum(m), m))
+        assert max(map(sum, multi)) == p
+
+
 def test_compact_set_validation():
     with pytest.raises(ValueError):
         CompactSet.from_points([[0.0], [0.0]])
     cs = CompactSet.from_points([[0.0, 0.0], [1.0, 0.5]])
     assert cs.dim == 2
     assert cs.index_of([1.0, 0.5]) == 1
+    assert CompactSet.from_points([[0.0, 0.0, 0.0]]).dim == 3
+    with pytest.raises(ValueError):
+        CompactSet(np.zeros((1, 3)), ((-1.0, 1.0),) * 2)
 
 
 # -- presets ------------------------------------------------------------------
@@ -98,10 +110,20 @@ def test_product_and_sum_presets():
 
 def test_tensor_preset_2d():
     cs = CompactSet.from_points([[0.3, -0.2]])
-    jet = jet_from_preset(Tensor2D(Exp(1.0), Sin(1.0)), cs, A_max=4)
+    jet = jet_from_preset(Tensor(Exp(1.0), Sin(1.0)), cs, A_max=4)
     val = jet.value(0, (1, 2))
     exact = math.exp(0.3) * (-math.sin(-0.2))
     assert math.isclose(val, exact, rel_tol=1e-12)
+
+
+def test_preset_dimension_must_match_set():
+    with pytest.raises(ValueError):
+        jet_from_preset(Tensor(Exp(1.0), Sin(1.0)), CompactSet.from_points([[0.0]]))
+    with pytest.raises(ValueError):
+        jet_from_preset(Sin(1.0), CompactSet.from_points([[0.0, 0.0]]))
+    spec = {"kind": "tensor", "axes": [{"kind": "sin"}, {"kind": "exp"},
+                                       {"kind": "runge"}]}
+    assert len(make_preset(spec).axes) == 3
 
 
 def test_make_preset_round_trip():
@@ -239,8 +261,32 @@ def test_certificate_forms_consistent(pair_1d):
     assert c_fa.C >= c_pw.C - 1e-12
 
 
+def test_taylor_reproduces_tensor_of_cubics_3d():
+    # the product of three cubics has total degree 9, so its degree-9 Taylor
+    # field from any point is the product itself, with every derivative
+    coeffs = ([1.0, -2.0, 0.5, 0.25], [0.0, 1.0, 0.0, -1.0], [2.0, 0.0, 1.0, 0.5])
+    cs = CompactSet.from_points([[0.2, -0.4, 0.1], [1.0, 0.5, -0.3]])
+    jet = jet_from_preset(Tensor(*map(Poly, coeffs)), cs, A_max=9)
+    xs = np.random.default_rng(5).uniform(-2.0, 2.0, size=(20, 3))
+    for alpha in ((0, 0, 0), (1, 0, 2), (3, 3, 0)):
+        exact = np.ones(len(xs))
+        for d, c in enumerate(coeffs):
+            c = np.polynomial.polynomial.polyder(c, alpha[d])
+            exact *= np.polynomial.polynomial.polyval(xs[:, d], c)
+        for a_index in (0, 1):
+            got = taylor_grid(jet, a_index, 9, alpha, xs)
+            assert np.allclose(got, exact, rtol=1e-12, atol=1e-12)
+
+
+def test_certify_3d_tensor():
+    cs = CompactSet.from_points([[0.0, 0.0, 0.0], [1.0, -1.0, 0.5]])
+    jet = jet_from_preset(Tensor(Sin(1.0), Exp(0.5), Runge(1.0)), cs, A_max=5)
+    cert = certify(jet, gevrey(1.0), rho=2.0)
+    assert cert.ok and np.isfinite(cert.C) and cert.C > 0
+
+
 def test_certify_2d_tensor():
     cs = CompactSet.from_points([[0.0, 0.0], [1.0, -1.0]])
-    jet = jet_from_preset(Tensor2D(Sin(1.0), Exp(0.5)), cs, A_max=6)
+    jet = jet_from_preset(Tensor(Sin(1.0), Exp(0.5)), cs, A_max=6)
     cert = certify(jet, gevrey(1.0), rho=2.0, P_max=6)
     assert cert.ok and np.isfinite(cert.C)
