@@ -148,6 +148,9 @@ def validate_config(raw: dict) -> dict:
         cfg["jet"].setdefault("A_max", 12)
         cfg["jet"].setdefault("rho", 1.0)
         cfg["jet"].setdefault("P_max", cfg["jet"]["A_max"])
+        for entry in cfg["extension"]["orders"]:
+            if (sum(entry) if isinstance(entry, list) else entry) > cfg["jet"]["A_max"]:
+                raise ConfigError(f"extension.orders {entry}: degree above jet.A_max")
     for c in cfg["checks"]:
         if "check" not in c or c["check"] not in _CHECK_KEYS:
             raise ConfigError(f"unknown check entry {c!r}")

@@ -36,7 +36,14 @@ from .jets import (
     multi_indices,
     taylor_grid,
 )
-from .pou import Bump1D, PartitionOfUnity
+from .pou import (
+    CanonicalBump,
+    PartitionOfUnity,
+    _complement,
+    _complement_bounds,
+    _tensor_bump_bounds,
+    _tensor_bump_derivs,
+)
 from .seqcore import (
     SequenceView,
     WeightSequence,
@@ -61,10 +68,6 @@ class DegreeSchedule:
     s_prime: SequenceView
     chain: ChainCertificate | None = None
     collapse_D: float | None = None  # single mode: 2G(Dt) <= G_under(t) witness
-
-    @property
-    def degree_cap(self) -> int:
-        return int(self.degrees.max(initial=0))
 
 
 def _halving_constant(view: SequenceView, t_range=(0.02, 50.0), n_t: int = 40):
@@ -122,47 +125,35 @@ def schedule(dec: CubeDecomposition, source, L: float,
                           collapse_D=collapse)
 
 
+@dataclass(frozen=True, eq=False)
 class _UnionBump:
     """Smooth cutoff equal to one near every set point: the complement of
-    the product of per-point tensor bump complements."""
+    the product of per-point tensor bump complements of half-width radius."""
 
-    def __init__(self, cset, canonical, radius: float):
-        self.radius = float(radius)
-        self.bumps = tuple(
-            tuple(Bump1D(canonical=canonical, center=float(a[d]), r=self.radius)
-                  for d in range(cset.dim))
-            for a in cset.points)
-        self.dim = cset.dim
+    canonical: CanonicalBump
+    points: np.ndarray
+    radius: float
 
     def derivs(self, pts: np.ndarray, up_to: int) -> dict:
-        multis = multi_indices(self.dim, up_to)
-        prod = None
-        for axes in self.bumps:
-            fac = {}
-            for m in multis:
-                v = np.ones(len(pts))
-                for d in range(self.dim):
-                    v = v * axes[d].eval(pts[:, d], int(m[d]))
-                fac[m] = (1.0 - v) if sum(m) == 0 else -v
-            prod = fac if prod is None else _leibniz_fold(prod, fac, multis)
-        out = {}
-        for m in multis:
-            out[m] = (1.0 - prod[m]) if sum(m) == 0 else -prod[m]
-        return out
+        n_set = len(self.points)
+        psi = _tensor_bump_derivs(self.canonical, np.repeat(pts, n_set, axis=0),
+                                  self.points, [self.radius] * n_set,
+                                  np.tile(np.arange(n_set), len(pts)), up_to)
+        multis = multi_indices(self.points.shape[1], up_to)
+        prod = _complement({m: v[0::n_set] for m, v in psi.items()})
+        for a in range(1, n_set):
+            fac = _complement({m: v[a::n_set] for m, v in psi.items()})
+            prod = _leibniz_fold(prod, fac, multis)
+        return _complement(prod)
 
-    def bound(self, m) -> float:
-        """Certified sup bound for the m-derivative, by the same fold."""
-        multis = multi_indices(self.dim, sum(m))
-        prod = None
-        for axes in self.bumps:
-            fac = {}
-            for mm in multis:
-                b = 1.0
-                for d in range(self.dim):
-                    b *= axes[d].bound(int(mm[d]))
-                fac[mm] = 1.0 if sum(mm) == 0 else b
-            prod = fac if prod is None else _leibniz_fold(prod, fac, multis)
-        return 1.0 if sum(m) == 0 else float(prod[tuple(m)])
+    def bounds(self, up_to: int) -> dict:
+        """Certified sup bounds for the derivatives, by the same fold."""
+        dim = self.points.shape[1]
+        prod = fac = _complement_bounds(
+            _tensor_bump_bounds(self.canonical, self.radius, dim, up_to))
+        for _ in range(len(self.points) - 1):
+            prod = _leibniz_fold(prod, fac, multi_indices(dim, up_to))
+        return _complement_bounds(prod)
 
 
 @dataclass(frozen=True)
@@ -193,40 +184,35 @@ class ExtensionField:
         should be read together with point_flags."""
         alpha = tuple(alpha)
         pts = np.asarray(x, dtype=float).reshape(-1, self.pou.dec.dim)
+        pairs = self.pou.pair_derivs(pts, sum(alpha))
         if self.cutoff is None:
-            out = self._cube_sum(pts, alpha)
+            out = self._cube_sum(pts, alpha, pairs)
         else:
             cut = self.cutoff.derivs(pts, sum(alpha))
             out = np.zeros(len(pts))
             for beta, gamma, coef in _leibniz_terms(alpha):
-                out += coef * cut[gamma] * self._cube_sum(pts, beta)
-        flags = self.point_flags(pts)
-        if np.any(flags["on_set"]):
-            idx = np.where(flags["on_set"])[0]
-            for k in idx:
-                j = self.jet.cset.index_of(pts[k])
-                out[k] = self.jet.value(j, alpha)
+                out += coef * cut[gamma] * self._cube_sum(pts, beta, pairs)
+        for k in np.nonzero(self.point_flags(pts)["on_set"])[0]:
+            out[k] = self.jet.value(self.jet.cset.index_of(pts[k]), alpha)
         return out
 
-    def _cube_sum(self, pts, alpha) -> np.ndarray:
-        """d^alpha of sum_i phi_i T_i, cube by cube, without the cutoff and
-        without the on-set values."""
-        dec = self.pou.dec
+    def _cube_sum(self, pts, alpha, pairs) -> np.ndarray:
+        """d^alpha of sum_i phi_i T_i over the cubes hit, in cube order,
+        without the cutoff and without the on-set values.  ``pairs`` is the
+        partition's ``pair_derivs`` of pts, up to at least |alpha|."""
+        point, cube, tables = pairs
         out = np.zeros(len(pts))
-        for i in range(dec.n_cubes):
-            half = dec.sides[i] * EXPANSION / 2.0
-            mask = np.all(np.abs(pts - dec.centers[i]) <= half, axis=1)
-            if not np.any(mask):
-                continue
-            sub = pts[mask]
-            tables = self.pou.phi_derivs(i, sub, up_to=sum(alpha))
-            acc = np.zeros(len(sub))
+        by_cube = np.argsort(cube, kind="stable")
+        hit, starts = np.unique(cube[by_cube], return_index=True)
+        for i, rows in zip(hit, np.split(by_cube, starts[1:])):
+            sub = pts[point[rows]]
+            acc = np.zeros(len(rows))
             p_i = int(self.sched.degrees[i])
             for beta, gamma, coef in _leibniz_terms(alpha):
                 if sum(beta) <= p_i:
-                    acc += coef * tables[gamma] * taylor_grid(
+                    acc += coef * tables[gamma][rows] * taylor_grid(
                         self.jet, int(self.anchor_idx[i]), p_i, beta, sub)
-            out[mask] += acc
+            out[point[rows]] += acc
         return out
 
     def value(self, x) -> np.ndarray:
@@ -253,7 +239,7 @@ def extend(jet: Ultrajet, pou: PartitionOfUnity, sched: DegreeSchedule,
                        for i in range(dec.n_cubes)], dtype=int)
     cut = None
     if cutoff_radius is not None:
-        cut = _UnionBump(jet.cset, pou.canonical, cutoff_radius)
+        cut = _UnionBump(pou.canonical, jet.cset.points, float(cutoff_radius))
     return ExtensionField(jet=jet, pou=pou, sched=sched, anchor_idx=anchor,
                           cutoff=cut)
 
@@ -289,25 +275,13 @@ def derivative_bounds(field: ExtensionField, up_to: int) -> dict:
     cubes contributes at any point)."""
     dec = field.pou.dec
     multis = multi_indices(dec.dim, up_to)
-    overlap = field.pou.dec.max_overlap() + 1
-    out = {m: 0.0 for m in multis}
-    for m in multis:
-        per_point_max = 0.0
-        for i in range(dec.n_cubes):
-            acc = 0.0
-            for beta, gamma, coef in _leibniz_terms(m):
-                acc += (coef * field.pou.phi_bound(i, gamma)
-                        * _taylor_sup_bound(field, i, beta))
-            per_point_max = max(per_point_max, acc)
-        out[m] = overlap * per_point_max
+    per_cube = [_leibniz_fold({beta: _taylor_sup_bound(field, i, beta) for beta in multis},
+                              field.pou.phi_bounds(i, up_to), multis)
+                for i in range(dec.n_cubes)]
+    overlap = dec.max_overlap() + 1
+    out = {m: overlap * max([0.0] + [t[m] for t in per_cube]) for m in multis}
     if field.cutoff is not None:
-        folded = {}
-        for m in multis:
-            acc = 0.0
-            for beta, gamma, coef in _leibniz_terms(m):
-                acc += coef * field.cutoff.bound(gamma) * out[beta]
-            folded[m] = acc
-        out = folded
+        out = _leibniz_fold(out, field.cutoff.bounds(up_to), multis)
     return out
 
 
@@ -353,15 +327,11 @@ def verify(field: ExtensionField, target_seq: WeightSequence, orders,
             vals = field.derivative_grid(pts, alpha)
             ref = np.array([jet.value(cset.index_of(nearest(x, cset)), alpha)
                             for x in pts])
-            contributing = set()
-            for x in pts:
-                contributing.update(dec.cubes_containing(x).tolist())
-            capped = bool(np.any(field.sched.capped[list(contributing)])) \
-                if contributing else False
             residuals.append({
                 "alpha": list(alpha), "d": float(d),
                 "residual": float(np.max(np.abs(vals - ref))),
-                "capped": capped, "n_points": len(pts)})
+                "capped": bool(np.any(field.sched.capped[dec.incidence(pts)[1]])),
+                "n_points": len(pts)})
 
     fit = None
     clean = [r for r in residuals if not r["capped"]]

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product as iproduct
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
 from .errors import OrderCapExceeded, QuasianalyticInput, StageOverflow
-from .geometry import CubeDecomposition, EXPANSION
+from .geometry import CubeDecomposition
 from .jets import _leibniz_fold, multi_indices
 from .seqcore import WeightSequence
 
@@ -44,8 +44,7 @@ class _PiecewisePoly:
     """Compactly supported piecewise polynomial with local-coordinate
     coefficients, exact zero outside the support, and snapped plateau."""
 
-    __slots__ = ("breaks", "mids", "coeffs", "integrals", "cumint",
-                 "plateau_lo", "plateau_hi")
+    __slots__ = ("breaks", "mids", "coeffs", "cumint", "plateau_lo", "plateau_hi")
 
     def __init__(self, breaks, coeffs, plateau):
         self.breaks = np.asarray(breaks, dtype=float)
@@ -57,12 +56,7 @@ class _PiecewisePoly:
         k = np.arange(self.coeffs.shape[1])
         halfw = (widths / 2.0)[:, None]
         terms = self.coeffs * (halfw ** (k + 1)) * ((1.0 - (-1.0) ** (k + 1)) / (k + 1.0))
-        self.integrals = np.sum(terms, axis=1)
-        self.cumint = np.concatenate([[0.0], np.cumsum(self.integrals)])
-
-    @property
-    def total(self) -> float:
-        return float(self.cumint[-1])
+        self.cumint = np.concatenate([[0.0], np.cumsum(np.sum(terms, axis=1))])
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -73,8 +67,7 @@ class _PiecewisePoly:
         todo = inside & ~flat
         if np.any(todo):
             xt = x[todo]
-            idx = np.clip(np.searchsorted(self.breaks, xt, side="right") - 1,
-                          0, len(self.mids) - 1)
+            idx = self.piece(xt)
             u = xt - self.mids[idx]
             c = self.coeffs[idx]
             val = np.zeros_like(xt)
@@ -83,15 +76,18 @@ class _PiecewisePoly:
             out[todo] = val
         return out
 
+    def piece(self, y):
+        """Index of the piece holding y (the nearest end piece outside)."""
+        return np.clip(np.searchsorted(self.breaks, y, side="right") - 1,
+                       0, len(self.mids) - 1)
+
     def prefix_integral(self, y) -> float:
         """Integral over the full pieces strictly left of y's piece."""
         if y <= self.breaks[0]:
             return 0.0
         if y >= self.breaks[-1]:
-            return self.total
-        q = int(np.clip(np.searchsorted(self.breaks, y, side="right") - 1,
-                        0, len(self.mids) - 1))
-        return float(self.cumint[q])
+            return float(self.cumint[-1])
+        return float(self.cumint[self.piece(y)])
 
 
 def _shift_poly(c: np.ndarray, gamma: float) -> np.ndarray:
@@ -130,26 +126,16 @@ def _convolve_uniform(g: _PiecewisePoly, r: float,
         const = g.prefix_integral(yp) - g.prefix_integral(ym)
         poly = np.zeros(deg + 1)
         poly[0] = const
-        # partial integral at the upper window edge, as a polynomial in u
-        if g.breaks[0] < yp < g.breaks[-1]:
-            q = int(np.clip(np.searchsorted(g.breaks, yp, side="right") - 1,
-                            0, len(g.mids) - 1))
-            anti = np.concatenate([[0.0], g.coeffs[q] / (k + 1.0)])
-            gamma = m + r - g.mids[q]
-            lo = g.breaks[q] - g.mids[q]
-            shifted = _shift_poly(anti, gamma)
-            shifted[0] -= float(np.polynomial.polynomial.polyval(lo, anti))
-            poly[: len(shifted)] += shifted
-        # minus the partial integral at the lower edge
-        if g.breaks[0] < ym < g.breaks[-1]:
-            q = int(np.clip(np.searchsorted(g.breaks, ym, side="right") - 1,
-                            0, len(g.mids) - 1))
-            anti = np.concatenate([[0.0], g.coeffs[q] / (k + 1.0)])
-            gamma = m - r - g.mids[q]
-            lo = g.breaks[q] - g.mids[q]
-            shifted = _shift_poly(anti, gamma)
-            shifted[0] -= float(np.polynomial.polynomial.polyval(lo, anti))
-            poly[: len(shifted)] -= shifted
+        # plus the partial integral at the upper window edge, minus the one
+        # at the lower edge, each as a polynomial in u
+        for y, sign in ((yp, 1.0), (ym, -1.0)):
+            if g.breaks[0] < y < g.breaks[-1]:
+                q = int(g.piece(y))
+                anti = np.concatenate([[0.0], g.coeffs[q] / (k + 1.0)])
+                shifted = _shift_poly(anti, y - g.mids[q])
+                shifted[0] -= float(np.polynomial.polynomial.polyval(
+                    g.breaks[q] - g.mids[q], anti))
+                poly[: len(shifted)] += sign * shifted
         coeffs[p] = inv * poly
     return _PiecewisePoly(breaks, coeffs, plateau)
 
@@ -220,10 +206,6 @@ class Bump1D:
         return self.canonical.radii * self.r
 
     @property
-    def sum_radii(self) -> float:
-        return self.canonical.sum_radii * self.r
-
-    @property
     def plateau_halfwidth(self) -> float:
         return self.canonical.plateau * self.r
 
@@ -254,12 +236,6 @@ def build_bump(r: float, seq: WeightSequence, delta: float | None = None,
     return Bump1D(canonical=canonical, center=0.0, r=float(r))
 
 
-def eval_bump(b: Bump1D, x, order: int = 0):
-    """Derivative of a bump at x: the signed central-difference sum over the
-    first ``order`` radii of the stored remaining-stage convolution."""
-    return b.eval(x, order)
-
-
 def max_delta(seq: WeightSequence, J: int) -> float:
     """Largest radii scale fitting the budget for this class and degree."""
     if seq.K_max < J:
@@ -279,17 +255,51 @@ def _canonical_for(seq: WeightSequence, delta: float | None, J: int) -> Canonica
     return CanonicalBump(radii)
 
 
-# -- partition of unity ------------------------------------------------------------
+# -- tensor bumps and partition of unity ---------------------------------------
+
+def _tensor_bump_derivs(canonical: CanonicalBump, x, centers, radii, owner,
+                        up_to: int) -> dict:
+    """Derivative tables, |m| <= up_to, of tensor bumps at the rows of x:
+    row n takes the bump prod_d b((x_d - c_d) / r) with center
+    centers[owner[n]] and half-width radii[owner[n]].  One canonical
+    evaluation per (axis, order) over all rows."""
+    u = (x - centers[owner]) / np.asarray(radii, dtype=float)[owner, None]
+    scales = [np.array([float(r) ** j for r in radii])[owner]
+              for j in range(up_to + 1)]
+    axes = [[canonical.eval(u[:, d], j) / scales[j] for j in range(up_to + 1)]
+            for d in range(x.shape[1])]
+    return {m: prod(axes[d][j] for d, j in enumerate(m))
+            for m in multi_indices(x.shape[1], up_to)}
+
+
+def _tensor_bump_bounds(canonical: CanonicalBump, r: float, dim: int,
+                        up_to: int) -> dict:
+    """Certified sup bounds of the derivatives of a tensor bump of
+    half-width r, |m| <= up_to."""
+    return {m: prod(canonical.bound(j) / r ** j for j in m)
+            for m in multi_indices(dim, up_to)}
+
+
+def _complement(tables: dict) -> dict:
+    """Derivative tables of 1 - g from those of g."""
+    return {m: (1.0 - v) if sum(m) == 0 else -v for m, v in tables.items()}
+
+
+def _complement_bounds(bounds: dict) -> dict:
+    """Sup bounds of the derivatives of 1 - g for g with values in [0, 1]."""
+    return {m: 1.0 if sum(m) == 0 else b for m, b in bounds.items()}
+
 
 @dataclass(frozen=True)
 class PartitionOfUnity:
     """Ordered-product partition subordinate to the expanded cubes.
 
     psi_i is the tensor bump of cube i (value 1 on Q_i, support in Q_i*);
-    phi_i = psi_i * prod_{k < i, k neighbor of i} (1 - psi_k).  Earlier
-    non-neighbors are exactly 1 on supp psi_i, so the truncated product is
-    exact, and sum_i phi_i = 1 - prod_i (1 - psi_i) = 1 on the union of the
-    cubes.
+    phi_i = psi_i * prod_{k < i} (1 - psi_k).  At a point x, psi_k and all
+    its derivatives are exactly 0 unless x lies in Q_k*, so the product runs
+    over the earlier cubes incident to x, in ascending k, and sum_i phi_i =
+    1 - prod_i (1 - psi_i) = 1 on the union of the cubes, up to the
+    rounding of the ordered product.
     """
 
     dec: CubeDecomposition
@@ -299,101 +309,96 @@ class PartitionOfUnity:
     order_cap: int
     halvings: int
     bumps: tuple = field(repr=False, default=())  # per cube, per axis Bump1D
+    _bounds: dict = field(init=False, repr=False, compare=False,
+                          default_factory=dict)  # (cube, order) -> phi bounds
 
     @property
     def J(self) -> int:
         return self.canonical.J
 
-    @property
-    def seq_label(self) -> str:
-        return self.seq.label
-
     def psi(self, i: int, x) -> np.ndarray:
         pts = np.asarray(x, dtype=float).reshape(-1, self.dec.dim)
-        out = np.ones(len(pts))
-        for d in range(self.dec.dim):
-            out *= self.bumps[i][d].eval(pts[:, d], 0)
-        return out
+        return _tensor_bump_derivs(self.canonical, pts, self.dec.centers, self.dec.sides / 2.0,
+                                   np.full(len(pts), i), 0)[(0,) * self.dec.dim]
 
-    def psi_deriv(self, i: int, beta, x) -> np.ndarray:
-        pts = np.asarray(x, dtype=float).reshape(-1, self.dec.dim)
-        out = np.ones(len(pts))
-        for d in range(self.dec.dim):
-            out = out * self.bumps[i][d].eval(pts[:, d], int(beta[d]))
-        return out
-
-    def psi_bound(self, i: int, beta) -> float:
-        b = 1.0
-        for d in range(self.dec.dim):
-            b *= self.bumps[i][d].bound(int(beta[d]))
-        return b
-
-    def _factor_indices(self, i: int) -> list[int]:
-        return [int(k) for k in self.dec.neighbors[i] if k < i]
-
-    def phi(self, i: int, x) -> np.ndarray:
-        pts = np.asarray(x, dtype=float).reshape(-1, self.dec.dim)
-        out = self.psi(i, pts)
-        for k in self._factor_indices(i):
-            out *= 1.0 - self.psi(k, pts)
-        return out
+    def pair_derivs(self, x, up_to: int) -> tuple:
+        """The incidence (point, cube) of x with the expanded cubes, and the
+        derivative tables of phi_cube at x[point], |m| <= up_to, one entry
+        per pair.  phi is a left fold over each point's earlier pairs."""
+        if up_to > self.order_cap:
+            raise OrderCapExceeded(f"order {up_to} exceeds the build cap {self.order_cap}")
+        dec = self.dec
+        pts = np.asarray(x, dtype=float).reshape(-1, dec.dim)
+        point, cube = dec.incidence(pts)
+        multis = multi_indices(dec.dim, up_to)
+        phi = _tensor_bump_derivs(self.canonical, pts[point], dec.centers,
+                                  dec.sides / 2.0, cube, up_to)
+        fac = _complement(phi)
+        first = np.searchsorted(point, point)  # each point's first pair
+        rank = np.arange(len(point)) - first
+        for t in range(int(rank.max(initial=0))):
+            rows = np.nonzero(rank > t)[0]
+            folded = _leibniz_fold({m: phi[m][rows] for m in multis},
+                                   {m: fac[m][first[rows] + t] for m in multis},
+                                   multis)
+            for m in multis:
+                phi[m][rows] = folded[m]
+        return point, cube, phi
 
     def phi_derivs(self, i: int, x, up_to: int) -> dict:
         """All partial derivatives of phi_i with total order <= up_to,
-        evaluated on the point array; exact Leibniz fold over the factors."""
-        if up_to > self.order_cap:
-            raise OrderCapExceeded(
-                f"order {up_to} exceeds the build cap {self.order_cap}")
+        evaluated on the point array (0 off Q_i*)."""
         pts = np.asarray(x, dtype=float).reshape(-1, self.dec.dim)
-        multis = multi_indices(self.dec.dim, up_to)
-        tables = {m: self.psi_deriv(i, m, pts) for m in multis}
-        for k in self._factor_indices(i):
-            fac = {}
-            for m in multis:
-                v = self.psi_deriv(k, m, pts)
-                fac[m] = (1.0 - v) if sum(m) == 0 else -v
-            tables = _leibniz_fold(tables, fac, multis)
-        return tables
+        point, cube, tables = self.pair_derivs(pts, up_to)
+        hit = cube == i
+        out = {m: np.zeros(len(pts)) for m in tables}
+        for m, v in tables.items():
+            out[m][point[hit]] = v[hit]
+        return out
+
+    def phi(self, i: int, x) -> np.ndarray:
+        return self.phi_derivs(i, x, 0)[(0,) * self.dec.dim]
+
+    def phi_bounds(self, i: int, up_to: int) -> dict:
+        """Certified sup bounds for the beta-derivatives of phi_i, |beta| <=
+        up_to: a Leibniz fold of the per-factor central-difference bounds
+        over every earlier neighbor, made once per cube and order."""
+        if up_to > self.order_cap:
+            raise OrderCapExceeded(f"order {up_to} exceeds the build cap {self.order_cap}")
+        if (i, up_to) not in self._bounds:
+            dim = self.dec.dim
+            psi = [_tensor_bump_bounds(self.canonical, float(self.dec.sides[k]) / 2.0,
+                                       dim, up_to)
+                   for k in [i] + [k for k in self.dec.neighbors[i] if k < i]]
+            tab = psi[0]
+            for fac in psi[1:]:
+                tab = _leibniz_fold(tab, _complement_bounds(fac), multi_indices(dim, up_to))
+            self._bounds[i, up_to] = tab
+        return dict(self._bounds[i, up_to])
 
     def phi_bound(self, i: int, beta) -> float:
-        """Certified sup bound for the beta-derivative of phi_i (Leibniz fold
-        of the per-factor central-difference bounds)."""
-        multis = multi_indices(self.dec.dim, sum(beta))
-        bounds = {m: self.psi_bound(i, m) for m in multis}
-        for k in self._factor_indices(i):
-            fac = {m: (1.0 if sum(m) == 0 else self.psi_bound(k, m))
-                   for m in multis}
-            bounds = _leibniz_fold(bounds, fac, multis)
-        return float(bounds[tuple(beta)])
+        """Certified sup bound for the beta-derivative of phi_i."""
+        return float(self.phi_bounds(i, sum(beta))[tuple(beta)])
 
     def growth_factor(self, i: int, C: float) -> float:
         """Realized per-cube growth factor G_i: the smallest G with
         (certified bound for d^beta phi_i) <= C^{|beta|+1} M_{|beta|} G for
         every |beta| <= order_cap, where M is the build sequence."""
-        g = 0.0
         M = np.exp(self.seq.logM[: self.order_cap + 1])
-        for m in multi_indices(self.dec.dim, self.order_cap):
-            tot = sum(m)
-            g = max(g, self.phi_bound(i, m) / (C ** (tot + 1) * M[tot]))
-        return g
+        return max(b / (C ** (sum(m) + 1) * M[sum(m)])
+                   for m, b in self.phi_bounds(i, self.order_cap).items())
 
     def sum_phi(self, x) -> np.ndarray:
         pts = np.asarray(x, dtype=float).reshape(-1, self.dec.dim)
-        out = np.zeros(len(pts))
-        for i in range(self.dec.n_cubes):
-            half = self.dec.sides[i] * EXPANSION / 2.0
-            mask = np.all(np.abs(pts - self.dec.centers[i]) <= half, axis=1)
-            if np.any(mask):
-                out[mask] += self.phi(i, pts[mask])
-        return out
+        point, _, tables = self.pair_derivs(pts, 0)
+        return np.bincount(point, weights=tables[(0,) * self.dec.dim],
+                           minlength=len(pts))
 
     def covered(self, x) -> np.ndarray:
         """Points lying in some (unexpanded) cube, where the sum is one."""
         pts = np.asarray(x, dtype=float).reshape(-1, self.dec.dim)
         out = np.zeros(len(pts), dtype=bool)
-        for i in range(self.dec.n_cubes):
-            half = self.dec.sides[i] / 2.0
-            out |= np.all(np.abs(pts - self.dec.centers[i]) <= half, axis=1)
+        out[self.dec.incidence(pts, expansion=1.0)[0]] = True
         return out
 
 
@@ -418,12 +423,9 @@ def build_pou(dec: CubeDecomposition, seq: WeightSequence,
             delta /= 2.0
             halvings += 1
     canonical = _canonical_for(seq, delta, J)
-    bumps = []
-    for i in range(dec.n_cubes):
-        r = float(dec.sides[i]) / 2.0
-        bumps.append(tuple(
-            Bump1D(canonical=canonical, center=float(dec.centers[i][d]), r=r)
-            for d in range(dec.dim)))
+    bumps = tuple(tuple(Bump1D(canonical=canonical, center=float(c), r=float(s) / 2.0)
+                        for c in center)
+                  for center, s in zip(dec.centers, dec.sides))
     return PartitionOfUnity(dec=dec, canonical=canonical, seq=seq,
                             delta=float(delta), order_cap=order_cap,
-                            halvings=halvings, bumps=tuple(bumps))
+                            halvings=halvings, bumps=bumps)

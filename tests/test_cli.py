@@ -69,6 +69,23 @@ def test_preset_dimension_mismatch_is_config_error(tmp_path, points, preset):
     assert load_report(tmp_path / "out")["errors"][0]["kind"] == "config"
 
 
+def test_order_above_jet_degree_is_config_error(tmp_path):
+    cfg = json.loads((CONFIGS / "sin_gevrey2_all.json").read_text())
+    cfg["jet"].update({"A_max": 2, "P_max": 2})
+    cfg["extension"]["orders"] = [0, 3]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run("verify", str(path), str(tmp_path / "out")) == 2
+    assert load_report(tmp_path / "out")["errors"][0]["kind"] == "config"
+    planar = _jet_config([[0.0, 0.0], [1.0, 1.0]],
+                         {"kind": "tensor", "axes": [SIN, EXP]})
+    planar["extension"] = {"orders": [[1, 3]]}
+    validate_config(planar)
+    planar["extension"] = {"orders": [[0, 0], [1, 4]]}
+    with pytest.raises(ConfigError):
+        validate_config(planar)
+
+
 def test_extend_in_three_dimensions(tmp_path):
     cfg = _jet_config([[0.0, 0.0, 0.0]],
                       {"kind": "tensor", "axes": [SIN, EXP, SIN]})

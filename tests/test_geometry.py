@@ -1,10 +1,18 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from ultrajet.errors import DepthExhausted
-from ultrajet.geometry import box_grid, cube_diagnostics, decompose, nearest
+from ultrajet.geometry import (
+    EXPANSION,
+    INCIDENCE_BLOCK,
+    box_grid,
+    cube_diagnostics,
+    decompose,
+    nearest,
+)
 from ultrajet.jets import CompactSet
 
 
@@ -152,3 +160,50 @@ def test_box_grid_rows_and_cap():
     assert grid.shape == (54 ** 3, 3)
     assert np.array_equal(grid[:54, 0], np.linspace(0.0, 1.0, 54))
     assert np.all(grid[:54, 1:] == 0.0)
+
+
+def _cover_samples(dec, rng, per_cube=6):
+    """Random points of each expanded cube plus its corners: the corners lie
+    on the boundaries that the incidence test has to decide."""
+    half = dec.sides * (EXPANSION / 2.0)
+    corners = np.array(list(itertools.product((-1.0, 1.0), repeat=dec.dim)))
+    inner = rng.uniform(-1.0, 1.0, size=(dec.n_cubes, per_cube, dec.dim))
+    offsets = np.concatenate([inner, np.broadcast_to(
+        corners, (dec.n_cubes,) + corners.shape)], axis=1)
+    return (dec.centers[:, None, :] + half[:, None, None] * offsets).reshape(-1, dec.dim)
+
+
+def test_incident_cubes_are_neighbors():
+    pts = np.array([[0.0, 0.0], [0.5, -0.25], [-0.75, 0.6]])
+    cs = CompactSet(pts, ((-1.0, 1.0), (-1.0, 1.0)))
+    dec = decompose(((-1.0, 1.0), (-1.0, 1.0)), cs, depth_cap=6)
+    x = _cover_samples(dec, np.random.default_rng(11))
+    point, cube = dec.incidence(x)
+    neighbors = [set(n.tolist()) for n in dec.neighbors]
+    pairs = 0
+    for p in np.unique(point):
+        hit = cube[point == p].tolist()
+        for a, b in itertools.combinations(hit, 2):
+            assert b in neighbors[a] and a in neighbors[b]
+            pairs += 1
+    assert pairs > 1000
+
+
+def test_incidence_matches_brute_force_3d():
+    cs = CompactSet(np.array([[0.0, 0.0, 0.0], [0.5, 0.25, -0.5]]),
+                    ((-1.0, 1.0),) * 3)
+    dec = decompose(((-1.0, 1.0),) * 3, cs, depth_cap=3)
+    rng = np.random.default_rng(12)
+    odd = [[np.nan, 0.0, 0.0], [0.1, np.inf, 0.1], [-np.inf, 0.0, 0.0], [np.nan] * 3]
+    x = np.concatenate([_cover_samples(dec, rng, per_cube=2), odd,
+                        rng.uniform(-1.0, 1.0, size=(500, 3))])
+    assert len(x) > 4 * (INCIDENCE_BLOCK // dec.n_cubes)  # several blocks
+    for expansion in (1.0, EXPANSION):
+        half = dec.sides * (expansion / 2.0)
+        inside = np.all(np.abs(x[:, None, :] - dec.centers[None, :, :])
+                        <= half[None, :, None], axis=2)
+        want_point, want_cube = np.nonzero(inside)  # row-major: by point, then cube
+        point, cube = dec.incidence(x, expansion=expansion)
+        assert np.array_equal(point, want_point)
+        assert np.array_equal(cube, want_cube)
+    assert np.array_equal(dec.cubes_containing(x[0]), cube[point == 0])

@@ -1,5 +1,8 @@
-"""The dimension-generic multi-index kernel of ``jets`` against the earlier
-hand-unrolled 1D/2D loops, kept here as reference implementations."""
+"""The fast kernels against the earlier loops, kept here as reference
+implementations: the dimension-generic multi-index kernel of ``jets``
+against the hand-unrolled 1D/2D loops, and the point-cube incidence with
+its pairwise partition fold (``pou``, ``extend``) against the per-cube mask
+loops and the per-cube folds over all earlier neighbors."""
 
 from math import comb, factorial
 from types import SimpleNamespace
@@ -7,15 +10,24 @@ from types import SimpleNamespace
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from ultrajet.extend import _taylor_sup_bound
-from ultrajet.geometry import EXPANSION
+from ultrajet.extend import (
+    DegreeSchedule,
+    ExtensionField,
+    _UnionBump,
+    _taylor_sup_bound,
+    derivative_bounds,
+)
+from ultrajet.geometry import EXPANSION, decompose
 from ultrajet.jets import (
     CompactSet,
     Ultrajet,
     _leibniz_fold,
+    _leibniz_terms,
     multi_indices,
     taylor_grid,
 )
+from ultrajet.pou import Bump1D, build_pou
+from ultrajet.seqcore import gevrey
 
 
 # -- reference implementations (1D and 2D only) ----------------------------------
@@ -150,3 +162,238 @@ def test_leibniz_fold_bitwise_equals_oracle(dim, up_to, seed, n):
     got = _leibniz_fold(scalars, right, multis)
     want = oracle_leibniz_fold(scalars, right, multis)
     assert all(np.array_equal(got[m], want[m]) for m in multis)
+
+
+# -- reference implementations of the partition and the extension sums ------------
+
+def oracle_psi_deriv(pou, i, beta, pts):
+    out = np.ones(len(pts))
+    for d in range(pou.dec.dim):
+        out = out * pou.bumps[i][d].eval(pts[:, d], int(beta[d]))
+    return out
+
+
+def oracle_psi_bound(pou, i, beta):
+    b = 1.0
+    for d in range(pou.dec.dim):
+        b *= pou.bumps[i][d].bound(int(beta[d]))
+    return b
+
+
+def oracle_earlier_neighbors(pou, i):
+    return [int(k) for k in pou.dec.neighbors[i] if k < i]
+
+
+def oracle_phi_derivs(pou, i, pts, up_to):
+    """phi_i folded over every earlier neighbor of cube i."""
+    multis = multi_indices(pou.dec.dim, up_to)
+    tables = {m: oracle_psi_deriv(pou, i, m, pts) for m in multis}
+    for k in oracle_earlier_neighbors(pou, i):
+        fac = {}
+        for m in multis:
+            v = oracle_psi_deriv(pou, k, m, pts)
+            fac[m] = (1.0 - v) if sum(m) == 0 else -v
+        tables = _leibniz_fold(tables, fac, multis)
+    return tables
+
+
+def oracle_phi_bound(pou, i, beta):
+    multis = multi_indices(pou.dec.dim, sum(beta))
+    bounds = {m: oracle_psi_bound(pou, i, m) for m in multis}
+    for k in oracle_earlier_neighbors(pou, i):
+        fac = {m: (1.0 if sum(m) == 0 else oracle_psi_bound(pou, k, m))
+               for m in multis}
+        bounds = _leibniz_fold(bounds, fac, multis)
+    return float(bounds[tuple(beta)])
+
+
+def oracle_mask(dec, i, pts, expansion=EXPANSION):
+    half = dec.sides[i] * expansion / 2.0
+    return np.all(np.abs(pts - dec.centers[i]) <= half, axis=1)
+
+
+def oracle_sum_phi(pou, pts):
+    out = np.zeros(len(pts))
+    zero = (0,) * pou.dec.dim
+    for i in range(pou.dec.n_cubes):
+        mask = oracle_mask(pou.dec, i, pts)
+        if np.any(mask):
+            out[mask] += oracle_phi_derivs(pou, i, pts[mask], 0)[zero]
+    return out
+
+
+def oracle_covered(pou, pts):
+    out = np.zeros(len(pts), dtype=bool)
+    for i in range(pou.dec.n_cubes):
+        out |= oracle_mask(pou.dec, i, pts, expansion=1.0)
+    return out
+
+
+def oracle_cubes_containing(dec, x):
+    half = dec.sides * (EXPANSION / 2.0)
+    inside = np.all(np.abs(dec.centers - x) <= half[:, None], axis=1)
+    return np.where(inside)[0]
+
+
+def oracle_union_bumps(cutoff):
+    dim = cutoff.points.shape[1]
+    return [[Bump1D(canonical=cutoff.canonical, center=float(a[d]),
+                    r=cutoff.radius) for d in range(dim)]
+            for a in cutoff.points]
+
+
+def oracle_union_derivs(cutoff, pts, up_to):
+    dim = cutoff.points.shape[1]
+    multis = multi_indices(dim, up_to)
+    prod = None
+    for axes in oracle_union_bumps(cutoff):
+        fac = {}
+        for m in multis:
+            v = np.ones(len(pts))
+            for d in range(dim):
+                v = v * axes[d].eval(pts[:, d], int(m[d]))
+            fac[m] = (1.0 - v) if sum(m) == 0 else -v
+        prod = fac if prod is None else _leibniz_fold(prod, fac, multis)
+    return {m: (1.0 - prod[m]) if sum(m) == 0 else -prod[m] for m in multis}
+
+
+def oracle_union_bound(cutoff, m):
+    dim = cutoff.points.shape[1]
+    multis = multi_indices(dim, sum(m))
+    prod = None
+    for axes in oracle_union_bumps(cutoff):
+        fac = {}
+        for mm in multis:
+            b = 1.0
+            for d in range(dim):
+                b *= axes[d].bound(int(mm[d]))
+            fac[mm] = 1.0 if sum(mm) == 0 else b
+        prod = fac if prod is None else _leibniz_fold(prod, fac, multis)
+    return 1.0 if sum(m) == 0 else float(prod[tuple(m)])
+
+
+def oracle_cube_sum(field, pts, alpha):
+    dec = field.pou.dec
+    out = np.zeros(len(pts))
+    for i in range(dec.n_cubes):
+        mask = oracle_mask(dec, i, pts)
+        if not np.any(mask):
+            continue
+        sub = pts[mask]
+        tables = oracle_phi_derivs(field.pou, i, sub, sum(alpha))
+        acc = np.zeros(len(sub))
+        p_i = int(field.sched.degrees[i])
+        for beta, gamma, coef in _leibniz_terms(alpha):
+            if sum(beta) <= p_i:
+                acc += coef * tables[gamma] * taylor_grid(
+                    field.jet, int(field.anchor_idx[i]), p_i, beta, sub)
+        out[mask] += acc
+    return out
+
+
+def oracle_derivative_grid(field, pts, alpha):
+    if field.cutoff is None:
+        out = oracle_cube_sum(field, pts, alpha)
+    else:
+        cut = oracle_union_derivs(field.cutoff, pts, sum(alpha))
+        out = np.zeros(len(pts))
+        for beta, gamma, coef in _leibniz_terms(alpha):
+            out += coef * cut[gamma] * oracle_cube_sum(field, pts, beta)
+    on_set = field.point_flags(pts)["on_set"]
+    for k in np.where(on_set)[0]:
+        out[k] = field.jet.value(field.jet.cset.index_of(pts[k]), alpha)
+    return out
+
+
+def oracle_derivative_bounds(field, up_to):
+    dec = field.pou.dec
+    multis = multi_indices(dec.dim, up_to)
+    overlap = dec.max_overlap() + 1
+    out = {}
+    for m in multis:
+        per_point_max = 0.0
+        for i in range(dec.n_cubes):
+            acc = 0.0
+            for beta, gamma, coef in _leibniz_terms(m):
+                acc += (coef * oracle_phi_bound(field.pou, i, gamma)
+                        * _taylor_sup_bound(field, i, beta))
+            per_point_max = max(per_point_max, acc)
+        out[m] = overlap * per_point_max
+    if field.cutoff is not None:
+        folded = {}
+        for m in multis:
+            acc = 0.0
+            for beta, gamma, coef in _leibniz_terms(m):
+                acc += coef * oracle_union_bound(field.cutoff, gamma) * out[beta]
+            folded[m] = acc
+        out = folded
+    return out
+
+
+# -- random partitions and extension fields --------------------------------------------
+
+SEQ = gevrey(1.0)
+
+
+@st.composite
+def field_cases(draw):
+    """An extension field with random jet values and per-cube degrees on the
+    cover of a random set of distinct points, with or without a cutoff, an
+    order up_to <= order_cap and sample points (the set points among them)."""
+    dim = draw(st.sampled_from((1, 2)))
+    depth = draw(st.integers(3, 6))
+    order_cap = draw(st.integers(1, 4))
+    up_to = draw(st.integers(0, order_cap))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(1, 4))
+    pts = np.unique(np.round(rng.uniform(-0.8, 0.8, size=(n, dim)), 3), axis=0)
+    box = ((-1.0, 1.0),) * dim
+    cset = CompactSet(pts, box)
+    dec = decompose(box, cset, depth_cap=depth)
+    pou = build_pou(dec, SEQ, order_cap=order_cap)
+    A_max = order_cap + 2
+    values = rng.uniform(-3.0, 3.0, size=(len(pts), len(multi_indices(dim, A_max))))
+    jet = Ultrajet(cset, A_max, values)
+    sched = DegreeSchedule(dec=dec, degrees=rng.integers(0, A_max + 1, dec.n_cubes),
+                           capped=np.zeros(dec.n_cubes, dtype=bool), L=1.0,
+                           mode="single", s_prime=None)
+    anchor = np.array([cset.index_of(a) for a in dec.nearest_points], dtype=int)
+    cutoff = None
+    if draw(st.booleans()):
+        cutoff = _UnionBump(pou.canonical, pts, draw(st.sampled_from((0.1, 0.25, 0.3))))
+    field = ExtensionField(jet=jet, pou=pou, sched=sched, anchor_idx=anchor,
+                           cutoff=cutoff)
+    x = np.concatenate([rng.uniform(-1.0, 1.0, size=(60, dim)), pts])
+    return field, up_to, x
+
+
+@settings(max_examples=40, deadline=None)
+@given(field_cases())
+def test_partition_and_incidence_equal_oracle(case):
+    field, up_to, x = case
+    pou, dec = field.pou, field.pou.dec
+    point, cube, tables = pou.pair_derivs(x, up_to)
+    for i in range(dec.n_cubes):
+        mask = oracle_mask(dec, i, x)
+        rows = cube == i
+        assert np.array_equal(point[rows], np.where(mask)[0])
+        want = oracle_phi_derivs(pou, i, x[mask], up_to)
+        assert all(np.array_equal(tables[m][rows], want[m]) for m in want)
+    assert np.array_equal(pou.sum_phi(x), oracle_sum_phi(pou, x))
+    assert np.array_equal(pou.covered(x), oracle_covered(pou, x))
+    for p in x[::7]:
+        assert np.array_equal(dec.cubes_containing(p), oracle_cubes_containing(dec, p))
+
+
+@settings(max_examples=40, deadline=None)
+@given(field_cases())
+def test_extension_sums_equal_oracle(case):
+    field, up_to, x = case
+    for alpha in multi_indices(field.jet.cset.dim, up_to):
+        assert np.array_equal(field.derivative_grid(x, alpha),
+                              oracle_derivative_grid(field, x, alpha))
+    got = derivative_bounds(field, up_to)
+    want = oracle_derivative_bounds(field, up_to)
+    assert got.keys() == want.keys()
+    assert all(abs(got[m] - want[m]) <= 1e-14 * want[m] for m in want)

@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 from ultrajet.errors import OrderCapExceeded, QuasianalyticInput, StageOverflow
-from ultrajet.geometry import decompose
+from ultrajet.geometry import EXPANSION, decompose
 from ultrajet.jets import CompactSet
 from hypothesis import given, settings, strategies as st
 
-from ultrajet.pou import CanonicalBump, build_bump, build_pou, eval_bump, max_delta
+from ultrajet.pou import (
+    CanonicalBump,
+    _tensor_bump_derivs,
+    build_bump,
+    build_pou,
+    max_delta,
+)
 from ultrajet.seqcore import gevrey, quotient_power
 
 
@@ -105,11 +111,6 @@ def test_bump_properties_for_random_radii(raw):
     assert can.eval(np.array([can.support * 1.0001, -2.0]), 0).tolist() == [0.0, 0.0]
     for j in range(1, can.J):
         assert np.max(np.abs(can.eval(xs, j))) <= can.bound(j) * (1 + 1e-12)
-
-
-def test_eval_bump_alias(bump):
-    xs = np.linspace(-1.2, 1.2, 11)
-    assert np.array_equal(eval_bump(bump, xs, 2), bump.eval(xs, 2))
 
 
 def test_bump_scaling_is_exact_dilation(seq):
@@ -270,3 +271,32 @@ def test_pou_2d_sum_and_supports(seq):
     pts = dec.centers[i] + rng.uniform(-half, half, size=(200, 2))
     tab = pou.phi_derivs(i, pts, up_to=2)
     assert np.max(np.abs(tab[(1, 1)])) <= pou.phi_bound(i, (1, 1)) * (1 + 1e-9)
+
+
+def test_psi_derivatives_vanish_just_outside_expanded_cube(seq):
+    # the partition multiplies only the factors of a point's incident cubes;
+    # that is exact because every psi_k derivative is exactly 0 off Q_k*
+    box = ((-3.0, 3.0), (-3.0, 3.0))
+    cs = CompactSet(np.array([[0.0, 0.0], [1.0, 1.0]]), box)
+    dec = decompose(box, cs, depth_cap=5)
+    pou = build_pou(dec, seq, order_cap=4)
+    rng = np.random.default_rng(8)
+    half = dec.sides * (EXPANSION / 2.0)
+    owner = np.repeat(np.arange(dec.n_cubes), 64)
+    x = dec.centers[owner] + half[owner, None] * rng.uniform(-1.0, 1.0, (len(owner), 2))
+    axis = rng.integers(0, 2, len(owner))
+    sign = rng.choice((-1.0, 1.0), len(owner))
+    rows = np.arange(len(owner))
+    c = dec.centers[owner, axis]
+    edge = c + sign * half[owner]
+    inside = np.ones(len(edge), dtype=bool)
+    while np.any(inside):  # step past the boundary by as few floats as possible
+        edge[inside] = np.nextafter(edge[inside], sign[inside] * np.inf)
+        inside = np.abs(edge - c) <= half[owner]
+    x[rows, axis] = edge
+    assert not np.any(np.all(np.abs(x - dec.centers[owner]) <= half[owner, None], axis=1))
+    tables = _tensor_bump_derivs(pou.canonical, x, dec.centers, dec.sides / 2.0,
+                                 owner, pou.order_cap)
+    values = np.concatenate(list(tables.values()))
+    assert np.all(values == 0.0)
+    assert values.size > 100_000
