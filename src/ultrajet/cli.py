@@ -105,8 +105,9 @@ def _merged(defaults: dict, given: dict, where: str) -> dict:
     return out
 
 
-def validate_config(raw: dict) -> dict:
-    """Strict validation with default materialization."""
+def validate_config(raw: dict, command: str | None = None) -> dict:
+    """Strict validation with default materialization; the sections that
+    only ``command`` reads are checked when it is given."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     cfg = _merged(_DEFAULTS, raw, "config")
@@ -148,15 +149,27 @@ def validate_config(raw: dict) -> dict:
         cfg["jet"].setdefault("A_max", 12)
         cfg["jet"].setdefault("rho", 1.0)
         cfg["jet"].setdefault("P_max", cfg["jet"]["A_max"])
-        for entry in cfg["extension"]["orders"]:
-            if (sum(entry) if isinstance(entry, list) else entry) > cfg["jet"]["A_max"]:
-                raise ConfigError(f"extension.orders {entry}: degree above jet.A_max")
+        if _run_verify in _PIPELINES.get(command, ()):
+            _validate_orders(cfg["extension"], cfg["jet"]["A_max"])
     for c in cfg["checks"]:
         if "check" not in c or c["check"] not in _CHECK_KEYS:
             raise ConfigError(f"unknown check entry {c!r}")
         _reject_unknown(c, _CHECK_KEYS[c["check"]] | {"check"},
                         f"checks[{c['check']}]")
     return cfg
+
+
+def _validate_orders(extension, A_max: int):
+    """Each verified order is an int or int list of degree <= A_max."""
+    orders = extension.get("orders") if isinstance(extension, dict) else None
+    if not isinstance(orders, list):
+        raise ConfigError("extension.orders must be a list")
+    for entry in orders:
+        axes = entry if isinstance(entry, list) else [entry]
+        if not all(isinstance(a, int) and not isinstance(a, bool) for a in axes):
+            raise ConfigError(f"extension.orders {entry!r}: not an order")
+        if sum(axes) > A_max:
+            raise ConfigError(f"extension.orders {entry}: degree above jet.A_max")
 
 
 def _validate_jet_preset(spec):
@@ -605,7 +618,7 @@ def run(command: str, config_path: str, out_dir: str, workers: int = 1,
     out = Path(out_dir)
     try:
         raw = json.loads(Path(config_path).read_text())
-        cfg = validate_config(raw)
+        cfg = validate_config(raw, command)
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         out.mkdir(parents=True, exist_ok=True)
         report = {"schema_version": SCHEMA_VERSION, "command": command,

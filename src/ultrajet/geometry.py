@@ -90,29 +90,20 @@ class CubeDecomposition:
 
     def incidence(self, x, expansion: float = EXPANSION) -> tuple:
         """The (point, cube) pairs with x[point] in cube grown ``expansion``
-        times about its center, sorted by point, then cube.  Blocks of points
-        sorted along axis 0 meet only the cubes whose slabs reach them, at
-        most INCIDENCE_BLOCK comparisons at a time (memory linear in x)."""
+        times about its center, sorted by point, then cube.  Blocks of
+        points meet every cube, one axis at a time and at most
+        INCIDENCE_BLOCK comparisons per block, so memory is linear in x."""
         pts = np.asarray(x, dtype=float).reshape(-1, self.dim)
         half = self.sides * (expansion / 2.0)
-        c0 = self.centers[:, 0]
-        # slabs widened past any rounding of the exact test; NaN sorts last,
-        # and a block ending in NaN keeps every cube
-        reach = half * (1.0 + 1e-9) + 4.0 * np.spacing(np.abs(c0) + half)
-        by_x = np.argsort(pts[:, 0], kind="stable")
         step = max(1, INCIDENCE_BLOCK // max(1, self.n_cubes))
         pairs = [np.zeros((2, 0), dtype=np.intp)]
         for lo in range(0, len(pts), step):
-            rows = by_x[lo:lo + step]
-            near = np.nonzero((c0 + reach >= pts[rows[0], 0])
-                              & ~(c0 - reach > pts[rows[-1], 0]))[0]
             inside = True
-            for d, c in enumerate(self.centers[near].T):
-                inside = inside & (np.abs(pts[rows, d, None] - c) <= half[near])
+            for d, c in enumerate(self.centers.T):
+                inside = inside & (np.abs(pts[lo:lo + step, d, None] - c) <= half)
             point, cube = np.nonzero(inside)
-            pairs.append(np.stack([rows[point], near[cube]]))
-        pairs = np.concatenate(pairs, axis=1)
-        return tuple(pairs[:, np.lexsort(pairs[::-1])])
+            pairs.append(np.stack([lo + point, cube]))
+        return tuple(np.concatenate(pairs, axis=1))
 
     def cubes_containing(self, x) -> np.ndarray:
         """Indices of accepted cubes whose expanded cube contains x."""

@@ -309,8 +309,6 @@ class PartitionOfUnity:
     order_cap: int
     halvings: int
     bumps: tuple = field(repr=False, default=())  # per cube, per axis Bump1D
-    _bounds: dict = field(init=False, repr=False, compare=False,
-                          default_factory=dict)  # (cube, order) -> phi bounds
 
     @property
     def J(self) -> int:
@@ -362,19 +360,17 @@ class PartitionOfUnity:
     def phi_bounds(self, i: int, up_to: int) -> dict:
         """Certified sup bounds for the beta-derivatives of phi_i, |beta| <=
         up_to: a Leibniz fold of the per-factor central-difference bounds
-        over every earlier neighbor, made once per cube and order."""
+        over every earlier neighbor."""
         if up_to > self.order_cap:
             raise OrderCapExceeded(f"order {up_to} exceeds the build cap {self.order_cap}")
-        if (i, up_to) not in self._bounds:
-            dim = self.dec.dim
-            psi = [_tensor_bump_bounds(self.canonical, float(self.dec.sides[k]) / 2.0,
-                                       dim, up_to)
-                   for k in [i] + [k for k in self.dec.neighbors[i] if k < i]]
-            tab = psi[0]
-            for fac in psi[1:]:
-                tab = _leibniz_fold(tab, _complement_bounds(fac), multi_indices(dim, up_to))
-            self._bounds[i, up_to] = tab
-        return dict(self._bounds[i, up_to])
+        dim = self.dec.dim
+        psi = [_tensor_bump_bounds(self.canonical, float(self.dec.sides[k]) / 2.0,
+                                   dim, up_to)
+               for k in [i] + [k for k in self.dec.neighbors[i] if k < i]]
+        tab = psi[0]
+        for fac in psi[1:]:
+            tab = _leibniz_fold(tab, _complement_bounds(fac), multi_indices(dim, up_to))
+        return tab
 
     def phi_bound(self, i: int, beta) -> float:
         """Certified sup bound for the beta-derivative of phi_i."""

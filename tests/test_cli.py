@@ -80,10 +80,25 @@ def test_order_above_jet_degree_is_config_error(tmp_path):
     planar = _jet_config([[0.0, 0.0], [1.0, 1.0]],
                          {"kind": "tensor", "axes": [SIN, EXP]})
     planar["extension"] = {"orders": [[1, 3]]}
-    validate_config(planar)
-    planar["extension"] = {"orders": [[0, 0], [1, 4]]}
-    with pytest.raises(ConfigError):
-        validate_config(planar)
+    validate_config(planar, "verify")
+    for orders in ([[0, 0], [1, 4]], [[0, "1"]], ["2"], None):
+        planar["extension"] = {"orders": orders}
+        with pytest.raises(ConfigError):
+            validate_config(planar, "all")
+
+
+def test_orders_are_checked_only_for_verify(tmp_path):
+    cfg = _jet_config([[0.0], [1.0]], SIN)
+    cfg["jet"]["A_max"] = 1  # below the default orders [0, 1, 2]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run("extend", str(path), str(tmp_path / "extend")) == 0
+    assert run("verify", str(path), str(tmp_path / "verify")) == 2
+    assert load_report(tmp_path / "verify")["errors"][0]["kind"] == "config"
+    cfg["extension"] = None
+    path.write_text(json.dumps(cfg))
+    assert run("cubes", str(path), str(tmp_path / "cubes")) == 0
+    assert run("verify", str(path), str(tmp_path / "none")) == 2
 
 
 def test_extend_in_three_dimensions(tmp_path):
