@@ -9,7 +9,8 @@ byte-identical output.
 
 Exit codes: 0 all requested verdicts/invariants pass, 1 a verdict or
 invariant failed (or --strict turned a finite-range warning into a
-failure), 2 the config was rejected.
+failure), 2 the config was rejected, by validation or by the library
+while building a named weight or sequence; the report says which.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import inf, isfinite
 from pathlib import Path
 
 import numpy as np
@@ -26,19 +28,22 @@ from .errors import ConfigError, UltrajetError
 
 SCHEMA_VERSION = 1
 
+# parameters by preset: a real one is given by its range (lo, hi], any
+# other by its type; every parameter is required except the optional ones
 _WEIGHT_PRESETS = {
-    "power": {"alpha": float},
-    "log_power": {"b": float, "scale": float},
-    "gevrey_dual": {"s": float},
+    "power": {"alpha": (0.0, 1.0)},
+    "log_power": {"b": (0.0, inf), "scale": (0.0, inf)},
+    "gevrey_dual": {"s": (0.0, inf)},
     "omega_of_sequence": {"sequence": str},
     "tabulated": {"ts": list, "values": list},
 }
 _SEQ_GENERATORS = {
-    "gevrey": {"s": float},
-    "quotient_power": {"p": float, "scale": float},
+    "gevrey": {"s": (0.0, inf)},
+    "quotient_power": {"p": (-inf, inf), "scale": (0.0, inf)},
     "mu_table": {"mu": list},
     "descendant_of": {"sequence": str},
 }
+_OPTIONAL_PARAMS = {"scale"}
 _JET_PRESET_KEYS = {
     "sin": {"a", "b"}, "exp": {"a"}, "poly": {"coeffs"}, "runge": {"c"},
     "product": {"factors"}, "sum": {"terms"}, "tensor": {"axes"},
@@ -120,8 +125,8 @@ def validate_config(raw: dict, command: str | None = None) -> dict:
             raise ConfigError("each weight needs a name and a preset")
         if w["preset"] not in _WEIGHT_PRESETS:
             raise ConfigError(f"unknown weight preset {w['preset']!r}")
-        _reject_unknown(w.get("params", {}), _WEIGHT_PRESETS[w["preset"]],
-                        f"weights[{w['name']}].params")
+        _validate_params(w.get("params", {}), _WEIGHT_PRESETS[w["preset"]],
+                         f"weights[{w['name']}].params")
     for s in cfg["sequences"]:
         _reject_unknown(s, {"name", "generator", "params", "K_max"},
                         "sequences[]")
@@ -129,8 +134,8 @@ def validate_config(raw: dict, command: str | None = None) -> dict:
             raise ConfigError("each sequence needs a name and a generator")
         if s["generator"] not in _SEQ_GENERATORS:
             raise ConfigError(f"unknown sequence generator {s['generator']!r}")
-        _reject_unknown(s.get("params", {}), _SEQ_GENERATORS[s["generator"]],
-                        f"sequences[{s['name']}].params")
+        _validate_params(s.get("params", {}), _SEQ_GENERATORS[s["generator"]],
+                         f"sequences[{s['name']}].params")
     if cfg["compact_set"] is not None:
         _reject_unknown(cfg["compact_set"], {"points", "box"}, "compact_set")
         if "points" not in cfg["compact_set"]:
@@ -150,7 +155,9 @@ def validate_config(raw: dict, command: str | None = None) -> dict:
         cfg["jet"].setdefault("rho", 1.0)
         cfg["jet"].setdefault("P_max", cfg["jet"]["A_max"])
         if _run_verify in _PIPELINES.get(command, ()):
-            _validate_orders(cfg["extension"], cfg["jet"]["A_max"])
+            dim = (None if cfg["compact_set"] is None
+                   else _points(cfg["compact_set"]).shape[1])
+            _validate_orders(cfg["extension"], cfg["jet"]["A_max"], dim)
     for c in cfg["checks"]:
         if "check" not in c or c["check"] not in _CHECK_KEYS:
             raise ConfigError(f"unknown check entry {c!r}")
@@ -159,17 +166,47 @@ def validate_config(raw: dict, command: str | None = None) -> dict:
     return cfg
 
 
-def _validate_orders(extension, A_max: int):
-    """Each verified order is an int or int list of degree <= A_max."""
+def _validate_params(params, spec: dict, where: str):
+    """The parameters of one weight or sequence entry against its spec."""
+    if not isinstance(params, dict):
+        raise ConfigError(f"{where} must be an object")
+    _reject_unknown(params, spec, where)
+    for key, kind in spec.items():
+        if key not in params:
+            if key in _OPTIONAL_PARAMS:
+                continue
+            raise ConfigError(f"{where}: missing {key!r}")
+        v = params[key]
+        if isinstance(kind, tuple):
+            lo, hi = kind
+            if not (_is_real(v) and lo < v <= hi):
+                top = f"{hi:g}]" if isfinite(hi) else "inf)"
+                raise ConfigError(f"{where}.{key} = {v!r}: not a real number "
+                                  f"in ({lo:g}, {top}")
+        elif not isinstance(v, kind):
+            raise ConfigError(f"{where}.{key}: not a {kind.__name__}")
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and isfinite(v)
+
+
+def _validate_orders(extension, A_max: int, dim: int | None):
+    """Each verified order is an int or int list of degree <= A_max, with
+    one entry per coordinate of the points (an int counts as one)."""
     orders = extension.get("orders") if isinstance(extension, dict) else None
     if not isinstance(orders, list):
         raise ConfigError("extension.orders must be a list")
     for entry in orders:
         axes = entry if isinstance(entry, list) else [entry]
-        if not all(isinstance(a, int) and not isinstance(a, bool) for a in axes):
+        if not all(isinstance(a, int) and not isinstance(a, bool) and a >= 0
+                   for a in axes):
             raise ConfigError(f"extension.orders {entry!r}: not an order")
         if sum(axes) > A_max:
             raise ConfigError(f"extension.orders {entry}: degree above jet.A_max")
+        if dim is not None and len(axes) != dim:
+            raise ConfigError(f"extension.orders {entry}: {len(axes)} entries "
+                              f"for points of dimension {dim}")
 
 
 def _validate_jet_preset(spec):
@@ -221,15 +258,18 @@ class _Context:
             params = entry.get("params", {})
             k_max = entry.get("K_max", self.cfg["K_max"])
             gen = entry["generator"]
-            if gen == "gevrey":
-                seq = seqcore.gevrey(params["s"], K_max=k_max)
-            elif gen == "quotient_power":
-                seq = seqcore.quotient_power(params["p"], K_max=k_max,
-                                             scale=params.get("scale", 1.0))
-            elif gen == "mu_table":
-                seq = seqcore.from_mu(params["mu"], label=name)
-            else:
-                seq = seqcore.descendant(self.sequence(params["sequence"]))
+            try:
+                if gen == "gevrey":
+                    seq = seqcore.gevrey(params["s"], K_max=k_max)
+                elif gen == "quotient_power":
+                    seq = seqcore.quotient_power(params["p"], K_max=k_max,
+                                                 scale=params.get("scale", 1.0))
+                elif gen == "mu_table":
+                    seq = seqcore.from_mu(params["mu"], label=name)
+                else:
+                    seq = seqcore.descendant(self.sequence(params["sequence"]))
+            except ValueError as exc:
+                raise ConfigError(f"sequence {name!r}: {exc}") from None
             seq.label = name
             self._seqs[name] = seq
         return self._seqs[name]
@@ -243,16 +283,19 @@ class _Context:
             params = entry.get("params", {})
             preset = entry["preset"]
             normalized = entry.get("normalized", True)
-            if preset == "power":
-                fn = fncore.power(params["alpha"], normalized=normalized)
-            elif preset == "log_power":
-                fn = fncore.log_power(params["b"], scale=params.get("scale", 1.0))
-            elif preset == "gevrey_dual":
-                fn = fncore.gevrey_dual(params["s"], normalized=normalized)
-            elif preset == "omega_of_sequence":
-                fn = fncore.omega_of_sequence(self.sequence(params["sequence"]))
-            else:
-                fn = fncore.tabulated(params["ts"], params["values"], label=name)
+            try:
+                if preset == "power":
+                    fn = fncore.power(params["alpha"], normalized=normalized)
+                elif preset == "log_power":
+                    fn = fncore.log_power(params["b"], scale=params.get("scale", 1.0))
+                elif preset == "gevrey_dual":
+                    fn = fncore.gevrey_dual(params["s"], normalized=normalized)
+                elif preset == "omega_of_sequence":
+                    fn = fncore.omega_of_sequence(self.sequence(params["sequence"]))
+                else:
+                    fn = fncore.tabulated(params["ts"], params["values"], label=name)
+            except ValueError as exc:
+                raise ConfigError(f"weight {name!r}: {exc}") from None
             fn.label = name
             self._weights[name] = fn
         return self._weights[name]
@@ -427,6 +470,8 @@ def _run_check(ctx: _Context, report: dict, out: Path) -> int:
                     report["errors"].append(
                         {"kind": "chain_refinement",
                          "weight": entry["weight"]})
+        except ConfigError:
+            raise
         except UltrajetError as exc:
             report["errors"].append({"kind": type(exc).__name__,
                                      "check": kind, "message": str(exc)})
@@ -636,6 +681,10 @@ def run(command: str, config_path: str, out_dir: str, workers: int = 1,
     for stage in _PIPELINES[command]:
         try:
             status = max(status, stage(ctx, report, out))
+        except ConfigError as exc:  # raised while resolving a config object
+            report["errors"].append({"kind": "config", "message": str(exc)})
+            status = 2
+            break
         except UltrajetError as exc:
             report["errors"].append({"kind": type(exc).__name__,
                                      "message": str(exc)})

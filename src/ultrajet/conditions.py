@@ -21,8 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NotLittleO, QuasianalyticInput, RangeExhausted
-from .fncore import WeightFunction, WeightMatrix, kappa, young_conjugate
+from .errors import NotLittleO, QuasianalyticInput, RangeExhausted, TailUnbounded
+from .fncore import WeightFunction, WeightMatrix, kappa, young_conjugate_grid
 from .seqcore import WeightSequence, gamma_bar_soft, gamma_under_soft
 
 LOG_CAP = 40.0 * log(2.0)
@@ -224,16 +224,13 @@ def good_via_conjugate_secants(matrix: WeightMatrix) -> Verdict:
     conjugate secants of the generating weight rather than the stored rows."""
     if matrix.source is None:
         raise ValueError("secant cross-check needs a generated matrix")
-    fn = matrix.source
-    rows = {}
-    for x in matrix.x_grid:
-        ks = np.arange(matrix.K_max + 1, dtype=float)
-        vals = np.array([young_conjugate(fn, x * k) for k in ks])
-        secants = np.diff(vals) / x  # log theta^x_k, k = 1..K
-        rows[x] = np.concatenate([[0.0], np.cumsum(secants)])
+    x_col = np.asarray(matrix.x_grid)[:, None]
+    vals = young_conjugate_grid(matrix.source, x_col * np.arange(matrix.K_max + 1))
+    secants = np.diff(vals, axis=1) / x_col  # log theta^x_k, k = 1..K
+    rows = np.concatenate([np.zeros_like(x_col), np.cumsum(secants, axis=1)], axis=1)
     shadow = WeightMatrix(matrix.x_grid,
-                          {x: WeightSequence(rows[x], label=f"secant@{x:g}")
-                           for x in matrix.x_grid},
+                          {x: WeightSequence(row, label=f"secant@{x:g}")
+                           for x, row in zip(matrix.x_grid, rows)},
                           source=None, validate=False)
     v = check_good(shadow)
     v.name = "good_matrix_secant_form"
@@ -416,7 +413,7 @@ def check_strong_matrix(matrix: WeightMatrix) -> Verdict:
                 continue
             try:
                 v = check_mixed_tail(matrix.row(x), matrix.row(y))
-            except QuasianalyticInput:
+            except (QuasianalyticInput, TailUnbounded):
                 continue
             score = (not v.holds, v.witness_constants.get("C", float("inf")))
             if best is None or score < best[0]:

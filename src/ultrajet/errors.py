@@ -34,7 +34,8 @@ class QuasianalyticInput(UltrajetError):
 
 class TailUnbounded(UltrajetError):
     """No certified bound for the tail sum beyond the stored index range
-    (fitted power-law exponent <= 1)."""
+    (fitted quotient exponent too small, or a model tail sum that does not
+    converge)."""
 
 
 class OrderCapExceeded(UltrajetError):

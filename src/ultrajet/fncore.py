@@ -8,6 +8,11 @@ transform ``t * int_t^inf omega(u)/u^2 du``, the Poisson harmonic extension,
 and the weight matrix ``W^x_k = exp(phi*(x k)/x)`` spanned by a weight
 function.
 
+Both conjugates are array kernels: every argmax is bracketed at once (by
+doubling for ``phi*``, by a fixed log-spaced scan for ``omega*``) and then
+refined by one vectorized golden-section search over all brackets; the
+scalar functions are 1-element calls of the grid ones.
+
 Asymptotic properties (doubling, linear bound, little-o of t, tail
 integrability) are certified on a finite log-spaced grid with reported
 witness constants; every flag is a finite-range verdict.
@@ -15,10 +20,9 @@ witness constants; every flag is a finite-range verdict.
 
 from __future__ import annotations
 
-from math import atan, isfinite, log, pi
+from math import atan, isfinite, log, pi, sqrt
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     GridExhausted,
@@ -196,41 +200,76 @@ def tabulated(ts, values, label: str = "tabulated") -> WeightFunction:
     return WeightFunction(fn, label=label)
 
 
-# -- Young conjugate ----------------------------------------------------------
+# -- conjugates ------------------------------------------------------------------
 
 _S_CAP = 600.0  # exp(s) stays finite in doubles well past any grid query
+_INV_PHI = (sqrt(5.0) - 1.0) / 2.0  # golden-section shrink factor per step
+_SCAN_ROWS = 32  # values of s per block of the omega* scan
 
 
-def young_conjugate(fn: WeightFunction, t: float) -> float:
-    """Convex conjugate ``sup_{s>=0} (s t - omega(e^s))`` of the
-    log-reparametrized weight.
+def _golden_max(g, lo, hi, xatol):
+    """Golden-section search for ``max g`` on every bracket ``[lo, hi]`` at
+    once, ``g`` being unimodal on each and evaluated on whole arrays.
 
-    The objective is concave in s, so the argmax is bracketed by doubling
-    and refined with bounded scalar minimization; the bracket is capped
-    (GridExhausted beyond it).  For normalized weights the result is a
-    nonnegative increasing convex function vanishing at 0.
+    Runs a fixed number of steps, until every bracket is narrower than its
+    ``xatol``; each step evaluates ``g`` at one new point per bracket.
+    Returns the best values found, lower bounds of the maxima.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    s_cap = min(_S_CAP, log(fn.t_valid_max) if isfinite(fn.t_valid_max) else _S_CAP)
-
-    def g(s):
-        return s * t - float(fn.phi(s))
-
-    s_hi = 1.0
-    while g(s_hi) >= g(0.5 * s_hi) and s_hi < s_cap:
-        s_hi *= 2.0
-    if s_hi >= s_cap and g(min(s_hi, s_cap)) >= g(0.5 * min(s_hi, s_cap)):
-        raise GridExhausted(
-            f"conjugate argmax of {fn.label} still rising at s={s_cap:g} (t={t:g})")
-    s_hi = min(s_hi, s_cap)
-    res = minimize_scalar(lambda s: -g(s), bounds=(0.0, s_hi), method="bounded",
-                          options={"xatol": 1e-10 * max(1.0, s_hi)})
-    return max(-float(res.fun), g(0.0))
+    a = np.asarray(lo, dtype=float)
+    h = np.asarray(hi, dtype=float) - a
+    steps = np.max(np.log(h / xatol) / -log(_INV_PHI), initial=0.0)
+    # interior points c = a + r^2 h < d = a + r h, with r = _INV_PHI
+    fc, fd = g(a + _INV_PHI ** 2 * h), g(a + _INV_PHI * h)
+    for _ in range(int(np.ceil(steps))):
+        left = fc >= fd  # keep [a, d], whose new d is the old c; else [c, b]
+        f_keep = np.maximum(fc, fd)
+        h = _INV_PHI * h
+        a = np.where(left, a, a + _INV_PHI * h)
+        f_new = g(a + np.where(left, _INV_PHI ** 2, _INV_PHI) * h)
+        fc, fd = np.where(left, f_new, f_keep), np.where(left, f_keep, f_new)
+    return np.maximum(fc, fd)
 
 
 def young_conjugate_grid(fn: WeightFunction, ts) -> np.ndarray:
-    return np.array([young_conjugate(fn, float(t)) for t in np.asarray(ts, dtype=float)])
+    """Convex conjugate ``sup_{s>=0} (s t - omega(e^s))`` of the
+    log-reparametrized weight at every ``t`` of an array of any shape.
+
+    The objective is concave in s.  Every argmax is bracketed at once by
+    doubling ``s_hi`` from 1 while the objective still rises, up to
+    ``min(600, log t_valid_max)`` (GridExhausted, naming the first such
+    ``t``, when it still rises there), then refined by one vectorized
+    golden-section search on ``[0, s_hi]`` down to ``1e-10 * s_hi``.  For
+    normalized weights the result is a nonnegative increasing convex
+    function vanishing at 0.
+    """
+    t = np.asarray(ts, dtype=float)
+    if np.any(t < 0):
+        raise ValueError("t must be nonnegative")
+    shape, t = t.shape, t.ravel()
+    s_cap = min(_S_CAP, log(fn.t_valid_max) if isfinite(fn.t_valid_max) else _S_CAP)
+
+    def g(s, tt=t):
+        return s * tt - fn.phi(s)
+
+    s_hi = np.ones_like(t)
+    rising = np.ones(t.shape, dtype=bool)
+    while np.any(rising):
+        s, tt = np.minimum(s_hi[rising], s_cap), t[rising]
+        up = g(s, tt) >= g(0.5 * s, tt)
+        stuck = up & (s >= s_cap)  # brackets double in step: all reach it at once
+        if np.any(stuck):
+            raise GridExhausted(f"conjugate argmax of {fn.label} still rising at "
+                                f"s={s_cap:g} (t={tt[stuck][0]:g})")
+        rising[rising] = up
+        s_hi[rising] *= 2.0
+    s_hi = np.minimum(s_hi, s_cap)
+    best = _golden_max(g, np.zeros_like(t), s_hi, 1e-10 * np.maximum(1.0, s_hi))
+    return np.maximum(best, g(np.zeros_like(t))).reshape(shape)
+
+
+def young_conjugate(fn: WeightFunction, t: float) -> float:
+    """Convex conjugate at one ``t``: a 1-element :func:`young_conjugate_grid`."""
+    return float(young_conjugate_grid(fn, t))
 
 
 # -- weight matrix ------------------------------------------------------------
@@ -302,43 +341,49 @@ def weight_matrix(fn: WeightFunction, x_grid=DEFAULT_X_GRID,
     for x in xs:
         if 2.0 * x <= xs[-1] and not any(abs(2.0 * x - y) < 1e-12 * y for y in xs):
             raise ValueError(f"x_grid not closed under doubling at x={x:g}")
-    rows = {}
-    for x in x_grid:
-        ks = np.arange(K_max + 1, dtype=float)
-        logw = young_conjugate_grid(fn, x * ks) / x
-        logw[0] = 0.0
-        rows[float(x)] = WeightSequence(logw, label=f"{fn.label}@x={x:g}")
+    x_col = np.asarray(x_grid, dtype=float)[:, None]
+    table = young_conjugate_grid(fn, x_col * np.arange(K_max + 1)) / x_col
+    table[:, 0] = 0.0
+    rows = {float(x): WeightSequence(logw, label=f"{fn.label}@x={x:g}")
+            for x, logw in zip(x_col[:, 0], table)}
     return WeightMatrix(x_grid, rows, source=fn)
 
 
 # -- decreasing conjugate ------------------------------------------------------
 
-def omega_conjugate(fn: WeightFunction, s: float) -> float:
-    """Decreasing conjugate ``sup_{t>=0} (omega(t) - s t)``.
+def omega_conjugate_grid(fn: WeightFunction, ss) -> np.ndarray:
+    """Decreasing conjugate ``sup_{t>=0} (omega(t) - s t)`` at every ``s``
+    of an array of any shape.
 
     Finite exactly because omega is certified o(t) on the range; decreasing
-    and convex in s.  Computed by a coarse log-spaced scan refined around
-    the best bracket.
+    and convex in s.  Omega is evaluated once on a 600-point log-spaced
+    scan; each ``s`` takes its best scan point, and one vectorized
+    golden-section search refines every ``s`` over the bracket of the scan
+    points on either side, down to ``1e-12`` times the bracket's top.
     """
-    if s <= 0:
+    s = np.asarray(ss, dtype=float)
+    if np.any(s <= 0):
         raise ValueError("s must be positive")
     if not fn.flags["o_of_t"]:
         raise NotLittleO(f"{fn.label}: o(t) certificate absent")
+    shape, s = s.shape, s.ravel()
     t_hi = min(fn.t_valid_max * 0.45, GRID_HI * 1e3)
     # beyond omega(t) <= c t with c < s/2, the objective only decreases
     ts = np.geomspace(1e-9, t_hi, 600)
-    obj = fn(ts) - s * ts
-    best = float(np.max(obj))
-    i = int(np.argmax(obj))
-    lo = ts[max(0, i - 1)]
-    hi = ts[min(len(ts) - 1, i + 1)]
-    res = minimize_scalar(lambda u: -(float(fn(u)) - s * u), bounds=(lo, hi),
-                          method="bounded", options={"xatol": 1e-12 * hi})
-    return max(best, -float(res.fun), 0.0)
+    w = fn(ts)
+    # the scan objective in blocks of rows, so memory stays flat in len(s)
+    i = np.concatenate([np.argmax(w - blk[:, None] * ts, axis=1)
+                        for blk in np.split(s, range(_SCAN_ROWS, len(s), _SCAN_ROWS))])
+    best = w[i] - s * ts[i]
+    hi = ts[np.minimum(i + 1, len(ts) - 1)]
+    refined = _golden_max(lambda u: fn(u) - s * u, ts[np.maximum(i - 1, 0)], hi,
+                          1e-12 * hi)
+    return np.maximum(np.maximum(best, refined), 0.0).reshape(shape)
 
 
-def omega_conjugate_grid(fn: WeightFunction, ss) -> np.ndarray:
-    return np.array([omega_conjugate(fn, float(s)) for s in np.asarray(ss, dtype=float)])
+def omega_conjugate(fn: WeightFunction, s: float) -> float:
+    """Decreasing conjugate at one ``s``: a 1-element :func:`omega_conjugate_grid`."""
+    return float(omega_conjugate_grid(fn, s))
 
 
 # -- decaying tail integrals ---------------------------------------------------
@@ -450,7 +495,7 @@ def _tail_integrability(fn: WeightFunction):
     head = float(np.trapezoid(fn(xs) / (1.0 + xs ** 2), xs))
     total = head + float(acc[0] + rem[0])
     flat = np.maximum([float(v[0]) for v in sums[-5:]], 1e-300)
-    d = np.arange(len(sums) - 4, len(sums) + 1, dtype=float)
+    d = np.arange(len(sums) - len(flat), len(sums), dtype=float) + 1.0
     q = -np.polyfit(np.log(d), np.log(flat), 1)[0]
     return True, float(q), total
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,6 +10,7 @@ from ultrajet.cli import main, run, validate_config
 from ultrajet.errors import ConfigError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def load_report(out):
@@ -99,6 +103,74 @@ def test_orders_are_checked_only_for_verify(tmp_path):
     path.write_text(json.dumps(cfg))
     assert run("cubes", str(path), str(tmp_path / "cubes")) == 0
     assert run("verify", str(path), str(tmp_path / "none")) == 2
+
+
+def test_order_length_must_match_dimension(tmp_path):
+    cfg = json.loads((CONFIGS / "sin_gevrey2_all.json").read_text())
+    cfg["extension"]["orders"] = [[0, 1]]  # two entries, points in 1D
+    validate_config(cfg, "extend")
+    with pytest.raises(ConfigError, match="dimension 1"):
+        validate_config(cfg, "verify")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run("verify", str(path), str(tmp_path / "out")) == 2
+    assert load_report(tmp_path / "out")["errors"][0]["kind"] == "config"
+
+
+@pytest.mark.parametrize("entry", [
+    {"name": "w", "preset": "power", "params": {}},
+    {"name": "w", "preset": "power", "params": {"alpha": 2.0}},
+    {"name": "w", "preset": "power", "params": {"alpha": True}},
+    {"name": "w", "preset": "log_power", "params": {"b": "x"}},
+    {"name": "w", "preset": "log_power", "params": {"b": 2.0, "scale": 0}},
+    {"name": "w", "preset": "gevrey_dual", "params": {"s": float("nan")}},
+    {"name": "w", "preset": "tabulated", "params": {"ts": 3, "values": [0]}},
+    {"name": "w", "preset": "power", "params": [0.5]},
+])
+def test_bad_weight_params_are_config_errors(tmp_path, entry):
+    cfg = {"weights": [entry]}
+    with pytest.raises(ConfigError):
+        validate_config(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run("fn", str(path), str(tmp_path / "out")) == 2
+    assert load_report(tmp_path / "out")["errors"][0]["kind"] == "config"
+
+
+def test_bad_sequence_params_are_config_errors():
+    for entry in ({"name": "S", "generator": "gevrey", "params": {}},
+                  {"name": "S", "generator": "gevrey", "params": {"s": -1}},
+                  {"name": "S", "generator": "quotient_power",
+                   "params": {"p": 2.0, "scale": -1.0}}):
+        with pytest.raises(ConfigError):
+            validate_config({"sequences": [entry]})
+    validate_config({"sequences": [{"name": "S", "generator": "quotient_power",
+                                    "params": {"p": -0.5}}]})
+
+
+def test_library_value_error_while_building_is_config_error(tmp_path):
+    # parameters that pass the schema but that the constructors refuse
+    cfg = {"weights": [{"name": "w", "preset": "tabulated",
+                        "params": {"ts": [0.0, 2.0, 1.0], "values": [0, 1, 2]}}],
+           "sequences": [{"name": "S", "generator": "mu_table",
+                          "params": {"mu": [1.0, -2.0, 3.0]}}],
+           "checks": [{"check": "almost_increasing", "sequence": "S"}]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    for command, name in (("fn", "'w'"), ("check", "'S'")):
+        assert run(command, str(path), str(tmp_path / command)) == 2
+        err = load_report(tmp_path / command)["errors"][-1]
+        assert err["kind"] == "config" and name in err["message"]
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # the conjugates need no scipy.optimize, whose import adds about a
+    # third to the import time of ultrajet.cli
+    code = "import sys, ultrajet.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert out.stdout.strip() == "False"
 
 
 def test_extend_in_three_dimensions(tmp_path):

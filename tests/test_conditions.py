@@ -219,6 +219,29 @@ def test_strong_matrix_single_row_forms_coincide():
     assert v.holds == v.details["exists_holds"]
 
 
+def test_strong_matrix_skips_rows_without_certified_tail():
+    # row x = 1/16 of this matrix fits a negative quotient exponent, so its
+    # tail is unbounded; the check passes over it instead of aborting
+    m = weight_matrix(log_power(1.678035), K_max=32)
+    with pytest.raises(TailUnbounded):
+        m.row(0.0625).quotient_tail_sums()
+    v = check_strong_matrix(m)
+    assert v.details["per_x"]["0.0625"]["y"] > 0.0625
+    # a row with no admissible partner at all fails with a tail counterexample
+    rows = {1.0: quotient_power(2.0), 2.0: quotient_power(1.0)}
+    v = check_strong_matrix(WeightMatrix((1.0, 2.0), rows))
+    assert not v.holds
+    assert v.counterexample["mode"] == "tail"
+    assert v.counterexample["x"] == 2.0
+
+
+def test_tail_unbounded_message_names_the_failed_test():
+    with pytest.raises(TailUnbounded, match=r"exponent 0\.500 <= 0\.95"):
+        quotient_power(0.5).quotient_tail_sums()
+    with pytest.raises(TailUnbounded, match="does not converge"):
+        quotient_power(1.0).quotient_tail_sums()
+
+
 # -- chain resolution -----------------------------------------------------------------
 
 def test_resolve_chain_sqrt(sqrt_matrix):

@@ -72,6 +72,14 @@ def test_omega_of_sequence_matches_seqcore():
                             rel_tol=1e-12, abs_tol=1e-12)
 
 
+def test_profile_with_four_certified_decades_builds():
+    # gevrey(2) at K_max 32 is valid up to 32^3, which leaves four decades
+    # for the tail trend: the fitted exponent then uses those four sums
+    fn = omega_of_sequence(seqcore.gevrey(2.0, K_max=32))
+    assert fn.flags["non_quasianalytic"]
+    assert fn.witnesses["tail_integral_exponent"] > 1.0
+
+
 def test_tabulated_weight():
     ts = np.array([0.0, 1.0, 2.0, 10.0])
     ws = np.array([0.0, 0.0, 3.0, 9.0])

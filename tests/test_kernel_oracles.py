@@ -1,14 +1,18 @@
 """The fast kernels against the earlier loops, kept here as reference
 implementations: the dimension-generic multi-index kernel of ``jets``
-against the hand-unrolled 1D/2D loops, and the point-cube incidence with
+against the hand-unrolled 1D/2D loops, the point-cube incidence with
 its pairwise partition fold (``pou``, ``extend``) against the per-cube mask
-loops and the per-cube folds over all earlier neighbors."""
+loops and the per-cube folds over all earlier neighbors, the vectorized
+conjugates of ``fncore`` against one bounded scalar minimisation per point,
+and the array tail sum of ``seqcore`` against its per-decade loop."""
 
-from math import comb, factorial
+from math import comb, factorial, isfinite, log
 from types import SimpleNamespace
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import minimize_scalar
 
 from ultrajet.extend import (
     DegreeSchedule,
@@ -16,6 +20,16 @@ from ultrajet.extend import (
     _UnionBump,
     _taylor_sup_bound,
     derivative_bounds,
+)
+from ultrajet.errors import GridExhausted, NotLittleO
+from ultrajet.fncore import (
+    GRID_HI,
+    gevrey_dual,
+    log_power,
+    omega_conjugate_grid,
+    omega_of_sequence,
+    power,
+    young_conjugate_grid,
 )
 from ultrajet.geometry import EXPANSION, decompose
 from ultrajet.jets import (
@@ -27,7 +41,7 @@ from ultrajet.jets import (
     taylor_grid,
 )
 from ultrajet.pou import Bump1D, build_pou
-from ultrajet.seqcore import gevrey
+from ultrajet.seqcore import _model_tail_sum, gevrey
 
 
 # -- reference implementations (1D and 2D only) ----------------------------------
@@ -397,3 +411,133 @@ def test_extension_sums_equal_oracle(case):
     want = oracle_derivative_bounds(field, up_to)
     assert got.keys() == want.keys()
     assert all(abs(got[m] - want[m]) <= 1e-14 * want[m] for m in want)
+
+
+# -- conjugates and the model tail sum: the scalar loops ---------------------------
+
+def oracle_young_conjugate(fn, t):
+    s_cap = min(600.0, log(fn.t_valid_max) if isfinite(fn.t_valid_max) else 600.0)
+
+    def g(s):
+        return s * t - float(fn.phi(s))
+
+    s_hi = 1.0
+    while g(s_hi) >= g(0.5 * s_hi) and s_hi < s_cap:
+        s_hi *= 2.0
+    if s_hi >= s_cap and g(min(s_hi, s_cap)) >= g(0.5 * min(s_hi, s_cap)):
+        raise GridExhausted(
+            f"conjugate argmax of {fn.label} still rising at s={s_cap:g} (t={t:g})")
+    s_hi = min(s_hi, s_cap)
+    res = minimize_scalar(lambda s: -g(s), bounds=(0.0, s_hi), method="bounded",
+                          options={"xatol": 1e-10 * max(1.0, s_hi)})
+    return max(-float(res.fun), g(0.0))
+
+
+def oracle_omega_conjugate(fn, s):
+    if not fn.flags["o_of_t"]:
+        raise NotLittleO(f"{fn.label}: o(t) certificate absent")
+    t_hi = min(fn.t_valid_max * 0.45, GRID_HI * 1e3)
+    ts = np.geomspace(1e-9, t_hi, 600)
+    obj = fn(ts) - s * ts
+    best = float(np.max(obj))
+    i = int(np.argmax(obj))
+    lo = ts[max(0, i - 1)]
+    hi = ts[min(len(ts) - 1, i + 1)]
+    res = minimize_scalar(lambda u: -(float(fn(u)) - s * u), bounds=(lo, hi),
+                          method="bounded", options={"xatol": 1e-12 * hi})
+    return max(best, -float(res.fun), 0.0)
+
+
+def oracle_model_tail_sum(log_c, p, q, k0, max_decades=200):
+    u0 = log(max(k0, 3.0))
+    n = 16
+    acc = 0.0
+    incs = []
+    for d in range(max_decades):
+        us = u0 + log(10.0) * (d + np.arange(n + 1) / n)
+        vals = np.exp((1.0 - p) * us - q * np.log(us) - log_c)
+        w = np.ones(n + 1)
+        w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+        inc = log(10.0) / n / 3.0 * float(vals @ w)
+        incs.append(inc)
+        acc += inc
+        if d >= 3 and inc <= 1e-14 * max(acc, 1e-300):
+            return True, acc
+        if d >= 7 and incs[-1] >= 0.999 * incs[-2]:
+            return False, float("inf")
+    d_idx = np.arange(max_decades - 4, max_decades, dtype=float) + 1.0
+    tail4 = np.maximum(incs[-4:], 1e-300)
+    qq = -np.polyfit(np.log(d_idx), np.log(tail4), 1)[0]
+    if qq <= 1.05:
+        return False, float("inf")
+    return True, acc + incs[-1] * max_decades / (qq - 1.0)
+
+
+# the preset weights, one family per draw
+weights = st.one_of(
+    st.floats(0.3, 1.0).map(power),
+    st.floats(1.5, 4.0).map(log_power),
+    st.floats(0.5, 3.0).map(gevrey_dual),
+)
+
+
+def assert_matches_oracle(new, old):
+    """Both are lower bounds of the same supremum: they agree to 1e-10, and
+    the new one is never below the old by more than 1e-12 (relative)."""
+    scale = np.maximum(1.0, np.abs(old))
+    assert np.all(np.abs(new - old) <= 1e-10 * scale)
+    assert np.all(new >= old - 1e-12 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(weights, st.lists(st.floats(0.0, 5e3), min_size=1, max_size=12))
+def test_young_conjugate_grid_matches_oracle(fn, ts):
+    old = np.array([oracle_young_conjugate(fn, t) for t in ts])
+    assert_matches_oracle(young_conjugate_grid(fn, ts), old)
+
+
+@settings(max_examples=60, deadline=None)
+@given(weights, st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=12))
+def test_omega_conjugate_grid_matches_oracle(fn, ss):
+    if not fn.flags["o_of_t"]:  # power(alpha) near alpha = 1
+        with pytest.raises(NotLittleO):
+            omega_conjugate_grid(fn, ss)
+        return
+    old = np.array([oracle_omega_conjugate(fn, s) for s in ss])
+    assert_matches_oracle(omega_conjugate_grid(fn, ss), old)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.5, 2.0), st.sampled_from((16, 32, 64)),
+       st.lists(st.one_of(st.floats(0.0, 80.0), st.integers(0, 80).map(float)),
+                min_size=1, max_size=8))
+def test_young_conjugate_grid_exhausts_like_oracle(s, k_max, ts):
+    # growth profiles are valid only up to mu_K, which caps the bracket: a
+    # t at or beyond about K_max runs past it
+    fn = omega_of_sequence(gevrey(s, K_max=k_max))
+    try:
+        old = np.array([oracle_young_conjugate(fn, t) for t in ts])
+    except GridExhausted as exc:
+        with pytest.raises(GridExhausted) as got:
+            young_conjugate_grid(fn, ts)
+        assert str(got.value) == str(exc)
+        return
+    new = young_conjugate_grid(fn, ts)
+    # phi is piecewise linear here, so the scalar search stops up to about
+    # 1e-8 s short in value; the exact conjugate interpolates log M
+    exact = np.interp(ts, np.arange(k_max + 1), gevrey(s, K_max=k_max).logM)
+    scale = np.maximum(1.0, np.abs(exact))
+    assert np.all(new >= old - 1e-12 * np.maximum(1.0, np.abs(old)))
+    assert np.all(np.abs(new - exact) <= 1e-9 * scale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-5.0, 5.0), st.floats(0.5, 10.0), st.floats(-3.0, 3.0),
+       st.floats(1.0, 500.0), st.one_of(st.integers(5, 24), st.just(200)))
+@example(0.0, 1.0625, 0.0, 1.0, 10)  # a matrix-vector product sums row 8 apart
+def test_model_tail_sum_bitwise_equals_oracle(log_c, p, q, k0, max_decades):
+    # few decades reach the fitted-trend remainder; steep quotients stop
+    # at the first decade that may stop
+    with np.errstate(over="ignore"):
+        old = oracle_model_tail_sum(log_c, p, q, k0, max_decades)
+    assert _model_tail_sum(log_c, p, q, k0, max_decades) == old
