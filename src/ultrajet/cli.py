@@ -48,24 +48,29 @@ _JET_PRESET_KEYS = {
     "sin": {"a", "b"}, "exp": {"a"}, "poly": {"coeffs"}, "runge": {"c"},
     "product": {"factors"}, "sum": {"terms"}, "tensor": {"axes"},
 }
-_CHECK_KEYS = {
-    "heir": {"omega", "sigma"},
-    "strong": {"weight"},
-    "good": {"weight"},
-    "mixed_tail": {"mu", "nu"},
-    "almost_increasing": {"sequence"},
-    "doubling_absorption": {"weight"},
-    "quotient_root_domination": {"weight"},
-    "concavity_equivalence": {"weight"},
-    "strong_matrix": {"weight"},
-    "descendant": {"sequence"},
-    "chain": {"weight", "x"},
+# check -> (function, its arguments in order as (config key, _Context
+# resolver)); chain also takes an optional "x", default 1.0
+_CHECKS = {
+    "heir": (conditions.check_heir, (("omega", "weight"), ("sigma", "weight"))),
+    "strong": (conditions.check_strong, (("weight", "weight"),)),
+    "good": (conditions.check_good, (("weight", "matrix"),)),
+    "mixed_tail": (conditions.check_mixed_tail, (("mu", "sequence"), ("nu", "sequence"))),
+    "almost_increasing": (conditions.check_almost_increasing, (("sequence", "sequence"),)),
+    "doubling_absorption": (conditions.check_doubling_absorption, (("weight", "weight"),)),
+    "quotient_root_domination": (conditions.check_quotient_root_domination,
+                                 (("weight", "matrix"),)),
+    "concavity_equivalence": (conditions.check_concavity_equivalence,
+                              (("weight", "weight"), ("weight", "matrix"))),
+    "strong_matrix": (conditions.check_strong_matrix, (("weight", "matrix"),)),
+    "descendant": (conditions.check_descendant, (("sequence", "sequence"),)),
+    "chain": (conditions.resolve_chain, (("weight", "matrix"),)),
 }
+_CHECK_KEYS = {name: {key for key, _ in args} for name, (_, args) in _CHECKS.items()}
+_CHECK_KEYS["chain"].add("x")
 
 _DEFAULTS = {
     "schema_version": SCHEMA_VERSION,
     "seed": 0,
-    "workers": 1,
     "K_max": 128,
     "x_grid": {"min_pow": -4, "max_pow": 6},
     "weights": [],
@@ -161,8 +166,11 @@ def validate_config(raw: dict, command: str | None = None) -> dict:
     for c in cfg["checks"]:
         if "check" not in c or c["check"] not in _CHECK_KEYS:
             raise ConfigError(f"unknown check entry {c!r}")
-        _reject_unknown(c, _CHECK_KEYS[c["check"]] | {"check"},
-                        f"checks[{c['check']}]")
+        where = f"checks[{c['check']}]"
+        _reject_unknown(c, _CHECK_KEYS[c["check"]] | {"check"}, where)
+        for key, _ in _CHECKS[c["check"]][1]:
+            if key not in c:
+                raise ConfigError(f"{where}: missing {key!r}")
     return cfg
 
 
@@ -302,9 +310,12 @@ class _Context:
 
     def matrix(self, weight_name: str) -> fncore.WeightMatrix:
         if weight_name not in self._matrices:
-            self._matrices[weight_name] = fncore.weight_matrix(
-                self.weight(weight_name), x_grid=self.x_grid(),
-                K_max=self.cfg["K_max"])
+            try:
+                self._matrices[weight_name] = fncore.weight_matrix(
+                    self.weight(weight_name), x_grid=self.x_grid(),
+                    K_max=self.cfg["K_max"])
+            except ValueError as exc:
+                raise ConfigError(f"matrix of {weight_name!r}: {exc}") from None
         return self._matrices[weight_name]
 
     def compact_set(self) -> jets.CompactSet:
@@ -312,9 +323,12 @@ class _Context:
         if cs is None:
             raise ConfigError("compact_set required for this command")
         pts = _points(cs)
-        if cs.get("box"):
-            return jets.CompactSet(pts, tuple(tuple(b) for b in cs["box"]))
-        return jets.CompactSet.from_points(pts)
+        try:
+            if cs.get("box"):
+                return jets.CompactSet(pts, tuple(tuple(b) for b in cs["box"]))
+            return jets.CompactSet.from_points(pts)
+        except ValueError as exc:
+            raise ConfigError(f"compact_set: {exc}") from None
 
     def jet(self) -> jets.Ultrajet:
         jc = self.cfg["jet"]
@@ -349,10 +363,20 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
+def _finite(v):
+    """v with each non-finite float spelled as the string "inf", "-inf" or
+    "nan", so the report is strict JSON."""
+    if isinstance(v, float):
+        return v if isfinite(v) else str(v)
+    if isinstance(v, dict):
+        return {k: _finite(x) for k, x in v.items()}
+    return [_finite(x) for x in v] if isinstance(v, (list, tuple)) else v
+
+
 def _write_report(report: dict, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.json", "w", newline="\n") as fh:
-        json.dump(report, fh, indent=2, allow_nan=True)
+        json.dump(_finite(report), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -398,7 +422,6 @@ def _run_fn(ctx: _Context, report: dict, out: Path) -> int:
 
 def _run_matrix(ctx: _Context, report: dict, out: Path) -> int:
     csv = ctx.cfg["output"]["csv"]
-    status = 0
     for entry in ctx.cfg["weights"]:
         fn = ctx.weight(entry["name"])
         if not fn.normalized:
@@ -417,59 +440,33 @@ def _run_matrix(ctx: _Context, report: dict, out: Path) -> int:
             rows = [[k] + [float(mat.row(x).logM[k]) for x in mat.x_grid]
                     for k in ks]
             _write_csv(out / f"matrix_{entry['name']}.csv", header, rows)
-    return status
+    return 0
 
 
 def _run_check(ctx: _Context, report: dict, out: Path) -> int:
     status = 0
     for entry in ctx.cfg["checks"]:
         kind = entry["check"]
+        check, params = _CHECKS[kind]
         try:
-            if kind == "heir":
-                v = [conditions.check_heir(ctx.weight(entry["omega"]),
-                                           ctx.weight(entry["sigma"]))]
-            elif kind == "strong":
-                v = [conditions.check_strong(ctx.weight(entry["weight"]))]
-            elif kind == "good":
-                v = [conditions.check_good(ctx.matrix(entry["weight"]))]
-            elif kind == "mixed_tail":
-                v = [conditions.check_mixed_tail(ctx.sequence(entry["mu"]),
-                                                 ctx.sequence(entry["nu"]))]
-            elif kind == "almost_increasing":
-                v = [conditions.check_almost_increasing(
-                    ctx.sequence(entry["sequence"]))]
-            elif kind == "doubling_absorption":
-                v = [conditions.check_doubling_absorption(
-                    ctx.weight(entry["weight"]))]
-            elif kind == "quotient_root_domination":
-                v = [conditions.check_quotient_root_domination(
-                    ctx.matrix(entry["weight"]))]
-            elif kind == "concavity_equivalence":
-                pair = conditions.check_concavity_equivalence(
-                    ctx.weight(entry["weight"]), ctx.matrix(entry["weight"]))
-                v = list(pair)
-                if pair[0].holds != pair[1].holds:
-                    report["warnings"].append(
-                        "concavity equivalence forms disagree on "
-                        f"{entry['weight']}")
-            elif kind == "strong_matrix":
-                v = [conditions.check_strong_matrix(ctx.matrix(entry["weight"]))]
-            elif kind == "descendant":
-                v = [_descendant_verdict(ctx.sequence(entry["sequence"]))]
-            else:  # chain
-                mat = ctx.matrix(entry["weight"])
-                cert = conditions.resolve_chain(mat, entry.get("x", 1.0))
-                refined = conditions.verify_chain(mat, cert, refine=10)
+            args = [getattr(ctx, resolve)(entry[key]) for key, resolve in params]
+            if kind == "chain":
+                cert = check(*args, entry.get("x", 1.0))
+                refined = conditions.verify_chain(*args, cert, refine=10)
                 report["certificates"].append(
                     {"kind": "chain", "weight": entry["weight"],
-                     "certificate": cert.to_dict(),
-                     "refined_grid_holds": bool(refined)})
+                     "certificate": cert.to_dict(), "refined_grid_holds": bool(refined)})
                 v = []
                 if not refined:
                     status = 1
-                    report["errors"].append(
-                        {"kind": "chain_refinement",
-                         "weight": entry["weight"]})
+                    report["errors"].append({"kind": "chain_refinement",
+                                             "weight": entry["weight"]})
+            else:
+                v = check(*args)
+                v = list(v) if isinstance(v, tuple) else [v]
+                if kind == "concavity_equivalence" and v[0].holds != v[1].holds:
+                    report["warnings"].append(
+                        f"concavity equivalence forms disagree on {entry['weight']}")
         except ConfigError:
             raise
         except UltrajetError as exc:
@@ -484,33 +481,15 @@ def _run_check(ctx: _Context, report: dict, out: Path) -> int:
     return status
 
 
-def _descendant_verdict(seq) -> conditions.Verdict:
-    out = seqcore.descendant(seq)
-    k = np.arange(1, out.K_max + 1, dtype=float)
-    sig = np.exp(out.log_mu[1:])
-    monotone = bool(np.all(np.diff(sig / k) >= -1e-12))
-    dominated = float(np.max(sig / np.exp(seq.log_mu[1:out.K_max + 1])))
-    suffix = seq.quotient_tail_sums()
-    mixed_c = float(np.max(suffix[:out.K_max] * sig / k))
-    holds = monotone and dominated <= conditions.C_CAP and mixed_c <= conditions.C_CAP
-    wit = {"C_domination": dominated, "C_mixed_tail": mixed_c}
-    if holds:
-        return conditions.Verdict(f"descendant[{seq.label}]", True, wit,
-                                  tested_range={"K_max": out.K_max})
-    return conditions.Verdict(
-        f"descendant[{seq.label}]", False, wit,
-        counterexample={"monotone": monotone, "needed_C": dominated,
-                        "reference_C": conditions.C_CAP, "margin": 1.0,
-                        "mode": "cap"},
-        tested_range={"K_max": out.K_max})
-
-
 def _decomposition(ctx: _Context):
     if ctx._dec is None:
         cs = ctx.compact_set()
         dc = ctx.cfg["decomposition"]
-        ctx._dec = geometry.decompose(cs.box, cs, depth_cap=dc["depth_cap"],
-                                      min_feature_scale=dc["min_feature_scale"])
+        try:
+            ctx._dec = geometry.decompose(cs.box, cs, depth_cap=dc["depth_cap"],
+                                          min_feature_scale=dc["min_feature_scale"])
+        except ValueError as exc:
+            raise ConfigError(f"decomposition: {exc}") from None
     return ctx._dec
 
 
@@ -604,7 +583,6 @@ def _run_extend(ctx: _Context, report: dict, out: Path) -> int:
                 for i in range(len(jet.cset.points))
                 for r, m in enumerate(jet.multi)]
         _write_csv(out / "jet_table.csv", ["point", "alpha", "value"], rows)
-    if ctx.cfg["output"]["csv"]:
         dec = fld.pou.dec
         grid = geometry.box_grid(dec.box, 400)
         vals = fld.value(grid)
@@ -657,7 +635,7 @@ _PIPELINES = {
 }
 
 
-def run(command: str, config_path: str, out_dir: str, workers: int = 1,
+def run(command: str, config_path: str, out_dir: str,
         seed: int | None = None, strict: bool = False) -> int:
     """Execute one pipeline; returns the process exit status."""
     out = Path(out_dir)
@@ -665,15 +643,12 @@ def run(command: str, config_path: str, out_dir: str, workers: int = 1,
         raw = json.loads(Path(config_path).read_text())
         cfg = validate_config(raw, command)
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
-        out.mkdir(parents=True, exist_ok=True)
         report = {"schema_version": SCHEMA_VERSION, "command": command,
                   "errors": [{"kind": "config", "message": str(exc)}]}
         _write_report(report, out)
         return 2
     if seed is not None:
         cfg["seed"] = seed
-    # workers is an execution hint only: results are identical for any value,
-    # and reports must stay byte-identical across thread counts
     out.mkdir(parents=True, exist_ok=True)
     ctx = _Context(cfg)
     report = _new_report(cfg, command)
@@ -706,16 +681,13 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(_PIPELINES))
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", default="ultrajet-out", help="output directory")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker-count hint (results are identical for "
-                             "any value)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the sampling seed")
     parser.add_argument("--strict", action="store_true",
                         help="treat finite-range warnings as failures")
     args = parser.parse_args(argv)
-    return run(args.command, args.config, args.out, workers=args.workers,
-               seed=args.seed, strict=args.strict)
+    return run(args.command, args.config, args.out, seed=args.seed,
+               strict=args.strict)
 
 
 if __name__ == "__main__":

@@ -11,6 +11,11 @@ growth over the last half of the grid by at least TREND_GROWTH).  The second
 mode is what makes genuinely failing instances detectable at desk scale; a
 trend failure reports the grid constant realized on the first half together
 with the witness point that violates it by the reported margin.
+
+The row-pair conditions of a weight matrix (goodness, quotient-root
+domination, the concave matrix form) share one search for the first y >= x
+needing the least constant; they and almost increase share one log-domain
+verdict, ``_log_verdict``: log C against LOG_CAP, exponents capped at 700.
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import NotLittleO, QuasianalyticInput, RangeExhausted, TailUnbounded
-from .fncore import WeightFunction, WeightMatrix, kappa, young_conjugate_grid
-from .seqcore import WeightSequence, gamma_bar_soft, gamma_under_soft
+from .fncore import WeightFunction, WeightMatrix, kappa, splitting_ok, young_conjugate_grid
+from .seqcore import WeightSequence, descendant, gamma_bar_soft, gamma_under_soft
 
 LOG_CAP = 40.0 * log(2.0)
 C_CAP = 2.0 ** 40
@@ -179,44 +184,72 @@ def _quotient_over_index(row: WeightSequence) -> np.ndarray:
     return row.log_mu[1:] - np.log(k)
 
 
+def _root(row: WeightSequence) -> np.ndarray:
+    return row.log_m[1:] / np.arange(1, row.K_max + 1)
+
+
+def _prefix_max(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Running max of v and, per position, the 1-based index of the last
+    entry attaining it."""
+    pref = np.maximum.accumulate(v)
+    return pref, np.maximum.accumulate(np.where(v >= pref, np.arange(1, len(v) + 1), 1))
+
+
+def _first_best(values, nan_arg) -> int:
+    """Index a scan keeping the earlier value on ties picks: a NaN in front
+    is never displaced and a later NaN never wins."""
+    values = np.asarray(values, dtype=float)
+    return 0 if np.isnan(values[0]) else int(nan_arg(values))
+
+
+def _row_search(matrix: WeightMatrix, lhs, rhs) -> tuple[list, tuple]:
+    """For each x of the grid, (log C, y, k): the first y >= x minimising
+    max_k (lhs(W^x) - rhs(W^y))_k, with k the 1-based first argmax; and,
+    as (log C, x, y, k), the first x with the largest log C."""
+    xs = matrix.x_grid
+    right = np.array([rhs(matrix.row(y)) for y in xs])
+    found = []
+    for i, x in enumerate(xs):
+        need = lhs(matrix.row(x)) - right[i:]
+        top = need.max(axis=1)
+        b = _first_best(top, np.nanargmin)
+        found.append((float(top[b]), xs[i + b], int(np.argmax(need[b])) + 1))
+    i = _first_best([c for c, _, _ in found], np.nanargmax)
+    return found, (found[i][0], xs[i], *found[i][1:])
+
+
+def _log_verdict(name: str, log_c: float, const: str, locator: dict,
+                 tested_range: dict, details: dict | None = None,
+                 witnesses: dict | None = None) -> Verdict:
+    """Verdict for a condition whose constant is found in the log domain:
+    it holds when log C <= LOG_CAP; a failure names where by ``locator``
+    and reports the needed constant with its exponent capped at 700."""
+    details = details or {}
+    if log_c <= LOG_CAP:
+        return Verdict(name, True, witnesses or {const: float(np.exp(max(log_c, 0.0)))},
+                       tested_range=tested_range, details=details)
+    counter = {**locator, "needed_C": float(np.exp(min(log_c, 700.0))),
+               "reference_C": C_CAP,
+               "margin": float(np.exp(min(log_c - LOG_CAP, 700.0))), "mode": "cap"}
+    return Verdict(name, False, witnesses or {f"log_{const}_range": log_c},
+                   counterexample=counter, tested_range=tested_range,
+                   details=details)
+
+
+def _matrix_range(matrix: WeightMatrix) -> dict:
+    return {"K_max": matrix.K_max, "x_grid": list(matrix.x_grid)}
+
+
 def check_good(matrix: WeightMatrix) -> Verdict:
     """Almost-increase of quotient-over-index across rows: for every x some
     y >= x in the grid with theta^x_j / j <= C theta^y_k / k for j <= k."""
-    per_x = {}
-    worst = None
-    for x in matrix.x_grid:
-        la = _quotient_over_index(matrix.row(x))
-        pref = np.maximum.accumulate(la)
-        pref_arg = np.maximum.accumulate(
-            np.where(la >= pref, np.arange(1, len(la) + 1), 1))
-        best = None
-        for y in matrix.x_grid:
-            if y < x:
-                continue
-            lb = _quotient_over_index(matrix.row(y))
-            need = pref - lb
-            k_idx = int(np.argmax(need))
-            cand = (float(np.max(need)), float(y), int(pref_arg[k_idx]), k_idx + 1)
-            if best is None or cand[0] < best[0]:
-                best = cand
-        log_c, y, j, k = best
-        per_x[x] = {"y": y, "C": float(np.exp(min(log_c, 700.0))) if log_c <= 700 else float("inf"),
-                    "log_C": log_c}
-        if worst is None or log_c > worst[0]:
-            worst = (log_c, x, y, j, k)
-    rng = {"K_max": matrix.K_max, "x_grid": list(matrix.x_grid)}
-    details = {"per_x": {f"{x:g}": w for x, w in per_x.items()}}
-    log_c, x, y, j, k = worst
-    if log_c <= LOG_CAP:
-        return Verdict("good_matrix", True,
-                       {"C": float(np.exp(max(log_c, 0.0)))},
-                       tested_range=rng, details=details)
-    counter = {"x": x, "y_best": y, "j": j, "k": k,
-               "needed_C": float(np.exp(min(log_c, 700.0))),
-               "reference_C": C_CAP, "margin": float(np.exp(min(log_c - LOG_CAP, 700.0))),
-               "mode": "cap"}
-    return Verdict("good_matrix", False, {"log_C_range": log_c},
-                   counterexample=counter, tested_range=rng, details=details)
+    found, (log_c, x, y, k) = _row_search(
+        matrix, lambda r: _prefix_max(_quotient_over_index(r))[0], _quotient_over_index)
+    per_x = {f"{xi:g}": {"y": yi, "C": float(np.exp(c)) if c <= 700 else float("inf"),
+                         "log_C": c} for xi, (c, yi, _) in zip(matrix.x_grid, found)}
+    j = int(_prefix_max(_quotient_over_index(matrix.row(x)))[1][k - 1])
+    return _log_verdict("good_matrix", log_c, "C", {"x": x, "y_best": y, "j": j, "k": k},
+                        _matrix_range(matrix), {"per_x": per_x})
 
 
 def good_via_conjugate_secants(matrix: WeightMatrix) -> Verdict:
@@ -259,30 +292,35 @@ def check_mixed_tail(mu_seq: WeightSequence, nu_seq: WeightSequence,
 def check_almost_increasing(seq: WeightSequence) -> Verdict:
     """Almost increase of mu_k/k, with the root variant m_j^{1/j} <= C m_k^{1/k}
     evaluated alongside and reported in the witnesses."""
-    k = np.arange(1, seq.K_max + 1, dtype=float)
-    la = seq.log_mu[1:] - np.log(k)
-    pref = np.maximum.accumulate(la)
-    pref_arg = np.maximum.accumulate(np.where(la >= pref, np.arange(1, seq.K_max + 1), 1))
+    la = _quotient_over_index(seq)
+    pref, pref_arg = _prefix_max(la)
     need = pref - la
     i_max = int(np.argmax(need))
     log_c = float(need[i_max])
-
-    roots = seq.log_m[1:] / k
-    pref_r = np.maximum.accumulate(roots)
-    log_c_root = float(np.max(pref_r - roots))
-
-    rng = {"K_max": seq.K_max}
+    roots = _root(seq)
+    log_c_root = float(np.max(_prefix_max(roots)[0] - roots))
     wit = {"C": float(np.exp(max(log_c, 0.0))),
            "C_root_variant": float(np.exp(max(log_c_root, 0.0)))}
-    if log_c <= LOG_CAP:
-        return Verdict(f"almost_increasing[{seq.label}]", True, wit,
-                       tested_range=rng)
-    counter = {"j": int(pref_arg[i_max]), "k": i_max + 1,
-               "needed_C": float(np.exp(min(log_c, 700.0))),
-               "reference_C": C_CAP,
-               "margin": float(np.exp(min(log_c - LOG_CAP, 700.0))), "mode": "cap"}
-    return Verdict(f"almost_increasing[{seq.label}]", False, wit,
-                   counterexample=counter, tested_range=rng)
+    return _log_verdict(f"almost_increasing[{seq.label}]", log_c, "C",
+                        {"j": int(pref_arg[i_max]), "k": i_max + 1},
+                        {"K_max": seq.K_max}, witnesses=wit)
+
+
+def check_descendant(seq: WeightSequence) -> Verdict:
+    """The descendant sigma of seq keeps its three promises on the range:
+    sigma_k/k increasing, sigma <= C mu and sum_{l>=k} 1/mu_l <= C k/sigma_k."""
+    out = descendant(seq)
+    k = np.arange(1, out.K_max + 1, dtype=float)
+    sig = np.exp(out.log_mu[1:])
+    monotone = bool(np.all(np.diff(sig / k) >= -1e-12))
+    dominated = float(np.max(sig / np.exp(seq.log_mu[1:out.K_max + 1])))
+    mixed_c = float(np.max(seq.quotient_tail_sums()[:out.K_max] * sig / k))
+    holds = monotone and dominated <= C_CAP and mixed_c <= C_CAP
+    counter = None if holds else {"monotone": monotone, "needed_C": dominated,
+                                  "reference_C": C_CAP, "margin": 1.0, "mode": "cap"}
+    return Verdict(f"descendant[{seq.label}]", holds,
+                   {"C_domination": dominated, "C_mixed_tail": mixed_c},
+                   counterexample=counter, tested_range={"K_max": out.K_max})
 
 
 # -- scaling absorption and concavity-style conditions -------------------------------
@@ -312,35 +350,12 @@ def check_doubling_absorption(fn: WeightFunction,
 
 def check_quotient_root_domination(matrix: WeightMatrix) -> Verdict:
     """For every x some y with theta^x_k <= C (W^y_k)^{1/k} across the range."""
-    per_x = {}
-    worst = None
-    for x in matrix.x_grid:
-        lt = matrix.row(x).log_mu[1:]
-        best = None
-        for y in matrix.x_grid:
-            if y < x:
-                continue
-            roots = matrix.row(y).logM[1:] / np.arange(1, matrix.K_max + 1)
-            need = lt - roots
-            cand = (float(np.max(need)), float(y), int(np.argmax(need)) + 1)
-            if best is None or cand[0] < best[0]:
-                best = cand
-        per_x[x] = {"y": best[1], "log_C": best[0]}
-        if worst is None or best[0] > worst[0]:
-            worst = (best[0], x, best[1], best[2])
-    rng = {"K_max": matrix.K_max, "x_grid": list(matrix.x_grid)}
-    details = {"per_x": {f"{x:g}": w for x, w in per_x.items()}}
-    log_c, x, y, k = worst
-    if log_c <= LOG_CAP:
-        return Verdict("quotient_root_domination", True,
-                       {"C": float(np.exp(max(log_c, 0.0)))},
-                       tested_range=rng, details=details)
-    counter = {"x": x, "y_best": y, "k": k,
-               "needed_C": float(np.exp(min(log_c, 700.0))),
-               "reference_C": C_CAP,
-               "margin": float(np.exp(min(log_c - LOG_CAP, 700.0))), "mode": "cap"}
-    return Verdict("quotient_root_domination", False, {"log_C_range": log_c},
-                   counterexample=counter, tested_range=rng, details=details)
+    found, (log_c, x, y, k) = _row_search(
+        matrix, lambda r: r.log_mu[1:], lambda r: r.logM[1:] / np.arange(1, r.K_max + 1))
+    per_x = {f"{xi:g}": {"y": yi, "log_C": c} for xi, (c, yi, _) in zip(matrix.x_grid, found)}
+    return _log_verdict("quotient_root_domination", log_c, "C",
+                        {"x": x, "y_best": y, "k": k}, _matrix_range(matrix),
+                        {"per_x": per_x})
 
 
 def check_concavity_equivalence(fn: WeightFunction, matrix: WeightMatrix,
@@ -353,46 +368,16 @@ def check_concavity_equivalence(fn: WeightFunction, matrix: WeightMatrix,
     ts = _default_t_grid(fn, lo=t0, hi=min(1e8, 0.04 * fn.t_valid_max) / lam[-1])
     w = fn(ts)
     mask = w > 0
-    needed = []
-    for la in lam:
-        needed.append(np.max(fn(la * ts[mask]) / (la * w[mask])))
-    needed = np.asarray(needed)
+    needed = np.array([np.max(fn(la * ts[mask]) / (la * w[mask])) for la in lam])
     rng = {"t_lo": float(ts[0]), "t_hi": float(ts[-1]), "lambda_max": float(lam[-1])}
     v_scaling = _linear_verdict(f"concave_scaling[{fn.label}]", needed, lam,
                                 "lambda", rng)
 
-    per_x = {}
-    worst = None
-    for x in matrix.x_grid:
-        roots_x = matrix.row(x).log_m[1:] / np.arange(1, matrix.K_max + 1)
-        pref = np.maximum.accumulate(roots_x)
-        best = None
-        for y in matrix.x_grid:
-            if y < x:
-                continue
-            roots_y = matrix.row(y).log_m[1:] / np.arange(1, matrix.K_max + 1)
-            need = float(np.max(pref - roots_y))
-            if best is None or need < best[0]:
-                best = (need, float(y))
-        per_x[x] = {"y": best[1], "log_D": best[0]}
-        if worst is None or best[0] > worst[0]:
-            worst = (best[0], x, best[1])
-    log_d, x, y = worst
-    rng2 = {"K_max": matrix.K_max, "x_grid": list(matrix.x_grid)}
-    if log_d <= LOG_CAP:
-        v_matrix = Verdict("concave_matrix_form", True,
-                           {"D": float(np.exp(max(log_d, 0.0)))},
-                           tested_range=rng2, details={"per_x": per_x})
-    else:
-        counter = {"x": x, "y_best": y,
-                   "needed_C": float(np.exp(min(log_d, 700.0))),
-                   "reference_C": C_CAP,
-                   "margin": float(np.exp(min(log_d - LOG_CAP, 700.0))),
-                   "mode": "cap"}
-        v_matrix = Verdict("concave_matrix_form", False, {"log_D_range": log_d},
-                           counterexample=counter, tested_range=rng2,
-                           details={"per_x": per_x})
-    return v_scaling, v_matrix
+    found, (log_d, x, y, _) = _row_search(matrix, lambda r: _prefix_max(_root(r))[0], _root)
+    per_x = {xi: {"y": yi, "log_D": c} for xi, (c, yi, _) in zip(matrix.x_grid, found)}
+    return v_scaling, _log_verdict("concave_matrix_form", log_d, "D",
+                                   {"x": x, "y_best": y}, _matrix_range(matrix),
+                                   {"per_x": per_x})
 
 
 # -- matrix strength -------------------------------------------------------------------
@@ -419,7 +404,7 @@ def check_strong_matrix(matrix: WeightMatrix) -> Verdict:
             if best is None or score < best[0]:
                 best = (score, float(y), v)
         results[x] = best
-    rng = {"K_max": matrix.K_max, "x_grid": list(matrix.x_grid)}
+    rng = _matrix_range(matrix)
     if any(b is None for b in results.values()):
         bad_x = next(x for x, b in results.items() if b is None)
         counter = {"x": float(bad_x), "needed_C": float("inf"),
@@ -465,15 +450,6 @@ def _chain_holds(matrix: WeightMatrix, x, y1, y2, y3, d, ts) -> bool:
                 and np.all(g2b <= g1) and np.all(2 * g1 <= g_x))
 
 
-def _splitting_ok(lo: WeightSequence, hi: WeightSequence) -> bool:
-    a, b = lo.log_m, hi.log_m
-    k_max = lo.K_max
-    j = np.arange(k_max + 1)
-    mask = (j[:, None] + j[None, :]) <= k_max
-    split = a[np.minimum(j[:, None] + j[None, :], k_max)]
-    return not np.any((split - b[:, None] - b[None, :])[mask] > 1e-7)
-
-
 def resolve_chain(matrix: WeightMatrix, x: float,
                   t_range: tuple[float, float] = (0.05, 1e3),
                   n_t: int = 48) -> ChainCertificate:
@@ -494,10 +470,10 @@ def resolve_chain(matrix: WeightMatrix, x: float,
     ts = np.geomspace(t_range[0], t_range[1], n_t)
     xs = matrix.x_grid
     for y1 in (y for y in xs if y >= 2.0 * x):
-        if not _splitting_ok(matrix.row(x), matrix.row(y1)):
+        if not splitting_ok(matrix.row(x).log_m, matrix.row(y1).log_m):
             continue
         for y2 in (y for y in xs if y >= 2.0 * y1):
-            if not _splitting_ok(matrix.row(y1), matrix.row(y2)):
+            if not splitting_ok(matrix.row(y1).log_m, matrix.row(y2).log_m):
                 continue
             for y3 in (y for y in xs if y >= y2):
                 for d in GRID_POWERS[:14]:

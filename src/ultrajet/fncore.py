@@ -274,6 +274,17 @@ def young_conjugate(fn: WeightFunction, t: float) -> float:
 
 # -- weight matrix ------------------------------------------------------------
 
+MATRIX_TOL = 1e-7  # slack of the structural row inequalities
+
+
+def splitting_ok(a: np.ndarray, b: np.ndarray) -> bool:
+    """Index splitting on log tables: a_{j+k} <= b_j + b_k for j + k <= K."""
+    k_max = len(a) - 1
+    jk = np.arange(k_max + 1)[:, None] + np.arange(k_max + 1)[None, :]
+    return not np.any((a[np.minimum(jk, k_max)] - b[:, None] - b[None, :])[jk <= k_max]
+                      > MATRIX_TOL)
+
+
 class WeightMatrix:
     """Finite family of weight sequences indexed by positive parameters.
 
@@ -300,7 +311,6 @@ class WeightMatrix:
         return next(iter(self.rows.values())).K_max
 
     def _validate(self):
-        tol = 1e-7
         xs = self.x_grid
         k_max = self.K_max
         for x in xs:
@@ -310,21 +320,17 @@ class WeightMatrix:
             if not row.flags["log_convex"]:
                 raise InvariantViolation(f"row {x:g}: not log-convex")
         for x, y in zip(xs, xs[1:]):
-            if np.any(self.rows[x].log_mu > self.rows[y].log_mu + tol):
+            if np.any(self.rows[x].log_mu > self.rows[y].log_mu + MATRIX_TOL):
                 raise InvariantViolation(f"quotients not monotone {x:g} -> {y:g}")
         for x in xs:
-            if 2.0 * x in self.rows:
-                a, b = self.rows[x].logM, self.rows[2.0 * x].logM
-                j = np.arange(k_max + 1)
-                split = a[np.minimum(j[:, None] + j[None, :], k_max)]
-                mask = (j[:, None] + j[None, :]) <= k_max
-                if np.any((split - b[:, None] - b[None, :])[mask] > tol):
-                    raise InvariantViolation(f"splitting bound fails at x={x:g}")
+            if 2.0 * x in self.rows and not splitting_ok(self.rows[x].logM,
+                                                         self.rows[2.0 * x].logM):
+                raise InvariantViolation(f"splitting bound fails at x={x:g}")
             if 4.0 * x in self.rows:
                 th_x = self.rows[x].log_mu
                 th_4x = self.rows[4.0 * x].log_mu
                 ks = np.arange(2, k_max // 2 + 1)
-                if np.any(th_x[2 * ks] > th_4x[ks] + tol):
+                if np.any(th_x[2 * ks] > th_4x[ks] + MATRIX_TOL):
                     raise InvariantViolation(f"index-doubling bound fails at x={x:g}")
 
 

@@ -104,10 +104,12 @@ class CompactSet:
 
     @classmethod
     def from_points(cls, pts, pad: float = 2.0) -> "CompactSet":
+        """The points in a cube: each axis padded by ``pad``, the shorter
+        sides then widened evenly to the longest."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        box = tuple((float(pts[:, d].min() - pad), float(pts[:, d].max() + pad))
-                    for d in range(pts.shape[1]))
-        return cls(pts, box)
+        lo, hi = pts.min(axis=0) - pad, pts.max(axis=0) + pad
+        grow = (np.max(hi - lo) - (hi - lo)) / 2.0
+        return cls(pts, tuple(zip((lo - grow).tolist(), (hi + grow).tolist())))
 
     @property
     def dim(self) -> int:

@@ -163,6 +163,73 @@ def test_library_value_error_while_building_is_config_error(tmp_path):
         assert err["kind"] == "config" and name in err["message"]
 
 
+@pytest.mark.parametrize("entry", [
+    {"check": "heir", "omega": "w"},
+    {"check": "mixed_tail", "nu": "S"},
+    {"check": "chain"},
+])
+def test_check_missing_argument_is_config_error(tmp_path, entry):
+    cfg = {"weights": [{"name": "w", "preset": "power", "params": {"alpha": 0.5}}],
+           "checks": [entry]}
+    with pytest.raises(ConfigError, match="missing"):
+        validate_config(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run("check", str(path), str(tmp_path / "out")) == 2
+    assert load_report(tmp_path / "out")["errors"][0]["kind"] == "config"
+
+
+def test_matrix_check_on_unnormalized_weight_is_config_error(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "weights": [{"name": "w", "preset": "power", "params": {"alpha": 0.5},
+                     "normalized": False}],
+        "checks": [{"check": "good", "weight": "w"}]}))
+    assert run("check", str(path), str(tmp_path / "out")) == 2
+    err = load_report(tmp_path / "out")["errors"][0]
+    assert err["kind"] == "config" and "'w'" in err["message"]
+
+
+def test_chain_x_stays_optional():
+    validate_config({"checks": [{"check": "chain", "weight": "w"}]})
+
+
+@pytest.mark.parametrize("compact_set, message", [
+    ({"points": [[0.0, 0.0]], "box": [[-3.0, 3.0], [-2.0, 2.0]]}, "cube"),
+    ({"points": [[0.0, 0.0], [0.0, 0.0]]}, "distinct"),
+    ({"points": [[0.0, 0.0], [4.0, 0.0]], "box": [[-3.0, 3.0]] * 2}, "inside"),
+])
+def test_bad_compact_set_is_config_error(tmp_path, compact_set, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"compact_set": compact_set}))
+    assert run("cubes", str(path), str(tmp_path / "out")) == 2
+    err = load_report(tmp_path / "out")["errors"][0]
+    assert err["kind"] == "config" and message in err["message"]
+
+
+def test_boxless_set_of_unequal_extents_gets_a_cube(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"compact_set": {"points": [[0, 0], [1, 2]]},
+                                "decomposition": {"depth_cap": 3}}))
+    assert run("cubes", str(path), str(tmp_path / "out")) == 0
+    assert load_report(tmp_path / "out")["cube_stats"]["n_cubes"] > 0
+
+
+def test_report_is_strict_json_with_spelled_infinity(tmp_path):
+    # the harmonic sequence has a divergent reciprocal tail
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"sequences": [
+        {"name": "H", "generator": "quotient_power", "params": {"p": 1.0}}]}))
+    assert run("seq", str(path), str(tmp_path / "out")) == 0
+    text = (tmp_path / "out" / "report.json").read_text()
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    rep = json.loads(text, parse_constant=refuse)
+    assert rep["certificates"][0]["witnesses"]["nonqa_tail_estimate"] == "inf"
+
+
 def test_cli_import_leaves_scipy_optimize_out():
     # the conjugates need no scipy.optimize, whose import adds about a
     # third to the import time of ultrajet.cli
@@ -213,7 +280,7 @@ def test_log_power_selfheir_fails_with_witness(tmp_path):
 def test_reports_byte_identical_across_runs(tmp_path):
     for name in ("a", "b"):
         assert run("check", str(CONFIGS / "power_strong.json"),
-                   str(tmp_path / name), workers=1 if name == "a" else 4) == 0
+                   str(tmp_path / name)) == 0
     ra = (tmp_path / "a" / "report.json").read_bytes()
     rb = (tmp_path / "b" / "report.json").read_bytes()
     assert ra == rb

@@ -71,6 +71,12 @@ def test_compact_set_validation():
         CompactSet(np.zeros((1, 3)), ((-1.0, 1.0),) * 2)
 
 
+def test_from_points_box_is_a_cube_around_the_longest_axis():
+    assert CompactSet.from_points([[0.0, 0.0], [1.0, 2.0]]).box == (
+        (-2.5, 3.5), (-2.0, 4.0))
+    assert CompactSet.from_points([[-1.0], [1.0]]).box == ((-3.0, 3.0),)
+
+
 # -- presets ------------------------------------------------------------------
 
 def test_exp_jet_at_origin():

@@ -4,8 +4,11 @@ against the hand-unrolled 1D/2D loops, the point-cube incidence with
 its pairwise partition fold (``pou``, ``extend``) against the per-cube mask
 loops and the per-cube folds over all earlier neighbors, the vectorized
 conjugates of ``fncore`` against one bounded scalar minimisation per point,
-and the array tail sum of ``seqcore`` against its per-decade loop."""
+the array tail sum of ``seqcore`` against its per-decade loop, and the
+shared row search and log-cap verdict of ``conditions`` against the
+per-pair loops of each check."""
 
+import json
 from math import comb, factorial, isfinite, log
 from types import SimpleNamespace
 
@@ -13,7 +16,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
+from scipy.special import gammaln
 
+from ultrajet.conditions import (
+    C_CAP,
+    LOG_CAP,
+    Verdict,
+    check_almost_increasing,
+    check_concavity_equivalence,
+    check_descendant,
+    check_good,
+    check_quotient_root_domination,
+)
 from ultrajet.extend import (
     DegreeSchedule,
     ExtensionField,
@@ -21,14 +35,16 @@ from ultrajet.extend import (
     _taylor_sup_bound,
     derivative_bounds,
 )
-from ultrajet.errors import GridExhausted, NotLittleO
+from ultrajet.errors import GridExhausted, NotLittleO, UltrajetError
 from ultrajet.fncore import (
     GRID_HI,
+    WeightMatrix,
     gevrey_dual,
     log_power,
     omega_conjugate_grid,
     omega_of_sequence,
     power,
+    weight_matrix,
     young_conjugate_grid,
 )
 from ultrajet.geometry import EXPANSION, decompose
@@ -41,7 +57,7 @@ from ultrajet.jets import (
     taylor_grid,
 )
 from ultrajet.pou import Bump1D, build_pou
-from ultrajet.seqcore import _model_tail_sum, gevrey
+from ultrajet.seqcore import _model_tail_sum, descendant, gevrey, quotient_power
 
 
 # -- reference implementations (1D and 2D only) ----------------------------------
@@ -541,3 +557,220 @@ def test_model_tail_sum_bitwise_equals_oracle(log_c, p, q, k0, max_decades):
     with np.errstate(over="ignore"):
         old = oracle_model_tail_sum(log_c, p, q, k0, max_decades)
     assert _model_tail_sum(log_c, p, q, k0, max_decades) == old
+
+
+# -- condition checks: the per-pair row searches ------------------------------------
+
+def _oracle_cap_counter(log_c, **locator):
+    return {**locator, "needed_C": float(np.exp(min(log_c, 700.0))),
+            "reference_C": C_CAP, "margin": float(np.exp(min(log_c - LOG_CAP, 700.0))),
+            "mode": "cap"}
+
+
+def _oracle_quotient_over_index(row):
+    return row.log_mu[1:] - np.log(np.arange(1, row.K_max + 1, dtype=float))
+
+
+def oracle_check_good(matrix):
+    per_x = {}
+    worst = None
+    for x in matrix.x_grid:
+        la = _oracle_quotient_over_index(matrix.row(x))
+        pref = np.maximum.accumulate(la)
+        pref_arg = np.maximum.accumulate(
+            np.where(la >= pref, np.arange(1, len(la) + 1), 1))
+        best = None
+        for y in matrix.x_grid:
+            if y < x:
+                continue
+            need = pref - _oracle_quotient_over_index(matrix.row(y))
+            k_idx = int(np.argmax(need))
+            cand = (float(np.max(need)), float(y), int(pref_arg[k_idx]), k_idx + 1)
+            if best is None or cand[0] < best[0]:
+                best = cand
+        log_c, y, j, k = best
+        per_x[x] = {"y": y, "C": float(np.exp(min(log_c, 700.0))) if log_c <= 700
+                    else float("inf"), "log_C": log_c}
+        if worst is None or log_c > worst[0]:
+            worst = (log_c, x, y, j, k)
+    rng = {"K_max": matrix.K_max, "x_grid": list(matrix.x_grid)}
+    details = {"per_x": {f"{x:g}": w for x, w in per_x.items()}}
+    log_c, x, y, j, k = worst
+    if log_c <= LOG_CAP:
+        return Verdict("good_matrix", True, {"C": float(np.exp(max(log_c, 0.0)))},
+                       tested_range=rng, details=details)
+    return Verdict("good_matrix", False, {"log_C_range": log_c},
+                   counterexample=_oracle_cap_counter(log_c, x=x, y_best=y, j=j, k=k),
+                   tested_range=rng, details=details)
+
+
+def oracle_check_quotient_root_domination(matrix):
+    per_x = {}
+    worst = None
+    for x in matrix.x_grid:
+        lt = matrix.row(x).log_mu[1:]
+        best = None
+        for y in matrix.x_grid:
+            if y < x:
+                continue
+            need = lt - matrix.row(y).logM[1:] / np.arange(1, matrix.K_max + 1)
+            cand = (float(np.max(need)), float(y), int(np.argmax(need)) + 1)
+            if best is None or cand[0] < best[0]:
+                best = cand
+        per_x[x] = {"y": best[1], "log_C": best[0]}
+        if worst is None or best[0] > worst[0]:
+            worst = (best[0], x, best[1], best[2])
+    rng = {"K_max": matrix.K_max, "x_grid": list(matrix.x_grid)}
+    details = {"per_x": {f"{x:g}": w for x, w in per_x.items()}}
+    log_c, x, y, k = worst
+    if log_c <= LOG_CAP:
+        return Verdict("quotient_root_domination", True,
+                       {"C": float(np.exp(max(log_c, 0.0)))},
+                       tested_range=rng, details=details)
+    return Verdict("quotient_root_domination", False, {"log_C_range": log_c},
+                   counterexample=_oracle_cap_counter(log_c, x=x, y_best=y, k=k),
+                   tested_range=rng, details=details)
+
+
+def oracle_concave_matrix_form(matrix):
+    per_x = {}
+    worst = None
+    for x in matrix.x_grid:
+        roots_x = matrix.row(x).log_m[1:] / np.arange(1, matrix.K_max + 1)
+        pref = np.maximum.accumulate(roots_x)
+        best = None
+        for y in matrix.x_grid:
+            if y < x:
+                continue
+            roots_y = matrix.row(y).log_m[1:] / np.arange(1, matrix.K_max + 1)
+            need = float(np.max(pref - roots_y))
+            if best is None or need < best[0]:
+                best = (need, float(y))
+        per_x[x] = {"y": best[1], "log_D": best[0]}
+        if worst is None or best[0] > worst[0]:
+            worst = (best[0], x, best[1])
+    log_d, x, y = worst
+    rng = {"K_max": matrix.K_max, "x_grid": list(matrix.x_grid)}
+    if log_d <= LOG_CAP:
+        return Verdict("concave_matrix_form", True, {"D": float(np.exp(max(log_d, 0.0)))},
+                       tested_range=rng, details={"per_x": per_x})
+    return Verdict("concave_matrix_form", False, {"log_D_range": log_d},
+                   counterexample=_oracle_cap_counter(log_d, x=x, y_best=y),
+                   tested_range=rng, details={"per_x": per_x})
+
+
+def oracle_check_almost_increasing(seq):
+    k = np.arange(1, seq.K_max + 1, dtype=float)
+    la = seq.log_mu[1:] - np.log(k)
+    pref = np.maximum.accumulate(la)
+    pref_arg = np.maximum.accumulate(np.where(la >= pref, np.arange(1, seq.K_max + 1), 1))
+    need = pref - la
+    i_max = int(np.argmax(need))
+    log_c = float(need[i_max])
+    roots = seq.log_m[1:] / k
+    log_c_root = float(np.max(np.maximum.accumulate(roots) - roots))
+    wit = {"C": float(np.exp(max(log_c, 0.0))),
+           "C_root_variant": float(np.exp(max(log_c_root, 0.0)))}
+    if log_c <= LOG_CAP:
+        return Verdict(f"almost_increasing[{seq.label}]", True, wit,
+                       tested_range={"K_max": seq.K_max})
+    return Verdict(f"almost_increasing[{seq.label}]", False, wit,
+                   counterexample=_oracle_cap_counter(log_c, j=int(pref_arg[i_max]),
+                                                      k=i_max + 1),
+                   tested_range={"K_max": seq.K_max})
+
+
+def oracle_descendant_verdict(seq):
+    out = descendant(seq)
+    k = np.arange(1, out.K_max + 1, dtype=float)
+    sig = np.exp(out.log_mu[1:])
+    monotone = bool(np.all(np.diff(sig / k) >= -1e-12))
+    dominated = float(np.max(sig / np.exp(seq.log_mu[1:out.K_max + 1])))
+    suffix = seq.quotient_tail_sums()
+    mixed_c = float(np.max(suffix[:out.K_max] * sig / k))
+    holds = monotone and dominated <= C_CAP and mixed_c <= C_CAP
+    wit = {"C_domination": dominated, "C_mixed_tail": mixed_c}
+    if holds:
+        return Verdict(f"descendant[{seq.label}]", True, wit,
+                       tested_range={"K_max": out.K_max})
+    return Verdict(f"descendant[{seq.label}]", False, wit,
+                   counterexample={"monotone": monotone, "needed_C": dominated,
+                                   "reference_C": C_CAP, "margin": 1.0, "mode": "cap"},
+                   tested_range={"K_max": out.K_max})
+
+
+MATRIX_XS = tuple(2.0 ** j for j in range(-2, 4))
+GENERATED = {name: weight_matrix(fn, x_grid=MATRIX_XS, K_max=24)
+             for name, fn in (("power", power(0.5)), ("log_power", log_power(2.0)),
+                              ("gevrey_dual", gevrey_dual(1.0)))}
+SCALING_WEIGHT = power(0.5)
+
+
+def _bare_row(log_mu):
+    """A row as the checks read it, NaN entries allowed."""
+    log_mu = np.concatenate([[0.0], log_mu])
+    log_M = np.cumsum(log_mu)
+    return SimpleNamespace(K_max=len(log_mu) - 1, label="row", log_mu=log_mu, logM=log_M,
+                           log_m=log_M - gammaln(np.arange(len(log_mu)) + 1.0))
+
+
+@st.composite
+def row_matrices(draw):
+    """Hand-built matrices mixing random (often failing) rows, flat rows,
+    repeated rows and rows of generated matrices, over a random x subset."""
+    xs = sorted(draw(st.sets(st.sampled_from(MATRIX_XS), min_size=1, max_size=4)))
+    k_max = draw(st.integers(2, 24))
+    rows = {}
+    for x in xs:
+        kind = draw(st.sampled_from(("random", "nan", "flat", "repeat", *GENERATED)))
+        if kind in ("random", "nan"):
+            scale = draw(st.sampled_from((3.0, 60.0, 2000.0)))  # log C past 700 too
+            log_mu = np.array(draw(st.lists(st.floats(-scale, scale), min_size=k_max,
+                                            max_size=k_max)))
+            if kind == "nan":
+                log_mu[draw(st.integers(0, k_max - 1))] = float("nan")
+            rows[x] = _bare_row(log_mu)
+        elif kind == "flat":
+            rows[x] = _bare_row(np.full(k_max, draw(st.floats(-3.0, 3.0))))
+        elif kind == "repeat" and rows:
+            rows[x] = rows[list(rows)[-1]]
+        else:
+            gen = GENERATED.get(kind, GENERATED["power"]).row(x)
+            rows[x] = _bare_row(gen.log_mu[1:k_max + 1])
+    return WeightMatrix(xs, rows, validate=False)
+
+
+def _same_verdict(new, old):
+    assert json.dumps(new.to_dict()) == json.dumps(old.to_dict())
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_matrices())
+@example(WeightMatrix((1.0,), {1.0: _bare_row(np.array([LOG_CAP, log(2.0)]))},
+                      validate=False))  # log C exactly at the cap holds
+def test_condition_row_searches_equal_oracle(matrix):
+    _same_verdict(check_good(matrix), oracle_check_good(matrix))
+    _same_verdict(check_quotient_root_domination(matrix),
+                  oracle_check_quotient_root_domination(matrix))
+    _same_verdict(check_concavity_equivalence(SCALING_WEIGHT, matrix)[1],
+                  oracle_concave_matrix_form(matrix))
+    for x in matrix.x_grid:
+        with np.errstate(over="ignore"):  # the witness C of log C past 709 is inf
+            _same_verdict(check_almost_increasing(matrix.row(x)),
+                          oracle_check_almost_increasing(matrix.row(x)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.sampled_from(list(GENERATED)).flatmap(
+           lambda name: st.sampled_from(MATRIX_XS).map(GENERATED[name].row)),
+       st.builds(gevrey, st.floats(0.5, 3.0), st.integers(4, 64)),
+       st.builds(lambda p, k: quotient_power(p, K_max=k), st.floats(0.5, 3.0),
+                 st.integers(4, 64))))
+def test_check_descendant_equals_oracle(seq):
+    try:
+        old = oracle_descendant_verdict(seq)
+    except UltrajetError as exc:
+        with pytest.raises(type(exc)):
+            check_descendant(seq)
+        return
+    _same_verdict(check_descendant(seq), old)
