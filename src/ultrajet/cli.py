@@ -123,6 +123,10 @@ def validate_config(raw: dict, command: str | None = None) -> dict:
     cfg = _merged(_DEFAULTS, raw, "config")
     if cfg["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {cfg['schema_version']}")
+    for key in ("weights", "sequences", "checks"):
+        if not (isinstance(cfg[key], list)
+                and all(isinstance(e, dict) for e in cfg[key])):
+            raise ConfigError(f"{key} must be a list of objects")
     for w in cfg["weights"]:
         _reject_unknown(w, {"name", "preset", "params", "normalized"},
                         "weights[]")
@@ -164,13 +168,18 @@ def validate_config(raw: dict, command: str | None = None) -> dict:
                    else _points(cfg["compact_set"]).shape[1])
             _validate_orders(cfg["extension"], cfg["jet"]["A_max"], dim)
     for c in cfg["checks"]:
-        if "check" not in c or c["check"] not in _CHECK_KEYS:
+        if not isinstance(c.get("check"), str) or c["check"] not in _CHECK_KEYS:
             raise ConfigError(f"unknown check entry {c!r}")
         where = f"checks[{c['check']}]"
         _reject_unknown(c, _CHECK_KEYS[c["check"]] | {"check"}, where)
         for key, _ in _CHECKS[c["check"]][1]:
             if key not in c:
                 raise ConfigError(f"{where}: missing {key!r}")
+        if "x" in c and not _is_real(c["x"]):
+            raise ConfigError(f"{where}.x = {c['x']!r}: not a real number")
+    ext = cfg["extension"]
+    if isinstance(ext, dict) and not _is_real(ext["chain_x"]):
+        raise ConfigError(f"extension.chain_x = {ext['chain_x']!r}: not a real number")
     return cfg
 
 
@@ -350,16 +359,14 @@ def _new_report(cfg: dict, command: str) -> dict:
             "errors": []}
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """A CSV from equal-length columns, one format per row: a float column
+    as "%.17g" (17 significant digits, which read back the same double; the
+    bytes of ``format(v, ".17g")``), any other column by ``str``."""
+    columns = [np.asarray(c) for c in columns]
+    fmt = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in columns)
     lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, float):
-                cells.append(format(v, ".17g"))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
+    lines += [fmt % row for row in zip(*(c.tolist() for c in columns))]
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
@@ -390,10 +397,9 @@ def _run_seq(ctx: _Context, report: dict, out: Path) -> int:
             "kind": "sequence", "name": entry["name"], "K_max": seq.K_max,
             "flags": dict(seq.flags), "witnesses": dict(seq.witnesses)})
         if csv:
-            rows = [(k, float(seq.logM[k]), float(seq.log_m[k]),
-                     float(seq.log_mu[k])) for k in range(seq.K_max + 1)]
             _write_csv(out / f"seq_{entry['name']}.csv",
-                       ["k", "logM", "logm", "logmu"], rows)
+                       ["k", "logM", "logm", "logmu"],
+                       [np.arange(seq.K_max + 1), seq.logM, seq.log_m, seq.log_mu])
     return 0
 
 
@@ -415,8 +421,7 @@ def _run_fn(ctx: _Context, report: dict, out: Path) -> int:
             if fn.flags["o_of_t"]:
                 cols.append("omega_star")
                 data.append(fncore.omega_conjugate_grid(fn, ts))
-            rows = list(zip(*[list(map(float, c)) for c in data]))
-            _write_csv(out / f"fn_{entry['name']}.csv", cols, rows)
+            _write_csv(out / f"fn_{entry['name']}.csv", cols, data)
     return 0
 
 
@@ -435,11 +440,10 @@ def _run_matrix(ctx: _Context, report: dict, out: Path) -> int:
             "rows_log_convex": all(r.flags["log_convex"]
                                    for r in mat.rows.values())})
         if csv:
-            ks = list(range(mat.K_max + 1))
             header = ["k"] + [f"logW_x{x:g}" for x in mat.x_grid]
-            rows = [[k] + [float(mat.row(x).logM[k]) for x in mat.x_grid]
-                    for k in ks]
-            _write_csv(out / f"matrix_{entry['name']}.csv", header, rows)
+            _write_csv(out / f"matrix_{entry['name']}.csv", header,
+                       [np.arange(mat.K_max + 1)]
+                       + [mat.row(x).logM[: mat.K_max + 1] for x in mat.x_grid])
     return 0
 
 
@@ -503,13 +507,11 @@ def _run_cubes(ctx: _Context, report: dict, out: Path) -> int:
     report["cube_stats"] = {k: (float(v) if isinstance(v, (int, float)) else v)
                             for k, v in stats.items()}
     if csv:
-        rows = [[i] + [float(c) for c in dec.centers[i]]
-                + [float(dec.sides[i]), float(dec.center_dist[i]),
-                   float(dec.cube_dist[i])]
-                for i in range(dec.n_cubes)]
         hdr = (["i"] + [f"center_{d}" for d in range(dec.dim)]
                + ["side", "d_center", "d_cube"])
-        _write_csv(out / "cubes.csv", hdr, rows)
+        _write_csv(out / "cubes.csv", hdr,
+                   [np.arange(dec.n_cubes), *dec.centers.T, dec.sides,
+                    dec.center_dist, dec.cube_dist])
     return 0
 
 
@@ -539,11 +541,11 @@ def _run_pou(ctx: _Context, report: dict, out: Path) -> int:
     if pu.halvings:
         report["warnings"].append(f"pou delta halved {pu.halvings} times")
     if ctx.cfg["output"]["csv"]:
-        rows = []
-        for i in range(dec.n_cubes):
-            for j in range(pu.order_cap + 1):
-                rows.append([i, j, pu.bumps[i][0].bound(j)])
-        _write_csv(out / "pou_bounds.csv", ["cube", "order", "bound"], rows)
+        orders = pu.order_cap + 1
+        _write_csv(out / "pou_bounds.csv", ["cube", "order", "bound"],
+                   [np.repeat(np.arange(dec.n_cubes), orders),
+                    np.tile(np.arange(orders), dec.n_cubes),
+                    [bumps[0].bound(j) for bumps in pu.bumps for j in range(orders)]])
     return 0 if dev < 1e-10 else 1
 
 
@@ -579,17 +581,15 @@ def _run_extend(ctx: _Context, report: dict, out: Path) -> int:
         report["warnings"].append("degree schedule capped at the jet order")
     if ctx.cfg["output"]["csv"]:
         jet = fld.jet
-        rows = [[i, " ".join(map(str, m)), float(jet.values[i, r])]
-                for i in range(len(jet.cset.points))
-                for r, m in enumerate(jet.multi)]
-        _write_csv(out / "jet_table.csv", ["point", "alpha", "value"], rows)
+        n_points, n_multi = jet.values.shape
+        _write_csv(out / "jet_table.csv", ["point", "alpha", "value"],
+                   [np.repeat(np.arange(n_points), n_multi),
+                    [" ".join(map(str, m)) for m in jet.multi] * n_points,
+                    jet.values.ravel()])
         dec = fld.pou.dec
         grid = geometry.box_grid(dec.box, 400)
-        vals = fld.value(grid)
         hdr = [f"x_{d}" for d in range(dec.dim)] + ["f"]
-        rows = [list(map(float, grid[i])) + [float(vals[i])]
-                for i in range(len(grid))]
-        _write_csv(out / "field_samples.csv", hdr, rows)
+        _write_csv(out / "field_samples.csv", hdr, [*grid.T, fld.value(grid)])
     return 0
 
 
@@ -610,10 +610,11 @@ def _run_verify(ctx: _Context, report: dict, out: Path) -> int:
     if rep["degree_cap_hit"]:
         report["warnings"].append("degree schedule capped at the jet order")
     if ctx.cfg["output"]["csv"]:
-        rows = [[",".join(map(str, r["alpha"])), r["d"], r["residual"],
-                 int(r["capped"])] for r in rep["residuals"]]
-        _write_csv(out / "residuals.csv",
-                   ["alpha", "d", "residual", "capped"], rows)
+        table = rep["residuals"]
+        _write_csv(out / "residuals.csv", ["alpha", "d", "residual", "capped"],
+                   [[",".join(map(str, r["alpha"])) for r in table],
+                    [r["d"] for r in table], [r["residual"] for r in table],
+                    [int(r["capped"]) for r in table]])
     if rep["fit"] is None:
         report["errors"].append({"kind": "residual_fit",
                                  "message": "no admissible fit under the caps"})

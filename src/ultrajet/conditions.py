@@ -299,8 +299,8 @@ def check_almost_increasing(seq: WeightSequence) -> Verdict:
     log_c = float(need[i_max])
     roots = _root(seq)
     log_c_root = float(np.max(_prefix_max(roots)[0] - roots))
-    wit = {"C": float(np.exp(max(log_c, 0.0))),
-           "C_root_variant": float(np.exp(max(log_c_root, 0.0)))}
+    wit = {"C": float(np.exp(min(max(log_c, 0.0), 700.0))),
+           "C_root_variant": float(np.exp(min(max(log_c_root, 0.0), 700.0)))}
     return _log_verdict(f"almost_increasing[{seq.label}]", log_c, "C",
                         {"j": int(pref_arg[i_max]), "k": i_max + 1},
                         {"K_max": seq.K_max}, witnesses=wit)

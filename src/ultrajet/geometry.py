@@ -220,39 +220,58 @@ def cube_diagnostics(dec: CubeDecomposition, samples_per_cube: int = 16,
     For x in Q_i*: d(x,E)/2 <= d(x_i,E) <= 3 d(x,E);
     diam Q_i / 3 <= d(x,E) <= 9 diam Q_i;
     |xhat_i - x| <= 2 d(x_i,E); |xhat_i - xhat| <= 4 d(x_i,E).
+
+    The samples of all cubes are one draw, cube by cube as from one stream;
+    they meet the set in blocks of cubes of at most INCIDENCE_BLOCK
+    (sample, point) pairs.  A violation names the first bad (cube, sample,
+    check).
     """
     rng = np.random.default_rng(seed)
     pts = dec.cset.points
-    worst = {"center_over_point": 0.0, "point_over_center": 0.0,
-             "point_over_diam": 0.0, "diam_over_point": 0.0,
-             "anchor_travel": 0.0, "anchor_spread": 0.0}
-    for i in range(dec.n_cubes):
-        half = dec.expanded_halfwidth(i)
-        xs = dec.centers[i] + rng.uniform(-half, half,
-                                          size=(samples_per_cube, dec.dim))
-        d_i = dec.center_dist[i]
-        diam = float(dec.diam(i))
-        xhat_i = dec.nearest_points[i]
-        for x in xs:
-            d_x = float(np.sqrt(np.sum((pts - x) ** 2, axis=1).min()))
-            xhat = nearest(x, dec.cset)
-            checks = [
-                ("center_over_point", d_i / max(d_x, 1e-300), 3.0),
-                ("point_over_center", d_x / max(d_i, 1e-300), 2.0),
-                ("point_over_diam", d_x / diam, 9.0),
-                ("diam_over_point", diam / max(d_x, 1e-300), 3.0),
-                ("anchor_travel",
-                 float(np.linalg.norm(xhat_i - x)) / max(d_i, 1e-300), 2.0),
-                ("anchor_spread",
-                 float(np.linalg.norm(xhat_i - xhat)) / max(d_i, 1e-300), 4.0),
-            ]
-            for name, ratio, bound in checks:
-                worst[name] = max(worst[name], ratio)
-                if ratio > bound * (1.0 + 1e-9):
-                    raise InvariantViolation(
-                        f"{name} = {ratio:g} > {bound} at cube {i}, x={x}")
+    half = (dec.sides * EXPANSION / 2.0)[:, None, None]
+    xs = dec.centers[:, None, :] + rng.uniform(
+        -half, half, size=(dec.n_cubes, samples_per_cube, dec.dim))
+    lex_rank = np.empty(len(pts), dtype=np.intp)
+    lex_rank[np.lexsort(pts.T[::-1])] = np.arange(len(pts))
+    d_i = dec.center_dist[:, None]
+    diam = dec.diam()[:, None]
+    d_i_floor = np.maximum(d_i, 1e-300)
+    names = ("center_over_point", "point_over_center", "point_over_diam",
+             "diam_over_point", "anchor_travel", "anchor_spread")
+    bounds = (3.0, 2.0, 9.0, 3.0, 2.0, 4.0)
+    limits = np.array(bounds) * (1.0 + 1e-9)
+    worst = dict.fromkeys(names, 0.0)
+    step = max(1, INCIDENCE_BLOCK // max(1, samples_per_cube * len(pts)))
+    for lo in range(0, dec.n_cubes, step):
+        block = slice(lo, lo + step)
+        x = xs[block]
+        d2 = np.sum((pts - x[:, :, None, :]) ** 2, axis=3)
+        nearest_d2 = d2.min(axis=2)
+        d_x = np.sqrt(nearest_d2)
+        tie_rank = np.where(d2 <= nearest_d2[:, :, None], lex_rank, len(pts))
+        xhat = pts[np.argmin(tie_rank, axis=2)]
+        travel = _norms(dec.nearest_points[block, None, :] - x)
+        spread = _norms(dec.nearest_points[block, None, :] - xhat)
+        d_x_floor = np.maximum(d_x, 1e-300)
+        ratios = np.stack([d_i[block] / d_x_floor, d_x / d_i_floor[block],
+                           d_x / diam[block], diam[block] / d_x_floor,
+                           travel / d_i_floor[block], spread / d_i_floor[block]], axis=-1)
+        bad = ratios > limits
+        if bad.any():
+            b, k, c = np.unravel_index(np.argmax(bad), bad.shape)
+            raise InvariantViolation(
+                f"{names[c]} = {ratios[b, k, c]:g} > {bounds[c]} at cube "
+                f"{lo + b}, x={x[b, k]}")
+        for name, column in zip(names, np.moveaxis(ratios, -1, 0)):
+            worst[name] = float(np.fmax.reduce(column, axis=None, initial=worst[name]))
     worst["max_overlap"] = dec.max_overlap()
     b1, B1 = dec.neighbor_diam_ratios()
     worst["b1"], worst["B1"] = b1, B1
     worst["samples_per_cube"] = samples_per_cube
     return worst
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, each the BLAS dot product
+    ``np.linalg.norm`` takes of one vector."""
+    return np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])

@@ -6,9 +6,12 @@ an order cap and every point of a finite set in R^d, any d >= 1.  The
 multi-index kernel here (graded multi-indices and their ranks, Leibniz
 terms, Taylor plans) serves every dimension and every module.  Preset generators produce the
 tables from exact derivative recurrences, so tests can treat them as ground
-truth.  Certification searches the smallest constant making the two growth
-bounds (pointwise derivative bound, and scaled remainder bound at every pair
-and degree) hold over all stored data, by plain enumeration.
+truth.  Certification finds the smallest constant making the two growth bounds
+(pointwise derivative bound, and scaled remainder bound at every pair and
+degree) hold over all stored data: every remainder from one base point is
+taken in one array pass, with the same floating-point operations as a
+:func:`taylor_grid` call per term, so the constant is exact for that
+arithmetic.
 """
 
 from __future__ import annotations
@@ -358,10 +361,66 @@ def remainder(jet: Ultrajet, a, p: int, alpha, b) -> float:
 
 # -- certification ----------------------------------------------------------------------
 
+def _certify_plan(dim: int, P_max: int) -> tuple:
+    """The remainder candidates (p, alpha) of one pair of points in the order
+    :func:`certify` scans them, p ascending, then alpha graded: the p and the
+    rank of alpha of each candidate, and per Taylor degree q = p - |alpha|
+    the positions of its candidates, the ranks of their alphas, and their
+    Taylor plans stacked (value ranks, one row per alpha; exponents; 1/gamma!)."""
+    cands = [(p, alpha) for p in range(P_max + 1) for alpha in _graded(dim, p)]
+    position = {c: k for k, c in enumerate(cands)}
+    ranks = _ranks(dim, P_max)
+    groups = []
+    for q in range(P_max + 1):
+        alphas = _graded(dim, P_max - q)
+        plans = [_taylor_plan(dim, alpha, q) for alpha in alphas]
+        groups.append((np.array([position[sum(a) + q, a] for a in alphas]),
+                       np.array([ranks[a] for a in alphas]),
+                       np.array([plan[0] for plan in plans]),
+                       plans[0][1], plans[0][2]))
+    return (np.array([p for p, _ in cands]),
+            np.array([ranks[a] for _, a in cands]), tuple(groups))
+
+
+def _remainders(jet: Ultrajet, i: int, others: np.ndarray, diff: np.ndarray,
+                groups: tuple) -> np.ndarray:
+    """|F^alpha(b) - (degree p - |alpha| Taylor field of F^alpha from a)(b)|
+    for a = point i, one row per point b of ``others`` (at ``diff`` = b - a)
+    and one column per candidate of :func:`_certify_plan`.  Each Taylor sum
+    is the dot product :func:`taylor_grid` takes, with the same powers and
+    coefficients."""
+    powers = diff[:, None, :] ** np.arange(len(groups))[:, None]  # [b, k, d] = dx_d^k
+    at_b = jet.values[others]
+    out = np.empty((len(others), sum(len(g[0]) for g in groups)))
+    for position, alpha_rank, ranks, exponents, inv_fact in groups:
+        monomials = powers[:, exponents[0], 0]
+        for d in range(1, diff.shape[1]):
+            monomials = monomials * powers[:, exponents[d], d]
+        # unit strides, so that each sum is the same BLAS dot as taylor_grid's
+        monomials = np.ascontiguousarray(monomials)
+        coef = jet.values[i, ranks] * inv_fact
+        sums = np.matmul(coef[:, None, None, :], monomials[None, :, :, None])
+        out[:, position] = np.abs(at_b[:, alpha_rank] - sums[:, :, 0, 0].T)
+    return out
+
+
+def _first_max(ratios: np.ndarray, best) -> tuple:
+    """The largest ratio and the index of its first occurrence (row-major)
+    when it exceeds ``best``, else (best, None).  NaN never counts."""
+    flat = np.where(np.isnan(ratios), -np.inf, ratios).ravel()
+    k = int(np.argmax(flat))
+    if flat[k] > best:
+        return flat[k], tuple(int(v) for v in np.unravel_index(k, ratios.shape))
+    return best, None
+
+
 def certify(jet: Ultrajet, seq: WeightSequence, rho: float,
             P_max: int | None = None, form: str = "pointwise") -> JetCertificate:
     """Smallest constant C making both growth bounds hold over all stored
-    data, by enumeration over (a, b, p <= P_max, alpha).
+    data: the largest ratio over the values (a, alpha) and the remainders
+    (a, b, p <= P_max, alpha).  ``binding`` names the first largest ratio in
+    that order, values first; NaN ratios never bind.  One array pass per
+    base point a.
 
     ``form``: "pointwise" scales remainders by M_{p+1} |b-a|^{p+1-|alpha|}
     / (p+1-|alpha|)!; "factored" by |alpha|! m_{p+1} |b-a|^{p+1-|alpha|}.
@@ -377,30 +436,34 @@ def certify(jet: Ultrajet, seq: WeightSequence, rho: float,
         raise OrderCapExceeded(f"sequence table too short for order {n_need}")
     M = np.exp(seq.logM[: n_need + 1])
     m = np.exp(seq.log_m[: n_need + 1])
-    best = 0.0
-    binding = ()
-    for i, a in enumerate(jet.cset.points):
-        for r, alpha in enumerate(jet.multi):
-            c = abs(jet.values[i, r]) / (rho ** sum(alpha) * M[sum(alpha)])
-            if c > best:
-                best, binding = c, ("value", i, alpha)
-    for i, a in enumerate(jet.cset.points):
-        for j, b in enumerate(jet.cset.points):
-            if i == j:
-                continue
-            dist = float(np.linalg.norm(b - a))
-            for p in range(0, P_max + 1):
-                for alpha in multi_indices(jet.cset.dim, p):
-                    rem = abs(jet.value(j, alpha)
-                              - taylor_grid(jet, i, p, alpha, b[None, :])[0])
-                    q = p + 1 - sum(alpha)
-                    if form == "pointwise":
-                        scale = rho ** (p + 1) * M[p + 1] * dist ** q / factorial(q)
-                    else:
-                        scale = (rho ** (p + 1) * factorial(sum(alpha))
-                                 * m[p + 1] * dist ** q)
-                    c = rem / scale
-                    if c > best:
-                        best, binding = c, ("remainder", i, j, p, alpha)
+    degree = np.array([sum(alpha) for alpha in jet.multi])
+    den = np.array([rho ** k * M[k] for k in range(jet.A_max + 1)])
+    best, at = _first_max(np.abs(jet.values) / den[degree], 0.0)
+    binding = () if at is None else ("value", at[0], jet.multi[at[1]])
+    n = len(jet.cset.points)
+    if n > 1 and P_max >= 0:
+        p_of, alpha_of, groups = _certify_plan(jet.cset.dim, P_max)
+        q_of = p_of + 1 - degree[alpha_of]
+        if form == "pointwise":
+            lead = np.array([rho ** (p + 1) * M[p + 1] for p in p_of.tolist()])
+            fact = np.array([float(factorial(q)) for q in q_of.tolist()])
+        else:
+            lead = np.array([rho ** (p + 1) * factorial(d) * m[p + 1]
+                             for p, d in zip(p_of.tolist(), degree[alpha_of].tolist())])
+        for i in range(n):
+            others = np.delete(np.arange(n), i)
+            diff = jet.cset.points[others] - jet.cset.points[i]
+            # |b - a| as np.linalg.norm takes it (one BLAS dot per point) and
+            # its powers as Python floats: every ratio is then bit for bit the
+            # per-term one (the oracle in tests/test_kernel_oracles.py)
+            dist = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
+            scale = lead * np.array([[d ** q for q in range(P_max + 2)]
+                                     for d in dist.tolist()])[:, q_of]
+            if form == "pointwise":
+                scale = scale / fact
+            best, at = _first_max(_remainders(jet, i, others, diff, groups) / scale, best)
+            if at is not None:
+                binding = ("remainder", i, int(others[at[0]]), int(p_of[at[1]]),
+                           jet.multi[alpha_of[at[1]]])
     return JetCertificate(rho=rho, C=best, seq_label=seq.label, P_max=P_max,
                           ok=bool(np.isfinite(best)), binding=binding, form=form)

@@ -15,7 +15,8 @@ Evaluation follows that identity: the j-th derivative is a signed sum of
 its piecewise-polynomial representation.  Pieces carry local (midpoint)
 coordinates and moving averages are accumulated from nonnegative piece
 integrals, so no stage suffers catastrophic cancellation; plateau pieces
-are snapped to the exact constant 1.
+are snapped to the exact constant 1.  A stage is built in one pass over
+all its pieces.
 
 All radii scale with the bump half-width (r_j = delta * r / theta_j for the
 quotient sequence theta of the smoothness class), so every bump is a
@@ -81,62 +82,58 @@ class _PiecewisePoly:
         return np.clip(np.searchsorted(self.breaks, y, side="right") - 1,
                        0, len(self.mids) - 1)
 
-    def prefix_integral(self, y) -> float:
-        """Integral over the full pieces strictly left of y's piece."""
-        if y <= self.breaks[0]:
-            return 0.0
-        if y >= self.breaks[-1]:
-            return float(self.cumint[-1])
-        return float(self.cumint[self.piece(y)])
 
-
-def _shift_poly(c: np.ndarray, gamma: float) -> np.ndarray:
-    """Coefficients of p(u + gamma) for ascending-coefficient p."""
-    n = len(c)
-    out = np.zeros(n)
-    for k in range(n):
-        ck = c[k]
-        if ck == 0.0:
-            continue
-        g = 1.0
-        for i in range(k, -1, -1):
-            out[i] += ck * comb(k, i) * g
-            g *= gamma
-    return out
+def _edge_integrals(g: _PiecewisePoly, y: np.ndarray, n: int) -> np.ndarray:
+    """For each window edge y inside g's support, the integral of g from the
+    left end of y's piece to y + u, as ascending coefficients in u (n of
+    them): the piece's antiderivative shifted by gamma = y - mid, with the
+    binomial x power terms accumulated in ascending order of the
+    antiderivative's degree, minus its value at the piece's left end."""
+    q = g.piece(y)
+    anti = np.zeros((len(y), n))
+    anti[:, 1:] = g.coeffs[q] / (np.arange(n - 1) + 1.0)
+    gamma = np.empty((len(y), n))
+    gamma[:, 0] = 1.0
+    gamma[:, 1:] = (y - g.mids[q])[:, None]
+    gamma = np.cumprod(gamma, axis=1)  # gamma^t, one product at a time
+    shifted = np.zeros((len(y), n))
+    for k in range(1, n):
+        binomial = np.array([comb(k, i) for i in range(k + 1)], dtype=float)
+        shifted[:, :k + 1] += (anti[:, k, None] * binomial) * gamma[:, k::-1]
+    x = (g.breaks[q] - g.mids[q])[:, None]
+    left = anti[:, -1:] + x * 0  # Horner, as numpy's polyval
+    for k in range(n - 2, -1, -1):
+        left = anti[:, k, None] + left * x
+    shifted[:, 0] -= left[:, 0]
+    return shifted
 
 
 def _convolve_uniform(g: _PiecewisePoly, r: float,
                       plateau: tuple[float, float]) -> _PiecewisePoly:
     """Moving average of g over [x - r, x + r], divided by 2r, as an exact
-    piecewise polynomial.  ``plateau`` is the known exact-1 interval of the
-    result, used for snapping."""
+    piecewise polynomial, every piece in one pass.  ``plateau`` is the known
+    exact-1 interval of the result, used for snapping."""
     breaks = np.unique(np.concatenate([g.breaks - r, g.breaks + r]))
     mids = 0.5 * (breaks[:-1] + breaks[1:])
-    deg = g.coeffs.shape[1]  # result degree = input degree + 1
-    coeffs = np.zeros((len(mids), deg + 1))
-    inv = 1.0 / (2.0 * r)
-    k = np.arange(deg)
-    for p, m in enumerate(mids):
-        if breaks[p + 1] <= g.breaks[0] - r or breaks[p] >= g.breaks[-1] + r:
-            continue
-        if plateau[0] <= breaks[p] and breaks[p + 1] <= plateau[1]:
-            coeffs[p, 0] = 1.0
-            continue
-        yp, ym = m + r, m - r
-        const = g.prefix_integral(yp) - g.prefix_integral(ym)
-        poly = np.zeros(deg + 1)
-        poly[0] = const
-        # plus the partial integral at the upper window edge, minus the one
-        # at the lower edge, each as a polynomial in u
-        for y, sign in ((yp, 1.0), (ym, -1.0)):
-            if g.breaks[0] < y < g.breaks[-1]:
-                q = int(g.piece(y))
-                anti = np.concatenate([[0.0], g.coeffs[q] / (k + 1.0)])
-                shifted = _shift_poly(anti, y - g.mids[q])
-                shifted[0] -= float(np.polynomial.polynomial.polyval(
-                    g.breaks[q] - g.mids[q], anti))
-                poly[: len(shifted)] += sign * shifted
-        coeffs[p] = inv * poly
+    n = g.coeffs.shape[1] + 1  # result degree = input degree + 1
+    coeffs = np.zeros((len(mids), n))
+    lo, hi = breaks[:-1], breaks[1:]
+    active = (hi > g.breaks[0] - r) & (lo < g.breaks[-1] + r)
+    flat = active & (plateau[0] <= lo) & (hi <= plateau[1])
+    coeffs[flat, 0] = 1.0
+    work = np.nonzero(active & ~flat)[0]
+    yp, ym = mids[work] + r, mids[work] - r
+    # integral of g over its full pieces left of each window edge: none
+    # left of the support, all of them right of it
+    full = np.clip(np.searchsorted(g.breaks, [yp, ym], side="right") - 1, 0, len(g.mids))
+    poly = np.zeros((len(work), n))
+    poly[:, 0] = g.cumint[full[0]] - g.cumint[full[1]]
+    # plus the partial integral at the upper window edge, minus the one at
+    # the lower edge, each as a polynomial in u
+    for y, sign in ((yp, 1.0), (ym, -1.0)):
+        inside = (g.breaks[0] < y) & (y < g.breaks[-1])
+        poly[inside] += sign * _edge_integrals(g, y[inside], n)
+    coeffs[work] = (1.0 / (2.0 * r)) * poly
     return _PiecewisePoly(breaks, coeffs, plateau)
 
 
@@ -157,7 +154,6 @@ class CanonicalBump:
                 f"radii sum {s:g} exceeds the budget {RADII_BUDGET:g}")
         self.radii = radii
         self.J = len(radii)
-        self.sum_radii = s
         self.a = float(np.nextafter(9.0 / 8.0 - s, -np.inf))
         suffix = np.concatenate([np.cumsum(radii[::-1])[::-1], [0.0]])
         # stages[m] = indicator convolved with radii m..J (1-based m)

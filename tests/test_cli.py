@@ -4,9 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ultrajet.cli import main, run, validate_config
+from ultrajet.cli import _write_csv, main, run, validate_config
 from ultrajet.errors import ConfigError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -188,6 +189,35 @@ def test_matrix_check_on_unnormalized_weight_is_config_error(tmp_path):
     assert run("check", str(path), str(tmp_path / "out")) == 2
     err = load_report(tmp_path / "out")["errors"][0]
     assert err["kind"] == "config" and "'w'" in err["message"]
+
+
+_W = [{"name": "w", "preset": "power", "params": {"alpha": 0.5}}]
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"weights": _W, "checks": [{"check": ["good"], "weight": "w"}]},
+     "unknown check entry"),
+    ({"weights": 5}, "weights must be a list of objects"),
+    ({"weights": _W, "checks": [{"check": "chain", "weight": "w", "x": "abc"}]},
+     "checks[chain].x = 'abc'"),
+    ({"weights": _W, "extension": {"chain_x": "abc"}}, "extension.chain_x = 'abc'"),
+])
+def test_malformed_values_are_config_errors(tmp_path, cfg, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run("check", str(path), str(tmp_path / "out")) == 2
+    err = load_report(tmp_path / "out")["errors"][0]
+    assert err["kind"] == "config" and message in err["message"]
+
+
+def test_csv_columns_keep_per_cell_format(tmp_path):
+    floats = [0.1, -0.0, 1e-320, 2.0 ** 60, float("inf"), float("nan"), 1 / 3]
+    labels = ["a", "0 1", "x", "", "y", "z", "w"]
+    _write_csv(tmp_path / "t.csv", ["i", "f", "s"],
+               [np.arange(7), np.array(floats), labels])
+    want = ["i,f,s"] + [f"{i},{format(v, '.17g')},{s}"
+                        for i, (v, s) in enumerate(zip(floats, labels))]
+    assert (tmp_path / "t.csv").read_text() == "\n".join(want) + "\n"
 
 
 def test_chain_x_stays_optional():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +173,19 @@ def test_almost_increasing_deep_dips_fail():
     j, kk = v.counterexample["j"], v.counterexample["k"]
     assert (seq.log_mu[j] - math.log(j)) - (seq.log_mu[kk] - math.log(kk)) \
         > 40.0 * math.log(2.0)
+
+
+def test_almost_increasing_caps_witnesses_past_log_709():
+    # a cliff of 800 in log mu: log C and its root variant are about 800,
+    # so both witnesses are capped at exp(700), as needed_C is
+    seq = seqcore.WeightSequence(np.cumsum([0.0, 800.0, -800.0, 1.0]), label="cliff")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        v = check_almost_increasing(seq)
+    assert not v.holds
+    for key in ("C", "C_root_variant"):
+        assert v.witness_constants[key] == math.exp(700.0)
+    assert v.counterexample["needed_C"] == math.exp(700.0)
 
 
 # -- scaling conditions ------------------------------------------------------------

@@ -4,11 +4,14 @@ against the hand-unrolled 1D/2D loops, the point-cube incidence with
 its pairwise partition fold (``pou``, ``extend``) against the per-cube mask
 loops and the per-cube folds over all earlier neighbors, the vectorized
 conjugates of ``fncore`` against one bounded scalar minimisation per point,
-the array tail sum of ``seqcore`` against its per-decade loop, and the
+the array tail sum of ``seqcore`` against its per-decade loop, the
 shared row search and log-cap verdict of ``conditions`` against the
-per-pair loops of each check."""
+per-pair loops of each check, and the array passes of ``jets.certify``,
+the bump stages of ``pou`` and ``geometry.cube_diagnostics`` against their
+per-term, per-piece and per-sample loops, bit for bit."""
 
 import json
+from dataclasses import replace
 from math import comb, factorial, isfinite, log
 from types import SimpleNamespace
 
@@ -35,7 +38,7 @@ from ultrajet.extend import (
     _taylor_sup_bound,
     derivative_bounds,
 )
-from ultrajet.errors import GridExhausted, NotLittleO, UltrajetError
+from ultrajet.errors import GridExhausted, InvariantViolation, NotLittleO, UltrajetError
 from ultrajet.fncore import (
     GRID_HI,
     WeightMatrix,
@@ -47,16 +50,22 @@ from ultrajet.fncore import (
     weight_matrix,
     young_conjugate_grid,
 )
-from ultrajet.geometry import EXPANSION, decompose
+from ultrajet.geometry import EXPANSION, cube_diagnostics, decompose, nearest
 from ultrajet.jets import (
     CompactSet,
+    Sin,
+    Tensor,
     Ultrajet,
+    _certify_plan,
     _leibniz_fold,
     _leibniz_terms,
+    _remainders,
+    certify,
+    jet_from_preset,
     multi_indices,
     taylor_grid,
 )
-from ultrajet.pou import Bump1D, build_pou
+from ultrajet.pou import RADII_BUDGET, Bump1D, CanonicalBump, _PiecewisePoly, build_pou
 from ultrajet.seqcore import _model_tail_sum, descendant, gevrey, quotient_power
 
 
@@ -429,6 +438,251 @@ def test_extension_sums_equal_oracle(case):
     assert all(abs(got[m] - want[m]) <= 1e-14 * want[m] for m in want)
 
 
+# -- certification, bump stages and cube diagnostics: the per-term loops ----------
+
+def oracle_certify(jet, seq, rho, P_max, form):
+    n_need = max(jet.A_max, P_max + 1)
+    M = np.exp(seq.logM[: n_need + 1])
+    m = np.exp(seq.log_m[: n_need + 1])
+    best = 0.0
+    binding = ()
+    for i, a in enumerate(jet.cset.points):
+        for r, alpha in enumerate(jet.multi):
+            c = abs(jet.values[i, r]) / (rho ** sum(alpha) * M[sum(alpha)])
+            if c > best:
+                best, binding = c, ("value", i, alpha)
+    for i, a in enumerate(jet.cset.points):
+        for j, b in enumerate(jet.cset.points):
+            if i == j:
+                continue
+            dist = float(np.linalg.norm(b - a))
+            for p in range(0, P_max + 1):
+                for alpha in multi_indices(jet.cset.dim, p):
+                    rem = abs(jet.value(j, alpha)
+                              - taylor_grid(jet, i, p, alpha, b[None, :])[0])
+                    q = p + 1 - sum(alpha)
+                    if form == "pointwise":
+                        scale = rho ** (p + 1) * M[p + 1] * dist ** q / factorial(q)
+                    else:
+                        scale = (rho ** (p + 1) * factorial(sum(alpha))
+                                 * m[p + 1] * dist ** q)
+                    c = rem / scale
+                    if c > best:
+                        best, binding = c, ("remainder", i, j, p, alpha)
+    return best, binding
+
+
+def oracle_shift_poly(c, gamma):
+    n = len(c)
+    out = np.zeros(n)
+    for k in range(n):
+        ck = c[k]
+        if ck == 0.0:
+            continue
+        g = 1.0
+        for i in range(k, -1, -1):
+            out[i] += ck * comb(k, i) * g
+            g *= gamma
+    return out
+
+
+def oracle_prefix_integral(g, y):
+    if y <= g.breaks[0]:
+        return 0.0
+    if y >= g.breaks[-1]:
+        return float(g.cumint[-1])
+    return float(g.cumint[g.piece(y)])
+
+
+def oracle_convolve_uniform(g, r, plateau):
+    breaks = np.unique(np.concatenate([g.breaks - r, g.breaks + r]))
+    mids = 0.5 * (breaks[:-1] + breaks[1:])
+    deg = g.coeffs.shape[1]
+    coeffs = np.zeros((len(mids), deg + 1))
+    inv = 1.0 / (2.0 * r)
+    k = np.arange(deg)
+    for p, m in enumerate(mids):
+        if breaks[p + 1] <= g.breaks[0] - r or breaks[p] >= g.breaks[-1] + r:
+            continue
+        if plateau[0] <= breaks[p] and breaks[p + 1] <= plateau[1]:
+            coeffs[p, 0] = 1.0
+            continue
+        yp, ym = m + r, m - r
+        poly = np.zeros(deg + 1)
+        poly[0] = oracle_prefix_integral(g, yp) - oracle_prefix_integral(g, ym)
+        for y, sign in ((yp, 1.0), (ym, -1.0)):
+            if g.breaks[0] < y < g.breaks[-1]:
+                q = int(g.piece(y))
+                anti = np.concatenate([[0.0], g.coeffs[q] / (k + 1.0)])
+                shifted = oracle_shift_poly(anti, y - g.mids[q])
+                shifted[0] -= float(np.polynomial.polynomial.polyval(
+                    g.breaks[q] - g.mids[q], anti))
+                poly[: len(shifted)] += sign * shifted
+        coeffs[p] = inv * poly
+    return _PiecewisePoly(breaks, coeffs, plateau)
+
+
+def oracle_cube_diagnostics(dec, samples_per_cube, seed):
+    rng = np.random.default_rng(seed)
+    pts = dec.cset.points
+    worst = {"center_over_point": 0.0, "point_over_center": 0.0,
+             "point_over_diam": 0.0, "diam_over_point": 0.0,
+             "anchor_travel": 0.0, "anchor_spread": 0.0}
+    for i in range(dec.n_cubes):
+        half = dec.expanded_halfwidth(i)
+        xs = dec.centers[i] + rng.uniform(-half, half,
+                                          size=(samples_per_cube, dec.dim))
+        d_i = dec.center_dist[i]
+        diam = float(dec.diam(i))
+        xhat_i = dec.nearest_points[i]
+        for x in xs:
+            d_x = float(np.sqrt(np.sum((pts - x) ** 2, axis=1).min()))
+            xhat = nearest(x, dec.cset)
+            checks = [
+                ("center_over_point", d_i / max(d_x, 1e-300), 3.0),
+                ("point_over_center", d_x / max(d_i, 1e-300), 2.0),
+                ("point_over_diam", d_x / diam, 9.0),
+                ("diam_over_point", diam / max(d_x, 1e-300), 3.0),
+                ("anchor_travel",
+                 float(np.linalg.norm(xhat_i - x)) / max(d_i, 1e-300), 2.0),
+                ("anchor_spread",
+                 float(np.linalg.norm(xhat_i - xhat)) / max(d_i, 1e-300), 4.0),
+            ]
+            for name, ratio, bound in checks:
+                worst[name] = max(worst[name], ratio)
+                if ratio > bound * (1.0 + 1e-9):
+                    raise InvariantViolation(
+                        f"{name} = {ratio:g} > {bound} at cube {i}, x={x}")
+    worst["max_overlap"] = dec.max_overlap()
+    b1, B1 = dec.neighbor_diam_ratios()
+    worst["b1"], worst["B1"] = b1, B1
+    worst["samples_per_cube"] = samples_per_cube
+    return worst
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+@st.composite
+def certify_cases(draw):
+    """A jet on 1-6 distinct points in dimension 1-3, with random values of
+    random magnitude, small integer values on integer points (ties), or a
+    tensor of sines (whose remainders can bind); P_max <= A_max, rho and the
+    certificate form."""
+    dim = draw(st.sampled_from((1, 2, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(("random", "integer", "sines")))
+    digits = 0 if kind == "integer" else draw(st.integers(1, 3))
+    pts = np.unique(np.round(rng.uniform(-2.0, 2.0, size=(draw(st.integers(1, 6)), dim)),
+                             digits), axis=0)
+    cset = CompactSet(pts, ((-3.0, 3.0),) * dim)
+    A_max = draw(st.integers(0, (8, 6, 4)[dim - 1]))
+    shape = (len(pts), len(multi_indices(dim, A_max)))
+    if kind == "sines":
+        jet = jet_from_preset(Tensor(*[Sin(rng.uniform(0.5, 2.0), rng.uniform(0.0, 3.0))
+                                       for _ in range(dim)]), cset, A_max)
+    elif kind == "integer":
+        jet = Ultrajet(cset, A_max, rng.integers(-1, 2, size=shape).astype(float))
+    else:
+        jet = Ultrajet(cset, A_max, rng.normal(size=shape) * 10.0 ** rng.uniform(-3.0, 3.0))
+    seq = gevrey(draw(st.floats(0.5, 2.0)), K_max=A_max + 2)
+    return (jet, seq, draw(st.sampled_from((0.0, 0.5, 1.0, 2.0))),  # 0: inf and NaN ratios
+            draw(st.integers(0, A_max)), draw(st.sampled_from(("pointwise", "factored"))))
+
+
+ONE_POINT = jet_from_preset(Sin(), CompactSet(np.array([[0.5]]), ((-3.0, 3.0),)), 6)
+PAIR = jet_from_preset(Sin(1.3, 0.2), CompactSet(np.array([[0.1], [0.4]]), ((-3.0, 3.0),)), 8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(certify_cases())
+@example((ONE_POINT, gevrey(1.0, K_max=8), 1.0, 6, "pointwise"))
+@example((PAIR, gevrey(1.0, K_max=10), 2.0, 3, "factored"))  # P_max < A_max
+def test_certify_bitwise_equals_oracle(case):
+    jet, seq, rho, P_max, form = case
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = certify(jet, seq, rho=rho, P_max=P_max, form=form)
+        C, binding = oracle_certify(jet, seq, rho, P_max, form)
+    assert _bits(got.C) == _bits(C)
+    assert got.binding == binding
+
+
+@settings(max_examples=40, deadline=None)
+@given(certify_cases())
+def test_certify_remainders_bitwise_equal_taylor_grid(case):
+    jet, _, _, P_max, _ = case
+    n = len(jet.cset.points)
+    p_of, alpha_of, groups = _certify_plan(jet.cset.dim, P_max)
+    for i in range(n):
+        others = np.delete(np.arange(n), i)
+        table = _remainders(jet, i, others, jet.cset.points[others] - jet.cset.points[i],
+                            groups)
+        for row, j in enumerate(others):
+            b = jet.cset.points[j][None, :]
+            want = [abs(jet.value(j, jet.multi[a]) - taylor_grid(jet, i, p, jet.multi[a], b)[0])
+                    for p, a in zip(p_of, alpha_of)]
+            assert table[row].tobytes() == np.array(want).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=7), st.floats(0.2, 1.0))
+def test_bump_stages_bitwise_equal_oracle(weights, fill):
+    radii = np.sort(weights)[::-1]
+    bump = CanonicalBump(radii * (fill * RADII_BUDGET / np.sum(radii)))
+    stage = bump.stages[bump.J + 1]
+    for m in range(bump.J, 0, -1):
+        got = bump.stages[m]
+        stage = oracle_convolve_uniform(stage, float(bump.radii[m - 1]),
+                                        (got.plateau_lo, got.plateau_hi))
+        for attr in ("breaks", "coeffs", "cumint"):
+            assert getattr(got, attr).tobytes() == getattr(stage, attr).tobytes()
+
+
+@st.composite
+def cover_cases(draw):
+    """The cover of 1-4 points in dimension 1-3 at depth cap 1 and up, at
+    times with one cube's center distance scaled so that a comparison
+    inequality breaks, a sample count and a seed."""
+    dim = draw(st.sampled_from((1, 2, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pts = np.unique(np.round(rng.uniform(-0.8, 0.8, size=(draw(st.integers(1, 4)), dim)),
+                             draw(st.integers(0, 2))), axis=0)
+    box = ((-1.0, 1.0),) * dim
+    dec = decompose(box, CompactSet(pts, box), depth_cap=draw(st.integers(1, (7, 5, 3)[dim - 1])))
+    if dec.n_cubes and draw(st.booleans()):
+        dist = dec.center_dist.copy()
+        dist[draw(st.integers(0, dec.n_cubes - 1))] *= draw(st.sampled_from((0.2, 5.0)))
+        dec = replace(dec, center_dist=dist)
+    return dec, draw(st.integers(0, 40)), draw(st.integers(0, 1000))
+
+
+CENTER = CompactSet(np.zeros((1, 2)), ((-1.0, 1.0),) * 2)
+EMPTY_COVER = decompose(CENTER.box, CENTER, depth_cap=1)
+LINE = CompactSet(np.array([[-0.3], [0.5]]), ((-1.0, 1.0),))
+LINE_COVER = decompose(LINE.box, LINE, depth_cap=5)
+MUTATED_COVER = replace(LINE_COVER, center_dist=LINE_COVER.center_dist * np.where(
+    np.arange(LINE_COVER.n_cubes) == 3, 10.0, 1.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(cover_cases())
+@example((EMPTY_COVER, 16, 0))
+@example((MUTATED_COVER, 32, 0))
+def test_cube_diagnostics_equal_oracle(case):
+    dec, samples, seed = case
+    try:
+        want = oracle_cube_diagnostics(dec, samples, seed)
+    except InvariantViolation as exc:
+        with pytest.raises(InvariantViolation) as got:
+            cube_diagnostics(dec, samples, seed)
+        assert str(got.value) == str(exc)
+        return
+    got = cube_diagnostics(dec, samples, seed)
+    assert got.keys() == want.keys()
+    assert all(_bits(got[k]) == _bits(want[k]) for k in want)
+
+
 # -- conjugates and the model tail sum: the scalar loops ---------------------------
 
 def oracle_young_conjugate(fn, t):
@@ -669,8 +923,8 @@ def oracle_check_almost_increasing(seq):
     log_c = float(need[i_max])
     roots = seq.log_m[1:] / k
     log_c_root = float(np.max(np.maximum.accumulate(roots) - roots))
-    wit = {"C": float(np.exp(max(log_c, 0.0))),
-           "C_root_variant": float(np.exp(max(log_c_root, 0.0)))}
+    wit = {"C": float(np.exp(min(max(log_c, 0.0), 700.0))),
+           "C_root_variant": float(np.exp(min(max(log_c_root, 0.0), 700.0)))}
     if log_c <= LOG_CAP:
         return Verdict(f"almost_increasing[{seq.label}]", True, wit,
                        tested_range={"K_max": seq.K_max})
@@ -755,9 +1009,8 @@ def test_condition_row_searches_equal_oracle(matrix):
     _same_verdict(check_concavity_equivalence(SCALING_WEIGHT, matrix)[1],
                   oracle_concave_matrix_form(matrix))
     for x in matrix.x_grid:
-        with np.errstate(over="ignore"):  # the witness C of log C past 709 is inf
-            _same_verdict(check_almost_increasing(matrix.row(x)),
-                          oracle_check_almost_increasing(matrix.row(x)))
+        _same_verdict(check_almost_increasing(matrix.row(x)),
+                      oracle_check_almost_increasing(matrix.row(x)))
 
 
 @settings(max_examples=60, deadline=None)
