@@ -20,6 +20,7 @@ import json
 import sys
 from math import inf, isfinite
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,25 +29,67 @@ from .errors import ConfigError, UltrajetError
 
 SCHEMA_VERSION = 1
 
-# parameters by preset: a real one is given by its range (lo, hi], any
-# other by its type; every parameter is required except the optional ones
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and isfinite(v)
+
+
+class _Spec(NamedTuple):
+    """What a config value must be, its test, and whether its key may be
+    left out (the code then takes a default)."""
+
+    text: str
+    ok: Callable
+    optional: bool = False
+
+
+def _optional(spec: _Spec) -> _Spec:
+    return spec._replace(optional=True)
+
+
+def _real_in(lo: float, hi: float) -> _Spec:
+    top = f"{hi:g}]" if isfinite(hi) else "inf)"
+    return _Spec(f"a real number in ({lo:g}, {top}", lambda v: _is_real(v) and lo < v <= hi)
+
+
+def _int_at_least(lo: int) -> _Spec:
+    return _Spec(f"an integer >= {lo}",
+                 lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= lo)
+
+
+def _or_null(spec: _Spec) -> _Spec:
+    return _Spec(f"{spec.text} or null", lambda v: v is None or spec.ok(v))
+
+
+_INT = _Spec("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+_REAL = _Spec("a real number", _is_real)
+_POSITIVE = _real_in(0.0, inf)
+_STR = _Spec("a string", lambda v: isinstance(v, str))
+_BOOL = _Spec("true or false", lambda v: isinstance(v, bool))
+_LIST = _Spec("a list", lambda v: isinstance(v, list))
+_OBJECT = _Spec("an object", lambda v: isinstance(v, dict))
+_PARTS = _Spec("a non-empty list", lambda v: isinstance(v, list) and len(v) > 0)
+
+# parameters by preset
 _WEIGHT_PRESETS = {
-    "power": {"alpha": (0.0, 1.0)},
-    "log_power": {"b": (0.0, inf), "scale": (0.0, inf)},
-    "gevrey_dual": {"s": (0.0, inf)},
-    "omega_of_sequence": {"sequence": str},
-    "tabulated": {"ts": list, "values": list},
+    "power": {"alpha": _real_in(0.0, 1.0)},
+    "log_power": {"b": _POSITIVE, "scale": _optional(_POSITIVE)},
+    "gevrey_dual": {"s": _POSITIVE},
+    "omega_of_sequence": {"sequence": _STR},
+    "tabulated": {"ts": _LIST, "values": _LIST},
 }
 _SEQ_GENERATORS = {
-    "gevrey": {"s": (0.0, inf)},
-    "quotient_power": {"p": (-inf, inf), "scale": (0.0, inf)},
-    "mu_table": {"mu": list},
-    "descendant_of": {"sequence": str},
+    "gevrey": {"s": _POSITIVE},
+    "quotient_power": {"p": _REAL, "scale": _optional(_POSITIVE)},
+    "mu_table": {"mu": _LIST},
+    "descendant_of": {"sequence": _STR},
 }
-_OPTIONAL_PARAMS = {"scale"}
-_JET_PRESET_KEYS = {
-    "sin": {"a", "b"}, "exp": {"a"}, "poly": {"coeffs"}, "runge": {"c"},
-    "product": {"factors"}, "sum": {"terms"}, "tensor": {"axes"},
+_JET_PRESETS = {
+    "sin": {"a": _optional(_REAL), "b": _optional(_REAL)}, "exp": {"a": _optional(_REAL)},
+    "runge": {"c": _optional(_REAL)},
+    "poly": {"coeffs": _Spec("a list of real numbers",
+                             lambda v: isinstance(v, list) and all(map(_is_real, v)))},
+    "product": {"factors": _PARTS}, "sum": {"terms": _PARTS}, "tensor": {"axes": _PARTS},
 }
 # check -> (function, its arguments in order as (config key, _Context
 # resolver)); chain also takes an optional "x", default 1.0
@@ -65,8 +108,9 @@ _CHECKS = {
     "descendant": (conditions.check_descendant, (("sequence", "sequence"),)),
     "chain": (conditions.resolve_chain, (("weight", "matrix"),)),
 }
-_CHECK_KEYS = {name: {key for key, _ in args} for name, (_, args) in _CHECKS.items()}
-_CHECK_KEYS["chain"].add("x")
+_CHECK_PARAMS = {name: {key: _STR for key, _ in args}
+                 for name, (_, args) in _CHECKS.items()}
+_CHECK_PARAMS["chain"]["x"] = _optional(_REAL)
 
 _DEFAULTS = {
     "schema_version": SCHEMA_VERSION,
@@ -96,6 +140,42 @@ _DEFAULTS = {
 }
 
 
+# the settings of the top level ("") and of the object sections and list
+# entries
+_SETTINGS = {
+    "": {"seed": _int_at_least(0), "K_max": _int_at_least(1)},
+    "x_grid": {"min_pow": _INT, "max_pow": _INT},
+    "decomposition": {"depth_cap": _int_at_least(1),
+                      "min_feature_scale": _or_null(_POSITIVE)},
+    "pou": {"delta": _or_null(_POSITIVE), "order_cap": _int_at_least(0),
+            "sequence": _or_null(_STR)},
+    "extension": {
+        "L_guard": _Spec("a real number >= 1", lambda v: _is_real(v) and v >= 1),
+        "approach_scales": _Spec("a list of real numbers > 0", lambda v: isinstance(
+            v, list) and all(map(_POSITIVE.ok, v))),
+        "schedule": _STR, "source_sequence": _or_null(_STR),
+        "target_sequence": _or_null(_STR), "growth_orders": _or_null(_int_at_least(0)),
+        "grid_points": _int_at_least(1), "cutoff_radius": _or_null(_POSITIVE),
+        "chain_x": _REAL},
+    "output": {"csv": _BOOL},
+    "compact_set": {"points": _LIST, "box": _optional(_or_null(_Spec(
+        "a list of [lo, hi] pairs", lambda v: isinstance(v, list) and all(
+            isinstance(b, list) and len(b) == 2 and all(map(_is_real, b)) for b in v))))},
+    "jet": {"preset": _OBJECT, "A_max": _int_at_least(0), "rho": _POSITIVE,
+            "P_max": _int_at_least(0), "source_sequence": _STR},
+    "weights": {"name": _STR, "preset": _STR, "params": _optional(_OBJECT),
+                "normalized": _optional(_BOOL)},
+    "sequences": {"name": _STR, "generator": _STR, "params": _optional(_OBJECT),
+                  "K_max": _optional(_int_at_least(1))},
+}
+
+
+def _check_values(d: dict, specs: dict, where: str):
+    for key, spec in specs.items():
+        if key in d and not spec.ok(d[key]):
+            raise ConfigError(f"{where}{key} = {d[key]!r}: not {spec.text}")
+
+
 def _reject_unknown(d: dict, allowed, where: str):
     unknown = set(d) - set(allowed)
     if unknown:
@@ -122,98 +202,77 @@ def validate_config(raw: dict, command: str | None = None) -> dict:
         raise ConfigError("config must be a JSON object")
     cfg = _merged(_DEFAULTS, raw, "config")
     if cfg["schema_version"] != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {cfg['schema_version']}")
+        raise ConfigError(f"unsupported schema_version {cfg['schema_version']!r}")
+    _check_values(cfg, _SETTINGS[""], "")
+    for key in ("x_grid", "decomposition", "pou", "extension", "output"):
+        if isinstance(cfg[key], dict):  # other types fail where a command reads them
+            _check_values(cfg[key], _SETTINGS[key], f"{key}.")
     for key in ("weights", "sequences", "checks"):
         if not (isinstance(cfg[key], list)
                 and all(isinstance(e, dict) for e in cfg[key])):
             raise ConfigError(f"{key} must be a list of objects")
-    for w in cfg["weights"]:
-        _reject_unknown(w, {"name", "preset", "params", "normalized"},
-                        "weights[]")
-        if "name" not in w or "preset" not in w:
-            raise ConfigError("each weight needs a name and a preset")
-        if w["preset"] not in _WEIGHT_PRESETS:
-            raise ConfigError(f"unknown weight preset {w['preset']!r}")
-        _validate_params(w.get("params", {}), _WEIGHT_PRESETS[w["preset"]],
-                         f"weights[{w['name']}].params")
-    for s in cfg["sequences"]:
-        _reject_unknown(s, {"name", "generator", "params", "K_max"},
-                        "sequences[]")
-        if "name" not in s or "generator" not in s:
-            raise ConfigError("each sequence needs a name and a generator")
-        if s["generator"] not in _SEQ_GENERATORS:
-            raise ConfigError(f"unknown sequence generator {s['generator']!r}")
-        _validate_params(s.get("params", {}), _SEQ_GENERATORS[s["generator"]],
-                         f"sequences[{s['name']}].params")
+    for key, kind, table in (("weights", "preset", _WEIGHT_PRESETS),
+                             ("sequences", "generator", _SEQ_GENERATORS)):
+        for e in cfg[key]:
+            _validate_params(e, _SETTINGS[key], f"{key}[]")
+            if e[kind] not in table:
+                raise ConfigError(f"unknown {key[:-1]} {kind} {e[kind]!r}")
+            _validate_params(e.get("params", {}), table[e[kind]],
+                             f"{key}[{e['name']}].params")
     if cfg["compact_set"] is not None:
-        _reject_unknown(cfg["compact_set"], {"points", "box"}, "compact_set")
-        if "points" not in cfg["compact_set"]:
-            raise ConfigError("compact_set needs points")
+        _validate_params(cfg["compact_set"], _SETTINGS["compact_set"], "compact_set")
     if cfg["jet"] is not None:
-        _reject_unknown(cfg["jet"], {"preset", "A_max", "rho",
-                                     "source_sequence", "P_max"}, "jet")
-        preset = cfg["jet"].get("preset")
+        jet = _section(cfg, "jet")
+        jet.setdefault("A_max", 12)
+        jet.setdefault("rho", 1.0)
+        jet.setdefault("P_max", jet["A_max"])
+        _validate_params(jet, _SETTINGS["jet"], "jet")
+        preset = jet["preset"]
         _validate_jet_preset(preset)
         if cfg["compact_set"] is not None:
-            n_axes = len(preset.get("axes", [])) if preset["kind"] == "tensor" else 1
+            n_axes = len(preset["axes"]) if preset["kind"] == "tensor" else 1
             dim = _points(cfg["compact_set"]).shape[1]
             if n_axes != dim:
                 raise ConfigError(f"jet.preset has {n_axes} axes but the "
                                   f"compact_set points have dimension {dim}")
-        cfg["jet"].setdefault("A_max", 12)
-        cfg["jet"].setdefault("rho", 1.0)
-        cfg["jet"].setdefault("P_max", cfg["jet"]["A_max"])
         if _run_verify in _PIPELINES.get(command, ()):
             dim = (None if cfg["compact_set"] is None
                    else _points(cfg["compact_set"]).shape[1])
             _validate_orders(cfg["extension"], cfg["jet"]["A_max"], dim)
     for c in cfg["checks"]:
-        if not isinstance(c.get("check"), str) or c["check"] not in _CHECK_KEYS:
+        if not isinstance(c.get("check"), str) or c["check"] not in _CHECK_PARAMS:
             raise ConfigError(f"unknown check entry {c!r}")
-        where = f"checks[{c['check']}]"
-        _reject_unknown(c, _CHECK_KEYS[c["check"]] | {"check"}, where)
-        for key, _ in _CHECKS[c["check"]][1]:
-            if key not in c:
-                raise ConfigError(f"{where}: missing {key!r}")
-        if "x" in c and not _is_real(c["x"]):
-            raise ConfigError(f"{where}.x = {c['x']!r}: not a real number")
-    ext = cfg["extension"]
-    if isinstance(ext, dict) and not _is_real(ext["chain_x"]):
-        raise ConfigError(f"extension.chain_x = {ext['chain_x']!r}: not a real number")
+        _validate_params({k: v for k, v in c.items() if k != "check"},
+                         _CHECK_PARAMS[c["check"]], f"checks[{c['check']}]")
     return cfg
 
 
+def _section(cfg: dict, name: str) -> dict:
+    """The config section ``name``, read where a pipeline needs it: a
+    ConfigError unless it is an object."""
+    if not isinstance(cfg[name], dict):
+        raise ConfigError(f"{name} must be an object, not {cfg[name]!r}")
+    return cfg[name]
+
+
 def _validate_params(params, spec: dict, where: str):
-    """The parameters of one weight or sequence entry against its spec."""
+    """An object against its spec: no unknown keys, every key present but
+    the optional ones, every value passing its test."""
     if not isinstance(params, dict):
         raise ConfigError(f"{where} must be an object")
     _reject_unknown(params, spec, where)
-    for key, kind in spec.items():
-        if key not in params:
-            if key in _OPTIONAL_PARAMS:
-                continue
-            raise ConfigError(f"{where}: missing {key!r}")
-        v = params[key]
-        if isinstance(kind, tuple):
-            lo, hi = kind
-            if not (_is_real(v) and lo < v <= hi):
-                top = f"{hi:g}]" if isfinite(hi) else "inf)"
-                raise ConfigError(f"{where}.{key} = {v!r}: not a real number "
-                                  f"in ({lo:g}, {top}")
-        elif not isinstance(v, kind):
-            raise ConfigError(f"{where}.{key}: not a {kind.__name__}")
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and isfinite(v)
+    missing = sorted(k for k, s in spec.items() if not (s.optional or k in params))
+    if missing:
+        raise ConfigError(f"{where}: missing {missing[0]!r}")
+    _check_values(params, spec, f"{where}.")
 
 
 def _validate_orders(extension, A_max: int, dim: int | None):
     """Each verified order is an int or int list of degree <= A_max, with
     one entry per coordinate of the points (an int counts as one)."""
     orders = extension.get("orders") if isinstance(extension, dict) else None
-    if not isinstance(orders, list):
-        raise ConfigError("extension.orders must be a list")
+    if not isinstance(orders, list) or not orders:
+        raise ConfigError("extension.orders must be a non-empty list")
     for entry in orders:
         axes = entry if isinstance(entry, list) else [entry]
         if not all(isinstance(a, int) and not isinstance(a, bool) and a >= 0
@@ -227,12 +286,11 @@ def _validate_orders(extension, A_max: int, dim: int | None):
 
 
 def _validate_jet_preset(spec):
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("jet.preset must be an object with a kind")
-    kind = spec["kind"]
-    if kind not in _JET_PRESET_KEYS:
-        raise ConfigError(f"unknown jet preset kind {kind!r}")
-    _reject_unknown(spec, _JET_PRESET_KEYS[kind] | {"kind"}, f"jet.preset[{kind}]")
+    if not (isinstance(spec, dict) and isinstance(spec.get("kind"), str)
+            and spec["kind"] in _JET_PRESETS):
+        raise ConfigError(f"jet.preset {spec!r}: not an object with a known kind")
+    _validate_params({k: v for k, v in spec.items() if k != "kind"},
+                     _JET_PRESETS[spec["kind"]], f"jet.preset[{spec['kind']}]")
     for key in ("factors", "terms", "axes"):
         for sub in spec.get(key, []):
             _validate_jet_preset(sub)
@@ -247,6 +305,8 @@ def _points(compact_set: dict) -> np.ndarray:
         pts = np.asarray(compact_set["points"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"compact_set.points: {exc}") from None
+    if pts.ndim == 0 or not np.all(np.isfinite(pts)):
+        raise ConfigError("compact_set.points must be a list of finite coordinates")
     return pts.reshape(-1, 1) if pts.ndim == 1 else pts
 
 
@@ -263,7 +323,7 @@ class _Context:
         self._field = None
 
     def x_grid(self):
-        g = self.cfg["x_grid"]
+        g = _section(self.cfg, "x_grid")
         return tuple(2.0 ** j for j in range(g["min_pow"], g["max_pow"] + 1))
 
     def sequence(self, name: str) -> seqcore.WeightSequence:
@@ -390,7 +450,7 @@ def _write_report(report: dict, out: Path) -> None:
 # -- pipelines ----------------------------------------------------------------------
 
 def _run_seq(ctx: _Context, report: dict, out: Path) -> int:
-    csv = ctx.cfg["output"]["csv"]
+    csv = _section(ctx.cfg, "output")["csv"]
     for entry in ctx.cfg["sequences"]:
         seq = ctx.sequence(entry["name"])
         report["certificates"].append({
@@ -404,7 +464,7 @@ def _run_seq(ctx: _Context, report: dict, out: Path) -> int:
 
 
 def _run_fn(ctx: _Context, report: dict, out: Path) -> int:
-    csv = ctx.cfg["output"]["csv"]
+    csv = _section(ctx.cfg, "output")["csv"]
     for entry in ctx.cfg["weights"]:
         fn = ctx.weight(entry["name"])
         report["certificates"].append({
@@ -426,7 +486,7 @@ def _run_fn(ctx: _Context, report: dict, out: Path) -> int:
 
 
 def _run_matrix(ctx: _Context, report: dict, out: Path) -> int:
-    csv = ctx.cfg["output"]["csv"]
+    csv = _section(ctx.cfg, "output")["csv"]
     for entry in ctx.cfg["weights"]:
         fn = ctx.weight(entry["name"])
         if not fn.normalized:
@@ -488,7 +548,7 @@ def _run_check(ctx: _Context, report: dict, out: Path) -> int:
 def _decomposition(ctx: _Context):
     if ctx._dec is None:
         cs = ctx.compact_set()
-        dc = ctx.cfg["decomposition"]
+        dc = _section(ctx.cfg, "decomposition")
         try:
             ctx._dec = geometry.decompose(cs.box, cs, depth_cap=dc["depth_cap"],
                                           min_feature_scale=dc["min_feature_scale"])
@@ -498,7 +558,7 @@ def _decomposition(ctx: _Context):
 
 
 def _run_cubes(ctx: _Context, report: dict, out: Path) -> int:
-    csv = ctx.cfg["output"]["csv"]
+    csv = _section(ctx.cfg, "output")["csv"]
     dec = _decomposition(ctx)
     stats = geometry.cube_diagnostics(dec, samples_per_cube=32,
                                       seed=ctx.cfg["seed"])
@@ -517,7 +577,7 @@ def _run_cubes(ctx: _Context, report: dict, out: Path) -> int:
 
 def _build_pou(ctx: _Context, dec):
     if ctx._pou is None:
-        pc = ctx.cfg["pou"]
+        pc = _section(ctx.cfg, "pou")
         if pc["sequence"] is None:
             raise ConfigError("pou.sequence must name a sequence")
         seq = ctx.sequence(pc["sequence"])
@@ -540,7 +600,7 @@ def _run_pou(ctx: _Context, report: dict, out: Path) -> int:
     report["cube_stats"]["pou_halvings"] = pu.halvings
     if pu.halvings:
         report["warnings"].append(f"pou delta halved {pu.halvings} times")
-    if ctx.cfg["output"]["csv"]:
+    if _section(ctx.cfg, "output")["csv"]:
         orders = pu.order_cap + 1
         _write_csv(out / "pou_bounds.csv", ["cube", "order", "bound"],
                    [np.repeat(np.arange(dec.n_cubes), orders),
@@ -555,7 +615,7 @@ def _build_field(ctx: _Context):
     dec = _decomposition(ctx)
     pu = _build_pou(ctx, dec)
     jet = ctx.jet()
-    ec = ctx.cfg["extension"]
+    ec = _section(ctx.cfg, "extension")
     if ec["schedule"] == "single":
         src_name = ec["source_sequence"] or ctx.cfg["jet"]["source_sequence"]
         source = ctx.sequence(src_name)
@@ -579,7 +639,7 @@ def _run_extend(ctx: _Context, report: dict, out: Path) -> int:
         "degree_cap_hit": bool(np.any(fld.sched.capped))})
     if bool(np.any(fld.sched.capped)):
         report["warnings"].append("degree schedule capped at the jet order")
-    if ctx.cfg["output"]["csv"]:
+    if _section(ctx.cfg, "output")["csv"]:
         jet = fld.jet
         n_points, n_multi = jet.values.shape
         _write_csv(out / "jet_table.csv", ["point", "alpha", "value"],
@@ -595,7 +655,7 @@ def _run_extend(ctx: _Context, report: dict, out: Path) -> int:
 
 def _run_verify(ctx: _Context, report: dict, out: Path) -> int:
     fld = _build_field(ctx)
-    ec = ctx.cfg["extension"]
+    ec = _section(ctx.cfg, "extension")
     target = ctx.sequence(ec["target_sequence"]
                           or ctx.cfg["jet"]["source_sequence"])
     rep = extmod.verify(fld, target, orders=ec["orders"],
@@ -609,7 +669,7 @@ def _run_verify(ctx: _Context, report: dict, out: Path) -> int:
         "mode": rep["mode"], "degree_cap_hit": rep["degree_cap_hit"]})
     if rep["degree_cap_hit"]:
         report["warnings"].append("degree schedule capped at the jet order")
-    if ctx.cfg["output"]["csv"]:
+    if _section(ctx.cfg, "output")["csv"]:
         table = rep["residuals"]
         _write_csv(out / "residuals.csv", ["alpha", "d", "residual", "capped"],
                    [[",".join(map(str, r["alpha"])) for r in table],

@@ -459,7 +459,8 @@ def resolve_chain(matrix: WeightMatrix, x: float,
 
     Deterministic search order: (y1, y2, y3) ascending lexicographically,
     then D ascending over the geometric grid; the first full success wins.
-    Raises RangeExhausted when the grid offers no certificate.
+    Raises RangeExhausted when x is off the grid or the grid offers no
+    certificate.
     """
     good = check_good(matrix)
     if not good.holds:
@@ -467,6 +468,8 @@ def resolve_chain(matrix: WeightMatrix, x: float,
     if matrix.source is not None and not matrix.source.flags["o_of_t"]:
         raise NotLittleO(f"{matrix.source.label}: o(t) certificate absent")
     x = float(x)
+    if x not in matrix.rows:
+        raise RangeExhausted(f"x={x:g} is not a point of the matrix grid")
     ts = np.geomspace(t_range[0], t_range[1], n_t)
     xs = matrix.x_grid
     for y1 in (y for y in xs if y >= 2.0 * x):

@@ -20,6 +20,7 @@ two Taylor-field bounds that drive the construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from math import factorial
 
 import numpy as np
@@ -27,7 +28,7 @@ import numpy as np
 from .conditions import ChainCertificate, check_almost_increasing
 from .errors import IncompatibleGeometry, RangeExhausted
 from .fncore import WeightMatrix
-from .geometry import CubeDecomposition, EXPANSION, box_grid, nearest
+from .geometry import CubeDecomposition, EXPANSION, box_grid, nearest_index
 from .jets import (
     Ultrajet,
     _leibniz_fold,
@@ -225,8 +226,9 @@ def extend(jet: Ultrajet, pou: PartitionOfUnity, sched: DegreeSchedule,
 
     Requires a certified jet (the schedule's L should be at least the guard
     multiple of the certificate rho) and a partition built on the schedule's
-    decomposition.  ``cutoff_radius`` switches on multiplication by a smooth
-    cutoff equal to one on {d(x, E) <= cutoff_radius}.
+    decomposition of the jet's set.  ``cutoff_radius`` switches on
+    multiplication by a smooth cutoff equal to one on
+    {d(x, E) <= cutoff_radius}.
     """
     if pou.dec is not sched.dec:
         raise IncompatibleGeometry("partition and schedule use different covers")
@@ -235,8 +237,9 @@ def extend(jet: Ultrajet, pou: PartitionOfUnity, sched: DegreeSchedule,
     if sched.L < jet.certificate.rho:
         raise ValueError("L below the certificate rho; raise the guard")
     dec = pou.dec
-    anchor = np.array([jet.cset.index_of(dec.nearest_points[i])
-                       for i in range(dec.n_cubes)], dtype=int)
+    if not np.array_equal(jet.cset.points, dec.cset.points):
+        raise IncompatibleGeometry("jet and cover are on different sets")
+    anchor = dec.nearest_idx.astype(int)
     cut = None
     if cutoff_radius is not None:
         cut = _UnionBump(pou.canonical, jet.cset.points, float(cutoff_radius))
@@ -250,22 +253,30 @@ def default_L(jet: Ultrajet, guard: float = DEFAULT_GUARD) -> float:
     return guard * max(1.0, jet.certificate.rho)
 
 
-def _taylor_sup_bound(field: ExtensionField, i: int, beta) -> float:
-    """Upper bound for |d^beta T_i| over the expanded cube Q_i*: triangle
-    inequality on the Taylor coefficients at the cube's anchor point, with
-    the exact maximal anchor-to-corner distance."""
-    jet = field.jet
-    dec = field.pou.dec
-    p_i = int(field.sched.degrees[i])
-    if sum(beta) > p_i:
-        return 0.0
-    anchor = dec.nearest_points[i]
-    half = dec.sides[i] * EXPANSION / 2.0
-    corners = np.array(np.meshgrid(*[[-half, half]] * dec.dim)).T.reshape(-1, dec.dim)
-    r_max = float(np.max(np.linalg.norm(dec.centers[i] + corners - anchor, axis=1)))
-    ranks, _, inv_fact, order = _taylor_plan(dec.dim, tuple(beta), p_i - sum(beta))
-    coef = np.abs(jet.values[int(field.anchor_idx[i]), ranks]) * inv_fact
-    return float(coef @ r_max ** order)
+def _taylor_sup_bounds(field: ExtensionField, multis) -> dict:
+    """Upper bounds for |d^beta T_i| over every expanded cube Q_i*, one
+    entry per cube (0 where |beta| > p_i): triangle inequality on the
+    Taylor coefficients at the cube's anchor point, with the exact maximal
+    anchor-to-corner distance.  The (cube, beta) rows of one Taylor degree
+    share a plan, and each row's sum is the BLAS dot a 1-D ``@`` takes."""
+    jet, dec = field.jet, field.pou.dec
+    half = dec.sides * EXPANSION / 2.0
+    signs = np.array(list(product((-1.0, 1.0), repeat=dec.dim)))
+    corners = (dec.centers[:, None, :] + signs * half[:, None, None]
+               - dec.nearest_points[:, None, :])
+    r_max = np.sqrt(np.sum(corners * corners, axis=2)).max(axis=1)
+    # q[b, i] = p_i - |beta_b|, the Taylor degree of row (cube i, beta_b)
+    q_of = field.sched.degrees[None, :] - np.array([sum(b) for b in multis])[:, None]
+    out = np.zeros(q_of.shape)
+    for q in range(int(q_of.max(initial=-1)) + 1):
+        b, i = np.nonzero(q_of == q)
+        plans = [_taylor_plan(dec.dim, beta, q) for beta in multis]
+        ranks = np.array([plan[0] for plan in plans])[b]
+        inv_fact, order = plans[0][2], plans[0][3]
+        coef = np.abs(jet.values[field.anchor_idx[i, None], ranks]) * inv_fact
+        powers = r_max[i, None] ** order
+        out[b, i] = np.matmul(coef[:, None, :], powers[:, :, None])[:, 0, 0]
+    return dict(zip(multis, out))
 
 
 def derivative_bounds(field: ExtensionField, up_to: int) -> dict:
@@ -275,11 +286,10 @@ def derivative_bounds(field: ExtensionField, up_to: int) -> dict:
     cubes contributes at any point)."""
     dec = field.pou.dec
     multis = multi_indices(dec.dim, up_to)
-    per_cube = [_leibniz_fold({beta: _taylor_sup_bound(field, i, beta) for beta in multis},
-                              field.pou.phi_bounds(i, up_to), multis)
-                for i in range(dec.n_cubes)]
+    per_cube = _leibniz_fold(_taylor_sup_bounds(field, multis),
+                             field.pou.phi_bounds(up_to), multis)
     overlap = dec.max_overlap() + 1
-    out = {m: overlap * max([0.0] + [t[m] for t in per_cube]) for m in multis}
+    out = {m: overlap * float(np.fmax.reduce(per_cube[m], initial=0.0)) for m in multis}
     if field.cutoff is not None:
         out = _leibniz_fold(out, field.cutoff.bounds(up_to), multis)
     return out
@@ -289,19 +299,16 @@ def derivative_bounds(field: ExtensionField, up_to: int) -> dict:
 
 def _approach_points(cset, d: float, box) -> np.ndarray:
     """Points at distance exactly d from the set (axis directions), inside
-    the box and anchored to their nearest set point."""
-    pts = []
-    for a in cset.points:
-        for axis in range(cset.dim):
-            for sgn in (-1.0, 1.0):
-                x = a.copy()
-                x[axis] += sgn * d
-                if all(box[dd][0] <= x[dd] <= box[dd][1] for dd in range(cset.dim)):
-                    e = cset.points
-                    dist = np.sqrt(((e - x) ** 2).sum(1))
-                    if abs(dist.min() - d) < 1e-12 * max(d, 1.0):
-                        pts.append(x)
-    return np.asarray(pts).reshape(-1, cset.dim)
+    the box and anchored to their nearest set point: per set point and
+    axis, the step -d, then +d."""
+    pts = np.repeat(cset.points, 2 * cset.dim, axis=0)
+    rows = np.arange(len(pts))
+    pts[rows, rows // 2 % cset.dim] += np.where(rows % 2, d, -d)
+    lo, hi = np.array(box, dtype=float).T
+    dist = np.sqrt(np.sum((cset.points - pts[:, None, :]) ** 2, axis=2)).min(axis=1)
+    keep = np.all((lo <= pts) & (pts <= hi), axis=1) & (
+        np.abs(dist - d) < 1e-12 * max(d, 1.0))
+    return pts[keep]
 
 
 def verify(field: ExtensionField, target_seq: WeightSequence, orders,
@@ -314,21 +321,22 @@ def verify(field: ExtensionField, target_seq: WeightSequence, orders,
     box = dec.box
     s_view = field.sched.s_prime
     L = field.L
+    approach = []  # per scale with points: (d, points, their nearest set point)
+    for d in approach_scales:
+        pts = _approach_points(cset, float(d), box)
+        if len(pts):
+            approach.append((float(d), pts, nearest_index(pts, cset)))
 
     residuals = []
     for alpha in orders:
         alpha = tuple(alpha) if isinstance(alpha, (tuple, list)) else (int(alpha),)
         if len(alpha) != cset.dim:
             raise ValueError(f"order {alpha} does not match dimension {cset.dim}")
-        for d in approach_scales:
-            pts = _approach_points(cset, float(d), box)
-            if len(pts) == 0:
-                continue
+        for d, pts, anchors in approach:
             vals = field.derivative_grid(pts, alpha)
-            ref = np.array([jet.value(cset.index_of(nearest(x, cset)), alpha)
-                            for x in pts])
+            ref = jet.values[anchors, jet.rank(alpha)]
             residuals.append({
-                "alpha": list(alpha), "d": float(d),
+                "alpha": list(alpha), "d": d,
                 "residual": float(np.max(np.abs(vals - ref))),
                 "capped": bool(np.any(field.sched.capped[dec.incidence(pts)[1]])),
                 "n_points": len(pts)})
@@ -336,22 +344,15 @@ def verify(field: ExtensionField, target_seq: WeightSequence, orders,
     fit = None
     clean = [r for r in residuals if not r["capped"]]
     if clean:
-        best = None
-        for i in fit_K_powers:
-            K = 2.0 ** i
-            needed = 0.0
-            ok = True
-            for r in clean:
-                lh = log_h_assoc(s_view, np.array([K * r["d"]]))[0]
-                h = float(np.exp(lh)) if np.isfinite(lh) else 0.0
-                needed = max(needed, r["residual"] / (h + r["d"]))
-                if not np.isfinite(needed):
-                    ok = False
-                    break
-            if ok and (best is None or needed < best[1]):
-                best = (K, needed)
-        if best is not None:
-            fit = {"K": best[0], "C_prime": best[1]}
+        d = np.array([r["d"] for r in clean])
+        res = np.array([r["residual"] for r in clean])
+        for K in (2.0 ** i for i in fit_K_powers):
+            lh = log_h_assoc(s_view, K * d)
+            h = np.where(np.isfinite(lh), np.exp(lh), 0.0)
+            # the largest ratio, NaN skipped; an infinite one rules K out
+            needed = float(np.fmax.reduce(res / (h + d), initial=0.0))
+            if np.isfinite(needed) and (fit is None or needed < fit["C_prime"]):
+                fit = {"K": K, "C_prime": needed}
 
     # growth certificate: certified bounds (grid-free), sampled sups reported
     g_ord = growth_orders if growth_orders is not None else max(
@@ -371,31 +372,27 @@ def verify(field: ExtensionField, target_seq: WeightSequence, orders,
               "grid_points": len(grid)}
 
     # Taylor-field bounds at sampled off-set points
-    cert = jet.certificate
     tb = {"field_bound_C": 0.0, "increment_bound_C": 0.0}
-    for d in approach_scales:
-        pts = _approach_points(cset, float(d), box)
-        for x in pts:
-            ai = cset.index_of(nearest(x, cset))
-            arg = L * float(d)
-            gb, ex = gamma_bar_soft(s_view, np.array([arg]))
-            p = min(2 * int(gb[0]), jet.A_max)
+    s_all = np.exp(target_seq.logM[: jet.A_max + 2])
+    for d, pts, anchors in approach:
+        gb, _ = gamma_bar_soft(s_view, np.array([L * d]))
+        p = min(2 * int(gb[0]), jet.A_max)
+        for x, ai in zip(pts, anchors.tolist()):
             for alpha in multi_indices(cset.dim, min(p, 4)):
                 t_val = taylor_grid(jet, ai, p, alpha, x[None, :])[0]
                 tot = sum(alpha)
-                s_all = np.exp(target_seq.logM[: jet.A_max + 2])
                 denom = (2.0 * L) ** (tot + 1) * s_all[tot]
                 tb["field_bound_C"] = max(tb["field_bound_C"], abs(t_val) / denom)
                 if tot < p:
                     diff = abs(t_val - jet.value(ai, alpha))
                     small_s = np.exp(target_seq.log_m[tot + 1])
                     denom2 = ((2.0 * L) ** (tot + 1) * factorial(tot)
-                              * small_s * float(d))
+                              * small_s * d)
                     tb["increment_bound_C"] = max(tb["increment_bound_C"],
                                                   diff / denom2)
 
     return {"residuals": residuals, "fit": fit, "growth": growth,
-            "taylor_bounds": tb, "jet_certificate_C": cert.C,
+            "taylor_bounds": tb, "jet_certificate_C": jet.certificate.C,
             "L": L, "mode": field.sched.mode,
             "degree_cap_hit": bool(np.any(field.sched.capped))}
 

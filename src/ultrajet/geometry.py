@@ -8,13 +8,14 @@ otherwise, and truncated at a depth cap.  Accepted cubes satisfy
 *collar*, the thin uncovered shell around the set whose width halves with
 every extra level.
 
-Construction is breadth-first and single-threaded, so the cube order (which
-downstream fixes the partition-of-unity product order) is deterministic.
+Construction runs level by level, one array pass per dyadic level, in the
+breadth-first order of the tree (children of a split cube in a fixed offset
+order), so the cube order (which downstream fixes the partition-of-unity
+product order) is deterministic.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -39,24 +40,39 @@ def box_grid(box, per_axis: int) -> np.ndarray:
     return np.column_stack([m.ravel() for m in mesh[::-1]])
 
 
+def nearest_index(x, cset: CompactSet) -> np.ndarray:
+    """Index of the Euclidean-nearest set point of each row of x; ties go
+    to the lexicographically smallest point.  Blocks of rows meet every
+    point, at most INCIDENCE_BLOCK pairs per block."""
+    pts = cset.points
+    x = np.asarray(x, dtype=float).reshape(-1, cset.dim)
+    lex_rank = np.argsort(np.lexsort(pts.T[::-1]))
+    out = np.empty(len(x), dtype=np.intp)
+    step = max(1, INCIDENCE_BLOCK // len(pts))
+    for lo in range(0, len(x), step):
+        d2 = np.sum((pts - x[lo:lo + step, None, :]) ** 2, axis=2)
+        tie_rank = np.where(d2 <= d2.min(axis=1, keepdims=True), lex_rank, len(pts))
+        out[lo:lo + step] = np.argmin(tie_rank, axis=1)
+    return out
+
+
 def nearest(x, cset: CompactSet) -> np.ndarray:
     """Euclidean-nearest point of the set; ties resolve to the
     lexicographically smallest coordinates."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    d2 = np.sum((cset.points - x) ** 2, axis=1)
-    best = d2.min()
-    ties = np.where(d2 <= best)[0]
-    order = np.lexsort(cset.points[ties].T[::-1])
-    return cset.points[ties[order[0]]].copy()
+    return cset.points[nearest_index(x, cset)[0]].copy()
 
 
-def _cube_distance(center: np.ndarray, side: float, pts: np.ndarray) -> float:
-    """Distance from the closed cube to the nearest set point (exact for
-    finite sets: clamp each point into the cube)."""
-    lo = center - side / 2.0
-    hi = center + side / 2.0
-    clamped = np.clip(pts, lo, hi)
-    return float(np.sqrt(np.sum((pts - clamped) ** 2, axis=1).min()))
+def _cube_distances(centers: np.ndarray, side: float, pts: np.ndarray) -> np.ndarray:
+    """Distance from each closed cube of the given side to the nearest set
+    point (exact for finite sets: clamp each point into the cube), in
+    blocks of at most INCIDENCE_BLOCK (cube, point) pairs."""
+    out = np.empty(len(centers))
+    step = max(1, INCIDENCE_BLOCK // len(pts))
+    for lo in range(0, len(centers), step):
+        c = centers[lo:lo + step, None, :]
+        clamped = np.clip(pts, c - side / 2.0, c + side / 2.0)
+        out[lo:lo + step] = np.sqrt(np.sum((pts - clamped) ** 2, axis=2).min(axis=1))
+    return out
 
 
 @dataclass(frozen=True)
@@ -69,9 +85,11 @@ class CubeDecomposition:
     centers: np.ndarray        # (N, dim)
     sides: np.ndarray          # (N,)
     nearest_points: np.ndarray  # (N, dim), nearest set point to each center
+    nearest_idx: np.ndarray    # (N,), its index in the set
     center_dist: np.ndarray    # (N,), d(x_i, E)
     cube_dist: np.ndarray      # (N,), d(Q_i, E)
     neighbors: tuple           # per cube: indices j != i with Q_i* meeting Q_j*
+    neighbor_pairs: tuple      # the same as (i, j) arrays, sorted by i, then j
     collar_centers: np.ndarray
     collar_sides: np.ndarray
     collar_radius: float
@@ -114,16 +132,11 @@ class CubeDecomposition:
 
     def neighbor_diam_ratios(self) -> tuple[float, float]:
         """Realized (b1, B1): extreme diameter ratios among neighbor pairs."""
-        lo, hi = np.inf, 0.0
-        for i, nbrs in enumerate(self.neighbors):
-            if len(nbrs) == 0:
-                continue
-            r = self.sides[nbrs] / self.sides[i]
-            lo = min(lo, float(r.min()))
-            hi = max(hi, float(r.max()))
-        if not np.isfinite(lo):
-            lo = 1.0
-        return lo, max(hi, 1.0)
+        cube, nbr = self.neighbor_pairs
+        if not len(cube):
+            return 1.0, 1.0
+        r = self.sides[nbr] / self.sides[cube]
+        return float(r.min()), max(float(r.max()), 1.0)
 
 
 def decompose(box, cset: CompactSet, depth_cap: int,
@@ -150,55 +163,60 @@ def decompose(box, cset: CompactSet, depth_cap: int,
         raise ValueError("depth_cap must be at least 1")
 
     root_center = np.array([(lo + hi) / 2.0 for lo, hi in box])
-    root_side = float(sides0[0])
+    side = float(sides0[0])
     sqrt_n = float(np.sqrt(dim))
+    offsets = np.array(list(product((-0.25, 0.25), repeat=dim)))
 
-    acc_centers, acc_sides, col_centers, col_sides = [], [], [], []
-    queue = deque([(root_center, root_side, 0)])
-    offsets = list(product((-0.25, 0.25), repeat=dim))
-    while queue:
-        center, side, depth = queue.popleft()
-        d_cube = _cube_distance(center, side, pts)
+    # one pass per level: the levels in order and the children of each
+    # split cube in offset order are the breadth-first order of the tree
+    acc_centers, acc_sides, acc_dist = [], [], []
+    level = root_center[None, :]
+    for depth in range(depth_cap + 1):
+        d_cube = _cube_distances(level, side, pts)
         diam = side * sqrt_n
-        if d_cube >= diam:
-            if d_cube > 4.0 * diam + 1e-12 * diam:
-                raise InvariantViolation(
-                    f"cube at {center} ({side=}) too far from the set: "
-                    f"{d_cube} > 4 * {diam}")
-            acc_centers.append(center)
-            acc_sides.append(side)
-        elif depth >= depth_cap:
-            col_centers.append(center)
-            col_sides.append(side)
-        else:
-            for off in offsets:
-                queue.append((center + side * np.asarray(off), side / 2.0,
-                              depth + 1))
+        accept = d_cube >= diam
+        far = accept & (d_cube > 4.0 * diam + 1e-12 * diam)
+        if far.any():
+            k = int(np.argmax(far))
+            raise InvariantViolation(
+                f"cube at {level[k]} ({side=}) too far from the set: "
+                f"{float(d_cube[k])} > 4 * {diam}")
+        acc_centers.append(level[accept])
+        acc_sides.append(np.full(np.count_nonzero(accept), side))
+        acc_dist.append(d_cube[accept])
+        if depth == depth_cap:
+            col_centers, col_dist = level[~accept], d_cube[~accept]
+            break
+        level = (level[~accept][:, None, :] + side * offsets).reshape(-1, dim)
+        side = side / 2.0
 
-    centers = np.asarray(acc_centers).reshape(-1, dim)
-    sides = np.asarray(acc_sides, dtype=float)
+    centers = np.concatenate(acc_centers)
+    sides = np.concatenate(acc_sides)
+    cube_dist = np.concatenate(acc_dist)
     n = len(sides)
-    near_pts = np.array([nearest(c, cset) for c in centers]).reshape(n, dim)
+    near_idx = nearest_index(centers, cset)
+    near_pts = pts[near_idx]
     center_dist = np.sqrt(np.sum((centers - near_pts) ** 2, axis=1))
-    cube_dist = np.array([_cube_distance(centers[i], sides[i], pts)
-                          for i in range(n)])
 
+    # neighbors: a gap test of every pair, blocks of cubes against all cubes
     half = sides * (EXPANSION / 2.0)
-    neighbors = []
-    for i in range(n):
-        gap = np.abs(centers - centers[i]) - (half + half[i])[:, None]
-        meet = np.all(gap <= 1e-12 * max(root_side, 1.0), axis=1)
-        meet[i] = False
-        neighbors.append(np.where(meet)[0])
+    tol = 1e-12 * max(float(sides0[0]), 1.0)
+    step = max(1, INCIDENCE_BLOCK // max(1, n))
+    pairs = [np.zeros((2, 0), dtype=np.intp)]
+    for lo in range(0, n, step):
+        meet = True
+        for c in centers.T:
+            gap = np.abs(c - c[lo:lo + step, None]) - (half + half[lo:lo + step, None])
+            meet = meet & (gap <= tol)
+        rows = np.arange(meet.shape[0])
+        meet[rows, lo + rows] = False
+        i, j = np.nonzero(meet)
+        pairs.append(np.stack([lo + i, j]))
+    cube, nbr = np.concatenate(pairs, axis=1)
+    neighbors = np.split(nbr, np.cumsum(np.bincount(cube, minlength=n)))[:-1]
 
-    col_centers = np.asarray(col_centers).reshape(-1, dim)
-    col_sides = np.asarray(col_sides, dtype=float)
-    if len(col_sides):
-        col_d = np.array([_cube_distance(col_centers[i], col_sides[i], pts)
-                          for i in range(len(col_sides))])
-        collar_radius = float(np.max(col_d + col_sides * sqrt_n))
-    else:
-        collar_radius = 0.0
+    col_sides = np.full(len(col_dist), side)
+    collar_radius = float(np.max(col_dist + col_sides * sqrt_n, initial=0.0))
     if min_feature_scale is not None and collar_radius > min_feature_scale:
         raise DepthExhausted(
             f"collar radius {collar_radius:g} exceeds the minimum feature "
@@ -206,8 +224,9 @@ def decompose(box, cset: CompactSet, depth_cap: int,
 
     return CubeDecomposition(dim=dim, box=box, depth_cap=depth_cap,
                              centers=centers, sides=sides,
-                             nearest_points=near_pts, center_dist=center_dist,
-                             cube_dist=cube_dist, neighbors=tuple(neighbors),
+                             nearest_points=near_pts, nearest_idx=near_idx,
+                             center_dist=center_dist, cube_dist=cube_dist,
+                             neighbors=tuple(neighbors), neighbor_pairs=(cube, nbr),
                              collar_centers=col_centers, collar_sides=col_sides,
                              collar_radius=collar_radius, cset=cset)
 
@@ -231,8 +250,6 @@ def cube_diagnostics(dec: CubeDecomposition, samples_per_cube: int = 16,
     half = (dec.sides * EXPANSION / 2.0)[:, None, None]
     xs = dec.centers[:, None, :] + rng.uniform(
         -half, half, size=(dec.n_cubes, samples_per_cube, dec.dim))
-    lex_rank = np.empty(len(pts), dtype=np.intp)
-    lex_rank[np.lexsort(pts.T[::-1])] = np.arange(len(pts))
     d_i = dec.center_dist[:, None]
     diam = dec.diam()[:, None]
     d_i_floor = np.maximum(d_i, 1e-300)
@@ -245,11 +262,8 @@ def cube_diagnostics(dec: CubeDecomposition, samples_per_cube: int = 16,
     for lo in range(0, dec.n_cubes, step):
         block = slice(lo, lo + step)
         x = xs[block]
-        d2 = np.sum((pts - x[:, :, None, :]) ** 2, axis=3)
-        nearest_d2 = d2.min(axis=2)
-        d_x = np.sqrt(nearest_d2)
-        tie_rank = np.where(d2 <= nearest_d2[:, :, None], lex_rank, len(pts))
-        xhat = pts[np.argmin(tie_rank, axis=2)]
+        xhat = pts[nearest_index(x, dec.cset).reshape(x.shape[:2])]
+        d_x = np.sqrt(np.sum((xhat - x) ** 2, axis=2))
         travel = _norms(dec.nearest_points[block, None, :] - x)
         spread = _norms(dec.nearest_points[block, None, :] - xhat)
         d_x_floor = np.maximum(d_x, 1e-300)

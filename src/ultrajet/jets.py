@@ -338,12 +338,6 @@ def taylor_grid(jet: Ultrajet, a_index: int, p: int, alpha, x) -> np.ndarray:
     return (jet.values[a_index, ranks] * inv_fact) @ monomials
 
 
-def taylor(jet: Ultrajet, a, p: int, alpha, x) -> float:
-    """Scalar version of :func:`taylor_grid` with the base point given by value."""
-    a_index = jet.cset.index_of(a)
-    return float(taylor_grid(jet, a_index, p, alpha, x)[0])
-
-
 def remainder(jet: Ultrajet, a, p: int, alpha, b) -> float:
     """Whitney remainder: F^alpha(b) minus the degree-(p-|alpha|) Taylor
     field of F^alpha from a, evaluated at the set point b."""

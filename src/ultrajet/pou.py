@@ -286,6 +286,21 @@ def _complement_bounds(bounds: dict) -> dict:
     return {m: 1.0 if sum(m) == 0 else b for m, b in bounds.items()}
 
 
+def _fold_earlier(tables: dict, factors: dict, group: np.ndarray, multis) -> dict:
+    """Derivative tables of each row's product with the factors of the
+    earlier rows of its group (rows sorted by group): a left Leibniz fold,
+    one pass per rank in the group.  ``tables`` is folded in place."""
+    first = np.searchsorted(group, group)  # each group's first row
+    rank = np.arange(len(group)) - first
+    for t in range(int(rank.max(initial=0))):
+        rows = np.nonzero(rank > t)[0]
+        folded = _leibniz_fold({m: tables[m][rows] for m in multis},
+                               {m: factors[m][first[rows] + t] for m in multis}, multis)
+        for m in multis:
+            tables[m][rows] = folded[m]
+    return tables
+
+
 @dataclass(frozen=True)
 class PartitionOfUnity:
     """Ordered-product partition subordinate to the expanded cubes.
@@ -327,17 +342,7 @@ class PartitionOfUnity:
         multis = multi_indices(dec.dim, up_to)
         phi = _tensor_bump_derivs(self.canonical, pts[point], dec.centers,
                                   dec.sides / 2.0, cube, up_to)
-        fac = _complement(phi)
-        first = np.searchsorted(point, point)  # each point's first pair
-        rank = np.arange(len(point)) - first
-        for t in range(int(rank.max(initial=0))):
-            rows = np.nonzero(rank > t)[0]
-            folded = _leibniz_fold({m: phi[m][rows] for m in multis},
-                                   {m: fac[m][first[rows] + t] for m in multis},
-                                   multis)
-            for m in multis:
-                phi[m][rows] = folded[m]
-        return point, cube, phi
+        return point, cube, _fold_earlier(phi, _complement(phi), point, multis)
 
     def phi_derivs(self, i: int, x, up_to: int) -> dict:
         """All partial derivatives of phi_i with total order <= up_to,
@@ -353,32 +358,44 @@ class PartitionOfUnity:
     def phi(self, i: int, x) -> np.ndarray:
         return self.phi_derivs(i, x, 0)[(0,) * self.dec.dim]
 
-    def phi_bounds(self, i: int, up_to: int) -> dict:
-        """Certified sup bounds for the beta-derivatives of phi_i, |beta| <=
-        up_to: a Leibniz fold of the per-factor central-difference bounds
-        over every earlier neighbor."""
+    def phi_bounds(self, up_to: int) -> dict:
+        """Certified sup bounds for the beta-derivatives of every phi_i,
+        |beta| <= up_to, one entry per cube: a Leibniz fold of the
+        per-factor central-difference bounds over the earlier neighbors of
+        each cube, in ascending order."""
         if up_to > self.order_cap:
             raise OrderCapExceeded(f"order {up_to} exceeds the build cap {self.order_cap}")
-        dim = self.dec.dim
-        psi = [_tensor_bump_bounds(self.canonical, float(self.dec.sides[k]) / 2.0,
-                                   dim, up_to)
-               for k in [i] + [k for k in self.dec.neighbors[i] if k < i]]
-        tab = psi[0]
-        for fac in psi[1:]:
-            tab = _leibniz_fold(tab, _complement_bounds(fac), multi_indices(dim, up_to))
-        return tab
+        dec = self.dec
+        multis = multi_indices(dec.dim, up_to)
+        # one group per cube: its earlier neighbors in ascending order, then itself
+        cube, nbr = dec.neighbor_pairs
+        group = np.concatenate([cube[nbr < cube], np.arange(dec.n_cubes)])
+        member = np.concatenate([nbr[nbr < cube], np.arange(dec.n_cubes)])
+        order = np.lexsort((member, group))
+        group, member = group[order], member[order]
+        # the factor bounds depend on the side alone: one table per level
+        sides, level = np.unique(dec.sides, return_inverse=True)
+        psi = [_tensor_bump_bounds(self.canonical, float(s) / 2.0, dec.dim, up_to)
+               for s in sides]
+
+        def per_row(tables):
+            return {m: np.array([t[m] for t in tables])[level[member]] for m in multis}
+
+        folded = _fold_earlier(per_row(psi), per_row([_complement_bounds(t) for t in psi]),
+                               group, multis)
+        return {m: v[member == group] for m, v in folded.items()}
 
     def phi_bound(self, i: int, beta) -> float:
         """Certified sup bound for the beta-derivative of phi_i."""
-        return float(self.phi_bounds(i, sum(beta))[tuple(beta)])
+        return float(self.phi_bounds(sum(beta))[tuple(beta)][i])
 
     def growth_factor(self, i: int, C: float) -> float:
         """Realized per-cube growth factor G_i: the smallest G with
         (certified bound for d^beta phi_i) <= C^{|beta|+1} M_{|beta|} G for
         every |beta| <= order_cap, where M is the build sequence."""
         M = np.exp(self.seq.logM[: self.order_cap + 1])
-        return max(b / (C ** (sum(m) + 1) * M[sum(m)])
-                   for m, b in self.phi_bounds(i, self.order_cap).items())
+        return max(float(b[i]) / (C ** (sum(m) + 1) * M[sum(m)])
+                   for m, b in self.phi_bounds(self.order_cap).items())
 
     def sum_phi(self, x) -> np.ndarray:
         pts = np.asarray(x, dtype=float).reshape(-1, self.dec.dim)

@@ -54,13 +54,6 @@ def _certify_divergence(values: np.ndarray, growth_min: float = DIVERGENCE_GROWT
     return ok, growth
 
 
-def _fit_power(log_x: np.ndarray, log_y: np.ndarray):
-    """Least-squares fit log_y = log_c + p * log_x; returns (log_c, p)."""
-    a = np.vstack([np.ones_like(log_x), log_x]).T
-    coef, *_ = np.linalg.lstsq(a, log_y, rcond=None)
-    return float(coef[0]), float(coef[1])
-
-
 def _fit_quotient_model(seq: "WeightSequence"):
     """Fit log mu_j = log_c + p log j + q log log j on the last half of the
     range.  The extra slowly-varying term keeps tail estimates honest for

@@ -127,6 +127,7 @@ def test_order_length_must_match_dimension(tmp_path):
     {"name": "w", "preset": "gevrey_dual", "params": {"s": float("nan")}},
     {"name": "w", "preset": "tabulated", "params": {"ts": 3, "values": [0]}},
     {"name": "w", "preset": "power", "params": [0.5]},
+    {"name": "w", "preset": "log_power", "params": {}},  # log_power requires b
 ])
 def test_bad_weight_params_are_config_errors(tmp_path, entry):
     cfg = {"weights": [entry]}
@@ -208,6 +209,23 @@ def test_malformed_values_are_config_errors(tmp_path, cfg, message):
     assert run("check", str(path), str(tmp_path / "out")) == 2
     err = load_report(tmp_path / "out")["errors"][0]
     assert err["kind"] == "config" and message in err["message"]
+
+
+@pytest.mark.parametrize("command, section, value", [
+    ("cubes", "compact_set", 5),
+    ("extend", "extension", None),
+    ("pou", "pou", "x"),
+    ("cubes", "decomposition", 3),
+    ("cubes", "output", 3),
+])
+def test_section_of_wrong_type_is_config_error(tmp_path, command, section, value):
+    cfg = json.loads((CONFIGS / "sin_gevrey2_all.json").read_text())
+    cfg[section] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(command, str(path), str(tmp_path / "out")) == 2
+    err = load_report(tmp_path / "out")["errors"][0]
+    assert err["kind"] == "config" and f"{section} must be an object" in err["message"]
 
 
 def test_csv_columns_keep_per_cell_format(tmp_path):

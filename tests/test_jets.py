@@ -18,7 +18,6 @@ from ultrajet.jets import (
     make_preset,
     multi_indices,
     remainder,
-    taylor,
     taylor_grid,
     zero_jet,
 )
@@ -148,14 +147,14 @@ def test_taylor_exp_degree_one():
     cs = CompactSet.from_points([[0.0]])
     jet = jet_from_preset(Exp(1.0), cs, A_max=4)
     for x in (-0.5, 0.2, 2.0):
-        assert math.isclose(taylor(jet, [0.0], 1, (0,), [x]), 1.0 + x,
+        assert math.isclose(taylor_grid(jet, cs.index_of([0.0]), 1, (0,), [x])[0], 1.0 + x,
                             rel_tol=1e-15)
 
 
 def test_taylor_top_order_constant(pair_1d):
     jet = jet_from_preset(Sin(1.0), pair_1d, A_max=6)
     for x in (-2.0, 0.0, 3.0):
-        v = taylor(jet, [-1.0], 4, (4,), [x])
+        v = taylor_grid(jet, pair_1d.index_of([-1.0]), 4, (4,), [x])[0]
         assert math.isclose(v, jet.value(0, (4,)), rel_tol=1e-15)
 
 
@@ -166,16 +165,16 @@ def test_taylor_reproduces_polynomial(pair_1d):
     for x in rng.uniform(-3.0, 3.0, size=10):
         exact = float(np.polynomial.polynomial.polyval(x, coeffs))
         for p in (3, 4, 6):
-            assert math.isclose(taylor(jet, [1.0], p, (0,), [x]), exact,
-                                rel_tol=1e-12, abs_tol=1e-12)
+            got = taylor_grid(jet, pair_1d.index_of([1.0]), p, (0,), [x])[0]
+            assert math.isclose(got, exact, rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_taylor_order_cap(pair_1d):
     jet = jet_from_preset(Sin(1.0), pair_1d, A_max=4)
     with pytest.raises(OrderCapExceeded):
-        taylor(jet, [1.0], 5, (0,), [0.0])
+        taylor_grid(jet, pair_1d.index_of([1.0]), 5, (0,), [0.0])
     with pytest.raises(OrderCapExceeded):
-        taylor(jet, [1.0], 2, (3,), [0.0])
+        taylor_grid(jet, pair_1d.index_of([1.0]), 2, (3,), [0.0])
 
 
 # -- remainders -------------------------------------------------------------------
@@ -212,7 +211,7 @@ def test_taylor_remainder_consistency(pair_1d):
             for a in ([-1.0], [1.0]):
                 for b in ([-1.0], [1.0]):
                     lhs = jet.value(jet.cset.index_of(b), (alpha,))
-                    tay = taylor(jet, a, p, (alpha,), b)
+                    tay = taylor_grid(jet, jet.cset.index_of(a), p, (alpha,), b)[0]
                     rem = remainder(jet, a, p, (alpha,), b)
                     assert math.isclose(lhs, tay + rem, rel_tol=1e-12,
                                         abs_tol=1e-12)
@@ -223,7 +222,8 @@ def test_taylor_grid_matches_scalar(pair_1d):
     xs = np.linspace(-2.0, 2.0, 7).reshape(-1, 1)
     grid = taylor_grid(jet, 0, 5, (1,), xs)
     for x, g in zip(xs, grid):
-        assert math.isclose(g, taylor(jet, [-1.0], 5, (1,), x), rel_tol=1e-14)
+        assert math.isclose(g, taylor_grid(jet, pair_1d.index_of([-1.0]), 5, (1,), x)[0],
+                            rel_tol=1e-14)
 
 
 # -- certificates ------------------------------------------------------------------

@@ -6,12 +6,17 @@ loops and the per-cube folds over all earlier neighbors, the vectorized
 conjugates of ``fncore`` against one bounded scalar minimisation per point,
 the array tail sum of ``seqcore`` against its per-decade loop, the
 shared row search and log-cap verdict of ``conditions`` against the
-per-pair loops of each check, and the array passes of ``jets.certify``,
+per-pair loops of each check, the array passes of ``jets.certify``,
 the bump stages of ``pou`` and ``geometry.cube_diagnostics`` against their
-per-term, per-piece and per-sample loops, bit for bit."""
+per-term, per-piece and per-sample loops, and the level passes of
+``geometry.decompose``, its nearest-point kernel and the all-cube bounds of
+``extend.derivative_bounds`` against the breadth-first queue, the per-point
+tie scan and the per-cube folds, bit for bit."""
 
 import json
-from dataclasses import replace
+from collections import deque
+from dataclasses import fields, replace
+from itertools import product
 from math import comb, factorial, isfinite, log
 from types import SimpleNamespace
 
@@ -35,10 +40,16 @@ from ultrajet.extend import (
     DegreeSchedule,
     ExtensionField,
     _UnionBump,
-    _taylor_sup_bound,
+    _taylor_sup_bounds,
     derivative_bounds,
 )
-from ultrajet.errors import GridExhausted, InvariantViolation, NotLittleO, UltrajetError
+from ultrajet.errors import (
+    DepthExhausted,
+    GridExhausted,
+    InvariantViolation,
+    NotLittleO,
+    UltrajetError,
+)
 from ultrajet.fncore import (
     GRID_HI,
     WeightMatrix,
@@ -50,7 +61,14 @@ from ultrajet.fncore import (
     weight_matrix,
     young_conjugate_grid,
 )
-from ultrajet.geometry import EXPANSION, cube_diagnostics, decompose, nearest
+from ultrajet.geometry import (
+    EXPANSION,
+    CubeDecomposition,
+    cube_diagnostics,
+    decompose,
+    nearest,
+    nearest_index,
+)
 from ultrajet.jets import (
     CompactSet,
     Sin,
@@ -60,12 +78,21 @@ from ultrajet.jets import (
     _leibniz_fold,
     _leibniz_terms,
     _remainders,
+    _taylor_plan,
     certify,
     jet_from_preset,
     multi_indices,
     taylor_grid,
 )
-from ultrajet.pou import RADII_BUDGET, Bump1D, CanonicalBump, _PiecewisePoly, build_pou
+from ultrajet.pou import (
+    RADII_BUDGET,
+    Bump1D,
+    CanonicalBump,
+    _PiecewisePoly,
+    _complement_bounds,
+    _tensor_bump_bounds,
+    build_pou,
+)
 from ultrajet.seqcore import _model_tail_sum, descendant, gevrey, quotient_power
 
 
@@ -181,9 +208,10 @@ def test_taylor_sup_bound_matches_oracle(case, degree, side):
     field = SimpleNamespace(jet=jet, pou=SimpleNamespace(dec=dec),
                             sched=SimpleNamespace(degrees=np.array([min(degree, jet.A_max)])),
                             anchor_idx=np.array([a_index]))
-    got = _taylor_sup_bound(field, 0, alpha)
+    got = _taylor_sup_bounds(field, [alpha])[alpha][0]
     want = oracle_taylor_sup_bound(field, 0, alpha)
     assert abs(got - want) <= 1e-12 * want
+    assert _bits(got) == _bits(oracle_cube_taylor_bound(field, 0, alpha))
 
 
 @settings(max_examples=100, deadline=None)
@@ -236,14 +264,63 @@ def oracle_phi_derivs(pou, i, pts, up_to):
     return tables
 
 
-def oracle_phi_bound(pou, i, beta):
-    multis = multi_indices(pou.dec.dim, sum(beta))
-    bounds = {m: oracle_psi_bound(pou, i, m) for m in multis}
-    for k in oracle_earlier_neighbors(pou, i):
-        fac = {m: (1.0 if sum(m) == 0 else oracle_psi_bound(pou, k, m))
-               for m in multis}
-        bounds = _leibniz_fold(bounds, fac, multis)
-    return float(bounds[tuple(beta)])
+def oracle_phi_bound(pou, i, beta, memo=None):
+    """The bound table of cube i at order |beta| is kept in ``memo``, when
+    one is given, keyed by (cube, order)."""
+    memo = {} if memo is None else memo
+    key = ("phi_bound", i, sum(beta))
+    if key not in memo:
+        multis = multi_indices(pou.dec.dim, sum(beta))
+        bounds = {m: oracle_psi_bound(pou, i, m) for m in multis}
+        for k in oracle_earlier_neighbors(pou, i):
+            fac = {m: (1.0 if sum(m) == 0 else oracle_psi_bound(pou, k, m))
+                   for m in multis}
+            bounds = _leibniz_fold(bounds, fac, multis)
+        memo[key] = bounds
+    return float(memo[key][tuple(beta)])
+
+
+def oracle_phi_bounds(pou, i, up_to):
+    """The per-cube fold of the partition bounds: cube i's tensor bump
+    bounds folded over the complement bounds of each earlier neighbor."""
+    dim = pou.dec.dim
+    psi = [_tensor_bump_bounds(pou.canonical, float(pou.dec.sides[k]) / 2.0, dim, up_to)
+           for k in [i] + [k for k in pou.dec.neighbors[i] if k < i]]
+    tab = psi[0]
+    for fac in psi[1:]:
+        tab = _leibniz_fold(tab, _complement_bounds(fac), multi_indices(dim, up_to))
+    return tab
+
+
+def oracle_cube_taylor_bound(field, i, beta):
+    """Sup bound of |d^beta T_i| over Q_i*, one cube and one beta per call."""
+    jet = field.jet
+    dec = field.pou.dec
+    p_i = int(field.sched.degrees[i])
+    if sum(beta) > p_i:
+        return 0.0
+    anchor = dec.nearest_points[i]
+    half = dec.sides[i] * EXPANSION / 2.0
+    corners = np.array(np.meshgrid(*[[-half, half]] * dec.dim)).T.reshape(-1, dec.dim)
+    r_max = float(np.max(np.linalg.norm(dec.centers[i] + corners - anchor, axis=1)))
+    ranks, _, inv_fact, order = _taylor_plan(dec.dim, tuple(beta), p_i - sum(beta))
+    coef = np.abs(jet.values[int(field.anchor_idx[i]), ranks]) * inv_fact
+    return float(coef @ r_max ** order)
+
+
+def oracle_cube_derivative_bounds(field, up_to):
+    """derivative_bounds as a fold per cube, then the max over cubes."""
+    dec = field.pou.dec
+    multis = multi_indices(dec.dim, up_to)
+    per_cube = [_leibniz_fold({beta: oracle_cube_taylor_bound(field, i, beta)
+                               for beta in multis},
+                              oracle_phi_bounds(field.pou, i, up_to), multis)
+                for i in range(dec.n_cubes)]
+    overlap = dec.max_overlap() + 1
+    out = {m: overlap * max([0.0] + [t[m] for t in per_cube]) for m in multis}
+    if field.cutoff is not None:
+        out = _leibniz_fold(out, field.cutoff.bounds(up_to), multis)
+    return out
 
 
 def oracle_mask(dec, i, pts, expansion=EXPANSION):
@@ -311,7 +388,8 @@ def oracle_union_bound(cutoff, m):
     return 1.0 if sum(m) == 0 else float(prod[tuple(m)])
 
 
-def oracle_cube_sum(field, pts, alpha):
+def oracle_cube_sum(field, pts, alpha, memo):
+    """``memo`` keeps the partition tables at pts by (cube, order)."""
     dec = field.pou.dec
     out = np.zeros(len(pts))
     for i in range(dec.n_cubes):
@@ -319,7 +397,10 @@ def oracle_cube_sum(field, pts, alpha):
         if not np.any(mask):
             continue
         sub = pts[mask]
-        tables = oracle_phi_derivs(field.pou, i, sub, sum(alpha))
+        key = ("phi", i, sum(alpha))
+        if key not in memo:
+            memo[key] = oracle_phi_derivs(field.pou, i, sub, sum(alpha))
+        tables = memo[key]
         acc = np.zeros(len(sub))
         p_i = int(field.sched.degrees[i])
         for beta, gamma, coef in _leibniz_terms(alpha):
@@ -330,21 +411,23 @@ def oracle_cube_sum(field, pts, alpha):
     return out
 
 
-def oracle_derivative_grid(field, pts, alpha):
+def oracle_derivative_grid(field, pts, alpha, memo):
+    """``memo`` is one dict per field and pts, shared across alphas."""
     if field.cutoff is None:
-        out = oracle_cube_sum(field, pts, alpha)
+        out = oracle_cube_sum(field, pts, alpha, memo)
     else:
         cut = oracle_union_derivs(field.cutoff, pts, sum(alpha))
         out = np.zeros(len(pts))
         for beta, gamma, coef in _leibniz_terms(alpha):
-            out += coef * cut[gamma] * oracle_cube_sum(field, pts, beta)
+            out += coef * cut[gamma] * oracle_cube_sum(field, pts, beta, memo)
     on_set = field.point_flags(pts)["on_set"]
     for k in np.where(on_set)[0]:
         out[k] = field.jet.value(field.jet.cset.index_of(pts[k]), alpha)
     return out
 
 
-def oracle_derivative_bounds(field, up_to):
+def oracle_derivative_bounds(field, up_to, memo):
+    """``memo`` is one dict per field."""
     dec = field.pou.dec
     multis = multi_indices(dec.dim, up_to)
     overlap = dec.max_overlap() + 1
@@ -354,8 +437,10 @@ def oracle_derivative_bounds(field, up_to):
         for i in range(dec.n_cubes):
             acc = 0.0
             for beta, gamma, coef in _leibniz_terms(m):
-                acc += (coef * oracle_phi_bound(field.pou, i, gamma)
-                        * _taylor_sup_bound(field, i, beta))
+                if ("taylor", i, beta) not in memo:
+                    memo["taylor", i, beta] = oracle_cube_taylor_bound(field, i, beta)
+                acc += (coef * oracle_phi_bound(field.pou, i, gamma, memo)
+                        * memo["taylor", i, beta])
             per_point_max = max(per_point_max, acc)
         out[m] = overlap * per_point_max
     if field.cutoff is not None:
@@ -429,13 +514,28 @@ def test_partition_and_incidence_equal_oracle(case):
 @given(field_cases())
 def test_extension_sums_equal_oracle(case):
     field, up_to, x = case
+    memo = {}
     for alpha in multi_indices(field.jet.cset.dim, up_to):
         assert np.array_equal(field.derivative_grid(x, alpha),
-                              oracle_derivative_grid(field, x, alpha))
+                              oracle_derivative_grid(field, x, alpha, memo))
     got = derivative_bounds(field, up_to)
-    want = oracle_derivative_bounds(field, up_to)
+    want = oracle_derivative_bounds(field, up_to, {})
     assert got.keys() == want.keys()
     assert all(abs(got[m] - want[m]) <= 1e-14 * want[m] for m in want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(field_cases())
+def test_derivative_bounds_bitwise_equal_per_cube_fold(case):
+    field, up_to, _ = case
+    got = derivative_bounds(field, up_to)
+    want = oracle_cube_derivative_bounds(field, up_to)
+    assert got.keys() == want.keys()
+    assert all(_bits(got[m]) == _bits(want[m]) for m in want)
+    tables = field.pou.phi_bounds(up_to)
+    for i in range(field.pou.dec.n_cubes):
+        per_cube = oracle_phi_bounds(field.pou, i, up_to)
+        assert all(_bits(tables[m][i]) == _bits(per_cube[m]) for m in per_cube)
 
 
 # -- certification, bump stages and cube diagnostics: the per-term loops ----------
@@ -681,6 +781,168 @@ def test_cube_diagnostics_equal_oracle(case):
     got = cube_diagnostics(dec, samples, seed)
     assert got.keys() == want.keys()
     assert all(_bits(got[k]) == _bits(want[k]) for k in want)
+
+
+# -- the Whitney cover: the breadth-first loop and the per-point nearest scan -------
+
+def oracle_nearest(x, cset):
+    x = np.asarray(x, dtype=float).reshape(-1)
+    d2 = np.sum((cset.points - x) ** 2, axis=1)
+    ties = np.where(d2 <= d2.min())[0]
+    return cset.points[ties[np.lexsort(cset.points[ties].T[::-1])[0]]].copy()
+
+
+def oracle_cube_distance(center, side, pts):
+    clamped = np.clip(pts, center - side / 2.0, center + side / 2.0)
+    return float(np.sqrt(np.sum((pts - clamped) ** 2, axis=1).min()))
+
+
+def oracle_decompose(box, cset, depth_cap, min_feature_scale=None):
+    """One cube per iteration of a breadth-first queue; neighbors by one gap
+    test per cube; distances recomputed per cube."""
+    dim = cset.dim
+    box = tuple((float(lo), float(hi)) for lo, hi in box)
+    pts = cset.points
+    root_side = box[0][1] - box[0][0]
+    sqrt_n = float(np.sqrt(dim))
+    acc_centers, acc_sides, col_centers, col_sides = [], [], [], []
+    queue = deque([(np.array([(lo + hi) / 2.0 for lo, hi in box]), root_side, 0)])
+    offsets = list(product((-0.25, 0.25), repeat=dim))
+    while queue:
+        center, side, depth = queue.popleft()
+        d_cube = oracle_cube_distance(center, side, pts)
+        diam = side * sqrt_n
+        if d_cube >= diam:
+            if d_cube > 4.0 * diam + 1e-12 * diam:
+                raise InvariantViolation(
+                    f"cube at {center} ({side=}) too far from the set: "
+                    f"{d_cube} > 4 * {diam}")
+            acc_centers.append(center)
+            acc_sides.append(side)
+        elif depth >= depth_cap:
+            col_centers.append(center)
+            col_sides.append(side)
+        else:
+            for off in offsets:
+                queue.append((center + side * np.asarray(off), side / 2.0, depth + 1))
+    centers = np.asarray(acc_centers).reshape(-1, dim)
+    sides = np.asarray(acc_sides, dtype=float)
+    n = len(sides)
+    near_pts = np.array([oracle_nearest(c, cset) for c in centers]).reshape(n, dim)
+    near_idx = np.array([np.nonzero(np.all(pts == a, axis=1))[0][0] for a in near_pts],
+                        dtype=np.intp)
+    center_dist = np.sqrt(np.sum((centers - near_pts) ** 2, axis=1))
+    cube_dist = np.array([oracle_cube_distance(c, s, pts) for c, s in zip(centers, sides)])
+    half = sides * (EXPANSION / 2.0)
+    neighbors = []
+    for i in range(n):
+        gap = np.abs(centers - centers[i]) - (half + half[i])[:, None]
+        meet = np.all(gap <= 1e-12 * max(root_side, 1.0), axis=1)
+        meet[i] = False
+        neighbors.append(np.where(meet)[0])
+    col_centers = np.asarray(col_centers).reshape(-1, dim)
+    col_sides = np.asarray(col_sides, dtype=float)
+    collar_radius = 0.0
+    if len(col_sides):
+        col_d = np.array([oracle_cube_distance(col_centers[i], col_sides[i], pts)
+                          for i in range(len(col_sides))])
+        collar_radius = float(np.max(col_d + col_sides * sqrt_n))
+    if min_feature_scale is not None and collar_radius > min_feature_scale:
+        raise DepthExhausted(
+            f"collar radius {collar_radius:g} exceeds the minimum feature "
+            f"scale {min_feature_scale:g} at depth {depth_cap}")
+    return CubeDecomposition(dim=dim, box=box, depth_cap=depth_cap, centers=centers,
+                             sides=sides, nearest_points=near_pts, nearest_idx=near_idx,
+                             center_dist=center_dist, cube_dist=cube_dist,
+                             neighbors=tuple(neighbors),
+                             neighbor_pairs=(
+                                 np.repeat(np.arange(n), [len(k) for k in neighbors]),
+                                 np.concatenate([np.zeros(0, np.intp), *neighbors])),
+                             collar_centers=col_centers,
+                             collar_sides=col_sides, collar_radius=collar_radius, cset=cset)
+
+
+def _same_array(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+
+
+@st.composite
+def set_cases(draw):
+    """1-5 distinct points in [-1, 1]^d, d = 1-3, rounded to 0-2 digits, at
+    times moved onto a face of the box, a depth cap from 1 and at times a
+    minimum feature scale."""
+    dim = draw(st.sampled_from((1, 2, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pts = np.round(rng.uniform(-1.0, 1.0, size=(draw(st.integers(1, 5)), dim)),
+                   draw(st.integers(0, 2)))
+    if draw(st.booleans()):
+        pts[0, draw(st.integers(0, dim - 1))] = draw(st.sampled_from((-1.0, 1.0)))
+    box = ((-1.0, 1.0),) * dim
+    scale = draw(st.one_of(st.none(), st.floats(0.01, 2.0)))
+    return box, CompactSet(np.unique(pts, axis=0), box), draw(
+        st.integers(1, (8, 5, 3)[dim - 1])), scale
+
+
+SQUARE = ((-1.0, 1.0),) * 2
+ONE_POINT_2D = (SQUARE, CompactSet(np.array([[0.25, -0.5]]), SQUARE), 4, None)
+FACES_3D = (((-1.0, 1.0),) * 3, CompactSet(np.array([[-1.0, 0.0, 1.0], [1.0, 1.0, -1.0]]),
+                                           ((-1.0, 1.0),) * 3), 2, None)
+EXHAUSTED = (((-1.0, 1.0),), CompactSet(np.array([[0.0], [0.5]]), ((-1.0, 1.0),)), 1, 0.1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(set_cases())
+@example(ONE_POINT_2D)
+@example(FACES_3D)
+@example(EXHAUSTED)
+def test_decompose_bitwise_equals_oracle(case):
+    box, cset, depth_cap, scale = case
+    try:
+        want = oracle_decompose(box, cset, depth_cap, min_feature_scale=scale)
+    except DepthExhausted as exc:
+        with pytest.raises(DepthExhausted) as got:
+            decompose(box, cset, depth_cap, min_feature_scale=scale)
+        assert str(got.value) == str(exc)
+        return
+    got = decompose(box, cset, depth_cap, min_feature_scale=scale)
+    for f in fields(CubeDecomposition):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name in ("neighbors", "neighbor_pairs"):
+            assert len(a) == len(b)
+            assert all(_same_array(x, y) for x, y in zip(a, b))
+        elif isinstance(b, np.ndarray):
+            assert _same_array(a, b), f.name
+        else:
+            assert a == b and type(a) is type(b), f.name
+    assert (got.max_overlap(), got.neighbor_diam_ratios()) == (
+        want.max_overlap(), oracle_neighbor_diam_ratios(want))
+
+
+def oracle_neighbor_diam_ratios(dec):
+    lo, hi = np.inf, 0.0
+    for i, nbrs in enumerate(dec.neighbors):
+        if len(nbrs) == 0:
+            continue
+        r = dec.sides[nbrs] / dec.sides[i]
+        lo = min(lo, float(r.min()))
+        hi = max(hi, float(r.max()))
+    if not np.isfinite(lo):
+        lo = 1.0
+    return lo, max(hi, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((1, 2, 3)), st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
+def test_nearest_index_breaks_ties_like_oracle(dim, seed, n):
+    # integer points and half-integer queries: many equidistant pairs
+    rng = np.random.default_rng(seed)
+    pts = np.unique(rng.integers(-2, 3, size=(n, dim)).astype(float), axis=0)
+    cset = CompactSet(pts, ((-3.0, 3.0),) * dim)
+    x = rng.integers(-6, 7, size=(40, dim)) / 2.0
+    want = np.array([oracle_nearest(q, cset) for q in x])
+    assert np.array_equal(cset.points[nearest_index(x, cset)], want)
+    assert all(np.array_equal(nearest(q, cset), w) for q, w in zip(x[:5], want))
 
 
 # -- conjugates and the model tail sum: the scalar loops ---------------------------
