@@ -3,9 +3,12 @@
 One JSON config drives every pipeline.  Validation is strict (unknown keys
 rejected) and all defaults are materialized into the config echoed at the
 top of the report, so a report always contains everything needed for an
-exact rerun.  Reports are written with a fixed key order and shortest
-round-trip float serialization; reruns with the same config produce
-byte-identical output.
+exact rerun.  Each weight preset, sequence generator, jet kind and check
+is one row of one table below, with its parameters, the entry settings it
+takes and its builder, and each setting of a section is one spec with its
+test and its default: a run builds exactly what validation passed.
+Reports are written with a fixed key order and shortest round-trip float
+serialization; reruns with the same config produce byte-identical output.
 
 Exit codes: 0 all requested verdicts/invariants pass, 1 a verdict or
 invariant failed (or --strict turned a finite-range warning into a
@@ -28,6 +31,7 @@ from . import conditions, extend as extmod, fncore, geometry, jets, pou as poumo
 from .errors import ConfigError, UltrajetError
 
 SCHEMA_VERSION = 1
+_UNSET = object()  # the default of a spec without one
 
 
 def _is_real(v) -> bool:
@@ -35,16 +39,23 @@ def _is_real(v) -> bool:
 
 
 class _Spec(NamedTuple):
-    """What a config value must be, its test, and whether its key may be
-    left out (the code then takes a default)."""
+    """What a config value must be, its test, whether its key may be left
+    out, and the default that the echo then records (unset: the library
+    takes its own)."""
 
     text: str
     ok: Callable
     optional: bool = False
+    default: object = _UNSET
 
 
 def _optional(spec: _Spec) -> _Spec:
     return spec._replace(optional=True)
+
+
+def _default(value, spec: _Spec | None = None) -> _Spec:
+    """``spec`` (any value when None) with ``value`` as its default."""
+    return (spec or _ANY)._replace(optional=True, default=value)
 
 
 def _real_in(lo: float, hi: float) -> _Spec:
@@ -52,15 +63,16 @@ def _real_in(lo: float, hi: float) -> _Spec:
     return _Spec(f"a real number in ({lo:g}, {top}", lambda v: _is_real(v) and lo < v <= hi)
 
 
-def _int_at_least(lo: int) -> _Spec:
-    return _Spec(f"an integer >= {lo}",
-                 lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= lo)
+def _int_in(lo: int, hi: float = inf) -> _Spec:
+    return _Spec(f"an integer >= {lo}" if hi == inf else f"an integer in [{lo}, {hi}]",
+                 lambda v: isinstance(v, int) and not isinstance(v, bool) and lo <= v <= hi)
 
 
 def _or_null(spec: _Spec) -> _Spec:
     return _Spec(f"{spec.text} or null", lambda v: v is None or spec.ok(v))
 
 
+_ANY = _Spec("anything", lambda v: True)
 _INT = _Spec("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
 _REAL = _Spec("a real number", _is_real)
 _POSITIVE = _real_in(0.0, inf)
@@ -70,29 +82,63 @@ _LIST = _Spec("a list", lambda v: isinstance(v, list))
 _OBJECT = _Spec("an object", lambda v: isinstance(v, dict))
 _PARTS = _Spec("a non-empty list", lambda v: isinstance(v, list) and len(v) > 0)
 
-# parameters by preset
+
+class _Kind(NamedTuple):
+    """One row of a kind table: the specs of the kind's parameters, its
+    builder, and the entry settings besides name, kind and params that it
+    takes.  A weight or sequence is built as ``build(context, name,
+    **params, **settings)``; a jet kind's builder is its ``jets`` class."""
+
+    params: dict
+    build: Callable
+    settings: tuple = ()
+
+
+def _calls(f) -> Callable:
+    """A builder that hands the params and settings to ``f`` unchanged."""
+    return lambda ctx, name, **kw: f(**kw)
+
+
 _WEIGHT_PRESETS = {
-    "power": {"alpha": _real_in(0.0, 1.0)},
-    "log_power": {"b": _POSITIVE, "scale": _optional(_POSITIVE)},
-    "gevrey_dual": {"s": _POSITIVE},
-    "omega_of_sequence": {"sequence": _STR},
-    "tabulated": {"ts": _LIST, "values": _LIST},
+    "power": _Kind({"alpha": _real_in(0.0, 1.0)}, _calls(fncore.power), ("normalized",)),
+    "log_power": _Kind({"b": _POSITIVE, "scale": _optional(_POSITIVE)},
+                       _calls(fncore.log_power)),
+    "gevrey_dual": _Kind({"s": _POSITIVE}, _calls(fncore.gevrey_dual), ("normalized",)),
+    "omega_of_sequence": _Kind({"sequence": _STR}, lambda ctx, name, sequence:
+                               fncore.omega_of_sequence(ctx.sequence(sequence))),
+    "tabulated": _Kind({"ts": _LIST, "values": _LIST}, lambda ctx, name, **kw:
+                       fncore.tabulated(**kw, label=name)),
 }
+# a mu_table is as long as its table and a descendant as its source, so
+# only the two generated families take a K_max
 _SEQ_GENERATORS = {
-    "gevrey": {"s": _POSITIVE},
-    "quotient_power": {"p": _REAL, "scale": _optional(_POSITIVE)},
-    "mu_table": {"mu": _LIST},
-    "descendant_of": {"sequence": _STR},
+    "gevrey": _Kind({"s": _POSITIVE}, _calls(seqcore.gevrey), ("K_max",)),
+    "quotient_power": _Kind({"p": _REAL, "scale": _optional(_POSITIVE)},
+                            _calls(seqcore.quotient_power), ("K_max",)),
+    "mu_table": _Kind({"mu": _LIST}, lambda ctx, name, mu:
+                      seqcore.from_mu(mu, label=name)),
+    "descendant_of": _Kind({"sequence": _STR}, lambda ctx, name, sequence:
+                           seqcore.descendant(ctx.sequence(sequence))),
 }
-_JET_PRESETS = {
-    "sin": {"a": _optional(_REAL), "b": _optional(_REAL)}, "exp": {"a": _optional(_REAL)},
-    "runge": {"c": _optional(_REAL)},
-    "poly": {"coeffs": _Spec("a list of real numbers",
-                             lambda v: isinstance(v, list) and all(map(_is_real, v)))},
-    "product": {"factors": _PARTS}, "sum": {"terms": _PARTS}, "tensor": {"axes": _PARTS},
+# the two named lists: the key that picks an entry's row, the rows, and
+# the specs of the entry settings that rows may take
+_ENTRIES = {
+    "weights": ("preset", _WEIGHT_PRESETS, {"normalized": _optional(_BOOL)}),
+    "sequences": ("generator", _SEQ_GENERATORS, {"K_max": _optional(_int_in(1))}),
+}
+# a jet kind's parameters left out take the defaults of its class
+_JET_KINDS = {
+    "sin": _Kind({"a": _optional(_REAL), "b": _optional(_REAL)}, jets.Sin),
+    "exp": _Kind({"a": _optional(_REAL)}, jets.Exp),
+    "runge": _Kind({"c": _optional(_REAL)}, jets.Runge),
+    "poly": _Kind({"coeffs": _Spec("a list of real numbers", lambda v: isinstance(
+        v, list) and all(map(_is_real, v)))}, jets.Poly),
+    "product": _Kind({"factors": _PARTS}, jets.Product1D),
+    "sum": _Kind({"terms": _PARTS}, jets.Sum1D),
+    "tensor": _Kind({"axes": _PARTS}, jets.Tensor),
 }
 # check -> (function, its arguments in order as (config key, _Context
-# resolver)); chain also takes an optional "x", default 1.0
+# resolver)); chain also takes an "x"
 _CHECKS = {
     "heir": (conditions.check_heir, (("omega", "weight"), ("sigma", "weight"))),
     "strong": (conditions.check_strong, (("weight", "weight"),)),
@@ -108,163 +154,151 @@ _CHECKS = {
     "descendant": (conditions.check_descendant, (("sequence", "sequence"),)),
     "chain": (conditions.resolve_chain, (("weight", "matrix"),)),
 }
-_CHECK_PARAMS = {name: {key: _STR for key, _ in args}
+_CHECK_PARAMS = {name: {"check": _STR, **{key: _STR for key, _ in args}}
                  for name, (_, args) in _CHECKS.items()}
-_CHECK_PARAMS["chain"]["x"] = _optional(_REAL)
+_CHECK_PARAMS["chain"]["x"] = _default(1.0, _REAL)
 
-_DEFAULTS = {
-    "schema_version": SCHEMA_VERSION,
-    "seed": 0,
-    "K_max": 128,
-    "x_grid": {"min_pow": -4, "max_pow": 6},
-    "weights": [],
-    "sequences": [],
-    "compact_set": None,
-    "jet": None,
-    "decomposition": {"depth_cap": 12, "min_feature_scale": None},
-    "pou": {"delta": None, "order_cap": 4, "sequence": None},
-    "extension": {
-        "L_guard": 64.0,
-        "orders": [0, 1, 2],
-        "approach_scales": [2.0 ** -k for k in range(3, 9)],
-        "schedule": "single",
-        "source_sequence": None,
-        "target_sequence": None,
-        "growth_orders": None,
-        "grid_points": 800,
-        "cutoff_radius": None,
-        "chain_x": 1.0,
-    },
-    "checks": [],
-    "output": {"csv": True},
+# the top level in echo order; a section left out is {} (every setting at
+# its default) or, for the two that have settings without one, null
+_TOP = {
+    "schema_version": _default(SCHEMA_VERSION, _Spec(
+        f"schema version {SCHEMA_VERSION}", lambda v: _INT.ok(v) and v == SCHEMA_VERSION)),
+    "seed": _default(0, _int_in(0)), "K_max": _default(128, _int_in(1)),
+    "x_grid": _default({}), "weights": _default([]), "sequences": _default([]),
+    "compact_set": _default(None), "jet": _default(None),
+    "decomposition": _default({}), "pou": _default({}), "extension": _default({}),
+    "checks": _default([]), "output": _default({}),
 }
-
-
-# the settings of the top level ("") and of the object sections and list
-# entries
-_SETTINGS = {
-    "": {"seed": _int_at_least(0), "K_max": _int_at_least(1)},
-    "x_grid": {"min_pow": _INT, "max_pow": _INT},
-    "decomposition": {"depth_cap": _int_at_least(1),
-                      "min_feature_scale": _or_null(_POSITIVE)},
-    "pou": {"delta": _or_null(_POSITIVE), "order_cap": _int_at_least(0),
-            "sequence": _or_null(_STR)},
-    "extension": {
-        "L_guard": _Spec("a real number >= 1", lambda v: _is_real(v) and v >= 1),
-        "approach_scales": _Spec("a list of real numbers > 0", lambda v: isinstance(
-            v, list) and all(map(_POSITIVE.ok, v))),
-        "schedule": _STR, "source_sequence": _or_null(_STR),
-        "target_sequence": _or_null(_STR), "growth_orders": _or_null(_int_at_least(0)),
-        "grid_points": _int_at_least(1), "cutoff_radius": _or_null(_POSITIVE),
-        "chain_x": _REAL},
-    "output": {"csv": _BOOL},
+# the settings of each object section
+_SECTIONS = {
+    "x_grid": {"min_pow": _default(-4, _INT), "max_pow": _default(6, _INT)},
     "compact_set": {"points": _LIST, "box": _optional(_or_null(_Spec(
         "a list of [lo, hi] pairs", lambda v: isinstance(v, list) and all(
             isinstance(b, list) and len(b) == 2 and all(map(_is_real, b)) for b in v))))},
-    "jet": {"preset": _OBJECT, "A_max": _int_at_least(0), "rho": _POSITIVE,
-            "P_max": _int_at_least(0), "source_sequence": _STR},
-    "weights": {"name": _STR, "preset": _STR, "params": _optional(_OBJECT),
-                "normalized": _optional(_BOOL)},
-    "sequences": {"name": _STR, "generator": _STR, "params": _optional(_OBJECT),
-                  "K_max": _optional(_int_at_least(1))},
+    # P_max, left out, is A_max: the one default derived from another
+    "jet": {"preset": _OBJECT, "A_max": _default(jets.DEFAULT_A_MAX, _int_in(0)),
+            "rho": _default(1.0, _POSITIVE), "source_sequence": _STR,
+            "P_max": _optional(_int_in(0))},
+    "decomposition": {"depth_cap": _default(12, _int_in(1)),
+                      "min_feature_scale": _default(None, _or_null(_POSITIVE))},
+    # a bump build takes 4x longer per +2 of order_cap: 1.3 s at 12
+    "pou": {"delta": _default(None, _or_null(_POSITIVE)),
+            "order_cap": _default(4, _int_in(0, 12)),
+            "sequence": _default(None, _or_null(_STR))},
+    "extension": {
+        "L_guard": _default(64.0, _Spec("a real number >= 1",
+                                        lambda v: _is_real(v) and v >= 1)),
+        "orders": _default([0, 1, 2]),  # checked for verify (_validate_orders)
+        "approach_scales": _default([2.0 ** -k for k in range(3, 9)], _Spec(
+            "a list of real numbers > 0",
+            lambda v: isinstance(v, list) and all(map(_POSITIVE.ok, v)))),
+        "schedule": _default("single", _STR),
+        "source_sequence": _default(None, _or_null(_STR)),
+        "target_sequence": _default(None, _or_null(_STR)),
+        "growth_orders": _default(None, _or_null(_int_in(0))),
+        "grid_points": _default(800, _int_in(1)),
+        "cutoff_radius": _default(None, _or_null(_POSITIVE)),
+        "chain_x": _default(1.0, _REAL)},
+    "output": {"csv": _default(True, _BOOL)},
 }
 
 
-def _check_values(d: dict, specs: dict, where: str):
-    for key, spec in specs.items():
-        if key in d and not spec.ok(d[key]):
-            raise ConfigError(f"{where}{key} = {d[key]!r}: not {spec.text}")
-
-
-def _reject_unknown(d: dict, allowed, where: str):
-    unknown = set(d) - set(allowed)
+def _settled(given, specs: dict, where: str) -> dict:
+    """``given`` checked against its specs (an object, no unknown key, none
+    missing that has to be given, every value passing its test), as a new
+    object in table order with the defaults filled in."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"{where} must be an object")
+    unknown = set(given) - set(specs)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-
-
-def _merged(defaults: dict, given: dict, where: str) -> dict:
-    _reject_unknown(given, defaults, where)
-    out = {}
-    for k, dv in defaults.items():
-        if isinstance(dv, dict) and isinstance(given.get(k), dict):
-            out[k] = _merged(dv, given[k], f"{where}.{k}")
-        elif k in given:
-            out[k] = given[k]
-        else:
-            out[k] = dv
-    return out
+    missing = sorted(k for k, s in specs.items() if not (s.optional or k in given))
+    if missing:
+        raise ConfigError(f"{where}: missing {missing[0]!r}")
+    for key, spec in specs.items():
+        if key in given and not spec.ok(given[key]):
+            raise ConfigError(f"{where}.{key} = {given[key]!r}: not {spec.text}")
+    return {k: given[k] if k in given else s.default for k, s in specs.items()
+            if k in given or s.default is not _UNSET}
 
 
 def validate_config(raw: dict, command: str | None = None) -> dict:
-    """Strict validation with default materialization; the sections that
+    """The config settled by the tables above.  A section is an object or
+    null, and a null one fails where a command needs it; the sections that
     only ``command`` reads are checked when it is given."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    cfg = _merged(_DEFAULTS, raw, "config")
-    if cfg["schema_version"] != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {cfg['schema_version']!r}")
-    _check_values(cfg, _SETTINGS[""], "")
-    for key in ("x_grid", "decomposition", "pou", "extension", "output"):
-        if isinstance(cfg[key], dict):  # other types fail where a command reads them
-            _check_values(cfg[key], _SETTINGS[key], f"{key}.")
+    cfg = _settled(raw, _TOP, "config")
+    for name, specs in _SECTIONS.items():
+        if cfg[name] is not None:
+            cfg[name] = _settled(cfg[name], specs, name)
     for key in ("weights", "sequences", "checks"):
         if not (isinstance(cfg[key], list)
                 and all(isinstance(e, dict) for e in cfg[key])):
             raise ConfigError(f"{key} must be a list of objects")
-    for key, kind, table in (("weights", "preset", _WEIGHT_PRESETS),
-                             ("sequences", "generator", _SEQ_GENERATORS)):
-        for e in cfg[key]:
-            _validate_params(e, _SETTINGS[key], f"{key}[]")
-            if e[kind] not in table:
-                raise ConfigError(f"unknown {key[:-1]} {kind} {e[kind]!r}")
-            _validate_params(e.get("params", {}), table[e[kind]],
-                             f"{key}[{e['name']}].params")
-    if cfg["compact_set"] is not None:
-        _validate_params(cfg["compact_set"], _SETTINGS["compact_set"], "compact_set")
-    if cfg["jet"] is not None:
-        jet = _section(cfg, "jet")
-        jet.setdefault("A_max", 12)
-        jet.setdefault("rho", 1.0)
-        jet.setdefault("P_max", jet["A_max"])
-        _validate_params(jet, _SETTINGS["jet"], "jet")
-        preset = jet["preset"]
-        _validate_jet_preset(preset)
-        if cfg["compact_set"] is not None:
-            n_axes = len(preset["axes"]) if preset["kind"] == "tensor" else 1
-            dim = _points(cfg["compact_set"]).shape[1]
-            if n_axes != dim:
-                raise ConfigError(f"jet.preset has {n_axes} axes but the "
-                                  f"compact_set points have dimension {dim}")
-        if _run_verify in _PIPELINES.get(command, ()):
-            dim = (None if cfg["compact_set"] is None
-                   else _points(cfg["compact_set"]).shape[1])
-            _validate_orders(cfg["extension"], cfg["jet"]["A_max"], dim)
+    for key in _ENTRIES:
+        cfg[key] = [_settled_entry(e, key) for e in cfg[key]]
     for c in cfg["checks"]:
         if not isinstance(c.get("check"), str) or c["check"] not in _CHECK_PARAMS:
             raise ConfigError(f"unknown check entry {c!r}")
-        _validate_params({k: v for k, v in c.items() if k != "check"},
-                         _CHECK_PARAMS[c["check"]], f"checks[{c['check']}]")
+    cfg["checks"] = [_settled(c, _CHECK_PARAMS[c["check"]], f"checks[{c['check']}]")
+                     for c in cfg["checks"]]
+    jet = cfg["jet"]
+    if jet is not None:
+        if "P_max" not in jet:
+            jet["P_max"] = jet["A_max"]
+        preset = _jet_preset(jet["preset"])
+        n_axes = len(preset.axes) if isinstance(preset, jets.Tensor) else 1
+        cs = cfg["compact_set"]
+        dim = None if cs is None else _points(cs).shape[1]
+        if dim is not None and n_axes != dim:
+            raise ConfigError(f"jet.preset has {n_axes} axes but the "
+                              f"compact_set points have dimension {dim}")
+        if _run_verify in _PIPELINES.get(command, ()):
+            _validate_orders(cfg["extension"], jet["A_max"], dim)
     return cfg
+
+
+def _settled_entry(entry: dict, key: str) -> dict:
+    """A weight or sequence entry settled: its row's params, and only the
+    entry settings that the row takes."""
+    kind, table, settings = _ENTRIES[key]
+    entry = _settled(entry, {"name": _STR, kind: _STR, "params": _default({}, _OBJECT),
+                             **settings}, f"{key}[]")
+    row = table.get(entry[kind])
+    if row is None:
+        raise ConfigError(f"unknown {key[:-1]} {kind} {entry[kind]!r}")
+    where = f"{key}[{entry['name']}]"
+    for s in settings:
+        if s in entry and s not in row.settings:
+            raise ConfigError(f"{where}: {kind} {entry[kind]!r} takes no {s!r}")
+    entry["params"] = _settled(entry["params"], row.params, f"{where}.params")
+    return entry
+
+
+def _jet_preset(spec, top: bool = True):
+    """The ``jets`` preset that ``spec`` describes, built by its kind's row
+    once the row's checks pass; a tensor is allowed only at the top."""
+    if not (isinstance(spec, dict) and isinstance(spec.get("kind"), str)
+            and spec["kind"] in _JET_KINDS):
+        raise ConfigError(f"jet.preset {spec!r}: not an object with a known kind")
+    if spec["kind"] == "tensor" and not top:
+        raise ConfigError("a tensor jet preset is allowed only at the top level")
+    row = _JET_KINDS[spec["kind"]]
+    params = _settled({k: v for k, v in spec.items() if k != "kind"}, row.params,
+                      f"jet.preset[{spec['kind']}]")
+    if _PARTS in row.params.values():  # product, sum, tensor: one list of parts
+        (parts,) = params.values()
+        return row.build(*(_jet_preset(sub, top=False) for sub in parts))
+    return row.build(**params)
 
 
 def _section(cfg: dict, name: str) -> dict:
     """The config section ``name``, read where a pipeline needs it: a
-    ConfigError unless it is an object."""
-    if not isinstance(cfg[name], dict):
-        raise ConfigError(f"{name} must be an object, not {cfg[name]!r}")
+    ConfigError if it is null."""
+    if cfg[name] is None:
+        raise ConfigError(f"{name} must be an object, not None")
     return cfg[name]
-
-
-def _validate_params(params, spec: dict, where: str):
-    """An object against its spec: no unknown keys, every key present but
-    the optional ones, every value passing its test."""
-    if not isinstance(params, dict):
-        raise ConfigError(f"{where} must be an object")
-    _reject_unknown(params, spec, where)
-    missing = sorted(k for k, s in spec.items() if not (s.optional or k in params))
-    if missing:
-        raise ConfigError(f"{where}: missing {missing[0]!r}")
-    _check_values(params, spec, f"{where}.")
 
 
 def _validate_orders(extension, A_max: int, dim: int | None):
@@ -285,20 +319,6 @@ def _validate_orders(extension, A_max: int, dim: int | None):
                               f"for points of dimension {dim}")
 
 
-def _validate_jet_preset(spec):
-    if not (isinstance(spec, dict) and isinstance(spec.get("kind"), str)
-            and spec["kind"] in _JET_PRESETS):
-        raise ConfigError(f"jet.preset {spec!r}: not an object with a known kind")
-    _validate_params({k: v for k, v in spec.items() if k != "kind"},
-                     _JET_PRESETS[spec["kind"]], f"jet.preset[{spec['kind']}]")
-    for key in ("factors", "terms", "axes"):
-        for sub in spec.get(key, []):
-            _validate_jet_preset(sub)
-            if sub["kind"] == "tensor":
-                raise ConfigError("a tensor jet preset is allowed only at "
-                                  "the top level")
-
-
 def _points(compact_set: dict) -> np.ndarray:
     """The compact_set points as an (n, dim) array; a flat list is 1D."""
     try:
@@ -315,8 +335,8 @@ class _Context:
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
-        self._weights: dict = {}
-        self._seqs: dict = {}
+        self._named = {"weights": {}, "sequences": {}}
+        self._building: set = set()
         self._matrices: dict = {}
         self._dec = None
         self._pou = None
@@ -327,55 +347,35 @@ class _Context:
         return tuple(2.0 ** j for j in range(g["min_pow"], g["max_pow"] + 1))
 
     def sequence(self, name: str) -> seqcore.WeightSequence:
-        if name not in self._seqs:
-            entry = next((s for s in self.cfg["sequences"] if s["name"] == name),
-                         None)
-            if entry is None:
-                raise ConfigError(f"sequence {name!r} not defined")
-            params = entry.get("params", {})
-            k_max = entry.get("K_max", self.cfg["K_max"])
-            gen = entry["generator"]
-            try:
-                if gen == "gevrey":
-                    seq = seqcore.gevrey(params["s"], K_max=k_max)
-                elif gen == "quotient_power":
-                    seq = seqcore.quotient_power(params["p"], K_max=k_max,
-                                                 scale=params.get("scale", 1.0))
-                elif gen == "mu_table":
-                    seq = seqcore.from_mu(params["mu"], label=name)
-                else:
-                    seq = seqcore.descendant(self.sequence(params["sequence"]))
-            except ValueError as exc:
-                raise ConfigError(f"sequence {name!r}: {exc}") from None
-            seq.label = name
-            self._seqs[name] = seq
-        return self._seqs[name]
+        return self._entry("sequences", name)
 
     def weight(self, name: str) -> fncore.WeightFunction:
-        if name not in self._weights:
-            entry = next((w for w in self.cfg["weights"] if w["name"] == name),
-                         None)
+        return self._entry("weights", name)
+
+    def _entry(self, key: str, name: str):
+        """The weight or sequence ``name``, built once by its row from the
+        entry's params and the entry settings that the row takes."""
+        built, noun = self._named[key], key[:-1]
+        if (key, name) in self._building:
+            raise ConfigError(f"{noun} {name!r} is defined through itself")
+        if name not in built:
+            entry = next((e for e in self.cfg[key] if e["name"] == name), None)
             if entry is None:
-                raise ConfigError(f"weight {name!r} not defined")
-            params = entry.get("params", {})
-            preset = entry["preset"]
-            normalized = entry.get("normalized", True)
+                raise ConfigError(f"{noun} {name!r} not defined")
+            kind, table, _ = _ENTRIES[key]
+            row = table[entry[kind]]
+            settings = {s: entry[s] for s in row.settings if s in entry}
+            if "K_max" in row.settings:  # by default as long as the config's tables
+                settings.setdefault("K_max", self.cfg["K_max"])
+            self._building.add((key, name))
             try:
-                if preset == "power":
-                    fn = fncore.power(params["alpha"], normalized=normalized)
-                elif preset == "log_power":
-                    fn = fncore.log_power(params["b"], scale=params.get("scale", 1.0))
-                elif preset == "gevrey_dual":
-                    fn = fncore.gevrey_dual(params["s"], normalized=normalized)
-                elif preset == "omega_of_sequence":
-                    fn = fncore.omega_of_sequence(self.sequence(params["sequence"]))
-                else:
-                    fn = fncore.tabulated(params["ts"], params["values"], label=name)
+                built[name] = row.build(self, name, **entry["params"], **settings)
             except ValueError as exc:
-                raise ConfigError(f"weight {name!r}: {exc}") from None
-            fn.label = name
-            self._weights[name] = fn
-        return self._weights[name]
+                raise ConfigError(f"{noun} {name!r}: {exc}") from None
+            finally:
+                self._building.discard((key, name))
+            built[name].label = name
+        return built[name]
 
     def matrix(self, weight_name: str) -> fncore.WeightMatrix:
         if weight_name not in self._matrices:
@@ -403,8 +403,8 @@ class _Context:
         jc = self.cfg["jet"]
         if jc is None:
             raise ConfigError("jet section required for this command")
-        preset = jets.make_preset(jc["preset"])
-        jet = jets.jet_from_preset(preset, self.compact_set(), A_max=jc["A_max"])
+        jet = jets.jet_from_preset(_jet_preset(jc["preset"]), self.compact_set(),
+                                   A_max=jc["A_max"])
         seq = self.sequence(jc["source_sequence"])
         cert = jets.certify(jet, seq, rho=jc["rho"], P_max=jc["P_max"])
         return jet.with_certificate(cert)
@@ -515,7 +515,7 @@ def _run_check(ctx: _Context, report: dict, out: Path) -> int:
         try:
             args = [getattr(ctx, resolve)(entry[key]) for key, resolve in params]
             if kind == "chain":
-                cert = check(*args, entry.get("x", 1.0))
+                cert = check(*args, entry["x"])
                 refined = conditions.verify_chain(*args, cert, refine=10)
                 report["certificates"].append(
                     {"kind": "chain", "weight": entry["weight"],

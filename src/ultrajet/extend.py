@@ -171,10 +171,13 @@ class ExtensionField:
     def L(self) -> float:
         return self.sched.L
 
+    def _nearest(self, pts) -> tuple:
+        """Index of and distance to the nearest set point of each row."""
+        near = nearest_index(pts, self.jet.cset)
+        return near, np.sqrt(((pts - self.jet.cset.points[near]) ** 2).sum(-1))
+
     def point_flags(self, x) -> dict:
-        pts = np.asarray(x, dtype=float).reshape(-1, self.jet.cset.dim)
-        e = self.jet.cset.points
-        d = np.sqrt(((pts[:, None, :] - e[None, :, :]) ** 2).sum(-1)).min(1)
+        _, d = self._nearest(np.asarray(x, dtype=float).reshape(-1, self.jet.cset.dim))
         return {"on_set": d < 1e-12,
                 "collar": (d >= 1e-12) & (d <= self.pou.dec.collar_radius)}
 
@@ -193,8 +196,10 @@ class ExtensionField:
             out = np.zeros(len(pts))
             for beta, gamma, coef in _leibniz_terms(alpha):
                 out += coef * cut[gamma] * self._cube_sum(pts, beta, pairs)
-        for k in np.nonzero(self.point_flags(pts)["on_set"])[0]:
-            out[k] = self.jet.value(self.jet.cset.index_of(pts[k]), alpha)
+        near, d = self._nearest(pts)
+        on_set = d < 1e-12
+        if np.any(on_set):
+            out[on_set] = self.jet.values[near[on_set], self.jet.rank(alpha)]
         return out
 
     def _cube_sum(self, pts, alpha, pairs) -> np.ndarray:

@@ -44,15 +44,15 @@ def nearest_index(x, cset: CompactSet) -> np.ndarray:
     """Index of the Euclidean-nearest set point of each row of x; ties go
     to the lexicographically smallest point.  Blocks of rows meet every
     point, at most INCIDENCE_BLOCK pairs per block."""
-    pts = cset.points
     x = np.asarray(x, dtype=float).reshape(-1, cset.dim)
-    lex_rank = np.argsort(np.lexsort(pts.T[::-1]))
+    # points in lexicographic order, so that argmin's first minimum breaks ties
+    lex = np.lexsort(cset.points.T[::-1])
+    pts = cset.points[lex]
     out = np.empty(len(x), dtype=np.intp)
     step = max(1, INCIDENCE_BLOCK // len(pts))
     for lo in range(0, len(x), step):
         d2 = np.sum((pts - x[lo:lo + step, None, :]) ** 2, axis=2)
-        tie_rank = np.where(d2 <= d2.min(axis=1, keepdims=True), lex_rank, len(pts))
-        out[lo:lo + step] = np.argmin(tie_rank, axis=1)
+        out[lo:lo + step] = lex[np.argmin(d2, axis=1)]
     return out
 
 

@@ -226,26 +226,6 @@ class Tensor:
         return out
 
 
-def make_preset(spec: dict):
-    """Build a preset from a config dictionary."""
-    kind = spec.get("kind")
-    if kind == "sin":
-        return Sin(spec.get("a", 1.0), spec.get("b", 0.0))
-    if kind == "exp":
-        return Exp(spec.get("a", 1.0))
-    if kind == "poly":
-        return Poly(spec["coeffs"])
-    if kind == "runge":
-        return Runge(spec.get("c", 1.0))
-    if kind == "product":
-        return Product1D(*[make_preset(s) for s in spec["factors"]])
-    if kind == "sum":
-        return Sum1D(*[make_preset(s) for s in spec["terms"]])
-    if kind == "tensor":
-        return Tensor(*[make_preset(s) for s in spec["axes"]])
-    raise ValueError(f"unknown preset kind {kind!r}")
-
-
 # -- the jet table ----------------------------------------------------------------
 
 @dataclass(frozen=True)

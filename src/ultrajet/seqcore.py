@@ -212,7 +212,13 @@ class WeightSequence:
         self.flags["strongly_log_convex"] = bool(
             self.flags["log_convex"] and np.all(np.diff(m_quot) >= -tol))
 
-        self.flags["non_quasianalytic"], p_fit, tail = self._nonqa_certificate()
+        # summability of sum 1/mu_k, with a fitted slowly-varying power tail
+        # beyond K_max: mu_j modelled as c j^p (log j)^q on the last half
+        log_c, p_fit, q_fit = _fit_quotient_model(self)
+        ok, tail = False, float("inf")
+        if p_fit > 1.0 - TAIL_EXPONENT_MARGIN:
+            ok, tail = _model_tail_sum(log_c, p_fit, q_fit, self.K_max + 0.5)
+        self.flags["non_quasianalytic"] = ok
         self.witnesses["nonqa_tail_exponent"] = p_fit
         self.witnesses["nonqa_tail_estimate"] = tail
 
@@ -222,26 +228,19 @@ class WeightSequence:
         self.flags["moderate_growth"] = bool(
             self.flags["weight_sequence"] and c_mg <= 40.0 * log(2.0))
 
-    def _nonqa_certificate(self):
-        """Summability of sum 1/mu_k, with a fitted slowly-varying power tail
-        beyond K_max: mu_j modelled as c j^p (log j)^q on the last half."""
-        log_c, p, q = _fit_quotient_model(self)
-        if p <= 1.0 - TAIL_EXPONENT_MARGIN:
-            return False, p, float("inf")
-        ok, tail = _model_tail_sum(log_c, p, q, self.K_max + 0.5)
-        return ok, p, tail
-
     # -- tail machinery ----------------------------------------------------
 
     def quotient_tail_sums(self, tail_beyond: float | None = None) -> np.ndarray:
         """Suffix sums T_k = sum_{j>=k} 1/mu_j for k = 1..K_max, including an
-        estimated (or caller-supplied) tail beyond the stored range.
+        estimated (or caller-supplied) tail beyond the stored range.  The
+        estimate is the tail certificate computed at construction.
 
         Raises TailUnbounded when no certified tail bound exists.
         """
         if tail_beyond is None:
-            ok, p, tail_beyond = self._nonqa_certificate()
-            if not ok:
+            p = self.witnesses["nonqa_tail_exponent"]
+            tail_beyond = self.witnesses["nonqa_tail_estimate"]
+            if not self.flags["non_quasianalytic"]:
                 p_min = 1.0 - TAIL_EXPONENT_MARGIN
                 why = (f"fitted quotient exponent {p:.3f} <= {p_min:g}" if p <= p_min
                        else f"model tail sum at fitted exponent {p:.3f} does not converge")

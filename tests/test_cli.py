@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,11 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ultrajet.cli import _write_csv, main, run, validate_config
+from ultrajet import cli, pou
+from ultrajet.cli import _jet_preset, _write_csv, main, run, validate_config
 from ultrajet.errors import ConfigError
+from ultrajet.jets import CompactSet, jet_from_preset
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
+SRC = ROOT / "src"
 
 
 def load_report(out):
@@ -150,6 +155,106 @@ def test_bad_sequence_params_are_config_errors():
                                     "params": {"p": -0.5}}]})
 
 
+@pytest.mark.parametrize("command, entry", [
+    ("fn", {"name": "w", "preset": "log_power", "params": {"b": 2.0},
+            "normalized": False}),
+    ("fn", {"name": "w", "preset": "omega_of_sequence", "params": {"sequence": "S"},
+            "normalized": False}),
+    ("fn", {"name": "w", "preset": "tabulated", "normalized": True,
+            "params": {"ts": [1.0, 2.0], "values": [0.0, 1.0]}}),
+    ("seq", {"name": "T", "generator": "mu_table", "params": {"mu": [1.0] * 21},
+             "K_max": 5}),
+    ("seq", {"name": "T", "generator": "descendant_of", "params": {"sequence": "S"},
+             "K_max": 7}),
+])
+def test_entry_setting_the_row_does_not_take_is_config_error(tmp_path, command, entry):
+    key = "weights" if "preset" in entry else "sequences"
+    setting = "normalized" if key == "weights" else "K_max"
+    cfg = {"sequences": [{"name": "S", "generator": "gevrey", "params": {"s": 1.0},
+                          "K_max": 40}], key: [entry]}
+    if key == "sequences":
+        cfg["sequences"].append(entry)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(command, str(path), str(tmp_path / "out")) == 2
+    err = load_report(tmp_path / "out")["errors"][0]
+    assert err["kind"] == "config" and repr(setting) in err["message"]
+    assert repr(entry.get("preset", entry.get("generator"))) in err["message"]
+
+
+@pytest.mark.parametrize("order_cap", [13, 20])
+def test_order_cap_above_12_is_config_error_before_any_bump(tmp_path, monkeypatch,
+                                                             order_cap):
+    def no_bump(*args, **kwargs):
+        raise AssertionError("a bump was built")
+
+    monkeypatch.setattr(pou, "_canonical_for", no_bump)
+    monkeypatch.setattr(pou, "build_pou", no_bump)
+    cfg = json.loads((CONFIGS / "sin_gevrey2_all.json").read_text())
+    cfg["pou"]["order_cap"] = 12
+    validate_config(cfg, "pou")
+    cfg["pou"]["order_cap"] = order_cap
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run("pou", str(path), str(tmp_path / "out")) == 2
+    err = load_report(tmp_path / "out")["errors"][0]
+    assert err["kind"] == "config" and "pou.order_cap" in err["message"]
+
+
+@pytest.mark.parametrize("sequences", [
+    [{"name": "S", "generator": "descendant_of", "params": {"sequence": "S"}}],
+    [{"name": "A", "generator": "descendant_of", "params": {"sequence": "B"}},
+     {"name": "B", "generator": "descendant_of", "params": {"sequence": "A"}}],
+])
+def test_sequence_defined_through_itself_is_config_error(tmp_path, sequences):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"sequences": sequences}))
+    assert run("seq", str(path), str(tmp_path / "out")) == 2
+    err = load_report(tmp_path / "out")["errors"][0]
+    assert err["kind"] == "config" and "defined through itself" in err["message"]
+
+
+def test_jet_preset_tensor_has_one_axis_per_entry():
+    spec = {"kind": "tensor", "axes": [{"kind": "sin"}, {"kind": "exp"},
+                                       {"kind": "runge"}]}
+    assert len(_jet_preset(spec).axes) == 3
+
+
+def test_jet_preset_round_trip():
+    spec = {"kind": "product", "factors": [{"kind": "runge", "c": 2.0},
+                                           {"kind": "poly", "coeffs": [0.0, 1.0]}]}
+    jet = jet_from_preset(_jet_preset(spec), CompactSet.from_points([[0.0]]), A_max=3)
+    # x/(1+2x^2) has derivative 1 at 0
+    assert math.isclose(jet.value(0, (1,)), 1.0, rel_tol=1e-12)
+    # parameters left out take the class defaults
+    sin = _jet_preset({"kind": "sin"})
+    assert (sin.a, sin.b) == (1.0, 0.0)
+
+
+def _readme_items(marker: str) -> dict:
+    """The items name{params} [settings] that the README schema block lists
+    after ``marker``; the list runs on while a line ends with a comma."""
+    block = (ROOT / "README.md").read_text().split("### Config schema")[1]
+    lines = iter(block.splitlines())
+    text = next(line for line in lines if f"// {marker}" in line).split(marker, 1)[1]
+    while not text.strip() or text.rstrip().endswith(","):
+        text += next(lines).strip().lstrip("/")
+    return {name: (params.split(", ") if params else [],
+                   settings.split(", ") if settings else [])
+            for name, params, settings
+            in re.findall(r"(\w+)\{([^}]*)\}(?: \[([^\]]*)\])?", text)}
+
+
+@pytest.mark.parametrize("marker, table", [
+    ("presets, as name{params} [entry settings it takes]:", cli._WEIGHT_PRESETS),
+    ("generators:", cli._SEQ_GENERATORS),
+    ("preset kinds:", cli._JET_KINDS),
+])
+def test_readme_schema_lists_the_rows_of_each_table(marker, table):
+    assert _readme_items(marker) == {
+        name: (list(row.params), list(row.settings)) for name, row in table.items()}
+
+
 def test_library_value_error_while_building_is_config_error(tmp_path):
     # parameters that pass the schema but that the constructors refuse
     cfg = {"weights": [{"name": "w", "preset": "tabulated",
@@ -202,6 +307,7 @@ _W = [{"name": "w", "preset": "power", "params": {"alpha": 0.5}}]
     ({"weights": _W, "checks": [{"check": "chain", "weight": "w", "x": "abc"}]},
      "checks[chain].x = 'abc'"),
     ({"weights": _W, "extension": {"chain_x": "abc"}}, "extension.chain_x = 'abc'"),
+    ({"schema_version": True}, "config.schema_version = True"),
 ])
 def test_malformed_values_are_config_errors(tmp_path, cfg, message):
     path = tmp_path / "cfg.json"
@@ -217,6 +323,7 @@ def test_malformed_values_are_config_errors(tmp_path, cfg, message):
     ("pou", "pou", "x"),
     ("cubes", "decomposition", 3),
     ("cubes", "output", 3),
+    ("seq", "x_grid", "x"),  # a section that the command does not read
 ])
 def test_section_of_wrong_type_is_config_error(tmp_path, command, section, value):
     cfg = json.loads((CONFIGS / "sin_gevrey2_all.json").read_text())

@@ -15,7 +15,6 @@ from ultrajet.jets import (
     Tensor,
     certify,
     jet_from_preset,
-    make_preset,
     multi_indices,
     remainder,
     taylor_grid,
@@ -126,19 +125,6 @@ def test_preset_dimension_must_match_set():
         jet_from_preset(Tensor(Exp(1.0), Sin(1.0)), CompactSet.from_points([[0.0]]))
     with pytest.raises(ValueError):
         jet_from_preset(Sin(1.0), CompactSet.from_points([[0.0, 0.0]]))
-    spec = {"kind": "tensor", "axes": [{"kind": "sin"}, {"kind": "exp"},
-                                       {"kind": "runge"}]}
-    assert len(make_preset(spec).axes) == 3
-
-
-def test_make_preset_round_trip():
-    spec = {"kind": "product", "factors": [{"kind": "runge", "c": 2.0},
-                                           {"kind": "poly", "coeffs": [0.0, 1.0]}]}
-    p = make_preset(spec)
-    cs = CompactSet.from_points([[0.0]])
-    jet = jet_from_preset(p, cs, A_max=3)
-    # x/(1+2x^2) has derivative 1 at 0
-    assert math.isclose(jet.value(0, (1,)), 1.0, rel_tol=1e-12)
 
 
 # -- Taylor fields ---------------------------------------------------------------

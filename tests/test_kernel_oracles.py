@@ -48,6 +48,7 @@ from ultrajet.errors import (
     GridExhausted,
     InvariantViolation,
     NotLittleO,
+    TailUnbounded,
     UltrajetError,
 )
 from ultrajet.fncore import (
@@ -93,7 +94,15 @@ from ultrajet.pou import (
     _tensor_bump_bounds,
     build_pou,
 )
-from ultrajet.seqcore import _model_tail_sum, descendant, gevrey, quotient_power
+from ultrajet.seqcore import (
+    TAIL_EXPONENT_MARGIN,
+    _fit_quotient_model,
+    _model_tail_sum,
+    descendant,
+    from_mu,
+    gevrey,
+    quotient_power,
+)
 
 
 # -- reference implementations (1D and 2D only) ----------------------------------
@@ -536,6 +545,33 @@ def test_derivative_bounds_bitwise_equal_per_cube_fold(case):
     for i in range(field.pou.dec.n_cubes):
         per_cube = oracle_phi_bounds(field.pou, i, up_to)
         assert all(_bits(tables[m][i]) == _bits(per_cube[m]) for m in per_cube)
+
+
+def oracle_point_flags(field, pts):
+    """The flags from the all-pairs (points x set points x dim) distances."""
+    e = field.jet.cset.points
+    d = np.sqrt(((pts[:, None, :] - e[None, :, :]) ** 2).sum(-1)).min(1)
+    return {"on_set": d < 1e-12,
+            "collar": (d >= 1e-12) & (d <= field.pou.dec.collar_radius)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(field_cases())
+def test_point_flags_and_on_set_values_equal_oracle(case):
+    # queries exactly on, 1e-13 off (on the set too) and 1e-11 off (not)
+    # every set point, then the random samples
+    field, up_to, x = case
+    pts = field.jet.cset.points
+    n = len(pts)
+    q = np.concatenate([pts, pts + 1e-13, pts - 1e-11, x])
+    want = oracle_point_flags(field, q)
+    got = field.point_flags(q)
+    assert all(np.array_equal(got[k], want[k]) for k in want)
+    assert want["on_set"][:2 * n].all() and not want["on_set"][2 * n:3 * n].any()
+    for alpha in multi_indices(field.jet.cset.dim, up_to):
+        values = field.derivative_grid(q, alpha)
+        for k in np.flatnonzero(want["on_set"]):
+            assert values[k] == field.jet.value(field.jet.cset.index_of(q[k]), alpha)
 
 
 # -- certification, bump stages and cube diagnostics: the per-term loops ----------
@@ -1073,6 +1109,40 @@ def test_model_tail_sum_bitwise_equals_oracle(log_c, p, q, k0, max_decades):
     with np.errstate(over="ignore"):
         old = oracle_model_tail_sum(log_c, p, q, k0, max_decades)
     assert _model_tail_sum(log_c, p, q, k0, max_decades) == old
+
+
+def oracle_quotient_tail_sums(seq):
+    """The suffix sums with the tail model refitted on every call."""
+    log_c, p, q = _fit_quotient_model(seq)
+    p_min = 1.0 - TAIL_EXPONENT_MARGIN
+    ok, tail = (False, float("inf")) if p <= p_min else _model_tail_sum(
+        log_c, p, q, seq.K_max + 0.5)
+    if not ok:
+        why = (f"fitted quotient exponent {p:.3f} <= {p_min:g}" if p <= p_min
+               else f"model tail sum at fitted exponent {p:.3f} does not converge")
+        raise TailUnbounded(f"{seq.label or 'sequence'}: {why}, "
+                            "tail sum not certified finite")
+    inv = np.exp(-seq.log_mu[1:])
+    return np.cumsum(inv[::-1])[::-1] + tail
+
+
+@pytest.mark.parametrize("seq", [
+    gevrey(1.0), gevrey(0.25, K_max=40), quotient_power(2.0, scale=3.0),
+    quotient_power(1.2, K_max=300), descendant(gevrey(1.0)),
+    from_mu([1.0] + [k * np.log(k + 2.0) ** 2 for k in range(1, 129)], label="L"),
+    quotient_power(0.5), quotient_power(1.0, label="H"),  # TailUnbounded, both ways
+], ids=lambda seq: f"{seq.label or 'sequence'}-{seq.K_max}")
+def test_quotient_tail_sums_equal_refit(seq):
+    try:
+        want = oracle_quotient_tail_sums(seq)
+    except TailUnbounded as exc:
+        with pytest.raises(TailUnbounded) as got:
+            seq.quotient_tail_sums()
+        assert str(got.value) == str(exc)
+    else:
+        assert np.array_equal(seq.quotient_tail_sums(), want)
+    assert np.array_equal(seq.quotient_tail_sums(tail_beyond=0.5),
+                          np.cumsum(np.exp(-seq.log_mu[1:])[::-1])[::-1] + 0.5)
 
 
 # -- condition checks: the per-pair row searches ------------------------------------
