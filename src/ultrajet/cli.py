@@ -255,7 +255,9 @@ def validate_config(raw: dict, command: str | None = None) -> dict:
             raise ConfigError(f"jet.preset has {n_axes} axes but the "
                               f"compact_set points have dimension {dim}")
         if _run_verify in _PIPELINES.get(command, ()):
-            _validate_orders(cfg["extension"], jet["A_max"], dim)
+            pou = cfg["pou"]
+            _validate_orders(cfg["extension"], jet["A_max"], dim,
+                             None if pou is None else pou["order_cap"])
     return cfg
 
 
@@ -301,9 +303,11 @@ def _section(cfg: dict, name: str) -> dict:
     return cfg[name]
 
 
-def _validate_orders(extension, A_max: int, dim: int | None):
+def _validate_orders(extension, A_max: int, dim: int | None, order_cap: int | None):
     """Each verified order is an int or int list of degree <= A_max, with
-    one entry per coordinate of the points (an int counts as one)."""
+    one entry per coordinate of the points (an int counts as one).  The
+    verified orders and ``growth_orders`` stay within pou.order_cap, the
+    highest order of the partition's derivative tables."""
     orders = extension.get("orders") if isinstance(extension, dict) else None
     if not isinstance(orders, list) or not orders:
         raise ConfigError("extension.orders must be a non-empty list")
@@ -314,9 +318,16 @@ def _validate_orders(extension, A_max: int, dim: int | None):
             raise ConfigError(f"extension.orders {entry!r}: not an order")
         if sum(axes) > A_max:
             raise ConfigError(f"extension.orders {entry}: degree above jet.A_max")
+        if order_cap is not None and sum(axes) > order_cap:
+            raise ConfigError(f"extension.orders {entry}: degree above "
+                              f"pou.order_cap {order_cap}")
         if dim is not None and len(axes) != dim:
             raise ConfigError(f"extension.orders {entry}: {len(axes)} entries "
                               f"for points of dimension {dim}")
+    growth = extension["growth_orders"]
+    if order_cap is not None and growth is not None and growth > order_cap:
+        raise ConfigError(f"extension.growth_orders {growth}: above "
+                          f"pou.order_cap {order_cap}")
 
 
 def _points(compact_set: dict) -> np.ndarray:

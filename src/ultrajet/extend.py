@@ -28,14 +28,20 @@ import numpy as np
 from .conditions import ChainCertificate, check_almost_increasing
 from .errors import IncompatibleGeometry, RangeExhausted
 from .fncore import WeightMatrix
-from .geometry import CubeDecomposition, EXPANSION, box_grid, nearest_index
+from .geometry import (
+    EXPANSION,
+    INCIDENCE_BLOCK,
+    CubeDecomposition,
+    box_grid,
+    nearest_index,
+)
 from .jets import (
     Ultrajet,
     _leibniz_fold,
     _leibniz_terms,
+    _taylor_dots,
     _taylor_plan,
     multi_indices,
-    taylor_grid,
 )
 from .pou import (
     CanonicalBump,
@@ -182,44 +188,83 @@ class ExtensionField:
                 "collar": (d >= 1e-12) & (d <= self.pou.dec.collar_radius)}
 
     def derivative_grid(self, x, alpha) -> np.ndarray:
-        """d^alpha f on an array of points; exact Leibniz combination of
-        partition and Taylor-field derivatives.  Values on the set are the
-        stored jet values; collar points evaluate through the same sum and
-        should be read together with point_flags."""
+        """d^alpha f on an array of points: :meth:`derivative_grids` for
+        the one order."""
         alpha = tuple(alpha)
+        return self.derivative_grids(x, [alpha])[alpha]
+
+    def derivative_grids(self, x, alphas) -> dict:
+        """d^alpha f on an array of points for every alpha of ``alphas``;
+        exact Leibniz combination of partition and Taylor-field
+        derivatives.  Values on the set are the stored jet values; collar
+        points evaluate through the same sum and should be read together
+        with point_flags."""
+        return self._grids(x, alphas)[0]
+
+    def _grids(self, x, alphas) -> tuple:
+        """:meth:`derivative_grids` and the cube of each incident pair.  The
+        partition tables, the cutoff tables, the nearest set points and the
+        Taylor sums of each beta are taken once for all the orders."""
+        alphas = [tuple(a) for a in alphas]
+        top = max((sum(a) for a in alphas), default=0)
         pts = np.asarray(x, dtype=float).reshape(-1, self.pou.dec.dim)
-        pairs = self.pou.pair_derivs(pts, sum(alpha))
-        if self.cutoff is None:
-            out = self._cube_sum(pts, alpha, pairs)
-        else:
-            cut = self.cutoff.derivs(pts, sum(alpha))
-            out = np.zeros(len(pts))
+        point, cube, tables = self.pou.pair_derivs(pts, top)
+        taylor = {}
+
+        def cube_sum(alpha):
+            """d^alpha of sum_i phi_i T_i over the pairs, without the cutoff
+            and the on-set values: the Leibniz terms in beta order, then
+            each point's pairs in ascending cube order."""
+            acc = np.zeros(len(point))
             for beta, gamma, coef in _leibniz_terms(alpha):
-                out += coef * cut[gamma] * self._cube_sum(pts, beta, pairs)
+                if beta not in taylor:
+                    taylor[beta] = self._pair_taylor(pts, point, cube, beta)
+                rows, t = taylor[beta]
+                acc[rows] += coef * tables[gamma][rows] * t
+            # bincount adds in pair order, so each point's cubes ascend; it
+            # counts in ints when there is no pair
+            out = np.bincount(point, weights=acc, minlength=len(pts))
+            return out.astype(float, copy=False)
+
+        if self.cutoff is None:
+            out = {alpha: cube_sum(alpha) for alpha in alphas}
+        else:
+            cut = self.cutoff.derivs(pts, top)
+            sums, out = {}, {}
+            for alpha in alphas:
+                acc = np.zeros(len(pts))
+                for beta, gamma, coef in _leibniz_terms(alpha):
+                    if beta not in sums:
+                        sums[beta] = cube_sum(beta)
+                    acc += coef * cut[gamma] * sums[beta]
+                out[alpha] = acc
         near, d = self._nearest(pts)
         on_set = d < 1e-12
         if np.any(on_set):
-            out[on_set] = self.jet.values[near[on_set], self.jet.rank(alpha)]
-        return out
+            for alpha, values in out.items():
+                values[on_set] = self.jet.values[near[on_set], self.jet.rank(alpha)]
+        return out, cube
 
-    def _cube_sum(self, pts, alpha, pairs) -> np.ndarray:
-        """d^alpha of sum_i phi_i T_i over the cubes hit, in cube order,
-        without the cutoff and without the on-set values.  ``pairs`` is the
-        partition's ``pair_derivs`` of pts, up to at least |alpha|."""
-        point, cube, tables = pairs
-        out = np.zeros(len(pts))
-        by_cube = np.argsort(cube, kind="stable")
-        hit, starts = np.unique(cube[by_cube], return_index=True)
-        for i, rows in zip(hit, np.split(by_cube, starts[1:])):
-            sub = pts[point[rows]]
-            acc = np.zeros(len(rows))
-            p_i = int(self.sched.degrees[i])
-            for beta, gamma, coef in _leibniz_terms(alpha):
-                if sum(beta) <= p_i:
-                    acc += coef * tables[gamma][rows] * taylor_grid(
-                        self.jet, int(self.anchor_idx[i]), p_i, beta, sub)
-            out[point[rows]] += acc
-        return out
+    def _pair_taylor(self, pts, point, cube, beta) -> tuple:
+        """d^beta T_cube at pts[point], for the (point, cube) pairs whose
+        degree p_cube is at least |beta|: those pairs and their sums.
+        The pairs of one Taylor degree share a plan; each sum is one dot, in
+        blocks of at most INCIDENCE_BLOCK (pair x term) entries."""
+        jet = self.jet
+        q_of = self.sched.degrees[cube] - sum(beta)
+        sums = np.empty(len(cube))
+        for q in np.unique(q_of[q_of >= 0]).tolist():
+            ranks, exponents, inv_fact, _ = _taylor_plan(jet.cset.dim, beta, q)
+            group = np.flatnonzero(q_of == q)
+            step = max(1, INCIDENCE_BLOCK // len(ranks))
+            for lo in range(0, len(group), step):
+                g = group[lo:lo + step]
+                anchor = self.anchor_idx[cube[g]]
+                dx = pts[point[g]] - jet.cset.points[anchor]
+                coef = jet.values[anchor[:, None], ranks] * inv_fact
+                sums[g] = _taylor_dots(coef, dx, exponents, q)
+        rows = np.flatnonzero(q_of >= 0)
+        return rows, sums[rows]
 
     def value(self, x) -> np.ndarray:
         return self.derivative_grid(x, (0,) * self.jet.cset.dim)
@@ -316,6 +361,34 @@ def _approach_points(cset, d: float, box) -> np.ndarray:
     return pts[keep]
 
 
+def _taylor_bounds(field: ExtensionField, target_seq: WeightSequence,
+                   approach) -> dict:
+    """Realized constants of the two Taylor-field bounds at the approach
+    points: per scale, the degree p = 2 gamma_bar(L d) and every alpha with
+    |alpha| <= min(p, 4), one array pass per (scale, alpha) with one dot
+    per point.  Each constant is the largest ratio; NaN never counts."""
+    jet, L = field.jet, field.L
+    s_all = np.exp(target_seq.logM[: jet.A_max + 2])
+    field_C = increment_C = 0.0
+    for d, pts, anchors in approach:
+        gb, _ = gamma_bar_soft(field.sched.s_prime, np.array([L * d]))
+        p = min(2 * int(gb[0]), jet.A_max)
+        dx = pts - jet.cset.points[anchors]
+        for alpha in multi_indices(jet.cset.dim, min(p, 4)):
+            tot = sum(alpha)
+            ranks, exponents, inv_fact, _ = _taylor_plan(jet.cset.dim, alpha, p - tot)
+            t_val = _taylor_dots(jet.values[anchors[:, None], ranks] * inv_fact,
+                                 dx, exponents, p - tot)
+            denom = (2.0 * L) ** (tot + 1) * s_all[tot]
+            field_C = np.fmax.reduce(np.abs(t_val) / denom, initial=field_C)
+            if tot < p:
+                diff = np.abs(t_val - jet.values[anchors, jet.rank(alpha)])
+                small_s = np.exp(target_seq.log_m[tot + 1])
+                denom2 = (2.0 * L) ** (tot + 1) * factorial(tot) * small_s * d
+                increment_C = np.fmax.reduce(diff / denom2, initial=increment_C)
+    return {"field_bound_C": float(field_C), "increment_bound_C": float(increment_C)}
+
+
 def verify(field: ExtensionField, target_seq: WeightSequence, orders,
            approach_scales, growth_orders: int | None = None,
            grid_points: int = 800, fit_K_powers=range(-8, 13)) -> dict:
@@ -332,18 +405,20 @@ def verify(field: ExtensionField, target_seq: WeightSequence, orders,
         if len(pts):
             approach.append((float(d), pts, nearest_index(pts, cset)))
 
-    residuals = []
-    for alpha in orders:
-        alpha = tuple(alpha) if isinstance(alpha, (tuple, list)) else (int(alpha),)
+    alphas = [tuple(a) if isinstance(a, (tuple, list)) else (int(a),) for a in orders]
+    for alpha in alphas:
         if len(alpha) != cset.dim:
             raise ValueError(f"order {alpha} does not match dimension {cset.dim}")
-        for d, pts, anchors in approach:
-            vals = field.derivative_grid(pts, alpha)
+    # one evaluation pass per scale; its incidence tells the capped cubes hit
+    at_scale = [field._grids(pts, alphas) for _, pts, _ in approach]
+    residuals = []
+    for alpha in alphas:
+        for (d, pts, anchors), (vals, cube) in zip(approach, at_scale):
             ref = jet.values[anchors, jet.rank(alpha)]
             residuals.append({
                 "alpha": list(alpha), "d": d,
-                "residual": float(np.max(np.abs(vals - ref))),
-                "capped": bool(np.any(field.sched.capped[dec.incidence(pts)[1]])),
+                "residual": float(np.max(np.abs(vals[alpha] - ref))),
+                "capped": bool(np.any(field.sched.capped[cube])),
                 "n_points": len(pts)})
 
     fit = None
@@ -360,12 +435,10 @@ def verify(field: ExtensionField, target_seq: WeightSequence, orders,
                 fit = {"K": K, "C_prime": needed}
 
     # growth certificate: certified bounds (grid-free), sampled sups reported
-    g_ord = growth_orders if growth_orders is not None else max(
-        (sum(a) if isinstance(a, (tuple, list)) else int(a)) for a in orders)
+    g_ord = growth_orders if growth_orders is not None else max(map(sum, alphas))
     grid = box_grid(box, int(round(grid_points ** (1.0 / dec.dim))))
-    sups = {}
-    for m in multi_indices(dec.dim, g_ord):
-        sups[m] = float(np.max(np.abs(field.derivative_grid(grid, m))))
+    sups = {m: float(np.max(np.abs(v))) for m, v in
+            field.derivative_grids(grid, multi_indices(dec.dim, g_ord)).items()}
     bounds = derivative_bounds(field, g_ord)
     W = np.exp(target_seq.logM[: g_ord + 1])
     M1 = max(1.0, max((bounds[m] / W[sum(m)]) ** (1.0 / (sum(m) + 1.0))
@@ -375,30 +448,9 @@ def verify(field: ExtensionField, target_seq: WeightSequence, orders,
               "grid_sups": {str(list(m)): v for m, v in sups.items()},
               "certified_bounds": {str(list(m)): v for m, v in bounds.items()},
               "grid_points": len(grid)}
-
-    # Taylor-field bounds at sampled off-set points
-    tb = {"field_bound_C": 0.0, "increment_bound_C": 0.0}
-    s_all = np.exp(target_seq.logM[: jet.A_max + 2])
-    for d, pts, anchors in approach:
-        gb, _ = gamma_bar_soft(s_view, np.array([L * d]))
-        p = min(2 * int(gb[0]), jet.A_max)
-        for x, ai in zip(pts, anchors.tolist()):
-            for alpha in multi_indices(cset.dim, min(p, 4)):
-                t_val = taylor_grid(jet, ai, p, alpha, x[None, :])[0]
-                tot = sum(alpha)
-                denom = (2.0 * L) ** (tot + 1) * s_all[tot]
-                tb["field_bound_C"] = max(tb["field_bound_C"], abs(t_val) / denom)
-                if tot < p:
-                    diff = abs(t_val - jet.value(ai, alpha))
-                    small_s = np.exp(target_seq.log_m[tot + 1])
-                    denom2 = ((2.0 * L) ** (tot + 1) * factorial(tot)
-                              * small_s * d)
-                    tb["increment_bound_C"] = max(tb["increment_bound_C"],
-                                                  diff / denom2)
-
     return {"residuals": residuals, "fit": fit, "growth": growth,
-            "taylor_bounds": tb, "jet_certificate_C": jet.certificate.C,
-            "L": L, "mode": field.sched.mode,
+            "taylor_bounds": _taylor_bounds(field, target_seq, approach),
+            "jet_certificate_C": jet.certificate.C, "L": L, "mode": field.sched.mode,
             "degree_cap_hit": bool(np.any(field.sched.capped))}
 
 

@@ -30,6 +30,7 @@ from .errors import (
     NotLittleO,
     QuasianalyticInput,
 )
+from .geometry import INCIDENCE_BLOCK
 from .seqcore import WeightSequence, _MinAffineEnvelope
 
 LOG_C_CAP = 40.0 * log(2.0)
@@ -278,11 +279,21 @@ MATRIX_TOL = 1e-7  # slack of the structural row inequalities
 
 
 def splitting_ok(a: np.ndarray, b: np.ndarray) -> bool:
-    """Index splitting on log tables: a_{j+k} <= b_j + b_k for j + k <= K."""
+    """Index splitting on log tables: a_{j+k} <= b_j + b_k for j + k <= K.
+    Blocks of rows j meet their columns k <= K - j, at most INCIDENCE_BLOCK
+    entries per block, so memory is linear in K."""
     k_max = len(a) - 1
-    jk = np.arange(k_max + 1)[:, None] + np.arange(k_max + 1)[None, :]
-    return not np.any((a[np.minimum(jk, k_max)] - b[:, None] - b[None, :])[jk <= k_max]
-                      > MATRIX_TOL)
+    lo = 0
+    while lo <= k_max:
+        width = k_max - lo + 1  # the columns of row lo
+        j = np.arange(lo, min(lo + max(1, INCIDENCE_BLOCK // width), k_max + 1))
+        jk = j[:, None] + np.arange(width)
+        inside = jk <= k_max
+        if np.any((a[np.where(inside, jk, k_max)] - b[j, None] - b[:width])[inside]
+                  > MATRIX_TOL):
+            return False
+        lo = j[-1] + 1
+    return True
 
 
 class WeightMatrix:

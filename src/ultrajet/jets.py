@@ -298,10 +298,25 @@ def zero_jet(cset: CompactSet, A_max: int = DEFAULT_A_MAX) -> Ultrajet:
 
 # -- Taylor fields and remainders ----------------------------------------------------
 
+def _taylor_dots(coef: np.ndarray, dx: np.ndarray, exponents: tuple,
+                 q: int) -> np.ndarray:
+    """Degree-q Taylor sums at the offsets dx, one BLAS dot per row:
+    sum_gamma coef[r, gamma] dx[r]^gamma over the exponents of a Taylor
+    plan.  ``coef`` holds one row per offset, or one row for all.  Unit
+    strides make every sum the same dot whatever the other rows are."""
+    powers = dx[:, None, :] ** np.arange(q + 1)[:, None]  # [r, k, d] = dx_d^k
+    monomials = powers[:, exponents[0], 0]
+    for d in range(1, dx.shape[1]):
+        monomials = monomials * powers[:, exponents[d], d]
+    sums = np.matmul(np.ascontiguousarray(coef)[..., None, :],
+                     np.ascontiguousarray(monomials)[:, :, None])
+    return sums[:, 0, 0]
+
+
 def taylor_grid(jet: Ultrajet, a_index: int, p: int, alpha, x) -> np.ndarray:
     """Derivative of the degree-p Taylor field from base point a, evaluated
     on an array of points: sum over beta >= alpha, |beta| <= p of
-    F^beta(a) (x-a)^{beta-alpha} / (beta-alpha)!."""
+    F^beta(a) (x-a)^{beta-alpha} / (beta-alpha)!, one dot per point."""
     alpha = tuple(alpha)
     if p > jet.A_max:
         raise OrderCapExceeded(f"degree {p} exceeds stored order {jet.A_max}")
@@ -311,11 +326,7 @@ def taylor_grid(jet: Ultrajet, a_index: int, p: int, alpha, x) -> np.ndarray:
     q = p - sum(alpha)
     ranks, exponents, inv_fact, _ = _taylor_plan(dim, alpha, q)
     dx = np.asarray(x, dtype=float).reshape(-1, dim) - jet.cset.points[a_index]
-    powers = dx.T ** np.arange(q + 1)[:, None, None]  # powers[k, d] = dx_d^k
-    monomials = powers[exponents[0], 0]
-    for d in range(1, dim):
-        monomials *= powers[exponents[d], d]
-    return (jet.values[a_index, ranks] * inv_fact) @ monomials
+    return _taylor_dots(jet.values[a_index, ranks] * inv_fact, dx, exponents, q)
 
 
 def remainder(jet: Ultrajet, a, p: int, alpha, b) -> float:

@@ -89,12 +89,38 @@ def test_order_above_jet_degree_is_config_error(tmp_path):
     assert load_report(tmp_path / "out")["errors"][0]["kind"] == "config"
     planar = _jet_config([[0.0, 0.0], [1.0, 1.0]],
                          {"kind": "tensor", "axes": [SIN, EXP]})
+    planar["pou"]["order_cap"] = 4
     planar["extension"] = {"orders": [[1, 3]]}
     validate_config(planar, "verify")
     for orders in ([[0, 0], [1, 4]], [[0, "1"]], ["2"], None):
         planar["extension"] = {"orders": orders}
         with pytest.raises(ConfigError):
             validate_config(planar, "all")
+
+
+def test_order_above_partition_cap_is_config_error(tmp_path):
+    cfg = json.loads((CONFIGS / "sin_gevrey2_all.json").read_text())
+    cfg["extension"]["orders"] = [0, 5]  # A_max 12, order_cap 4
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run("verify", str(path), str(tmp_path / "out")) == 2
+    err = load_report(tmp_path / "out")["errors"][0]
+    assert err["kind"] == "config"
+    assert "extension.orders 5" in err["message"] and "pou.order_cap 4" in err["message"]
+
+
+def test_growth_orders_above_partition_cap_is_config_error(tmp_path):
+    cfg = json.loads((CONFIGS / "sin_gevrey2_all.json").read_text())
+    cfg["extension"]["growth_orders"] = 7  # order_cap 4
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run("verify", str(path), str(tmp_path / "out")) == 2
+    err = load_report(tmp_path / "out")["errors"][0]
+    assert err["kind"] == "config"
+    assert "extension.growth_orders 7" in err["message"]
+    assert "pou.order_cap 4" in err["message"]
+    cfg["extension"]["growth_orders"] = 4
+    validate_config(cfg, "verify")
 
 
 def test_orders_are_checked_only_for_verify(tmp_path):

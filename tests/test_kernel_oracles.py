@@ -11,7 +11,10 @@ the bump stages of ``pou`` and ``geometry.cube_diagnostics`` against their
 per-term, per-piece and per-sample loops, and the level passes of
 ``geometry.decompose``, its nearest-point kernel and the all-cube bounds of
 ``extend.derivative_bounds`` against the breadth-first queue, the per-point
-tie scan and the per-cube folds, bit for bit."""
+tie scan and the per-cube folds, the one-pass ``derivative_grids`` and the
+batched Taylor bounds of ``verify`` against the per-cube sums and the
+per-point loop, and the blocked ``fncore.splitting_ok`` against its full
+arrays, bit for bit."""
 
 import json
 from collections import deque
@@ -36,10 +39,13 @@ from ultrajet.conditions import (
     check_good,
     check_quotient_root_domination,
 )
+import ultrajet.extend as extend_module
 from ultrajet.extend import (
     DegreeSchedule,
     ExtensionField,
     _UnionBump,
+    _approach_points,
+    _taylor_bounds,
     _taylor_sup_bounds,
     derivative_bounds,
 )
@@ -51,19 +57,23 @@ from ultrajet.errors import (
     TailUnbounded,
     UltrajetError,
 )
+import ultrajet.fncore as fncore_module
 from ultrajet.fncore import (
     GRID_HI,
+    MATRIX_TOL,
     WeightMatrix,
     gevrey_dual,
     log_power,
     omega_conjugate_grid,
     omega_of_sequence,
     power,
+    splitting_ok,
     weight_matrix,
     young_conjugate_grid,
 )
 from ultrajet.geometry import (
     EXPANSION,
+    INCIDENCE_BLOCK,
     CubeDecomposition,
     cube_diagnostics,
     decompose,
@@ -100,6 +110,7 @@ from ultrajet.seqcore import (
     _model_tail_sum,
     descendant,
     from_mu,
+    gamma_bar_soft,
     gevrey,
     quotient_power,
 )
@@ -572,6 +583,119 @@ def test_point_flags_and_on_set_values_equal_oracle(case):
         values = field.derivative_grid(q, alpha)
         for k in np.flatnonzero(want["on_set"]):
             assert values[k] == field.jet.value(field.jet.cset.index_of(q[k]), alpha)
+
+
+def _with_cutoff(field, on):
+    """The field without a cutoff, or with its own or a 0.25 one."""
+    if not on:
+        return replace(field, cutoff=None)
+    if field.cutoff is not None:
+        return field
+    return replace(field, cutoff=_UnionBump(field.pou.canonical, field.jet.cset.points, 0.25))
+
+
+def _grids_equal_oracle(field, up_to, x, block):
+    """Every order of one derivative_grids call, with INCIDENCE_BLOCK set to
+    ``block`` in extend, is bit for bit the one-order call and the oracle."""
+    alphas = multi_indices(field.jet.cset.dim, up_to)
+    for on in (False, True):
+        fld = _with_cutoff(field, on)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(extend_module, "INCIDENCE_BLOCK", block)
+            grids = fld.derivative_grids(x, alphas)
+        assert list(grids) == alphas
+        memo = {}
+        for alpha in alphas:
+            want = oracle_derivative_grid(fld, x, alpha, memo)
+            assert _same_array(grids[alpha], want)
+            assert _same_array(fld.derivative_grid(x, alpha), want)
+
+
+@settings(max_examples=10, deadline=None)
+@given(field_cases(), st.sampled_from((1, 7, INCIDENCE_BLOCK)))
+def test_derivative_grids_equal_one_order_calls_and_oracle(case, block):
+    # a block of 1 or 7 (pair x term) entries splits every cube's pairs
+    _grids_equal_oracle(*case, block)
+
+
+@st.composite
+def field_cases_3d(draw):
+    """An extension field on a cover of at most 3 points in R^3 at depth
+    <= 3, with random jet values and degrees, an order up_to <= order_cap
+    and 20 sample points (the set points among them)."""
+    order_cap = draw(st.integers(1, 2))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    pts = np.unique(np.round(rng.uniform(-0.8, 0.8, size=(draw(st.integers(1, 3)), 3)), 3),
+                    axis=0)
+    box = ((-1.0, 1.0),) * 3
+    cset = CompactSet(pts, box)
+    dec = decompose(box, cset, depth_cap=draw(st.integers(2, 3)))
+    pou = build_pou(dec, SEQ, order_cap=order_cap)
+    A_max = order_cap + 2
+    jet = Ultrajet(cset, A_max, rng.uniform(-3.0, 3.0, size=(len(pts), len(
+        multi_indices(3, A_max)))))
+    sched = DegreeSchedule(dec=dec, degrees=rng.integers(0, A_max + 1, dec.n_cubes),
+                           capped=np.zeros(dec.n_cubes, dtype=bool), L=1.0,
+                           mode="single", s_prime=None)
+    anchor = np.array([cset.index_of(a) for a in dec.nearest_points], dtype=int)
+    field = ExtensionField(jet=jet, pou=pou, sched=sched, anchor_idx=anchor)
+    x = np.concatenate([rng.uniform(-1.0, 1.0, size=(20, 3)), pts])
+    return field, draw(st.integers(0, order_cap)), x
+
+
+@settings(max_examples=8, deadline=None)
+@given(field_cases_3d(), st.sampled_from((5, INCIDENCE_BLOCK)))
+def test_derivative_grids_in_three_dimensions_equal_oracle(case, block):
+    _grids_equal_oracle(*case, block)
+
+
+def oracle_taylor_bounds(field, target_seq, approach):
+    """The realized Taylor-field constants, one taylor_grid call per
+    (point, alpha) and Python's running max."""
+    jet, L = field.jet, field.L
+    tb = {"field_bound_C": 0.0, "increment_bound_C": 0.0}
+    s_all = np.exp(target_seq.logM[: jet.A_max + 2])
+    for d, pts, anchors in approach:
+        gb, _ = gamma_bar_soft(field.sched.s_prime, np.array([L * d]))
+        p = min(2 * int(gb[0]), jet.A_max)
+        for x, ai in zip(pts, anchors.tolist()):
+            for alpha in multi_indices(jet.cset.dim, min(p, 4)):
+                t_val = taylor_grid(jet, ai, p, alpha, x[None, :])[0]
+                tot = sum(alpha)
+                denom = (2.0 * L) ** (tot + 1) * s_all[tot]
+                tb["field_bound_C"] = max(tb["field_bound_C"], abs(t_val) / denom)
+                if tot < p:
+                    diff = abs(t_val - jet.value(ai, alpha))
+                    small_s = np.exp(target_seq.log_m[tot + 1])
+                    denom2 = ((2.0 * L) ** (tot + 1) * factorial(tot)
+                              * small_s * d)
+                    tb["increment_bound_C"] = max(tb["increment_bound_C"],
+                                                  diff / denom2)
+    return tb
+
+
+@settings(max_examples=40, deadline=None)
+@given(field_cases(), st.sampled_from((1.0, 8.0, 64.0)), st.booleans())
+def test_taylor_bounds_bitwise_equal_per_point_loop(case, L, poison):
+    field, _, _ = case
+    jet = field.jet
+    if poison:
+        # F(a) = inf at every point: each increment with p >= 1 is inf - inf
+        values = jet.values.copy()
+        values[:, 0] = np.inf
+        jet = replace(jet, values=values)
+    field = replace(field, jet=jet, sched=replace(field.sched, L=L, s_prime=SEQ.view("m")))
+    approach = []
+    for d in (0.25, 0.0625, 2.0 ** -6):
+        pts = _approach_points(jet.cset, d, field.pou.dec.box)
+        if len(pts):
+            approach.append((d, pts, nearest_index(pts, jet.cset)))
+    with np.errstate(invalid="ignore"):
+        got = _taylor_bounds(field, SEQ, approach)
+        want = oracle_taylor_bounds(field, SEQ, approach)
+    assert got.keys() == want.keys()
+    assert all(_bits(got[k]) == _bits(want[k]) for k in want)
 
 
 # -- certification, bump stages and cube diagnostics: the per-term loops ----------
@@ -1359,3 +1483,37 @@ def test_check_descendant_equals_oracle(seq):
             check_descendant(seq)
         return
     _same_verdict(check_descendant(seq), old)
+
+
+def oracle_splitting_ok(a, b):
+    """Index splitting from the full (K+1)^2 index and value arrays."""
+    k_max = len(a) - 1
+    jk = np.arange(k_max + 1)[:, None] + np.arange(k_max + 1)[None, :]
+    return not np.any((a[np.minimum(jk, k_max)] - b[:, None] - b[None, :])[jk <= k_max]
+                      > MATRIX_TOL)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 300), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(("random", "holds", "last_anti_diagonal")),
+       st.sampled_from((1, 50, INCIDENCE_BLOCK)))
+@example(3000, 0, "last_anti_diagonal", INCIDENCE_BLOCK)
+def test_splitting_ok_blocks_equal_full_array_oracle(k_max, seed, kind, block):
+    """Linear tables b_j = j s + c split a_n = n s with slack 2c; "random"
+    perturbs a, and "last_anti_diagonal" breaks only a_K, so only the
+    entries j + k = K fail."""
+    rng = np.random.default_rng(seed)
+    slope, c = rng.uniform(0.0, 3.0), rng.uniform(0.0, 1.0)
+    a = slope * np.arange(k_max + 1.0)
+    b = a + c
+    if kind == "random":
+        a = a + rng.uniform(0.0, 2.2 * c, size=k_max + 1)
+    elif kind == "last_anti_diagonal":
+        a[k_max] += 2.0 * c + 1e-3
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fncore_module, "INCIDENCE_BLOCK", block)
+        got = splitting_ok(a, b)
+    assert got == oracle_splitting_ok(a, b)
+    if kind != "random":
+        assert got == (kind == "holds")
+
