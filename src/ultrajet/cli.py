@@ -247,6 +247,8 @@ def validate_config(raw: dict, command: str | None = None) -> dict:
     if jet is not None:
         if "P_max" not in jet:
             jet["P_max"] = jet["A_max"]
+        if jet["P_max"] > jet["A_max"]:
+            raise ConfigError(f"jet.P_max {jet['P_max']}: above jet.A_max {jet['A_max']}")
         preset = _jet_preset(jet["preset"])
         n_axes = len(preset.axes) if isinstance(preset, jets.Tensor) else 1
         cs = cfg["compact_set"]
@@ -307,10 +309,13 @@ def _validate_orders(extension, A_max: int, dim: int | None, order_cap: int | No
     """Each verified order is an int or int list of degree <= A_max, with
     one entry per coordinate of the points (an int counts as one).  The
     verified orders and ``growth_orders`` stay within pou.order_cap, the
-    highest order of the partition's derivative tables."""
+    highest order of the partition's derivative tables.  The approach
+    scales that the residual fit reads are not empty."""
     orders = extension.get("orders") if isinstance(extension, dict) else None
     if not isinstance(orders, list) or not orders:
         raise ConfigError("extension.orders must be a non-empty list")
+    if not extension["approach_scales"]:
+        raise ConfigError("extension.approach_scales must be a non-empty list")
     for entry in orders:
         axes = entry if isinstance(entry, list) else [entry]
         if not all(isinstance(a, int) and not isinstance(a, bool) and a >= 0

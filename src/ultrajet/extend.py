@@ -30,12 +30,12 @@ from .errors import IncompatibleGeometry, RangeExhausted
 from .fncore import WeightMatrix
 from .geometry import (
     EXPANSION,
-    INCIDENCE_BLOCK,
     CubeDecomposition,
     box_grid,
     nearest_index,
 )
 from .jets import (
+    INCIDENCE_BLOCK,
     Ultrajet,
     _leibniz_fold,
     _leibniz_terms,

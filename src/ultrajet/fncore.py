@@ -30,7 +30,7 @@ from .errors import (
     NotLittleO,
     QuasianalyticInput,
 )
-from .geometry import INCIDENCE_BLOCK
+from .jets import INCIDENCE_BLOCK
 from .seqcore import WeightSequence, _MinAffineEnvelope
 
 LOG_C_CAP = 40.0 * log(2.0)

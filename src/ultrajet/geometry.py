@@ -22,11 +22,10 @@ from itertools import product
 import numpy as np
 
 from .errors import DepthExhausted, InvariantViolation
-from .jets import CompactSet
+from .jets import INCIDENCE_BLOCK, CompactSet
 
 EXPANSION = 9.0 / 8.0  # expanded cube Q* has the same center, 9/8 the side
 MAX_GRID_POINTS = 160_000
-INCIDENCE_BLOCK = 1 << 14
 
 
 def box_grid(box, per_axis: int) -> np.ndarray:

@@ -8,10 +8,10 @@ terms, Taylor plans) serves every dimension and every module.  Preset generators
 tables from exact derivative recurrences, so tests can treat them as ground
 truth.  Certification finds the smallest constant making the two growth bounds
 (pointwise derivative bound, and scaled remainder bound at every pair and
-degree) hold over all stored data: every remainder from one base point is
-taken in one array pass, with the same floating-point operations as a
-:func:`taylor_grid` call per term, so the constant is exact for that
-arithmetic.
+degree) hold over all stored data: the remainders over all point pairs are
+taken in one array pass (in blocks of bounded size), with the same
+floating-point operations as a :func:`taylor_grid` call per term, so the
+constant is exact for that arithmetic.
 """
 
 from __future__ import annotations
@@ -28,6 +28,10 @@ from .errors import OrderCapExceeded
 from .seqcore import WeightSequence
 
 DEFAULT_A_MAX = 12
+# entries per block of the array passes over products of two inputs (point
+# pairs, point-cube pairs, shifted copies of points), so that their memory
+# stays linear in each input
+INCIDENCE_BLOCK = 1 << 14
 
 
 @lru_cache(maxsize=None)
@@ -367,25 +371,30 @@ def _certify_plan(dim: int, P_max: int) -> tuple:
             np.array([ranks[a] for _, a in cands]), tuple(groups))
 
 
-def _remainders(jet: Ultrajet, i: int, others: np.ndarray, diff: np.ndarray,
+def _remainders(jet: Ultrajet, a: np.ndarray, b: np.ndarray, diff: np.ndarray,
                 groups: tuple) -> np.ndarray:
     """|F^alpha(b) - (degree p - |alpha| Taylor field of F^alpha from a)(b)|
-    for a = point i, one row per point b of ``others`` (at ``diff`` = b - a)
-    and one column per candidate of :func:`_certify_plan`.  Each Taylor sum
+    for the point pairs (a[r], b[r]), a non-empty block with a ascending,
+    one row per pair (at ``diff`` = b - a) and one column per candidate of
+    :func:`_certify_plan`.  Each Taylor sum
     is the dot product :func:`taylor_grid` takes, with the same powers and
     coefficients."""
-    powers = diff[:, None, :] ** np.arange(len(groups))[:, None]  # [b, k, d] = dx_d^k
-    at_b = jet.values[others]
-    out = np.empty((len(others), sum(len(g[0]) for g in groups)))
+    powers = diff[:, None, :] ** np.arange(len(groups))[:, None]  # [r, k, d] = dx_d^k
+    # the base points run in ascending order: the coefficients are taken per
+    # base point, then copied to its pairs
+    base, row = jet.values[a[0]:a[-1] + 1], a - a[0]
+    at_b = jet.values[b]
+    out = np.empty((len(a), sum(len(g[0]) for g in groups)))
     for position, alpha_rank, ranks, exponents, inv_fact in groups:
         monomials = powers[:, exponents[0], 0]
         for d in range(1, diff.shape[1]):
             monomials = monomials * powers[:, exponents[d], d]
-        # unit strides, so that each sum is the same BLAS dot as taylor_grid's
+        # unit strides (np.take's output is C-contiguous too), so that each
+        # sum is the same BLAS dot as taylor_grid's
         monomials = np.ascontiguousarray(monomials)
-        coef = jet.values[i, ranks] * inv_fact
-        sums = np.matmul(coef[:, None, None, :], monomials[None, :, :, None])
-        out[:, position] = np.abs(at_b[:, alpha_rank] - sums[:, :, 0, 0].T)
+        coef = np.take(np.take(base, ranks, axis=1) * inv_fact, row, axis=0)
+        sums = np.matmul(coef[:, :, None, :], monomials[:, None, :, None])
+        out[:, position] = np.abs(at_b[:, alpha_rank] - sums[:, :, 0, 0])
     return out
 
 
@@ -404,8 +413,9 @@ def certify(jet: Ultrajet, seq: WeightSequence, rho: float,
     """Smallest constant C making both growth bounds hold over all stored
     data: the largest ratio over the values (a, alpha) and the remainders
     (a, b, p <= P_max, alpha).  ``binding`` names the first largest ratio in
-    that order, values first; NaN ratios never bind.  One array pass per
-    base point a.
+    that order, values first; NaN ratios never bind.  One array pass over
+    the pairs (a, b), a != b, in (a, b) order, in blocks of at most
+    INCIDENCE_BLOCK (pair x alpha x term) entries.
 
     ``form``: "pointwise" scales remainders by M_{p+1} |b-a|^{p+1-|alpha|}
     / (p+1-|alpha|)!; "factored" by |alpha|! m_{p+1} |b-a|^{p+1-|alpha|}.
@@ -435,10 +445,14 @@ def certify(jet: Ultrajet, seq: WeightSequence, rho: float,
         else:
             lead = np.array([rho ** (p + 1) * factorial(d) * m[p + 1]
                              for p, d in zip(p_of.tolist(), degree[alpha_of].tolist())])
-        for i in range(n):
-            others = np.delete(np.arange(n), i)
-            diff = jet.cset.points[others] - jet.cset.points[i]
-            # |b - a| as np.linalg.norm takes it (one BLAS dot per point) and
+        # pair k is (a, b) = (k // (n - 1), the (k % (n - 1))-th point other
+        # than a), so the pairs run in (a, b) order, a block at a time
+        step = max(1, INCIDENCE_BLOCK // max(g[2].size for g in groups))
+        for lo in range(0, n * (n - 1), step):
+            a, b = np.divmod(np.arange(lo, min(lo + step, n * (n - 1))), n - 1)
+            b += b >= a
+            diff = jet.cset.points[b] - jet.cset.points[a]
+            # |b - a| as np.linalg.norm takes it (one BLAS dot per pair) and
             # its powers as Python floats: every ratio is then bit for bit the
             # per-term one (the oracle in tests/test_kernel_oracles.py)
             dist = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
@@ -446,9 +460,9 @@ def certify(jet: Ultrajet, seq: WeightSequence, rho: float,
                                      for d in dist.tolist()])[:, q_of]
             if form == "pointwise":
                 scale = scale / fact
-            best, at = _first_max(_remainders(jet, i, others, diff, groups) / scale, best)
+            best, at = _first_max(_remainders(jet, a, b, diff, groups) / scale, best)
             if at is not None:
-                binding = ("remainder", i, int(others[at[0]]), int(p_of[at[1]]),
+                binding = ("remainder", int(a[at[0]]), int(b[at[0]]), int(p_of[at[1]]),
                            jet.multi[alpha_of[at[1]]])
     return JetCertificate(rho=rho, C=best, seq_label=seq.label, P_max=P_max,
                           ok=bool(np.isfinite(best)), binding=binding, form=form)

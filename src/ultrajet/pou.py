@@ -11,12 +11,14 @@ because j central differences of the remaining (J-j)-stage convolution (a
 function bounded by one) realize the derivative exactly.
 
 Evaluation follows that identity: the j-th derivative is a signed sum of
-2^j evaluations of the stored (J-j)-stage convolution, each computed from
-its piecewise-polynomial representation.  Pieces carry local (midpoint)
+2^j evaluations of the stored (J-j)-stage convolution at shifted points,
+computed from its piecewise-polynomial representation in one evaluation
+over the shifted copies stacked together.  Pieces carry local (midpoint)
 coordinates and moving averages are accumulated from nonnegative piece
 integrals, so no stage suffers catastrophic cancellation; plateau pieces
 are snapped to the exact constant 1.  A stage is built in one pass over
-all its pieces.
+all its pieces, taking the partial integrals at both window edges of every
+piece together.
 
 All radii scale with the bump half-width (r_j = delta * r / theta_j for the
 quotient sequence theta of the smoothness class), so every bump is a
@@ -26,19 +28,22 @@ dilation of one canonical bump per (sequence, delta, J).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product as iproduct
 from math import comb, prod
 
 import numpy as np
 
 from .errors import OrderCapExceeded, QuasianalyticInput, StageOverflow
 from .geometry import CubeDecomposition
-from .jets import _leibniz_fold, multi_indices
+from .jets import INCIDENCE_BLOCK, _leibniz_fold, multi_indices
 from .seqcore import WeightSequence
 
 # radii must fit in this fraction of the half-width so that the plateau
 # still covers [-r, r] while the support stays inside [-9r/8, 9r/8]
 RADII_BUDGET = 1.0 / 16.0
+# binomial rows C(k, i), i <= k, for the shifted antiderivatives of the
+# stages; a stage of degree k has about 2^k pieces, so the rows cover every
+# bump that fits in memory
+_BINOMIAL = np.array([[comb(k, i) for i in range(32)] for k in range(32)], dtype=float)
 
 
 class _PiecewisePoly:
@@ -98,8 +103,7 @@ def _edge_integrals(g: _PiecewisePoly, y: np.ndarray, n: int) -> np.ndarray:
     gamma = np.cumprod(gamma, axis=1)  # gamma^t, one product at a time
     shifted = np.zeros((len(y), n))
     for k in range(1, n):
-        binomial = np.array([comb(k, i) for i in range(k + 1)], dtype=float)
-        shifted[:, :k + 1] += (anti[:, k, None] * binomial) * gamma[:, k::-1]
+        shifted[:, :k + 1] += (anti[:, k, None] * _BINOMIAL[k, :k + 1]) * gamma[:, k::-1]
     x = (g.breaks[q] - g.mids[q])[:, None]
     left = anti[:, -1:] + x * 0  # Horner, as numpy's polyval
     for k in range(n - 2, -1, -1):
@@ -129,10 +133,12 @@ def _convolve_uniform(g: _PiecewisePoly, r: float,
     poly = np.zeros((len(work), n))
     poly[:, 0] = g.cumint[full[0]] - g.cumint[full[1]]
     # plus the partial integral at the upper window edge, minus the one at
-    # the lower edge, each as a polynomial in u
-    for y, sign in ((yp, 1.0), (ym, -1.0)):
-        inside = (g.breaks[0] < y) & (y < g.breaks[-1])
-        poly[inside] += sign * _edge_integrals(g, y[inside], n)
+    # the lower edge, each as a polynomial in u: both edges in one pass
+    up, down = ((g.breaks[0] < y) & (y < g.breaks[-1]) for y in (yp, ym))
+    edges = _edge_integrals(g, np.concatenate([yp[up], ym[down]]), n)
+    n_up = np.count_nonzero(up)
+    poly[up] += edges[:n_up]
+    poly[down] -= edges[n_up:]
     coeffs[work] = (1.0 / (2.0 * r)) * poly
     return _PiecewisePoly(breaks, coeffs, plateau)
 
@@ -173,18 +179,29 @@ class CanonicalBump:
         return float(np.prod(1.0 / self.radii[:j])) if j else 1.0
 
     def eval(self, u, j: int = 0):
-        """j-th derivative at u: signed sum of 2^j evaluations of stage j+1."""
+        """j-th derivative at u: signed sum of 2^j evaluations of stage j+1,
+        one per sign vector s in {+1, -1}^j (lexicographic, + first) at
+        u + s . radii[:j].  The stage is evaluated once on the shifted copies
+        of u stacked together (in blocks of at most INCIDENCE_BLOCK points),
+        and the signed copies are added in sign-vector order."""
         if j > self.J - 1:
             raise OrderCapExceeded(f"derivative {j} exceeds smoothness C^{self.J - 1}")
         u = np.asarray(u, dtype=float)
         stage = self.stages[j + 1]
         if j == 0:
             return np.clip(stage(u), 0.0, 1.0)
+        # sign vector t is -1 where bit j-1-d of t is set
+        signs = 1.0 - 2.0 * ((np.arange(2 ** j)[:, None] >> np.arange(j - 1, -1, -1)) & 1)
+        # each shift is one dot of a sign vector with the radii, as np.dot takes it
+        shifts = np.matmul(signs[:, None, :], self.radii[:j, None])[:, 0, 0]
+        shifts = shifts.reshape((-1,) + (1,) * u.ndim)
         out = np.zeros_like(u)
+        step = max(1, INCIDENCE_BLOCK // max(1, u.size))
+        for lo in range(0, 2 ** j, step):
+            for sign, copy in zip(np.prod(signs[lo:lo + step], axis=1),
+                                  stage(u + shifts[lo:lo + step])):
+                out += sign * copy
         scale = float(np.prod(1.0 / (2.0 * self.radii[:j])))
-        for signs in iproduct((1.0, -1.0), repeat=j):
-            shift = float(np.dot(signs, self.radii[:j]))
-            out += np.prod(signs) * stage(u + shift)
         return scale * out
 
 
@@ -400,8 +417,9 @@ class PartitionOfUnity:
     def sum_phi(self, x) -> np.ndarray:
         pts = np.asarray(x, dtype=float).reshape(-1, self.dec.dim)
         point, _, tables = self.pair_derivs(pts, 0)
+        # float64 also when no point is in a cube (bincount counts in ints then)
         return np.bincount(point, weights=tables[(0,) * self.dec.dim],
-                           minlength=len(pts))
+                           minlength=len(pts)).astype(float, copy=False)
 
     def covered(self, x) -> np.ndarray:
         """Points lying in some (unexpanded) cube, where the sum is one."""

@@ -123,6 +123,32 @@ def test_growth_orders_above_partition_cap_is_config_error(tmp_path):
     validate_config(cfg, "verify")
 
 
+def test_series_degree_above_jet_order_is_config_error(tmp_path):
+    cfg = _jet_config([[0.0], [1.0]], SIN)
+    cfg["jet"]["P_max"] = 5  # A_max 4
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run("extend", str(path), str(tmp_path / "out")) == 2
+    err = load_report(tmp_path / "out")["errors"][0]
+    assert err["kind"] == "config"
+    assert "jet.P_max 5" in err["message"] and "jet.A_max 4" in err["message"]
+    cfg["jet"]["P_max"] = 4
+    validate_config(cfg, "extend")
+
+
+def test_empty_approach_scales_is_config_error(tmp_path):
+    cfg = json.loads((CONFIGS / "sin_gevrey2_all.json").read_text())
+    cfg["extension"]["approach_scales"] = []
+    validate_config(cfg, "extend")  # only verify reads them
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    for command in ("verify", "all"):
+        assert run(command, str(path), str(tmp_path / command)) == 2
+        err = load_report(tmp_path / command)["errors"][0]
+        assert err["kind"] == "config"
+        assert "extension.approach_scales" in err["message"]
+
+
 def test_orders_are_checked_only_for_verify(tmp_path):
     cfg = _jet_config([[0.0], [1.0]], SIN)
     cfg["jet"]["A_max"] = 1  # below the default orders [0, 1, 2]

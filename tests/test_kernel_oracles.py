@@ -7,8 +7,9 @@ conjugates of ``fncore`` against one bounded scalar minimisation per point,
 the array tail sum of ``seqcore`` against its per-decade loop, the
 shared row search and log-cap verdict of ``conditions`` against the
 per-pair loops of each check, the array passes of ``jets.certify``,
-the bump stages of ``pou`` and ``geometry.cube_diagnostics`` against their
-per-term, per-piece and per-sample loops, and the level passes of
+the bump stages and stacked bump derivatives of ``pou`` and
+``geometry.cube_diagnostics`` against their per-term, per-piece, per-shift
+and per-sample loops, and the level passes of
 ``geometry.decompose``, its nearest-point kernel and the all-cube bounds of
 ``extend.derivative_bounds`` against the breadth-first queue, the per-point
 tie scan and the per-cube folds, the one-pass ``derivative_grids`` and the
@@ -80,6 +81,7 @@ from ultrajet.geometry import (
     nearest,
     nearest_index,
 )
+import ultrajet.jets as jets_module
 from ultrajet.jets import (
     CompactSet,
     Sin,
@@ -95,13 +97,16 @@ from ultrajet.jets import (
     multi_indices,
     taylor_grid,
 )
+import ultrajet.pou as pou_module
 from ultrajet.pou import (
     RADII_BUDGET,
     Bump1D,
     CanonicalBump,
     _PiecewisePoly,
+    _canonical_for,
     _complement_bounds,
     _tensor_bump_bounds,
+    _tensor_bump_derivs,
     build_pou,
 )
 from ultrajet.seqcore import (
@@ -860,12 +865,17 @@ PAIR = jet_from_preset(Sin(1.3, 0.2), CompactSet(np.array([[0.1], [0.4]]), ((-3.
 @example((ONE_POINT, gevrey(1.0, K_max=8), 1.0, 6, "pointwise"))
 @example((PAIR, gevrey(1.0, K_max=10), 2.0, 3, "factored"))  # P_max < A_max
 def test_certify_bitwise_equals_oracle(case):
+    """Also with INCIDENCE_BLOCK at 1 and 7 in jets, so that blocks of pairs
+    split the rows of one base point."""
     jet, seq, rho, P_max, form = case
     with np.errstate(divide="ignore", invalid="ignore"):
-        got = certify(jet, seq, rho=rho, P_max=P_max, form=form)
         C, binding = oracle_certify(jet, seq, rho, P_max, form)
-    assert _bits(got.C) == _bits(C)
-    assert got.binding == binding
+        for block in (INCIDENCE_BLOCK, 1, 7):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(jets_module, "INCIDENCE_BLOCK", block)
+                got = certify(jet, seq, rho=rho, P_max=P_max, form=form)
+            assert _bits(got.C) == _bits(C)
+            assert got.binding == binding
 
 
 @settings(max_examples=40, deadline=None)
@@ -874,22 +884,34 @@ def test_certify_remainders_bitwise_equal_taylor_grid(case):
     jet, _, _, P_max, _ = case
     n = len(jet.cset.points)
     p_of, alpha_of, groups = _certify_plan(jet.cset.dim, P_max)
-    for i in range(n):
-        others = np.delete(np.arange(n), i)
-        table = _remainders(jet, i, others, jet.cset.points[others] - jet.cset.points[i],
-                            groups)
-        for row, j in enumerate(others):
-            b = jet.cset.points[j][None, :]
-            want = [abs(jet.value(j, jet.multi[a]) - taylor_grid(jet, i, p, jet.multi[a], b)[0])
-                    for p, a in zip(p_of, alpha_of)]
-            assert table[row].tobytes() == np.array(want).tobytes()
+    if n == 1:
+        return  # no pair
+    a, b = np.nonzero(~np.eye(n, dtype=bool))  # every pair a != b, in (a, b) order
+    table = _remainders(jet, a, b, jet.cset.points[b] - jet.cset.points[a], groups)
+    for row, (i, j) in enumerate(zip(a, b)):
+        pt = jet.cset.points[j][None, :]
+        want = [abs(jet.value(j, jet.multi[al]) - taylor_grid(jet, i, p, jet.multi[al], pt)[0])
+                for p, al in zip(p_of, alpha_of)]
+        assert table[row].tobytes() == np.array(want).tobytes()
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=7), st.floats(0.2, 1.0))
-def test_bump_stages_bitwise_equal_oracle(weights, fill):
-    radii = np.sort(weights)[::-1]
-    bump = CanonicalBump(radii * (fill * RADII_BUDGET / np.sum(radii)))
+@st.composite
+def canonical_bumps(draw):
+    """A canonical bump of 1-10 stages, its non-increasing radii filling
+    20-100% of the budget."""
+    radii = np.sort(draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=10)))[::-1]
+    return CanonicalBump(radii * (draw(st.floats(0.2, 1.0)) * RADII_BUDGET / np.sum(radii)))
+
+
+# the benchmark workloads' bumps (pou.order_cap 3 and 4)
+WORKLOAD_BUMPS = tuple(_canonical_for(gevrey(1.0), None, J) for J in (7, 8))
+
+
+@settings(max_examples=25, deadline=None)
+@given(canonical_bumps())
+@example(WORKLOAD_BUMPS[0])
+@example(WORKLOAD_BUMPS[1])
+def test_bump_stages_bitwise_equal_oracle(bump):
     stage = bump.stages[bump.J + 1]
     for m in range(bump.J, 0, -1):
         got = bump.stages[m]
@@ -897,6 +919,58 @@ def test_bump_stages_bitwise_equal_oracle(weights, fill):
                                         (got.plateau_lo, got.plateau_hi))
         for attr in ("breaks", "coeffs", "cumint"):
             assert getattr(got, attr).tobytes() == getattr(stage, attr).tobytes()
+
+
+def oracle_bump_eval(bump, u, j=0):
+    """CanonicalBump.eval as one stage call per shift u + s . radii[:j]."""
+    u = np.asarray(u, dtype=float)
+    stage = bump.stages[j + 1]
+    if j == 0:
+        return np.clip(stage(u), 0.0, 1.0)
+    out = np.zeros_like(u)
+    scale = float(np.prod(1.0 / (2.0 * bump.radii[:j])))
+    for signs in product((1.0, -1.0), repeat=j):
+        shift = float(np.dot(signs, bump.radii[:j]))
+        out += np.prod(signs) * stage(u + shift)
+    return scale * out
+
+
+def _bump_points(bump, j, rng):
+    """Random points of [-1.3, 1.3], points whose shifted copies land on a
+    piece break of stage j+1, the plateau and support ends, points outside
+    the support, signed zeros and NaN."""
+    signs = rng.choice((1.0, -1.0), size=(12, j))
+    on_breaks = [float(rng.choice(bump.stages[j + 1].breaks)) - float(np.dot(s, bump.radii[:j]))
+                 for s in signs]
+    ends = [bump.support, bump.plateau, bump.a, 1.0, 9.0 / 8.0, 1.5, 1e300, 0.0]
+    return np.concatenate([rng.uniform(-1.3, 1.3, 40), on_breaks, ends,
+                           [-e for e in ends], [np.nan, np.nan]])
+
+
+@settings(max_examples=20, deadline=None)
+@given(canonical_bumps(), st.integers(0, 2 ** 32 - 1), st.sampled_from((1, 200, INCIDENCE_BLOCK)))
+@example(WORKLOAD_BUMPS[1], 0, INCIDENCE_BLOCK)
+def test_bump_eval_bitwise_equals_per_shift_oracle(bump, seed, block):
+    """Every derivative j <= J - 1, with INCIDENCE_BLOCK in pou at ``block``,
+    on a flat and a two-row point array; and the 2D tensor tables."""
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pou_module, "INCIDENCE_BLOCK", block)
+        for j in range(bump.J):
+            u = _bump_points(bump, j, rng)
+            for pts in (u, u.reshape(2, -1)):
+                got, want = bump.eval(pts, j), oracle_bump_eval(bump, pts, j)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    x = rng.uniform(-2.0, 2.0, size=(60, 2))
+    centers, radii = rng.uniform(-1.0, 1.0, size=(3, 2)), rng.uniform(0.5, 1.5, 3)
+    owner = rng.integers(0, 3, len(x))
+    up_to = min(bump.J - 1, 3)
+    got = _tensor_bump_derivs(bump, x, centers, radii, owner, up_to)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CanonicalBump, "eval", oracle_bump_eval)
+        want = _tensor_bump_derivs(bump, x, centers, radii, owner, up_to)
+    assert got.keys() == want.keys()
+    assert all(got[m].tobytes() == want[m].tobytes() for m in want)
 
 
 @st.composite

@@ -157,6 +157,17 @@ def test_pou_sum_to_one_on_covered_region(pou_1d):
     assert np.max(np.abs(s - 1.0)) < 1e-12
 
 
+def test_sum_phi_is_float_off_the_cover(seq):
+    # the set points lie in no expanded cube, so no (point, cube) pair is counted
+    cs = CompactSet(np.array([[-1.0], [1.0]]), ((-3.0, 3.0),))
+    pou = build_pou(decompose(((-3.0, 3.0),), cs, depth_cap=6), seq, order_cap=2)
+    for x, want in (([[-1.0], [1.0]], [0.0, 0.0]), (np.empty((0, 1)), []),
+                    ([[0.0]], [1.0])):
+        s = pou.sum_phi(x)
+        assert s.dtype == np.float64
+        assert s.tolist() == want
+
+
 def test_pou_support_exact(pou_1d):
     dec = pou_1d.dec
     rng = np.random.default_rng(3)
