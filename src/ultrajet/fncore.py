@@ -11,7 +11,8 @@ function.
 Both conjugates are array kernels: every argmax is bracketed at once (by
 doubling for ``phi*``, by a fixed log-spaced scan for ``omega*``) and then
 refined by one vectorized golden-section search over all brackets; the
-scalar functions are 1-element calls of the grid ones.
+scalar functions are 1-element calls of the grid ones.  The averaged tail
+transform integrates each gap of its query grid once, not decades per t.
 
 Asymptotic properties (doubling, linear bound, little-o of t, tail
 integrability) are certified on a finite log-spaced grid with reported
@@ -20,7 +21,7 @@ witness constants; every flag is a finite-range verdict.
 
 from __future__ import annotations
 
-from math import atan, isfinite, log, pi, sqrt
+from math import atan, ceil, isfinite, log, log10, pi, sqrt
 
 import numpy as np
 
@@ -405,64 +406,62 @@ def omega_conjugate(fn: WeightFunction, s: float) -> float:
 
 # -- decaying tail integrals ---------------------------------------------------
 
-_SIMPSON_PANELS = 32
-
-
-def _simpson_log(g, lo: np.ndarray, ratio: float) -> np.ndarray:
-    """Integral of g over [lo, lo*ratio] in log coordinates, vectorized over lo."""
-    n = _SIMPSON_PANELS
-    h = log(ratio) / n
+def _simpson_log(g, lo: np.ndarray, ratio, n: int = 32) -> np.ndarray:
+    """Integral of g over [lo, lo*ratio] in log coordinates by the composite
+    Simpson rule on n panels, per entry of lo (any shape; ratio broadcasts)."""
+    h = np.log(np.asarray(ratio, dtype=float))[..., None] / n
     w = np.ones(n + 1)
     w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-    nodes = np.exp(np.arange(n + 1) * h)
-    u = lo[:, None] * nodes[None, :]
+    u = lo[..., None] * np.exp(h * np.arange(n + 1))
     vals = g(u) * u  # d(u) = u d(log u)
     return (h / 3.0) * vals @ w
 
 
-def _decade_tail_integral(g, t0: np.ndarray, rel_tol: float = 1e-12,
+def _decay_exponent(sums: np.ndarray, n_dec: int) -> np.ndarray:
+    """Per row, minus the least-squares slope of log(sums) on log(last decades <= n_dec)."""
+    x = np.log(np.arange(n_dec - sums.shape[-1] + 1, n_dec + 1, dtype=float))
+    x -= x.mean()
+    y = np.log(np.maximum(sums, 1e-300))
+    return -((y - y.mean(axis=-1, keepdims=True)) @ x) / (x @ x)
+
+
+def _tail_remainder(last4: np.ndarray, n_dec: int, what: str) -> np.ndarray:
+    """Integral past the last of n_dec decades per row of the last four decade
+    sums: geometric if their last ratio is at most 0.95, else a fitted power
+    of the decade index (QuasianalyticInput at the first unsummable row)."""
+    last = last4[:, -1]
+    r = last / np.maximum(last4[:, -2], 1e-300)
+    geo = r <= 0.95
+    rem = np.where(geo, last * r / (1.0 - np.where(geo, r, 0.0)), np.nan)
+    q = _decay_exponent(last4[~geo], n_dec)
+    if np.any(q <= 1.05):
+        raise QuasianalyticInput(
+            f"{what}: decade sums decay like d^-{q[q <= 1.05][0]:.2f}, not summable")
+    rem[~geo] = last[~geo] * n_dec / (q - 1.0)
+    return rem
+
+
+def _decade_tail_integral(g, t0: float, rel_tol: float = 1e-12,
                           max_decades: int = 60, what: str = "integral",
-                          t_cap: float = float("inf")):
-    """``int_{t0}^inf g(u) du`` for integrands decaying fast enough that the
-    decade sums are summable; the remainder beyond the last decade is
-    estimated from the decay trend of the sums (geometric, or a fitted
-    power in the decade index).  Raises QuasianalyticInput when the decade
-    sums show no summable decay, or when ``t_cap`` (the certified validity
-    of the integrand) leaves too few decades to establish a trend."""
-    t0 = np.atleast_1d(np.asarray(t0, dtype=float))
+                          t_cap: float = float("inf"), fit_remainder: bool = True):
+    """``int_{t0}^inf g(u) du`` as (decade total, remainder, decade sums), the
+    decades in one pass, up to the first d >= 3 whose running sum is positive
+    and gains at most ``rel_tol`` (remainder 0), else to ``max_decades`` or
+    ``t_cap``, the certified range of g (remainder :func:`_tail_remainder`,
+    None unless ``fit_remainder``; under four decades QuasianalyticInput)."""
     if isfinite(t_cap):
-        avail = int(np.floor(np.log10(t_cap / float(np.max(t0))))) if t_cap > 0 else 0
+        avail = int(np.floor(np.log10(t_cap / t0))) if t_cap > 0 else 0
         if avail < 4:
             raise QuasianalyticInput(
                 f"{what}: only {avail} certified decades above t0, cannot certify tail")
         max_decades = min(max_decades, avail)
-    sums = []
-    acc = np.zeros_like(t0)
-    lo = t0.copy()
-    for d in range(max_decades):
-        j = _simpson_log(g, lo, 10.0)
-        sums.append(j)
-        acc += j
-        lo *= 10.0
-        if d >= 3 and np.all(acc > 0.0) and np.all(j <= rel_tol * acc):
-            return acc, np.zeros_like(acc), sums
-    s = np.stack(sums, axis=1)  # (n_t, n_decades)
-    n_dec = s.shape[1]
-    last, prev = s[:, -1], s[:, -2]
-    rem = np.empty_like(acc)
-    for i in range(len(t0)):
-        r = last[i] / max(prev[i], 1e-300)
-        if r <= 0.95:
-            rem[i] = last[i] * r / (1.0 - r)
-            continue
-        d_idx = np.arange(n_dec - 4, n_dec, dtype=float) + 1.0
-        tail4 = np.maximum(s[i, -4:], 1e-300)
-        q = -np.polyfit(np.log(d_idx), np.log(tail4), 1)[0]
-        if q <= 1.05:
-            raise QuasianalyticInput(
-                f"{what}: decade sums decay like d^-{q:.2f}, not summable")
-        rem[i] = last[i] * n_dec / (q - 1.0)
-    return acc, rem, sums
+    sums = _simpson_log(g, np.cumprod(np.r_[t0, np.full(max_decades - 1, 10.0)]), 10.0)
+    acc = np.cumsum(sums)
+    stop = np.flatnonzero((np.arange(max_decades) >= 3) & (acc > 0) & (sums <= rel_tol * acc))
+    if len(stop):
+        return float(acc[stop[0]]), 0.0, sums[:stop[0] + 1]
+    rem = _tail_remainder(sums[None, -4:], max_decades, what)[0] if fit_remainder else None
+    return float(acc[-1]), rem, sums
 
 
 def kappa(fn: WeightFunction, t):
@@ -470,51 +469,52 @@ def kappa(fn: WeightFunction, t):
 
     Always at least omega(t) for increasing omega; concave; o(t) at
     infinity.  Requires a non-quasianalytic weight.
+
+    One pass for all t: the gaps of the sorted distinct t (Simpson, 128 panels
+    per decade of the widest, at least 8) summed from the top, plus the decades
+    above the largest t; if those do not settle, each t takes ``[t, t 10^N]``
+    (less the gaps of t 10^N) plus a remainder fitted to its last four decades.
     """
     if not fn.flags["non_quasianalytic"]:
         raise QuasianalyticInput(f"{fn.label}: tail integral not certified finite")
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(ts <= 0):
-        raise ValueError("t must be positive")
-    acc, rem, _ = _decade_tail_integral(lambda u: fn(u) / u ** 2, ts,
-                                        what=f"kappa[{fn.label}]",
-                                        t_cap=0.45 * fn.t_valid_max)
-    out = ts * (acc + rem)
+    if not np.all(np.isfinite(ts) & (ts > 0)):
+        raise ValueError("t must be positive and finite")
+    if ts.size == 0:
+        return ts
+
+    def g(u):
+        return fn(u) / u ** 2
+
+    u, inv = np.unique(ts, return_inverse=True)
+    what = f"kappa[{fn.label}]"
+    acc, rem, top = _decade_tail_integral(g, u[-1], what=what, t_cap=0.45 * fn.t_valid_max,
+                                          fit_remainder=False)
+    n_dec, ratio = len(top), u[1:] / u[:-1]
+    panels = 2 * max(4, ceil(64.0 * log10(ratio.max(initial=1.0))))
+    lo = np.outer([1.0] if rem is not None else [1.0, 10.0 ** n_dec], u[:-1])
+    gaps = _simpson_log(g, lo, ratio, panels)
+    above = np.cumsum(np.pad(gaps, ((0, 0), (0, 1)))[:, ::-1], axis=1)[:, ::-1]
+    head = above[0] + acc
+    if rem is None:
+        last4 = _simpson_log(g, np.outer(u, 10.0 ** np.arange(n_dec - 4, n_dec)), 10.0)
+        head, rem = head - above[1], _tail_remainder(last4[inv], n_dec, what)
+    out = ts * (head[inv] + rem)
     return out if np.ndim(t) else float(out[0])
-
-
-def kappa_weight(fn: WeightFunction) -> WeightFunction:
-    """The averaged tail transform packaged as a weight function (the
-    canonical, possibly quasianalytic, heir of ``fn``)."""
-    def ev(t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        mask = t > 0.0
-        if np.any(mask):
-            out[mask] = kappa(fn, t[mask])
-        return out
-
-    return WeightFunction(ev, label=f"kappa[{fn.label}]",
-                          t_valid_max=0.2 * fn.t_valid_max)
 
 
 def _tail_integrability(fn: WeightFunction):
     """Certificate for ``int_0^inf omega(t)/(1+t^2) dt < inf`` with a decade
     trend analysis; returns (ok, fitted exponent, tail estimate)."""
     try:
-        acc, rem, sums = _decade_tail_integral(lambda u: fn(u) / (1.0 + u ** 2),
-                                               np.array([1.0]), max_decades=24,
-                                               what=f"tail[{fn.label}]",
+        acc, rem, sums = _decade_tail_integral(lambda u: fn(u) / (1.0 + u ** 2), 1.0,
+                                               max_decades=24, what=f"tail[{fn.label}]",
                                                t_cap=0.45 * fn.t_valid_max)
     except QuasianalyticInput:
         return False, 0.0, float("inf")
     xs = np.linspace(0.0, 1.0, 257)
     head = float(np.trapezoid(fn(xs) / (1.0 + xs ** 2), xs))
-    total = head + float(acc[0] + rem[0])
-    flat = np.maximum([float(v[0]) for v in sums[-5:]], 1e-300)
-    d = np.arange(len(sums) - len(flat), len(sums), dtype=float) + 1.0
-    q = -np.polyfit(np.log(d), np.log(flat), 1)[0]
-    return True, float(q), total
+    return True, float(_decay_exponent(sums[-5:], len(sums))), head + acc + float(rem)
 
 
 # -- harmonic extension ---------------------------------------------------------
@@ -546,7 +546,6 @@ def poisson(fn: WeightFunction, x: float, y: float,
     def tail_g(u):
         return fn(u) * (1.0 / ((u - x) ** 2 + y ** 2) + 1.0 / ((u + x) ** 2 + y ** 2))
 
-    acc, rem, _ = _decade_tail_integral(tail_g, np.array([big]),
-                                        what=f"poisson[{fn.label}]",
+    acc, rem, _ = _decade_tail_integral(tail_g, big, what=f"poisson[{fn.label}]",
                                         t_cap=0.45 * fn.t_valid_max)
-    return core + ay / pi * float(acc[0] + rem[0])
+    return core + ay / pi * float(acc + rem)

@@ -73,7 +73,14 @@ def test_heir_rejects_quasianalytic_omega():
 
 
 def test_kappa_is_its_own_heir(sqrt_fn):
-    kap = fncore.kappa_weight(sqrt_fn)
+    def ev(t):
+        t = np.asarray(t, dtype=float)
+        out = np.zeros_like(t)
+        pos = t > 0.0
+        out[pos] = kappa(sqrt_fn, t[pos])
+        return out
+
+    kap = fncore.WeightFunction(ev, label=f"kappa[{sqrt_fn.label}]")
     v = check_heir(sqrt_fn, kap)
     assert v.holds
     assert v.witness_constants["C"] <= 1.0 + 1e-9

@@ -4,7 +4,9 @@ against the hand-unrolled 1D/2D loops, the point-cube incidence with
 its pairwise partition fold (``pou``, ``extend``) against the per-cube mask
 loops and the per-cube folds over all earlier neighbors, the vectorized
 conjugates of ``fncore`` against one bounded scalar minimisation per point,
-the array tail sum of ``seqcore`` against its per-decade loop, the
+the one-pass averaged tail transform ``fncore.kappa`` against its per-t
+decade loop and ``np.polyfit`` remainders, the
+array tail sum of ``seqcore`` against its per-decade loop, the
 shared row search and log-cap verdict of ``conditions`` against the
 per-pair loops of each check, the array passes of ``jets.certify``,
 the bump stages and stacked bump derivatives of ``pou`` and
@@ -55,6 +57,7 @@ from ultrajet.errors import (
     GridExhausted,
     InvariantViolation,
     NotLittleO,
+    QuasianalyticInput,
     TailUnbounded,
     UltrajetError,
 )
@@ -63,7 +66,9 @@ from ultrajet.fncore import (
     GRID_HI,
     MATRIX_TOL,
     WeightMatrix,
+    _tail_remainder,
     gevrey_dual,
+    kappa,
     log_power,
     omega_conjugate_grid,
     omega_of_sequence,
@@ -1341,6 +1346,137 @@ def test_quotient_tail_sums_equal_refit(seq):
         assert np.array_equal(seq.quotient_tail_sums(), want)
     assert np.array_equal(seq.quotient_tail_sums(tail_beyond=0.5),
                           np.cumsum(np.exp(-seq.log_mu[1:])[::-1])[::-1] + 0.5)
+
+
+# -- the averaged tail transform: the per-t decade loop -----------------------------
+
+def oracle_simpson_log(g, lo, ratio):
+    n = 32
+    h = log(ratio) / n
+    w = np.ones(n + 1)
+    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+    u = lo[:, None] * np.exp(np.arange(n + 1) * h)[None, :]
+    return (h / 3.0) * (g(u) * u) @ w
+
+
+def oracle_tail_remainder(s, what):
+    """The per-row remainder loop over the (n, n_decades) decade sums."""
+    n_dec = s.shape[1]
+    rem = np.empty(len(s))
+    for i in range(len(s)):
+        r = s[i, -1] / max(s[i, -2], 1e-300)
+        if r <= 0.95:
+            rem[i] = s[i, -1] * r / (1.0 - r)
+            continue
+        d_idx = np.arange(n_dec - 4, n_dec, dtype=float) + 1.0
+        tail4 = np.maximum(s[i, -4:], 1e-300)
+        q = -np.polyfit(np.log(d_idx), np.log(tail4), 1)[0]
+        if q <= 1.05:
+            raise QuasianalyticInput(
+                f"{what}: decade sums decay like d^-{q:.2f}, not summable")
+        rem[i] = s[i, -1] * n_dec / (q - 1.0)
+    return rem
+
+
+def oracle_kappa(fn, t):
+    """Every t integrates its own decades [t 10^d, t 10^(d+1)], all t stop
+    at the first decade where all have settled, else each takes the
+    remainder fitted to its own last four decade sums."""
+    if not fn.flags["non_quasianalytic"]:
+        raise QuasianalyticInput(f"{fn.label}: tail integral not certified finite")
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(ts <= 0):
+        raise ValueError("t must be positive")
+    what, t_cap, max_decades = f"kappa[{fn.label}]", 0.45 * fn.t_valid_max, 60
+    if isfinite(t_cap):
+        avail = int(np.floor(np.log10(t_cap / float(np.max(ts))))) if t_cap > 0 else 0
+        if avail < 4:
+            raise QuasianalyticInput(
+                f"{what}: only {avail} certified decades above t0, cannot certify tail")
+        max_decades = min(max_decades, avail)
+    sums, acc, lo = [], np.zeros_like(ts), ts.copy()
+    for d in range(max_decades):
+        j = oracle_simpson_log(lambda u: fn(u) / u ** 2, lo, 10.0)
+        sums.append(j)
+        acc += j
+        lo *= 10.0
+        if d >= 3 and np.all(acc > 0.0) and np.all(j <= 1e-12 * acc):
+            return ts * acc
+    return ts * (acc + oracle_tail_remainder(np.stack(sums, axis=1), what))
+
+
+@st.composite
+def kappa_cases(draw):
+    """A preset over its config range, the point past which [t, inf) holds
+    no kink of it (inf for growth profiles, piecewise linear in log t), and
+    an unsorted t set with duplicates: spread over [1e-3, 1e9], around 1 and
+    the kink, and around 1e-4 of the certified range, where the decades
+    left run out."""
+    kind = draw(st.sampled_from(("power", "gevrey_dual", "log_power", "growth")))
+    if kind == "power":  # below about 1e-6, t^alpha - 1 cancels to rounding noise
+        fn, kink = power(draw(st.floats(1e-6, 1.0))), 1.0
+    elif kind == "gevrey_dual":
+        fn, kink = gevrey_dual(draw(st.floats(0.05, 10.0))), 1.0
+    elif kind == "log_power":
+        b = draw(st.floats(1.0, 5.0, exclude_min=True))
+        fn, kink = log_power(b, draw(st.floats(0.05, 20.0))), float(np.exp(b + 1.0))
+    else:
+        seq = gevrey(draw(st.floats(0.25, 3.0)), K_max=draw(st.sampled_from((64, 256, 1024))))
+        fn, kink = omega_of_sequence(seq), float("inf")
+    cap = min(1e13, 0.45 * fn.t_valid_max)
+    anchors = [1.0, min(kink, 1e9), 1e-4 * cap]
+    point = st.one_of(
+        st.floats(-3.0, 9.0).map(lambda x: 10.0 ** x),
+        st.tuples(st.sampled_from(anchors), st.floats(-0.5, 0.5)).map(
+            lambda ax: ax[0] * 10.0 ** ax[1]))
+    ts = draw(st.lists(point, min_size=1, max_size=8))
+    ts += draw(st.lists(st.sampled_from(ts), max_size=3))
+    return fn, kink, np.array(draw(st.permutations(ts)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kappa_cases())
+@example((log_power(1.04), float(np.exp(2.04)), np.array([1.0, 1e8])))  # d^-1.05, not d^-0.92
+def test_kappa_matches_per_t_oracle(case):
+    fn, kink, ts = case
+    try:
+        old = oracle_kappa(fn, ts)
+    except (UltrajetError, ValueError) as exc:
+        with pytest.raises(type(exc)) as got:
+            kappa(fn, ts)
+        assert str(got.value) == str(exc)
+        return
+    new = kappa(fn, ts)
+    # past the last kink both are close to the closed form (the worst
+    # difference, about 4.5e-7, is the oracle's own error near t = 1 for
+    # small exponents); below it, quadrature error at the kink puts the
+    # oracle itself up to 6e-4 off
+    smooth = ts >= kink
+    assert np.all(np.abs(new - old)[smooth] <= 5e-7 * old[smooth])
+    assert np.all(np.abs(new - old) <= 2e-3 * old)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(-30.0, 3.0), st.floats(-1.0, 4.0),
+                          st.lists(st.floats(-0.2, 0.2), min_size=4, max_size=4)),
+                min_size=1, max_size=6),
+       st.integers(4, 60))
+def test_tail_remainder_matches_polyfit_loop(rows, n_dec):
+    # rows of the last four decade sums c d^-q (1 + noise): geometric, fitted
+    # or not summable
+    d = np.arange(n_dec - 3, n_dec + 1, dtype=float)
+    last4 = np.array([10.0 ** c * d ** -q * (1.0 + np.array(e)) for c, q, e in rows])
+    sums = np.concatenate([np.ones((len(rows), n_dec - 4)), last4], axis=1)
+    try:
+        old = oracle_tail_remainder(sums, "t")
+    except QuasianalyticInput as exc:
+        with pytest.raises(QuasianalyticInput) as got:
+            _tail_remainder(last4, n_dec, "t")
+        # equal sums fit a slope of zero, of either sign
+        assert (str(got.value).replace("d^--0.00", "d^-0.00")
+                == str(exc).replace("d^--0.00", "d^-0.00"))
+        return
+    assert np.all(np.abs(_tail_remainder(last4, n_dec, "t") - old) <= 1e-12 * np.abs(old))
 
 
 # -- condition checks: the per-pair row searches ------------------------------------
