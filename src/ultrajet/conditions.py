@@ -21,6 +21,7 @@ verdict, ``_log_verdict``: log C against LOG_CAP, exponents capped at 700.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import log
 from typing import Optional
 
@@ -459,6 +460,8 @@ def resolve_chain(matrix: WeightMatrix, x: float,
 
     Deterministic search order: (y1, y2, y3) ascending lexicographically,
     then D ascending over the geometric grid; the first full success wins.
+    Each row's counting indices are taken once, at D^j t for every D and t
+    (j its place in the chain), and every triple tests all D in one pass.
     Raises RangeExhausted when x is off the grid or the grid offers no
     certificate.
     """
@@ -471,18 +474,29 @@ def resolve_chain(matrix: WeightMatrix, x: float,
     if x not in matrix.rows:
         raise RangeExhausted(f"x={x:g} is not a point of the matrix grid")
     ts = np.geomspace(t_range[0], t_range[1], n_t)
-    xs = matrix.x_grid
+    g_x, ex0 = gamma_under_soft(matrix.row(x).view("m"), ts)
+    d = np.array(GRID_POWERS[:14])[:, None]
+
+    @cache
+    def at(y, j, gamma):  # (index, exhausted) of row y at D^j t, a row per D
+        return gamma(matrix.row(y).view("m"), d ** j * ts)
+
+    xs = () if np.any(ex0) else matrix.x_grid  # exhausted at x: no chain holds
     for y1 in (y for y in xs if y >= 2.0 * x):
         if not splitting_ok(matrix.row(x).log_m, matrix.row(y1).log_m):
             continue
+        g1, ex1 = at(y1, 1, gamma_under_soft)
         for y2 in (y for y in xs if y >= 2.0 * y1):
             if not splitting_ok(matrix.row(y1).log_m, matrix.row(y2).log_m):
                 continue
+            (g2u, ex2), (g2b, ex3) = at(y2, 2, gamma_under_soft), at(y2, 2, gamma_bar_soft)
             for y3 in (y for y in xs if y >= y2):
-                for d in GRID_POWERS[:14]:
-                    if _chain_holds(matrix, x, y1, y2, y3, d, ts):
-                        return ChainCertificate(x, y1, y2, y3, d,
-                                                (float(ts[0]), float(ts[-1])), n_t)
+                g3, ex4 = at(y3, 3, gamma_bar_soft)
+                holds = np.all(~(ex1 | ex2 | ex3 | ex4) & (g3 <= g2u) & (g2u <= g2b)
+                               & (g2b <= g1) & (2 * g1 <= g_x), axis=1)
+                if holds.any():  # the first D that holds
+                    return ChainCertificate(x, y1, y2, y3, GRID_POWERS[int(np.argmax(holds))],
+                                            (float(ts[0]), float(ts[-1])), n_t)
     raise RangeExhausted(f"no in-grid chain certificate for x={x:g}")
 
 

@@ -8,11 +8,12 @@ transform ``t * int_t^inf omega(u)/u^2 du``, the Poisson harmonic extension,
 and the weight matrix ``W^x_k = exp(phi*(x k)/x)`` spanned by a weight
 function.
 
-Both conjugates are array kernels: every argmax is bracketed at once (by
-doubling for ``phi*``, by a fixed log-spaced scan for ``omega*``) and then
-refined by one vectorized golden-section search over all brackets; the
-scalar functions are 1-element calls of the grid ones.  The averaged tail
-transform integrates each gap of its query grid once, not decades per t.
+Both conjugates are array kernels, in closed form for the power presets;
+otherwise every argmax is bracketed at once (by doubling for ``phi*``, by a
+log-spaced scan for ``omega*``) and refined by one vectorized golden-section
+search.  The scalar functions are 1-element calls of the grid ones.  A
+weight matrix flags all its rows in one pass.  The averaged tail transform
+integrates each gap of its query grid once, not decades per t.
 
 Asymptotic properties (doubling, linear bound, little-o of t, tail
 integrability) are certified on a finite log-spaced grid with reported
@@ -32,7 +33,7 @@ from .errors import (
     QuasianalyticInput,
 )
 from .jets import INCIDENCE_BLOCK
-from .seqcore import WeightSequence, _MinAffineEnvelope
+from .seqcore import WeightSequence, _decay_exponent, _MinAffineEnvelope, _row_flags
 
 LOG_C_CAP = 40.0 * log(2.0)
 
@@ -53,13 +54,16 @@ class WeightFunction:
     ``fn`` must accept numpy arrays of nonnegative reals.  ``t_valid_max``
     bounds the range on which the evaluator is certified (e.g. growth
     profiles of finite sequence tables); grids used by the transforms are
-    clamped to it.  Instances are immutable and thread-safe.
+    clamped to it.  ``conjugates`` holds exact ``(phi*(t), omega*(s, t_hi))``
+    array functions, if any.  Instances are immutable and thread-safe.
     """
 
-    def __init__(self, fn, label: str, t_valid_max: float = float("inf")):
+    def __init__(self, fn, label: str, t_valid_max: float = float("inf"),
+                 conjugates=None):
         self._fn = fn
         self.label = label
         self.t_valid_max = t_valid_max
+        self.conjugates = conjugates
         self.flags: dict[str, bool] = {}
         self.witnesses: dict[str, float] = {}
         hi = min(GRID_HI, 0.45 * t_valid_max)
@@ -126,13 +130,29 @@ class WeightFunction:
 # -- presets -----------------------------------------------------------------
 
 def power(alpha: float, normalized: bool = True) -> WeightFunction:
-    """omega(t) = t^alpha, shifted to vanish on [0, 1] when normalized."""
+    """omega(t) = t^alpha, shifted to vanish on [0, 1] when normalized, with
+    its exact conjugates: phi*(t) = (t/a)(log(t/a) - 1) + 1 for t > a = alpha,
+    else 0 (both 1 less when raw), and omega*(s) at t = (a/s)^{1/(1-a)}."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError("exponent must lie in (0, 1]")
-    if normalized:
-        return WeightFunction(lambda t: np.maximum(0.0, t ** alpha - 1.0),
-                              label=f"power({alpha:g})")
-    return WeightFunction(lambda t: t ** alpha, label=f"power({alpha:g},raw)")
+    shift = 1.0 if normalized else 0.0
+
+    def young(t):  # argmax log(t/a)/a of s t - phi(s), at s = 0 for t <= a
+        r = np.maximum(t, alpha) / alpha
+        return r * (np.log(r) - 1.0) + shift
+
+    def omega_star(s, t_hi):  # at the stationary point, clamped to the scan top
+        t = np.exp(np.minimum((log(alpha) - np.log(s)) / (1.0 - alpha), log(t_hi)))
+        return np.maximum(t ** alpha - shift - s * t, 0.0)
+
+    def fn(t):  # expm1 keeps t^alpha - 1 accurate for tiny alpha
+        if not normalized:
+            return t ** alpha
+        with np.errstate(divide="ignore"):
+            return np.maximum(0.0, np.expm1(alpha * np.log(t)))
+
+    return WeightFunction(fn, f"power({alpha:g}{'' if normalized else ',raw'})",
+                          conjugates=(young, omega_star))
 
 
 def gevrey_dual(s: float, normalized: bool = True) -> WeightFunction:
@@ -240,9 +260,10 @@ def young_conjugate_grid(fn: WeightFunction, ts) -> np.ndarray:
     doubling ``s_hi`` from 1 while the objective still rises, up to
     ``min(600, log t_valid_max)`` (GridExhausted, naming the first such
     ``t``, when it still rises there), then refined by one vectorized
-    golden-section search on ``[0, s_hi]`` down to ``1e-10 * s_hi``.  For
-    normalized weights the result is a nonnegative increasing convex
-    function vanishing at 0.
+    golden-section search on ``[0, s_hi]`` down to ``1e-10 * s_hi``.  A
+    weight with exact conjugates skips the search; the bracket test at the
+    cap still decides GridExhausted.  For normalized weights the result is a
+    nonnegative increasing convex function vanishing at 0.
     """
     t = np.asarray(ts, dtype=float)
     if np.any(t < 0):
@@ -253,6 +274,13 @@ def young_conjugate_grid(fn: WeightFunction, ts) -> np.ndarray:
     def g(s, tt=t):
         return s * tt - fn.phi(s)
 
+    if fn.conjugates is not None:
+        # the doubling brackets below reach the cap still rising exactly here
+        stuck = g(s_cap) >= g(0.5 * s_cap)
+        if np.any(stuck):
+            raise GridExhausted(f"conjugate argmax of {fn.label} still rising at "
+                                f"s={s_cap:g} (t={t[stuck][0]:g})")
+        return fn.conjugates[0](t).reshape(shape)
     s_hi = np.ones_like(t)
     rising = np.ones(t.shape, dtype=bool)
     while np.any(rising):
@@ -324,26 +352,26 @@ class WeightMatrix:
 
     def _validate(self):
         xs = self.x_grid
-        k_max = self.K_max
-        for x in xs:
-            row = self.rows[x]
-            if abs(row.logM[0]) > 1e-9:
-                raise InvariantViolation(f"row {x:g}: W_0 != 1")
-            if not row.flags["log_convex"]:
-                raise InvariantViolation(f"row {x:g}: not log-convex")
-        for x, y in zip(xs, xs[1:]):
-            if np.any(self.rows[x].log_mu > self.rows[y].log_mu + MATRIX_TOL):
-                raise InvariantViolation(f"quotients not monotone {x:g} -> {y:g}")
+        rows = [self.rows[x] for x in xs]
+        w0_off = np.abs([r.logM[0] for r in rows]) > 1e-9
+        bad = w0_off | ~np.array([r.flags["log_convex"] for r in rows])
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise InvariantViolation(f"row {xs[i]:g}: " + ("W_0 != 1" if w0_off[i]
+                                                          else "not log-convex"))
+        log_mu = np.array([r.log_mu for r in rows])
+        falls = np.any(log_mu[:-1] > log_mu[1:] + MATRIX_TOL, axis=1)
+        if np.any(falls):
+            i = int(np.argmax(falls))
+            raise InvariantViolation(f"quotients not monotone {xs[i]:g} -> {xs[i + 1]:g}")
+        ks = np.arange(2, self.K_max // 2 + 1)
         for x in xs:
             if 2.0 * x in self.rows and not splitting_ok(self.rows[x].logM,
                                                          self.rows[2.0 * x].logM):
                 raise InvariantViolation(f"splitting bound fails at x={x:g}")
-            if 4.0 * x in self.rows:
-                th_x = self.rows[x].log_mu
-                th_4x = self.rows[4.0 * x].log_mu
-                ks = np.arange(2, k_max // 2 + 1)
-                if np.any(th_x[2 * ks] > th_4x[ks] + MATRIX_TOL):
-                    raise InvariantViolation(f"index-doubling bound fails at x={x:g}")
+            if 4.0 * x in self.rows and np.any(self.rows[x].log_mu[2 * ks] > self.rows[
+                    4.0 * x].log_mu[ks] + MATRIX_TOL):
+                raise InvariantViolation(f"index-doubling bound fails at x={x:g}")
 
 
 def weight_matrix(fn: WeightFunction, x_grid=DEFAULT_X_GRID,
@@ -362,22 +390,24 @@ def weight_matrix(fn: WeightFunction, x_grid=DEFAULT_X_GRID,
     x_col = np.asarray(x_grid, dtype=float)[:, None]
     table = young_conjugate_grid(fn, x_col * np.arange(K_max + 1)) / x_col
     table[:, 0] = 0.0
-    rows = {float(x): WeightSequence(logw, label=f"{fn.label}@x={x:g}")
-            for x, logw in zip(x_col[:, 0], table)}
+    rows = {x: WeightSequence(logw, label=f"{fn.label}@x={x:g}", _flags=flags)
+            for x, logw, flags in zip(x_col[:, 0].tolist(), table, _row_flags(table))}
     return WeightMatrix(x_grid, rows, source=fn)
 
 
 # -- decreasing conjugate ------------------------------------------------------
 
 def omega_conjugate_grid(fn: WeightFunction, ss) -> np.ndarray:
-    """Decreasing conjugate ``sup_{t>=0} (omega(t) - s t)`` at every ``s``
-    of an array of any shape.
+    """Decreasing conjugate ``sup (omega(t) - s t)`` over the scan range
+    ``[1e-9, t_hi]``, ``t_hi = min(0.45 t_valid_max, 1e12)``, floored at 0,
+    at every ``s`` of an array of any shape.
 
     Finite exactly because omega is certified o(t) on the range; decreasing
-    and convex in s.  Omega is evaluated once on a 600-point log-spaced
-    scan; each ``s`` takes its best scan point, and one vectorized
-    golden-section search refines every ``s`` over the bracket of the scan
-    points on either side, down to ``1e-12`` times the bracket's top.
+    and convex in s.  A weight with exact conjugates takes its closed form;
+    any other is evaluated once on a 600-point log-spaced scan, each ``s``
+    takes its best scan point, and one vectorized golden-section search
+    refines every ``s`` over the bracket of the scan points on either side,
+    down to ``1e-12`` times the bracket's top.
     """
     s = np.asarray(ss, dtype=float)
     if np.any(s <= 0):
@@ -386,6 +416,8 @@ def omega_conjugate_grid(fn: WeightFunction, ss) -> np.ndarray:
         raise NotLittleO(f"{fn.label}: o(t) certificate absent")
     shape, s = s.shape, s.ravel()
     t_hi = min(fn.t_valid_max * 0.45, GRID_HI * 1e3)
+    if fn.conjugates is not None:
+        return fn.conjugates[1](s, t_hi).reshape(shape)
     # beyond omega(t) <= c t with c < s/2, the objective only decreases
     ts = np.geomspace(1e-9, t_hi, 600)
     w = fn(ts)
@@ -415,14 +447,6 @@ def _simpson_log(g, lo: np.ndarray, ratio, n: int = 32) -> np.ndarray:
     u = lo[..., None] * np.exp(h * np.arange(n + 1))
     vals = g(u) * u  # d(u) = u d(log u)
     return (h / 3.0) * vals @ w
-
-
-def _decay_exponent(sums: np.ndarray, n_dec: int) -> np.ndarray:
-    """Per row, minus the least-squares slope of log(sums) on log(last decades <= n_dec)."""
-    x = np.log(np.arange(n_dec - sums.shape[-1] + 1, n_dec + 1, dtype=float))
-    x -= x.mean()
-    y = np.log(np.maximum(sums, 1e-300))
-    return -((y - y.mean(axis=-1, keepdims=True)) @ x) / (x @ x)
 
 
 def _tail_remainder(last4: np.ndarray, n_dec: int, what: str) -> np.ndarray:

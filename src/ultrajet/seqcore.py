@@ -34,47 +34,58 @@ DIVERGENCE_FLOOR = 1.0e6
 # Exponent margin above 1 for a fitted power tail to count as summable.
 TAIL_EXPONENT_MARGIN = 0.05
 
-def _certify_divergence(values: np.ndarray, growth_min: float = DIVERGENCE_GROWTH_MIN,
-                        floor_log: float | None = None, floor_value: float | None = None):
-    """Finite-range proxy for ``values -> infinity``.
+# the structural flags and witnesses of a sequence, in report order
+_FLAGS = ("log_convex", "weight_sequence", "strongly_log_convex", "non_quasianalytic",
+          "moderate_growth")
+_WITNESSES = ("weight_sequence_growth", "nonqa_tail_exponent", "nonqa_tail_estimate",
+              "moderate_growth_log_C")
 
-    ``values`` are logs of the tested quantity, indexed 1..K.  Certified if
-    the quantity grows by at least ``growth_min`` over the last quarter of
-    the range and (optionally) ``floor_value`` exceeds ``floor_log``.
-    Returns (ok, growth_factor).
+def _certify_divergence(values: np.ndarray):
+    """Finite-range proxy for ``values -> infinity``, per row.
+
+    ``values`` are logs of the tested quantity, indexed 1..K along the last
+    axis; certified if it grows by at least ``DIVERGENCE_GROWTH_MIN`` over
+    the last quarter of the range.  Returns (ok, growth_factor) per row.
     """
-    k = len(values)
+    k = values.shape[-1]
     if k < 8:
-        return False, 0.0
-    q3 = (3 * k) // 4
-    growth = float(np.exp(values[-1] - values[q3 - 1]))
-    ok = growth >= growth_min
-    if floor_log is not None and floor_value is not None:
-        ok = ok and (floor_value >= floor_log)
-    return ok, growth
+        return np.zeros(values.shape[:-1], dtype=bool), np.zeros(values.shape[:-1])
+    growth = np.exp(values[..., -1] - values[..., (3 * k) // 4 - 1])
+    return growth >= DIVERGENCE_GROWTH_MIN, growth
 
 
-def _fit_quotient_model(seq: "WeightSequence"):
+def _fit_quotient_model(mu_tail: np.ndarray) -> np.ndarray:
     """Fit log mu_j = log_c + p log j + q log log j on the last half of the
-    range.  The extra slowly-varying term keeps tail estimates honest for
-    quotients like j (log j)^2 where a pure power fit is badly biased."""
-    k = seq.K_max
+    range, every row of a (rows, K) table of log mu_1..mu_K in one least
+    squares call; returns the (3, rows) coefficients (log_c, p, q).  The
+    extra slowly-varying term keeps tail estimates honest for quotients like
+    j (log j)^2 where a pure power fit is badly biased."""
+    k = mu_tail.shape[1]
     j = np.arange(max(3, k // 2), k + 1, dtype=float)
     lj = np.log(j)
     a = np.vstack([np.ones_like(lj), lj, np.log(lj)]).T
-    coef, *_ = np.linalg.lstsq(a, seq.log_mu[max(3, k // 2):], rcond=None)
-    return float(coef[0]), float(coef[1]), float(coef[2])
+    return np.linalg.lstsq(a, mu_tail[:, max(3, k // 2) - 1:].T, rcond=None)[0]
 
 
-def _model_tail_sum(log_c: float, p: float, q: float, k0: float,
-                    max_decades: int = 200):
-    """``sum_{j > k0} 1/mu_j`` for the fitted model mu_j = c j^p (log j)^q,
-    integrated per decade in log j; returns (converged, tail).
+def _decay_exponent(sums: np.ndarray, n_dec: int) -> np.ndarray:
+    """Per row, minus the least-squares slope of log(sums) on log(last decades <= n_dec)."""
+    x = np.log(np.arange(n_dec - sums.shape[-1] + 1, n_dec + 1, dtype=float))
+    x -= x.mean()
+    y = np.log(np.maximum(sums, 1e-300))
+    return -((y - y.mean(axis=-1, keepdims=True)) @ x) / (x @ x)
 
-    All decades are integrated at once (16-panel Simpson rows); the sum
-    stops at the first decade past the fourth whose increment is below
+
+def _model_tail_sum(log_c, p, q, k0: float, max_decades: int = 200):
+    """``sum_{j > k0} 1/mu_j`` for the fitted models mu_j = c j^p (log j)^q,
+    one per entry of ``log_c``, ``p``, ``q``, integrated per decade in log j;
+    returns the arrays (converged, tail).
+
+    Every model's decades are integrated at once (16-panel Simpson rows); a
+    sum stops at the first decade past the fourth whose increment is below
     1e-14 of the running sum (converged), or past the eighth that is not
-    below 0.999 of the one before (divergent)."""
+    below 0.999 of the one before (divergent).  A sum that does neither adds
+    a power of the decade index fitted to its last four increments."""
+    log_c, p, q = (np.asarray(v, dtype=float)[:, None, None] for v in (log_c, p, q))
     u0 = log(max(k0, 3.0))
     n = 16
     us = u0 + log(10.0) * (np.arange(max_decades)[:, None] + np.arange(n + 1) / n)
@@ -82,21 +93,51 @@ def _model_tail_sum(log_c: float, p: float, q: float, k0: float,
     w[1:-1:2], w[2:-1:2] = 4.0, 2.0
     with np.errstate(over="ignore"):
         vals = np.exp((1.0 - p) * us - q * np.log(us) - log_c)
-    # one dot per row: a matrix-vector product may sum in another order
+    # one dot per decade: a matrix-vector product may sum in another order
     incs = log(10.0) / n / 3.0 * np.vecdot(vals, w)
-    acc = np.cumsum(incs)
+    acc = np.cumsum(incs, axis=1)
     d = np.arange(max_decades)
     small = (d >= 3) & (incs <= 1e-14 * np.maximum(acc, 1e-300))
-    flat = (d >= 7) & (incs >= 0.999 * np.roll(incs, 1))
-    stop = np.flatnonzero(small | flat)
-    if len(stop):
-        return (True, float(acc[stop[0]])) if small[stop[0]] else (False, float("inf"))
-    d_idx = np.arange(max_decades - 4, max_decades, dtype=float) + 1.0
-    tail4 = np.maximum(incs[-4:], 1e-300)
-    qq = -np.polyfit(np.log(d_idx), np.log(tail4), 1)[0]
-    if qq <= 1.05:
-        return False, float("inf")
-    return True, float(acc[-1] + incs[-1] * max_decades / (qq - 1.0))
+    flat = (d >= 7) & (incs >= 0.999 * np.roll(incs, 1, axis=1))
+    rows, first = np.arange(len(incs)), np.argmax(small | flat, axis=1)
+    stopped = (small | flat)[rows, first]
+    converged = stopped & small[rows, first]
+    tail = np.where(converged, acc[rows, first], float("inf"))
+    rest = np.flatnonzero(~stopped)
+    qq = _decay_exponent(incs[rest, -4:], max_decades)
+    fit = rest[qq > 1.05]
+    converged[fit] = True
+    tail[fit] = acc[fit, -1] + incs[fit, -1] * max_decades / (qq[qq > 1.05] - 1.0)
+    return converged, tail
+
+
+def _row_flags(logM: np.ndarray) -> list[tuple[dict, dict]]:
+    """The structural flags and witnesses of every row of a (rows, K+1)
+    table of log M, in one pass; one (flags, witnesses) pair per row."""
+    tol = 1e-12
+    k = logM.shape[1] - 1
+    mu_tail = np.diff(logM, axis=1)
+    log_convex = np.all(mu_tail >= -tol, axis=1) & np.all(np.diff(mu_tail, axis=1) >= -tol,
+                                                          axis=1)
+    roots = logM[:, 1:] / np.arange(1, k + 1)
+    weight_seq, growth = _certify_divergence(roots)
+    weight_seq &= logM[:, -1] >= log(DIVERGENCE_FLOOR)
+    m_quot = np.diff(logM - gammaln(np.arange(k + 1) + 1.0), axis=1)
+    strongly = log_convex & np.all(np.diff(m_quot, axis=1) >= -tol, axis=1)
+
+    # summability of sum 1/mu_k, with a fitted slowly-varying power tail
+    # beyond K_max: mu_j modelled as c j^p (log j)^q on the last half
+    log_c, p_fit, q_fit = _fit_quotient_model(mu_tail)
+    nonqa, tail = np.zeros(len(logM), dtype=bool), np.full(len(logM), float("inf"))
+    fit = p_fit > 1.0 - TAIL_EXPONENT_MARGIN
+    nonqa[fit], tail[fit] = _model_tail_sum(log_c[fit], p_fit[fit], q_fit[fit], k + 0.5)
+
+    # moderate growth via the quotient form mu_k <= C * M_k^{1/k}
+    c_mg = np.max(mu_tail - roots, axis=1)
+    moderate = weight_seq & (c_mg <= 40.0 * log(2.0))
+    flags = np.array([log_convex, weight_seq, strongly, nonqa, moderate]).T.tolist()
+    witnesses = np.array([growth, p_fit, tail, c_mg]).T.tolist()
+    return [(dict(zip(_FLAGS, f)), dict(zip(_WITNESSES, w))) for f, w in zip(flags, witnesses)]
 
 
 class _MinAffineEnvelope:
@@ -148,7 +189,7 @@ class WeightSequence:
     Instances are immutable after construction and safe for concurrent use.
     """
 
-    def __init__(self, log_m_table: np.ndarray, label: str = ""):
+    def __init__(self, log_m_table: np.ndarray, label: str = "", _flags=None):
         logM = np.asarray(log_m_table, dtype=float)
         if logM.ndim != 1 or len(logM) < 2:
             raise ValueError("need a 1-d table with at least M_0, M_1")
@@ -162,9 +203,7 @@ class WeightSequence:
         self.log_mu.flags.writeable = False
         self.log_m = self.logM - gammaln(np.arange(self.K_max + 1) + 1.0)
         self.log_m.flags.writeable = False
-        self.flags: dict[str, bool] = {}
-        self.witnesses: dict[str, float] = {}
-        self._compute_flags()
+        self.flags, self.witnesses = _flags or _row_flags(self.logM[None])[0]
         self._envelopes: dict[str, _MinAffineEnvelope] = {}
         self._quot_runmax: dict[str, np.ndarray] = {}
 
@@ -192,41 +231,6 @@ class WeightSequence:
 
     def view(self, kind: str) -> "SequenceView":
         return SequenceView(kind=kind, source=self)
-
-    # -- flags ------------------------------------------------------------
-
-    def _compute_flags(self):
-        tol = 1e-12
-        k = self.K_max
-        mu_tail = self.log_mu[1:]
-        self.flags["log_convex"] = bool(
-            np.all(mu_tail >= -tol) and np.all(np.diff(mu_tail) >= -tol))
-
-        roots = self.logM[1:] / np.arange(1, k + 1)
-        ok, growth = _certify_divergence(
-            roots, floor_log=log(DIVERGENCE_FLOOR), floor_value=float(self.logM[-1]))
-        self.flags["weight_sequence"] = ok
-        self.witnesses["weight_sequence_growth"] = growth
-
-        m_quot = np.diff(self.log_m)
-        self.flags["strongly_log_convex"] = bool(
-            self.flags["log_convex"] and np.all(np.diff(m_quot) >= -tol))
-
-        # summability of sum 1/mu_k, with a fitted slowly-varying power tail
-        # beyond K_max: mu_j modelled as c j^p (log j)^q on the last half
-        log_c, p_fit, q_fit = _fit_quotient_model(self)
-        ok, tail = False, float("inf")
-        if p_fit > 1.0 - TAIL_EXPONENT_MARGIN:
-            ok, tail = _model_tail_sum(log_c, p_fit, q_fit, self.K_max + 0.5)
-        self.flags["non_quasianalytic"] = ok
-        self.witnesses["nonqa_tail_exponent"] = p_fit
-        self.witnesses["nonqa_tail_estimate"] = tail
-
-        # moderate growth via the quotient form mu_k <= C * M_k^{1/k}
-        c_mg = float(np.max(mu_tail - roots))
-        self.witnesses["moderate_growth_log_C"] = c_mg
-        self.flags["moderate_growth"] = bool(
-            self.flags["weight_sequence"] and c_mg <= 40.0 * log(2.0))
 
     # -- tail machinery ----------------------------------------------------
 
@@ -273,14 +277,12 @@ class SequenceView:
         """Finite-range certificate that values^{1/k} -> infinity."""
         y = self.log_values()
         roots = y[1:] / np.arange(1, len(y))
-        ok, _ = _certify_divergence(roots)
-        return ok
+        return bool(_certify_divergence(roots)[0])
 
     def quotients_divergent_in_range(self) -> bool:
         """Finite-range certificate that values_{k+1}/values_k -> infinity."""
         rm = _quotient_running_max(self)
-        ok, _ = _certify_divergence(rm, growth_min=DIVERGENCE_GROWTH_MIN)
-        return ok
+        return bool(_certify_divergence(rm)[0])
 
 
 def _envelope(view: SequenceView) -> _MinAffineEnvelope:

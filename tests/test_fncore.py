@@ -1,12 +1,13 @@
 import math
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ultrajet import conditions, fncore, seqcore
-from ultrajet.errors import NotLittleO, QuasianalyticInput
+from ultrajet.errors import InvariantViolation, NotLittleO, QuasianalyticInput
 from ultrajet.fncore import (
     WeightMatrix,
     gevrey_dual,
@@ -40,6 +41,16 @@ def test_power_flags():
     for name in ("increasing", "doubling", "linear_bound", "log_small",
                  "convex_phi", "non_quasianalytic", "o_of_t"):
         assert fn.flags[name], name
+
+
+def test_power_keeps_relative_accuracy_for_tiny_exponents():
+    # t^a - 1 = a log t (1 + a log t / 2 + ...); the subtraction t ** a - 1
+    # would leave about 1e-5 relative rounding at a = 1e-12
+    alpha = 1e-12
+    fn = power(alpha)
+    for t in (2.0, 10.0, 1e6):
+        x = alpha * math.log(t)
+        assert math.isclose(float(fn(t)), x * (1.0 + 0.5 * x), rel_tol=1e-12), t
 
 
 def test_raw_power_is_unnormalized_and_concave():
@@ -173,6 +184,19 @@ def test_matrix_invariants_for_random_exponent(alpha):
 def test_matrix_requires_normalized():
     with pytest.raises(ValueError):
         weight_matrix(power(0.5, normalized=False), K_max=16)
+
+
+def test_matrix_validation_names_the_first_failing_row():
+    good = weight_matrix(power(0.5), x_grid=(0.5, 1.0, 2.0), K_max=16)
+    lifted = SimpleNamespace(logM=good.row(1.0).logM + 1.0, log_mu=good.row(1.0).log_mu,
+                             flags={"log_convex": True})
+    wavy = seqcore.from_mu([1.0, 4.0, 2.0] + [8.0] * 14)
+    for rows, message in (
+            ({1.0: lifted, 2.0: wavy}, "row 1: W_0 != 1"),
+            ({1.0: wavy, 2.0: lifted}, "row 1: not log-convex"),
+            ({1.0: good.row(2.0), 2.0: good.row(1.0)}, "quotients not monotone 1 -> 2")):
+        with pytest.raises(InvariantViolation, match=f"^{message}$"):
+            WeightMatrix((0.5, 1.0, 2.0), {0.5: good.row(0.5), **rows}, source=good.source)
 
 
 def test_handbuilt_matrix_skips_validation():
