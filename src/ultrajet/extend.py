@@ -60,7 +60,8 @@ from .seqcore import (
 )
 
 DEFAULT_GUARD = 64.0
-GUARD_CAP = 2.0 ** 16
+ON_SET = 1e-12                     # distance below which a point is a set point
+FIT_K_POWERS = np.arange(-8, 13)   # the residual fit tries K = 2^i
 
 
 @dataclass(frozen=True)
@@ -184,8 +185,8 @@ class ExtensionField:
 
     def point_flags(self, x) -> dict:
         _, d = self._nearest(np.asarray(x, dtype=float).reshape(-1, self.jet.cset.dim))
-        return {"on_set": d < 1e-12,
-                "collar": (d >= 1e-12) & (d <= self.pou.dec.collar_radius)}
+        return {"on_set": d < ON_SET,
+                "collar": (d >= ON_SET) & (d <= self.pou.dec.collar_radius)}
 
     def derivative_grid(self, x, alpha) -> np.ndarray:
         """d^alpha f on an array of points: :meth:`derivative_grids` for
@@ -202,7 +203,7 @@ class ExtensionField:
         return self._grids(x, alphas)[0]
 
     def _grids(self, x, alphas) -> tuple:
-        """:meth:`derivative_grids` and the cube of each incident pair.  The
+        """:meth:`derivative_grids` and the incident (point, cube) pairs.  The
         partition tables, the cutoff tables, the nearest set points and the
         Taylor sums of each beta are taken once for all the orders."""
         alphas = [tuple(a) for a in alphas]
@@ -239,11 +240,11 @@ class ExtensionField:
                     acc += coef * cut[gamma] * sums[beta]
                 out[alpha] = acc
         near, d = self._nearest(pts)
-        on_set = d < 1e-12
+        on_set = d < ON_SET
         if np.any(on_set):
             for alpha, values in out.items():
                 values[on_set] = self.jet.values[near[on_set], self.jet.rank(alpha)]
-        return out, cube
+        return out, point, cube
 
     def _pair_taylor(self, pts, point, cube, beta) -> tuple:
         """d^beta T_cube at pts[point], for the (point, cube) pairs whose
@@ -350,13 +351,15 @@ def derivative_bounds(field: ExtensionField, up_to: int) -> dict:
 def _approach_points(cset, d: float, box) -> np.ndarray:
     """Points at distance exactly d from the set (axis directions), inside
     the box and anchored to their nearest set point: per set point and
-    axis, the step -d, then +d."""
+    axis, the step -d, then +d.  A step that rounds onto the set (or so
+    close to it that the field reads the stored jet there) is dropped: its
+    residual would be 0 by construction."""
     pts = np.repeat(cset.points, 2 * cset.dim, axis=0)
     rows = np.arange(len(pts))
     pts[rows, rows // 2 % cset.dim] += np.where(rows % 2, d, -d)
     lo, hi = np.array(box, dtype=float).T
     dist = np.sqrt(np.sum((cset.points - pts[:, None, :]) ** 2, axis=2)).min(axis=1)
-    keep = np.all((lo <= pts) & (pts <= hi), axis=1) & (
+    keep = np.all((lo <= pts) & (pts <= hi), axis=1) & (dist >= ON_SET) & (
         np.abs(dist - d) < 1e-12 * max(d, 1.0))
     return pts[keep]
 
@@ -364,15 +367,20 @@ def _approach_points(cset, d: float, box) -> np.ndarray:
 def _taylor_bounds(field: ExtensionField, target_seq: WeightSequence,
                    approach) -> dict:
     """Realized constants of the two Taylor-field bounds at the approach
-    points: per scale, the degree p = 2 gamma_bar(L d) and every alpha with
-    |alpha| <= min(p, 4), one array pass per (scale, alpha) with one dot
-    per point.  Each constant is the largest ratio; NaN never counts."""
+    points: per scale, the degree p = 2 gamma_bar(L d), and every alpha with
+    |alpha| <= min(p, 4).  The points of all scales of one degree share one
+    array pass per alpha, one dot per point, each with its own d in the
+    increment ratio.  Each constant is the largest ratio; NaN never
+    counts."""
     jet, L = field.jet, field.L
     s_all = np.exp(target_seq.logM[: jet.A_max + 2])
     field_C = increment_C = 0.0
-    for d, pts, anchors in approach:
-        gb, _ = gamma_bar_soft(field.sched.s_prime, np.array([L * d]))
-        p = min(2 * int(gb[0]), jet.A_max)
+    gb, _ = gamma_bar_soft(field.sched.s_prime, L * np.array([a[0] for a in approach]))
+    degrees = np.minimum(2 * gb, jet.A_max)
+    for p in np.unique(degrees).tolist():
+        group = [a for a, q in zip(approach, degrees) if q == p]
+        pts, anchors = (np.concatenate([a[k] for a in group]) for k in (1, 2))
+        d = np.concatenate([np.full(len(a[1]), a[0]) for a in group])
         dx = pts - jet.cset.points[anchors]
         for alpha in multi_indices(jet.cset.dim, min(p, 4)):
             tot = sum(alpha)
@@ -391,17 +399,21 @@ def _taylor_bounds(field: ExtensionField, target_seq: WeightSequence,
 
 def verify(field: ExtensionField, target_seq: WeightSequence, orders,
            approach_scales, growth_orders: int | None = None,
-           grid_points: int = 800, fit_K_powers=range(-8, 13)) -> dict:
-    """Verification report: residuals, growth certificate, Taylor bounds."""
+           grid_points: int = 800) -> dict:
+    """Verification report: residuals, growth certificate, Taylor bounds.
+
+    One evaluation pass covers the approach points of every scale, in scale
+    order, then the growth grid.  Each row of it depends on that point
+    alone, so a scale reads its own rows: its residual, and whether any
+    cube it meets had its degree capped.  The fit takes every K = 2^i,
+    i in FIT_K_POWERS, in one envelope query, and keeps the first K with
+    the least finite C'."""
     jet = field.jet
     dec = field.pou.dec
     cset = jet.cset
-    box = dec.box
-    s_view = field.sched.s_prime
-    L = field.L
     approach = []  # per scale with points: (d, points, their nearest set point)
     for d in approach_scales:
-        pts = _approach_points(cset, float(d), box)
+        pts = _approach_points(cset, float(d), dec.box)
         if len(pts):
             approach.append((float(d), pts, nearest_index(pts, cset)))
 
@@ -409,36 +421,40 @@ def verify(field: ExtensionField, target_seq: WeightSequence, orders,
     for alpha in alphas:
         if len(alpha) != cset.dim:
             raise ValueError(f"order {alpha} does not match dimension {cset.dim}")
-    # one evaluation pass per scale; its incidence tells the capped cubes hit
-    at_scale = [field._grids(pts, alphas) for _, pts, _ in approach]
+    g_ord = growth_orders if growth_orders is not None else max(map(sum, alphas))
+    growth_multis = multi_indices(dec.dim, g_ord)
+    grid = box_grid(dec.box, int(round(grid_points ** (1.0 / dec.dim))))
+    edges = np.cumsum([0] + [len(a[1]) for a in approach]).tolist()
+    vals, point, cube = field._grids(
+        np.concatenate([a[1] for a in approach] + [grid]),
+        list(dict.fromkeys((alphas if approach else []) + growth_multis)))
+    capped = [bool(np.any(field.sched.capped[cube[(lo <= point) & (point < hi)]]))
+              for lo, hi in zip(edges, edges[1:])]
     residuals = []
     for alpha in alphas:
-        for (d, pts, anchors), (vals, cube) in zip(approach, at_scale):
+        for (d, pts, anchors), lo, hi, cap in zip(approach, edges, edges[1:], capped):
             ref = jet.values[anchors, jet.rank(alpha)]
             residuals.append({
                 "alpha": list(alpha), "d": d,
-                "residual": float(np.max(np.abs(vals[alpha] - ref))),
-                "capped": bool(np.any(field.sched.capped[cube])),
-                "n_points": len(pts)})
+                "residual": float(np.max(np.abs(vals[alpha][lo:hi] - ref))),
+                "capped": cap, "n_points": len(pts)})
 
     fit = None
     clean = [r for r in residuals if not r["capped"]]
     if clean:
         d = np.array([r["d"] for r in clean])
         res = np.array([r["residual"] for r in clean])
-        for K in (2.0 ** i for i in fit_K_powers):
-            lh = log_h_assoc(s_view, K * d)
-            h = np.where(np.isfinite(lh), np.exp(lh), 0.0)
-            # the largest ratio, NaN skipped; an infinite one rules K out
-            needed = float(np.fmax.reduce(res / (h + d), initial=0.0))
-            if np.isfinite(needed) and (fit is None or needed < fit["C_prime"]):
-                fit = {"K": K, "C_prime": needed}
+        K = 2.0 ** FIT_K_POWERS
+        lh = log_h_assoc(field.sched.s_prime, K[:, None] * d)
+        h = np.where(np.isfinite(lh), np.exp(lh), 0.0)
+        # per K the largest ratio, NaN skipped; an infinite one rules K out
+        needed = np.fmax.reduce(res / (h + d), axis=1, initial=0.0)
+        best = int(np.argmin(needed))
+        if np.isfinite(needed[best]):
+            fit = {"K": float(K[best]), "C_prime": float(needed[best])}
 
     # growth certificate: certified bounds (grid-free), sampled sups reported
-    g_ord = growth_orders if growth_orders is not None else max(map(sum, alphas))
-    grid = box_grid(box, int(round(grid_points ** (1.0 / dec.dim))))
-    sups = {m: float(np.max(np.abs(v))) for m, v in
-            field.derivative_grids(grid, multi_indices(dec.dim, g_ord)).items()}
+    sups = {m: float(np.max(np.abs(vals[m][edges[-1]:]))) for m in growth_multis}
     bounds = derivative_bounds(field, g_ord)
     W = np.exp(target_seq.logM[: g_ord + 1])
     M1 = max(1.0, max((bounds[m] / W[sum(m)]) ** (1.0 / (sum(m) + 1.0))
@@ -450,28 +466,5 @@ def verify(field: ExtensionField, target_seq: WeightSequence, orders,
               "grid_points": len(grid)}
     return {"residuals": residuals, "fit": fit, "growth": growth,
             "taylor_bounds": _taylor_bounds(field, target_seq, approach),
-            "jet_certificate_C": jet.certificate.C, "L": L, "mode": field.sched.mode,
+            "jet_certificate_C": jet.certificate.C, "L": field.L, "mode": field.sched.mode,
             "degree_cap_hit": bool(np.any(field.sched.capped))}
-
-
-def build_verified_extension(jet: Ultrajet, pou: PartitionOfUnity,
-                             source, target_seq: WeightSequence, orders,
-                             approach_scales, guard: float = DEFAULT_GUARD,
-                             residual_cap: float | None = None) -> tuple:
-    """Assemble schedule + field at L = guard * rho, doubling L until the
-    residual fit succeeds under the cap (or the guard cap is hit); returns
-    (field, report)."""
-    rho = jet.certificate.rho if jet.certificate else 1.0
-    L = guard * max(1.0, rho)
-    while True:
-        sched = schedule(pou.dec, source, L, A_max=jet.A_max)
-        fld = extend(jet, pou, sched)
-        rep = verify(fld, target_seq, orders, approach_scales)
-        if rep["fit"] is not None and (
-                residual_cap is None or rep["fit"]["C_prime"] <= residual_cap):
-            rep["final_L"] = L
-            return fld, rep
-        if L >= GUARD_CAP * max(1.0, rho):
-            rep["final_L"] = L
-            return fld, rep
-        L *= 2.0

@@ -491,6 +491,11 @@ def test_reports_byte_identical_across_runs(tmp_path):
     ra = (tmp_path / "a" / "report.json").read_bytes()
     rb = (tmp_path / "b" / "report.json").read_bytes()
     assert ra == rb
+    for name in ("va", "vb"):
+        assert run("verify", str(CONFIGS / "sin_gevrey2_all.json"),
+                   str(tmp_path / name)) == 0
+    for file in ("report.json", "residuals.csv"):
+        assert (tmp_path / "va" / file).read_bytes() == (tmp_path / "vb" / file).read_bytes()
 
 
 def test_seed_override_recorded(tmp_path):

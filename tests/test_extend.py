@@ -1,9 +1,11 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ultrajet import extend as ext
+from ultrajet.cli import run
 from ultrajet.errors import IncompatibleGeometry
 from ultrajet.extend import (
     DegreeSchedule,
@@ -17,6 +19,8 @@ from ultrajet.geometry import decompose
 from ultrajet.jets import CompactSet, Poly, Sin, certify, jet_from_preset, zero_jet
 from ultrajet.pou import build_pou
 from ultrajet.seqcore import gamma_bar, gevrey
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -341,16 +345,29 @@ def test_matrix_mode_schedule_and_field(pair_setup):
         assert rows[-1][1] <= rows[0][1] + 1e-12
 
 
-def test_autotuned_extension(pair_setup):
-    cs, dec, seq, pou = pair_setup
-    jet = jet_from_preset(Sin(1.0), cs, A_max=12)
-    jet = jet.with_certificate(certify(jet, seq, rho=1.0, P_max=12))
-    fld, rep = ext.build_verified_extension(
-        jet, pou, seq, seq, orders=[0, 1],
-        approach_scales=[2.0 ** -k for k in range(3, 7)])
-    assert rep["final_L"] >= 64.0
-    assert rep["fit"] is not None
-    assert fld.L == rep["final_L"]
+def test_approach_points_that_round_onto_the_set_are_dropped(sin_field):
+    # 1 +- 1e-17 rounds to 1 and 1 +- 1e-13 is read as the set point: both
+    # would give residual 0 and a vacuous fit
+    for tiny in (1e-17, 1e-13):
+        rep = verify(sin_field, gevrey(1.0), orders=[0, 1],
+                     approach_scales=[tiny], grid_points=50)
+        assert rep["residuals"] == []
+        assert rep["fit"] is None
+        rep = verify(sin_field, gevrey(1.0), orders=[0, 1],
+                     approach_scales=[tiny, 0.125], grid_points=50)
+        assert [r["d"] for r in rep["residuals"]] == [0.125, 0.125]
+        assert all(r["n_points"] == 4 for r in rep["residuals"])
+
+
+def test_approach_scale_on_the_set_fails_the_fit_through_the_cli(tmp_path):
+    cfg = json.loads((CONFIGS / "sin_gevrey2_all.json").read_text())
+    cfg["extension"]["approach_scales"] = [1e-17]
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(cfg))
+    assert run("verify", str(path), str(tmp_path / "out")) == 1
+    rep = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [e["kind"] for e in rep["errors"]] == ["residual_fit"]
+    assert rep["residual_tables"] == [[]]
 
 
 def test_point_flags_mark_set_and_collar(sin_field):

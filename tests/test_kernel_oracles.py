@@ -18,7 +18,8 @@ and per-sample loops, and the level passes of
 ``extend.derivative_bounds`` against the breadth-first queue, the per-point
 tie scan and the per-cube folds, the one-pass ``derivative_grids`` and the
 batched Taylor bounds of ``verify`` against the per-cube sums and the
-per-point loop, and the blocked ``fncore.splitting_ok`` against its full
+per-point loop, ``verify``'s one evaluation pass and one fit query against
+a pass per approach scale and a query per K, and the blocked ``fncore.splitting_ok`` against its full
 arrays, bit for bit."""
 
 import copy
@@ -58,6 +59,7 @@ from ultrajet.extend import (
     _taylor_bounds,
     _taylor_sup_bounds,
     derivative_bounds,
+    verify,
 )
 from ultrajet.errors import (
     DepthExhausted,
@@ -89,6 +91,7 @@ from ultrajet.fncore import (
 from ultrajet.geometry import (
     EXPANSION,
     INCIDENCE_BLOCK,
+    box_grid,
     CubeDecomposition,
     cube_diagnostics,
     decompose,
@@ -134,6 +137,7 @@ from ultrajet.seqcore import (
     gamma_bar_soft,
     gamma_under_soft,
     gevrey,
+    log_h_assoc,
     quotient_power,
 )
 
@@ -718,6 +722,120 @@ def test_taylor_bounds_bitwise_equal_per_point_loop(case, L, poison):
         want = oracle_taylor_bounds(field, SEQ, approach)
     assert got.keys() == want.keys()
     assert all(_bits(got[k]) == _bits(want[k]) for k in want)
+
+
+def oracle_verify(field, target_seq, orders, approach_scales, growth_orders=None,
+                  grid_points=800):
+    """The verifier with one evaluation pass per approach scale, one more
+    over the growth grid, one envelope query per fit constant K and the
+    Taylor constants from the per-point loop."""
+    jet, dec, cset = field.jet, field.pou.dec, field.jet.cset
+    approach = []
+    for d in approach_scales:
+        pts = _approach_points(cset, float(d), dec.box)
+        if len(pts):
+            approach.append((float(d), pts, nearest_index(pts, cset)))
+    alphas = [tuple(a) if isinstance(a, (tuple, list)) else (int(a),) for a in orders]
+    for alpha in alphas:
+        if len(alpha) != cset.dim:
+            raise ValueError(f"order {alpha} does not match dimension {cset.dim}")
+    at_scale = [field._grids(pts, alphas) for _, pts, _ in approach]
+    residuals = []
+    for alpha in alphas:
+        for (d, pts, anchors), (vals, _, cube) in zip(approach, at_scale):
+            ref = jet.values[anchors, jet.rank(alpha)]
+            residuals.append({
+                "alpha": list(alpha), "d": d,
+                "residual": float(np.max(np.abs(vals[alpha] - ref))),
+                "capped": bool(np.any(field.sched.capped[cube])),
+                "n_points": len(pts)})
+    fit = None
+    clean = [r for r in residuals if not r["capped"]]
+    if clean:
+        d = np.array([r["d"] for r in clean])
+        res = np.array([r["residual"] for r in clean])
+        for K in (2.0 ** i for i in range(-8, 13)):
+            lh = log_h_assoc(field.sched.s_prime, K * d)
+            h = np.where(np.isfinite(lh), np.exp(lh), 0.0)
+            needed = float(np.fmax.reduce(res / (h + d), initial=0.0))
+            if np.isfinite(needed) and (fit is None or needed < fit["C_prime"]):
+                fit = {"K": K, "C_prime": needed}
+    g_ord = growth_orders if growth_orders is not None else max(map(sum, alphas))
+    grid = box_grid(dec.box, int(round(grid_points ** (1.0 / dec.dim))))
+    sups = {m: float(np.max(np.abs(v))) for m, v in
+            field.derivative_grids(grid, multi_indices(dec.dim, g_ord)).items()}
+    bounds = derivative_bounds(field, g_ord)
+    W = np.exp(target_seq.logM[: g_ord + 1])
+    M1 = max(1.0, max((bounds[m] / W[sum(m)]) ** (1.0 / (sum(m) + 1.0))
+                      for m in bounds))
+    C_growth = max(bounds[m] / (M1 ** (sum(m) + 1) * W[sum(m)]) for m in bounds)
+    growth = {"M1": M1, "C": float(C_growth), "row": target_seq.label,
+              "grid_sups": {str(list(m)): v for m, v in sups.items()},
+              "certified_bounds": {str(list(m)): v for m, v in bounds.items()},
+              "grid_points": len(grid)}
+    return {"residuals": residuals, "fit": fit, "growth": growth,
+            "taylor_bounds": oracle_taylor_bounds(field, target_seq, approach)}
+
+
+def _outcome(fn, *args, **kwargs):
+    """The report's verification sections as exact JSON (a float's repr
+    names its bits), or the type of the exception raised."""
+    try:
+        rep = fn(*args, **kwargs)
+    except (UltrajetError, ValueError) as exc:
+        return type(exc)
+    return json.dumps({k: rep[k] for k in ("residuals", "fit", "growth", "taylor_bounds")})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(field_cases(), field_cases_3d()), st.data())
+def test_verify_one_pass_equals_per_scale_oracle(case, data):
+    # duplicate orders and scales, orders past the partition cap, scales
+    # whose points all leave the box or round onto the set, growth orders
+    # below, at and above the top verified order
+    field, _, _ = case
+    dim, cap = field.jet.cset.dim, field.pou.order_cap
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    field = replace(
+        field, jet=replace(field.jet, certificate=SimpleNamespace(C=1.0)),
+        sched=replace(field.sched, L=data.draw(st.sampled_from((1.0, 8.0, 64.0))),
+                      s_prime=SEQ.view("m"),
+                      capped=rng.random(field.pou.dec.n_cubes) < data.draw(
+                          st.sampled_from((0.0, 0.02, 0.2)))))
+    orders = data.draw(st.lists(st.sampled_from(multi_indices(dim, cap)),
+                                min_size=1, max_size=5))
+    if rng.random() < 0.06:
+        orders.append((cap + 1,) + (0,) * (dim - 1))
+    scales = data.draw(st.lists(st.sampled_from(
+        (0.25, 0.125, 0.0625, 0.03125, 2.0 ** -6, 0.5, 1.5, 3.0, 1e-17, 1e-13)),
+        min_size=1, max_size=5))
+    growth = data.draw(st.sampled_from([None, None, *range(cap + 1)]))
+    if rng.random() < 0.06:
+        growth = cap + 1
+    kwargs = {"growth_orders": growth,
+              "grid_points": data.draw(st.sampled_from((8, 30, 64)))}
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = _outcome(verify, field, SEQ, orders, scales, **kwargs)
+        want = _outcome(oracle_verify, field, SEQ, orders, scales, **kwargs)
+    assert got == want
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(field_cases(), field_cases_3d()), st.integers(0, 30), st.integers(0, 30))
+def test_grids_rows_do_not_depend_on_the_other_rows(case, n_before, n_after):
+    field, up_to, x = case
+    dim = field.jet.cset.dim
+    rng = np.random.default_rng(n_before * 31 + n_after)
+    big = np.concatenate([rng.uniform(-1.0, 1.0, size=(n_before, dim)), x,
+                          rng.uniform(-1.0, 1.0, size=(n_after, dim))])
+    alphas = multi_indices(dim, up_to)
+    vals, point, cube = field._grids(x, alphas)
+    big_vals, big_point, big_cube = field._grids(big, alphas)
+    rows = (n_before <= big_point) & (big_point < n_before + len(x))
+    assert np.array_equal(big_point[rows] - n_before, point)
+    assert np.array_equal(big_cube[rows], cube)
+    for alpha in alphas:
+        assert _same_array(big_vals[alpha][n_before:n_before + len(x)], vals[alpha])
 
 
 # -- certification, bump stages and cube diagnostics: the per-term loops ----------
