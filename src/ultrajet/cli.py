@@ -171,7 +171,9 @@ _TOP = {
 }
 # the settings of each object section
 _SECTIONS = {
-    "x_grid": {"min_pow": _default(-4, _INT), "max_pow": _default(6, _INT)},
+    # 2^1023 is the largest power of two that is a float
+    "x_grid": {"min_pow": _default(-4, _INT), "max_pow": _default(6, _Spec(
+        "an integer <= 1023", lambda v: _INT.ok(v) and v <= 1023))},
     "compact_set": {"points": _LIST, "box": _optional(_or_null(_Spec(
         "a list of [lo, hi] pairs", lambda v: isinstance(v, list) and all(
             isinstance(b, list) and len(b) == 2 and all(map(_is_real, b)) for b in v))))},
@@ -232,6 +234,9 @@ def validate_config(raw: dict, command: str | None = None) -> dict:
     for name, specs in _SECTIONS.items():
         if cfg[name] is not None:
             cfg[name] = _settled(cfg[name], specs, name)
+    grid = cfg["x_grid"]
+    if grid is not None and grid["min_pow"] > grid["max_pow"]:
+        raise ConfigError(f"x_grid: min_pow {grid['min_pow']} above max_pow {grid['max_pow']}")
     for key in ("weights", "sequences", "checks"):
         if not (isinstance(cfg[key], list)
                 and all(isinstance(e, dict) for e in cfg[key])):

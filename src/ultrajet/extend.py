@@ -353,14 +353,15 @@ def _approach_points(cset, d: float, box) -> np.ndarray:
     the box and anchored to their nearest set point: per set point and
     axis, the step -d, then +d.  A step that rounds onto the set (or so
     close to it that the field reads the stored jet there) is dropped: its
-    residual would be 0 by construction."""
+    residual would be 0 by construction.  So is a step nearer to another set
+    point, up to 1e-12 times the largest of d, 1 and its coordinates."""
     pts = np.repeat(cset.points, 2 * cset.dim, axis=0)
     rows = np.arange(len(pts))
     pts[rows, rows // 2 % cset.dim] += np.where(rows % 2, d, -d)
     lo, hi = np.array(box, dtype=float).T
     dist = np.sqrt(np.sum((cset.points - pts[:, None, :]) ** 2, axis=2)).min(axis=1)
     keep = np.all((lo <= pts) & (pts <= hi), axis=1) & (dist >= ON_SET) & (
-        np.abs(dist - d) < 1e-12 * max(d, 1.0))
+        np.abs(dist - d) < 1e-12 * np.maximum(max(d, 1.0), np.abs(pts).max(axis=1)))
     return pts[keep]
 
 

@@ -55,12 +55,6 @@ def nearest_index(x, cset: CompactSet) -> np.ndarray:
     return out
 
 
-def nearest(x, cset: CompactSet) -> np.ndarray:
-    """Euclidean-nearest point of the set; ties resolve to the
-    lexicographically smallest coordinates."""
-    return cset.points[nearest_index(x, cset)[0]].copy()
-
-
 def _cube_distances(centers: np.ndarray, side: float, pts: np.ndarray) -> np.ndarray:
     """Distance from each closed cube of the given side to the nearest set
     point (exact for finite sets: clamp each point into the cube), in

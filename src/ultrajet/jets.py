@@ -295,12 +295,7 @@ def jet_from_preset(preset, cset: CompactSet, A_max: int = DEFAULT_A_MAX) -> Ult
     return Ultrajet(cset, A_max, vals)
 
 
-def zero_jet(cset: CompactSet, A_max: int = DEFAULT_A_MAX) -> Ultrajet:
-    return Ultrajet(cset, A_max, np.zeros((len(cset.points),
-                                           len(multi_indices(cset.dim, A_max)))))
-
-
-# -- Taylor fields and remainders ----------------------------------------------------
+# -- Taylor fields ----------------------------------------------------------------
 
 def _taylor_dots(coef: np.ndarray, dx: np.ndarray, exponents: tuple,
                  q: int) -> np.ndarray:
@@ -331,21 +326,6 @@ def taylor_grid(jet: Ultrajet, a_index: int, p: int, alpha, x) -> np.ndarray:
     ranks, exponents, inv_fact, _ = _taylor_plan(dim, alpha, q)
     dx = np.asarray(x, dtype=float).reshape(-1, dim) - jet.cset.points[a_index]
     return _taylor_dots(jet.values[a_index, ranks] * inv_fact, dx, exponents, q)
-
-
-def remainder(jet: Ultrajet, a, p: int, alpha, b) -> float:
-    """Whitney remainder: F^alpha(b) minus the degree-(p-|alpha|) Taylor
-    field of F^alpha from a, evaluated at the set point b."""
-    alpha = tuple(alpha)
-    if sum(alpha) > p:
-        raise OrderCapExceeded(f"derivative {alpha} exceeds degree {p}")
-    if p > jet.A_max:
-        raise OrderCapExceeded(f"degree {p} exceeds stored order {jet.A_max}")
-    ai = jet.cset.index_of(a)
-    bi = jet.cset.index_of(b)
-    bb = jet.cset.points[bi]
-    return float(jet.value(bi, alpha)
-                 - taylor_grid(jet, ai, p, alpha, bb[None, :])[0])
 
 
 # -- certification ----------------------------------------------------------------------

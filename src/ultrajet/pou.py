@@ -218,35 +218,12 @@ class Bump1D:
     def radii(self) -> np.ndarray:
         return self.canonical.radii * self.r
 
-    @property
-    def plateau_halfwidth(self) -> float:
-        return self.canonical.plateau * self.r
-
-    @property
-    def support_halfwidth(self) -> float:
-        return self.canonical.support * self.r
-
     def bound(self, j: int) -> float:
         return self.canonical.bound(j) / self.r ** j
 
     def eval(self, x, j: int = 0):
         u = (np.asarray(x, dtype=float) - self.center) / self.r
         return self.canonical.eval(u, j) / self.r ** j
-
-
-def build_bump(r: float, seq: WeightSequence, delta: float | None = None,
-               J: int = 8) -> Bump1D:
-    """Single bump of half-width r with radii delta * r / theta_j.
-
-    ``delta`` is the dimensionless radii scale; the default is the largest
-    value fitting the budget (plateau covering [-r, r] with support inside
-    [-9r/8, 9r/8]).  StageOverflow when the requested delta does not fit.
-    """
-    if not seq.flags["non_quasianalytic"]:
-        raise QuasianalyticInput(
-            f"{seq.label or 'sequence'}: bump radii need summable reciprocals")
-    canonical = _canonical_for(seq, delta, J)
-    return Bump1D(canonical=canonical, center=0.0, r=float(r))
 
 
 def max_delta(seq: WeightSequence, J: int) -> float:
@@ -341,11 +318,6 @@ class PartitionOfUnity:
     @property
     def J(self) -> int:
         return self.canonical.J
-
-    def psi(self, i: int, x) -> np.ndarray:
-        pts = np.asarray(x, dtype=float).reshape(-1, self.dec.dim)
-        return _tensor_bump_derivs(self.canonical, pts, self.dec.centers, self.dec.sides / 2.0,
-                                   np.full(len(pts), i), 0)[(0,) * self.dec.dim]
 
     def pair_derivs(self, x, up_to: int) -> tuple:
         """The incidence (point, cube) of x with the expanded cubes, and the

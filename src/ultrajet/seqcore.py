@@ -207,28 +207,6 @@ class WeightSequence:
         self._envelopes: dict[str, _MinAffineEnvelope] = {}
         self._quot_runmax: dict[str, np.ndarray] = {}
 
-    # -- construction -----------------------------------------------------
-
-    @classmethod
-    def from_mu(cls, mu_values, K_max: int | None = None, label: str = "",
-                require_weight_sequence: bool = False) -> "WeightSequence":
-        """Build from the quotient table mu_0..mu_K (prefix products in logs)."""
-        mu = np.asarray(mu_values, dtype=float)
-        if K_max is not None:
-            if len(mu) < K_max + 1:
-                raise ValueError(f"need {K_max + 1} quotients, got {len(mu)}")
-            mu = mu[: K_max + 1]
-        if np.any(mu <= 0):
-            raise ValueError("quotients must be positive")
-        if abs(mu[0] - 1.0) > 1e-12:
-            raise ValueError("mu_0 must equal 1")
-        seq = cls(np.cumsum(np.log(mu)), label=label)
-        if require_weight_sequence and not seq.flags["weight_sequence"]:
-            raise NotAWeightSequence(
-                f"{label or 'sequence'}: M_k^(1/k) not certified divergent within "
-                f"range (growth {seq.witnesses['weight_sequence_growth']:.4g})")
-        return seq
-
     def view(self, kind: str) -> "SequenceView":
         return SequenceView(kind=kind, source=self)
 
@@ -303,9 +281,22 @@ def _quotient_running_max(view: SequenceView) -> np.ndarray:
 
 def from_mu(mu_values, K_max: int | None = None, label: str = "",
             require_weight_sequence: bool = False) -> WeightSequence:
-    """Module-level alias of :meth:`WeightSequence.from_mu`."""
-    return WeightSequence.from_mu(mu_values, K_max=K_max, label=label,
-                                  require_weight_sequence=require_weight_sequence)
+    """Build from the quotient table mu_0..mu_K (prefix products in logs)."""
+    mu = np.asarray(mu_values, dtype=float)
+    if K_max is not None:
+        if len(mu) < K_max + 1:
+            raise ValueError(f"need {K_max + 1} quotients, got {len(mu)}")
+        mu = mu[: K_max + 1]
+    if np.any(mu <= 0):
+        raise ValueError("quotients must be positive")
+    if abs(mu[0] - 1.0) > 1e-12:
+        raise ValueError("mu_0 must equal 1")
+    seq = WeightSequence(np.cumsum(np.log(mu)), label=label)
+    if require_weight_sequence and not seq.flags["weight_sequence"]:
+        raise NotAWeightSequence(
+            f"{label or 'sequence'}: M_k^(1/k) not certified divergent within "
+            f"range (growth {seq.witnesses['weight_sequence_growth']:.4g})")
+    return seq
 
 
 def gevrey(s: float, K_max: int = DEFAULT_K_MAX) -> WeightSequence:
@@ -380,12 +371,11 @@ def gamma_under(view: SequenceView, t: float) -> int:
         raise NotAWeightSequence(
             f"{view.source.label or 'sequence'} ({view.kind}): quotients not "
             "certified divergent within range")
-    rm = _quotient_running_max(view)
-    idx = int(np.searchsorted(rm, -log(t), side="left"))
-    if idx >= len(rm):
+    idx, exhausted = gamma_under_soft(view, t)
+    if exhausted:
         raise RangeExhausted(
             f"no quotient >= 1/t within 0..{view.source.K_max - 1} for t={t:g}")
-    return idx
+    return int(idx)
 
 
 def gamma_under_soft(view: SequenceView, t) -> tuple[np.ndarray, np.ndarray]:
@@ -397,29 +387,24 @@ def gamma_under_soft(view: SequenceView, t) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(idx, len(rm) - 1), exhausted
 
 
-def omega_assoc(seq: WeightSequence, t: float) -> float:
-    """Growth profile ``sup_k (k log t - log M_k)``; zero for small t."""
-    if t <= 0:
+def omega_assoc(seq: WeightSequence, t):
+    """Growth profile ``sup_k (k log t - log M_k)``; zero for small t.  A
+    scalar t gives a float, an array of t an array of the same shape;
+    RangeExhausted names the first t, in input order, whose supremum sits
+    at K_max."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= 0):
         raise ValueError("t must be positive")
     if not seq.flags["weight_sequence"]:
         raise NotAWeightSequence(
             f"{seq.label or 'sequence'}: weight_sequence flag not set")
     # sup_k (k*log t - logM_k) = -min_k (logM_k + k*(-log t))
-    val, arg, exhausted = _envelope(seq.view("M")).query(-log(t))
-    if exhausted:
-        raise RangeExhausted(
-            f"growth supremum attained at K_max={seq.K_max} for t={t:g}")
-    return float(-val)
-
-
-def omega_assoc_grid(seq: WeightSequence, t) -> np.ndarray:
-    """Vectorized omega_assoc; raises if any grid point exhausts the range."""
-    t = np.asarray(t, dtype=float)
     val, _, exhausted = _envelope(seq.view("M")).query(-np.log(t))
     if np.any(exhausted):
-        bad = t[np.asarray(exhausted).nonzero()][0] if t.ndim else float(t)
-        raise RangeExhausted(f"growth supremum hit K_max={seq.K_max} at t={bad:g}")
-    return -val
+        bad = t.reshape(-1)[np.flatnonzero(exhausted)[0]]
+        raise RangeExhausted(
+            f"growth supremum attained at K_max={seq.K_max} for t={bad:g}")
+    return float(-val) if t.ndim == 0 else -val
 
 
 def counting(seq: WeightSequence, t: float) -> int:

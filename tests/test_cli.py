@@ -307,6 +307,12 @@ def test_readme_schema_lists_the_rows_of_each_table(marker, table):
         name: (list(row.params), list(row.settings)) for name, row in table.items()}
 
 
+def test_readme_library_quick_start_runs():
+    block = (ROOT / "README.md").read_text().split("## Library quick start")[1]
+    code = block.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md: Library quick start", "exec"), {})
+
+
 def test_library_value_error_while_building_is_config_error(tmp_path):
     # parameters that pass the schema but that the constructors refuse
     cfg = {"weights": [{"name": "w", "preset": "tabulated",
@@ -367,6 +373,21 @@ def test_malformed_values_are_config_errors(tmp_path, cfg, message):
     assert run("check", str(path), str(tmp_path / "out")) == 2
     err = load_report(tmp_path / "out")["errors"][0]
     assert err["kind"] == "config" and message in err["message"]
+
+
+@pytest.mark.parametrize("x_grid, message", [
+    ({"min_pow": 3, "max_pow": 1}, "x_grid: min_pow 3 above max_pow 1"),
+    ({"max_pow": 1100}, "x_grid.max_pow = 1100: not an integer <= 1023"),
+])
+def test_bad_x_grid_is_config_error(tmp_path, x_grid, message):
+    # an empty grid, and a power of two past the float range
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"weights": _W, "x_grid": x_grid,
+                                "checks": [{"check": "good", "weight": "w"}]}))
+    for command in ("matrix", "check"):
+        assert run(command, str(path), str(tmp_path / command)) == 2
+        err = load_report(tmp_path / command)["errors"][0]
+        assert err["kind"] == "config" and message in err["message"]
 
 
 @pytest.mark.parametrize("command, section, value", [

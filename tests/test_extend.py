@@ -16,7 +16,7 @@ from ultrajet.extend import (
     verify,
 )
 from ultrajet.geometry import decompose
-from ultrajet.jets import CompactSet, Poly, Sin, certify, jet_from_preset, zero_jet
+from ultrajet.jets import CompactSet, Poly, Sin, Ultrajet, certify, jet_from_preset
 from ultrajet.pou import build_pou
 from ultrajet.seqcore import gamma_bar, gevrey
 
@@ -108,8 +108,8 @@ def test_schedule_degree_cap_near_set(pair_setup):
 
 def test_zero_jet_extends_to_zero(pair_setup):
     cs, dec, seq, pou = pair_setup
-    jet = zero_jet(cs, A_max=8).with_certificate(
-        certify(zero_jet(cs, A_max=8), seq, rho=1.0))
+    jet = Ultrajet(cs, 8, np.zeros((len(cs.points), 9)))
+    jet = jet.with_certificate(certify(jet, seq, rho=1.0))
     sched = schedule(dec, seq, L=64.0, A_max=8)
     fld = extend(jet, pou, sched)
     xs = np.linspace(-2.9, 2.9, 401).reshape(-1, 1)
@@ -357,6 +357,22 @@ def test_approach_points_that_round_onto_the_set_are_dropped(sin_field):
                      approach_scales=[tiny, 0.125], grid_points=50)
         assert [r["d"] for r in rep["residuals"]] == [0.125, 0.125]
         assert all(r["n_points"] == 4 for r in rep["residuals"])
+
+
+@pytest.mark.parametrize("x0", [30000.3, 3e6 + 0.3])
+def test_approach_points_of_a_set_far_from_the_origin_are_kept(x0):
+    # x0 +- d rounds to the ulp of x0, far more than 1e-12 for such x0
+    scales = [0.1, 0.05, 0.03, 0.01]
+    cs = CompactSet.from_points([[x0]])
+    seq = gevrey(1.0)
+    dec = decompose(cs.box, cs, depth_cap=10)
+    jet = jet_from_preset(Sin(1.0), cs, A_max=8)
+    jet = jet.with_certificate(certify(jet, seq, rho=1.0))
+    fld = extend(jet, build_pou(dec, seq, order_cap=2),
+                 schedule(dec, seq, L=default_L(jet), A_max=8))
+    rep = verify(fld, seq, orders=[0, 1], approach_scales=scales, grid_points=50)
+    assert [(r["d"], r["n_points"]) for r in rep["residuals"]] == [(d, 2) for d in scales] * 2
+    assert rep["fit"] is not None
 
 
 def test_approach_scale_on_the_set_fails_the_fit_through_the_cli(tmp_path):

@@ -9,9 +9,10 @@ from ultrajet.jets import CompactSet
 from hypothesis import given, settings, strategies as st
 
 from ultrajet.pou import (
+    Bump1D,
     CanonicalBump,
+    _canonical_for,
     _tensor_bump_derivs,
-    build_bump,
     build_pou,
     max_delta,
 )
@@ -23,9 +24,14 @@ def seq():
     return gevrey(1.0)
 
 
+def unit_bump(seq, J, r=1.0):
+    """The bump of half-width r centered at 0, radii at the budget cap."""
+    return Bump1D(_canonical_for(seq, None, J), 0.0, r)
+
+
 @pytest.fixture(scope="module")
 def bump(seq):
-    return build_bump(1.0, seq, J=8)
+    return unit_bump(seq, 8)
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +48,7 @@ def pou_1d(dec_1d, seq):
 # -- single bumps -----------------------------------------------------------------
 
 def test_trapezoid_single_stage(seq):
-    b = build_bump(1.0, seq, J=1)
+    b = unit_bump(seq, 1)
     assert b.eval(0.0, 0) == 1.0
     assert b.eval(2.0, 0) == 0.0
     assert b.eval(-1.5, 0) == 0.0
@@ -59,10 +65,10 @@ def test_bump_plateau_and_support_exact(bump):
     assert bump.eval(0.0) == 1.0
     assert bump.eval(1.0) == 1.0
     assert bump.eval(-1.0) == 1.0
-    assert bump.plateau_halfwidth >= 1.0
+    assert bump.canonical.plateau * bump.r >= 1.0
     for x in (9.0 / 8.0, 1.2, -3.0):
         assert bump.eval(x) == 0.0
-    assert bump.support_halfwidth <= 9.0 / 8.0 + 1e-15
+    assert bump.canonical.support * bump.r <= 9.0 / 8.0 + 1e-15
 
 
 def test_bump_range_and_monotone_shoulders(bump):
@@ -114,8 +120,8 @@ def test_bump_properties_for_random_radii(raw):
 
 
 def test_bump_scaling_is_exact_dilation(seq):
-    big = build_bump(1.0, seq, J=6)
-    small = build_bump(0.125, seq, J=6)
+    big = unit_bump(seq, 6)
+    small = unit_bump(seq, 6, r=0.125)
     xs = np.linspace(-1.2, 1.2, 501)
     for j in (0, 1, 3):
         a = big.eval(xs, j)
@@ -128,12 +134,12 @@ def test_bump_order_cap(bump):
         bump.eval(0.0, bump.canonical.J)
 
 
-def test_stage_overflow_and_quasianalytic(seq):
+def test_stage_overflow_and_quasianalytic(seq, dec_1d):
     cap = max_delta(seq, 8)
     with pytest.raises(StageOverflow):
-        build_bump(1.0, seq, delta=4.0 * cap, J=8)
+        _canonical_for(seq, 4.0 * cap, 8)
     with pytest.raises(QuasianalyticInput):
-        build_bump(1.0, quotient_power(1.0), J=4)
+        build_pou(dec_1d, quotient_power(1.0), order_cap=0)
 
 
 def test_smoothness_continuity_across_breakpoints(bump):
@@ -185,7 +191,7 @@ def test_pou_psi_is_one_on_cube(pou_1d):
     for i in range(0, dec.n_cubes, 7):
         half = dec.sides[i] / 2.0
         xs = dec.centers[i][0] + np.linspace(-half, half, 9)
-        assert np.all(pou_1d.psi(i, xs.reshape(-1, 1)) == 1.0)
+        assert np.all(pou_1d.bumps[i][0].eval(xs) == 1.0)
 
 
 def test_pou_phi_is_one_without_earlier_overlap(pou_1d):
@@ -194,7 +200,7 @@ def test_pou_phi_is_one_without_earlier_overlap(pou_1d):
     for i in range(dec.n_cubes):
         x = dec.centers[i].reshape(1, -1)
         earlier = [k for k in dec.neighbors[i] if k < i]
-        if all(pou_1d.psi(k, x)[0] == 0.0 for k in earlier):
+        if all(pou_1d.bumps[k][0].eval(x[:, 0])[0] == 0.0 for k in earlier):
             assert pou_1d.phi(i, x)[0] == 1.0
             hits += 1
     assert hits >= 1

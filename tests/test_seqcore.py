@@ -210,10 +210,34 @@ def test_omega_assoc_matches_brute_force(t):
 def test_omega_assoc_convex_increasing_in_log_t():
     seq = gevrey(1.0)
     ts = np.geomspace(0.5, 1e4, 120)
-    vals = seqcore.omega_assoc_grid(seq, ts)
+    vals = omega_assoc(seq, ts)
     assert np.all(np.diff(vals) >= -1e-12)
     d2 = np.diff(vals, 2)
     assert np.all(d2 >= -1e-9)
+
+
+def test_omega_assoc_array_equals_scalar_calls():
+    seq = gevrey(0.5)
+    ts = np.geomspace(0.05, 500.0, 60).reshape(3, 20)
+    vals = omega_assoc(seq, ts)
+    assert vals.shape == ts.shape
+    want = [omega_assoc(seq, t) for t in ts.ravel().tolist()]
+    assert all(isinstance(w, float) for w in want)
+    assert vals.ravel().tolist() == want
+
+
+def test_omega_assoc_names_first_exhausted_t_in_input_order():
+    seq = gevrey(1.0, K_max=16)  # the supremum sits at K_max from t ~ 300 on
+    with pytest.raises(RangeExhausted, match=r"K_max=16 for t=5000$"):
+        omega_assoc(seq, [1.0, 5e3, 2e3, 1e4])
+    with pytest.raises(RangeExhausted, match=r"K_max=16 for t=2000$"):
+        omega_assoc(seq, 2e3)
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, [2.0, 0.0], [[1.0], [-3.0]]])
+def test_omega_assoc_rejects_nonpositive_t(t):
+    with pytest.raises(ValueError, match="t must be positive"):
+        omega_assoc(gevrey(1.0), t)
 
 
 def test_counting_examples():
