@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 
@@ -39,8 +39,8 @@ from .jets import (
     Ultrajet,
     _leibniz_fold,
     _leibniz_terms,
-    _taylor_dots,
     _taylor_plan,
+    _taylor_sums,
     multi_indices,
 )
 from .pou import (
@@ -248,24 +248,24 @@ class ExtensionField:
 
     def _pair_taylor(self, pts, point, cube, beta) -> tuple:
         """d^beta T_cube at pts[point], for the (point, cube) pairs whose
-        degree p_cube is at least |beta|: those pairs and their sums.
-        The pairs of one Taylor degree share a plan; each sum is one dot, in
-        blocks of at most INCIDENCE_BLOCK (pair x term) entries."""
-        jet = self.jet
+        degree p_cube is at least |beta|: those pairs and their sums, in
+        blocks of at most INCIDENCE_BLOCK (pair x term) entries that share
+        their powers, one :func:`_taylor_sums` call per Taylor degree."""
+        jet, dim = self.jet, self.jet.cset.dim
         q_of = self.sched.degrees[cube] - sum(beta)
-        sums = np.empty(len(cube))
-        for q in np.unique(q_of[q_of >= 0]).tolist():
-            ranks, exponents, inv_fact, _ = _taylor_plan(jet.cset.dim, beta, q)
-            group = np.flatnonzero(q_of == q)
-            step = max(1, INCIDENCE_BLOCK // len(ranks))
-            for lo in range(0, len(group), step):
-                g = group[lo:lo + step]
-                anchor = self.anchor_idx[cube[g]]
-                dx = pts[point[g]] - jet.cset.points[anchor]
-                coef = jet.values[anchor[:, None], ranks] * inv_fact
-                sums[g] = _taylor_dots(coef, dx, exponents, q)
         rows = np.flatnonzero(q_of >= 0)
-        return rows, sums[rows]
+        sums = np.empty(len(rows))
+        top = int(q_of.max(initial=0))
+        step = max(1, INCIDENCE_BLOCK // comb(top + dim, dim))
+        for lo in range(0, len(rows), step):
+            g = rows[lo:lo + step]
+            anchor, q_g = self.anchor_idx[cube[g]], q_of[g]
+            dx = pts[point[g]] - jet.cset.points[anchor]
+            powers = dx[:, None, :] ** np.arange(top + 1)[:, None]  # [r, k, d] = dx_d^k
+            for q in np.unique(q_g).tolist():
+                k = np.flatnonzero(q_g == q)
+                sums[lo + k] = _taylor_sums(jet.values, anchor[k], powers[k], (beta,), q)[:, 0]
+        return rows, sums
 
     def value(self, x) -> np.ndarray:
         return self.derivative_grid(x, (0,) * self.jet.cset.dim)
@@ -309,7 +309,8 @@ def _taylor_sup_bounds(field: ExtensionField, multis) -> dict:
     entry per cube (0 where |beta| > p_i): triangle inequality on the
     Taylor coefficients at the cube's anchor point, with the exact maximal
     anchor-to-corner distance.  The (cube, beta) rows of one Taylor degree
-    share a plan, and each row's sum is the BLAS dot a 1-D ``@`` takes."""
+    share one stacked plan; sums of absolute terms are no Taylor sums of the
+    jet, so each row's is taken here, the BLAS dot a 1-D ``@`` takes."""
     jet, dec = field.jet, field.pou.dec
     half = dec.sides * EXPANSION / 2.0
     signs = np.array(list(product((-1.0, 1.0), repeat=dec.dim)))
@@ -321,10 +322,8 @@ def _taylor_sup_bounds(field: ExtensionField, multis) -> dict:
     out = np.zeros(q_of.shape)
     for q in range(int(q_of.max(initial=-1)) + 1):
         b, i = np.nonzero(q_of == q)
-        plans = [_taylor_plan(dec.dim, beta, q) for beta in multis]
-        ranks = np.array([plan[0] for plan in plans])[b]
-        inv_fact, order = plans[0][2], plans[0][3]
-        coef = np.abs(jet.values[field.anchor_idx[i, None], ranks]) * inv_fact
+        ranks, _, inv_fact, order = _taylor_plan(dec.dim, tuple(multis), q)
+        coef = np.abs(jet.values[field.anchor_idx[i, None], ranks[b]]) * inv_fact
         powers = r_max[i, None] ** order
         out[b, i] = np.matmul(coef[:, None, :], powers[:, :, None])[:, 0, 0]
     return dict(zip(multis, out))
@@ -369,10 +368,10 @@ def _taylor_bounds(field: ExtensionField, target_seq: WeightSequence,
                    approach) -> dict:
     """Realized constants of the two Taylor-field bounds at the approach
     points: per scale, the degree p = 2 gamma_bar(L d), and every alpha with
-    |alpha| <= min(p, 4).  The points of all scales of one degree share one
-    array pass per alpha, one dot per point, each with its own d in the
-    increment ratio.  Each constant is the largest ratio; NaN never
-    counts."""
+    |alpha| <= min(p, 4).  The points of all scales of one degree share
+    their powers and one :func:`_taylor_sums` call per alpha, each point
+    with its own d in the increment ratio.  Each constant is the largest
+    ratio; NaN never counts."""
     jet, L = field.jet, field.L
     s_all = np.exp(target_seq.logM[: jet.A_max + 2])
     field_C = increment_C = 0.0
@@ -382,12 +381,10 @@ def _taylor_bounds(field: ExtensionField, target_seq: WeightSequence,
         group = [a for a, q in zip(approach, degrees) if q == p]
         pts, anchors = (np.concatenate([a[k] for a in group]) for k in (1, 2))
         d = np.concatenate([np.full(len(a[1]), a[0]) for a in group])
-        dx = pts - jet.cset.points[anchors]
+        powers = (pts - jet.cset.points[anchors])[:, None, :] ** np.arange(p + 1)[:, None]
         for alpha in multi_indices(jet.cset.dim, min(p, 4)):
             tot = sum(alpha)
-            ranks, exponents, inv_fact, _ = _taylor_plan(jet.cset.dim, alpha, p - tot)
-            t_val = _taylor_dots(jet.values[anchors[:, None], ranks] * inv_fact,
-                                 dx, exponents, p - tot)
+            t_val = _taylor_sums(jet.values, anchors, powers, (alpha,), p - tot)[:, 0]
             denom = (2.0 * L) ** (tot + 1) * s_all[tot]
             field_C = np.fmax.reduce(np.abs(t_val) / denom, initial=field_C)
             if tot < p:

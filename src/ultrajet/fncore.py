@@ -141,8 +141,8 @@ def power(alpha: float, normalized: bool = True) -> WeightFunction:
         r = np.maximum(t, alpha) / alpha
         return r * (np.log(r) - 1.0) + shift
 
-    def omega_star(s, t_hi):  # at the stationary point, clamped to the scan top
-        t = np.exp(np.minimum((log(alpha) - np.log(s)) / (1.0 - alpha), log(t_hi)))
+    def omega_star(s, t_hi):  # at the stationary point, clamped to the scan [1e-9, t_hi]
+        t = np.exp(np.clip((log(alpha) - np.log(s)) / (1.0 - alpha), log(1e-9), log(t_hi)))
         return np.maximum(t ** alpha - shift - s * t, 0.0)
 
     def fn(t):  # expm1 keeps t^alpha - 1 accurate for tiny alpha

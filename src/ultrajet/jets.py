@@ -4,14 +4,16 @@ Whitney remainders, and growth certificates.
 A jet is a complete table of values F^alpha(a) for every multi-index up to
 an order cap and every point of a finite set in R^d, any d >= 1.  The
 multi-index kernel here (graded multi-indices and their ranks, Leibniz
-terms, Taylor plans) serves every dimension and every module.  Preset generators produce the
+terms, Taylor plans) serves every dimension and every module, and one kernel
+takes every Taylor sum of a jet, one dot per sum, so that a sum does not
+depend on the other sums of its call.  Preset generators produce the
 tables from exact derivative recurrences, so tests can treat them as ground
 truth.  Certification finds the smallest constant making the two growth bounds
 (pointwise derivative bound, and scaled remainder bound at every pair and
 degree) hold over all stored data: the remainders over all point pairs are
-taken in one array pass (in blocks of bounded size), with the same
-floating-point operations as a :func:`taylor_grid` call per term, so the
-constant is exact for that arithmetic.
+taken in one array pass (in blocks of bounded size), each Taylor sum the
+one a :func:`taylor_grid` call takes, so the constant is exact for that
+arithmetic.
 """
 
 from __future__ import annotations
@@ -73,14 +75,14 @@ def _leibniz_fold(left: dict, right: dict, multis) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _taylor_plan(dim: int, alpha: tuple, q: int) -> tuple:
-    """Terms of the degree-q Taylor field of F^alpha, one per |gamma| <= q:
-    the ranks of alpha + gamma, the exponents gamma (one array per
-    coordinate), 1/gamma! and |gamma|."""
+def _taylor_plan(dim: int, alphas: tuple, q: int) -> tuple:
+    """Terms of the degree-q Taylor fields of F^alpha, alpha in ``alphas``,
+    one per |gamma| <= q: the ranks of alpha + gamma (one row per alpha),
+    the exponents gamma (one array per coordinate), 1/gamma! and |gamma|."""
     gammas = [g for g in product(range(q + 1), repeat=dim) if sum(g) <= q]
-    ranks = _ranks(dim, sum(alpha) + q)
-    return (np.array([ranks[tuple(a + g for a, g in zip(alpha, gam))]
-                      for gam in gammas], dtype=np.intp),
+    ranks = _ranks(dim, max(map(sum, alphas)) + q)
+    return (np.array([[ranks[tuple(a + g for a, g in zip(alpha, gam))] for gam in gammas]
+                      for alpha in alphas], dtype=np.intp),
             tuple(np.array(column, dtype=np.intp) for column in zip(*gammas)),
             np.array([1.0 / prod(map(factorial, g)) for g in gammas]),
             np.array([sum(g) for g in gammas]))
@@ -297,19 +299,26 @@ def jet_from_preset(preset, cset: CompactSet, A_max: int = DEFAULT_A_MAX) -> Ult
 
 # -- Taylor fields ----------------------------------------------------------------
 
-def _taylor_dots(coef: np.ndarray, dx: np.ndarray, exponents: tuple,
-                 q: int) -> np.ndarray:
-    """Degree-q Taylor sums at the offsets dx, one BLAS dot per row:
-    sum_gamma coef[r, gamma] dx[r]^gamma over the exponents of a Taylor
-    plan.  ``coef`` holds one row per offset, or one row for all.  Unit
-    strides make every sum the same dot whatever the other rows are."""
-    powers = dx[:, None, :] ** np.arange(q + 1)[:, None]  # [r, k, d] = dx_d^k
+def _taylor_sums(values: np.ndarray, anchors: np.ndarray, powers: np.ndarray,
+                 alphas: tuple, q: int) -> np.ndarray:
+    """Degree-q Taylor sums sum_gamma F^{alpha+gamma}(a) dx^gamma / gamma!
+    from the value table, one row per offset and one column per alpha of
+    ``alphas``: row r from the point anchors[r], at the offset with
+    powers[r, k, d] = dx_d^k, k <= q at least.  The coefficients are
+    gathered once per point from the least to the greatest anchor, then
+    copied to the rows; each sum is one BLAS dot of two unit-stride vectors,
+    so a row does not depend on the other rows."""
+    ranks, exponents, inv_fact, _ = _taylor_plan(powers.shape[2], alphas, q)
     monomials = powers[:, exponents[0], 0]
-    for d in range(1, dx.shape[1]):
+    for d in range(1, powers.shape[2]):
         monomials = monomials * powers[:, exponents[d], d]
-    sums = np.matmul(np.ascontiguousarray(coef)[..., None, :],
-                     np.ascontiguousarray(monomials)[:, :, None])
-    return sums[:, 0, 0]
+    lo = anchors.min(initial=len(values))  # an empty call gathers nothing
+    base = values[lo:anchors.max(initial=0) + 1]
+    coef = np.take(np.take(base, ranks, axis=1) * inv_fact, anchors - lo, axis=0)
+    # unit strides (np.take's output is C-contiguous too) keep each sum one dot
+    sums = np.matmul(coef[:, :, None, :],
+                     np.ascontiguousarray(monomials)[:, None, :, None])
+    return sums[:, :, 0, 0]
 
 
 def taylor_grid(jet: Ultrajet, a_index: int, p: int, alpha, x) -> np.ndarray:
@@ -323,9 +332,9 @@ def taylor_grid(jet: Ultrajet, a_index: int, p: int, alpha, x) -> np.ndarray:
         raise OrderCapExceeded(f"derivative {alpha} exceeds degree {p}")
     dim = jet.cset.dim
     q = p - sum(alpha)
-    ranks, exponents, inv_fact, _ = _taylor_plan(dim, alpha, q)
     dx = np.asarray(x, dtype=float).reshape(-1, dim) - jet.cset.points[a_index]
-    return _taylor_dots(jet.values[a_index, ranks] * inv_fact, dx, exponents, q)
+    powers = dx[:, None, :] ** np.arange(q + 1)[:, None]  # [r, k, d] = dx_d^k
+    return _taylor_sums(jet.values, np.full(len(dx), a_index), powers, (alpha,), q)[:, 0]
 
 
 # -- certification ----------------------------------------------------------------------
@@ -334,47 +343,30 @@ def _certify_plan(dim: int, P_max: int) -> tuple:
     """The remainder candidates (p, alpha) of one pair of points in the order
     :func:`certify` scans them, p ascending, then alpha graded: the p and the
     rank of alpha of each candidate, and per Taylor degree q = p - |alpha|
-    the positions of its candidates, the ranks of their alphas, and their
-    Taylor plans stacked (value ranks, one row per alpha; exponents; 1/gamma!)."""
+    the positions of its candidates, the ranks of their alphas, the alphas
+    and q."""
     cands = [(p, alpha) for p in range(P_max + 1) for alpha in _graded(dim, p)]
     position = {c: k for k, c in enumerate(cands)}
     ranks = _ranks(dim, P_max)
-    groups = []
-    for q in range(P_max + 1):
-        alphas = _graded(dim, P_max - q)
-        plans = [_taylor_plan(dim, alpha, q) for alpha in alphas]
-        groups.append((np.array([position[sum(a) + q, a] for a in alphas]),
-                       np.array([ranks[a] for a in alphas]),
-                       np.array([plan[0] for plan in plans]),
-                       plans[0][1], plans[0][2]))
+    groups = tuple((np.array([position[sum(a) + q, a] for a in alphas]),
+                    np.array([ranks[a] for a in alphas]), alphas, q)
+                   for q in range(P_max + 1) for alphas in [_graded(dim, P_max - q)])
     return (np.array([p for p, _ in cands]),
-            np.array([ranks[a] for _, a in cands]), tuple(groups))
+            np.array([ranks[a] for _, a in cands]), groups)
 
 
 def _remainders(jet: Ultrajet, a: np.ndarray, b: np.ndarray, diff: np.ndarray,
                 groups: tuple) -> np.ndarray:
     """|F^alpha(b) - (degree p - |alpha| Taylor field of F^alpha from a)(b)|
-    for the point pairs (a[r], b[r]), a non-empty block with a ascending,
-    one row per pair (at ``diff`` = b - a) and one column per candidate of
-    :func:`_certify_plan`.  Each Taylor sum
-    is the dot product :func:`taylor_grid` takes, with the same powers and
-    coefficients."""
+    for the point pairs (a[r], b[r]), one row per pair (at ``diff`` = b - a)
+    and one column per candidate of :func:`_certify_plan`: one
+    :func:`_taylor_sums` call per Taylor degree, all on the same powers."""
     powers = diff[:, None, :] ** np.arange(len(groups))[:, None]  # [r, k, d] = dx_d^k
-    # the base points run in ascending order: the coefficients are taken per
-    # base point, then copied to its pairs
-    base, row = jet.values[a[0]:a[-1] + 1], a - a[0]
     at_b = jet.values[b]
     out = np.empty((len(a), sum(len(g[0]) for g in groups)))
-    for position, alpha_rank, ranks, exponents, inv_fact in groups:
-        monomials = powers[:, exponents[0], 0]
-        for d in range(1, diff.shape[1]):
-            monomials = monomials * powers[:, exponents[d], d]
-        # unit strides (np.take's output is C-contiguous too), so that each
-        # sum is the same BLAS dot as taylor_grid's
-        monomials = np.ascontiguousarray(monomials)
-        coef = np.take(np.take(base, ranks, axis=1) * inv_fact, row, axis=0)
-        sums = np.matmul(coef[:, :, None, :], monomials[:, None, :, None])
-        out[:, position] = np.abs(at_b[:, alpha_rank] - sums[:, :, 0, 0])
+    for position, alpha_rank, alphas, q in groups:
+        out[:, position] = np.abs(at_b[:, alpha_rank]
+                                  - _taylor_sums(jet.values, a, powers, alphas, q))
     return out
 
 
@@ -427,7 +419,8 @@ def certify(jet: Ultrajet, seq: WeightSequence, rho: float,
                              for p, d in zip(p_of.tolist(), degree[alpha_of].tolist())])
         # pair k is (a, b) = (k // (n - 1), the (k % (n - 1))-th point other
         # than a), so the pairs run in (a, b) order, a block at a time
-        step = max(1, INCIDENCE_BLOCK // max(g[2].size for g in groups))
+        step = max(1, INCIDENCE_BLOCK // max(
+            _taylor_plan(jet.cset.dim, alphas, q)[0].size for *_, alphas, q in groups))
         for lo in range(0, n * (n - 1), step):
             a, b = np.divmod(np.arange(lo, min(lo + step, n * (n - 1))), n - 1)
             b += b >= a

@@ -378,14 +378,6 @@ class PartitionOfUnity:
         """Certified sup bound for the beta-derivative of phi_i."""
         return float(self.phi_bounds(sum(beta))[tuple(beta)][i])
 
-    def growth_factor(self, i: int, C: float) -> float:
-        """Realized per-cube growth factor G_i: the smallest G with
-        (certified bound for d^beta phi_i) <= C^{|beta|+1} M_{|beta|} G for
-        every |beta| <= order_cap, where M is the build sequence."""
-        M = np.exp(self.seq.logM[: self.order_cap + 1])
-        return max(float(b[i]) / (C ** (sum(m) + 1) * M[sum(m)])
-                   for m, b in self.phi_bounds(self.order_cap).items())
-
     def sum_phi(self, x) -> np.ndarray:
         pts = np.asarray(x, dtype=float).reshape(-1, self.dec.dim)
         point, _, tables = self.pair_derivs(pts, 0)

@@ -108,6 +108,7 @@ from ultrajet.jets import (
     _leibniz_terms,
     _remainders,
     _taylor_plan,
+    _taylor_sums,
     certify,
     jet_from_preset,
     multi_indices,
@@ -163,6 +164,31 @@ def oracle_taylor_grid(jet, a_index, p, alpha, x):
             out += (jet.value(a_index, beta) / (factorial(j1) * factorial(j2))
                     * dx ** j1 * dy ** j2)
     return out
+
+
+def reference_taylor_dots(coef, dx, exponents, q):
+    """Degree-q Taylor sums at the offsets dx, one BLAS dot per row:
+    sum_gamma coef[r, gamma] dx[r]^gamma over the exponents of a Taylor
+    plan.  ``coef`` holds one row per offset, or one row for all."""
+    powers = dx[:, None, :] ** np.arange(q + 1)[:, None]  # [r, k, d] = dx_d^k
+    monomials = powers[:, exponents[0], 0]
+    for d in range(1, dx.shape[1]):
+        monomials = monomials * powers[:, exponents[d], d]
+    sums = np.matmul(np.ascontiguousarray(coef)[..., None, :],
+                     np.ascontiguousarray(monomials)[:, :, None])
+    return sums[:, 0, 0]
+
+
+def reference_taylor_grid(jet, a_index, p, alpha, x):
+    """``taylor_grid`` with its own coefficients, powers and dots: one
+    coefficient row for all points, one dot per point.  The bitwise
+    reference for every Taylor sum of the shared kernel."""
+    alpha = tuple(alpha)
+    dim = jet.cset.dim
+    q = p - sum(alpha)
+    ranks, exponents, inv_fact, _ = _taylor_plan(dim, (alpha,), q)
+    dx = np.asarray(x, dtype=float).reshape(-1, dim) - jet.cset.points[a_index]
+    return reference_taylor_dots(jet.values[a_index, ranks[0]] * inv_fact, dx, exponents, q)
 
 
 def oracle_taylor_sup_bound(field, i, beta):
@@ -239,6 +265,46 @@ def test_taylor_grid_matches_oracle(case):
     abs_jet = Ultrajet(jet.cset, jet.A_max, np.abs(jet.values))
     scale = oracle_taylor_grid(abs_jet, a_index, p, alpha, a + np.abs(x - a))
     assert np.all(np.abs(got - want) <= 1e-12 * scale)
+    assert _same_array(got, reference_taylor_grid(jet, a_index, p, alpha, x))
+
+
+@st.composite
+def taylor_sum_cases(draw):
+    """A random value table on 1-5 points in dimension 1-3, a Taylor degree
+    q <= 8, 1-6 alphas whose degree-q Taylor fields the table holds, 1-8
+    offsets from anchors in any order, and how many powers past q the
+    caller took."""
+    dim = draw(st.sampled_from((1, 2, 3)))
+    q = draw(st.integers(0, 8))
+    A_max = q + draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pts = np.unique(np.round(rng.uniform(-2.0, 2.0, size=(draw(st.integers(1, 5)), dim)), 3),
+                    axis=0)
+    jet = Ultrajet(CompactSet(pts, ((-3.0, 3.0),) * dim), A_max,
+                   rng.normal(size=(len(pts), len(multi_indices(dim, A_max)))))
+    alphas = tuple(draw(st.lists(st.sampled_from(multi_indices(dim, A_max - q)),
+                                 min_size=1, max_size=6)))
+    anchors = np.array(draw(st.lists(st.integers(0, len(pts) - 1), min_size=1, max_size=8)))
+    x = rng.uniform(-3.0, 3.0, size=(len(anchors), dim))
+    return jet, alphas, q, anchors, x, draw(st.integers(0, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(taylor_sum_cases())
+def test_taylor_sums_bitwise_equal_reference(case):
+    """Each sum is reference_taylor_grid's bit for bit, and a row's sums are
+    the same bytes alone as inside the larger call."""
+    jet, alphas, q, anchors, x, extra = case
+    dx = x - jet.cset.points[anchors]
+    powers = dx[:, None, :] ** np.arange(q + 1 + extra)[:, None]
+    got = _taylor_sums(jet.values, anchors, powers, alphas, q)
+    assert got.shape == (len(anchors), len(alphas))
+    for r, a in enumerate(anchors.tolist()):
+        want = [reference_taylor_grid(jet, a, sum(alpha) + q, alpha, x[r])[0]
+                for alpha in alphas]
+        assert _same_array(got[r], np.array(want))
+        alone = _taylor_sums(jet.values, anchors[r:r + 1], powers[r:r + 1], alphas, q)
+        assert _same_array(alone[0], got[r])
 
 
 @settings(max_examples=150, deadline=None)
@@ -348,8 +414,8 @@ def oracle_cube_taylor_bound(field, i, beta):
     half = dec.sides[i] * EXPANSION / 2.0
     corners = np.array(np.meshgrid(*[[-half, half]] * dec.dim)).T.reshape(-1, dec.dim)
     r_max = float(np.max(np.linalg.norm(dec.centers[i] + corners - anchor, axis=1)))
-    ranks, _, inv_fact, order = _taylor_plan(dec.dim, tuple(beta), p_i - sum(beta))
-    coef = np.abs(jet.values[int(field.anchor_idx[i]), ranks]) * inv_fact
+    ranks, _, inv_fact, order = _taylor_plan(dec.dim, (tuple(beta),), p_i - sum(beta))
+    coef = np.abs(jet.values[int(field.anchor_idx[i]), ranks[0]]) * inv_fact
     return float(coef @ r_max ** order)
 
 
@@ -450,7 +516,7 @@ def oracle_cube_sum(field, pts, alpha, memo):
         p_i = int(field.sched.degrees[i])
         for beta, gamma, coef in _leibniz_terms(alpha):
             if sum(beta) <= p_i:
-                acc += coef * tables[gamma] * taylor_grid(
+                acc += coef * tables[gamma] * reference_taylor_grid(
                     field.jet, int(field.anchor_idx[i]), p_i, beta, sub)
         out[mask] += acc
     return out
@@ -676,8 +742,8 @@ def test_derivative_grids_in_three_dimensions_equal_oracle(case, block):
 
 
 def oracle_taylor_bounds(field, target_seq, approach):
-    """The realized Taylor-field constants, one taylor_grid call per
-    (point, alpha) and Python's running max."""
+    """The realized Taylor-field constants, one reference_taylor_grid call
+    per (point, alpha) and Python's running max."""
     jet, L = field.jet, field.L
     tb = {"field_bound_C": 0.0, "increment_bound_C": 0.0}
     s_all = np.exp(target_seq.logM[: jet.A_max + 2])
@@ -686,7 +752,7 @@ def oracle_taylor_bounds(field, target_seq, approach):
         p = min(2 * int(gb[0]), jet.A_max)
         for x, ai in zip(pts, anchors.tolist()):
             for alpha in multi_indices(jet.cset.dim, min(p, 4)):
-                t_val = taylor_grid(jet, ai, p, alpha, x[None, :])[0]
+                t_val = reference_taylor_grid(jet, ai, p, alpha, x[None, :])[0]
                 tot = sum(alpha)
                 denom = (2.0 * L) ** (tot + 1) * s_all[tot]
                 tb["field_bound_C"] = max(tb["field_bound_C"], abs(t_val) / denom)
@@ -858,7 +924,7 @@ def oracle_certify(jet, seq, rho, P_max, form):
             for p in range(0, P_max + 1):
                 for alpha in multi_indices(jet.cset.dim, p):
                     rem = abs(jet.value(j, alpha)
-                              - taylor_grid(jet, i, p, alpha, b[None, :])[0])
+                              - reference_taylor_grid(jet, i, p, alpha, b[None, :])[0])
                     q = p + 1 - sum(alpha)
                     if form == "pointwise":
                         scale = rho ** (p + 1) * M[p + 1] * dist ** q / factorial(q)
@@ -1024,7 +1090,8 @@ def test_certify_remainders_bitwise_equal_taylor_grid(case):
     table = _remainders(jet, a, b, jet.cset.points[b] - jet.cset.points[a], groups)
     for row, (i, j) in enumerate(zip(a, b)):
         pt = jet.cset.points[j][None, :]
-        want = [abs(jet.value(j, jet.multi[al]) - taylor_grid(jet, i, p, jet.multi[al], pt)[0])
+        want = [abs(jet.value(j, jet.multi[al])
+                    - reference_taylor_grid(jet, i, p, jet.multi[al], pt)[0])
                 for p, al in zip(p_of, alpha_of)]
         assert table[row].tobytes() == np.array(want).tobytes()
 
@@ -1513,9 +1580,11 @@ def test_closed_form_young_conjugate_matches_golden_kernel(case, ts, s_near_cap)
 @settings(max_examples=80, deadline=None)
 @given(closed_form_cases(), st.lists(st.one_of(st.floats(1e-3, 10.0), st.floats(1e-6, 1e-3)),
                                      min_size=1, max_size=12))
+@example((power(0.90625, False), 0.90625), [7.0])  # stationary point 3.4e-10
 def test_closed_form_omega_conjugate_matches_golden_kernel(case, ss):
     # small s put the stationary point past the scan top for exponents
-    # near 1, where both take the top
+    # near 1, where both take the top; large s put it below the scan's
+    # lower end 1e-9, where both take that end
     fn, _ = case
     try:
         old = omega_conjugate_grid(golden(fn), ss)

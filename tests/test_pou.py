@@ -251,7 +251,11 @@ def test_pou_growth_factor_tracks_conjugate_decay(pou_1d):
     dec = pou_1d.dec
     small = [i for i in range(dec.n_cubes) if dec.cube_dist[i] < 0.25]
     C = 2.0 / (pou_1d.delta * np.min(dec.sides))
-    gs = {i: pou_1d.growth_factor(i, C) for i in small}
+    # G_i: the smallest G with (bound for d^beta phi_i) <= C^{|beta|+1} M_{|beta|} G
+    M = np.exp(pou_1d.seq.logM[: pou_1d.order_cap + 1])
+    bounds = pou_1d.phi_bounds(pou_1d.order_cap)
+    gs = {i: max(float(b[i]) / (C ** (sum(m) + 1) * M[sum(m)]) for m, b in bounds.items())
+          for i in small}
     ok_for_some_c = False
     for c in (2.0 ** -k for k in range(0, 24)):
         if all(g <= math.exp(omega_conjugate(sigma, c * float(dec.diam(i))))
