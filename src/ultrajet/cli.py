@@ -626,7 +626,8 @@ def _run_pou(ctx: _Context, report: dict, out: Path) -> int:
         _write_csv(out / "pou_bounds.csv", ["cube", "order", "bound"],
                    [np.repeat(np.arange(dec.n_cubes), orders),
                     np.tile(np.arange(orders), dec.n_cubes),
-                    [bumps[0].bound(j) for bumps in pu.bumps for j in range(orders)]])
+                    [pu.canonical.bound(j) / (s / 2.0) ** j
+                     for s in dec.sides.tolist() for j in range(orders)]])
     return 0 if dev < 1e-10 else 1
 
 

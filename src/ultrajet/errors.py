@@ -47,6 +47,10 @@ class StageOverflow(UltrajetError):
     half-width at the requested smoothness degree."""
 
 
+class BoundOverflow(UltrajetError):
+    """A certified bound is not finite, so no certificate can rest on it."""
+
+
 class DepthExhausted(UltrajetError):
     """Cube subdivision hit the depth cap while the uncovered collar is
     still wider than the configured minimum feature scale."""

@@ -17,8 +17,8 @@ over the shifted copies stacked together.  Pieces carry local (midpoint)
 coordinates and moving averages are accumulated from nonnegative piece
 integrals, so no stage suffers catastrophic cancellation; plateau pieces
 are snapped to the exact constant 1.  A stage is built in one pass over
-all its pieces, taking the partial integrals at both window edges of every
-piece together.
+all its pieces, the partial integrals at both window edges of every piece
+together, degree-major: one row per polynomial degree, one column per edge.
 
 All radii scale with the bump half-width (r_j = delta * r / theta_j for the
 quotient sequence theta of the smoothness class), so every bump is a
@@ -27,7 +27,8 @@ dilation of one canonical bump per (sequence, delta, J).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import comb, prod
 
 import numpy as np
@@ -44,6 +45,9 @@ RADII_BUDGET = 1.0 / 16.0
 # stages; a stage of degree k has about 2^k pieces, so the rows cover every
 # bump that fits in memory
 _BINOMIAL = np.array([[comb(k, i) for i in range(32)] for k in range(32)], dtype=float)
+# per degree k: k + 1, and the factor of power k in a piece integral
+_POWERS = np.arange(32) + 1
+_PIECE_FACTORS = (1.0 - (-1.0) ** _POWERS) / _POWERS
 
 
 class _PiecewisePoly:
@@ -57,11 +61,10 @@ class _PiecewisePoly:
         self.mids = 0.5 * (self.breaks[:-1] + self.breaks[1:])
         self.coeffs = np.asarray(coeffs, dtype=float)  # (P, deg+1), ascending
         self.plateau_lo, self.plateau_hi = plateau
-        widths = np.diff(self.breaks)
         # exact piece integrals in local coordinates (odd powers cancel)
-        k = np.arange(self.coeffs.shape[1])
-        halfw = (widths / 2.0)[:, None]
-        terms = self.coeffs * (halfw ** (k + 1)) * ((1.0 - (-1.0) ** (k + 1)) / (k + 1.0))
+        n = self.coeffs.shape[1]
+        halfw = (np.diff(self.breaks) / 2.0)[:, None]
+        terms = self.coeffs * (halfw ** _POWERS[:n]) * _PIECE_FACTORS[:n]
         self.cumint = np.concatenate([[0.0], np.cumsum(np.sum(terms, axis=1))])
 
     def __call__(self, x):
@@ -88,27 +91,28 @@ class _PiecewisePoly:
                        0, len(self.mids) - 1)
 
 
-def _edge_integrals(g: _PiecewisePoly, y: np.ndarray, n: int) -> np.ndarray:
-    """For each window edge y inside g's support, the integral of g from the
-    left end of y's piece to y + u, as ascending coefficients in u (n of
-    them): the piece's antiderivative shifted by gamma = y - mid, with the
-    binomial x power terms accumulated in ascending order of the
-    antiderivative's degree, minus its value at the piece's left end."""
-    q = g.piece(y)
-    anti = np.zeros((len(y), n))
-    anti[:, 1:] = g.coeffs[q] / (np.arange(n - 1) + 1.0)
-    gamma = np.empty((len(y), n))
-    gamma[:, 0] = 1.0
-    gamma[:, 1:] = (y - g.mids[q])[:, None]
-    gamma = np.cumprod(gamma, axis=1)  # gamma^t, one product at a time
-    shifted = np.zeros((len(y), n))
+def _edge_integrals(g: _PiecewisePoly, y: np.ndarray, q: np.ndarray,
+                    n: int) -> np.ndarray:
+    """For each window edge y inside g's support, in piece q, the integral
+    of g from the left end of the piece to y + u, as ascending coefficients
+    in u, one row per degree and one column per edge: the antiderivative
+    shifted by gamma = y - mid, with the binomial x power terms accumulated
+    in ascending order of its degree, minus its value at the left end."""
+    mid = g.mids[q]
+    anti = np.zeros((n, len(y)))
+    np.divide(g.coeffs[q].T, _POWERS[:n - 1, None], out=anti[1:])
+    gamma = np.empty((n, len(y)))
+    gamma[0] = 1.0
+    gamma[1:] = y - mid
+    np.cumprod(gamma, axis=0, out=gamma)  # gamma^t, one product at a time
+    shifted = np.zeros((n, len(y)))
     for k in range(1, n):
-        shifted[:, :k + 1] += (anti[:, k, None] * _BINOMIAL[k, :k + 1]) * gamma[:, k::-1]
-    x = (g.breaks[q] - g.mids[q])[:, None]
-    left = anti[:, -1:] + x * 0  # Horner, as numpy's polyval
+        shifted[:k + 1] += (anti[k] * _BINOMIAL[k, :k + 1, None]) * gamma[k::-1]
+    x = g.breaks[q] - mid
+    left = anti[-1] + x * 0  # Horner, as numpy's polyval
     for k in range(n - 2, -1, -1):
-        left = anti[:, k, None] + left * x
-    shifted[:, 0] -= left[:, 0]
+        left = anti[k] + left * x
+    shifted[0] -= left
     return shifted
 
 
@@ -117,7 +121,8 @@ def _convolve_uniform(g: _PiecewisePoly, r: float,
     """Moving average of g over [x - r, x + r], divided by 2r, as an exact
     piecewise polynomial, every piece in one pass.  ``plateau`` is the known
     exact-1 interval of the result, used for snapping."""
-    breaks = np.unique(np.concatenate([g.breaks - r, g.breaks + r]))
+    breaks = np.sort(np.concatenate([g.breaks - r, g.breaks + r]))
+    breaks = breaks[np.concatenate([[True], breaks[1:] != breaks[:-1]])]
     mids = 0.5 * (breaks[:-1] + breaks[1:])
     n = g.coeffs.shape[1] + 1  # result degree = input degree + 1
     coeffs = np.zeros((len(mids), n))
@@ -127,19 +132,22 @@ def _convolve_uniform(g: _PiecewisePoly, r: float,
     coeffs[flat, 0] = 1.0
     work = np.nonzero(active & ~flat)[0]
     yp, ym = mids[work] + r, mids[work] - r
-    # integral of g over its full pieces left of each window edge: none
-    # left of the support, all of them right of it
-    full = np.clip(np.searchsorted(g.breaks, [yp, ym], side="right") - 1, 0, len(g.mids))
-    poly = np.zeros((len(work), n))
-    poly[:, 0] = g.cumint[full[0]] - g.cumint[full[1]]
-    # plus the partial integral at the upper window edge, minus the one at
-    # the lower edge, each as a polynomial in u: both edges in one pass
-    up, down = ((g.breaks[0] < y) & (y < g.breaks[-1]) for y in (yp, ym))
-    edges = _edge_integrals(g, np.concatenate([yp[up], ym[down]]), n)
-    n_up = np.count_nonzero(up)
-    poly[up] += edges[:n_up]
-    poly[down] -= edges[n_up:]
-    coeffs[work] = (1.0 / (2.0 * r)) * poly
+    # integral of g over its full pieces left of each window edge: none left
+    # of the support, all right of it, and inside it the index of its piece
+    full = np.searchsorted(g.breaks, [yp, ym], side="right") - 1
+    np.clip(full, 0, len(g.mids), out=full)
+    poly = np.zeros((n, len(work)))
+    poly[0] = g.cumint[full[0]] - g.cumint[full[1]]
+    # plus the partial integrals (polynomials in u) at the upper edges inside
+    # g's support, minus those at the lower: both ascend, so each is one run
+    up, down = (slice(np.searchsorted(y, g.breaks[0], side="right"),
+                      np.searchsorted(y, g.breaks[-1])) for y in (yp, ym))
+    edges = _edge_integrals(g, np.concatenate([yp[up], ym[down]]),
+                            np.concatenate([full[0][up], full[1][down]]), n)
+    n_up = up.stop - up.start
+    poly[:, up] += edges[:, :n_up]
+    poly[:, down] -= edges[:, n_up:]
+    coeffs[work] = (1.0 / (2.0 * r)) * poly.T
     return _PiecewisePoly(breaks, coeffs, plateau)
 
 
@@ -160,6 +168,9 @@ class CanonicalBump:
                 f"radii sum {s:g} exceeds the budget {RADII_BUDGET:g}")
         self.radii = radii
         self.J = len(radii)
+        with np.errstate(over="ignore"):  # 1/r of a tiny radius
+            if not np.isfinite([self.bound(j) for j in range(self.J)]).all():
+                raise StageOverflow(f"radius {radii[-1]:g} overflows the derivative bounds")
         self.a = float(np.nextafter(9.0 / 8.0 - s, -np.inf))
         suffix = np.concatenate([np.cumsum(radii[::-1])[::-1], [0.0]])
         # stages[m] = indicator convolved with radii m..J (1-based m)
@@ -313,11 +324,16 @@ class PartitionOfUnity:
     delta: float
     order_cap: int
     halvings: int
-    bumps: tuple = field(repr=False, default=())  # per cube, per axis Bump1D
 
     @property
     def J(self) -> int:
         return self.canonical.J
+
+    @cached_property
+    def bumps(self) -> tuple:
+        """Per cube, per axis, the Bump1D factor of psi_cube."""
+        return tuple(tuple(Bump1D(self.canonical, float(c), float(s) / 2.0) for c in center)
+                     for center, s in zip(self.dec.centers, self.dec.sides))
 
     def pair_derivs(self, x, up_to: int) -> tuple:
         """The incidence (point, cube) of x with the expanded cubes, and the
@@ -405,18 +421,10 @@ def build_pou(dec: CubeDecomposition, seq: WeightSequence,
         raise QuasianalyticInput(
             f"{seq.label or 'sequence'}: partition needs summable reciprocals")
     J = order_cap + 4
-    cap = max_delta(seq, J)
-    halvings = 0
-    if delta is None:
-        delta = cap
-    else:
-        while delta > cap:
-            delta /= 2.0
-            halvings += 1
-    canonical = _canonical_for(seq, delta, J)
-    bumps = tuple(tuple(Bump1D(canonical=canonical, center=float(c), r=float(s) / 2.0)
-                        for c in center)
-                  for center, s in zip(dec.centers, dec.sides))
-    return PartitionOfUnity(dec=dec, canonical=canonical, seq=seq,
-                            delta=float(delta), order_cap=order_cap,
-                            halvings=halvings, bumps=bumps)
+    cap, halvings = max_delta(seq, J), 0
+    delta = cap if delta is None else delta
+    while delta > cap:
+        delta /= 2.0
+        halvings += 1
+    return PartitionOfUnity(dec=dec, canonical=_canonical_for(seq, delta, J), seq=seq,
+                            delta=float(delta), order_cap=order_cap, halvings=halvings)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -251,6 +252,42 @@ def test_order_cap_above_12_is_config_error_before_any_bump(tmp_path, monkeypatc
     assert run("pou", str(path), str(tmp_path / "out")) == 2
     err = load_report(tmp_path / "out")["errors"][0]
     assert err["kind"] == "config" and "pou.order_cap" in err["message"]
+
+
+def test_pou_bounds_csv_is_each_cube_bump_bound(tmp_path):
+    cfg = validate_config(json.loads((CONFIGS / "sin_gevrey2_all.json").read_text()), "pou")
+    assert run("pou", str(CONFIGS / "sin_gevrey2_all.json"), str(tmp_path / "out")) == 0
+    ctx = cli._Context(cfg)
+    pu = cli._build_pou(ctx, cli._decomposition(ctx))
+    rows = (tmp_path / "out" / "pou_bounds.csv").read_text().splitlines()
+    assert rows[0] == "cube,order,bound"
+    assert rows[1:] == [f"{i},{j},{pu.bumps[i][0].bound(j):.17g}"
+                        for i in range(pu.dec.n_cubes) for j in range(pu.order_cap + 1)]
+
+
+@pytest.mark.parametrize("command", ["pou", "verify"])
+def test_tiny_pou_delta_is_stage_overflow(tmp_path, command):
+    # radii of 1e-300 give 1/r^j = inf: no finite bump bound, so no certificate
+    cfg = json.loads((CONFIGS / "sin_gevrey2_all.json").read_text())
+    cfg["pou"]["delta"] = 1e-300
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(command, str(path), str(tmp_path / "out")) == 1
+    assert [e["kind"] for e in load_report(tmp_path / "out")["errors"]] == ["StageOverflow"]
+
+
+def test_overflowing_derivative_bounds_are_bound_overflow(tmp_path):
+    # a jet of size 1e306 has certified bounds of inf from order 1 on; the
+    # field evaluation overflows on the way, so numpy's warnings are off here
+    cfg = json.loads((CONFIGS / "sin_gevrey2_all.json").read_text())
+    cfg["jet"]["preset"] = {"kind": "poly", "coeffs": [1e306]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run("verify", str(path), str(tmp_path / "out")) == 1
+    assert [e["kind"] for e in load_report(tmp_path / "out")["errors"]] == ["BoundOverflow"]
 
 
 @pytest.mark.parametrize("sequences", [

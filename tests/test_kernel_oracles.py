@@ -56,6 +56,7 @@ from ultrajet.extend import (
     ExtensionField,
     _UnionBump,
     _approach_points,
+    _halving_constant,
     _taylor_bounds,
     _taylor_sup_bounds,
     derivative_bounds,
@@ -1112,14 +1113,24 @@ WORKLOAD_BUMPS = tuple(_canonical_for(gevrey(1.0), None, J) for J in (7, 8))
 @given(canonical_bumps())
 @example(WORKLOAD_BUMPS[0])
 @example(WORKLOAD_BUMPS[1])
+@example(CanonicalBump(np.full(4, 2.0 ** -7)))  # dyadic: window edges meet exactly
+@example(CanonicalBump([RADII_BUDGET / 2.0]))
+@example(_canonical_for(gevrey(1.0), None, 10))
 def test_bump_stages_bitwise_equal_oracle(bump):
     stage = bump.stages[bump.J + 1]
     for m in range(bump.J, 0, -1):
         got = bump.stages[m]
         stage = oracle_convolve_uniform(stage, float(bump.radii[m - 1]),
                                         (got.plateau_lo, got.plateau_hi))
-        for attr in ("breaks", "coeffs", "cumint"):
+        for attr in ("breaks", "mids", "coeffs", "cumint"):
             assert getattr(got, attr).tobytes() == getattr(stage, attr).tobytes()
+
+
+def test_equal_dyadic_radii_merge_window_edges():
+    """The equal-radii example above takes the break deduplication path."""
+    bump = CanonicalBump(np.full(4, 2.0 ** -7))
+    assert any(len(bump.stages[m].breaks) < 2 * len(bump.stages[m + 1].breaks)
+               for m in range(1, bump.J + 1))
 
 
 def oracle_bump_eval(bump, u, j=0):
@@ -2065,6 +2076,38 @@ def test_check_descendant_equals_oracle(seq):
             check_descendant(seq)
         return
     _same_verdict(check_descendant(seq), old)
+
+
+def oracle_halving_constant(view, t_range=(0.02, 50.0), n_t=40):
+    """The first D = 2^i with 2 gamma_bar(D t) <= gamma_under(t), one query
+    per D."""
+    ts = np.geomspace(t_range[0], t_range[1], n_t)
+    gu, ex_u = gamma_under_soft(view, ts)
+    if np.any(ex_u):
+        raise RangeExhausted("quotient crossing out of range on the t grid")
+    for i in range(0, 30):
+        d = 2.0 ** i
+        gb, ex_b = gamma_bar_soft(view, d * ts)
+        if not np.any(ex_b) and np.all(2 * gb <= gu):
+            return d
+    raise RangeExhausted("no halving constant on the geometric grid")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.builds(gevrey, st.floats(0.5, 3.0), st.integers(4, 128)),
+                 st.builds(lambda p, k: quotient_power(p, K_max=k), st.floats(0.5, 3.0),
+                           st.integers(4, 128))))
+def test_halving_constant_equals_per_d_oracle(seq):
+    view = seq.view("m")
+    try:
+        want = oracle_halving_constant(view)
+    except RangeExhausted as exc:
+        with pytest.raises(RangeExhausted) as got:
+            _halving_constant(view)
+        assert str(got.value) == str(exc)
+        return
+    got = _halving_constant(view)
+    assert type(got) is float and got == want
 
 
 def oracle_chain_holds(matrix, x, y1, y2, y3, d, ts):

@@ -8,6 +8,7 @@ from ultrajet.geometry import EXPANSION, decompose
 from ultrajet.jets import CompactSet
 from hypothesis import given, settings, strategies as st
 
+import ultrajet.pou as pou_module
 from ultrajet.pou import (
     Bump1D,
     CanonicalBump,
@@ -275,6 +276,30 @@ def test_pou_halving_counter(dec_1d, seq):
     pou = build_pou(dec_1d, seq, delta=10.0 * cap, order_cap=4)
     assert pou.halvings >= 4
     assert pou.delta <= cap
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_partition_builds_no_bump1d_until_bumps_is_read(seq, monkeypatch, dim):
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(Bump1D(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(pou_module, "Bump1D", spy)
+    box = ((-1.0, 1.0),) * dim
+    dec = decompose(box, CompactSet(np.zeros((1, dim)), box), depth_cap=4)
+    pou = build_pou(dec, seq, order_cap=2)
+    assert len(pou.pair_derivs(np.full((3, dim), 0.5), 2)[0]) > 0
+    pou.phi_bounds(2)
+    assert built == []
+    # the eager tuple build_pou used to make: per cube, per axis (center, r)
+    want = tuple(tuple((float(c), float(s) / 2.0) for c in center)
+                 for center, s in zip(dec.centers, dec.sides))
+    got = tuple(tuple((b.center, b.r) for b in axes) for axes in pou.bumps)
+    assert got == want and len(built) == dec.n_cubes * dim
+    assert all(b.canonical is pou.canonical for b in built)
+    assert pou.bumps is pou.bumps  # built once
 
 
 def test_pou_2d_sum_and_supports(seq):
