@@ -202,10 +202,12 @@ class ExtensionField:
         with point_flags."""
         return self._grids(x, alphas)[0]
 
+    @np.errstate(over="ignore", invalid="ignore")
     def _grids(self, x, alphas) -> tuple:
         """:meth:`derivative_grids` and the incident (point, cube) pairs.  The
         partition tables, the cutoff tables, the nearest set points and the
-        Taylor sums of each beta are taken once for all the orders."""
+        Taylor sums of each beta are taken once for all the orders.  A value
+        that overflows raises BoundOverflow instead of a warning."""
         alphas = [tuple(a) for a in alphas]
         top = max((sum(a) for a in alphas), default=0)
         pts = np.asarray(x, dtype=float).reshape(-1, self.pou.dec.dim)
@@ -244,6 +246,8 @@ class ExtensionField:
         if np.any(on_set):
             for alpha, values in out.items():
                 values[on_set] = self.jet.values[near[on_set], self.jet.rank(alpha)]
+        if not all(np.isfinite(values).all() for values in out.values()):
+            raise BoundOverflow("sampled derivative values are not all finite")
         return out, point, cube
 
     def _pair_taylor(self, pts, point, cube, beta) -> tuple:

@@ -124,13 +124,6 @@ class CompactSet:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def index_of(self, a) -> int:
-        a = np.asarray(a, dtype=float).reshape(-1)
-        hits = np.where(np.all(np.abs(self.points - a) < 1e-12, axis=1))[0]
-        if len(hits) != 1:
-            raise ValueError(f"{a} is not a point of the set")
-        return int(hits[0])
-
 
 # -- presets with exact derivative recurrences ----------------------------------
 

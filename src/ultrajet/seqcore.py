@@ -16,10 +16,9 @@ finite-range statements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log
+from math import factorial, log
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import NotAWeightSequence, QuasianalyticInput, RangeExhausted, TailUnbounded
 
@@ -39,6 +38,42 @@ _FLAGS = ("log_convex", "weight_sequence", "strongly_log_convex", "non_quasianal
           "moderate_growth")
 _WITNESSES = ("weight_sequence_growth", "nonqa_tail_exponent", "nonqa_tail_estimate",
               "moderate_growth_log_C")
+
+_LOG_FACTORIALS = np.zeros(0)  # log k! for k < len, read-only; grows by doubling
+
+
+def _log_factorial(k: int) -> float:
+    """log k! = log Gamma(x), x = k + 1, by the float operations of Cephes
+    ``lgam`` (S. Moshier), so bit-equal to SciPy's ``gammaln``: the log of the
+    exact product below 13, then Stirling's series, shorter from 1000, none past 1e8."""
+    x = k + 1.0
+    if x < 13.0:
+        return log(float(factorial(k)))
+    q = (x - 0.5) * log(x) - x + 0.91893853320467274178  # log sqrt(2 pi)
+    p = 1.0 / (x * x)
+    if x > 1.0e8:
+        return q
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    return q + ((((8.11614167470508450300e-4 * p - 5.95061904284301438324e-4) * p
+                  + 7.93650340457716943945e-4) * p - 2.77777777730099687205e-3) * p
+                + 8.33333333333331927722e-2) / x
+
+
+def log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0..n, a read-only slice of one module table built with
+    libm's ``log`` (NumPy's SIMD log may round the last bit otherwise).  It
+    needs no lock: every table it ever holds has the same value at each k."""
+    global _LOG_FACTORIALS
+    table = _LOG_FACTORIALS
+    if n >= len(table):
+        new = range(len(table), max(n + 1, 2 * len(table)))
+        table = np.concatenate([table, [_log_factorial(k) for k in new]])
+        table.flags.writeable = False
+        _LOG_FACTORIALS = table
+    return table[:n + 1]
+
 
 def _certify_divergence(values: np.ndarray):
     """Finite-range proxy for ``values -> infinity``, per row.
@@ -122,7 +157,7 @@ def _row_flags(logM: np.ndarray) -> list[tuple[dict, dict]]:
     roots = logM[:, 1:] / np.arange(1, k + 1)
     weight_seq, growth = _certify_divergence(roots)
     weight_seq &= logM[:, -1] >= log(DIVERGENCE_FLOOR)
-    m_quot = np.diff(logM - gammaln(np.arange(k + 1) + 1.0), axis=1)
+    m_quot = np.diff(logM - log_factorials(k), axis=1)
     strongly = log_convex & np.all(np.diff(m_quot, axis=1) >= -tol, axis=1)
 
     # summability of sum 1/mu_k, with a fitted slowly-varying power tail
@@ -201,7 +236,7 @@ class WeightSequence:
         self.label = label
         self.log_mu = np.concatenate([[0.0], np.diff(self.logM)])
         self.log_mu.flags.writeable = False
-        self.log_m = self.logM - gammaln(np.arange(self.K_max + 1) + 1.0)
+        self.log_m = self.logM - log_factorials(self.K_max)
         self.log_m.flags.writeable = False
         self.flags, self.witnesses = _flags or _row_flags(self.logM[None])[0]
         self._envelopes: dict[str, _MinAffineEnvelope] = {}
@@ -303,7 +338,7 @@ def gevrey(s: float, K_max: int = DEFAULT_K_MAX) -> WeightSequence:
     """Canonical test family M_k = (k!)^{1+s}; mu_k = k^{1+s}, m_k = (k!)^s."""
     if s <= 0:
         raise ValueError("gevrey index must be positive")
-    table = (1.0 + s) * gammaln(np.arange(K_max + 1) + 1.0)
+    table = (1.0 + s) * log_factorials(K_max)
     return WeightSequence(table, label=f"gevrey({s:g})")
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ultrajet.cli import run
-from ultrajet.errors import IncompatibleGeometry
+from ultrajet.errors import BoundOverflow, IncompatibleGeometry
 from ultrajet.extend import (
     DegreeSchedule,
     ExtensionField,
@@ -205,11 +205,24 @@ def test_polynomial_reproduction_near_set(pair_setup):
 
 
 def test_field_matches_jet_on_set(sin_field):
-    for a in (-1.0, 1.0):
+    for row, a in enumerate((-1.0, 1.0)):
         for alpha in ((0,), (1,), (2,)):
             got = sin_field.derivative_grid(np.array([[a]]), alpha)[0]
-            want = sin_field.jet.value(sin_field.jet.cset.index_of([a]), alpha)
+            want = sin_field.jet.value(row, alpha)
             assert got == want
+
+
+def test_field_overflow_is_bound_overflow(pair_setup):
+    # the Leibniz sums of d/dx overflow on a constant jet of 1e306, the
+    # values themselves do not
+    cs, dec, seq, pou = pair_setup
+    jet = jet_from_preset(Poly([1e306]), cs, A_max=12)
+    jet = jet.with_certificate(certify(jet, seq, rho=1.0, P_max=12))
+    fld = extend(jet, pou, schedule(dec, seq, L=default_L(jet), A_max=jet.A_max))
+    x = np.linspace(-3.0, 3.0, 401).reshape(-1, 1)
+    assert np.isfinite(fld.value(x)).all()
+    with pytest.raises(BoundOverflow, match="not all finite"):
+        fld.derivative_grid(x, (1,))
 
 
 def test_field_equals_taylor_inside_plateau(sin_field):

@@ -8,7 +8,8 @@ the closed-form conjugates of the power presets against the golden-section
 kernel, the one-pass averaged tail transform ``fncore.kappa`` against its
 per-t decade loop and ``np.polyfit`` remainders, the batched row flags and
 array tail sums of ``seqcore`` against the per-row flag pass and the
-per-decade loop, the shared row search and log-cap verdict of
+per-decade loop, the cached log k! table of ``seqcore`` against SciPy's
+``gammaln``, the shared row search and log-cap verdict of
 ``conditions`` against the per-pair loops of each check, the chain lookup
 of ``conditions.resolve_chain`` against its per-D loop, the array passes of ``jets.certify``,
 the bump stages and stacked bump derivatives of ``pou`` and
@@ -127,10 +128,12 @@ from ultrajet.pou import (
     _tensor_bump_derivs,
     build_pou,
 )
+import ultrajet.seqcore as seqcore_module
 from ultrajet.seqcore import (
     DIVERGENCE_FLOOR,
     TAIL_EXPONENT_MARGIN,
     WeightSequence,
+    _log_factorial,
     _model_tail_sum,
     _row_flags,
     descendant,
@@ -138,6 +141,7 @@ from ultrajet.seqcore import (
     gamma_bar_soft,
     gamma_under_soft,
     gevrey,
+    log_factorials,
     log_h_assoc,
     quotient_power,
 )
@@ -523,6 +527,13 @@ def oracle_cube_sum(field, pts, alpha, memo):
     return out
 
 
+def oracle_row(cset, a) -> int:
+    """The row of the one set point within 1e-12 of ``a`` on every axis."""
+    hits = np.flatnonzero(np.all(np.abs(cset.points - a) < 1e-12, axis=1))
+    assert len(hits) == 1
+    return int(hits[0])
+
+
 def oracle_derivative_grid(field, pts, alpha, memo):
     """``memo`` is one dict per field and pts, shared across alphas."""
     if field.cutoff is None:
@@ -534,7 +545,7 @@ def oracle_derivative_grid(field, pts, alpha, memo):
             out += coef * cut[gamma] * oracle_cube_sum(field, pts, beta, memo)
     on_set = field.point_flags(pts)["on_set"]
     for k in np.where(on_set)[0]:
-        out[k] = field.jet.value(field.jet.cset.index_of(pts[k]), alpha)
+        out[k] = field.jet.value(oracle_row(field.jet.cset, pts[k]), alpha)
     return out
 
 
@@ -594,7 +605,7 @@ def field_cases(draw):
     sched = DegreeSchedule(dec=dec, degrees=rng.integers(0, A_max + 1, dec.n_cubes),
                            capped=np.zeros(dec.n_cubes, dtype=bool), L=1.0,
                            mode="single", s_prime=None)
-    anchor = np.array([cset.index_of(a) for a in dec.nearest_points], dtype=int)
+    anchor = np.array([oracle_row(cset, a) for a in dec.nearest_points], dtype=int)
     cutoff = None
     if draw(st.booleans()):
         cutoff = _UnionBump(pou.canonical, pts, draw(st.sampled_from((0.1, 0.25, 0.3))))
@@ -674,7 +685,7 @@ def test_point_flags_and_on_set_values_equal_oracle(case):
     for alpha in multi_indices(field.jet.cset.dim, up_to):
         values = field.derivative_grid(q, alpha)
         for k in np.flatnonzero(want["on_set"]):
-            assert values[k] == field.jet.value(field.jet.cset.index_of(q[k]), alpha)
+            assert values[k] == field.jet.value(oracle_row(field.jet.cset, q[k]), alpha)
 
 
 def _with_cutoff(field, on):
@@ -730,7 +741,7 @@ def field_cases_3d(draw):
     sched = DegreeSchedule(dec=dec, degrees=rng.integers(0, A_max + 1, dec.n_cubes),
                            capped=np.zeros(dec.n_cubes, dtype=bool), L=1.0,
                            mode="single", s_prime=None)
-    anchor = np.array([cset.index_of(a) for a in dec.nearest_points], dtype=int)
+    anchor = np.array([oracle_row(cset, a) for a in dec.nearest_points], dtype=int)
     field = ExtensionField(jet=jet, pou=pou, sched=sched, anchor_idx=anchor)
     x = np.concatenate([rng.uniform(-1.0, 1.0, size=(20, 3)), pts])
     return field, draw(st.integers(0, order_cap)), x
@@ -1659,6 +1670,26 @@ def test_row_flags_equal_per_row_oracle(table):
         assert list(wit) == list(want_wit)
         assert np.allclose(list(wit.values()), list(want_wit.values()), rtol=1e-10,
                            atol=1e-12)
+
+
+def oracle_log_factorials(n):
+    """log k! for k = 0..n, by SciPy's Cephes lgam."""
+    return gammaln(np.arange(n + 1) + 1.0)
+
+
+def test_log_factorials_bitwise_equal_oracle(monkeypatch):
+    # every k up to 100,000 from an empty table, so the second call grows
+    # the first; then x = k + 1 at each branch edge of lgam
+    monkeypatch.setattr(seqcore_module, "_LOG_FACTORIALS", np.zeros(0))
+    short = log_factorials(10)
+    table = log_factorials(100_000)
+    assert table.tobytes() == oracle_log_factorials(100_000).tobytes()
+    assert short.tobytes() == table[:11].tobytes() == log_factorials(10).tobytes()
+    assert not short.flags.writeable and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[3] = 0.0
+    for x in (12, 13, 999, 1000, 1001, 10**8 - 1, 10**8, 10**8 + 1, 2**40):
+        assert np.float64(_log_factorial(x - 1)).tobytes() == gammaln(float(x)).tobytes()
 
 
 def oracle_quotient_tail_sums(seq):
