@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NotLittleO, QuasianalyticInput, RangeExhausted, TailUnbounded
-from .fncore import WeightFunction, WeightMatrix, kappa, splitting_ok, young_conjugate_grid
+from .fncore import WeightFunction, WeightMatrix, kappa, splitting_ok
 from .seqcore import WeightSequence, descendant, gamma_bar_soft, gamma_under_soft
 
 LOG_CAP = 40.0 * log(2.0)
@@ -251,24 +251,6 @@ def check_good(matrix: WeightMatrix) -> Verdict:
     j = int(_prefix_max(_quotient_over_index(matrix.row(x)))[1][k - 1])
     return _log_verdict("good_matrix", log_c, "C", {"x": x, "y_best": y, "j": j, "k": k},
                         _matrix_range(matrix), {"per_x": per_x})
-
-
-def good_via_conjugate_secants(matrix: WeightMatrix) -> Verdict:
-    """Cross-check of :func:`check_good` recomputing the quotients from the
-    conjugate secants of the generating weight rather than the stored rows."""
-    if matrix.source is None:
-        raise ValueError("secant cross-check needs a generated matrix")
-    x_col = np.asarray(matrix.x_grid)[:, None]
-    vals = young_conjugate_grid(matrix.source, x_col * np.arange(matrix.K_max + 1))
-    secants = np.diff(vals, axis=1) / x_col  # log theta^x_k, k = 1..K
-    rows = np.concatenate([np.zeros_like(x_col), np.cumsum(secants, axis=1)], axis=1)
-    shadow = WeightMatrix(matrix.x_grid,
-                          {x: WeightSequence(row, label=f"secant@{x:g}")
-                           for x, row in zip(matrix.x_grid, rows)},
-                          source=None, validate=False)
-    v = check_good(shadow)
-    v.name = "good_matrix_secant_form"
-    return v
 
 
 # -- mixed tail and almost increase -------------------------------------------------

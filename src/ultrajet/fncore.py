@@ -4,16 +4,16 @@ A weight function is an increasing continuous ``omega: [0, inf) -> [0, inf)``
 with ``omega(0) = 0`` used to regulate derivative growth.  This module
 provides the preset families, the convex conjugate of ``phi(s) = omega(e^s)``,
 the decreasing conjugate ``sup_s (omega(s) - t s)``, the averaged tail
-transform ``t * int_t^inf omega(u)/u^2 du``, the Poisson harmonic extension,
-and the weight matrix ``W^x_k = exp(phi*(x k)/x)`` spanned by a weight
-function.
+transform ``t * int_t^inf omega(u)/u^2 du``, and the weight matrix
+``W^x_k = exp(phi*(x k)/x)`` spanned by a weight function.
 
-Both conjugates are array kernels, in closed form for the power presets;
-otherwise every argmax is bracketed at once (by doubling for ``phi*``, by a
-log-spaced scan for ``omega*``) and refined by one vectorized golden-section
-search.  The scalar functions are 1-element calls of the grid ones.  A
-weight matrix flags all its rows in one pass.  The averaged tail transform
-integrates each gap of its query grid once, not decades per t.
+Every preset carries both conjugates as exact array functions: closed
+forms for the power presets, one root per point (a vectorized bisection)
+for ``log_power``, and the finite maxima of the piecewise forms (the
+discrete Legendre transform) for growth profiles and tables.  The scalar
+functions are 1-element calls of the grid ones.  A weight matrix flags all
+its rows in one pass.  The averaged tail transform integrates each gap of
+its query grid once, not decades per t.
 
 Asymptotic properties (doubling, linear bound, little-o of t, tail
 integrability) are certified on a finite log-spaced grid with reported
@@ -22,7 +22,7 @@ witness constants; every flag is a finite-range verdict.
 
 from __future__ import annotations
 
-from math import atan, ceil, isfinite, log, log10, pi, sqrt
+from math import ceil, isfinite, log, log10
 
 import numpy as np
 
@@ -54,8 +54,10 @@ class WeightFunction:
     ``fn`` must accept numpy arrays of nonnegative reals.  ``t_valid_max``
     bounds the range on which the evaluator is certified (e.g. growth
     profiles of finite sequence tables); grids used by the transforms are
-    clamped to it.  ``conjugates`` holds exact ``(phi*(t), omega*(s, t_hi))``
-    array functions, if any.  Instances are immutable and thread-safe.
+    clamped to it.  ``conjugates`` holds the exact ``(phi*(t), omega*(s,
+    t_hi))`` array functions every preset attaches; a weight built without
+    them has its flags, ``kappa`` and the heir checks, but no conjugate or
+    matrix.  Instances are immutable and thread-safe.
     """
 
     def __init__(self, fn, label: str, t_valid_max: float = float("inf"),
@@ -97,11 +99,12 @@ class WeightFunction:
         self.witnesses["linear_C"] = c_lin
         self.flags["linear_bound"] = bool(log(max(c_lin, 1.0)) <= LOG_C_CAP)
 
-        # log t = o(omega): growth of omega/log t over the last quarter
+        # log t = o(omega): growth of omega/log t over the last quarter (not
+        # certified on a grid that ends below 10)
         mask = t > 10.0
         ratio = w[mask] / np.log(t[mask])
         q3 = (3 * len(ratio)) // 4
-        grew = ratio[-1] >= 1.05 * ratio[q3] and ratio[-1] >= 10.0
+        grew = len(ratio) > 0 and ratio[-1] >= 1.05 * ratio[q3] and ratio[-1] >= 10.0
         self.flags["log_small"] = bool(grew)
 
         s = np.log(t[t >= 1e-4])
@@ -167,13 +170,15 @@ def gevrey_dual(s: float, normalized: bool = True) -> WeightFunction:
 def log_power(b: float, scale: float = 1.0) -> WeightFunction:
     """omega(t) = scale * t / (log t)^b beyond e^{b+1}, bridged by
     c * log t on [1, e^{b+1}] and zero on [0, 1].  The bridge point makes
-    omega(e^s) convex with a continuous derivative.  Quasianalytic for
-    b <= 1."""
+    omega(e^s) convex with a continuous derivative, and omega concave on
+    [1, inf), so each conjugate is taken at the one root of a derivative.
+    Quasianalytic for b <= 1."""
     if b <= 0:
         raise ValueError("log exponent must be positive")
     s1 = b + 1.0
     t1 = np.exp(s1)
     w1 = scale * t1 / s1 ** b
+    c = w1 / s1  # phi'(s) on the bridge (0, s1), and omega'(1+)
 
     def fn(t):
         t = np.asarray(t, dtype=float)
@@ -184,14 +189,42 @@ def log_power(b: float, scale: float = 1.0) -> WeightFunction:
         out[hi] = scale * t[hi] / np.log(t[hi]) ** b
         return out
 
-    return WeightFunction(fn, label=f"log_power({b:g})")
+    def young(t):  # 0 up to phi'(0+) = c; beyond, phi'(s) = t on [s1, s_cap]
+        out = np.zeros_like(t)
+        up = t > c
+        tu = t[up]
+        s = _bisect(lambda s: scale * np.exp(s) * s ** -b * (1.0 - b / s) - tu, s1, _S_CAP)
+        out[up] = s * tu - fn(np.exp(s))
+        return out
+
+    def omega_star(s, t_hi):  # 0 from s = omega'(1+) = c on; below, omega'(e^u) = s
+        out = np.zeros_like(s)
+        low = s < c
+        sl = s[low]
+
+        def gap(u):  # s - omega'(e^u), increasing in u
+            v = np.maximum(u, s1)
+            return sl - np.where(u < s1, c * np.exp(-u), scale * v ** -b * (1.0 - b / v))
+
+        t = np.minimum(np.exp(_bisect(gap, 0.0, log(t_hi))), t_hi)
+        out[low] = np.maximum(fn(t) - sl * t, 0.0)
+        return out
+
+    return WeightFunction(fn, label=f"log_power({b:g})", conjugates=(young, omega_star))
 
 
 def omega_of_sequence(seq: WeightSequence) -> WeightFunction:
     """Growth profile sup_k (k log t - log M_k) of a weight sequence, as an
-    evaluable weight function (valid while the supremum stays in range)."""
+    evaluable weight function (valid while the supremum stays in range).
+
+    Its conjugates are exact on the hull vertices k of log M: phi(s) is
+    max_k (k s - log M_k), so phi* interpolates log M between the vertices
+    (from the least one on, as s >= 0), and omega* is the largest of the
+    concave k log t - log M_k - s t, each at t = k/s clamped to the range."""
     env = _MinAffineEnvelope(np.asarray(seq.logM))
     t_valid = float(np.exp(env.slopes[-1])) if len(env.slopes) else float("inf")
+    k, log_m = env.vertices.astype(float), seq.logM[env.vertices]
+    least = int(np.argmin(log_m))
 
     def fn(t):
         t = np.asarray(t, dtype=float)
@@ -200,18 +233,33 @@ def omega_of_sequence(seq: WeightSequence) -> WeightFunction:
         out = np.maximum(0.0, -val)
         return np.where(t <= 0.0, 0.0, out)
 
-    return WeightFunction(fn, label=f"omega[{seq.label}]", t_valid_max=t_valid)
+    def omega_star(s, t_hi):
+        t = np.clip(k / s[:, None], 1e-9, t_hi)
+        return np.maximum(np.max(k * np.log(t) - log_m - s[:, None] * t, axis=1), 0.0)
+
+    return WeightFunction(fn, label=f"omega[{seq.label}]", t_valid_max=t_valid,
+                          conjugates=(lambda t: np.interp(t, k[least:], log_m[least:]),
+                                      omega_star))
 
 
 def tabulated(ts, values, label: str = "tabulated") -> WeightFunction:
     """Piecewise-linear weight through (t_i, w_i), extended linearly with the
-    final slope beyond the table."""
+    final slope beyond the table.
+
+    omega* peaks at a breakpoint or an end of the range.  In s = log t each
+    piece is a + b e^s, so s t - phi(s) peaks on it at e^s = t/b, clamped to
+    the piece (at an end when b <= 0): phi* is the best of those points, the
+    breakpoints, 0 and the s cap."""
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
     if np.any(np.diff(ts) <= 0) or np.any(np.diff(values) < 0):
         raise ValueError("table must be strictly increasing in t, non-decreasing in w")
     slope = (values[-1] - values[-2]) / (ts[-1] - ts[-2])
     left_slope = values[0] / ts[0] if ts[0] > 0 else 0.0
+    edges = np.clip(np.log(np.maximum(ts, 1e-300)), 0.0, _S_CAP)
+    lo, hi = np.r_[0.0, edges], np.r_[edges, _S_CAP]  # the pieces in s
+    with np.errstate(divide="ignore"):
+        log_b = np.log(np.maximum(np.r_[left_slope, np.diff(values) / np.diff(ts), slope], 0.0))
 
     def fn(t):
         t = np.asarray(t, dtype=float)
@@ -219,82 +267,64 @@ def tabulated(ts, values, label: str = "tabulated") -> WeightFunction:
         out = np.where(t > ts[-1], values[-1] + slope * (t - ts[-1]), out)
         return np.where(t < ts[0], left_slope * t, out)
 
-    return WeightFunction(fn, label=label)
+    def young(t):
+        peak = np.clip(np.log(np.maximum(t, 1e-300))[:, None] - log_b, lo, hi)
+        s = np.c_[np.broadcast_to(np.r_[lo, _S_CAP], (len(t), len(lo) + 1)), peak]
+        return np.max(s * t[:, None] - fn(np.exp(s)), axis=1)
+
+    def omega_star(s, t_hi):
+        t = np.r_[1e-9, ts[(ts > 1e-9) & (ts < t_hi)], t_hi]
+        return np.maximum(np.max(fn(t) - s[:, None] * t, axis=1), 0.0)
+
+    return WeightFunction(fn, label=label, conjugates=(young, omega_star))
 
 
 # -- conjugates ------------------------------------------------------------------
 
 _S_CAP = 600.0  # exp(s) stays finite in doubles well past any grid query
-_INV_PHI = (sqrt(5.0) - 1.0) / 2.0  # golden-section shrink factor per step
-_SCAN_ROWS = 32  # values of s per block of the omega* scan
 
 
-def _golden_max(g, lo, hi, xatol):
-    """Golden-section search for ``max g`` on every bracket ``[lo, hi]`` at
-    once, ``g`` being unimodal on each and evaluated on whole arrays.
+def _bisect(f, lo, hi):
+    """Where the increasing array function ``f`` crosses 0 between ``lo``
+    and ``hi`` (clamped to them), per entry: bisection until no float is
+    left inside any bracket."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = (lo < mid) & (mid < hi)
+        if not np.any(live):
+            return mid
+        below = f(mid) < 0.0
+        lo, hi = np.where(live & below, mid, lo), np.where(live & ~below, mid, hi)
 
-    Runs a fixed number of steps, until every bracket is narrower than its
-    ``xatol``; each step evaluates ``g`` at one new point per bracket.
-    Returns the best values found, lower bounds of the maxima.
-    """
-    a = np.asarray(lo, dtype=float)
-    h = np.asarray(hi, dtype=float) - a
-    steps = np.max(np.log(h / xatol) / -log(_INV_PHI), initial=0.0)
-    # interior points c = a + r^2 h < d = a + r h, with r = _INV_PHI
-    fc, fd = g(a + _INV_PHI ** 2 * h), g(a + _INV_PHI * h)
-    for _ in range(int(np.ceil(steps))):
-        left = fc >= fd  # keep [a, d], whose new d is the old c; else [c, b]
-        f_keep = np.maximum(fc, fd)
-        h = _INV_PHI * h
-        a = np.where(left, a, a + _INV_PHI * h)
-        f_new = g(a + np.where(left, _INV_PHI ** 2, _INV_PHI) * h)
-        fc, fd = np.where(left, f_new, f_keep), np.where(left, f_keep, f_new)
-    return np.maximum(fc, fd)
+
+def _conjugates(fn: WeightFunction):
+    if fn.conjugates is None:
+        raise ValueError(f"{fn.label}: no exact conjugates; build the weight with a preset")
+    return fn.conjugates
 
 
 def young_conjugate_grid(fn: WeightFunction, ts) -> np.ndarray:
-    """Convex conjugate ``sup_{s>=0} (s t - omega(e^s))`` of the
-    log-reparametrized weight at every ``t`` of an array of any shape.
+    """Convex conjugate ``sup_{0 <= s <= s_cap} (s t - omega(e^s))`` of the
+    log-reparametrized weight at every ``t`` of an array of any shape, by
+    the weight's exact conjugate (ValueError for a weight without one).
 
-    The objective is concave in s.  Every argmax is bracketed at once by
-    doubling ``s_hi`` from 1 while the objective still rises, up to
-    ``min(600, log t_valid_max)`` (GridExhausted, naming the first such
-    ``t``, when it still rises there), then refined by one vectorized
-    golden-section search on ``[0, s_hi]`` down to ``1e-10 * s_hi``.  A
-    weight with exact conjugates skips the search; the bracket test at the
-    cap still decides GridExhausted.  For normalized weights the result is a
-    nonnegative increasing convex function vanishing at 0.
+    ``s_cap = min(600, log t_valid_max)``; GridExhausted, naming the first
+    such ``t``, where the objective still rises there (``g(s_cap) >=
+    g(s_cap / 2)``), so the supremum lies beyond the cap.  For normalized
+    weights the result is a nonnegative increasing convex function
+    vanishing at 0.
     """
     t = np.asarray(ts, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be nonnegative")
+    young = _conjugates(fn)[0]
     shape, t = t.shape, t.ravel()
     s_cap = min(_S_CAP, log(fn.t_valid_max) if isfinite(fn.t_valid_max) else _S_CAP)
-
-    def g(s, tt=t):
-        return s * tt - fn.phi(s)
-
-    if fn.conjugates is not None:
-        # the doubling brackets below reach the cap still rising exactly here
-        stuck = g(s_cap) >= g(0.5 * s_cap)
-        if np.any(stuck):
-            raise GridExhausted(f"conjugate argmax of {fn.label} still rising at "
-                                f"s={s_cap:g} (t={t[stuck][0]:g})")
-        return fn.conjugates[0](t).reshape(shape)
-    s_hi = np.ones_like(t)
-    rising = np.ones(t.shape, dtype=bool)
-    while np.any(rising):
-        s, tt = np.minimum(s_hi[rising], s_cap), t[rising]
-        up = g(s, tt) >= g(0.5 * s, tt)
-        stuck = up & (s >= s_cap)  # brackets double in step: all reach it at once
-        if np.any(stuck):
-            raise GridExhausted(f"conjugate argmax of {fn.label} still rising at "
-                                f"s={s_cap:g} (t={tt[stuck][0]:g})")
-        rising[rising] = up
-        s_hi[rising] *= 2.0
-    s_hi = np.minimum(s_hi, s_cap)
-    best = _golden_max(g, np.zeros_like(t), s_hi, 1e-10 * np.maximum(1.0, s_hi))
-    return np.maximum(best, g(np.zeros_like(t))).reshape(shape)
+    stuck = s_cap * t - fn.phi(s_cap) >= 0.5 * s_cap * t - fn.phi(0.5 * s_cap)
+    if np.any(stuck):
+        raise GridExhausted(f"conjugate argmax of {fn.label} still rising at "
+                            f"s={s_cap:g} (t={t[stuck][0]:g})")
+    return young(t).reshape(shape)
 
 
 def young_conjugate(fn: WeightFunction, t: float) -> float:
@@ -400,35 +430,20 @@ def weight_matrix(fn: WeightFunction, x_grid=DEFAULT_X_GRID,
 def omega_conjugate_grid(fn: WeightFunction, ss) -> np.ndarray:
     """Decreasing conjugate ``sup (omega(t) - s t)`` over the scan range
     ``[1e-9, t_hi]``, ``t_hi = min(0.45 t_valid_max, 1e12)``, floored at 0,
-    at every ``s`` of an array of any shape.
+    at every ``s`` of an array of any shape, by the weight's exact conjugate
+    (ValueError for a weight without one).
 
-    Finite exactly because omega is certified o(t) on the range; decreasing
-    and convex in s.  A weight with exact conjugates takes its closed form;
-    any other is evaluated once on a 600-point log-spaced scan, each ``s``
-    takes its best scan point, and one vectorized golden-section search
-    refines every ``s`` over the bracket of the scan points on either side,
-    down to ``1e-12`` times the bracket's top.
+    Finite exactly because omega is certified o(t) on the range (NotLittleO
+    otherwise); decreasing and convex in s.
     """
     s = np.asarray(ss, dtype=float)
     if np.any(s <= 0):
         raise ValueError("s must be positive")
     if not fn.flags["o_of_t"]:
         raise NotLittleO(f"{fn.label}: o(t) certificate absent")
-    shape, s = s.shape, s.ravel()
+    omega_star = _conjugates(fn)[1]
     t_hi = min(fn.t_valid_max * 0.45, GRID_HI * 1e3)
-    if fn.conjugates is not None:
-        return fn.conjugates[1](s, t_hi).reshape(shape)
-    # beyond omega(t) <= c t with c < s/2, the objective only decreases
-    ts = np.geomspace(1e-9, t_hi, 600)
-    w = fn(ts)
-    # the scan objective in blocks of rows, so memory stays flat in len(s)
-    i = np.concatenate([np.argmax(w - blk[:, None] * ts, axis=1)
-                        for blk in np.split(s, range(_SCAN_ROWS, len(s), _SCAN_ROWS))])
-    best = w[i] - s * ts[i]
-    hi = ts[np.minimum(i + 1, len(ts) - 1)]
-    refined = _golden_max(lambda u: fn(u) - s * u, ts[np.maximum(i - 1, 0)], hi,
-                          1e-12 * hi)
-    return np.maximum(np.maximum(best, refined), 0.0).reshape(shape)
+    return omega_star(s.ravel(), t_hi).reshape(s.shape)
 
 
 def omega_conjugate(fn: WeightFunction, s: float) -> float:
@@ -540,36 +555,3 @@ def _tail_integrability(fn: WeightFunction):
     head = float(np.trapezoid(fn(xs) / (1.0 + xs ** 2), xs))
     return True, float(_decay_exponent(sums[-5:], len(sums))), head + acc + float(rem)
 
-
-# -- harmonic extension ---------------------------------------------------------
-
-def poisson(fn: WeightFunction, x: float, y: float,
-            theta_panels: int = 2048) -> float:
-    """Harmonic extension of ``t -> omega(|t|)`` at the point x + i y.
-
-    On the real axis this is omega(|x|) by definition; off it,
-    ``(|y|/pi) * int omega(|t|) / ((t-x)^2 + y^2) dt`` evaluated by a
-    tangent-substituted core plus decaying decade tails.  Requires the
-    tail-integrability certificate.
-    """
-    if y == 0.0:
-        return float(fn(abs(x)))
-    if not fn.flags["non_quasianalytic"]:
-        raise QuasianalyticInput(f"{fn.label}: harmonic extension needs (2.5)")
-    ay = abs(y)
-    big = max(100.0 * (abs(x) + ay), 100.0)
-    th_lo = atan((-big - x) / ay)
-    th_hi = atan((big - x) / ay)
-    n = theta_panels
-    theta = np.linspace(th_lo, th_hi, 2 * n + 1)
-    vals = fn(np.abs(x + ay * np.tan(theta)))
-    w = np.ones(2 * n + 1)
-    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-    core = (th_hi - th_lo) / (2 * n) / 3.0 * float(vals @ w) / pi
-
-    def tail_g(u):
-        return fn(u) * (1.0 / ((u - x) ** 2 + y ** 2) + 1.0 / ((u + x) ** 2 + y ** 2))
-
-    acc, rem, _ = _decade_tail_integral(tail_g, big, what=f"poisson[{fn.label}]",
-                                        t_cap=0.45 * fn.t_valid_max)
-    return core + ay / pi * float(acc + rem)

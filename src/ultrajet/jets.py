@@ -26,7 +26,7 @@ from math import comb, factorial, prod
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import OrderCapExceeded
+from .errors import BoundOverflow, OrderCapExceeded
 from .seqcore import WeightSequence
 
 DEFAULT_A_MAX = 12
@@ -353,13 +353,15 @@ def _remainders(jet: Ultrajet, a: np.ndarray, b: np.ndarray, diff: np.ndarray,
     """|F^alpha(b) - (degree p - |alpha| Taylor field of F^alpha from a)(b)|
     for the point pairs (a[r], b[r]), one row per pair (at ``diff`` = b - a)
     and one column per candidate of :func:`_certify_plan`: one
-    :func:`_taylor_sums` call per Taylor degree, all on the same powers."""
+    :func:`_taylor_sums` call per Taylor degree, all on the same powers.
+    Values past the float range come out inf or NaN, with no warning."""
     powers = diff[:, None, :] ** np.arange(len(groups))[:, None]  # [r, k, d] = dx_d^k
     at_b = jet.values[b]
     out = np.empty((len(a), sum(len(g[0]) for g in groups)))
-    for position, alpha_rank, alphas, q in groups:
-        out[:, position] = np.abs(at_b[:, alpha_rank]
-                                  - _taylor_sums(jet.values, a, powers, alphas, q))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for position, alpha_rank, alphas, q in groups:
+            out[:, position] = np.abs(at_b[:, alpha_rank]
+                                      - _taylor_sums(jet.values, a, powers, alphas, q))
     return out
 
 
@@ -378,9 +380,10 @@ def certify(jet: Ultrajet, seq: WeightSequence, rho: float,
     """Smallest constant C making both growth bounds hold over all stored
     data: the largest ratio over the values (a, alpha) and the remainders
     (a, b, p <= P_max, alpha).  ``binding`` names the first largest ratio in
-    that order, values first; NaN ratios never bind.  One array pass over
-    the pairs (a, b), a != b, in (a, b) order, in blocks of at most
-    INCIDENCE_BLOCK (pair x alpha x term) entries.
+    that order, values first; NaN ratios never bind, and a C that is not
+    finite raises BoundOverflow.  One array pass over the pairs (a, b),
+    a != b, in (a, b) order, in blocks of at most INCIDENCE_BLOCK
+    (pair x alpha x term) entries.
 
     ``form``: "pointwise" scales remainders by M_{p+1} |b-a|^{p+1-|alpha|}
     / (p+1-|alpha|)!; "factored" by |alpha|! m_{p+1} |b-a|^{p+1-|alpha|}.
@@ -430,5 +433,7 @@ def certify(jet: Ultrajet, seq: WeightSequence, rho: float,
             if at is not None:
                 binding = ("remainder", int(a[at[0]]), int(b[at[0]]), int(p_of[at[1]]),
                            jet.multi[alpha_of[at[1]]])
+    if not np.isfinite(best):
+        raise BoundOverflow(f"jet certificate constant {best} at {binding} is not finite")
     return JetCertificate(rho=rho, C=best, seq_label=seq.label, P_max=P_max,
-                          ok=bool(np.isfinite(best)), binding=binding, form=form)
+                          ok=True, binding=binding, form=form)

@@ -289,6 +289,20 @@ def test_overflowing_derivative_bounds_are_bound_overflow(tmp_path):
     assert [e["kind"] for e in load_report(tmp_path / "out")["errors"]] == ["BoundOverflow"]
 
 
+@pytest.mark.parametrize("command", ["extend", "verify"])
+def test_overflowing_jet_certificate_is_bound_overflow(tmp_path, command):
+    # a slope of 1e308 overflows the first-order remainders: the certificate
+    # constant is inf, and certify stops at it with no warning on the way
+    cfg = json.loads((CONFIGS / "sin_gevrey2_all.json").read_text())
+    cfg["jet"]["preset"] = {"kind": "poly", "coeffs": [0.0, 1e308]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(command, str(path), str(tmp_path / "out")) == 1
+    assert [e["kind"] for e in load_report(tmp_path / "out")["errors"]] == ["BoundOverflow"]
+
+
 @pytest.mark.parametrize("sequences", [
     [{"name": "S", "generator": "descendant_of", "params": {"sequence": "S"}}],
     [{"name": "A", "generator": "descendant_of", "params": {"sequence": "B"}},

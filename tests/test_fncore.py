@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ultrajet import conditions, fncore, seqcore
+from ultrajet import cli, conditions, fncore, seqcore
 from ultrajet.errors import InvariantViolation, NotLittleO, QuasianalyticInput
 from ultrajet.fncore import (
     WeightMatrix,
@@ -15,7 +15,6 @@ from ultrajet.fncore import (
     log_power,
     omega_conjugate,
     omega_of_sequence,
-    poisson,
     power,
     weight_matrix,
     young_conjugate,
@@ -91,6 +90,12 @@ def test_profile_with_four_certified_decades_builds():
     fn = omega_of_sequence(seqcore.gevrey(2.0, K_max=32))
     assert fn.flags["non_quasianalytic"]
     assert fn.witnesses["tail_integral_exponent"] > 1.0
+
+
+def test_profile_valid_below_ten_builds():
+    # mu_k = k up to 16 leaves no grid point above 10 to certify log t = o(omega)
+    fn = omega_of_sequence(seqcore.quotient_power(1.0, K_max=16))
+    assert math.isclose(fn.t_valid_max, 16.0) and not fn.flags["log_small"]
 
 
 def test_tabulated_weight():
@@ -226,6 +231,38 @@ def test_omega_conjugate_requires_o_of_t():
         omega_conjugate(fn, 1.0)
 
 
+# one parameter set per weight preset of the CLI, which all carry conjugates
+PRESET_PARAMS = {
+    "power": {"alpha": 0.5},
+    "log_power": {"b": 2.0},
+    "gevrey_dual": {"s": 1.0},
+    "omega_of_sequence": {"sequence": "S"},
+    "tabulated": {"ts": [1.0, 2.0, 10.0], "values": [0.0, 3.0, 9.0]},
+}
+
+
+def test_every_preset_carries_exact_conjugates():
+    assert set(PRESET_PARAMS) == set(cli._WEIGHT_PRESETS)
+    ctx = cli._Context({
+        "K_max": 64,
+        "sequences": [{"name": "S", "generator": "gevrey", "params": {"s": 1.0}}],
+        "weights": [{"name": kind, "preset": kind, "params": params}
+                    for kind, params in PRESET_PARAMS.items()]})
+    for kind in PRESET_PARAMS:
+        assert ctx.weight(kind).conjugates is not None, kind
+
+
+def test_weight_without_conjugates_has_flags_but_no_conjugate():
+    fn = fncore.WeightFunction(lambda t: np.maximum(np.sqrt(t) - 1.0, 0.0), label="bare")
+    assert fn.normalized and fn.flags["o_of_t"] and fn.flags["non_quasianalytic"]
+    assert kappa(fn, 4.0) > 0.0
+    for call in (partial(fncore.young_conjugate_grid, fn, [1.0]),
+                 partial(fncore.omega_conjugate_grid, fn, [1.0]),
+                 partial(weight_matrix, fn, K_max=8)):
+        with pytest.raises(ValueError, match="bare: no exact conjugates"):
+            call()
+
+
 def test_omega_conjugate_decreasing_convex():
     fn = power(0.5, normalized=False)
     ss = np.geomspace(0.05, 20.0, 40)
@@ -305,13 +342,6 @@ def test_kappa_positive_below_the_normalized_zone():
     assert math.isclose(v, 1e-8, rel_tol=1e-6)
 
 
-def test_poisson_even_symmetry():
-    fn = power(0.5, normalized=False)
-    a = poisson(fn, 3.0, 2.0)
-    b = poisson(fn, -3.0, 2.0)
-    assert math.isclose(a, b, rel_tol=1e-9)
-
-
 def test_kappa_rejects_non_finite_t():
     # one shared tail makes a single NaN poison every value; the growth
     # profile also has a t cap, whose decade count a NaN cannot give
@@ -382,36 +412,6 @@ def test_kappa_requires_non_quasianalytic():
     fn = fncore.WeightFunction(lambda t: np.asarray(t, dtype=float), label="t")
     with pytest.raises(QuasianalyticInput):
         kappa(fn, 1.0)
-
-
-# -- Poisson ---------------------------------------------------------------------------
-
-def test_poisson_real_axis():
-    fn = power(0.5, normalized=False)
-    assert poisson(fn, 4.0, 0.0) == 2.0
-    assert poisson(fn, -9.0, 0.0) == 3.0
-
-
-def test_poisson_two_resolutions_agree():
-    fn = power(0.5, normalized=False)
-    a = poisson(fn, 0.0, 1.0, theta_panels=1024)
-    b = poisson(fn, 0.0, 1.0, theta_panels=4096)
-    assert math.isclose(a, b, rel_tol=1e-4)
-
-
-def test_poisson_dominates_omega():
-    fn = power(0.5, normalized=False)
-    for x, y in ((0.0, 1.0), (3.0, 2.0), (10.0, 0.5), (100.0, 1.0)):
-        z = math.hypot(x, y)
-        assert poisson(fn, x, y) >= float(fn(z)) - 1e-6
-
-
-def test_poisson_bounded_by_sigma_for_averaged_tail():
-    # kappa = O(sigma) forces the harmonic extension at height one to stay
-    # within a constant multiple of sigma along the real direction
-    fn = power(0.5, normalized=False)
-    ratios = [poisson(fn, t, 1.0) / float(fn(t)) for t in (10.0, 1e2, 1e4, 1e6)]
-    assert max(ratios) < 4.0
 
 
 # -- matrix/row consistency ---------------------------------------------------------

@@ -2,15 +2,17 @@
 implementations: the dimension-generic multi-index kernel of ``jets``
 against the hand-unrolled 1D/2D loops, the point-cube incidence with
 its pairwise partition fold (``pou``, ``extend``) against the per-cube mask
-loops and the per-cube folds over all earlier neighbors, the vectorized
-conjugates of ``fncore`` against one bounded scalar minimisation per point,
-the closed-form conjugates of the power presets against the golden-section
-kernel, the one-pass averaged tail transform ``fncore.kappa`` against its
-per-t decade loop and ``np.polyfit`` remainders, the batched row flags and
-array tail sums of ``seqcore`` against the per-row flag pass and the
+loops and the per-cube folds over all earlier neighbors, the exact
+conjugates of every ``fncore`` preset against one bounded scalar
+minimisation per point, against the hull formulas of growth profiles and
+the breakpoint maxima of tables, and against dense scans, the one-pass
+averaged tail transform ``fncore.kappa`` against its per-t decade loop
+and ``np.polyfit`` remainders, the batched row flags and array tail sums
+of ``seqcore`` against the per-row flag pass and the
 per-decade loop, the cached log k! table of ``seqcore`` against SciPy's
 ``gammaln``, the shared row search and log-cap verdict of
-``conditions`` against the per-pair loops of each check, the chain lookup
+``conditions`` against the per-pair loops of each check and ``check_good``
+against the conjugate secants of the generating weight, the chain lookup
 of ``conditions.resolve_chain`` against its per-D loop, the array passes of ``jets.certify``,
 the bump stages and stacked bump derivatives of ``pou`` and
 ``geometry.cube_diagnostics`` against their per-term, per-piece, per-shift
@@ -23,7 +25,6 @@ per-point loop, ``verify``'s one evaluation pass and one fit query against
 a pass per approach scale and a query per K, and the blocked ``fncore.splitting_ok`` against its full
 arrays, bit for bit."""
 
-import copy
 import json
 from collections import deque
 from dataclasses import fields, replace
@@ -64,6 +65,7 @@ from ultrajet.extend import (
     verify,
 )
 from ultrajet.errors import (
+    BoundOverflow,
     DepthExhausted,
     GridExhausted,
     InvariantViolation,
@@ -87,6 +89,7 @@ from ultrajet.fncore import (
     omega_of_sequence,
     power,
     splitting_ok,
+    tabulated,
     weight_matrix,
     young_conjugate_grid,
 )
@@ -1085,6 +1088,10 @@ def test_certify_bitwise_equals_oracle(case):
         for block in (INCIDENCE_BLOCK, 1, 7):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(jets_module, "INCIDENCE_BLOCK", block)
+                if not isfinite(C):  # no certificate rests on an infinite C
+                    with pytest.raises(BoundOverflow):
+                        certify(jet, seq, rho=rho, P_max=P_max, form=form)
+                    continue
                 got = certify(jet, seq, rho=rho, P_max=P_max, form=form)
             assert _bits(got.C) == _bits(C)
             assert got.binding == binding
@@ -1410,7 +1417,7 @@ def oracle_young_conjugate(fn, t):
         return s * t - float(fn.phi(s))
 
     s_hi = 1.0
-    while g(s_hi) >= g(0.5 * s_hi) and s_hi < s_cap:
+    while s_hi < s_cap and g(s_hi) >= g(0.5 * s_hi):  # no phi(s) past the cap
         s_hi *= 2.0
     if s_hi >= s_cap and g(min(s_hi, s_cap)) >= g(0.5 * min(s_hi, s_cap)):
         raise GridExhausted(
@@ -1555,18 +1562,11 @@ def test_young_conjugate_grid_exhausts_like_oracle(s, k_max, ts):
         return
     new = young_conjugate_grid(fn, ts)
     # phi is piecewise linear here, so the scalar search stops up to about
-    # 1e-8 s short in value; the exact conjugate interpolates log M
+    # 1e-8 s short in value; log M is convex, so phi* interpolates it
     exact = np.interp(ts, np.arange(k_max + 1), gevrey(s, K_max=k_max).logM)
     scale = np.maximum(1.0, np.abs(exact))
     assert np.all(new >= old - 1e-12 * np.maximum(1.0, np.abs(old)))
-    assert np.all(np.abs(new - exact) <= 1e-9 * scale)
-
-
-def golden(fn):
-    """The same weight without its closed forms: the search kernels' path."""
-    out = copy.copy(fn)
-    out.conjugates = None
-    return out
+    assert np.all(np.abs(new - exact) <= 1e-13 * scale)
 
 
 @st.composite
@@ -1586,11 +1586,11 @@ def closed_form_cases(draw):
        st.lists(st.floats(560.0, 610.0), max_size=4))
 def test_closed_form_young_conjugate_matches_golden_kernel(case, ts, s_near_cap):
     # t whose argmax log(t/a)/a lies near the s cap of 600, where the
-    # doubling bracket stops and the kernel raises GridExhausted
+    # doubling bracket stops and the scalar search raises GridExhausted
     fn, alpha = case
     ts = np.array(ts + [alpha * np.exp(alpha * s) for s in s_near_cap])
     try:
-        old = young_conjugate_grid(golden(fn), ts)
+        old = np.array([oracle_young_conjugate(fn, t) for t in ts])
     except GridExhausted as exc:
         with pytest.raises(GridExhausted) as got:
             young_conjugate_grid(fn, ts)
@@ -1609,12 +1609,98 @@ def test_closed_form_omega_conjugate_matches_golden_kernel(case, ss):
     # lower end 1e-9, where both take that end
     fn, _ = case
     try:
-        old = omega_conjugate_grid(golden(fn), ss)
+        old = np.array([oracle_omega_conjugate(fn, s) for s in ss])
     except NotLittleO:
         with pytest.raises(NotLittleO):
             omega_conjugate_grid(fn, ss)
         return
     assert_matches_oracle(omega_conjugate_grid(fn, ss), old)
+
+
+def assert_young_above_dense_scan(fn, ts):
+    """phi* at each t short of the s cap is at least the largest s t - phi(s)
+    over a dense grid of [0, s_cap]."""
+    s_cap = min(600.0, log(fn.t_valid_max) if isfinite(fn.t_valid_max) else 600.0)
+    s = np.linspace(0.0, s_cap, 100_001)
+    phi = fn.phi(s)
+    for t in ts:
+        try:
+            got = young_conjugate_grid(fn, [t])[0]
+        except GridExhausted:
+            continue
+        want = np.max(s * t - phi)
+        assert got >= want - 1e-12 * max(1.0, abs(want))
+
+
+def assert_omega_star_equals(fn, ss, want):
+    """omega* equals ``want`` to 1e-13 and is never below the scalar
+    search (relative)."""
+    got = omega_conjugate_grid(fn, ss)
+    scale = np.maximum(1.0, np.abs(want))
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+    old = np.array([oracle_omega_conjugate(fn, s) for s in ss])
+    assert np.all(got >= old - 1e-12 * np.maximum(1.0, np.abs(old)))
+
+
+@st.composite
+def growth_profiles(draw):
+    k_max = draw(st.integers(16, 256))
+    if draw(st.booleans()):
+        return gevrey(draw(st.floats(0.3, 2.0)), K_max=k_max)
+    return quotient_power(draw(st.floats(0.5, 3.0)), K_max=k_max)
+
+
+@settings(max_examples=40, deadline=None)
+@given(growth_profiles(), st.lists(st.floats(1e-3, 3.0), min_size=1, max_size=12),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+@example(gevrey(0.5, K_max=256), np.linspace(0.01, 3.0, 400).tolist(), [0.5])
+def test_growth_profile_conjugates_are_exact(seq, ss, fractions):
+    # omega* is the largest of the concave k log t - log M_k - s t, each at
+    # its stationary point t = k/s clamped to the scan range
+    fn = omega_of_sequence(seq)
+    assert_young_above_dense_scan(fn, [f * seq.K_max for f in fractions])
+    if not fn.flags["o_of_t"]:
+        with pytest.raises(NotLittleO):
+            omega_conjugate_grid(fn, ss)
+        return
+    k = np.arange(seq.K_max + 1, dtype=float)
+    t_hi = min(0.45 * fn.t_valid_max, GRID_HI * 1e3)
+    want = []
+    for s in ss:
+        t = np.clip(k / s, 1e-9, t_hi)
+        want.append(max(0.0, float(np.max(k * np.log(t) - seq.logM - s * t))))
+    assert_omega_star_equals(fn, ss, np.array(want))
+
+
+@st.composite
+def tables(draw):
+    """Breakpoints and values of a table, concave or not."""
+    n = draw(st.integers(2, 8))
+    ts = np.cumsum(draw(st.lists(st.floats(0.05, 2e3), min_size=n, max_size=n)))
+    rises = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+                          min_size=n, max_size=n))
+    return ts.tolist(), np.cumsum(rises).tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(tables(), st.lists(st.one_of(st.floats(1e-4, 10.0), st.floats(1e-6, 1e-2)),
+                          min_size=1, max_size=12),
+       st.lists(st.floats(0.0, 50.0), min_size=1, max_size=8))
+@example(([1.0, 3131.166, 3142.025, 5767.42], [0.0, 4.858, 8.732, 8.732]),
+         [0.0026827], [1.0])  # the peak 0.303 sits at the breakpoint 3142.025
+def test_tabulated_conjugates_are_exact(table, ss, ts):
+    # omega - s t is piecewise linear: it peaks at a breakpoint or an end
+    fn = tabulated(*table)
+    assert_young_above_dense_scan(fn, ts)
+    if not fn.flags["o_of_t"]:
+        with pytest.raises(NotLittleO):
+            omega_conjugate_grid(fn, ss)
+        return
+    knots = np.array(table[0])
+    t_hi = min(0.45 * fn.t_valid_max, GRID_HI * 1e3)
+    t = np.r_[1e-9, knots[(knots > 1e-9) & (knots < t_hi)], t_hi]
+    want = np.array([max(0.0, float(np.max(fn(t) - s * t))) for s in ss])
+    assert_omega_star_equals(fn, ss, want)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1936,6 +2022,19 @@ def oracle_check_good(matrix):
     return Verdict("good_matrix", False, {"log_C_range": log_c},
                    counterexample=_oracle_cap_counter(log_c, x=x, y_best=y, j=j, k=k),
                    tested_range=rng, details=details)
+
+
+def oracle_good_via_conjugate_secants(matrix):
+    """check_good on rows rebuilt from the conjugate secants of the
+    generating weight rather than the stored rows."""
+    x_col = np.asarray(matrix.x_grid)[:, None]
+    vals = young_conjugate_grid(matrix.source, x_col * np.arange(matrix.K_max + 1))
+    secants = np.diff(vals, axis=1) / x_col  # log theta^x_k, k = 1..K
+    rows = np.concatenate([np.zeros_like(x_col), np.cumsum(secants, axis=1)], axis=1)
+    return check_good(WeightMatrix(matrix.x_grid,
+                                   {x: WeightSequence(row, label=f"secant@{x:g}")
+                                    for x, row in zip(matrix.x_grid, rows)},
+                                   source=None, validate=False))
 
 
 def oracle_check_quotient_root_domination(matrix):
