@@ -20,6 +20,7 @@ verdict, ``_log_verdict``: log C against LOG_CAP, exponents capped at 700.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cache
 from math import log
@@ -92,29 +93,30 @@ class ChainCertificate:
 
 def trend_diverging(values: np.ndarray, growth_min: float = TREND_GROWTH,
                     positions: np.ndarray | None = None):
-    """Detect monotone unbounded-looking growth of a needed-constant curve.
+    """Detect monotone unbounded-looking growth of needed-constant curves.
 
     Trending means: essentially monotone increase (dips below 0.1%
     tolerated) with total growth >= growth_min over the log-scale last half
     of the grid -- the samples whose position exceeds the square root of
     the final position.  ``positions`` defaults to the sample index, which
     is correct for grids that are already log-spaced.
-    Returns (trending, growth, argmax_index).
+    Returns (trending, growth, argmax_index) along the last axis: scalars
+    for one curve, arrays over the leading axes for a stack of curves.
     """
     v = np.asarray(values, dtype=float)
-    n = len(v)
-    if n < 8:
-        return False, 1.0, int(np.argmax(v))
-    if positions is None:
-        half = v[n // 2:]
-    else:
-        pos = np.asarray(positions, dtype=float)
-        half = v[pos >= np.sqrt(pos[-1])]
-        if len(half) < 4:
-            half = v[n // 2:]
-    monotone = bool(np.all(np.diff(half) >= -1e-3 * np.abs(half[:-1])))
-    growth = float(half[-1] / max(half[0], 1e-300))
-    return bool(monotone and growth >= growth_min), growth, int(np.argmax(v))
+    n = v.shape[-1]
+    trending, growth = np.zeros(v.shape[:-1], dtype=bool), np.ones(v.shape[:-1])
+    if n >= 8:
+        half = v[..., n // 2:]
+        if positions is not None:  # the log-scale last half, if it has 4 samples
+            late = np.asarray(positions, dtype=float) >= np.sqrt(float(positions[-1]))
+            half = v[..., late] if np.count_nonzero(late) >= 4 else half
+        monotone = np.all(np.diff(half) >= -1e-3 * np.abs(half[..., :-1]), axis=-1)
+        growth = half[..., -1] / np.maximum(half[..., 0], 1e-300)
+        trending = monotone & (growth >= growth_min)
+    if v.ndim == 1:
+        return bool(trending), float(growth), int(np.argmax(v))
+    return trending, growth, np.argmax(v, axis=-1)
 
 
 def _linear_verdict(name: str, needed: np.ndarray, positions, pos_key: str,
@@ -180,42 +182,38 @@ def check_strong(omega: WeightFunction, t_grid: np.ndarray | None = None) -> Ver
 
 # -- matrix goodness --------------------------------------------------------------
 
-def _quotient_over_index(row: WeightSequence) -> np.ndarray:
-    k = np.arange(1, row.K_max + 1, dtype=float)
-    return row.log_mu[1:] - np.log(k)
+def _quotient_over_index(log_mu: np.ndarray) -> np.ndarray:
+    return log_mu[..., 1:] - np.log(np.arange(1, log_mu.shape[-1], dtype=float))
 
 
-def _root(row: WeightSequence) -> np.ndarray:
-    return row.log_m[1:] / np.arange(1, row.K_max + 1)
+def _root(log_table: np.ndarray) -> np.ndarray:
+    return log_table[..., 1:] / np.arange(1, log_table.shape[-1])
 
 
 def _prefix_max(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Running max of v and, per position, the 1-based index of the last
-    entry attaining it."""
-    pref = np.maximum.accumulate(v)
-    return pref, np.maximum.accumulate(np.where(v >= pref, np.arange(1, len(v) + 1), 1))
+    """Running max of v along its last axis and, per position, the 1-based
+    index of the last entry attaining it."""
+    pref = np.maximum.accumulate(v, axis=-1)
+    return pref, np.maximum.accumulate(
+        np.where(v >= pref, np.arange(1, v.shape[-1] + 1), 1), axis=-1)
 
 
-def _first_best(values, nan_arg) -> int:
-    """Index a scan keeping the earlier value on ties picks: a NaN in front
-    is never displaced and a later NaN never wins."""
-    values = np.asarray(values, dtype=float)
-    return 0 if np.isnan(values[0]) else int(nan_arg(values))
-
-
-def _row_search(matrix: WeightMatrix, lhs, rhs) -> tuple[list, tuple]:
+def _row_search(matrix: WeightMatrix, left: np.ndarray,
+                right: np.ndarray) -> tuple[list, tuple]:
     """For each x of the grid, (log C, y, k): the first y >= x minimising
-    max_k (lhs(W^x) - rhs(W^y))_k, with k the 1-based first argmax; and,
-    as (log C, x, y, k), the first x with the largest log C."""
-    xs = matrix.x_grid
-    right = np.array([rhs(matrix.row(y)) for y in xs])
-    found = []
-    for i, x in enumerate(xs):
-        need = lhs(matrix.row(x)) - right[i:]
-        top = need.max(axis=1)
-        b = _first_best(top, np.nanargmin)
-        found.append((float(top[b]), xs[i + b], int(np.argmax(need[b])) + 1))
-    i = _first_best([c for c, _, _ in found], np.nanargmax)
+    max_k (left[x] - right[y])_k over stacked (rows, K) tables, k the 1-based
+    first argmax; and, as (log C, x, y, k), the first x with the largest
+    log C.  A NaN at y = x, or at the first x, is kept; a later NaN never wins."""
+    xs, n, rows = matrix.x_grid, len(matrix.x_grid), np.arange(len(matrix.x_grid))
+    upper = np.triu(np.ones((n, n), dtype=bool))  # the pairs y >= x
+    need = np.full((n, n, left.shape[-1]), np.nan)  # (x, y, k)
+    np.subtract(left[:, None], right[None], out=need, where=upper[..., None])
+    top = need.max(axis=-1)
+    best = np.nanargmin(np.where(np.eye(n, dtype=bool) & np.isnan(top), -np.inf, top), axis=1)
+    c = top[rows, best]
+    found = [(float(ci), xs[b], int(k) + 1) for ci, b, k in
+             zip(c, best.tolist(), np.argmax(need[rows, best], axis=-1).tolist())]
+    i = 0 if np.isnan(c[0]) else int(np.nanargmax(c))
     return found, (found[i][0], xs[i], *found[i][1:])
 
 
@@ -244,11 +242,12 @@ def _matrix_range(matrix: WeightMatrix) -> dict:
 def check_good(matrix: WeightMatrix) -> Verdict:
     """Almost-increase of quotient-over-index across rows: for every x some
     y >= x in the grid with theta^x_j / j <= C theta^y_k / k for j <= k."""
-    found, (log_c, x, y, k) = _row_search(
-        matrix, lambda r: _prefix_max(_quotient_over_index(r))[0], _quotient_over_index)
+    la = _quotient_over_index(matrix.stack("log_mu"))
+    pref, pref_arg = _prefix_max(la)
+    found, (log_c, x, y, k) = _row_search(matrix, pref, la)
     per_x = {f"{xi:g}": {"y": yi, "C": float(np.exp(c)) if c <= 700 else float("inf"),
                          "log_C": c} for xi, (c, yi, _) in zip(matrix.x_grid, found)}
-    j = int(_prefix_max(_quotient_over_index(matrix.row(x)))[1][k - 1])
+    j = int(pref_arg[matrix.x_grid.index(x), k - 1])
     return _log_verdict("good_matrix", log_c, "C", {"x": x, "y_best": y, "j": j, "k": k},
                         _matrix_range(matrix), {"per_x": per_x})
 
@@ -275,12 +274,12 @@ def check_mixed_tail(mu_seq: WeightSequence, nu_seq: WeightSequence,
 def check_almost_increasing(seq: WeightSequence) -> Verdict:
     """Almost increase of mu_k/k, with the root variant m_j^{1/j} <= C m_k^{1/k}
     evaluated alongside and reported in the witnesses."""
-    la = _quotient_over_index(seq)
+    la = _quotient_over_index(seq.log_mu)
     pref, pref_arg = _prefix_max(la)
     need = pref - la
     i_max = int(np.argmax(need))
     log_c = float(need[i_max])
-    roots = _root(seq)
+    roots = _root(seq.log_m)
     log_c_root = float(np.max(_prefix_max(roots)[0] - roots))
     wit = {"C": float(np.exp(min(max(log_c, 0.0), 700.0))),
            "C_root_variant": float(np.exp(min(max(log_c_root, 0.0), 700.0)))}
@@ -333,8 +332,8 @@ def check_doubling_absorption(fn: WeightFunction,
 
 def check_quotient_root_domination(matrix: WeightMatrix) -> Verdict:
     """For every x some y with theta^x_k <= C (W^y_k)^{1/k} across the range."""
-    found, (log_c, x, y, k) = _row_search(
-        matrix, lambda r: r.log_mu[1:], lambda r: r.logM[1:] / np.arange(1, r.K_max + 1))
+    found, (log_c, x, y, k) = _row_search(matrix, matrix.stack("log_mu")[:, 1:],
+                                          _root(matrix.stack("logM")))
     per_x = {f"{xi:g}": {"y": yi, "log_C": c} for xi, (c, yi, _) in zip(matrix.x_grid, found)}
     return _log_verdict("quotient_root_domination", log_c, "C",
                         {"x": x, "y_best": y, "k": k}, _matrix_range(matrix),
@@ -356,7 +355,8 @@ def check_concavity_equivalence(fn: WeightFunction, matrix: WeightMatrix,
     v_scaling = _linear_verdict(f"concave_scaling[{fn.label}]", needed, lam,
                                 "lambda", rng)
 
-    found, (log_d, x, y, _) = _row_search(matrix, lambda r: _prefix_max(_root(r))[0], _root)
+    roots = _root(matrix.stack("log_m"))
+    found, (log_d, x, y, _) = _row_search(matrix, _prefix_max(roots)[0], roots)
     per_x = {xi: {"y": yi, "log_D": c} for xi, (c, yi, _) in zip(matrix.x_grid, found)}
     return v_scaling, _log_verdict("concave_matrix_form", log_d, "D",
                                    {"x": x, "y_best": y}, _matrix_range(matrix),
@@ -372,47 +372,40 @@ def check_strong_matrix(matrix: WeightMatrix) -> Verdict:
 
     The search runs over y >= x only: quotients increase with the row
     parameter, so the left side is smallest at the largest y and a witness
-    with y < x immediately yields one with y = x."""
-    results = {}
-    for x in matrix.x_grid:
-        best = None
-        for y in matrix.x_grid:
-            if y < x:
-                continue
-            try:
-                v = check_mixed_tail(matrix.row(x), matrix.row(y))
-            except (QuasianalyticInput, TailUnbounded):
-                continue
-            score = (not v.holds, v.witness_constants.get("C", float("inf")))
-            if best is None or score < best[0]:
-                best = (score, float(y), v)
-        results[x] = best
+    with y < x immediately yields one with y = x.  One (x, y, k) table ranks
+    every pair by (not holds, C); a failing one replays :func:`check_mixed_tail`."""
+    xs, n, k_max = matrix.x_grid, len(matrix.x_grid), matrix.K_max
     rng = _matrix_range(matrix)
-    if any(b is None for b in results.values()):
-        bad_x = next(x for x, b in results.items() if b is None)
-        counter = {"x": float(bad_x), "needed_C": float("inf"),
+    suffix, tailed = np.full((n, k_max), np.nan), np.zeros(n, dtype=bool)
+    for i, x in enumerate(xs):  # a row without a certified tail is no y
+        with suppress(QuasianalyticInput, TailUnbounded):
+            suffix[i], tailed[i] = matrix.row(x).quotient_tail_sums(), True
+    if not tailed[-1]:  # the x past the last row with a tail has no y >= x
+        counter = {"x": xs[max(np.flatnonzero(tailed), default=-1) + 1], "needed_C": float("inf"),
                    "reference_C": C_CAP, "margin": float("inf"), "mode": "tail"}
-        return Verdict("strong_matrix", False, {},
-                       counterexample=counter, tested_range=rng,
-                       details={"exists_holds": False})
-    exists_ok = any(b[2].holds for b in results.values())
-    forall_ok = all(b[2].holds for b in results.values())
-    per_x = {f"{x:g}": {"y": b[1], "holds": b[2].holds,
-                        "C": b[2].witness_constants.get("C")}
-             for x, b in results.items()}
-    details = {"exists_holds": exists_ok,
-               "exists_x": [float(x) for x, b in results.items() if b[2].holds],
-               "per_x": per_x}
-    if forall_ok:
-        c = max(b[2].witness_constants["C"] for b in results.values())
-        return Verdict("strong_matrix", True, {"C": c}, tested_range=rng,
+        return Verdict("strong_matrix", False, {}, counter, rng, details={"exists_holds": False})
+    pairs = np.triu(np.ones((n, n), dtype=bool)) & tailed  # (x, y) with y >= x
+    k = np.arange(1, k_max + 1, dtype=float)
+    needed = np.full((n, n, k_max), np.nan)
+    np.multiply(suffix, np.exp(matrix.stack("log_mu")[:, None, 1:]), out=needed,
+                where=pairs[..., None])
+    needed /= k
+    c = needed.max(axis=-1)
+    holds = (c <= C_CAP) & ~trend_diverging(needed, positions=k)[0]
+    const = np.maximum(c, 1.0)  # holding pairs first by C <= C_CAP, then failing
+    best = np.argmin(np.where(pairs, np.where(holds, const, 2.0 * C_CAP), np.inf), axis=1)
+    held, c_best = holds[np.arange(n), best], const[np.arange(n), best]
+    details = {"exists_holds": bool(held.any()), "exists_x": [x for x, h in zip(xs, held) if h],
+               "per_x": {f"{x:g}": {"y": xs[b], "holds": bool(h), "C": float(cb) if h else None}
+                         for x, b, h, cb in zip(xs, best.tolist(), held, c_best)}}
+    if held.all():
+        return Verdict("strong_matrix", True, {"C": float(c_best.max())}, tested_range=rng,
                        details=details)
-    bad_x, (score, y, v) = next((x, b) for x, b in results.items() if not b[2].holds)
-    counter = dict(v.counterexample)
-    counter["x"] = float(bad_x)
-    counter["y_best"] = y
+    i = int(np.argmin(held))
+    v = check_mixed_tail(matrix.row(xs[i]), matrix.row(xs[best[i]]))
     return Verdict("strong_matrix", False, v.witness_constants,
-                   counterexample=counter, tested_range=rng, details=details)
+                   counterexample={**v.counterexample, "x": xs[i], "y_best": xs[best[i]]},
+                   tested_range=rng, details=details)
 
 
 # -- the chain -----------------------------------------------------------------------

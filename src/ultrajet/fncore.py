@@ -320,7 +320,8 @@ def young_conjugate_grid(fn: WeightFunction, ts) -> np.ndarray:
     young = _conjugates(fn)[0]
     shape, t = t.shape, t.ravel()
     s_cap = min(_S_CAP, log(fn.t_valid_max) if isfinite(fn.t_valid_max) else _S_CAP)
-    stuck = s_cap * t - fn.phi(s_cap) >= 0.5 * s_cap * t - fn.phi(0.5 * s_cap)
+    # at t = 0 the supremum is -phi(0): phi does not decrease
+    stuck = (t > 0) & (s_cap * t - fn.phi(s_cap) >= 0.5 * s_cap * t - fn.phi(0.5 * s_cap))
     if np.any(stuck):
         raise GridExhausted(f"conjugate argmax of {fn.label} still rising at "
                             f"s={s_cap:g} (t={t[stuck][0]:g})")
@@ -337,22 +338,22 @@ def young_conjugate(fn: WeightFunction, t: float) -> float:
 MATRIX_TOL = 1e-7  # slack of the structural row inequalities
 
 
-def splitting_ok(a: np.ndarray, b: np.ndarray) -> bool:
-    """Index splitting on log tables: a_{j+k} <= b_j + b_k for j + k <= K.
-    Blocks of rows j meet their columns k <= K - j, at most INCIDENCE_BLOCK
-    entries per block, so memory is linear in K."""
-    k_max = len(a) - 1
-    lo = 0
-    while lo <= k_max:
+def splitting_ok(a: np.ndarray, b: np.ndarray):
+    """Index splitting on log tables, a_{j+k} <= b_j + b_k for j + k <= K: a bool,
+    or one per pair of stacked tables.  Blocks of rows j meet their columns k <= K - j,
+    at most INCIDENCE_BLOCK entries per block, so memory is linear in K and the pairs."""
+    a2, b2 = np.atleast_2d(a), np.atleast_2d(b)
+    k_max, ok, lo = a2.shape[-1] - 1, np.ones(len(a2), dtype=bool), 0
+    while lo <= k_max and ok.any():
         width = k_max - lo + 1  # the columns of row lo
-        j = np.arange(lo, min(lo + max(1, INCIDENCE_BLOCK // width), k_max + 1))
+        j = np.arange(lo, min(lo + max(1, INCIDENCE_BLOCK // (width * len(a2))), k_max + 1))
         jk = j[:, None] + np.arange(width)
         inside = jk <= k_max
-        if np.any((a[np.where(inside, jk, k_max)] - b[j, None] - b[:width])[inside]
-                  > MATRIX_TOL):
-            return False
+        over = np.take(a2, np.where(inside, jk, k_max), axis=1) - b2[:, j, None]
+        over -= b2[:, None, :width]  # (a_{j+k} - b_j) - b_k
+        ok &= ~((over > MATRIX_TOL) & inside).reshape(len(a2), -1).any(axis=1)
         lo = j[-1] + 1
-    return True
+    return bool(ok[0]) if np.ndim(a) == 1 else ok
 
 
 class WeightMatrix:
@@ -369,6 +370,10 @@ class WeightMatrix:
                  source: WeightFunction | None = None, validate: bool = True):
         self.x_grid = tuple(sorted(float(x) for x in x_grid))
         self.rows = {float(x): rows[x] for x in self.x_grid}
+        k_max = [len(self.rows[x].logM) - 1 for x in self.x_grid]
+        for x, k in zip(self.x_grid, k_max):
+            if k != k_max[0]:
+                raise ValueError(f"row {x:g} has K_max {k}, row {self.x_grid[0]:g} has {k_max[0]}")
         self.source = source
         if validate and source is not None:
             self._validate()
@@ -380,28 +385,35 @@ class WeightMatrix:
     def K_max(self) -> int:
         return next(iter(self.rows.values())).K_max
 
+    def stack(self, table: str) -> np.ndarray:
+        """The rows' "logM", "log_mu" or "log_m" tables, shape (rows, K_max + 1)."""
+        return np.array([getattr(self.rows[x], table) for x in self.x_grid])
+
     def _validate(self):
         xs = self.x_grid
-        rows = [self.rows[x] for x in xs]
-        w0_off = np.abs([r.logM[0] for r in rows]) > 1e-9
-        bad = w0_off | ~np.array([r.flags["log_convex"] for r in rows])
+        log_M, log_mu = self.stack("logM"), self.stack("log_mu")
+        w0_off = np.abs(log_M[:, 0]) > 1e-9
+        bad = w0_off | ~np.array([self.rows[x].flags["log_convex"] for x in xs])
         if np.any(bad):
             i = int(np.argmax(bad))
             raise InvariantViolation(f"row {xs[i]:g}: " + ("W_0 != 1" if w0_off[i]
                                                           else "not log-convex"))
-        log_mu = np.array([r.log_mu for r in rows])
         falls = np.any(log_mu[:-1] > log_mu[1:] + MATRIX_TOL, axis=1)
         if np.any(falls):
             i = int(np.argmax(falls))
             raise InvariantViolation(f"quotients not monotone {xs[i]:g} -> {xs[i + 1]:g}")
+        # each pair (x, 2x) and each pair (x, 4x) of the grid in one pass
+        at = {x: i for i, x in enumerate(xs)}
+        (i2, j2), (i4, j4) = (np.array([(i, at[c * x]) for i, x in enumerate(xs) if c * x in at],
+                                       dtype=int).reshape(-1, 2).T for c in (2.0, 4.0))
+        split, double = np.zeros((2, len(xs)), dtype=bool)
+        split[i2] = ~splitting_ok(log_M[i2], log_M[j2])
         ks = np.arange(2, self.K_max // 2 + 1)
-        for x in xs:
-            if 2.0 * x in self.rows and not splitting_ok(self.rows[x].logM,
-                                                         self.rows[2.0 * x].logM):
-                raise InvariantViolation(f"splitting bound fails at x={x:g}")
-            if 4.0 * x in self.rows and np.any(self.rows[x].log_mu[2 * ks] > self.rows[
-                    4.0 * x].log_mu[ks] + MATRIX_TOL):
-                raise InvariantViolation(f"index-doubling bound fails at x={x:g}")
+        double[i4] = np.any(log_mu[i4][:, 2 * ks] > log_mu[j4][:, ks] + MATRIX_TOL, axis=1)
+        if np.any(split | double):
+            i = int(np.argmax(split | double))
+            raise InvariantViolation(f"{'splitting' if split[i] else 'index-doubling'} bound "
+                                     f"fails at x={xs[i]:g}")
 
 
 def weight_matrix(fn: WeightFunction, x_grid=DEFAULT_X_GRID,

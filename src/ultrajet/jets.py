@@ -425,8 +425,12 @@ def certify(jet: Ultrajet, seq: WeightSequence, rho: float,
             # its powers as Python floats: every ratio is then bit for bit the
             # per-term one (the oracle in tests/test_kernel_oracles.py)
             dist = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
-            scale = lead * np.array([[d ** q for q in range(P_max + 2)]
-                                     for d in dist.tolist()])[:, q_of]
+            try:
+                powers = [[d ** q for q in range(P_max + 2)] for d in dist.tolist()]
+            except OverflowError:
+                raise BoundOverflow(f"remainder scale {dist.max():g}^{P_max + 1} of a point "
+                                    "pair overflows") from None
+            scale = lead * np.array(powers)[:, q_of]
             if form == "pointwise":
                 scale = scale / fact
             best, at = _first_max(_remainders(jet, a, b, diff, groups) / scale, best)

@@ -303,6 +303,20 @@ def test_overflowing_jet_certificate_is_bound_overflow(tmp_path, command):
     assert [e["kind"] for e in load_report(tmp_path / "out")["errors"]] == ["BoundOverflow"]
 
 
+@pytest.mark.parametrize("command", ["extend", "verify"])
+def test_far_apart_points_are_bound_overflow(tmp_path, command):
+    # the remainder scale |b - a|^q of two points 2e30 apart leaves the float
+    # range: certify stops with BoundOverflow, not an OverflowError traceback
+    cfg = json.loads((CONFIGS / "sin_gevrey2_all.json").read_text())
+    cfg["compact_set"] = {"points": [[-1e30], [1e30]], "box": [[-3e30, 3e30]]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(command, str(path), str(tmp_path / "out")) == 1
+    assert [e["kind"] for e in load_report(tmp_path / "out")["errors"]] == ["BoundOverflow"]
+
+
 @pytest.mark.parametrize("sequences", [
     [{"name": "S", "generator": "descendant_of", "params": {"sequence": "S"}}],
     [{"name": "A", "generator": "descendant_of", "params": {"sequence": "B"}},

@@ -257,6 +257,19 @@ def test_strong_matrix_skips_rows_without_certified_tail():
     assert v.counterexample["x"] == 2.0
 
 
+def test_strong_matrix_replays_only_a_failing_pair(monkeypatch, logpow_fn):
+    # one table holds every pair: a holding verdict calls check_mixed_tail
+    # never, a failing one once, for the witness of its first failing x
+    calls = []
+    replay = conditions.check_mixed_tail
+    monkeypatch.setattr(conditions, "check_mixed_tail",
+                        lambda *args: calls.append(args) or replay(*args))
+    assert check_strong_matrix(weight_matrix(power(0.5), K_max=64)).holds
+    assert len(calls) == 0
+    assert not check_strong_matrix(weight_matrix(logpow_fn, K_max=64)).holds
+    assert len(calls) == 1
+
+
 def test_tail_unbounded_message_names_the_failed_test():
     with pytest.raises(TailUnbounded, match=r"exponent 0\.500 <= 0\.95"):
         quotient_power(0.5).quotient_tail_sums()

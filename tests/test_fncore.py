@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ultrajet import cli, conditions, fncore, seqcore
-from ultrajet.errors import InvariantViolation, NotLittleO, QuasianalyticInput
+from ultrajet.errors import GridExhausted, InvariantViolation, NotLittleO, QuasianalyticInput
 from ultrajet.fncore import (
     WeightMatrix,
     gevrey_dual,
@@ -18,6 +18,7 @@ from ultrajet.fncore import (
     power,
     weight_matrix,
     young_conjugate,
+    young_conjugate_grid,
 )
 
 
@@ -108,6 +109,15 @@ def test_tabulated_weight():
 
 
 # -- Young conjugate ------------------------------------------------------------
+
+def test_young_conjugate_at_zero_on_a_flat_last_piece():
+    # phi never decreases, so at t = 0 the supremum is -phi(0) however flat
+    # the last piece; at t > 0 the objective still rises at the cap
+    fn = fncore.tabulated([1, 3131.166, 3142.025, 5767.42], [0, 4.858, 8.732, 8.732])
+    assert young_conjugate_grid(fn, [0.0]).tolist() == [-fn.phi(0.0)]
+    with pytest.raises(GridExhausted, match=r"still rising at s=600 \(t=50\)$"):
+        young_conjugate_grid(fn, [0.0, 50.0])
+
 
 def test_young_conjugate_raw_sqrt_closed_form():
     fn = power(0.5, normalized=False)  # phi(s) = e^{s/2}
@@ -202,6 +212,13 @@ def test_matrix_validation_names_the_first_failing_row():
             ({1.0: good.row(2.0), 2.0: good.row(1.0)}, "quotients not monotone 1 -> 2")):
         with pytest.raises(InvariantViolation, match=f"^{message}$"):
             WeightMatrix((0.5, 1.0, 2.0), {0.5: good.row(0.5), **rows}, source=good.source)
+
+
+def test_matrix_rows_of_unequal_length_are_rejected():
+    rows = {1.0: seqcore.quotient_power(2.0, K_max=32),
+            2.0: seqcore.quotient_power(2.5, K_max=48)}
+    with pytest.raises(ValueError, match="^row 2 has K_max 48, row 1 has 32$"):
+        WeightMatrix((1.0, 2.0), rows, validate=False)
 
 
 def test_handbuilt_matrix_skips_validation():

@@ -12,7 +12,9 @@ of ``seqcore`` against the per-row flag pass and the
 per-decade loop, the cached log k! table of ``seqcore`` against SciPy's
 ``gammaln``, the shared row search and log-cap verdict of
 ``conditions`` against the per-pair loops of each check and ``check_good``
-against the conjugate secants of the generating weight, the chain lookup
+against the conjugate secants of the generating weight, the pair table of
+``check_strong_matrix`` against one ``check_mixed_tail`` per pair and the
+one-pass ``WeightMatrix`` validation against its per-pair loop, the chain lookup
 of ``conditions.resolve_chain`` against its per-D loop, the array passes of ``jets.certify``,
 the bump stages and stacked bump derivatives of ``pou`` and
 ``geometry.cube_diagnostics`` against their per-term, per-piece, per-shift
@@ -49,7 +51,9 @@ from ultrajet.conditions import (
     check_concavity_equivalence,
     check_descendant,
     check_good,
+    check_mixed_tail,
     check_quotient_root_domination,
+    check_strong_matrix,
     resolve_chain,
 )
 import ultrajet.extend as extend_module
@@ -2148,29 +2152,44 @@ def _bare_row(log_mu):
 
 
 @st.composite
-def row_matrices(draw):
+def row_matrices(draw, tails=False):
     """Hand-built matrices mixing random (often failing) rows, flat rows,
-    repeated rows and rows of generated matrices, over a random x subset."""
+    repeated rows and rows of generated matrices, over a random x subset.
+    With ``tails`` the rows are weight sequences, so they carry a tail
+    certificate or none: NaN rows give way to rows of quotients k^p, p <= 1,
+    and of falling quotients k^-p, whose tails are unbounded, and the random
+    rows stay within exp's range."""
     xs = sorted(draw(st.sets(st.sampled_from(MATRIX_XS), min_size=1, max_size=4)))
     k_max = draw(st.integers(2, 24))
+    make_row = _sequence_row if tails else _bare_row
     rows = {}
     for x in xs:
-        kind = draw(st.sampled_from(("random", "nan", "flat", "repeat", *GENERATED)))
+        kind = draw(st.sampled_from(("random", "unbounded", "falling", "flat", "repeat",
+                                     *GENERATED) if tails else
+                                    ("random", "nan", "flat", "repeat", *GENERATED)))
         if kind in ("random", "nan"):
-            scale = draw(st.sampled_from((3.0, 60.0, 2000.0)))  # log C past 700 too
+            # log C past 700 too, but not past exp's range for tails
+            scale = draw(st.sampled_from((3.0, 60.0) if tails else (3.0, 60.0, 2000.0)))
             log_mu = np.array(draw(st.lists(st.floats(-scale, scale), min_size=k_max,
                                             max_size=k_max)))
             if kind == "nan":
                 log_mu[draw(st.integers(0, k_max - 1))] = float("nan")
-            rows[x] = _bare_row(log_mu)
+            rows[x] = make_row(log_mu)
+        elif kind in ("unbounded", "falling"):
+            p = draw(st.floats(0.0, 1.0)) * (1.0 if kind == "unbounded" else -2.0)
+            rows[x] = make_row(p * np.log(np.arange(1.0, k_max + 1)))
         elif kind == "flat":
-            rows[x] = _bare_row(np.full(k_max, draw(st.floats(-3.0, 3.0))))
+            rows[x] = make_row(np.full(k_max, draw(st.floats(-3.0, 3.0))))
         elif kind == "repeat" and rows:
             rows[x] = rows[list(rows)[-1]]
         else:
             gen = GENERATED.get(kind, GENERATED["power"]).row(x)
-            rows[x] = _bare_row(gen.log_mu[1:k_max + 1])
+            rows[x] = make_row(gen.log_mu[1:k_max + 1])
     return WeightMatrix(xs, rows, validate=False)
+
+
+def _sequence_row(log_mu):
+    return WeightSequence(np.concatenate([[0.0], np.cumsum(log_mu)]), label="row")
 
 
 def _same_verdict(new, old):
@@ -2190,6 +2209,108 @@ def test_condition_row_searches_equal_oracle(matrix):
     for x in matrix.x_grid:
         _same_verdict(check_almost_increasing(matrix.row(x)),
                       oracle_check_almost_increasing(matrix.row(x)))
+
+
+def oracle_check_strong_matrix(matrix):
+    """Matrix strength as one check_mixed_tail verdict per pair (x, y >= x)."""
+    results = {}
+    for x in matrix.x_grid:
+        best = None
+        for y in matrix.x_grid:
+            if y < x:
+                continue
+            try:
+                v = check_mixed_tail(matrix.row(x), matrix.row(y))
+            except (QuasianalyticInput, TailUnbounded):
+                continue
+            score = (not v.holds, v.witness_constants.get("C", float("inf")))
+            if best is None or score < best[0]:
+                best = (score, float(y), v)
+        results[x] = best
+    rng = {"K_max": matrix.K_max, "x_grid": list(matrix.x_grid)}
+    if any(b is None for b in results.values()):
+        bad_x = next(x for x, b in results.items() if b is None)
+        counter = {"x": float(bad_x), "needed_C": float("inf"),
+                   "reference_C": C_CAP, "margin": float("inf"), "mode": "tail"}
+        return Verdict("strong_matrix", False, {},
+                       counterexample=counter, tested_range=rng,
+                       details={"exists_holds": False})
+    exists_ok = any(b[2].holds for b in results.values())
+    forall_ok = all(b[2].holds for b in results.values())
+    per_x = {f"{x:g}": {"y": b[1], "holds": b[2].holds,
+                        "C": b[2].witness_constants.get("C")}
+             for x, b in results.items()}
+    details = {"exists_holds": exists_ok,
+               "exists_x": [float(x) for x, b in results.items() if b[2].holds],
+               "per_x": per_x}
+    if forall_ok:
+        c = max(b[2].witness_constants["C"] for b in results.values())
+        return Verdict("strong_matrix", True, {"C": c}, tested_range=rng,
+                       details=details)
+    bad_x, (score, y, v) = next((x, b) for x, b in results.items() if not b[2].holds)
+    counter = dict(v.counterexample)
+    counter["x"] = float(bad_x)
+    counter["y_best"] = y
+    return Verdict("strong_matrix", False, v.witness_constants,
+                   counterexample=counter, tested_range=rng, details=details)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(row_matrices(tails=True),
+                 st.builds(weight_matrix, weights, K_max=st.integers(16, 64))))
+def test_strong_matrix_equals_per_pair_oracle(matrix):
+    _same_verdict(check_strong_matrix(matrix), oracle_check_strong_matrix(matrix))
+
+
+def oracle_validate(matrix):
+    """WeightMatrix._validate with one splitting and one index-doubling test
+    per pair (x, 2x) and (x, 4x), each splitting test on the full arrays."""
+    xs = matrix.x_grid
+    rows = [matrix.rows[x] for x in xs]
+    for x, r in zip(xs, rows):
+        if abs(r.logM[0]) > 1e-9:
+            raise InvariantViolation(f"row {x:g}: W_0 != 1")
+        if not r.flags["log_convex"]:
+            raise InvariantViolation(f"row {x:g}: not log-convex")
+    for i in range(len(xs) - 1):
+        if np.any(rows[i].log_mu > rows[i + 1].log_mu + MATRIX_TOL):
+            raise InvariantViolation(f"quotients not monotone {xs[i]:g} -> {xs[i + 1]:g}")
+    ks = np.arange(2, matrix.K_max // 2 + 1)
+    for x in xs:
+        if 2.0 * x in matrix.rows and not oracle_splitting_ok(matrix.rows[x].logM,
+                                                              matrix.rows[2.0 * x].logM):
+            raise InvariantViolation(f"splitting bound fails at x={x:g}")
+        if 4.0 * x in matrix.rows and np.any(matrix.rows[x].log_mu[2 * ks] > matrix.rows[
+                4.0 * x].log_mu[ks] + MATRIX_TOL):
+            raise InvariantViolation(f"index-doubling bound fails at x={x:g}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(weights, st.sampled_from((DEFAULT_X_GRID, (0.5, 0.75, 1.0, 1.5, 2.0, 3.0))),
+       st.integers(4, 64), st.sets(st.integers(0, 10), min_size=1), st.integers(0, 10),
+       st.integers(1, 64), st.floats(-2.0, 2.0), st.sampled_from((0.0, 0.01, 0.1, 1.0)))
+@example(power(0.5), DEFAULT_X_GRID, 32, {8, 10}, 0, 16, 2.0, 0.0)  # index doubling
+@example(power(0.5), DEFAULT_X_GRID, 32, {0, 1, 2}, 0, 6, 0.5, 0.0)  # both, at one x
+def test_matrix_validation_equals_per_pair_oracle(fn, x_grid, k_max, keep, which, k0,
+                                                  shift, ramp):
+    """A generated matrix on a subset of its grid (so some x have a 4x and
+    no 2x), with one row lifted or lowered from index k0 on by a constant
+    and a ramp in log mu: convex, so the row stays log-convex unless the
+    constant makes it dip."""
+    mat = weight_matrix(fn, x_grid=x_grid, K_max=k_max)
+    xs = sorted({mat.x_grid[i % len(x_grid)] for i in keep})
+    x, k0 = xs[which % len(xs)], min(k0, k_max)
+    log_mu = mat.row(x).log_mu.copy()
+    log_mu[k0:] += shift + ramp * np.arange(k_max + 1 - k0)
+    rows = {**{y: mat.row(y) for y in xs}, x: WeightSequence(np.cumsum(log_mu))}
+    try:
+        oracle_validate(WeightMatrix(xs, rows, validate=False))
+    except InvariantViolation as exc:
+        with pytest.raises(InvariantViolation) as got:
+            WeightMatrix(xs, rows, source=fn)
+        assert str(got.value) == str(exc)
+        return
+    WeightMatrix(xs, rows, source=fn)
 
 
 @settings(max_examples=60, deadline=None)
