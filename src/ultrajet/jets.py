@@ -400,18 +400,22 @@ def certify(jet: Ultrajet, seq: WeightSequence, rho: float,
     M = np.exp(seq.logM[: n_need + 1])
     m = np.exp(seq.log_m[: n_need + 1])
     degree = np.array([sum(alpha) for alpha in jet.multi])
-    den = np.array([rho ** k * M[k] for k in range(jet.A_max + 1)])
+    n = len(jet.cset.points)
+    try:  # Python floats, as the per-term bounds take them
+        rho_k = [rho ** k for k in range((n_need if n > 1 else jet.A_max) + 1)]
+    except OverflowError:
+        raise BoundOverflow(f"rho^k leaves the float range for rho = {rho:g}") from None
+    den = np.array([rho_k[k] * M[k] for k in range(jet.A_max + 1)])
     best, at = _first_max(np.abs(jet.values) / den[degree], 0.0)
     binding = () if at is None else ("value", at[0], jet.multi[at[1]])
-    n = len(jet.cset.points)
     if n > 1 and P_max >= 0:
         p_of, alpha_of, groups = _certify_plan(jet.cset.dim, P_max)
         q_of = p_of + 1 - degree[alpha_of]
         if form == "pointwise":
-            lead = np.array([rho ** (p + 1) * M[p + 1] for p in p_of.tolist()])
+            lead = np.array([rho_k[p + 1] * M[p + 1] for p in p_of.tolist()])
             fact = np.array([float(factorial(q)) for q in q_of.tolist()])
         else:
-            lead = np.array([rho ** (p + 1) * factorial(d) * m[p + 1]
+            lead = np.array([rho_k[p + 1] * factorial(d) * m[p + 1]
                              for p, d in zip(p_of.tolist(), degree[alpha_of].tolist())])
         # pair k is (a, b) = (k // (n - 1), the (k % (n - 1))-th point other
         # than a), so the pairs run in (a, b) order, a block at a time

@@ -317,6 +317,35 @@ def test_far_apart_points_are_bound_overflow(tmp_path, command):
     assert [e["kind"] for e in load_report(tmp_path / "out")["errors"]] == ["BoundOverflow"]
 
 
+@pytest.mark.parametrize("command", ["extend", "verify"])
+def test_rho_powers_out_of_range_are_bound_overflow(tmp_path, command):
+    # rho^k with rho = 1e30 leaves the float range by k = 11 <= A_max = 12:
+    # certify stops with BoundOverflow, not an OverflowError traceback
+    cfg = json.loads((CONFIGS / "sin_gevrey2_all.json").read_text())
+    cfg["jet"]["rho"] = 1e30
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(command, str(path), str(tmp_path / "out")) == 1
+    assert [e["kind"] for e in load_report(tmp_path / "out")["errors"]] == ["BoundOverflow"]
+
+
+def test_log_power_out_of_float_range_is_config_error(tmp_path):
+    # log_power(200) overflowed in s1 ** b: a traceback and no report.json
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"weights": [
+        {"name": "w", "preset": "log_power", "params": {"b": 200.0}}]}))
+    assert run("fn", str(path), str(tmp_path / "out")) == 2
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    text = (tmp_path / "out" / "report.json").read_text()
+    err = json.loads(text, parse_constant=refuse)["errors"][0]
+    assert err["kind"] == "config" and "not a positive float" in err["message"]
+
+
 @pytest.mark.parametrize("sequences", [
     [{"name": "S", "generator": "descendant_of", "params": {"sequence": "S"}}],
     [{"name": "A", "generator": "descendant_of", "params": {"sequence": "B"}},

@@ -1,4 +1,5 @@
 import math
+import warnings
 from functools import partial
 from types import SimpleNamespace
 
@@ -68,6 +69,17 @@ def test_log_power_flags():
     assert fn.flags["non_quasianalytic"]
     qa = log_power(1.0)  # int dt/(t log t) diverges
     assert not qa.flags["non_quasianalytic"]
+
+
+@pytest.mark.parametrize("b, scale", [(150.0, 1.0), (1e300, 1.0), (math.inf, 1.0),
+                                      (2.0, 1e308), (100.0, 5e-320), (2.0, 0.0)])
+def test_log_power_constants_out_of_range_are_value_errors(b, scale):
+    # s1 ** b overflowed as a Python float (OverflowError) and exp(s1) warned;
+    # a bridge constant that is not a positive float is now a ValueError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not a positive float"):
+            log_power(b, scale)
 
 
 def test_linear_weight_is_quasianalytic_and_not_o_of_t():
@@ -256,6 +268,30 @@ PRESET_PARAMS = {
     "omega_of_sequence": {"sequence": "S"},
     "tabulated": {"ts": [1.0, 2.0, 10.0], "values": [0.0, 3.0, 9.0]},
 }
+
+
+@pytest.mark.parametrize("b", [1.5, 2.5, 3.2, 4.0])
+def test_log_power_conjugates_bisect_a_narrow_bracket(monkeypatch, b):
+    # a bisection of the whole bracket takes about 60 passes; one from the
+    # Newton estimate about 13 (with the two that test its bracket), on a
+    # 65 x 11 matrix table and on the fn CSV grid
+    evals = []
+
+    def counted(f, lo, hi, near=None):
+        def g(x):
+            evals[-1] += 1
+            return f(x)
+        return bisect(g, lo, hi, near)
+
+    bisect = fncore._bisect
+    monkeypatch.setattr(fncore, "_bisect", counted)
+    fn = log_power(b)
+    for call in (lambda: young_conjugate_grid(fn, np.array(fncore.DEFAULT_X_GRID)[:, None]
+                                              * np.arange(65)),
+                 lambda: fncore.omega_conjugate_grid(fn, np.geomspace(1e-2, 1e8, 200))):
+        evals.append(0)
+        call()
+    assert 0 < max(evals) <= 25, evals
 
 
 def test_every_preset_carries_exact_conjugates():

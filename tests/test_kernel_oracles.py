@@ -5,7 +5,9 @@ its pairwise partition fold (``pou``, ``extend``) against the per-cube mask
 loops and the per-cube folds over all earlier neighbors, the exact
 conjugates of every ``fncore`` preset against one bounded scalar
 minimisation per point, against the hull formulas of growth profiles and
-the breakpoint maxima of tables, and against dense scans, the one-pass
+the breakpoint maxima of tables, and against dense scans, the
+Newton-started root bisections of ``log_power`` against bisections of the
+whole bracket, the one-pass
 averaged tail transform ``fncore.kappa`` against its per-t decade loop
 and ``np.polyfit`` remainders, the batched row flags and array tail sums
 of ``seqcore`` against the per-row flag pass and the
@@ -1705,6 +1707,100 @@ def test_tabulated_conjugates_are_exact(table, ss, ts):
     t = np.r_[1e-9, knots[(knots > 1e-9) & (knots < t_hi)], t_hi]
     want = np.array([max(0.0, float(np.max(fn(t) - s * t))) for s in ss])
     assert_omega_star_equals(fn, ss, want)
+
+
+def oracle_log_power_conjugates(b, scale):
+    """The conjugates of ``log_power(b, scale)`` with each root bisected over
+    all of its bracket, [s1, 600] or [0, log t_hi]; ``young`` also returns
+    the root's derivative gap phi'(s) - t, as an array function of s."""
+    fn = log_power(b, scale)
+    s1 = b + 1.0
+    t1 = np.exp(s1)
+    w1 = scale * t1 / s1 ** b
+    c = w1 / s1
+
+    def young(t):
+        out = np.zeros_like(t)
+        up = t > c
+        tu = t[up]
+
+        def gap(s):
+            return scale * np.exp(s) * s ** -b * (1.0 - b / s) - tu
+
+        s = fncore_module._bisect(gap, s1, 600.0)
+        out[up] = s * tu - fn(np.exp(s))
+        return out, up, s, gap
+
+    def omega_star(s, t_hi):
+        out = np.zeros_like(s)
+        low = s < c
+        sl = s[low]
+
+        def gap(u):
+            v = np.maximum(u, s1)
+            return sl - np.where(u < s1, c * np.exp(-u), scale * v ** -b * (1.0 - b / v))
+
+        t = np.minimum(np.exp(fncore_module._bisect(gap, 0.0, log(t_hi))), t_hi)
+        out[low] = np.maximum(fn(t) - sl * t, 0.0)
+        return out
+
+    return young, omega_star, c
+
+
+def sign_steps_once(f, x, k=8):
+    """Whether f, at the k floats below each x, x and the k floats above, is
+    negative up to one point and nonnegative from there on."""
+    pts = [x]
+    for _ in range(k):
+        pts = [np.nextafter(pts[0], -np.inf)] + pts + [np.nextafter(pts[-1], np.inf)]
+    below = np.array([f(p) < 0.0 for p in pts], dtype=int)
+    return np.all(np.diff(below, axis=0) <= 0, axis=0)
+
+
+@st.composite
+def log_power_queries(draw):
+    """A log_power weight with the t and s of its conjugates' edge cases: at
+    c (1 -+ 1e-12), where both derivative roots leave their lower ends, at
+    roots near the s cap 600 and the scan top log t_hi, across the matrix
+    grid and the fn CSV grid, and where omega' turns from bridge to tail."""
+    b, scale = draw(st.floats(1.05, 100.0)), draw(st.floats(0.05, 20.0))
+    *_, c = oracle_log_power_conjugates(b, scale)
+    s1, t_hi = b + 1.0, 1e12
+    near_c = c * (1.0 + np.array(draw(st.lists(st.floats(-1e-12, 1e-12), max_size=6))))
+    s_cap = np.array(draw(st.lists(st.floats(590.0, 610.0), max_size=4)))
+    grid = (np.array(DEFAULT_X_GRID)[:, None] * np.arange(65)).ravel()
+    ts = np.r_[near_c, scale * np.exp(s_cap) * s_cap ** -b * (1.0 - b / s_cap), grid]
+    u_top = log(t_hi) + np.array(draw(st.lists(st.floats(-1e-9, 1e-9), max_size=4)))
+    v = np.maximum(u_top, s1)
+    top = np.where(u_top < s1, c * np.exp(-u_top), scale * v ** -b * (1.0 - b / v))
+    junction = c * np.exp(-s1) * (1.0 + np.array(draw(st.lists(st.floats(-1e-6, 1e-6),
+                                                                max_size=4))))
+    ss = np.r_[near_c, top, junction, np.geomspace(1e-2, 1e8, 200)]
+    return b, scale, ts, ss[ss > 0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(log_power_queries())
+@example((1.5132223576906814, 0.8982262007621534, np.array([2.1875]), np.array([0.5])))
+def test_log_power_conjugates_equal_full_bracket_bisection(case):
+    # the Newton estimate only narrows each bracket: phi* is the full-bracket
+    # bisection's bit for bit wherever phi' - t, in floats, changes sign once
+    # within 8 floats of its root (at the example's t it changes sign thrice,
+    # so the two bisections may stop on different floats, here 2 apart), and
+    # omega* agrees to 1e-14 wherever the gap is as flat
+    b, scale, ts, ss = case
+    young, omega_star = log_power(b, scale).conjugates
+    old_young, old_omega_star, _ = oracle_log_power_conjugates(b, scale)
+    want, up, s, gap = old_young(ts)
+    got = young(ts)
+    once = np.ones(len(ts), dtype=bool)
+    once[up] = sign_steps_once(gap, s)
+    assert np.array_equal(got[once], want[once])
+    assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
+    want = old_omega_star(ss, 1e12)
+    got = omega_star(ss, 1e12)
+    assert_matches_oracle(got, want)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1e-300, np.abs(want)))
 
 
 @settings(max_examples=300, deadline=None)
