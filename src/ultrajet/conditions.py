@@ -158,24 +158,23 @@ def _default_t_grid(*fns: WeightFunction, lo: float = 1e-2, hi: float = 1e9,
 
 # -- heirs and strength ---------------------------------------------------------
 
-def check_heir(omega: WeightFunction, sigma: WeightFunction,
-               t_grid: np.ndarray | None = None) -> Verdict:
+def check_heir(omega: WeightFunction, sigma: WeightFunction) -> Verdict:
     """Does sigma dominate the averaged tail of omega:
     kappa_omega(t) <= C sigma(t) + C on the grid?"""
     if not omega.flags["non_quasianalytic"]:
         raise QuasianalyticInput(f"{omega.label}: not certified non-quasianalytic")
     if not sigma.flags["o_of_t"]:
         raise NotLittleO(f"{sigma.label}: o(t) certificate absent")
-    ts = _default_t_grid(omega, sigma) if t_grid is None else np.asarray(t_grid)
+    ts = _default_t_grid(omega, sigma)
     needed = kappa(omega, ts) / (sigma(ts) + 1.0)
     rng = {"t_lo": float(ts[0]), "t_hi": float(ts[-1]), "n": len(ts)}
     return _linear_verdict(f"heir[{omega.label}->{sigma.label}]", needed, ts,
                            "t", rng)
 
 
-def check_strong(omega: WeightFunction, t_grid: np.ndarray | None = None) -> Verdict:
+def check_strong(omega: WeightFunction) -> Verdict:
     """A weight is strong when it is its own heir."""
-    v = check_heir(omega, omega, t_grid=t_grid)
+    v = check_heir(omega, omega)
     v.name = f"strong[{omega.label}]"
     return v
 
@@ -307,11 +306,10 @@ def check_descendant(seq: WeightSequence) -> Verdict:
 
 # -- scaling absorption and concavity-style conditions -------------------------------
 
-def check_doubling_absorption(fn: WeightFunction,
-                              t_grid: np.ndarray | None = None) -> Verdict:
+def check_doubling_absorption(fn: WeightFunction) -> Verdict:
     """Is doubling absorbed by one scale step: 2 omega(t) <= omega(Ht) + H
     for some grid H?"""
-    ts = _default_t_grid(fn) if t_grid is None else np.asarray(t_grid)
+    ts = _default_t_grid(fn)
     rng = {"t_lo": float(ts[0]), "t_hi": float(ts[-1]), "n": len(ts)}
     w = fn(ts)
     for h in GRID_POWERS:
@@ -340,14 +338,14 @@ def check_quotient_root_domination(matrix: WeightMatrix) -> Verdict:
                         {"per_x": per_x})
 
 
-def check_concavity_equivalence(fn: WeightFunction, matrix: WeightMatrix,
-                                t0: float = 10.0) -> tuple[Verdict, Verdict]:
+def check_concavity_equivalence(fn: WeightFunction,
+                                matrix: WeightMatrix) -> tuple[Verdict, Verdict]:
     """Two faces of equivalence to the least concave majorant: the scaling
     bound omega(lambda t) <= C lambda omega(t), and root-domination of the
     factorial-stripped rows.  Returns (scaling verdict, matrix verdict);
     agreement of the two is a suite-level assertion."""
     lam = np.array([2.0 ** i for i in range(0, 11)])
-    ts = _default_t_grid(fn, lo=t0, hi=min(1e8, 0.04 * fn.t_valid_max) / lam[-1])
+    ts = _default_t_grid(fn, lo=10.0, hi=min(1e8, 0.04 * fn.t_valid_max) / lam[-1])
     w = fn(ts)
     mask = w > 0
     needed = np.array([np.max(fn(la * ts[mask]) / (la * w[mask])) for la in lam])

@@ -178,16 +178,6 @@ class ExtensionField:
     def L(self) -> float:
         return self.sched.L
 
-    def _nearest(self, pts) -> tuple:
-        """Index of and distance to the nearest set point of each row."""
-        near = nearest_index(pts, self.jet.cset)
-        return near, np.sqrt(((pts - self.jet.cset.points[near]) ** 2).sum(-1))
-
-    def point_flags(self, x) -> dict:
-        _, d = self._nearest(np.asarray(x, dtype=float).reshape(-1, self.jet.cset.dim))
-        return {"on_set": d < ON_SET,
-                "collar": (d >= ON_SET) & (d <= self.pou.dec.collar_radius)}
-
     def derivative_grid(self, x, alpha) -> np.ndarray:
         """d^alpha f on an array of points: :meth:`derivative_grids` for
         the one order."""
@@ -197,9 +187,9 @@ class ExtensionField:
     def derivative_grids(self, x, alphas) -> dict:
         """d^alpha f on an array of points for every alpha of ``alphas``;
         exact Leibniz combination of partition and Taylor-field
-        derivatives.  Values on the set are the stored jet values; collar
-        points evaluate through the same sum and should be read together
-        with point_flags."""
+        derivatives.  Values within ON_SET of a set point are the stored jet
+        values; every other point, the collar around the set included,
+        evaluates through the same sum."""
         return self._grids(x, alphas)[0]
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -241,8 +231,8 @@ class ExtensionField:
                         sums[beta] = cube_sum(beta)
                     acc += coef * cut[gamma] * sums[beta]
                 out[alpha] = acc
-        near, d = self._nearest(pts)
-        on_set = d < ON_SET
+        near = nearest_index(pts, self.jet.cset)
+        on_set = np.sqrt(((pts - self.jet.cset.points[near]) ** 2).sum(-1)) < ON_SET
         if np.any(on_set):
             for alpha, values in out.items():
                 values[on_set] = self.jet.values[near[on_set], self.jet.rank(alpha)]

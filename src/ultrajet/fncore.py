@@ -193,7 +193,11 @@ def log_power(b: float, scale: float = 1.0) -> WeightFunction:
         mid = (t > 1.0) & (t < t1)
         out[mid] = w1 * np.log(t[mid]) / s1
         hi = t >= t1
-        out[hi] = scale * t[hi] / np.log(t[hi]) ** b
+        with np.errstate(over="ignore"):
+            out[hi] = scale * t[hi] / np.log(t[hi]) ** b
+        far = hi & (out == 0.0)  # omega >= w1 > 0 there, so (log t)^b overflowed
+        if far.any():
+            out[far] = np.exp(log(scale) + np.log(t[far]) - b * np.log(np.log(t[far])))
         return out
 
     def young(t):  # 0 up to phi'(0+) = c; beyond, phi'(s) = t on [s1, s_cap]
@@ -358,11 +362,6 @@ def young_conjugate_grid(fn: WeightFunction, ts) -> np.ndarray:
     return young(t).reshape(shape)
 
 
-def young_conjugate(fn: WeightFunction, t: float) -> float:
-    """Convex conjugate at one ``t``: a 1-element :func:`young_conjugate_grid`."""
-    return float(young_conjugate_grid(fn, t))
-
-
 # -- weight matrix ------------------------------------------------------------
 
 MATRIX_TOL = 1e-7  # slack of the structural row inequalities
@@ -486,11 +485,6 @@ def omega_conjugate_grid(fn: WeightFunction, ss) -> np.ndarray:
     omega_star = _conjugates(fn)[1]
     t_hi = min(fn.t_valid_max * 0.45, GRID_HI * 1e3)
     return omega_star(s.ravel(), t_hi).reshape(s.shape)
-
-
-def omega_conjugate(fn: WeightFunction, s: float) -> float:
-    """Decreasing conjugate at one ``s``: a 1-element :func:`omega_conjugate_grid`."""
-    return float(omega_conjugate_grid(fn, s))
 
 
 # -- decaying tail integrals ---------------------------------------------------

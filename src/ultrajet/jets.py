@@ -233,13 +233,11 @@ class JetCertificate:
     C: float
     seq_label: str
     P_max: int
-    ok: bool
     binding: tuple = ()
-    form: str = "pointwise"
 
-    def to_dict(self):
+    def to_dict(self):  # schema 1 keys: a failed certificate raises, and one form is left
         return {"rho": self.rho, "C": self.C, "seq": self.seq_label,
-                "P_max": self.P_max, "ok": self.ok, "form": self.form,
+                "P_max": self.P_max, "ok": True, "form": "pointwise",
                 "binding": list(self.binding)}
 
 
@@ -284,9 +282,12 @@ def jet_from_preset(preset, cset: CompactSet, A_max: int = DEFAULT_A_MAX) -> Ult
                          f"has dimension {cset.dim}")
     multi = _graded(cset.dim, A_max)
     vals = np.empty((len(cset.points), len(multi)))
-    for i, pt in enumerate(cset.points):
-        table = tensor.table(pt, A_max)
-        vals[i] = [table[m] for m in multi]
+    # derivatives past the float range come out inf or NaN with no warning:
+    # certify and the field evaluation report them as BoundOverflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, pt in enumerate(cset.points):
+            table = tensor.table(pt, A_max)
+            vals[i] = [table[m] for m in multi]
     return Ultrajet(cset, A_max, vals)
 
 
@@ -375,30 +376,27 @@ def _first_max(ratios: np.ndarray, best) -> tuple:
     return best, None
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def certify(jet: Ultrajet, seq: WeightSequence, rho: float,
-            P_max: int | None = None, form: str = "pointwise") -> JetCertificate:
+            P_max: int | None = None) -> JetCertificate:
     """Smallest constant C making both growth bounds hold over all stored
-    data: the largest ratio over the values (a, alpha) and the remainders
-    (a, b, p <= P_max, alpha).  ``binding`` names the first largest ratio in
-    that order, values first; NaN ratios never bind, and a C that is not
-    finite raises BoundOverflow.  One array pass over the pairs (a, b),
-    a != b, in (a, b) order, in blocks of at most INCIDENCE_BLOCK
-    (pair x alpha x term) entries.
-
-    ``form``: "pointwise" scales remainders by M_{p+1} |b-a|^{p+1-|alpha|}
-    / (p+1-|alpha|)!; "factored" by |alpha|! m_{p+1} |b-a|^{p+1-|alpha|}.
+    data: the largest ratio over the values (a, alpha), scaled by rho^|alpha|
+    M_|alpha|, and the remainders (a, b, p <= P_max, alpha), scaled by
+    rho^{p+1} M_{p+1} |b-a|^q / q!, q = p+1-|alpha|.  ``binding`` names the
+    first largest ratio in that order, values first; NaN ratios never bind,
+    and a C that is not finite (a scale that underflows to 0 included)
+    raises BoundOverflow.  One array pass over the pairs (a, b), a != b, in
+    (a, b) order, in blocks of at most INCIDENCE_BLOCK (pair x alpha x term)
+    entries.
     """
     if P_max is None:
         P_max = jet.A_max
     if P_max > jet.A_max:
         raise OrderCapExceeded(f"P_max {P_max} exceeds stored order {jet.A_max}")
-    if form not in ("pointwise", "factored"):
-        raise ValueError("form must be 'pointwise' or 'factored'")
     n_need = max(jet.A_max, P_max + 1)
     if seq.K_max < n_need:
         raise OrderCapExceeded(f"sequence table too short for order {n_need}")
     M = np.exp(seq.logM[: n_need + 1])
-    m = np.exp(seq.log_m[: n_need + 1])
     degree = np.array([sum(alpha) for alpha in jet.multi])
     n = len(jet.cset.points)
     try:  # Python floats, as the per-term bounds take them
@@ -411,12 +409,8 @@ def certify(jet: Ultrajet, seq: WeightSequence, rho: float,
     if n > 1 and P_max >= 0:
         p_of, alpha_of, groups = _certify_plan(jet.cset.dim, P_max)
         q_of = p_of + 1 - degree[alpha_of]
-        if form == "pointwise":
-            lead = np.array([rho_k[p + 1] * M[p + 1] for p in p_of.tolist()])
-            fact = np.array([float(factorial(q)) for q in q_of.tolist()])
-        else:
-            lead = np.array([rho_k[p + 1] * factorial(d) * m[p + 1]
-                             for p, d in zip(p_of.tolist(), degree[alpha_of].tolist())])
+        lead = np.array([rho_k[p + 1] * M[p + 1] for p in p_of.tolist()])
+        fact = np.array([float(factorial(q)) for q in q_of.tolist()])
         # pair k is (a, b) = (k // (n - 1), the (k % (n - 1))-th point other
         # than a), so the pairs run in (a, b) order, a block at a time
         step = max(1, INCIDENCE_BLOCK // max(
@@ -434,9 +428,7 @@ def certify(jet: Ultrajet, seq: WeightSequence, rho: float,
             except OverflowError:
                 raise BoundOverflow(f"remainder scale {dist.max():g}^{P_max + 1} of a point "
                                     "pair overflows") from None
-            scale = lead * np.array(powers)[:, q_of]
-            if form == "pointwise":
-                scale = scale / fact
+            scale = lead * np.array(powers)[:, q_of] / fact
             best, at = _first_max(_remainders(jet, a, b, diff, groups) / scale, best)
             if at is not None:
                 binding = ("remainder", int(a[at[0]]), int(b[at[0]]), int(p_of[at[1]]),
@@ -444,4 +436,4 @@ def certify(jet: Ultrajet, seq: WeightSequence, rho: float,
     if not np.isfinite(best):
         raise BoundOverflow(f"jet certificate constant {best} at {binding} is not finite")
     return JetCertificate(rho=rho, C=best, seq_label=seq.label, P_max=P_max,
-                          ok=True, binding=binding, form=form)
+                          binding=binding)

@@ -253,6 +253,9 @@ def _canonical_for(seq: WeightSequence, delta: float | None, J: int) -> Canonica
         raise StageOverflow(
             f"delta {delta:g} exceeds the budget cap {cap:g} for J={J}")
     radii = delta * np.exp(-seq.log_mu[1: J + 1])
+    if not np.all(radii > 0.0):
+        raise StageOverflow(f"radii delta / mu_k of {seq.label} underflow to 0 for "
+                            f"delta {delta:g}, J={J}")
     return CanonicalBump(radii)
 
 
@@ -389,10 +392,6 @@ class PartitionOfUnity:
         folded = _fold_earlier(per_row(psi), per_row([_complement_bounds(t) for t in psi]),
                                group, multis)
         return {m: v[member == group] for m, v in folded.items()}
-
-    def phi_bound(self, i: int, beta) -> float:
-        """Certified sup bound for the beta-derivative of phi_i."""
-        return float(self.phi_bounds(sum(beta))[tuple(beta)][i])
 
     def sum_phi(self, x) -> np.ndarray:
         pts = np.asarray(x, dtype=float).reshape(-1, self.dec.dim)

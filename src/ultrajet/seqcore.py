@@ -286,17 +286,6 @@ class SequenceView:
         s = self.source
         return {"M": s.logM, "m": s.log_m, "mu": s.log_mu}[self.kind]
 
-    def divergent_in_range(self) -> bool:
-        """Finite-range certificate that values^{1/k} -> infinity."""
-        y = self.log_values()
-        roots = y[1:] / np.arange(1, len(y))
-        return bool(_certify_divergence(roots)[0])
-
-    def quotients_divergent_in_range(self) -> bool:
-        """Finite-range certificate that values_{k+1}/values_k -> infinity."""
-        rm = _quotient_running_max(self)
-        return bool(_certify_divergence(rm)[0])
-
 
 def _envelope(view: SequenceView) -> _MinAffineEnvelope:
     cache = view.source._envelopes
@@ -314,8 +303,7 @@ def _quotient_running_max(view: SequenceView) -> np.ndarray:
 
 # -- generators ------------------------------------------------------------
 
-def from_mu(mu_values, K_max: int | None = None, label: str = "",
-            require_weight_sequence: bool = False) -> WeightSequence:
+def from_mu(mu_values, K_max: int | None = None, label: str = "") -> WeightSequence:
     """Build from the quotient table mu_0..mu_K (prefix products in logs)."""
     mu = np.asarray(mu_values, dtype=float)
     if K_max is not None:
@@ -326,12 +314,7 @@ def from_mu(mu_values, K_max: int | None = None, label: str = "",
         raise ValueError("quotients must be positive")
     if abs(mu[0] - 1.0) > 1e-12:
         raise ValueError("mu_0 must equal 1")
-    seq = WeightSequence(np.cumsum(np.log(mu)), label=label)
-    if require_weight_sequence and not seq.flags["weight_sequence"]:
-        raise NotAWeightSequence(
-            f"{label or 'sequence'}: M_k^(1/k) not certified divergent within "
-            f"range (growth {seq.witnesses['weight_sequence_growth']:.4g})")
-    return seq
+    return WeightSequence(np.cumsum(np.log(mu)), label=label)
 
 
 def gevrey(s: float, K_max: int = DEFAULT_K_MAX) -> WeightSequence:
@@ -352,69 +335,27 @@ def quotient_power(p: float, K_max: int = DEFAULT_K_MAX, scale: float = 1.0,
 
 # -- associated functions ---------------------------------------------------
 
-def h_assoc(view: SequenceView, t: float):
-    """Decay profile ``h(t) = inf_k v_k t^k`` of the sequence values v.
-
-    Returns (value, argmin) with the smallest attaining index; h(0) = 0 by
-    convention.  Requires v_0 = 1 and a finite-range divergence certificate
-    for v_k^{1/k}, so the infimum over the stored range is the true one.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0.0:
-        return 0.0, 0
-    y = view.log_values()
-    if abs(y[0]) > 1e-12:
-        raise ValueError("sequence must start at value 1")
-    if not view.divergent_in_range():
-        raise NotAWeightSequence(
-            f"{view.source.label or 'sequence'} ({view.kind}): values^(1/k) not "
-            "certified divergent; infimum would not be attained in range")
-    val, arg, exhausted = _envelope(view).query(log(t))
-    if exhausted:
-        raise RangeExhausted(
-            f"h infimum attained at K_max={view.source.K_max} for t={t:g}")
-    return float(np.exp(val)), int(arg)
-
-
 def log_h_assoc(view: SequenceView, t) -> np.ndarray:
-    """Vectorized log h(t); range-exhausted entries come back as -inf."""
+    """Log of the decay profile ``h(t) = inf_k v_k t^k`` of the sequence
+    values v, at every t > 0 of an array; an infimum attained at K_max (range
+    exhausted) comes back as -inf."""
     t = np.asarray(t, dtype=float)
     val, _, exhausted = _envelope(view).query(np.log(t))
     return np.where(exhausted, -np.inf, val)
 
 
-def gamma_bar(view: SequenceView, t: float) -> int:
-    """Smallest index attaining the infimum in h (optimal truncation degree)."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    return h_assoc(view, t)[1]
-
-
 def gamma_bar_soft(view: SequenceView, t) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized gamma_bar without raising: returns (argmin, exhausted)."""
+    """Optimal truncation degree: the smallest index attaining the infimum in
+    h, at every t > 0 of an array; returns (argmin, exhausted)."""
     t = np.asarray(t, dtype=float)
     _, arg, exhausted = _envelope(view).query(np.log(t))
     return arg, exhausted
 
 
-def gamma_under(view: SequenceView, t: float) -> int:
-    """Smallest k with v_{k+1}/v_k >= 1/t (first quotient crossing)."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if not view.quotients_divergent_in_range():
-        raise NotAWeightSequence(
-            f"{view.source.label or 'sequence'} ({view.kind}): quotients not "
-            "certified divergent within range")
-    idx, exhausted = gamma_under_soft(view, t)
-    if exhausted:
-        raise RangeExhausted(
-            f"no quotient >= 1/t within 0..{view.source.K_max - 1} for t={t:g}")
-    return int(idx)
-
-
 def gamma_under_soft(view: SequenceView, t) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized gamma_under without raising: returns (index, exhausted)."""
+    """First quotient crossing: the smallest k with v_{k+1}/v_k >= 1/t, at
+    every t > 0 of an array; returns (index, exhausted), the index capped at
+    K_max - 1 where no stored quotient reaches 1/t."""
     t = np.asarray(t, dtype=float)
     rm = _quotient_running_max(view)
     idx = np.searchsorted(rm, -np.log(t), side="left")

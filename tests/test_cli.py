@@ -24,6 +24,14 @@ def load_report(out):
     return json.loads((Path(out) / "report.json").read_text())
 
 
+def load_strict_report(out):
+    """The report, refusing the NaN and Infinity constants that strict JSON lacks."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads((Path(out) / "report.json").read_text(), parse_constant=refuse)
+
+
 # -- validation ------------------------------------------------------------------
 
 def test_defaults_materialized():
@@ -278,6 +286,55 @@ def test_tiny_pou_delta_is_stage_overflow(tmp_path, command):
     assert [e["kind"] for e in load_report(tmp_path / "out")["errors"]] == ["StageOverflow"]
 
 
+@pytest.mark.parametrize("s", [500.0, 700.0])
+def test_underflowing_bump_radii_are_stage_overflow(tmp_path, s):
+    # the radii delta / mu_k of gevrey(s) underflow to 0 for s >= about 500:
+    # no bump to build, so no certificate, and no ValueError traceback
+    cfg = json.loads((CONFIGS / "sin_gevrey2_all.json").read_text())
+    cfg["sequences"].append({"name": "G", "generator": "gevrey", "params": {"s": s}})
+    cfg["pou"]["sequence"] = "G"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("extend", str(path), str(tmp_path / "out")) == 1
+    assert [e["kind"] for e in load_strict_report(tmp_path / "out")["errors"]] == [
+        "StageOverflow"]
+
+
+@pytest.mark.parametrize("jet", [
+    {"preset": {"kind": "sin", "a": 1e200}}, {"preset": {"kind": "sin", "a": 1e300}},
+    {"preset": {"kind": "exp", "a": 1e200}}, {"preset": {"kind": "exp", "a": 1e300}},
+    {"rho": 1e-300},
+], ids=["sin-1e200", "sin-1e300", "exp-1e200", "exp-1e300", "rho-1e-300"])
+@pytest.mark.parametrize("command", ["extend", "verify"])
+def test_jet_out_of_float_range_is_bound_overflow(tmp_path, jet, command):
+    # a^j overflows in the derivative table, and rho^k underflows to 0 in the
+    # certificate's scales: both give an infinite constant, with no warning
+    cfg = json.loads((CONFIGS / "sin_gevrey2_all.json").read_text())
+    cfg["jet"].update(jet)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(command, str(path), str(tmp_path / "out")) == 1
+    assert [e["kind"] for e in load_strict_report(tmp_path / "out")["errors"]] == [
+        "BoundOverflow"]
+
+
+def test_log_power_tail_past_float_range_is_grid_exhausted(tmp_path):
+    # (log t)^120 overflows at t = e^600, the cap the conjugate tests first:
+    # omega there is about e^-168, so the argmax still rises at the cap
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"weights": [
+        {"name": "w", "preset": "log_power", "params": {"b": 120.0}}]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run("matrix", str(path), str(tmp_path / "out")) == 1
+    assert [e["kind"] for e in load_strict_report(tmp_path / "out")["errors"]] == [
+        "GridExhausted"]
+
+
 def test_overflowing_derivative_bounds_are_bound_overflow(tmp_path):
     # a jet of size 1e306 has derivatives of inf from order 1 on: the field
     # evaluation stops at them, with no RuntimeWarning on the way
@@ -337,12 +394,7 @@ def test_log_power_out_of_float_range_is_config_error(tmp_path):
     path.write_text(json.dumps({"weights": [
         {"name": "w", "preset": "log_power", "params": {"b": 200.0}}]}))
     assert run("fn", str(path), str(tmp_path / "out")) == 2
-
-    def refuse(name):
-        raise ValueError(f"non-standard JSON constant {name}")
-
-    text = (tmp_path / "out" / "report.json").read_text()
-    err = json.loads(text, parse_constant=refuse)["errors"][0]
+    err = load_strict_report(tmp_path / "out")["errors"][0]
     assert err["kind"] == "config" and "not a positive float" in err["message"]
 
 
@@ -542,12 +594,7 @@ def test_report_is_strict_json_with_spelled_infinity(tmp_path):
     path.write_text(json.dumps({"sequences": [
         {"name": "H", "generator": "quotient_power", "params": {"p": 1.0}}]}))
     assert run("seq", str(path), str(tmp_path / "out")) == 0
-    text = (tmp_path / "out" / "report.json").read_text()
-
-    def refuse(name):
-        raise ValueError(f"non-standard JSON constant {name}")
-
-    rep = json.loads(text, parse_constant=refuse)
+    rep = load_strict_report(tmp_path / "out")
     assert rep["certificates"][0]["witnesses"]["nonqa_tail_estimate"] == "inf"
 
 

@@ -14,11 +14,10 @@ from ultrajet.fncore import (
     gevrey_dual,
     kappa,
     log_power,
-    omega_conjugate,
+    omega_conjugate_grid,
     omega_of_sequence,
     power,
     weight_matrix,
-    young_conjugate,
     young_conjugate_grid,
 )
 
@@ -82,6 +81,18 @@ def test_log_power_constants_out_of_range_are_value_errors(b, scale):
             log_power(b, scale)
 
 
+def test_log_power_tail_where_log_power_of_t_overflows():
+    # (log t)^120 leaves the float range from log t = e^(709.78/120) = 371 on;
+    # omega(e^600) was 0 there instead of about e^-168
+    fn = log_power(120.0, 2.0)
+    s = np.array([300.0, 371.0, 372.0, 600.0, 700.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fn(np.exp(s))
+    want = [2.0 * math.exp(v - 120.0 * math.log(v)) for v in s.tolist()]
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
 def test_linear_weight_is_quasianalytic_and_not_o_of_t():
     fn = fncore.WeightFunction(lambda t: np.asarray(t, dtype=float), label="t")
     assert not fn.flags["non_quasianalytic"]
@@ -135,13 +146,13 @@ def test_young_conjugate_raw_sqrt_closed_form():
     fn = power(0.5, normalized=False)  # phi(s) = e^{s/2}
     for t in (0.5, 1.0, 3.0, 17.0, 256.0, 5000.0):
         exact = 2.0 * t * math.log(2.0 * t) - 2.0 * t
-        got = young_conjugate(fn, t)
+        got = young_conjugate_grid(fn, t)
         assert math.isclose(got, exact, rel_tol=1e-6), (t, got, exact)
 
 
 def test_young_conjugate_normalized_properties():
     fn = power(0.5)
-    assert young_conjugate(fn, 0.0) == 0.0
+    assert young_conjugate_grid(fn, 0.0) == 0.0
     ts = np.linspace(0.0, 40.0, 41)
     vals = fncore.young_conjugate_grid(fn, ts)
     assert np.all(vals >= -1e-12)
@@ -149,15 +160,15 @@ def test_young_conjugate_normalized_properties():
     d2 = np.diff(vals, 2)
     assert np.all(d2 >= -1e-7)
     # superlinear growth: t / phi*(t) -> 0
-    assert 100.0 / young_conjugate(fn, 100.0) < 0.2
-    assert 1000.0 / young_conjugate(fn, 1000.0) < 0.1
+    assert 100.0 / young_conjugate_grid(fn, 100.0) < 0.2
+    assert 1000.0 / young_conjugate_grid(fn, 1000.0) < 0.1
 
 
 def test_young_round_trip():
     # recomputing the conjugate of the conjugate reproduces phi on the grid
     fn = power(0.5)
     for s in (0.25, 0.8, 1.7, 3.0, 4.5, 6.0):
-        phi_ss = conj_sup(lambda u: young_conjugate(fn, u), s, 0.0, 60.0, n=1201)
+        phi_ss = conj_sup(lambda u: young_conjugate_grid(fn, u), s, 0.0, 60.0, n=1201)
         phi = float(fn.phi(s))
         assert math.isclose(phi_ss, phi, rel_tol=1e-6, abs_tol=1e-9), s
 
@@ -244,20 +255,20 @@ def test_handbuilt_matrix_skips_validation():
 def test_omega_conjugate_raw_sqrt():
     fn = power(0.5, normalized=False)
     for s in (0.01, 0.1, 1.0, 10.0):
-        assert math.isclose(omega_conjugate(fn, s), 1.0 / (4.0 * s),
+        assert math.isclose(omega_conjugate_grid(fn, s), 1.0 / (4.0 * s),
                             rel_tol=1e-6), s
 
 
 def test_omega_conjugate_normalized_vanishes_for_large_s():
     fn = power(0.5)
-    assert omega_conjugate(fn, 1.0) == 0.0
-    assert omega_conjugate(fn, 2.5) == 0.0
+    assert omega_conjugate_grid(fn, 1.0) == 0.0
+    assert omega_conjugate_grid(fn, 2.5) == 0.0
 
 
 def test_omega_conjugate_requires_o_of_t():
     fn = fncore.WeightFunction(lambda t: np.asarray(t, dtype=float), label="t")
     with pytest.raises(NotLittleO):
-        omega_conjugate(fn, 1.0)
+        omega_conjugate_grid(fn, 1.0)
 
 
 # one parameter set per weight preset of the CLI, which all carry conjugates

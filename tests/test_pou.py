@@ -225,7 +225,7 @@ def test_pou_derivative_bound_replay(pou_1d):
               + rng.uniform(-half, half, 200)).reshape(-1, 1)
         tables = pou_1d.phi_derivs(i, xs, up_to=4)
         for beta, vals in tables.items():
-            bound = pou_1d.phi_bound(i, beta)
+            bound = pou_1d.phi_bounds(sum(beta))[beta][i]
             assert np.max(np.abs(vals)) <= bound * (1.0 + 1e-9)
             checked += 1
     assert checked >= 10
@@ -241,13 +241,13 @@ def test_pou_derivs_match_finite_differences(pou_1d):
     h = math.sqrt(6e-7 * r[2] * r[3])
     tab = pou_1d.phi_derivs(i, xs, up_to=2)
     fd = (pou_1d.phi(i, xs + h) - pou_1d.phi(i, xs - h)) / (2.0 * h)
-    scale = pou_1d.phi_bound(i, (1,))
+    scale = pou_1d.phi_bounds(1)[(1,)][i]
     assert np.max(np.abs(tab[(1,)] - fd)) < 1e-6 * scale
 
 
 def test_pou_growth_factor_tracks_conjugate_decay(pou_1d):
     # G(d) recorded per cube stays below exp(sigma*(c d)) for a grid c
-    from ultrajet.fncore import omega_conjugate, power
+    from ultrajet.fncore import omega_conjugate_grid, power
     sigma = power(0.5, normalized=False)
     dec = pou_1d.dec
     small = [i for i in range(dec.n_cubes) if dec.cube_dist[i] < 0.25]
@@ -259,7 +259,7 @@ def test_pou_growth_factor_tracks_conjugate_decay(pou_1d):
           for i in small}
     ok_for_some_c = False
     for c in (2.0 ** -k for k in range(0, 24)):
-        if all(g <= math.exp(omega_conjugate(sigma, c * float(dec.diam(i))))
+        if all(g <= math.exp(omega_conjugate_grid(sigma, c * float(dec.diam(i))))
                for i, g in gs.items()):
             ok_for_some_c = True
             break
@@ -316,7 +316,7 @@ def test_pou_2d_sum_and_supports(seq):
     half = dec.expanded_halfwidth(i)
     pts = dec.centers[i] + rng.uniform(-half, half, size=(200, 2))
     tab = pou.phi_derivs(i, pts, up_to=2)
-    assert np.max(np.abs(tab[(1, 1)])) <= pou.phi_bound(i, (1, 1)) * (1 + 1e-9)
+    assert np.max(np.abs(tab[(1, 1)])) <= pou.phi_bounds(2)[(1, 1)][i] * (1 + 1e-9)
 
 
 def test_psi_derivatives_vanish_just_outside_expanded_cube(seq):
