@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _ascii
 from math import inf, isfinite
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -451,21 +452,43 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
-def _finite(v):
-    """v with each non-finite float spelled as the string "inf", "-inf" or
-    "nan", so the report is strict JSON."""
+def _encode(v, parts: list, pad: str = "\n") -> None:
+    """Append to ``parts`` the text of ``json.dumps(v, indent=2, allow_nan=False)``
+    at the indentation ``pad``, with each non-finite float spelled as the
+    string "inf", "-inf" or "nan", so the report is strict JSON."""
     if isinstance(v, float):
-        return v if isfinite(v) else str(v)
-    if isinstance(v, dict):
-        return {k: _finite(x) for k, x in v.items()}
-    return [_finite(x) for x in v] if isinstance(v, (list, tuple)) else v
+        parts.append(float.__repr__(v) if isfinite(v) else f'"{float.__repr__(v)}"')
+    elif isinstance(v, str):
+        parts.append(_ascii(v))
+    elif v is None or v is True or v is False:
+        parts.append("null" if v is None else "true" if v else "false")
+    elif isinstance(v, int):
+        parts.append(int.__repr__(v))
+    elif isinstance(v, dict):
+        inner = pad + "  "
+        for i, (k, x) in enumerate(v.items()):
+            if not isinstance(k, (str, int, float, type(None))):
+                raise TypeError(f"keys must be str, int, float, bool or None, "
+                                f"not {type(k).__name__}")
+            key = k if isinstance(k, str) else json.dumps(k, allow_nan=False)  # as json spells it
+            parts.append(f'{"," if i else "{"}{inner}{_ascii(key)}: ')
+            _encode(x, parts, inner)
+        parts.append(pad + "}" if v else "{}")
+    elif isinstance(v, (list, tuple)):
+        inner = pad + "  "
+        for i, x in enumerate(v):
+            parts.append(("," if i else "[") + inner)
+            _encode(x, parts, inner)
+        parts.append(pad + "]" if v else "[]")
+    else:
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
 def _write_report(report: dict, out: Path) -> None:
+    parts: list[str] = []
+    _encode(report, parts)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "report.json", "w", newline="\n") as fh:
-        json.dump(_finite(report), fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    (out / "report.json").write_text("".join(parts) + "\n", newline="\n")
 
 
 # -- pipelines ----------------------------------------------------------------------
@@ -518,8 +541,7 @@ def _run_matrix(ctx: _Context, report: dict, out: Path) -> int:
         report["certificates"].append({
             "kind": "matrix", "weight": entry["name"],
             "x_grid": list(mat.x_grid), "K_max": mat.K_max,
-            "rows_log_convex": all(r.flags["log_convex"]
-                                   for r in mat.rows.values())})
+            "rows_log_convex": bool(seqcore._log_convex(mat.stack("logM")).all())})
         if csv:
             header = ["k"] + [f"logW_x{x:g}" for x in mat.x_grid]
             _write_csv(out / f"matrix_{entry['name']}.csv", header,

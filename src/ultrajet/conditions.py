@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NotLittleO, QuasianalyticInput, RangeExhausted, TailUnbounded
+from .errors import BoundOverflow, NotLittleO, QuasianalyticInput, RangeExhausted, TailUnbounded
 from .fncore import WeightFunction, WeightMatrix, kappa, splitting_ok
 from .seqcore import WeightSequence, descendant, gamma_bar_soft, gamma_under_soft
 
@@ -260,7 +260,11 @@ def check_mixed_tail(mu_seq: WeightSequence, nu_seq: WeightSequence,
     suffix = nu_seq.quotient_tail_sums(tail_beyond=tail_beyond)
     k = np.arange(1, nu_seq.K_max + 1, dtype=float)
     kk = min(mu_seq.K_max, nu_seq.K_max)
-    needed = suffix[:kk] * np.exp(mu_seq.log_mu[1:kk + 1]) / k[:kk]
+    with np.errstate(over="ignore"):
+        mu = np.exp(mu_seq.log_mu[1:kk + 1])
+    if not np.all(np.isfinite(mu)):
+        raise BoundOverflow(f"{mu_seq.label}: mu_{np.argmin(np.isfinite(mu)) + 1} overflows")
+    needed = suffix[:kk] * mu / k[:kk]
     rng = {"K_max": kk}
     idx = np.arange(1, kk + 1)
     return _linear_verdict(

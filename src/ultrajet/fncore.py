@@ -34,7 +34,7 @@ from .errors import (
     QuasianalyticInput,
 )
 from .jets import INCIDENCE_BLOCK
-from .seqcore import WeightSequence, _decay_exponent, _MinAffineEnvelope, _row_flags
+from .seqcore import WeightSequence, _decay_exponent, _log_convex, _MinAffineEnvelope, _row_flags
 
 LOG_C_CAP = 40.0 * log(2.0)
 
@@ -422,7 +422,7 @@ class WeightMatrix:
         xs = self.x_grid
         log_M, log_mu = self.stack("logM"), self.stack("log_mu")
         w0_off = np.abs(log_M[:, 0]) > 1e-9
-        bad = w0_off | ~np.array([self.rows[x].flags["log_convex"] for x in xs])
+        bad = w0_off | ~_log_convex(log_M)
         if np.any(bad):
             i = int(np.argmax(bad))
             raise InvariantViolation(f"row {xs[i]:g}: " + ("W_0 != 1" if w0_off[i]

@@ -383,11 +383,11 @@ def certify(jet: Ultrajet, seq: WeightSequence, rho: float,
     data: the largest ratio over the values (a, alpha), scaled by rho^|alpha|
     M_|alpha|, and the remainders (a, b, p <= P_max, alpha), scaled by
     rho^{p+1} M_{p+1} |b-a|^q / q!, q = p+1-|alpha|.  ``binding`` names the
-    first largest ratio in that order, values first; NaN ratios never bind,
-    and a C that is not finite (a scale that underflows to 0 included)
-    raises BoundOverflow.  One array pass over the pairs (a, b), a != b, in
-    (a, b) order, in blocks of at most INCIDENCE_BLOCK (pair x alpha x term)
-    entries.
+    first largest ratio in that order, values first.  A jet value that is
+    not finite raises BoundOverflow before any ratio is formed, and so does a
+    C that is not finite (a scale that underflows to 0 included).  One array
+    pass over the pairs (a, b), a != b, in (a, b) order, in blocks of at most
+    INCIDENCE_BLOCK (pair x alpha x term) entries.
     """
     if P_max is None:
         P_max = jet.A_max
@@ -396,6 +396,9 @@ def certify(jet: Ultrajet, seq: WeightSequence, rho: float,
     n_need = max(jet.A_max, P_max + 1)
     if seq.K_max < n_need:
         raise OrderCapExceeded(f"sequence table too short for order {n_need}")
+    if not np.all(np.isfinite(jet.values)):  # a NaN ratio never binds: C could come out finite
+        i, j = np.argwhere(~np.isfinite(jet.values))[0]
+        raise BoundOverflow(f"jet value {jet.values[i, j]} at point {i}, alpha {jet.multi[j]}")
     M = np.exp(seq.logM[: n_need + 1])
     degree = np.array([sum(alpha) for alpha in jet.multi])
     n = len(jet.cset.points)

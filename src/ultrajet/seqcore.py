@@ -16,6 +16,7 @@ finite-range statements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import factorial, log
 
 import numpy as np
@@ -85,7 +86,8 @@ def _certify_divergence(values: np.ndarray):
     k = values.shape[-1]
     if k < 8:
         return np.zeros(values.shape[:-1], dtype=bool), np.zeros(values.shape[:-1])
-    growth = np.exp(values[..., -1] - values[..., (3 * k) // 4 - 1])
+    with np.errstate(over="ignore"):  # a growth past the float range is inf
+        growth = np.exp(values[..., -1] - values[..., (3 * k) // 4 - 1])
     return growth >= DIVERGENCE_GROWTH_MIN, growth
 
 
@@ -115,64 +117,85 @@ def _model_tail_sum(log_c, p, q, k0: float, max_decades: int = 200):
     one per entry of ``log_c``, ``p``, ``q``, integrated per decade in log j;
     returns the arrays (converged, tail).
 
-    Every model's decades are integrated at once (16-panel Simpson rows); a
-    sum stops at the first decade past the fourth whose increment is below
-    1e-14 of the running sum (converged), or past the eighth that is not
-    below 0.999 of the one before (divergent).  A sum that does neither adds
-    a power of the decade index fitted to its last four increments."""
+    The decades are integrated in blocks ending at decades 32, 128, 512, ...
+    (16-panel Simpson rows), for every model not yet stopped; a sum stops at
+    the first decade past the fourth whose increment is below 1e-14 of the
+    running sum (converged), or past the eighth not below 0.999 of the one
+    before (divergent), else adds a power of the decade index fitted to its
+    last four increments.  Each decade is one dot, so blocks move no bit."""
     log_c, p, q = (np.asarray(v, dtype=float)[:, None, None] for v in (log_c, p, q))
     u0 = log(max(k0, 3.0))
     n = 16
-    us = u0 + log(10.0) * (np.arange(max_decades)[:, None] + np.arange(n + 1) / n)
     w = np.ones(n + 1)
     w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-    with np.errstate(over="ignore"):
-        vals = np.exp((1.0 - p) * us - q * np.log(us) - log_c)
-    # one dot per decade: a matrix-vector product may sum in another order
-    incs = log(10.0) / n / 3.0 * np.vecdot(vals, w)
-    acc = np.cumsum(incs, axis=1)
-    d = np.arange(max_decades)
-    small = (d >= 3) & (incs <= 1e-14 * np.maximum(acc, 1e-300))
-    flat = (d >= 7) & (incs >= 0.999 * np.roll(incs, 1, axis=1))
-    rows, first = np.arange(len(incs)), np.argmax(small | flat, axis=1)
-    stopped = (small | flat)[rows, first]
-    converged = stopped & small[rows, first]
-    tail = np.where(converged, acc[rows, first], float("inf"))
-    rest = np.flatnonzero(~stopped)
-    qq = _decay_exponent(incs[rest, -4:], max_decades)
-    fit = rest[qq > 1.05]
-    converged[fit] = True
-    tail[fit] = acc[fit, -1] + incs[fit, -1] * max_decades / (qq[qq > 1.05] - 1.0)
+    converged, tail = np.zeros(len(p), dtype=bool), np.full(len(p), float("inf"))
+    live, incs, acc = np.arange(len(p)), np.empty((len(p), 0)), np.zeros((len(p), 1))
+    # increments fall about 10^(1 - p) a decade and stop 1e-14 below the sum:
+    # a first block of 32 decades pays only if a sum may stop in it (p >= 1.5)
+    lo, hi = 0, 32 if np.any(p >= 1.5) else max_decades
+    while len(live) and lo < max_decades:
+        d = np.arange(lo, min(hi, max_decades))
+        us = u0 + log(10.0) * (d[:, None] + np.arange(n + 1) / n)
+        with np.errstate(over="ignore"):
+            vals = np.exp((1.0 - p[live]) * us - q[live] * np.log(us) - log_c[live])
+        # one dot per decade: a matrix-vector product may sum in another order
+        new = log(10.0) / n / 3.0 * np.vecdot(vals, w)
+        incs = np.concatenate((incs, new), axis=1)  # every decade so far
+        acc = np.cumsum(np.concatenate((acc[:, -1:], new), axis=1), axis=1)[:, 1:]
+        small = (d >= 3) & (new <= 1e-14 * np.maximum(acc, 1e-300))
+        stop = small | (d >= 7) & (new >= 0.999 * incs[:, d - 1])
+        rows, at = np.arange(len(live)), np.argmax(stop, axis=1)
+        done, ok = stop[rows, at], small[rows, at]
+        converged[live[done]] = ok[done]
+        tail[live[done]] = np.where(ok, acc[rows, at], float("inf"))[done]
+        live, incs, acc = live[~done], incs[~done], acc[~done]
+        lo, hi = hi, 4 * hi
+    if len(live):
+        qq = _decay_exponent(incs[:, -4:], max_decades)
+        fit = qq > 1.05
+        converged[live[fit]] = True
+        tail[live[fit]] = acc[fit, -1] + incs[fit, -1] * max_decades / (qq[fit] - 1.0)
     return converged, tail
 
 
-def _row_flags(logM: np.ndarray) -> list[tuple[dict, dict]]:
-    """The structural flags and witnesses of every row of a (rows, K+1)
-    table of log M, in one pass; one (flags, witnesses) pair per row."""
-    tol = 1e-12
+def _log_convex(logM: np.ndarray) -> np.ndarray:
+    """Per row of a (rows, K+1) log M table: log quotients >= 0 and non-decreasing, to 1e-12."""
+    log_mu = np.diff(logM, axis=1)
+    return np.all(log_mu >= -1e-12, axis=1) & np.all(np.diff(log_mu, axis=1) >= -1e-12, axis=1)
+
+
+def _row_flags(logM: np.ndarray) -> list:
+    """Per row of a (rows, K+1) table of log M, a function returning its
+    structural (flags, witnesses); one pass, but the tail sums of all rows
+    are one :func:`_model_tail_sum` call, made at the first row's read."""
     k = logM.shape[1] - 1
     mu_tail = np.diff(logM, axis=1)
-    log_convex = np.all(mu_tail >= -tol, axis=1) & np.all(np.diff(mu_tail, axis=1) >= -tol,
-                                                          axis=1)
+    log_convex = _log_convex(logM)
     roots = logM[:, 1:] / np.arange(1, k + 1)
     weight_seq, growth = _certify_divergence(roots)
     weight_seq &= logM[:, -1] >= log(DIVERGENCE_FLOOR)
     m_quot = np.diff(logM - log_factorials(k), axis=1)
-    strongly = log_convex & np.all(np.diff(m_quot, axis=1) >= -tol, axis=1)
+    strongly = log_convex & np.all(np.diff(m_quot, axis=1) >= -1e-12, axis=1)
 
     # summability of sum 1/mu_k, with a fitted slowly-varying power tail
     # beyond K_max: mu_j modelled as c j^p (log j)^q on the last half
     log_c, p_fit, q_fit = _fit_quotient_model(mu_tail)
-    nonqa, tail = np.zeros(len(logM), dtype=bool), np.full(len(logM), float("inf"))
     fit = p_fit > 1.0 - TAIL_EXPONENT_MARGIN
-    nonqa[fit], tail[fit] = _model_tail_sum(log_c[fit], p_fit[fit], q_fit[fit], k + 0.5)
 
     # moderate growth via the quotient form mu_k <= C * M_k^{1/k}
     c_mg = np.max(mu_tail - roots, axis=1)
     moderate = weight_seq & (c_mg <= 40.0 * log(2.0))
-    flags = np.array([log_convex, weight_seq, strongly, nonqa, moderate]).T.tolist()
-    witnesses = np.array([growth, p_fit, tail, c_mg]).T.tolist()
-    return [(dict(zip(_FLAGS, f)), dict(zip(_WITNESSES, w))) for f, w in zip(flags, witnesses)]
+
+    @cache
+    def pairs():
+        nonqa, tail = np.zeros(len(logM), dtype=bool), np.full(len(logM), float("inf"))
+        nonqa[fit], tail[fit] = _model_tail_sum(log_c[fit], p_fit[fit], q_fit[fit], k + 0.5)
+        flags = np.array([log_convex, weight_seq, strongly, nonqa, moderate]).T.tolist()
+        witnesses = np.array([growth, p_fit, tail, c_mg]).T.tolist()
+        return [(dict(zip(_FLAGS, f)), dict(zip(_WITNESSES, w)))
+                for f, w in zip(flags, witnesses)]
+
+    return [lambda i=i: pairs()[i] for i in range(len(logM))]
 
 
 class _MinAffineEnvelope:
@@ -186,8 +209,10 @@ class _MinAffineEnvelope:
 
     def __init__(self, y: np.ndarray):
         ks = np.arange(len(y), dtype=float)
-        hull: list[int] = []
-        for i in range(len(y)):
+        # the pop test below on each consecutive triple: if none pops, every index is a vertex
+        pops = (y[1:-1] - y[:-2]) * (ks[2:] - ks[:-2]) >= (y[2:] - y[:-2]) * (ks[1:-1] - ks[:-2])
+        hull: list[int] = [] if pops.any() else list(range(len(y)))
+        for i in range(len(y) - len(hull)):  # every index, unless a triple pops
             # pop while the previous vertex is on or above the new chord
             while len(hull) >= 2:
                 a, b = hull[-2], hull[-1]
@@ -219,9 +244,11 @@ class WeightSequence:
     and mu (quotients), plus structural flags computed at construction:
     ``log_convex``, ``weight_sequence``, ``strongly_log_convex``,
     ``non_quasianalytic`` and ``moderate_growth``.  All flags are
-    finite-range verdicts; witness constants live in ``witnesses``.
-
-    Instances are immutable after construction and safe for concurrent use.
+    finite-range verdicts; witness constants live in ``witnesses``.  The tail
+    certificate (``non_quasianalytic``, ``nonqa_tail_estimate``) comes at the
+    first read of either, for all rows of the sequence's table at once (each
+    row of a weight matrix); values never change, so instances act as
+    immutable and are safe for concurrent use.
     """
 
     def __init__(self, log_m_table: np.ndarray, label: str = "", _flags=None):
@@ -238,9 +265,12 @@ class WeightSequence:
         self.log_mu.flags.writeable = False
         self.log_m = self.logM - log_factorials(self.K_max)
         self.log_m.flags.writeable = False
-        self.flags, self.witnesses = _flags or _row_flags(self.logM[None])[0]
+        self._certificates = _flags or _row_flags(self.logM[None])[0]
         self._envelopes: dict[str, _MinAffineEnvelope] = {}
         self._quot_runmax: dict[str, np.ndarray] = {}
+
+    flags = property(lambda self: self._certificates()[0])
+    witnesses = property(lambda self: self._certificates()[1])
 
     def view(self, kind: str) -> "SequenceView":
         return SequenceView(kind=kind, source=self)
@@ -250,7 +280,7 @@ class WeightSequence:
     def quotient_tail_sums(self, tail_beyond: float | None = None) -> np.ndarray:
         """Suffix sums T_k = sum_{j>=k} 1/mu_j for k = 1..K_max, including an
         estimated (or caller-supplied) tail beyond the stored range.  The
-        estimate is the tail certificate computed at construction.
+        estimate is the sequence's tail certificate.
 
         Raises TailUnbounded when no certified tail bound exists.
         """
@@ -310,8 +340,8 @@ def from_mu(mu_values, K_max: int | None = None, label: str = "") -> WeightSeque
         if len(mu) < K_max + 1:
             raise ValueError(f"need {K_max + 1} quotients, got {len(mu)}")
         mu = mu[: K_max + 1]
-    if np.any(mu <= 0):
-        raise ValueError("quotients must be positive")
+    if np.any(mu <= 0) or not np.all(np.isfinite(mu)):
+        raise ValueError("quotients must be positive and finite")
     if abs(mu[0] - 1.0) > 1e-12:
         raise ValueError("mu_0 must equal 1")
     return WeightSequence(np.cumsum(np.log(mu)), label=label)
@@ -329,7 +359,8 @@ def quotient_power(p: float, K_max: int = DEFAULT_K_MAX, scale: float = 1.0,
                    label: str = "") -> WeightSequence:
     """Sequence with quotients mu_k = scale * k^p for k >= 1 (mu_0 = 1)."""
     mu = np.ones(K_max + 1)
-    mu[1:] = scale * np.arange(1, K_max + 1, dtype=float) ** p
+    with np.errstate(over="ignore"):  # from_mu refuses a quotient of inf
+        mu[1:] = scale * np.arange(1, K_max + 1, dtype=float) ** p
     return from_mu(mu, label=label or f"mu=k^{p:g}")
 
 

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ultrajet import cli, pou
+from ultrajet import cli, pou, seqcore
 from ultrajet.cli import _jet_preset, _write_csv, main, run, validate_config
 from ultrajet.errors import ConfigError
 from ultrajet.jets import CompactSet, jet_from_preset
@@ -398,6 +399,70 @@ def test_log_power_out_of_float_range_is_config_error(tmp_path):
     assert err["kind"] == "config" and "not a positive float" in err["message"]
 
 
+def test_non_finite_jet_values_stop_certify_before_a_certificate(tmp_path):
+    # exp(1e300 x) at x = -2, -1: e^(a x) underflows to 0 and a^2 overflows,
+    # so a second derivative is NaN, a ratio that never binds; certify wrote
+    # C = 0 with "ok": true before the field stopped on the same values
+    cfg = json.loads((CONFIGS / "sin_gevrey2_all.json").read_text())
+    cfg["jet"]["preset"] = {"kind": "exp", "a": 1e300}
+    cfg["compact_set"] = {"points": [[-2.0], [-1.0]]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run("extend", str(path), str(tmp_path / "out")) == 1
+    rep = load_strict_report(tmp_path / "out")
+    assert [e["kind"] for e in rep["errors"]] == ["BoundOverflow"]
+    assert rep["errors"][0]["message"] == "jet value nan at point 0, alpha (2,)"
+    assert not any("jet_certificate" in c for c in rep["certificates"])
+
+
+@pytest.mark.parametrize("command, entry, checks, status", [
+    ("seq", {"generator": "quotient_power", "params": {"p": 1e300}}, [], 2),
+    ("seq", {"generator": "gevrey", "params": {"s": 1e300}}, [], 0),
+    ("check", {"generator": "gevrey", "params": {"s": 700.0}},
+     [{"check": "mixed_tail", "mu": "G", "nu": "G"}], 1),
+], ids=["quotient_power-1e300", "gevrey-1e300", "mixed_tail-gevrey-700"])
+def test_sequences_past_float_range_end_typed(tmp_path, command, entry, checks, status):
+    # k^p overflows in quotient_power (a config error), the last-quarter
+    # growth of M_k^(1/k) overflows to a growth of inf, and mu_k = k^701
+    # leaves the float range in mixed_tail (BoundOverflow): no RuntimeWarning
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"sequences": [{"name": "G", **entry}], "checks": checks}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(command, str(path), str(tmp_path / "out")) == status
+    rep = load_strict_report(tmp_path / "out")
+    if status == 2:
+        assert "quotients must be positive and finite" in rep["errors"][0]["message"]
+    elif status == 1:
+        assert [e["kind"] for e in rep["errors"]] == ["BoundOverflow"]
+        assert rep["errors"][0]["message"] == "G: mu_3 overflows"
+    else:
+        assert rep["certificates"][0]["witnesses"]["weight_sequence_growth"] == "inf"
+
+
+def test_tail_sums_run_only_when_a_check_reads_them(tmp_path, monkeypatch):
+    # good and almost_increasing read no tail certificate, so no tail sum
+    # runs; strong_matrix reads all 11 rows' tails in one call
+    calls = []
+    tail_sum = seqcore._model_tail_sum
+    monkeypatch.setattr(seqcore, "_model_tail_sum",
+                        lambda *args: calls.append(len(args[0])) or tail_sum(*args))
+    cfg = {"weights": [{"name": "w", "preset": "power", "params": {"alpha": 0.5}}],
+           "sequences": [{"name": "S", "generator": "gevrey", "params": {"s": 1.0}}],
+           "checks": [{"check": "good", "weight": "w"},
+                      {"check": "almost_increasing", "sequence": "S"}]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run("check", str(path), str(tmp_path / "good")) == 0
+    assert calls == []
+    cfg["checks"] = [{"check": "strong_matrix", "weight": "w"}]
+    path.write_text(json.dumps(cfg))
+    run("check", str(path), str(tmp_path / "strong"))
+    assert calls == [11]
+
+
 @pytest.mark.parametrize("sequences", [
     [{"name": "S", "generator": "descendant_of", "params": {"sequence": "S"}}],
     [{"name": "A", "generator": "descendant_of", "params": {"sequence": "B"}},
@@ -659,6 +724,61 @@ def test_reports_byte_identical_across_runs(tmp_path):
                    str(tmp_path / name)) == 0
     for file in ("report.json", "residuals.csv"):
         assert (tmp_path / "va" / file).read_bytes() == (tmp_path / "vb" / file).read_bytes()
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.json")))
+def test_reports_are_canonical_indent_2_json(tmp_path, config):
+    # every report.json is the stdlib's indent-2 text of its own content,
+    # whichever encoder writes it
+    for command in sorted(cli._PIPELINES):
+        run(command, str(CONFIGS / config), str(tmp_path / command))
+        raw = (tmp_path / command / "report.json").read_bytes()
+        assert raw == (json.dumps(json.loads(raw), indent=2, allow_nan=False) + "\n").encode()
+
+
+def oracle_finite(v):
+    """v with each non-finite float spelled as the string "inf", "-inf" or
+    "nan": the copy that json.dump once wrote as the report."""
+    if isinstance(v, float):
+        return v if math.isfinite(v) else str(v)
+    if isinstance(v, dict):
+        return {k: oracle_finite(x) for k, x in v.items()}
+    return [oracle_finite(x) for x in v] if isinstance(v, (list, tuple)) else v
+
+
+def encoded(v) -> str:
+    parts = []
+    cli._encode(v, parts)
+    return "".join(parts)
+
+
+REPORT_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e300, 1.7976931348623157e308, math.inf, -math.inf, math.nan]))
+REPORT_LEAVES = st.one_of(st.text(), st.sampled_from(['"', "\\", "\n\t\x00\x1f", "é€😀"]),
+                          st.booleans(), st.none(), st.integers(), REPORT_FLOATS,
+                          st.integers(-2**200, 2**200))
+REPORT_KEYS = st.one_of(st.text(), st.integers(-2**70, 2**70), st.booleans(), st.none(),
+                        st.floats(allow_nan=False, allow_infinity=False))
+REPORTS = st.recursive(REPORT_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(REPORT_KEYS, inner, max_size=4)), max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(REPORTS)
+def test_report_encoder_equals_json_dumps(report):
+    assert encoded(report) == json.dumps(oracle_finite(report), indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("bad", [
+    np.int64(3), np.array([1.0]), [1.0, np.bool_(True)], {"a": {(1, 2): 0}},
+    {math.nan: 1}, {math.inf: 1}, {"a": object()}, {1j: 0},
+], ids=["int64", "array", "bool_", "tuple-key", "nan-key", "inf-key", "object", "complex-key"])
+def test_report_encoder_refuses_what_json_refuses(bad):
+    with pytest.raises((TypeError, ValueError)) as refused:
+        json.dumps(oracle_finite(bad), indent=2, allow_nan=False)
+    with pytest.raises(refused.type):
+        encoded(bad)
 
 
 def test_seed_override_recorded(tmp_path):

@@ -139,9 +139,15 @@ from ultrajet.pou import (
 )
 import ultrajet.seqcore as seqcore_module
 from ultrajet.seqcore import (
+    _FLAGS,
+    _WITNESSES,
     DIVERGENCE_FLOOR,
     TAIL_EXPONENT_MARGIN,
     WeightSequence,
+    _MinAffineEnvelope,
+    _certify_divergence,
+    _decay_exponent,
+    _fit_quotient_model,
     _log_factorial,
     _model_tail_sum,
     _row_flags,
@@ -1850,12 +1856,172 @@ def log_tables(draw):
 def test_row_flags_equal_per_row_oracle(table):
     # one lstsq call takes every row as a right-hand side, and the tail
     # sums take the closed-form slope: flags equal, witnesses within 1e-10
-    for logM, (flags, wit) in zip(table, _row_flags(table)):
+    for logM, row in zip(table, _row_flags(table)):
+        flags, wit = row()
         want_flags, want_wit = oracle_row_flags(logM)
         assert flags == want_flags == WeightSequence(logM).flags
         assert list(wit) == list(want_wit)
         assert np.allclose(list(wit.values()), list(want_wit.values()), rtol=1e-10,
                            atol=1e-12)
+
+
+def oracle_array_model_tail_sum(log_c, p, q, k0, max_decades=200):
+    """The all-decades array pass: every model's ``max_decades`` decades at
+    once, then each one's first stopping decade; returns (converged, tail,
+    the decade each sum stopped at, max_decades if none)."""
+    log_c, p, q = (np.asarray(v, dtype=float)[:, None, None] for v in (log_c, p, q))
+    u0 = log(max(k0, 3.0))
+    n = 16
+    us = u0 + log(10.0) * (np.arange(max_decades)[:, None] + np.arange(n + 1) / n)
+    w = np.ones(n + 1)
+    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+    with np.errstate(over="ignore"):
+        vals = np.exp((1.0 - p) * us - q * np.log(us) - log_c)
+    incs = log(10.0) / n / 3.0 * np.vecdot(vals, w)
+    acc = np.cumsum(incs, axis=1)
+    d = np.arange(max_decades)
+    small = (d >= 3) & (incs <= 1e-14 * np.maximum(acc, 1e-300))
+    flat = (d >= 7) & (incs >= 0.999 * np.roll(incs, 1, axis=1))
+    rows, first = np.arange(len(incs)), np.argmax(small | flat, axis=1)
+    stopped = (small | flat)[rows, first]
+    converged = stopped & small[rows, first]
+    tail = np.where(converged, acc[rows, first], float("inf"))
+    rest = np.flatnonzero(~stopped)
+    qq = _decay_exponent(incs[rest, -4:], max_decades)
+    fit = rest[qq > 1.05]
+    converged[fit] = True
+    tail[fit] = acc[fit, -1] + incs[fit, -1] * max_decades / (qq[qq > 1.05] - 1.0)
+    return converged, tail, np.where(stopped, first, max_decades)
+
+
+# rows that stop in the first block (decades below 32), in the second (32 to
+# 127), in the last (128 to 199), and that run to 200: divergent and fitted
+SPREAD_MODELS = [(0.0, 2.0, 0.0), (1.0, 1.3, 0.5), (0.0, 1.1, 0.0), (-2.0, 1.08, -1.0),
+                 (0.0, 1.0003, 0.0), (0.0, 1.03, 2.0), (3.0, 0.97, -3.0)]
+
+
+def test_spread_models_stop_in_every_block():
+    stops = oracle_array_model_tail_sum(*np.array(SPREAD_MODELS).T, 128.5)[2]
+    assert {int(np.searchsorted([32, 128, 200], d, side="right")) for d in stops} == {
+        0, 1, 2, 3}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(0.9, 3.0), st.floats(-3.0, 3.0)),
+                min_size=1, max_size=12),
+       st.floats(1.0, 500.0), st.sampled_from((5, 24, 32, 33, 100, 128, 129, 200)))
+@example(SPREAD_MODELS, 128.5, 200)
+@example(SPREAD_MODELS[::-1], 3.0, 129)
+@example(SPREAD_MODELS[1:], 128.5, 200)  # no p >= 1.5: one block of every decade
+def test_blocked_model_tail_sum_bitwise_equals_array_pass(models, k0, max_decades):
+    # the rows of one call leave the blocks at different decades, or run to
+    # max_decades; each sum is still the all-decades pass's, bit for bit
+    want_ok, want, _ = oracle_array_model_tail_sum(*np.array(models).T, k0, max_decades)
+    got_ok, got = _model_tail_sum(*np.array(models).T, k0, max_decades)
+    assert got_ok.tolist() == want_ok.tolist()
+    assert got.tobytes() == want.tobytes()
+
+
+def oracle_eager_row_flags(logM):
+    """The one-pass flags with every row's tail sum taken at once, by the
+    all-decades array pass: a (flags, witnesses) pair per row."""
+    tol = 1e-12
+    k = logM.shape[1] - 1
+    mu_tail = np.diff(logM, axis=1)
+    log_convex = np.all(mu_tail >= -tol, axis=1) & np.all(np.diff(mu_tail, axis=1) >= -tol,
+                                                          axis=1)
+    roots = logM[:, 1:] / np.arange(1, k + 1)
+    weight_seq, growth = _certify_divergence(roots)
+    weight_seq &= logM[:, -1] >= log(DIVERGENCE_FLOOR)
+    m_quot = np.diff(logM - log_factorials(k), axis=1)
+    strongly = log_convex & np.all(np.diff(m_quot, axis=1) >= -tol, axis=1)
+    log_c, p_fit, q_fit = _fit_quotient_model(mu_tail)
+    nonqa, tail = np.zeros(len(logM), dtype=bool), np.full(len(logM), float("inf"))
+    fit = p_fit > 1.0 - TAIL_EXPONENT_MARGIN
+    nonqa[fit], tail[fit], _ = oracle_array_model_tail_sum(log_c[fit], p_fit[fit],
+                                                           q_fit[fit], k + 0.5)
+    c_mg = np.max(mu_tail - roots, axis=1)
+    moderate = weight_seq & (c_mg <= 40.0 * log(2.0))
+    flags = np.array([log_convex, weight_seq, strongly, nonqa, moderate]).T.tolist()
+    witnesses = np.array([growth, p_fit, tail, c_mg]).T.tolist()
+    return [(dict(zip(_FLAGS, f)), dict(zip(_WITNESSES, w))) for f, w in zip(flags, witnesses)]
+
+
+def assert_same_certificates(got, want):
+    """Flags equal and witnesses bit for bit, in the same key order."""
+    (flags, wit), (want_flags, want_wit) = got, want
+    assert list(flags.items()) == list(want_flags.items())
+    assert list(wit) == list(want_wit)
+    assert np.array(list(wit.values())).tobytes() == np.array(list(want_wit.values())).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(log_tables())
+def test_first_read_certificates_equal_eager_flags(table):
+    # the tail certificates come at the first read, for every row at once:
+    # each row's flags and witnesses are the eager pass's, read in any order
+    # (a one-row table is its own least-squares call)
+    eager = oracle_eager_row_flags(table)
+    rows = _row_flags(table)
+    for i in reversed(range(len(table))):
+        assert_same_certificates(rows[i](), eager[i])
+        seq = WeightSequence(table[i])
+        assert_same_certificates((seq.flags, seq.witnesses),
+                                 oracle_eager_row_flags(table[i][None])[0])
+
+
+@pytest.mark.parametrize("name", ["power", "log_power", "gevrey_dual"])
+def test_matrix_row_certificates_equal_eager_flags(name):
+    mat = GENERATED[name]
+    fresh = weight_matrix(mat.source, x_grid=mat.x_grid, K_max=mat.K_max)
+    for x, want in zip(fresh.x_grid, oracle_eager_row_flags(fresh.stack("logM"))):
+        assert_same_certificates((fresh.row(x).flags, fresh.row(x).witnesses), want)
+
+
+def oracle_lower_hull(y):
+    """The lower hull loop over every point of the table: pop while the
+    previous vertex is on or above the new chord."""
+    ks = np.arange(len(y), dtype=float)
+    hull = []
+    for i in range(len(y)):
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            if (y[b] - y[a]) * (ks[i] - ks[a]) >= (y[i] - y[a]) * (ks[b] - ks[a]):
+                hull.pop()
+            else:
+                break
+        hull.append(i)
+    return hull
+
+
+@st.composite
+def hull_tables(draw):
+    """Strictly convex tables (every index a vertex), tables with exactly
+    collinear triples (integer slopes, some repeated) and arbitrary ones."""
+    n = draw(st.integers(0, 40))
+    kind = draw(st.sampled_from(("convex", "collinear", "arbitrary")))
+    if kind == "convex":
+        slopes = np.cumsum(draw(st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n)))
+        return np.concatenate([[draw(st.floats(-10.0, 10.0))], slopes]).cumsum()[:n]
+    if kind == "collinear":
+        slopes = sorted(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)))
+        return np.cumsum([0.0, *slopes])[:n]
+    return np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hull_tables())
+def test_envelope_hull_equals_loop_oracle(y):
+    # where no consecutive triple pops, the hull is every index with no loop
+    assert _MinAffineEnvelope(y).vertices.tolist() == oracle_lower_hull(y)
+
+
+@pytest.mark.parametrize("seq", [gevrey(1.0), gevrey(0.5, K_max=32)], ids=["M", "M32"])
+def test_convex_tables_take_every_index_as_a_vertex(seq):
+    for kind in ("M", "m"):
+        y = seq.view(kind).log_values()
+        assert _MinAffineEnvelope(y).vertices.tolist() == oracle_lower_hull(y)
+    assert _MinAffineEnvelope(seq.logM).vertices.tolist() == list(range(seq.K_max + 1))
 
 
 def oracle_log_factorials(n):
