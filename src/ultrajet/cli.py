@@ -33,6 +33,9 @@ from .errors import ConfigError, UltrajetError
 
 SCHEMA_VERSION = 1
 _UNSET = object()  # the default of a spec without one
+# the largest size of a set coordinate, box bound or approach scale: the
+# squared distances between such values, summed over the axes, stay floats
+MAX_COORDINATE = 1e150
 
 
 def _is_real(v) -> bool:
@@ -77,6 +80,8 @@ _ANY = _Spec("anything", lambda v: True)
 _INT = _Spec("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
 _REAL = _Spec("a real number", _is_real)
 _POSITIVE = _real_in(0.0, inf)
+_COORDINATE = _Spec(f"a real number of size at most {MAX_COORDINATE:g}",
+                    lambda v: _is_real(v) and abs(v) <= MAX_COORDINATE)
 _STR = _Spec("a string", lambda v: isinstance(v, str))
 _BOOL = _Spec("true or false", lambda v: isinstance(v, bool))
 _LIST = _Spec("a list", lambda v: isinstance(v, list))
@@ -176,8 +181,9 @@ _SECTIONS = {
     "x_grid": {"min_pow": _default(-4, _INT), "max_pow": _default(6, _Spec(
         "an integer <= 1023", lambda v: _INT.ok(v) and v <= 1023))},
     "compact_set": {"points": _LIST, "box": _optional(_or_null(_Spec(
-        "a list of [lo, hi] pairs", lambda v: isinstance(v, list) and all(
-            isinstance(b, list) and len(b) == 2 and all(map(_is_real, b)) for b in v))))},
+        f"a list of [lo, hi] pairs, each {_COORDINATE.text}",
+        lambda v: isinstance(v, list) and all(isinstance(b, list) and len(b) == 2
+                                              and all(map(_COORDINATE.ok, b)) for b in v))))},
     # P_max, left out, is A_max: the one default derived from another
     "jet": {"preset": _OBJECT, "A_max": _default(jets.DEFAULT_A_MAX, _int_in(0)),
             "rho": _default(1.0, _POSITIVE), "source_sequence": _STR,
@@ -193,8 +199,8 @@ _SECTIONS = {
                                         lambda v: _is_real(v) and v >= 1)),
         "orders": _default([0, 1, 2]),  # checked for verify (_validate_orders)
         "approach_scales": _default([2.0 ** -k for k in range(3, 9)], _Spec(
-            "a list of real numbers > 0",
-            lambda v: isinstance(v, list) and all(map(_POSITIVE.ok, v)))),
+            f"a list of real numbers in (0, {MAX_COORDINATE:g}]", lambda v: isinstance(v, list)
+            and all(_POSITIVE.ok(d) and _COORDINATE.ok(d) for d in v))),
         "schedule": _default("single", _STR),
         "source_sequence": _default(None, _or_null(_STR)),
         "target_sequence": _default(None, _or_null(_STR)),
@@ -347,8 +353,9 @@ def _points(compact_set: dict) -> np.ndarray:
         pts = np.asarray(compact_set["points"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"compact_set.points: {exc}") from None
-    if pts.ndim == 0 or not np.all(np.isfinite(pts)):
-        raise ConfigError("compact_set.points must be a list of finite coordinates")
+    if pts.ndim == 0 or not np.all(np.abs(pts) <= MAX_COORDINATE):  # NaN fails too
+        raise ConfigError("compact_set.points must be a list of coordinates of size "
+                          f"at most {MAX_COORDINATE:g}")
     return pts.reshape(-1, 1) if pts.ndim == 1 else pts
 
 
@@ -669,7 +676,10 @@ def _build_field(ctx: _Context):
         cert = conditions.resolve_chain(mat, ec["chain_x"])
         source = (mat, cert)
     L = extmod.default_L(jet, guard=ec["L_guard"])
-    sched = extmod.schedule(dec, source, L, A_max=jet.A_max)
+    try:  # a single-sequence schedule needs a sequence of moderate growth
+        sched = extmod.schedule(dec, source, L, A_max=jet.A_max)
+    except ValueError as exc:
+        raise ConfigError(f"extension: {exc}") from None
     ctx._field = extmod.extend(jet, pu, sched,
                                cutoff_radius=ec["cutoff_radius"])
     return ctx._field

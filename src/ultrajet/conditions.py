@@ -36,6 +36,7 @@ LOG_CAP = 40.0 * log(2.0)
 C_CAP = 2.0 ** 40
 TREND_GROWTH = 1.1
 GRID_POWERS = tuple(2.0 ** i for i in range(41))
+CHAIN_T_RANGE, CHAIN_N_T = (0.05, 1e3), 48  # the chain search's t grid, in its certificate
 
 
 @dataclass
@@ -53,7 +54,6 @@ class Verdict:
     witness_constants: dict = field(default_factory=dict)
     counterexample: Optional[dict] = None
     tested_range: dict = field(default_factory=dict)
-    finite_range: bool = True
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -69,7 +69,7 @@ class Verdict:
             "witness_constants": dict(self.witness_constants),
             "counterexample": self.counterexample,
             "tested_range": dict(self.tested_range),
-            "finite_range": self.finite_range,
+            "finite_range": True,  # every check runs on a finite grid
             "details": dict(self.details),
         }
 
@@ -91,12 +91,11 @@ class ChainCertificate:
                 "D": self.D, "t_range": list(self.t_range), "n_t": self.n_t}
 
 
-def trend_diverging(values: np.ndarray, growth_min: float = TREND_GROWTH,
-                    positions: np.ndarray | None = None):
+def trend_diverging(values: np.ndarray, positions: np.ndarray | None = None):
     """Detect monotone unbounded-looking growth of needed-constant curves.
 
     Trending means: essentially monotone increase (dips below 0.1%
-    tolerated) with total growth >= growth_min over the log-scale last half
+    tolerated) with total growth >= TREND_GROWTH over the log-scale last half
     of the grid -- the samples whose position exceeds the square root of
     the final position.  ``positions`` defaults to the sample index, which
     is correct for grids that are already log-spaced.
@@ -113,7 +112,7 @@ def trend_diverging(values: np.ndarray, growth_min: float = TREND_GROWTH,
             half = v[..., late] if np.count_nonzero(late) >= 4 else half
         monotone = np.all(np.diff(half) >= -1e-3 * np.abs(half[..., :-1]), axis=-1)
         growth = half[..., -1] / np.maximum(half[..., 0], 1e-300)
-        trending = monotone & (growth >= growth_min)
+        trending = monotone & (growth >= TREND_GROWTH)
     if v.ndim == 1:
         return bool(trending), float(growth), int(np.argmax(v))
     return trending, growth, np.argmax(v, axis=-1)
@@ -148,11 +147,10 @@ def _linear_verdict(name: str, needed: np.ndarray, positions, pos_key: str,
                    details=details)
 
 
-def _default_t_grid(*fns: WeightFunction, lo: float = 1e-2, hi: float = 1e9,
-                    per_decade: int = 16) -> np.ndarray:
+def _default_t_grid(*fns: WeightFunction, lo: float = 1e-2, hi: float = 1e9) -> np.ndarray:
     for fn in fns:
         hi = min(hi, 0.04 * fn.t_valid_max)
-    n = max(16, int(round(per_decade * np.log10(hi / lo))))
+    n = max(16, int(round(16 * np.log10(hi / lo))))
     return np.geomspace(lo, hi, n)
 
 
@@ -253,11 +251,10 @@ def check_good(matrix: WeightMatrix) -> Verdict:
 
 # -- mixed tail and almost increase -------------------------------------------------
 
-def check_mixed_tail(mu_seq: WeightSequence, nu_seq: WeightSequence,
-                     tail_beyond: float | None = None) -> Verdict:
+def check_mixed_tail(mu_seq: WeightSequence, nu_seq: WeightSequence) -> Verdict:
     """Reciprocal tail of nu dominated by index over quotient of mu:
     sum_{l>=k} 1/nu_l <= C k/mu_k for all k in range."""
-    suffix = nu_seq.quotient_tail_sums(tail_beyond=tail_beyond)
+    suffix = nu_seq.quotient_tail_sums()
     k = np.arange(1, nu_seq.K_max + 1, dtype=float)
     kk = min(mu_seq.K_max, nu_seq.K_max)
     with np.errstate(over="ignore"):
@@ -428,12 +425,10 @@ def _chain_holds(matrix: WeightMatrix, x, y1, y2, y3, d, ts) -> bool:
                 and np.all(g2b <= g1) and np.all(2 * g1 <= g_x))
 
 
-def resolve_chain(matrix: WeightMatrix, x: float,
-                  t_range: tuple[float, float] = (0.05, 1e3),
-                  n_t: int = 48) -> ChainCertificate:
+def resolve_chain(matrix: WeightMatrix, x: float) -> ChainCertificate:
     """Search the parameter grid for (y1 >= 2x, y2 >= 2y1, y3 >= y2, D) so the
-    counting-function chain holds at every sampled t, together with the
-    splitting bounds w^x against w^{y1} and w^{y1} against w^{y2}.
+    counting-function chain holds at CHAIN_N_T log-spaced t of CHAIN_T_RANGE,
+    with the splitting bounds w^x against w^{y1} and w^{y1} against w^{y2}.
 
     Deterministic search order: (y1, y2, y3) ascending lexicographically,
     then D ascending over the geometric grid; the first full success wins.
@@ -450,7 +445,7 @@ def resolve_chain(matrix: WeightMatrix, x: float,
     x = float(x)
     if x not in matrix.rows:
         raise RangeExhausted(f"x={x:g} is not a point of the matrix grid")
-    ts = np.geomspace(t_range[0], t_range[1], n_t)
+    ts = np.geomspace(*CHAIN_T_RANGE, CHAIN_N_T)
     g_x, ex0 = gamma_under_soft(matrix.row(x).view("m"), ts)
     d = np.array(GRID_POWERS[:14])[:, None]
 
@@ -473,7 +468,7 @@ def resolve_chain(matrix: WeightMatrix, x: float,
                                & (g2b <= g1) & (2 * g1 <= g_x), axis=1)
                 if holds.any():  # the first D that holds
                     return ChainCertificate(x, y1, y2, y3, GRID_POWERS[int(np.argmax(holds))],
-                                            (float(ts[0]), float(ts[-1])), n_t)
+                                            (float(ts[0]), float(ts[-1])), CHAIN_N_T)
     raise RangeExhausted(f"no in-grid chain certificate for x={x:g}")
 
 

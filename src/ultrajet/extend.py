@@ -62,6 +62,7 @@ from .seqcore import (
 DEFAULT_GUARD = 64.0
 ON_SET = 1e-12                     # distance below which a point is a set point
 FIT_K_POWERS = np.arange(-8, 13)   # the residual fit tries K = 2^i
+HALVING_TS = np.geomspace(0.02, 50.0, 40)  # the t grid of the halving constant
 
 
 @dataclass(frozen=True)
@@ -78,15 +79,14 @@ class DegreeSchedule:
     collapse_D: float | None = None  # single mode: 2G(Dt) <= G_under(t) witness
 
 
-def _halving_constant(view: SequenceView, t_range=(0.02, 50.0), n_t: int = 40):
-    """Smallest grid D with 2 gamma_bar(D t) <= gamma_under(t) sampled over
-    the range (the single-sequence collapse of the degree chain)."""
-    ts = np.geomspace(t_range[0], t_range[1], n_t)
-    gu, ex_u = gamma_under_soft(view, ts)
+def _halving_constant(view: SequenceView):
+    """Smallest grid D with 2 gamma_bar(D t) <= gamma_under(t) at every t of
+    HALVING_TS (the single-sequence collapse of the degree chain)."""
+    gu, ex_u = gamma_under_soft(view, HALVING_TS)
     if np.any(ex_u):
         raise RangeExhausted("quotient crossing out of range on the t grid")
     D = 2.0 ** np.arange(30)  # one row of D t per candidate, in one query
-    gb, ex_b = gamma_bar_soft(view, D[:, None] * ts)
+    gb, ex_b = gamma_bar_soft(view, D[:, None] * HALVING_TS)
     ok = ~np.any(ex_b, axis=1) & np.all(2 * gb <= gu, axis=1)
     if not np.any(ok):
         raise RangeExhausted("no halving constant on the geometric grid")

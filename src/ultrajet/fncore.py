@@ -11,10 +11,10 @@ Every preset carries both conjugates as exact array functions: closed
 forms for the power presets, one root per point for ``log_power`` (Newton,
 then bisection on a bracket 1e-13 wide: about 12 array passes), and the
 finite maxima of the piecewise forms (the discrete Legendre transform) for
-growth profiles and tables.  The scalar functions are 1-element calls of
-the grid ones.  A weight matrix flags all its rows in one pass.  The
-averaged tail transform integrates each gap of its query grid once, not
-decades per t.
+growth profiles and tables.  The conjugates take arrays of any shape
+(there are no scalar twins).  A weight matrix flags all its rows in one
+pass.  The averaged tail transform integrates each gap of its query grid
+once, not decades per t.
 
 Asymptotic properties (doubling, linear bound, little-o of t, tail
 integrability) are certified on a finite log-spaced grid with reported
@@ -44,10 +44,6 @@ GRID_LO, GRID_HI, GRID_PER_DECADE = 1e-6, 1e9, 64
 # default matrix parameter grid {2^j : -4 <= j <= 6}; closed under doubling
 DEFAULT_X_GRID = tuple(2.0 ** j for j in range(-4, 7))
 
-def _log_grid(lo: float, hi: float, per_decade: int = GRID_PER_DECADE) -> np.ndarray:
-    n = max(8, int(round(per_decade * np.log10(hi / lo))))
-    return np.geomspace(lo, hi, n)
-
 
 class WeightFunction:
     """Evaluable weight with certification grid, flags, and witnesses.
@@ -70,7 +66,8 @@ class WeightFunction:
         self.flags: dict[str, bool] = {}
         self.witnesses: dict[str, float] = {}
         hi = min(GRID_HI, 0.45 * t_valid_max)
-        self.grid = _log_grid(GRID_LO, hi)
+        n = max(8, int(round(GRID_PER_DECADE * np.log10(hi / GRID_LO))))
+        self.grid = np.geomspace(GRID_LO, hi, n)
         self._compute_flags()
         self.normalized = bool(np.max(self(np.linspace(1e-9, 1.0, 64))) <= 1e-12)
 
@@ -390,13 +387,13 @@ class WeightMatrix:
 
     Generated matrices store ``log W^x_k = phi*(x k)/x`` per row; hand-built
     matrices may carry arbitrary rows.  Structural facts checked at build
-    time for generated matrices: rows are log-convex weight sequences,
+    time for a matrix with a ``source``: rows are log-convex weight sequences,
     quotients are monotone in the parameter, doubling the parameter absorbs
     index splitting, and quadrupling absorbs index doubling.
     """
 
     def __init__(self, x_grid, rows: dict[float, WeightSequence],
-                 source: WeightFunction | None = None, validate: bool = True):
+                 source: WeightFunction | None = None):
         self.x_grid = tuple(sorted(float(x) for x in x_grid))
         self.rows = {float(x): rows[x] for x in self.x_grid}
         k_max = [len(self.rows[x].logM) - 1 for x in self.x_grid]
@@ -404,7 +401,7 @@ class WeightMatrix:
             if k != k_max[0]:
                 raise ValueError(f"row {x:g} has K_max {k}, row {self.x_grid[0]:g} has {k_max[0]}")
         self.source = source
-        if validate and source is not None:
+        if source is not None:
             self._validate()
 
     def row(self, x: float) -> WeightSequence:

@@ -17,6 +17,7 @@ product order) is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -81,20 +82,22 @@ class CubeDecomposition:
     nearest_idx: np.ndarray    # (N,), its index in the set
     center_dist: np.ndarray    # (N,), d(x_i, E)
     cube_dist: np.ndarray      # (N,), d(Q_i, E)
-    neighbors: tuple           # per cube: indices j != i with Q_i* meeting Q_j*
-    neighbor_pairs: tuple      # the same as (i, j) arrays, sorted by i, then j
+    neighbor_pairs: tuple      # (i, j) arrays, j != i with Q_i* meeting Q_j*, by i, then j
     collar_centers: np.ndarray
     collar_sides: np.ndarray
     collar_radius: float
     cset: CompactSet = field(repr=False, default=None)
 
+    # per cube i, the j of its pairs (i, j), split from neighbor_pairs at the first read
+    neighbors = cached_property(lambda self: tuple(np.split(self.neighbor_pairs[1], np.cumsum(
+        np.bincount(self.neighbor_pairs[0], minlength=self.n_cubes)))[:-1]))
+
     @property
     def n_cubes(self) -> int:
         return len(self.sides)
 
-    def diam(self, i=None) -> np.ndarray:
-        s = self.sides if i is None else self.sides[i]
-        return s * np.sqrt(self.dim)
+    def diam(self) -> np.ndarray:
+        return self.sides * np.sqrt(self.dim)
 
     def expanded_halfwidth(self, i) -> float:
         return float(self.sides[i]) * EXPANSION / 2.0
@@ -121,7 +124,7 @@ class CubeDecomposition:
         return self.incidence(x)[1]
 
     def max_overlap(self) -> int:
-        return max((len(n) for n in self.neighbors), default=0)
+        return int(np.bincount(self.neighbor_pairs[0]).max(initial=0))
 
     def neighbor_diam_ratios(self) -> tuple[float, float]:
         """Realized (b1, B1): extreme diameter ratios among neighbor pairs."""
@@ -205,8 +208,6 @@ def decompose(box, cset: CompactSet, depth_cap: int,
         meet[rows, lo + rows] = False
         i, j = np.nonzero(meet)
         pairs.append(np.stack([lo + i, j]))
-    cube, nbr = np.concatenate(pairs, axis=1)
-    neighbors = np.split(nbr, np.cumsum(np.bincount(cube, minlength=n)))[:-1]
 
     col_sides = np.full(len(col_dist), side)
     collar_radius = float(np.max(col_dist + col_sides * sqrt_n, initial=0.0))
@@ -219,7 +220,7 @@ def decompose(box, cset: CompactSet, depth_cap: int,
                              centers=centers, sides=sides,
                              nearest_points=near_pts, nearest_idx=near_idx,
                              center_dist=center_dist, cube_dist=cube_dist,
-                             neighbors=tuple(neighbors), neighbor_pairs=(cube, nbr),
+                             neighbor_pairs=tuple(np.concatenate(pairs, axis=1)),
                              collar_centers=col_centers, collar_sides=col_sides,
                              collar_radius=collar_radius, cset=cset)
 

@@ -112,11 +112,11 @@ class CompactSet:
         object.__setattr__(self, "points", pts)
 
     @classmethod
-    def from_points(cls, pts, pad: float = 2.0) -> "CompactSet":
-        """The points in a cube: each axis padded by ``pad``, the shorter
-        sides then widened evenly to the longest."""
+    def from_points(cls, pts) -> "CompactSet":
+        """The points in a cube: each axis padded by 2, the shorter sides
+        then widened evenly to the longest."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        lo, hi = pts.min(axis=0) - pad, pts.max(axis=0) + pad
+        lo, hi = pts.min(axis=0) - 2.0, pts.max(axis=0) + 2.0
         grow = (np.max(hi - lo) - (hi - lo)) / 2.0
         return cls(pts, tuple(zip((lo - grow).tolist(), (hi + grow).tolist())))
 
@@ -266,9 +266,6 @@ class Ultrajet:
     def rank(self, alpha) -> int:
         return self._rank[tuple(alpha)]
 
-    def value(self, point_index: int, alpha) -> float:
-        return float(self.values[point_index, self.rank(alpha)])
-
     def with_certificate(self, cert: JetCertificate) -> "Ultrajet":
         return replace(self, certificate=cert)
 
@@ -376,7 +373,7 @@ def _first_max(ratios: np.ndarray, best) -> tuple:
     return best, None
 
 
-@np.errstate(divide="ignore", invalid="ignore")
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def certify(jet: Ultrajet, seq: WeightSequence, rho: float,
             P_max: int | None = None) -> JetCertificate:
     """Smallest constant C making both growth bounds hold over all stored
@@ -385,7 +382,7 @@ def certify(jet: Ultrajet, seq: WeightSequence, rho: float,
     rho^{p+1} M_{p+1} |b-a|^q / q!, q = p+1-|alpha|.  ``binding`` names the
     first largest ratio in that order, values first.  A jet value that is
     not finite raises BoundOverflow before any ratio is formed, and so does a
-    C that is not finite (a scale that underflows to 0 included).  One array
+    C that is not finite (a ratio over a scale that underflows).  One array
     pass over the pairs (a, b), a != b, in (a, b) order, in blocks of at most
     INCIDENCE_BLOCK (pair x alpha x term) entries.
     """

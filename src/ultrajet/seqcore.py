@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import factorial, log
+from math import factorial, isfinite, log
 
 import numpy as np
 
@@ -277,25 +277,22 @@ class WeightSequence:
 
     # -- tail machinery ----------------------------------------------------
 
-    def quotient_tail_sums(self, tail_beyond: float | None = None) -> np.ndarray:
-        """Suffix sums T_k = sum_{j>=k} 1/mu_j for k = 1..K_max, including an
-        estimated (or caller-supplied) tail beyond the stored range.  The
-        estimate is the sequence's tail certificate.
+    def quotient_tail_sums(self) -> np.ndarray:
+        """Suffix sums T_k = sum_{j>=k} 1/mu_j for k = 1..K_max, including the
+        estimated tail beyond the stored range: the sequence's tail certificate.
 
         Raises TailUnbounded when no certified tail bound exists.
         """
-        if tail_beyond is None:
-            p = self.witnesses["nonqa_tail_exponent"]
-            tail_beyond = self.witnesses["nonqa_tail_estimate"]
-            if not self.flags["non_quasianalytic"]:
-                p_min = 1.0 - TAIL_EXPONENT_MARGIN
-                why = (f"fitted quotient exponent {p:.3f} <= {p_min:g}" if p <= p_min
-                       else f"model tail sum at fitted exponent {p:.3f} does not converge")
-                raise TailUnbounded(f"{self.label or 'sequence'}: {why}, "
-                                    "tail sum not certified finite")
+        p = self.witnesses["nonqa_tail_exponent"]
+        if not self.flags["non_quasianalytic"]:
+            p_min = 1.0 - TAIL_EXPONENT_MARGIN
+            why = (f"fitted quotient exponent {p:.3f} <= {p_min:g}" if p <= p_min
+                   else f"model tail sum at fitted exponent {p:.3f} does not converge")
+            raise TailUnbounded(f"{self.label or 'sequence'}: {why}, "
+                                "tail sum not certified finite")
         inv = np.exp(-self.log_mu[1:])
         suffix = np.cumsum(inv[::-1])[::-1]
-        return suffix + tail_beyond
+        return suffix + self.witnesses["nonqa_tail_estimate"]
 
     def __repr__(self):
         return f"WeightSequence(label={self.label!r}, K_max={self.K_max})"
@@ -333,13 +330,9 @@ def _quotient_running_max(view: SequenceView) -> np.ndarray:
 
 # -- generators ------------------------------------------------------------
 
-def from_mu(mu_values, K_max: int | None = None, label: str = "") -> WeightSequence:
+def from_mu(mu_values, label: str = "") -> WeightSequence:
     """Build from the quotient table mu_0..mu_K (prefix products in logs)."""
     mu = np.asarray(mu_values, dtype=float)
-    if K_max is not None:
-        if len(mu) < K_max + 1:
-            raise ValueError(f"need {K_max + 1} quotients, got {len(mu)}")
-        mu = mu[: K_max + 1]
     if np.any(mu <= 0) or not np.all(np.isfinite(mu)):
         raise ValueError("quotients must be positive and finite")
     if abs(mu[0] - 1.0) > 1e-12:
@@ -351,6 +344,8 @@ def gevrey(s: float, K_max: int = DEFAULT_K_MAX) -> WeightSequence:
     """Canonical test family M_k = (k!)^{1+s}; mu_k = k^{1+s}, m_k = (k!)^s."""
     if s <= 0:
         raise ValueError("gevrey index must be positive")
+    if not isfinite((1.0 + s) * float(log_factorials(K_max)[-1])):  # as from_mu refuses inf
+        raise ValueError(f"gevrey index {s:g}: log M_{K_max} is not a finite float")
     table = (1.0 + s) * log_factorials(K_max)
     return WeightSequence(table, label=f"gevrey({s:g})")
 
@@ -436,7 +431,7 @@ def counting_integral(seq: WeightSequence, t: float) -> float:
     return float(np.sum(logt - seq.log_mu[1:][mask]))
 
 
-def descendant(seq: WeightSequence, tail_beyond: float | None = None) -> WeightSequence:
+def descendant(seq: WeightSequence) -> WeightSequence:
     """Largest strongly log-convex minorant-style companion of a
     non-quasianalytic quotient sequence.
 
@@ -448,7 +443,7 @@ def descendant(seq: WeightSequence, tail_beyond: float | None = None) -> WeightS
     if not seq.flags["non_quasianalytic"]:
         raise QuasianalyticInput(
             f"{seq.label or 'sequence'}: reciprocal quotients not certified summable")
-    suffix = seq.quotient_tail_sums(tail_beyond=tail_beyond)
+    suffix = seq.quotient_tail_sums()
     ks = np.arange(1, seq.K_max + 1, dtype=float)
     tau = ks * np.exp(-seq.log_mu[1:]) + suffix
     sigma = tau[0] * ks / tau

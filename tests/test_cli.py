@@ -306,12 +306,13 @@ def test_underflowing_bump_radii_are_stage_overflow(tmp_path, s):
 @pytest.mark.parametrize("jet", [
     {"preset": {"kind": "sin", "a": 1e200}}, {"preset": {"kind": "sin", "a": 1e300}},
     {"preset": {"kind": "exp", "a": 1e200}}, {"preset": {"kind": "exp", "a": 1e300}},
-    {"rho": 1e-300},
-], ids=["sin-1e200", "sin-1e300", "exp-1e200", "exp-1e300", "rho-1e-300"])
+    {"rho": 1e-300}, {"rho": 5e-324},
+], ids=["sin-1e200", "sin-1e300", "exp-1e200", "exp-1e300", "rho-1e-300", "rho-5e-324"])
 @pytest.mark.parametrize("command", ["extend", "verify"])
 def test_jet_out_of_float_range_is_bound_overflow(tmp_path, jet, command):
-    # a^j overflows in the derivative table, and rho^k underflows to 0 in the
-    # certificate's scales: both give an infinite constant, with no warning
+    # a^j overflows in the derivative table, rho^k underflows to 0 in the
+    # certificate's scales, and |F'| / (rho M_1) overflows at rho = 5e-324:
+    # each gives an infinite constant, with no warning
     cfg = json.loads((CONFIGS / "sin_gevrey2_all.json").read_text())
     cfg["jet"].update(jet)
     path = tmp_path / "cfg.json"
@@ -442,6 +443,64 @@ def test_sequences_past_float_range_end_typed(tmp_path, command, entry, checks, 
         assert rep["certificates"][0]["witnesses"]["weight_sequence_growth"] == "inf"
 
 
+def test_gevrey_index_past_float_range_is_config_error(tmp_path):
+    # (1 + s) log 128! overflows for s above about 3.6e305: gevrey refuses the
+    # index, as quotient_power refuses a quotient of inf
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"sequences": [
+        {"name": "G", "generator": "gevrey", "params": {"s": 1e307}}]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run("seq", str(path), str(tmp_path / "out")) == 2
+    assert load_strict_report(tmp_path / "out")["errors"] == [{"kind": "config", "message":
+        "sequence 'G': gevrey index 1e+307: log M_128 is not a finite float"}]
+
+
+@pytest.mark.parametrize("compact_set", [
+    {"points": [[-1e300], [1e300]]}, {"points": [[-1.2e154], [1.2e154]]},
+    {"points": [[0.0]], "box": [[-1e300, 1e300]]},
+], ids=["points-1e300", "points-1.2e154", "box-1e300"])
+def test_set_coordinates_whose_distances_overflow_are_config_errors(tmp_path, compact_set):
+    # the cube-to-set distances are squared: at +-1.2e154 each coordinate's
+    # square is a float, but not the square of their distance
+    cfg = json.loads((CONFIGS / "sin_gevrey2_all.json").read_text())
+    cfg["compact_set"] = compact_set
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run("cubes", str(path), str(tmp_path / "out")) == 2
+    err = load_strict_report(tmp_path / "out")["errors"][0]
+    assert err["kind"] == "config" and err["message"].startswith("compact_set.")
+    assert "of size at most 1e+150" in err["message"]
+
+
+def test_schedule_sequence_without_moderate_growth_is_config_error(tmp_path):
+    # (k!)^101 is past the moderate-growth cap: the single-sequence schedule
+    # refuses it, and that ValueError ended ``extend`` in a traceback
+    cfg = json.loads((CONFIGS / "sin_gevrey2_all.json").read_text())
+    cfg["sequences"].append({"name": "G", "generator": "gevrey", "params": {"s": 100.0}})
+    cfg["jet"]["source_sequence"] = "G"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run("extend", str(path), str(tmp_path / "out")) == 2
+    assert load_strict_report(tmp_path / "out")["errors"] == [{"kind": "config", "message":
+        "extension: G: moderate growth flag required for single-sequence scheduling"}]
+
+
+def test_approach_scales_whose_squares_overflow_are_config_errors(tmp_path):
+    # the approach points at distance 1e300 from the set were squared too
+    cfg = json.loads((CONFIGS / "sin_gevrey2_all.json").read_text())
+    cfg["extension"]["approach_scales"] = [0.125, 1e300]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run("verify", str(path), str(tmp_path / "out")) == 2
+    assert load_strict_report(tmp_path / "out")["errors"] == [{"kind": "config", "message":
+        "extension.approach_scales = [0.125, 1e+300]: not a list of real numbers in (0, 1e+150]"}]
+
+
 def test_tail_sums_run_only_when_a_check_reads_them(tmp_path, monkeypatch):
     # good and almost_increasing read no tail certificate, so no tail sum
     # runs; strong_matrix reads all 11 rows' tails in one call
@@ -487,7 +546,7 @@ def test_jet_preset_round_trip():
                                            {"kind": "poly", "coeffs": [0.0, 1.0]}]}
     jet = jet_from_preset(_jet_preset(spec), CompactSet.from_points([[0.0]]), A_max=3)
     # x/(1+2x^2) has derivative 1 at 0
-    assert math.isclose(jet.value(0, (1,)), 1.0, rel_tol=1e-12)
+    assert math.isclose(jet.values[0, jet.rank((1,))], 1.0, rel_tol=1e-12)
     # parameters left out take the class defaults
     sin = _jet_preset({"kind": "sin"})
     assert (sin.a, sin.b) == (1.0, 0.0)

@@ -1,13 +1,16 @@
-"""Configs drawn from the schema with perturbed values, types and keys: every
-run of every command ends with exit status 0, 1 or 2 and a strict-JSON
-report, never a traceback.  The base configs are small (K_max 64, depth 4,
-few grid points), so a run takes a fraction of a second."""
+"""Configs drawn from the schema with perturbed values, types and keys, or
+with float values from 5e-324 to 1e307 in size: every run of every command
+ends with exit status 0, 1 or 2 and a strict-JSON report, never a traceback
+(nor, for the float sizes, a RuntimeWarning).  The base configs are small
+(K_max 64, depth 4, few grid points), so a run takes a fraction of a
+second."""
 
 import copy
 import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ultrajet.cli import _PIPELINES, run
@@ -88,9 +91,7 @@ def _strict(text):
     return json.loads(text, parse_constant=refuse)
 
 
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(perturbed_configs(), st.sampled_from(sorted(_PIPELINES)))
-def test_perturbed_configs_exit_cleanly_with_strict_report(cfg, command):
+def _exits_cleanly_with_strict_report(cfg, command):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -98,3 +99,36 @@ def test_perturbed_configs_exit_cleanly_with_strict_report(cfg, command):
         assert status in (0, 1, 2)
         report = _strict((Path(tmp) / "out" / "report.json").read_text())
         assert report["command"] == command
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(perturbed_configs(), st.sampled_from(sorted(_PIPELINES)))
+def test_perturbed_configs_exit_cleanly_with_strict_report(cfg, command):
+    _exits_cleanly_with_strict_report(cfg, command)
+
+
+@st.composite
+def float_magnitude_configs(draw):
+    """A base config with one or two of its float leaves set to a size
+    10^e, e in [-323.3, 307] (5e-324 to 1e307), of either sign."""
+    cfg = copy.deepcopy(draw(st.sampled_from((_SMALL, _ONE_D))))
+    leaves = []  # (parent, key) of every float
+    for path in _paths(cfg):
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent[path[-1]], float):
+            leaves.append((parent, path[-1]))
+    for i in draw(st.lists(st.integers(0, len(leaves) - 1), min_size=1, max_size=2,
+                           unique=True)):
+        parent, key = leaves[i]
+        size = max(5e-324, 10.0 ** draw(st.floats(-323.3, 307.0)))
+        parent[key] = -size if draw(st.booleans()) else size
+    return cfg
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(float_magnitude_configs(), st.sampled_from(sorted(_PIPELINES)))
+def test_float_magnitudes_exit_cleanly_with_strict_report(cfg, command):
+    _exits_cleanly_with_strict_report(cfg, command)

@@ -136,7 +136,7 @@ def test_extension_in_two_dimensions():
     # the set point returns the stored jet values exactly
     for alpha in ((0, 0), (1, 0), (0, 1), (1, 1)):
         got = fld.derivative_grid(np.array([[0.0, 0.0]]), alpha)[0]
-        assert got == jet.value(0, alpha)
+        assert got == jet.values[0, jet.rank(alpha)]
     # approach residuals shrink toward the set
     rep = verify(fld, seq, orders=[(0, 0), (1, 0), (0, 1)],
                  approach_scales=[0.25, 0.125, 0.0625, 0.03125],
@@ -211,7 +211,7 @@ def test_field_matches_jet_on_set(sin_field):
     for row, a in enumerate((-1.0, 1.0)):
         for alpha in ((0,), (1,), (2,)):
             got = sin_field.derivative_grid(np.array([[a]]), alpha)[0]
-            want = sin_field.jet.value(row, alpha)
+            want = sin_field.jet.values[row, sin_field.jet.rank(alpha)]
             assert got == want
 
 

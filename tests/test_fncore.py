@@ -241,7 +241,7 @@ def test_matrix_rows_of_unequal_length_are_rejected():
     rows = {1.0: seqcore.quotient_power(2.0, K_max=32),
             2.0: seqcore.quotient_power(2.5, K_max=48)}
     with pytest.raises(ValueError, match="^row 2 has K_max 48, row 1 has 32$"):
-        WeightMatrix((1.0, 2.0), rows, validate=False)
+        WeightMatrix((1.0, 2.0), rows)
 
 
 def test_handbuilt_matrix_skips_validation():

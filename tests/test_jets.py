@@ -87,7 +87,7 @@ def test_exp_jet_at_origin():
 def test_sin_jet_second_derivative_zero():
     cs = CompactSet.from_points([[0.0]])
     jet = jet_from_preset(Sin(1.0, 0.0), cs, A_max=4)
-    assert abs(jet.value(0, (2,))) < 1e-15
+    assert abs(jet.values[0, jet.rank((2,))]) < 1e-15
 
 
 def test_runge_derivatives_match_finite_differences():
@@ -96,7 +96,7 @@ def test_runge_derivatives_match_finite_differences():
     f = lambda x: 1.0 / (1.0 + x * x)
     for order in range(0, 7):
         fd = fd_derivative(f, 1.0, order)
-        exact = jet.value(0, (order,))
+        exact = jet.values[0, jet.rank((order,))]
         assert math.isclose(exact, fd, rel_tol=1e-6, abs_tol=1e-6), order
 
 
@@ -107,16 +107,16 @@ def test_product_and_sum_presets():
     f = lambda x: math.sin(2.0 * x + 0.3) * math.exp(0.7 * x)
     for order in range(0, 5):
         fd = fd_derivative(f, 0.5, order)
-        assert math.isclose(jet.value(0, (order,)), fd, rel_tol=1e-6, abs_tol=1e-6)
+        assert math.isclose(jet.values[0, jet.rank((order,))], fd, rel_tol=1e-6, abs_tol=1e-6)
     tot = Sum1D(Sin(1.0), Poly([1.0, 0.0, 3.0]))
     jet2 = jet_from_preset(tot, cs, A_max=3)
-    assert math.isclose(jet2.value(0, (2,)), -math.sin(0.5) + 6.0, rel_tol=1e-12)
+    assert math.isclose(jet2.values[0, jet2.rank((2,))], -math.sin(0.5) + 6.0, rel_tol=1e-12)
 
 
 def test_tensor_preset_2d():
     cs = CompactSet.from_points([[0.3, -0.2]])
     jet = jet_from_preset(Tensor(Exp(1.0), Sin(1.0)), cs, A_max=4)
-    val = jet.value(0, (1, 2))
+    val = jet.values[0, jet.rank((1, 2))]
     exact = math.exp(0.3) * (-math.sin(-0.2))
     assert math.isclose(val, exact, rel_tol=1e-12)
 
@@ -142,7 +142,7 @@ def test_taylor_top_order_constant(pair_1d):
     jet = jet_from_preset(Sin(1.0), pair_1d, A_max=6)
     for x in (-2.0, 0.0, 3.0):
         v = taylor_grid(jet, 0, 4, (4,), [x])[0]
-        assert math.isclose(v, jet.value(0, (4,)), rel_tol=1e-15)
+        assert math.isclose(v, jet.values[0, jet.rank((4,))], rel_tol=1e-15)
 
 
 def test_taylor_reproduces_polynomial(pair_1d):
@@ -169,7 +169,7 @@ def test_taylor_order_cap(pair_1d):
 def whitney_remainder(jet, a, p, alpha, b):
     """F^alpha at the set point of row b minus the degree-(p-|alpha|) Taylor
     field of F^alpha from the set point of row a."""
-    return jet.value(b, alpha) - taylor_grid(jet, a, p, alpha, jet.cset.points[b])[0]
+    return jet.values[b, jet.rank(alpha)] - taylor_grid(jet, a, p, alpha, jet.cset.points[b])[0]
 
 
 def test_remainder_zero_for_low_degree_poly(pair_1d):

@@ -259,7 +259,7 @@ def test_pou_growth_factor_tracks_conjugate_decay(pou_1d):
           for i in small}
     ok_for_some_c = False
     for c in (2.0 ** -k for k in range(0, 24)):
-        if all(g <= math.exp(omega_conjugate_grid(sigma, c * float(dec.diam(i))))
+        if all(g <= math.exp(omega_conjugate_grid(sigma, c * float(dec.diam()[i])))
                for i, g in gs.items()):
             ok_for_some_c = True
             break

