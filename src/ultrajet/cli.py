@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cached_property
 from json.encoder import encode_basestring_ascii as _ascii
 from math import inf, isfinite
 from pathlib import Path
@@ -360,16 +361,15 @@ def _points(compact_set: dict) -> np.ndarray:
 
 
 class _Context:
-    """Lazy resolution of named config objects."""
+    """Lazy resolution of named config objects: the named weights, sequences
+    and matrices by name, and the run objects of the extension chain (set,
+    jet, cover, partition, field) each at its first read."""
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
         self._named = {"weights": {}, "sequences": {}}
         self._building: set = set()
         self._matrices: dict = {}
-        self._dec = None
-        self._pou = None
-        self._field = None
 
     def x_grid(self):
         g = _section(self.cfg, "x_grid")
@@ -416,6 +416,7 @@ class _Context:
                 raise ConfigError(f"matrix of {weight_name!r}: {exc}") from None
         return self._matrices[weight_name]
 
+    @cached_property
     def compact_set(self) -> jets.CompactSet:
         cs = self.cfg["compact_set"]
         if cs is None:
@@ -428,15 +429,57 @@ class _Context:
         except ValueError as exc:
             raise ConfigError(f"compact_set: {exc}") from None
 
+    @cached_property
     def jet(self) -> jets.Ultrajet:
+        """The certified jet; a source sequence too short for its orders
+        fails before the table is built."""
         jc = self.cfg["jet"]
         if jc is None:
             raise ConfigError("jet section required for this command")
-        jet = jets.jet_from_preset(_jet_preset(jc["preset"]), self.compact_set(),
-                                   A_max=jc["A_max"])
         seq = self.sequence(jc["source_sequence"])
+        jets.certify_orders(seq, jc["A_max"], jc["P_max"])
+        jet = jets.jet_from_preset(_jet_preset(jc["preset"]), self.compact_set,
+                                   A_max=jc["A_max"])
         cert = jets.certify(jet, seq, rho=jc["rho"], P_max=jc["P_max"])
         return jet.with_certificate(cert)
+
+    @cached_property
+    def decomposition(self) -> geometry.CubeDecomposition:
+        cs = self.compact_set
+        dc = _section(self.cfg, "decomposition")
+        try:
+            return geometry.decompose(cs.box, cs, depth_cap=dc["depth_cap"],
+                                      min_feature_scale=dc["min_feature_scale"])
+        except ValueError as exc:
+            raise ConfigError(f"decomposition: {exc}") from None
+
+    @cached_property
+    def pou(self) -> poumod.PartitionOfUnity:
+        dec = self.decomposition
+        pc = _section(self.cfg, "pou")
+        if pc["sequence"] is None:
+            raise ConfigError("pou.sequence must name a sequence")
+        return poumod.build_pou(dec, self.sequence(pc["sequence"]), delta=pc["delta"],
+                                order_cap=pc["order_cap"])
+
+    @cached_property
+    def field(self) -> extmod.ExtensionField:
+        pu, jet = self.pou, self.jet
+        ec = _section(self.cfg, "extension")
+        if ec["schedule"] == "single":
+            src_name = ec["source_sequence"] or self.cfg["jet"]["source_sequence"]
+            source = self.sequence(src_name)
+        else:
+            weight_name = ec["schedule"]
+            mat = self.matrix(weight_name)
+            cert = conditions.resolve_chain(mat, ec["chain_x"])
+            source = (mat, cert)
+        L = extmod.default_L(jet, guard=ec["L_guard"])
+        try:  # a single-sequence schedule needs a sequence of moderate growth
+            sched = extmod.schedule(pu.dec, source, L, A_max=jet.A_max)
+        except ValueError as exc:
+            raise ConfigError(f"extension: {exc}") from None
+        return extmod.extend(jet, pu, sched, cutoff_radius=ec["cutoff_radius"])
 
 
 # -- report plumbing --------------------------------------------------------------
@@ -595,21 +638,9 @@ def _run_check(ctx: _Context, report: dict, out: Path) -> int:
     return status
 
 
-def _decomposition(ctx: _Context):
-    if ctx._dec is None:
-        cs = ctx.compact_set()
-        dc = _section(ctx.cfg, "decomposition")
-        try:
-            ctx._dec = geometry.decompose(cs.box, cs, depth_cap=dc["depth_cap"],
-                                          min_feature_scale=dc["min_feature_scale"])
-        except ValueError as exc:
-            raise ConfigError(f"decomposition: {exc}") from None
-    return ctx._dec
-
-
 def _run_cubes(ctx: _Context, report: dict, out: Path) -> int:
     csv = _section(ctx.cfg, "output")["csv"]
-    dec = _decomposition(ctx)
+    dec = ctx.decomposition
     stats = geometry.cube_diagnostics(dec, samples_per_cube=32,
                                       seed=ctx.cfg["seed"])
     stats.update({"n_cubes": dec.n_cubes, "collar_radius": dec.collar_radius,
@@ -625,20 +656,8 @@ def _run_cubes(ctx: _Context, report: dict, out: Path) -> int:
     return 0
 
 
-def _build_pou(ctx: _Context, dec):
-    if ctx._pou is None:
-        pc = _section(ctx.cfg, "pou")
-        if pc["sequence"] is None:
-            raise ConfigError("pou.sequence must name a sequence")
-        seq = ctx.sequence(pc["sequence"])
-        ctx._pou = poumod.build_pou(dec, seq, delta=pc["delta"],
-                                    order_cap=pc["order_cap"])
-    return ctx._pou
-
-
 def _run_pou(ctx: _Context, report: dict, out: Path) -> int:
-    dec = _decomposition(ctx)
-    pu = _build_pou(ctx, dec)
+    dec, pu = ctx.decomposition, ctx.pou
     rng = np.random.default_rng(ctx.cfg["seed"])
     lo = np.array([b[0] for b in dec.box])
     hi = np.array([b[1] for b in dec.box])
@@ -660,33 +679,8 @@ def _run_pou(ctx: _Context, report: dict, out: Path) -> int:
     return 0 if dev < 1e-10 else 1
 
 
-def _build_field(ctx: _Context):
-    if ctx._field is not None:
-        return ctx._field
-    dec = _decomposition(ctx)
-    pu = _build_pou(ctx, dec)
-    jet = ctx.jet()
-    ec = _section(ctx.cfg, "extension")
-    if ec["schedule"] == "single":
-        src_name = ec["source_sequence"] or ctx.cfg["jet"]["source_sequence"]
-        source = ctx.sequence(src_name)
-    else:
-        weight_name = ec["schedule"]
-        mat = ctx.matrix(weight_name)
-        cert = conditions.resolve_chain(mat, ec["chain_x"])
-        source = (mat, cert)
-    L = extmod.default_L(jet, guard=ec["L_guard"])
-    try:  # a single-sequence schedule needs a sequence of moderate growth
-        sched = extmod.schedule(dec, source, L, A_max=jet.A_max)
-    except ValueError as exc:
-        raise ConfigError(f"extension: {exc}") from None
-    ctx._field = extmod.extend(jet, pu, sched,
-                               cutoff_radius=ec["cutoff_radius"])
-    return ctx._field
-
-
 def _run_extend(ctx: _Context, report: dict, out: Path) -> int:
-    fld = _build_field(ctx)
+    fld = ctx.field
     report["certificates"].append({
         "kind": "extension", "L": fld.L, "mode": fld.sched.mode,
         "jet_certificate": fld.jet.certificate.to_dict(),
@@ -708,7 +702,7 @@ def _run_extend(ctx: _Context, report: dict, out: Path) -> int:
 
 
 def _run_verify(ctx: _Context, report: dict, out: Path) -> int:
-    fld = _build_field(ctx)
+    fld = ctx.field
     ec = _section(ctx.cfg, "extension")
     target = ctx.sequence(ec["target_sequence"]
                           or ctx.cfg["jet"]["source_sequence"])

@@ -26,7 +26,7 @@ from math import comb, factorial
 import numpy as np
 
 from .conditions import ChainCertificate, check_almost_increasing
-from .errors import BoundOverflow, IncompatibleGeometry, RangeExhausted
+from .errors import BoundOverflow, IncompatibleGeometry, OrderCapExceeded, RangeExhausted
 from .fncore import WeightMatrix
 from .geometry import (
     EXPANSION,
@@ -75,8 +75,6 @@ class DegreeSchedule:
     L: float
     mode: str                 # "matrix" or "single"
     s_prime: SequenceView
-    chain: ChainCertificate | None = None
-    collapse_D: float | None = None  # single mode: 2G(Dt) <= G_under(t) witness
 
 
 def _halving_constant(view: SequenceView):
@@ -93,14 +91,16 @@ def _halving_constant(view: SequenceView):
     return float(D[np.argmax(ok)])
 
 
-def schedule(dec: CubeDecomposition, source, L: float,
-             A_max: int | None = None) -> DegreeSchedule:
-    """Degree schedule p_i = 2 * gamma_bar_{s'}(L d(x_i, E)).
+def schedule(dec: CubeDecomposition, source, L: float, A_max: int) -> DegreeSchedule:
+    """Degree schedule p_i = min(2 * gamma_bar_{s'}(L d(x_i, E)), A_max),
+    A_max the stored order of the jet to extend; a cube whose degree is
+    lowered to A_max, or whose truncation index is out of range, is capped.
 
     ``source`` is either a (matrix, chain certificate) pair -- the scheduling
     sequence is then the factorial-stripped row at the chain's middle
     parameter -- or a single weight sequence of moderate growth passing the
-    almost-increase check, which collapses the chain onto itself.
+    almost-increase check and with a halving constant, which collapses the
+    chain onto itself.
     """
     if L < 1.0:
         raise ValueError("L must be at least 1")
@@ -111,26 +111,18 @@ def schedule(dec: CubeDecomposition, source, L: float,
         if not check_almost_increasing(source).holds:
             raise ValueError(f"{source.label}: quotient-over-index must be "
                              "almost increasing")
-        s_prime = source.view("m")
-        mode, chain = "single", None
-        collapse = _halving_constant(s_prime)
+        s_prime, mode = source.view("m"), "single"
+        _halving_constant(s_prime)  # raises RangeExhausted when there is none
     else:
         matrix, chain = source
         if not isinstance(matrix, WeightMatrix) or not isinstance(chain, ChainCertificate):
             raise TypeError("matrix mode needs (WeightMatrix, ChainCertificate)")
-        s_prime = matrix.row(chain.y2).view("m")
-        mode, collapse = "matrix", None
-    args = L * dec.center_dist
-    gb, exhausted = gamma_bar_soft(s_prime, args)
+        s_prime, mode = matrix.row(chain.y2).view("m"), "matrix"
+    gb, exhausted = gamma_bar_soft(s_prime, L * dec.center_dist)
     degrees = 2 * gb.astype(int)
-    capped = np.asarray(exhausted).copy()
-    if A_max is not None:
-        over = degrees > A_max
-        capped |= over
-        degrees = np.minimum(degrees, A_max)
-    return DegreeSchedule(dec=dec, degrees=degrees, capped=capped, L=float(L),
-                          mode=mode, s_prime=s_prime, chain=chain,
-                          collapse_D=collapse)
+    return DegreeSchedule(dec=dec, degrees=np.minimum(degrees, A_max),
+                          capped=exhausted | (degrees > A_max), L=float(L),
+                          mode=mode, s_prime=s_prime)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,7 +163,6 @@ class ExtensionField:
     jet: Ultrajet
     pou: PartitionOfUnity
     sched: DegreeSchedule
-    anchor_idx: np.ndarray = field(repr=False, default=None)
     cutoff: object = field(repr=False, default=None)
 
     @property
@@ -253,7 +244,7 @@ class ExtensionField:
         step = max(1, INCIDENCE_BLOCK // comb(top + dim, dim))
         for lo in range(0, len(rows), step):
             g = rows[lo:lo + step]
-            anchor, q_g = self.anchor_idx[cube[g]], q_of[g]
+            anchor, q_g = self.pou.dec.nearest_idx[cube[g]], q_of[g]
             dx = pts[point[g]] - jet.cset.points[anchor]
             powers = dx[:, None, :] ** np.arange(top + 1)[:, None]  # [r, k, d] = dx_d^k
             for q in np.unique(q_g).tolist():
@@ -270,9 +261,10 @@ def extend(jet: Ultrajet, pou: PartitionOfUnity, sched: DegreeSchedule,
     """Assemble the extension field.
 
     Requires a certified jet (the schedule's L should be at least the guard
-    multiple of the certificate rho) and a partition built on the schedule's
-    decomposition of the jet's set.  ``cutoff_radius`` switches on
-    multiplication by a smooth cutoff equal to one on
+    multiple of the certificate rho), a partition built on the schedule's
+    decomposition of the jet's set, and scheduled degrees of at most the
+    jet's stored order (else OrderCapExceeded).  ``cutoff_radius`` switches
+    on multiplication by a smooth cutoff equal to one on
     {d(x, E) <= cutoff_radius}.
     """
     if pou.dec is not sched.dec:
@@ -284,12 +276,13 @@ def extend(jet: Ultrajet, pou: PartitionOfUnity, sched: DegreeSchedule,
     dec = pou.dec
     if not np.array_equal(jet.cset.points, dec.cset.points):
         raise IncompatibleGeometry("jet and cover are on different sets")
-    anchor = dec.nearest_idx.astype(int)
+    if np.any(sched.degrees > jet.A_max):
+        raise OrderCapExceeded(f"scheduled degree {int(sched.degrees.max())} exceeds "
+                               f"stored order {jet.A_max}")
     cut = None
     if cutoff_radius is not None:
         cut = _UnionBump(pou.canonical, jet.cset.points, float(cutoff_radius))
-    return ExtensionField(jet=jet, pou=pou, sched=sched, anchor_idx=anchor,
-                          cutoff=cut)
+    return ExtensionField(jet=jet, pou=pou, sched=sched, cutoff=cut)
 
 
 def default_L(jet: Ultrajet, guard: float = DEFAULT_GUARD) -> float:
@@ -317,7 +310,7 @@ def _taylor_sup_bounds(field: ExtensionField, multis) -> dict:
     for q in range(int(q_of.max(initial=-1)) + 1):
         b, i = np.nonzero(q_of == q)
         ranks, _, inv_fact, order = _taylor_plan(dec.dim, tuple(multis), q)
-        coef = np.abs(jet.values[field.anchor_idx[i, None], ranks[b]]) * inv_fact
+        coef = np.abs(jet.values[dec.nearest_idx[i, None], ranks[b]]) * inv_fact
         powers = r_max[i, None] ** order
         out[b, i] = np.matmul(coef[:, None, :], powers[:, :, None])[:, 0, 0]
     return dict(zip(multis, out))

@@ -18,7 +18,7 @@ arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial, prod
@@ -249,22 +249,17 @@ class Ultrajet:
     A_max: int
     values: np.ndarray  # (n_points, n_multi)
     certificate: JetCertificate | None = None
-    _multi: tuple = field(default=(), repr=False)
-    _rank: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        multi = _graded(self.cset.dim, self.A_max)
-        if self.values.shape != (len(self.cset.points), len(multi)):
+        if self.values.shape != (len(self.cset.points), len(self.multi)):
             raise ValueError("value table does not match point/order layout")
-        object.__setattr__(self, "_multi", multi)
-        object.__setattr__(self, "_rank", _ranks(self.cset.dim, self.A_max))
 
     @property
     def multi(self) -> tuple:
-        return self._multi
+        return _graded(self.cset.dim, self.A_max)
 
     def rank(self, alpha) -> int:
-        return self._rank[tuple(alpha)]
+        return _ranks(self.cset.dim, self.A_max)[tuple(alpha)]
 
     def with_certificate(self, cert: JetCertificate) -> "Ultrajet":
         return replace(self, certificate=cert)
@@ -373,6 +368,20 @@ def _first_max(ratios: np.ndarray, best) -> tuple:
     return best, None
 
 
+def certify_orders(seq: WeightSequence, A_max: int, P_max: int | None) -> tuple:
+    """The remainder degree P_max (A_max when None) that :func:`certify`
+    takes for a jet of stored order A_max, and the order max(A_max,
+    P_max + 1) of ``seq`` that it reads; raises OrderCapExceeded when P_max
+    exceeds A_max or the sequence table is shorter.  Needs no jet table."""
+    P_max = A_max if P_max is None else P_max
+    if P_max > A_max:
+        raise OrderCapExceeded(f"P_max {P_max} exceeds stored order {A_max}")
+    n_need = max(A_max, P_max + 1)
+    if seq.K_max < n_need:
+        raise OrderCapExceeded(f"sequence table too short for order {n_need}")
+    return P_max, n_need
+
+
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def certify(jet: Ultrajet, seq: WeightSequence, rho: float,
             P_max: int | None = None) -> JetCertificate:
@@ -386,13 +395,7 @@ def certify(jet: Ultrajet, seq: WeightSequence, rho: float,
     pass over the pairs (a, b), a != b, in (a, b) order, in blocks of at most
     INCIDENCE_BLOCK (pair x alpha x term) entries.
     """
-    if P_max is None:
-        P_max = jet.A_max
-    if P_max > jet.A_max:
-        raise OrderCapExceeded(f"P_max {P_max} exceeds stored order {jet.A_max}")
-    n_need = max(jet.A_max, P_max + 1)
-    if seq.K_max < n_need:
-        raise OrderCapExceeded(f"sequence table too short for order {n_need}")
+    P_max, n_need = certify_orders(seq, jet.A_max, P_max)
     if not np.all(np.isfinite(jet.values)):  # a NaN ratio never binds: C could come out finite
         i, j = np.argwhere(~np.isfinite(jet.values))[0]
         raise BoundOverflow(f"jet value {jet.values[i, j]} at point {i}, alpha {jet.multi[j]}")

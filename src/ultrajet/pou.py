@@ -182,8 +182,6 @@ class CanonicalBump:
             plateau = (-(self.a - suffix[m - 1]), self.a - suffix[m - 1])
             stage = _convolve_uniform(stage, float(radii[m - 1]), plateau)
             self.stages[m] = stage
-        self.plateau = self.a - s
-        self.support = float(self.stages[1].breaks[-1])
 
     def bound(self, j: int) -> float:
         """Certified sup bound for the j-th derivative."""
@@ -243,20 +241,6 @@ def max_delta(seq: WeightSequence, J: int) -> float:
         raise StageOverflow(f"sequence table too short for {J} stages")
     inv_theta = np.exp(-seq.log_mu[1: J + 1])
     return RADII_BUDGET * (1.0 - 2.0 ** -20) / float(np.sum(inv_theta))
-
-
-def _canonical_for(seq: WeightSequence, delta: float | None, J: int) -> CanonicalBump:
-    cap = max_delta(seq, J)
-    if delta is None:
-        delta = cap
-    elif delta > cap:
-        raise StageOverflow(
-            f"delta {delta:g} exceeds the budget cap {cap:g} for J={J}")
-    radii = delta * np.exp(-seq.log_mu[1: J + 1])
-    if not np.all(radii > 0.0):
-        raise StageOverflow(f"radii delta / mu_k of {seq.label} underflow to 0 for "
-                            f"delta {delta:g}, J={J}")
-    return CanonicalBump(radii)
 
 
 # -- tensor bumps and partition of unity ---------------------------------------
@@ -323,7 +307,6 @@ class PartitionOfUnity:
 
     dec: CubeDecomposition
     canonical: CanonicalBump
-    seq: WeightSequence
     delta: float
     order_cap: int
     halvings: int
@@ -352,19 +335,14 @@ class PartitionOfUnity:
                                   dec.sides / 2.0, cube, up_to)
         return point, cube, _fold_earlier(phi, _complement(phi), point, multis)
 
-    def phi_derivs(self, i: int, x, up_to: int) -> dict:
-        """All partial derivatives of phi_i with total order <= up_to,
-        evaluated on the point array (0 off Q_i*)."""
-        pts = np.asarray(x, dtype=float).reshape(-1, self.dec.dim)
-        point, cube, tables = self.pair_derivs(pts, up_to)
-        hit = cube == i
-        out = {m: np.zeros(len(pts)) for m in tables}
-        for m, v in tables.items():
-            out[m][point[hit]] = v[hit]
-        return out
-
     def phi(self, i: int, x) -> np.ndarray:
-        return self.phi_derivs(i, x, 0)[(0,) * self.dec.dim]
+        """phi_i on the point array (0 off Q_i*)."""
+        pts = np.asarray(x, dtype=float).reshape(-1, self.dec.dim)
+        point, cube, tables = self.pair_derivs(pts, 0)
+        hit = cube == i
+        out = np.zeros(len(pts))
+        out[point[hit]] = tables[(0,) * self.dec.dim][hit]
+        return out
 
     def phi_bounds(self, up_to: int) -> dict:
         """Certified sup bounds for the beta-derivatives of every phi_i,
@@ -415,6 +393,7 @@ def build_pou(dec: CubeDecomposition, seq: WeightSequence,
     Smoothness degree J = order_cap + 4 so every requested derivative is
     well below the spline degree.  A caller-passed delta that overflows the
     radii budget is halved until it fits; the halving count is recorded.
+    Radii delta / mu_k that underflow to 0 raise StageOverflow.
     """
     if not seq.flags["non_quasianalytic"]:
         raise QuasianalyticInput(
@@ -425,5 +404,9 @@ def build_pou(dec: CubeDecomposition, seq: WeightSequence,
     while delta > cap:
         delta /= 2.0
         halvings += 1
-    return PartitionOfUnity(dec=dec, canonical=_canonical_for(seq, delta, J), seq=seq,
-                            delta=float(delta), order_cap=order_cap, halvings=halvings)
+    radii = delta * np.exp(-seq.log_mu[1: J + 1])
+    if not np.all(radii > 0.0):
+        raise StageOverflow(f"radii delta / mu_k of {seq.label} underflow to 0 for "
+                            f"delta {delta:g}, J={J}")
+    return PartitionOfUnity(dec=dec, canonical=CanonicalBump(radii), delta=float(delta),
+                            order_cap=order_cap, halvings=halvings)

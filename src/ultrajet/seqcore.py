@@ -16,7 +16,7 @@ finite-range statements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from math import factorial, isfinite, log
 
 import numpy as np
@@ -266,14 +266,14 @@ class WeightSequence:
         self.log_m = self.logM - log_factorials(self.K_max)
         self.log_m.flags.writeable = False
         self._certificates = _flags or _row_flags(self.logM[None])[0]
-        self._envelopes: dict[str, _MinAffineEnvelope] = {}
-        self._quot_runmax: dict[str, np.ndarray] = {}
 
     flags = property(lambda self: self._certificates()[0])
     witnesses = property(lambda self: self._certificates()[1])
+    # one view per kind, so that each view's envelope is built once
+    _views = cached_property(lambda self: {k: SequenceView(k, self) for k in ("M", "m", "mu")})
 
     def view(self, kind: str) -> "SequenceView":
-        return SequenceView(kind=kind, source=self)
+        return self._views.get(kind) or SequenceView(kind, self)  # an unknown kind raises
 
     # -- tail machinery ----------------------------------------------------
 
@@ -300,7 +300,9 @@ class WeightSequence:
 
 @dataclass(frozen=True)
 class SequenceView:
-    """One of the three mutually determined faces (M, m, mu) of a sequence."""
+    """One of the three mutually determined faces (M, m, mu) of a sequence,
+    with its lower-envelope and quotient running-max tables built at their
+    first read."""
 
     kind: str
     source: WeightSequence
@@ -313,19 +315,13 @@ class SequenceView:
         s = self.source
         return {"M": s.logM, "m": s.log_m, "mu": s.log_mu}[self.kind]
 
+    @cached_property
+    def envelope(self) -> _MinAffineEnvelope:
+        return _MinAffineEnvelope(self.log_values())
 
-def _envelope(view: SequenceView) -> _MinAffineEnvelope:
-    cache = view.source._envelopes
-    if view.kind not in cache:
-        cache[view.kind] = _MinAffineEnvelope(view.log_values())
-    return cache[view.kind]
-
-
-def _quotient_running_max(view: SequenceView) -> np.ndarray:
-    cache = view.source._quot_runmax
-    if view.kind not in cache:
-        cache[view.kind] = np.maximum.accumulate(np.diff(view.log_values()))
-    return cache[view.kind]
+    @cached_property
+    def quotient_running_max(self) -> np.ndarray:
+        return np.maximum.accumulate(np.diff(self.log_values()))
 
 
 # -- generators ------------------------------------------------------------
@@ -366,7 +362,7 @@ def log_h_assoc(view: SequenceView, t) -> np.ndarray:
     values v, at every t > 0 of an array; an infimum attained at K_max (range
     exhausted) comes back as -inf."""
     t = np.asarray(t, dtype=float)
-    val, _, exhausted = _envelope(view).query(np.log(t))
+    val, _, exhausted = view.envelope.query(np.log(t))
     return np.where(exhausted, -np.inf, val)
 
 
@@ -374,7 +370,7 @@ def gamma_bar_soft(view: SequenceView, t) -> tuple[np.ndarray, np.ndarray]:
     """Optimal truncation degree: the smallest index attaining the infimum in
     h, at every t > 0 of an array; returns (argmin, exhausted)."""
     t = np.asarray(t, dtype=float)
-    _, arg, exhausted = _envelope(view).query(np.log(t))
+    _, arg, exhausted = view.envelope.query(np.log(t))
     return arg, exhausted
 
 
@@ -383,7 +379,7 @@ def gamma_under_soft(view: SequenceView, t) -> tuple[np.ndarray, np.ndarray]:
     every t > 0 of an array; returns (index, exhausted), the index capped at
     K_max - 1 where no stored quotient reaches 1/t."""
     t = np.asarray(t, dtype=float)
-    rm = _quotient_running_max(view)
+    rm = view.quotient_running_max
     idx = np.searchsorted(rm, -np.log(t), side="left")
     exhausted = idx >= len(rm)
     return np.minimum(idx, len(rm) - 1), exhausted
@@ -401,7 +397,7 @@ def omega_assoc(seq: WeightSequence, t):
         raise NotAWeightSequence(
             f"{seq.label or 'sequence'}: weight_sequence flag not set")
     # sup_k (k*log t - logM_k) = -min_k (logM_k + k*(-log t))
-    val, _, exhausted = _envelope(seq.view("M")).query(-np.log(t))
+    val, _, exhausted = seq.view("M").envelope.query(-np.log(t))
     if np.any(exhausted):
         bad = t.reshape(-1)[np.flatnonzero(exhausted)[0]]
         raise RangeExhausted(

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ultrajet import cli, pou, seqcore
+from ultrajet import cli, jets, pou, seqcore
 from ultrajet.cli import _jet_preset, _write_csv, main, run, validate_config
 from ultrajet.errors import ConfigError
 from ultrajet.jets import CompactSet, jet_from_preset
@@ -250,7 +250,7 @@ def test_order_cap_above_12_is_config_error_before_any_bump(tmp_path, monkeypatc
     def no_bump(*args, **kwargs):
         raise AssertionError("a bump was built")
 
-    monkeypatch.setattr(pou, "_canonical_for", no_bump)
+    monkeypatch.setattr(pou, "CanonicalBump", no_bump)
     monkeypatch.setattr(pou, "build_pou", no_bump)
     cfg = json.loads((CONFIGS / "sin_gevrey2_all.json").read_text())
     cfg["pou"]["order_cap"] = 12
@@ -266,12 +266,43 @@ def test_order_cap_above_12_is_config_error_before_any_bump(tmp_path, monkeypatc
 def test_pou_bounds_csv_is_each_cube_bump_bound(tmp_path):
     cfg = validate_config(json.loads((CONFIGS / "sin_gevrey2_all.json").read_text()), "pou")
     assert run("pou", str(CONFIGS / "sin_gevrey2_all.json"), str(tmp_path / "out")) == 0
-    ctx = cli._Context(cfg)
-    pu = cli._build_pou(ctx, cli._decomposition(ctx))
+    pu = cli._Context(cfg).pou
     rows = (tmp_path / "out" / "pou_bounds.csv").read_text().splitlines()
     assert rows[0] == "cube,order,bound"
     assert rows[1:] == [f"{i},{j},{pu.bumps[i][0].bound(j):.17g}"
                         for i in range(pu.dec.n_cubes) for j in range(pu.order_cap + 1)]
+
+
+@pytest.mark.parametrize("command", ["extend", "verify", "all"])
+def test_run_builds_one_compact_set(tmp_path, monkeypatch, command):
+    # the cover and the jet share the run's one set
+    built, post_init = [], CompactSet.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(CompactSet, "__post_init__", counted)
+    assert run(command, str(CONFIGS / "sin_gevrey2_all.json"), str(tmp_path / "out")) == 0
+    assert len(built) == 1
+
+
+def test_jet_order_past_the_sequence_fails_before_the_jet_table(tmp_path, monkeypatch):
+    # the order check needs no table: an A_max far past the source
+    # sequence's K_max (64) is refused without tabulating the preset
+    from test_config_fuzz import _SMALL
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("the jet table was built")
+
+    monkeypatch.setattr(jets, "jet_from_preset", no_table)
+    cfg = json.loads(json.dumps(_SMALL))
+    cfg["jet"]["A_max"] = 800
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run("extend", str(path), str(tmp_path / "out")) == 1
+    assert load_report(tmp_path / "out")["errors"] == [
+        {"kind": "OrderCapExceeded", "message": "sequence table too short for order 801"}]
 
 
 @pytest.mark.parametrize("command", ["pou", "verify"])

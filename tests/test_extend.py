@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from ultrajet.cli import run
-from ultrajet.errors import BoundOverflow, IncompatibleGeometry
+from ultrajet.errors import BoundOverflow, IncompatibleGeometry, OrderCapExceeded
 from ultrajet.extend import (
     DegreeSchedule,
     ExtensionField,
+    _halving_constant,
     default_L,
     extend,
     schedule,
@@ -88,7 +89,7 @@ def test_schedule_single_mode_validates(pair_setup):
     cs, dec, seq, pou = pair_setup
     sched = schedule(dec, seq, L=64.0, A_max=12)
     assert sched.mode == "single"
-    assert sched.collapse_D is not None and sched.collapse_D >= 1.0
+    assert _halving_constant(sched.s_prime) >= 1.0
 
 
 def test_schedule_rejects_non_moderate_sequence(pair_setup):
@@ -97,7 +98,7 @@ def test_schedule_rejects_non_moderate_sequence(pair_setup):
     mu[1:] = 2.0 ** np.arange(1, 129)
     from ultrajet.seqcore import from_mu
     with pytest.raises(ValueError):
-        schedule(dec, from_mu(mu), L=64.0)
+        schedule(dec, from_mu(mu), L=64.0, A_max=12)
 
 
 def test_schedule_degree_cap_near_set(pair_setup):
@@ -238,7 +239,7 @@ def test_field_equals_taylor_inside_plateau(sin_field):
         x = dec.centers[i].reshape(1, -1)
         if sin_field.pou.phi(i, x)[0] == 1.0 and len(dec.cubes_containing(x[0])) == 1:
             v = sin_field.value(x)[0]
-            t = taylor_grid(sin_field.jet, int(sin_field.anchor_idx[i]),
+            t = taylor_grid(sin_field.jet, int(dec.nearest_idx[i]),
                             int(sched.degrees[i]), (0,), x)[0]
             assert v == t
             hits += 1
@@ -256,10 +257,27 @@ def test_locality(pair_setup, sin_field):
     hacked = DegreeSchedule(dec=dec, degrees=degrees,
                             capped=sin_field.sched.capped, L=sin_field.sched.L,
                             mode="single", s_prime=sin_field.sched.s_prime)
-    fld2 = ExtensionField(jet=sin_field.jet, pou=pou, sched=hacked,
-                          anchor_idx=sin_field.anchor_idx)
+    fld2 = ExtensionField(jet=sin_field.jet, pou=pou, sched=hacked)
     after = fld2.derivative_grid(x, (2,))[0]
     assert before == after
+
+
+def test_extend_refuses_scheduled_degree_above_jet_order():
+    # a schedule capped above the jet's stored order gives cubes a degree
+    # the jet has no derivatives for: refused here, not an IndexError at
+    # the first evaluation
+    cs = CompactSet(np.array([[-1.0], [1.0]]), ((-3.0, 3.0),))
+    dec = decompose(cs.box, cs, depth_cap=10)
+    seq = gevrey(1.0)
+    pou = build_pou(dec, seq, order_cap=2)
+    jet = jet_from_preset(Sin(1.0), cs, A_max=1)
+    jet = jet.with_certificate(certify(jet, seq, rho=1.0))
+    sched = schedule(dec, seq, L=default_L(jet), A_max=2)
+    assert np.count_nonzero(sched.degrees == 2) == 4
+    with pytest.raises(OrderCapExceeded, match="scheduled degree 2 exceeds stored order 1"):
+        extend(jet, pou, sched)
+    fld = extend(jet, pou, schedule(dec, seq, L=default_L(jet), A_max=jet.A_max))
+    assert fld.sched.degrees.max() == 1
 
 
 def test_incompatible_geometry(pair_setup):
@@ -345,7 +363,6 @@ def test_matrix_mode_schedule_and_field(pair_setup):
     jet = jet.with_certificate(certify(jet, mat.row(1.0), rho=1.0, P_max=12))
     sched = schedule(dec, (mat, cert), L=default_L(jet), A_max=12)
     assert sched.mode == "matrix"
-    assert sched.chain is cert
     assert sched.s_prime.source is mat.row(cert.y2)
     fld = extend(jet, pou, sched)
     rep = verify(fld, mat.row(1.0), orders=[0, 1, 2],

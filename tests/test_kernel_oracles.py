@@ -131,11 +131,11 @@ from ultrajet.pou import (
     Bump1D,
     CanonicalBump,
     _PiecewisePoly,
-    _canonical_for,
     _complement_bounds,
     _tensor_bump_bounds,
     _tensor_bump_derivs,
     build_pou,
+    max_delta,
 )
 import ultrajet.seqcore as seqcore_module
 from ultrajet.seqcore import (
@@ -221,7 +221,7 @@ def oracle_taylor_sup_bound(field, i, beta):
     half = dec.sides[i] * EXPANSION / 2.0
     corners = np.array(np.meshgrid(*[[-half, half]] * dec.dim)).T.reshape(-1, dec.dim)
     r_max = float(np.max(np.linalg.norm(dec.centers[i] + corners - anchor, axis=1)))
-    ai = int(field.anchor_idx[i])
+    ai = int(dec.nearest_idx[i])
     total = 0.0
     if dec.dim == 1:
         for j in range(0, p_i - beta[0] + 1):
@@ -334,11 +334,10 @@ def test_taylor_sup_bound_matches_oracle(case, degree, side):
     dim = jet.cset.dim
     anchor = jet.cset.points[a_index]
     dec = SimpleNamespace(dim=dim, nearest_points=anchor[None, :],
-                          sides=np.array([side]),
+                          nearest_idx=np.array([a_index]), sides=np.array([side]),
                           centers=(anchor + 1.5 * side)[None, :])
     field = SimpleNamespace(jet=jet, pou=SimpleNamespace(dec=dec),
-                            sched=SimpleNamespace(degrees=np.array([min(degree, jet.A_max)])),
-                            anchor_idx=np.array([a_index]))
+                            sched=SimpleNamespace(degrees=np.array([min(degree, jet.A_max)])))
     got = _taylor_sup_bounds(field, [alpha])[alpha][0]
     want = oracle_taylor_sup_bound(field, 0, alpha)
     assert abs(got - want) <= 1e-12 * want
@@ -435,7 +434,7 @@ def oracle_cube_taylor_bound(field, i, beta):
     corners = np.array(np.meshgrid(*[[-half, half]] * dec.dim)).T.reshape(-1, dec.dim)
     r_max = float(np.max(np.linalg.norm(dec.centers[i] + corners - anchor, axis=1)))
     ranks, _, inv_fact, order = _taylor_plan(dec.dim, (tuple(beta),), p_i - sum(beta))
-    coef = np.abs(jet.values[int(field.anchor_idx[i]), ranks[0]]) * inv_fact
+    coef = np.abs(jet.values[int(dec.nearest_idx[i]), ranks[0]]) * inv_fact
     return float(coef @ r_max ** order)
 
 
@@ -537,7 +536,7 @@ def oracle_cube_sum(field, pts, alpha, memo):
         for beta, gamma, coef in _leibniz_terms(alpha):
             if sum(beta) <= p_i:
                 acc += coef * tables[gamma] * reference_taylor_grid(
-                    field.jet, int(field.anchor_idx[i]), p_i, beta, sub)
+                    field.jet, int(dec.nearest_idx[i]), p_i, beta, sub)
         out[mask] += acc
     return out
 
@@ -620,12 +619,11 @@ def field_cases(draw):
     sched = DegreeSchedule(dec=dec, degrees=rng.integers(0, A_max + 1, dec.n_cubes),
                            capped=np.zeros(dec.n_cubes, dtype=bool), L=1.0,
                            mode="single", s_prime=None)
-    anchor = np.array([oracle_row(cset, a) for a in dec.nearest_points], dtype=int)
+    assert np.array_equal(dec.nearest_idx, [oracle_row(cset, a) for a in dec.nearest_points])
     cutoff = None
     if draw(st.booleans()):
         cutoff = _UnionBump(pou.canonical, pts, draw(st.sampled_from((0.1, 0.25, 0.3))))
-    field = ExtensionField(jet=jet, pou=pou, sched=sched, anchor_idx=anchor,
-                           cutoff=cutoff)
+    field = ExtensionField(jet=jet, pou=pou, sched=sched, cutoff=cutoff)
     x = np.concatenate([rng.uniform(-1.0, 1.0, size=(60, dim)), pts])
     return field, up_to, x
 
@@ -754,8 +752,8 @@ def field_cases_3d(draw):
     sched = DegreeSchedule(dec=dec, degrees=rng.integers(0, A_max + 1, dec.n_cubes),
                            capped=np.zeros(dec.n_cubes, dtype=bool), L=1.0,
                            mode="single", s_prime=None)
-    anchor = np.array([oracle_row(cset, a) for a in dec.nearest_points], dtype=int)
-    field = ExtensionField(jet=jet, pou=pou, sched=sched, anchor_idx=anchor)
+    assert np.array_equal(dec.nearest_idx, [oracle_row(cset, a) for a in dec.nearest_points])
+    field = ExtensionField(jet=jet, pou=pou, sched=sched)
     x = np.concatenate([rng.uniform(-1.0, 1.0, size=(20, 3)), pts])
     return field, draw(st.integers(0, order_cap)), x
 
@@ -1136,7 +1134,18 @@ def canonical_bumps(draw):
 
 
 # the benchmark workloads' bumps (pou.order_cap 3 and 4)
-WORKLOAD_BUMPS = tuple(_canonical_for(gevrey(1.0), None, J) for J in (7, 8))
+def cap_bump(seq, J):
+    """The canonical bump that build_pou takes for J stages at delta = max_delta."""
+    return CanonicalBump(max_delta(seq, J) * np.exp(-seq.log_mu[1:J + 1]))
+
+
+def plateau_and_support(bump):
+    """The half-widths of the plateau and of the support of a canonical bump:
+    9/8 less the radii, and the last break of its first stage."""
+    return bump.a - float(np.sum(bump.radii)), float(bump.stages[1].breaks[-1])
+
+
+WORKLOAD_BUMPS = tuple(cap_bump(gevrey(1.0), J) for J in (7, 8))
 
 
 @settings(max_examples=25, deadline=None)
@@ -1145,7 +1154,7 @@ WORKLOAD_BUMPS = tuple(_canonical_for(gevrey(1.0), None, J) for J in (7, 8))
 @example(WORKLOAD_BUMPS[1])
 @example(CanonicalBump(np.full(4, 2.0 ** -7)))  # dyadic: window edges meet exactly
 @example(CanonicalBump([RADII_BUDGET / 2.0]))
-@example(_canonical_for(gevrey(1.0), None, 10))
+@example(cap_bump(gevrey(1.0), 10))
 def test_bump_stages_bitwise_equal_oracle(bump):
     stage = bump.stages[bump.J + 1]
     for m in range(bump.J, 0, -1):
@@ -1184,7 +1193,8 @@ def _bump_points(bump, j, rng):
     signs = rng.choice((1.0, -1.0), size=(12, j))
     on_breaks = [float(rng.choice(bump.stages[j + 1].breaks)) - float(np.dot(s, bump.radii[:j]))
                  for s in signs]
-    ends = [bump.support, bump.plateau, bump.a, 1.0, 9.0 / 8.0, 1.5, 1e300, 0.0]
+    plateau, support = plateau_and_support(bump)
+    ends = [support, plateau, bump.a, 1.0, 9.0 / 8.0, 1.5, 1e300, 0.0]
     return np.concatenate([rng.uniform(-1.3, 1.3, 40), on_breaks, ends,
                            [-e for e in ends], [np.nan, np.nan]])
 

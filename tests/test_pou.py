@@ -12,12 +12,13 @@ import ultrajet.pou as pou_module
 from ultrajet.pou import (
     Bump1D,
     CanonicalBump,
-    _canonical_for,
     _tensor_bump_derivs,
     build_pou,
     max_delta,
 )
 from ultrajet.seqcore import gevrey, quotient_power
+
+from test_kernel_oracles import cap_bump, plateau_and_support
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +28,18 @@ def seq():
 
 def unit_bump(seq, J, r=1.0):
     """The bump of half-width r centered at 0, radii at the budget cap."""
-    return Bump1D(_canonical_for(seq, None, J), 0.0, r)
+    return Bump1D(cap_bump(seq, J), 0.0, r)
+
+
+def phi_tables(pou, i, x, up_to):
+    """The derivative tables of phi_i, |m| <= up_to, at the rows of x (0 off
+    Q_i*), read from the pair tables."""
+    point, cube, tables = pou.pair_derivs(x, up_to)
+    hit = cube == i
+    out = {m: np.zeros(len(x)) for m in tables}
+    for m, v in tables.items():
+        out[m][point[hit]] = v[hit]
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -66,10 +78,11 @@ def test_bump_plateau_and_support_exact(bump):
     assert bump.eval(0.0) == 1.0
     assert bump.eval(1.0) == 1.0
     assert bump.eval(-1.0) == 1.0
-    assert bump.canonical.plateau * bump.r >= 1.0
+    plateau, support = plateau_and_support(bump.canonical)
+    assert plateau * bump.r >= 1.0
     for x in (9.0 / 8.0, 1.2, -3.0):
         assert bump.eval(x) == 0.0
-    assert bump.canonical.support * bump.r <= 9.0 / 8.0 + 1e-15
+    assert support * bump.r <= 9.0 / 8.0 + 1e-15
 
 
 def test_bump_range_and_monotone_shoulders(bump):
@@ -114,8 +127,9 @@ def test_bump_properties_for_random_radii(raw):
     xs = rng.uniform(-1.3, 1.3, 800)
     vals = can.eval(xs, 0)
     assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
-    assert can.eval(np.array([0.0, can.plateau * 0.999]), 0).tolist() == [1.0, 1.0]
-    assert can.eval(np.array([can.support * 1.0001, -2.0]), 0).tolist() == [0.0, 0.0]
+    plateau, support = plateau_and_support(can)
+    assert can.eval(np.array([0.0, plateau * 0.999]), 0).tolist() == [1.0, 1.0]
+    assert can.eval(np.array([support * 1.0001, -2.0]), 0).tolist() == [0.0, 0.0]
     for j in range(1, can.J):
         assert np.max(np.abs(can.eval(xs, j))) <= can.bound(j) * (1 + 1e-12)
 
@@ -138,7 +152,7 @@ def test_bump_order_cap(bump):
 def test_stage_overflow_and_quasianalytic(seq, dec_1d):
     cap = max_delta(seq, 8)
     with pytest.raises(StageOverflow):
-        _canonical_for(seq, 4.0 * cap, 8)
+        CanonicalBump(4.0 * cap * np.exp(-seq.log_mu[1:9]))
     with pytest.raises(QuasianalyticInput):
         build_pou(dec_1d, quotient_power(1.0), order_cap=0)
 
@@ -223,7 +237,7 @@ def test_pou_derivative_bound_replay(pou_1d):
         half = dec.expanded_halfwidth(i)
         xs = (dec.centers[i][0]
               + rng.uniform(-half, half, 200)).reshape(-1, 1)
-        tables = pou_1d.phi_derivs(i, xs, up_to=4)
+        tables = phi_tables(pou_1d, i, xs, up_to=4)
         for beta, vals in tables.items():
             bound = pou_1d.phi_bounds(sum(beta))[beta][i]
             assert np.max(np.abs(vals)) <= bound * (1.0 + 1e-9)
@@ -239,13 +253,13 @@ def test_pou_derivs_match_finite_differences(pou_1d):
     xs = (dec.centers[i][0] + rng.uniform(-half, half, 300)).reshape(-1, 1)
     r = pou_1d.bumps[i][0].radii
     h = math.sqrt(6e-7 * r[2] * r[3])
-    tab = pou_1d.phi_derivs(i, xs, up_to=2)
+    tab = phi_tables(pou_1d, i, xs, up_to=2)
     fd = (pou_1d.phi(i, xs + h) - pou_1d.phi(i, xs - h)) / (2.0 * h)
     scale = pou_1d.phi_bounds(1)[(1,)][i]
     assert np.max(np.abs(tab[(1,)] - fd)) < 1e-6 * scale
 
 
-def test_pou_growth_factor_tracks_conjugate_decay(pou_1d):
+def test_pou_growth_factor_tracks_conjugate_decay(pou_1d, seq):
     # G(d) recorded per cube stays below exp(sigma*(c d)) for a grid c
     from ultrajet.fncore import omega_conjugate_grid, power
     sigma = power(0.5, normalized=False)
@@ -253,7 +267,7 @@ def test_pou_growth_factor_tracks_conjugate_decay(pou_1d):
     small = [i for i in range(dec.n_cubes) if dec.cube_dist[i] < 0.25]
     C = 2.0 / (pou_1d.delta * np.min(dec.sides))
     # G_i: the smallest G with (bound for d^beta phi_i) <= C^{|beta|+1} M_{|beta|} G
-    M = np.exp(pou_1d.seq.logM[: pou_1d.order_cap + 1])
+    M = np.exp(seq.logM[: pou_1d.order_cap + 1])
     bounds = pou_1d.phi_bounds(pou_1d.order_cap)
     gs = {i: max(float(b[i]) / (C ** (sum(m) + 1) * M[sum(m)]) for m, b in bounds.items())
           for i in small}
@@ -315,7 +329,7 @@ def test_pou_2d_sum_and_supports(seq):
     i = dec.n_cubes // 2
     half = dec.expanded_halfwidth(i)
     pts = dec.centers[i] + rng.uniform(-half, half, size=(200, 2))
-    tab = pou.phi_derivs(i, pts, up_to=2)
+    tab = phi_tables(pou, i, pts, up_to=2)
     assert np.max(np.abs(tab[(1, 1)])) <= pou.phi_bounds(2)[(1, 1)][i] * (1 + 1e-9)
 
 

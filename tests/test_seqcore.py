@@ -117,6 +117,15 @@ def test_geometric_mu_fails_moderate_growth():
 
 # -- h, gamma_bar, gamma_under ----------------------------------------------
 
+def test_one_view_per_kind():
+    # a sequence hands out one view per kind, so each envelope is built once
+    seq = gevrey(1.0)
+    for kind in ("M", "m", "mu"):
+        assert seq.view(kind) is seq.view(kind) and seq.view(kind).kind == kind
+    with pytest.raises(ValueError, match="unknown view kind 'x'"):
+        seq.view("x")
+
+
 def test_h_of_factorial_m():
     m = gevrey(1.0).view("m")  # m_k = k!
     assert h_at(m, 1.0) == (1.0, 0)
