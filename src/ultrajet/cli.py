@@ -682,7 +682,7 @@ def _run_pou(ctx: _Context, report: dict, out: Path) -> int:
 def _run_extend(ctx: _Context, report: dict, out: Path) -> int:
     fld = ctx.field
     report["certificates"].append({
-        "kind": "extension", "L": fld.L, "mode": fld.sched.mode,
+        "kind": "extension", "L": fld.sched.L, "mode": fld.sched.mode,
         "jet_certificate": fld.jet.certificate.to_dict(),
         "degree_cap_hit": bool(np.any(fld.sched.capped))})
     if bool(np.any(fld.sched.capped)):

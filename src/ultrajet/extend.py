@@ -165,10 +165,6 @@ class ExtensionField:
     sched: DegreeSchedule
     cutoff: object = field(repr=False, default=None)
 
-    @property
-    def L(self) -> float:
-        return self.sched.L
-
     def derivative_grid(self, x, alpha) -> np.ndarray:
         """d^alpha f on an array of points: :meth:`derivative_grids` for
         the one order."""
@@ -222,8 +218,8 @@ class ExtensionField:
                         sums[beta] = cube_sum(beta)
                     acc += coef * cut[gamma] * sums[beta]
                 out[alpha] = acc
-        near = nearest_index(pts, self.jet.cset)
-        on_set = np.sqrt(((pts - self.jet.cset.points[near]) ** 2).sum(-1)) < ON_SET
+        near, dist = nearest_index(pts, self.jet.cset)
+        on_set = dist < ON_SET
         if np.any(on_set):
             for alpha, values in out.items():
                 values[on_set] = self.jet.values[near[on_set], self.jet.rank(alpha)]
@@ -334,9 +330,9 @@ def derivative_bounds(field: ExtensionField, up_to: int) -> dict:
 
 # -- verification -------------------------------------------------------------------
 
-def _approach_points(cset, d: float, box) -> np.ndarray:
+def _approach_points(cset, d: float, box) -> tuple:
     """Points at distance exactly d from the set (axis directions), inside
-    the box and anchored to their nearest set point: per set point and
+    the box, and the index of their nearest set point: per set point and
     axis, the step -d, then +d.  A step that rounds onto the set (or so
     close to it that the field reads the stored jet there) is dropped: its
     residual would be 0 by construction.  So is a step nearer to another set
@@ -345,10 +341,10 @@ def _approach_points(cset, d: float, box) -> np.ndarray:
     rows = np.arange(len(pts))
     pts[rows, rows // 2 % cset.dim] += np.where(rows % 2, d, -d)
     lo, hi = np.array(box, dtype=float).T
-    dist = np.sqrt(np.sum((cset.points - pts[:, None, :]) ** 2, axis=2)).min(axis=1)
+    near, dist = nearest_index(pts, cset)
     keep = np.all((lo <= pts) & (pts <= hi), axis=1) & (dist >= ON_SET) & (
         np.abs(dist - d) < 1e-12 * np.maximum(max(d, 1.0), np.abs(pts).max(axis=1)))
-    return pts[keep]
+    return pts[keep], near[keep]
 
 
 def _taylor_bounds(field: ExtensionField, target_seq: WeightSequence,
@@ -359,7 +355,7 @@ def _taylor_bounds(field: ExtensionField, target_seq: WeightSequence,
     their powers and one :func:`_taylor_sums` call per alpha, each point
     with its own d in the increment ratio.  Each constant is the largest
     ratio; NaN never counts."""
-    jet, L = field.jet, field.L
+    jet, L = field.jet, field.sched.L
     s_all = np.exp(target_seq.logM[: jet.A_max + 2])
     field_C = increment_C = 0.0
     gb, _ = gamma_bar_soft(field.sched.s_prime, L * np.array([a[0] for a in approach]))
@@ -398,9 +394,9 @@ def verify(field: ExtensionField, target_seq: WeightSequence, orders,
     cset = jet.cset
     approach = []  # per scale with points: (d, points, their nearest set point)
     for d in approach_scales:
-        pts = _approach_points(cset, float(d), dec.box)
+        pts, anchors = _approach_points(cset, float(d), dec.box)
         if len(pts):
-            approach.append((float(d), pts, nearest_index(pts, cset)))
+            approach.append((float(d), pts, anchors))
 
     alphas = [tuple(a) if isinstance(a, (tuple, list)) else (int(a),) for a in orders]
     for alpha in alphas:
@@ -453,5 +449,5 @@ def verify(field: ExtensionField, target_seq: WeightSequence, orders,
               "grid_points": len(grid)}
     return {"residuals": residuals, "fit": fit, "growth": growth,
             "taylor_bounds": _taylor_bounds(field, target_seq, approach),
-            "jet_certificate_C": jet.certificate.C, "L": field.L, "mode": field.sched.mode,
+            "jet_certificate_C": jet.certificate.C, "L": field.sched.L, "mode": field.sched.mode,
             "degree_cap_hit": bool(np.any(field.sched.capped))}

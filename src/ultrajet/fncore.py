@@ -307,18 +307,17 @@ def tabulated(ts, values, label: str = "tabulated") -> WeightFunction:
 _S_CAP = 600.0  # exp(s) stays finite in doubles well past any grid query
 
 
-def _bisect(f, lo, hi, near=None):
+def _bisect(f, lo, hi, near):
     """Where the increasing array function ``f`` crosses 0 between ``lo``
     and ``hi`` (clamped to them), per entry: bisection until no float is
-    left inside any bracket.  With an estimate ``near`` of each root, the
+    left inside any bracket.  With ``near`` an estimate of each root, the
     bracket is near -+ (1e-13 |near| + 1e-14) within [lo, hi] where f changes
     sign across it: about 10 passes, not 60.  Ends lo and hi are never evaluated."""
-    if near is not None:
-        x = np.clip(near, lo, hi)
-        h = 1e-13 * np.abs(x) + 1e-14
-        a, b = np.maximum(x - h, lo), np.minimum(x + h, hi)
-        ok = ((a == lo) | (f(a) < 0.0)) & ((b == hi) | (f(b) >= 0.0))
-        lo, hi = np.where(ok, a, lo), np.where(ok, b, hi)
+    x = np.clip(near, lo, hi)
+    h = 1e-13 * np.abs(x) + 1e-14
+    a, b = np.maximum(x - h, lo), np.minimum(x + h, hi)
+    ok = ((a == lo) | (f(a) < 0.0)) & ((b == hi) | (f(b) >= 0.0))
+    lo, hi = np.where(ok, a, lo), np.where(ok, b, hi)
     while True:
         mid = 0.5 * (lo + hi)
         live = (lo < mid) & (mid < hi)

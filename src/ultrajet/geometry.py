@@ -23,7 +23,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DepthExhausted, InvariantViolation
-from .jets import INCIDENCE_BLOCK, CompactSet
+from .jets import INCIDENCE_BLOCK, CompactSet, _norms
 
 EXPANSION = 9.0 / 8.0  # expanded cube Q* has the same center, 9/8 the side
 MAX_GRID_POINTS = 160_000
@@ -40,20 +40,23 @@ def box_grid(box, per_axis: int) -> np.ndarray:
     return np.column_stack([m.ravel() for m in mesh[::-1]])
 
 
-def nearest_index(x, cset: CompactSet) -> np.ndarray:
-    """Index of the Euclidean-nearest set point of each row of x; ties go
-    to the lexicographically smallest point.  Blocks of rows meet every
-    point, at most INCIDENCE_BLOCK pairs per block."""
+def nearest_index(x, cset: CompactSet) -> tuple:
+    """Index of the Euclidean-nearest set point of each row of x, and the
+    distance to it (the root of the least sum of (p - x)^2 over the
+    coordinates); ties go to the lexicographically smallest point.  Blocks
+    of rows meet every point, at most INCIDENCE_BLOCK pairs per block."""
     x = np.asarray(x, dtype=float).reshape(-1, cset.dim)
     # points in lexicographic order, so that argmin's first minimum breaks ties
     lex = np.lexsort(cset.points.T[::-1])
     pts = cset.points[lex]
-    out = np.empty(len(x), dtype=np.intp)
+    idx, dist = np.empty(len(x), dtype=np.intp), np.empty(len(x))
     step = max(1, INCIDENCE_BLOCK // len(pts))
     for lo in range(0, len(x), step):
         d2 = np.sum((pts - x[lo:lo + step, None, :]) ** 2, axis=2)
-        out[lo:lo + step] = lex[np.argmin(d2, axis=1)]
-    return out
+        k = np.argmin(d2, axis=1)
+        idx[lo:lo + step] = lex[k]
+        dist[lo:lo + step] = np.sqrt(d2[np.arange(len(k)), k])
+    return idx, dist
 
 
 def _cube_distances(centers: np.ndarray, side: float, pts: np.ndarray) -> np.ndarray:
@@ -78,7 +81,6 @@ class CubeDecomposition:
     depth_cap: int
     centers: np.ndarray        # (N, dim)
     sides: np.ndarray          # (N,)
-    nearest_points: np.ndarray  # (N, dim), nearest set point to each center
     nearest_idx: np.ndarray    # (N,), its index in the set
     center_dist: np.ndarray    # (N,), d(x_i, E)
     cube_dist: np.ndarray      # (N,), d(Q_i, E)
@@ -88,6 +90,8 @@ class CubeDecomposition:
     collar_radius: float
     cset: CompactSet = field(repr=False, default=None)
 
+    # (N, dim), the nearest set point to each center
+    nearest_points = cached_property(lambda self: self.cset.points[self.nearest_idx])
     # per cube i, the j of its pairs (i, j), split from neighbor_pairs at the first read
     neighbors = cached_property(lambda self: tuple(np.split(self.neighbor_pairs[1], np.cumsum(
         np.bincount(self.neighbor_pairs[0], minlength=self.n_cubes)))[:-1]))
@@ -190,9 +194,7 @@ def decompose(box, cset: CompactSet, depth_cap: int,
     sides = np.concatenate(acc_sides)
     cube_dist = np.concatenate(acc_dist)
     n = len(sides)
-    near_idx = nearest_index(centers, cset)
-    near_pts = pts[near_idx]
-    center_dist = np.sqrt(np.sum((centers - near_pts) ** 2, axis=1))
+    near_idx, center_dist = nearest_index(centers, cset)
 
     # neighbors: a gap test of every pair, blocks of cubes against all cubes
     half = sides * (EXPANSION / 2.0)
@@ -218,8 +220,7 @@ def decompose(box, cset: CompactSet, depth_cap: int,
 
     return CubeDecomposition(dim=dim, box=box, depth_cap=depth_cap,
                              centers=centers, sides=sides,
-                             nearest_points=near_pts, nearest_idx=near_idx,
-                             center_dist=center_dist, cube_dist=cube_dist,
+                             nearest_idx=near_idx, center_dist=center_dist, cube_dist=cube_dist,
                              neighbor_pairs=tuple(np.concatenate(pairs, axis=1)),
                              collar_centers=col_centers, collar_sides=col_sides,
                              collar_radius=collar_radius, cset=cset)
@@ -256,10 +257,9 @@ def cube_diagnostics(dec: CubeDecomposition, samples_per_cube: int = 16,
     for lo in range(0, dec.n_cubes, step):
         block = slice(lo, lo + step)
         x = xs[block]
-        xhat = pts[nearest_index(x, dec.cset).reshape(x.shape[:2])]
-        d_x = np.sqrt(np.sum((xhat - x) ** 2, axis=2))
+        near, d_x = (a.reshape(x.shape[:2]) for a in nearest_index(x, dec.cset))
         travel = _norms(dec.nearest_points[block, None, :] - x)
-        spread = _norms(dec.nearest_points[block, None, :] - xhat)
+        spread = _norms(dec.nearest_points[block, None, :] - pts[near])
         d_x_floor = np.maximum(d_x, 1e-300)
         ratios = np.stack([d_i[block] / d_x_floor, d_x / d_i_floor[block],
                            d_x / diam[block], diam[block] / d_x_floor,
@@ -277,9 +277,3 @@ def cube_diagnostics(dec: CubeDecomposition, samples_per_cube: int = 16,
     worst["b1"], worst["B1"] = b1, B1
     worst["samples_per_cube"] = samples_per_cube
     return worst
-
-
-def _norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norms along the last axis, each the BLAS dot product
-    ``np.linalg.norm`` takes of one vector."""
-    return np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])

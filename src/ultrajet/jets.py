@@ -368,6 +368,20 @@ def _first_max(ratios: np.ndarray, best) -> tuple:
     return best, None
 
 
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, each the BLAS dot product
+    ``np.linalg.norm`` takes of one vector, except where that square is
+    subnormal or 0 for a nonzero v (coordinates below about 1e-154): there
+    s |v / s| with s = max_d |v_d|, whose square neither loses bits nor underflows."""
+    sq = np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0]
+    out = np.sqrt(sq)
+    tiny = (sq < np.finfo(float).tiny) & (v != 0.0).any(axis=-1)
+    if tiny.any():
+        s = np.abs(v[tiny]).max(axis=-1)
+        out[tiny] = s * _norms(v[tiny] / s[:, None])
+    return out
+
+
 def certify_orders(seq: WeightSequence, A_max: int, P_max: int | None) -> tuple:
     """The remainder degree P_max (A_max when None) that :func:`certify`
     takes for a jet of stored order A_max, and the order max(A_max,
@@ -425,7 +439,7 @@ def certify(jet: Ultrajet, seq: WeightSequence, rho: float,
             # |b - a| as np.linalg.norm takes it (one BLAS dot per pair) and
             # its powers as Python floats: every ratio is then bit for bit the
             # per-term one (the oracle in tests/test_kernel_oracles.py)
-            dist = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
+            dist = _norms(diff)
             try:
                 powers = [[d ** q for q in range(P_max + 2)] for d in dist.tolist()]
             except OverflowError:

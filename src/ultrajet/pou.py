@@ -127,10 +127,9 @@ def _convolve_uniform(g: _PiecewisePoly, r: float,
     n = g.coeffs.shape[1] + 1  # result degree = input degree + 1
     coeffs = np.zeros((len(mids), n))
     lo, hi = breaks[:-1], breaks[1:]
-    active = (hi > g.breaks[0] - r) & (lo < g.breaks[-1] + r)
-    flat = active & (plateau[0] <= lo) & (hi <= plateau[1])
+    flat = (plateau[0] <= lo) & (hi <= plateau[1])
     coeffs[flat, 0] = 1.0
-    work = np.nonzero(active & ~flat)[0]
+    work = np.nonzero(~flat)[0]
     yp, ym = mids[work] + r, mids[work] - r
     # integral of g over its full pieces left of each window edge: none left
     # of the support, all right of it, and inside it the index of its piece
@@ -222,10 +221,6 @@ class Bump1D:
     canonical: CanonicalBump
     center: float
     r: float
-
-    @property
-    def radii(self) -> np.ndarray:
-        return self.canonical.radii * self.r
 
     def bound(self, j: int) -> float:
         return self.canonical.bound(j) / self.r ** j

@@ -407,6 +407,23 @@ def test_far_apart_points_are_bound_overflow(tmp_path, command):
     assert [e["kind"] for e in load_report(tmp_path / "out")["errors"]] == ["BoundOverflow"]
 
 
+@pytest.mark.parametrize("command", ["extend", "verify", "all"])
+def test_points_2e_300_apart_extend_with_a_finite_certificate(tmp_path, command):
+    # |b - a|^2 of two points 2e-300 apart underflows to 0; the norm scales
+    # b - a first, so the remainder scales stay finite and nothing overflows
+    cfg = json.loads((CONFIGS / "sin_gevrey2_all.json").read_text())
+    cfg["compact_set"] = {"points": [[-1e-300], [1e-300]], "box": [[-1.0, 1.0]]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(command, str(path), str(tmp_path / "out")) == 0
+    rep = load_report(tmp_path / "out")
+    assert rep["errors"] == []
+    # verify reports no extension certificate, only what it measured
+    assert all((c["jet_certificate"]["C"], c["jet_certificate"]["binding"])
+               == (1.0, ["value", 0, [1]])
+               for c in rep["certificates"] if c["kind"] == "extension")
+
+
 @pytest.mark.parametrize("command", ["extend", "verify"])
 def test_rho_powers_out_of_range_are_bound_overflow(tmp_path, command):
     # rho^k with rho = 1e30 leaves the float range by k = 11 <= A_max = 12:
@@ -653,6 +670,47 @@ def test_matrix_check_on_unnormalized_weight_is_config_error(tmp_path):
     assert run("check", str(path), str(tmp_path / "out")) == 2
     err = load_report(tmp_path / "out")["errors"][0]
     assert err["kind"] == "config" and "'w'" in err["message"]
+
+
+def test_doubling_absorption_fails_on_a_step_past_every_constant(tmp_path):
+    # omega jumps by 1e15 between t = 1 and 10: 2 omega(t) - omega(Ht) stays
+    # 1e15 for every tried H, 909.5 times the largest constant tried
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "K_max": 64,
+        "weights": [{"name": "w", "preset": "tabulated",
+                     "params": {"ts": [1, 10, 20], "values": [0, 1e15, 1e15]}}],
+        "checks": [{"check": "doubling_absorption", "weight": "w"}]}))
+    assert run("check", str(path), str(tmp_path / "out")) == 1
+    (verdict,) = load_report(tmp_path / "out")["verdicts"]
+    assert verdict["holds"] is False
+    counter = verdict["counterexample"]
+    assert (counter["needed_C"], counter["mode"]) == (1e15, "cap")
+    assert math.isclose(counter["t"], 10.40, rel_tol=1e-3)
+    assert math.isclose(counter["margin"], 909.5, rel_tol=1e-4)
+
+
+def test_matrix_skips_an_unnormalized_weight_with_a_warning(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "weights": [{"name": "w", "preset": "power", "params": {"alpha": 0.5},
+                     "normalized": False}]}))
+    assert run("matrix", str(path), str(tmp_path / "out")) == 0
+    rep = load_report(tmp_path / "out")
+    assert rep["warnings"] == ["matrix skipped for unnormalized weight w"]
+    assert rep["certificates"] == [] and not (tmp_path / "out" / "matrix_w.csv").exists()
+
+
+def test_pou_warns_when_its_delta_is_halved(tmp_path):
+    # delta 1.0 leaves no room for the bump radii until it is halved 5 times
+    cfg = json.loads((CONFIGS / "sin_gevrey2_all.json").read_text())
+    cfg["pou"]["delta"] = 1.0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run("pou", str(path), str(tmp_path / "out")) == 0
+    rep = load_report(tmp_path / "out")
+    assert rep["warnings"] == ["pou delta halved 5 times"]
+    assert rep["cube_stats"]["pou_halvings"] == 5
 
 
 _W = [{"name": "w", "preset": "power", "params": {"alpha": 0.5}}]

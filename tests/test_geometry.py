@@ -30,7 +30,7 @@ def dec_origin_2d():
 
 def test_nearest_tie_break():
     cs = CompactSet.from_points([[-1.0], [1.0]])
-    assert cs.points[nearest_index([[0.0], [0.5], [1.0]], cs), 0].tolist() == [-1.0, 1.0, 1.0]
+    assert cs.points[nearest_index([[0.0], [0.5], [1.0]], cs)[0], 0].tolist() == [-1.0, 1.0, 1.0]
 
 
 def test_nearest_matches_linear_scan():
@@ -38,7 +38,7 @@ def test_nearest_matches_linear_scan():
     pts = rng.uniform(-2, 2, size=(7, 2))
     cs = CompactSet.from_points(pts)
     xs = rng.uniform(-3, 3, size=(50, 2))
-    for x, got in zip(xs, cs.points[nearest_index(xs, cs)]):
+    for x, got in zip(xs, cs.points[nearest_index(xs, cs)[0]]):
         dists = np.linalg.norm(pts - x, axis=1)
         assert math.isclose(float(np.linalg.norm(got - x)), float(dists.min()),
                             rel_tol=1e-12, abs_tol=1e-12)
@@ -142,7 +142,7 @@ def test_center_at_expanded_cube_has_no_anchor_spread(dec_origin_1d):
     for i in (0, dec.n_cubes // 2, dec.n_cubes - 1):
         xhat_i = dec.nearest_points[i]
         x = dec.centers[i]
-        spread = float(np.linalg.norm(xhat_i - dec.cset.points[nearest_index(x, dec.cset)[0]]))
+        spread = float(np.linalg.norm(xhat_i - dec.cset.points[nearest_index(x, dec.cset)[0][0]]))
         assert spread <= 4.0 * dec.center_dist[i]
         assert spread == 0.0
 

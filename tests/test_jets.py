@@ -14,6 +14,7 @@ from ultrajet.jets import (
     Sum1D,
     Tensor,
     Ultrajet,
+    _norms,
     certify,
     jet_from_preset,
     multi_indices,
@@ -227,6 +228,29 @@ def test_certify_sin_pair_finite(pair_1d):
     jet = jet_from_preset(Sin(1.0), pair_1d, A_max=12)
     cert = certify(jet, gevrey(1.0), rho=1.0, P_max=12)
     assert np.isfinite(cert.C) and cert.C > 0
+
+
+def test_certify_points_closer_than_1e_154_keeps_a_finite_constant():
+    # |b - a|^2 = 4e-600 underflows to 0, so |b - a|^q was 0 and every
+    # remainder ratio inf; the norm of b - a scaled by its largest coordinate
+    # keeps 2e-300, and the constant is the value bound, as per term (where
+    # |b - a|^q underflows, a remainder of 0 over it is NaN, which never counts)
+    cs = CompactSet.from_points([[-1e-300], [1e-300]])
+    jet = jet_from_preset(Sin(1.0), cs, A_max=12)
+    cert = certify(jet, gevrey(1.0), rho=1.0, P_max=12)
+    assert (cert.C, cert.binding) == (1.0, ("value", 0, (1,)))
+    with np.errstate(invalid="ignore"):
+        assert (cert.C, cert.binding) == oracle_certify(jet, gevrey(1.0), 1.0, 12)
+
+
+def test_norms_scale_only_vectors_whose_square_is_subnormal():
+    v = np.array([[3e-300, 4e-300], [3e-160, -4e-160], [1e-154, 1e-154],
+                  [0.0, 0.0], [3.0, 4.0], [2e-154, 2e-154], [np.nan, 0.0], [1.0, 2.0]])
+    got = _norms(v)
+    assert got[:3].tolist() == [5e-300, 5e-160, 1.4142135623730951e-154]
+    for row, norm in zip(v[3:], got[3:]):  # any other row: np.linalg.norm's bits
+        assert np.array_equal(norm, np.linalg.norm(row), equal_nan=True)
+    assert np.array_equal(_norms(v.reshape(4, 2, 2)), got.reshape(4, 2), equal_nan=True)
 
 
 def test_certificates_monotone_in_rho(pair_1d):

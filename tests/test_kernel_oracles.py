@@ -99,6 +99,7 @@ from ultrajet.fncore import (
     weight_matrix,
     young_conjugate_grid,
 )
+import ultrajet.geometry as geometry_module
 from ultrajet.geometry import (
     EXPANSION,
     INCIDENCE_BLOCK,
@@ -767,7 +768,7 @@ def test_derivative_grids_in_three_dimensions_equal_oracle(case, block):
 def oracle_taylor_bounds(field, target_seq, approach):
     """The realized Taylor-field constants, one reference_taylor_grid call
     per (point, alpha) and Python's running max."""
-    jet, L = field.jet, field.L
+    jet, L = field.jet, field.sched.L
     tb = {"field_bound_C": 0.0, "increment_bound_C": 0.0}
     s_all = np.exp(target_seq.logM[: jet.A_max + 2])
     for d, pts, anchors in approach:
@@ -802,9 +803,9 @@ def test_taylor_bounds_bitwise_equal_per_point_loop(case, L, poison):
     field = replace(field, jet=jet, sched=replace(field.sched, L=L, s_prime=SEQ.view("m")))
     approach = []
     for d in (0.25, 0.0625, 2.0 ** -6):
-        pts = _approach_points(jet.cset, d, field.pou.dec.box)
+        pts, anchors = _approach_points(jet.cset, d, field.pou.dec.box)
         if len(pts):
-            approach.append((d, pts, nearest_index(pts, jet.cset)))
+            approach.append((d, pts, anchors))
     with np.errstate(invalid="ignore"):
         got = _taylor_bounds(field, SEQ, approach)
         want = oracle_taylor_bounds(field, SEQ, approach)
@@ -820,9 +821,9 @@ def oracle_verify(field, target_seq, orders, approach_scales, growth_orders=None
     jet, dec, cset = field.jet, field.pou.dec, field.jet.cset
     approach = []
     for d in approach_scales:
-        pts = _approach_points(cset, float(d), dec.box)
+        pts, _ = _approach_points(cset, float(d), dec.box)
         if len(pts):
-            approach.append((float(d), pts, nearest_index(pts, cset)))
+            approach.append((float(d), pts, nearest_index(pts, cset)[0]))
     alphas = [tuple(a) if isinstance(a, (tuple, list)) else (int(a),) for a in orders]
     for alpha in alphas:
         if len(alpha) != cset.dim:
@@ -947,6 +948,10 @@ def oracle_certify(jet, seq, rho, P_max, form="pointwise"):
             if i == j:
                 continue
             dist = float(np.linalg.norm(b - a))
+            if float((b - a) @ (b - a)) < np.finfo(float).tiny and np.any(b != a):
+                # |b - a|^2 loses bits or underflows: scale by the largest coordinate
+                s = float(np.max(np.abs(b - a)))
+                dist = s * float(np.linalg.norm((b - a) / s))
             for p in range(0, P_max + 1):
                 for alpha in multi_indices(jet.cset.dim, p):
                     rem = abs(jet.values[j, jet.rank(alpha)]
@@ -1028,7 +1033,7 @@ def oracle_cube_diagnostics(dec, samples_per_cube, seed):
         xhat_i = dec.nearest_points[i]
         for x in xs:
             d_x = float(np.sqrt(np.sum((pts - x) ** 2, axis=1).min()))
-            xhat = dec.cset.points[nearest_index(x, dec.cset)[0]]
+            xhat = dec.cset.points[nearest_index(x, dec.cset)[0][0]]
             checks = [
                 ("center_over_point", d_i / max(d_x, 1e-300), 3.0),
                 ("point_over_center", d_x / max(d_i, 1e-300), 2.0),
@@ -1338,7 +1343,7 @@ def oracle_decompose(box, cset, depth_cap, min_feature_scale=None):
             f"collar radius {collar_radius:g} exceeds the minimum feature "
             f"scale {min_feature_scale:g} at depth {depth_cap}")
     dec = CubeDecomposition(dim=dim, box=box, depth_cap=depth_cap, centers=centers,
-                            sides=sides, nearest_points=near_pts, nearest_idx=near_idx,
+                            sides=sides, nearest_idx=near_idx,
                             center_dist=center_dist, cube_dist=cube_dist,
                             neighbor_pairs=(
                                 np.repeat(np.arange(n), [len(k) for k in neighbors]),
@@ -1430,7 +1435,39 @@ def test_nearest_index_breaks_ties_like_oracle(dim, seed, n):
     cset = CompactSet(pts, ((-3.0, 3.0),) * dim)
     x = rng.integers(-6, 7, size=(40, dim)) / 2.0
     want = np.array([oracle_nearest(q, cset) for q in x])
-    assert np.array_equal(cset.points[nearest_index(x, cset)], want)
+    assert np.array_equal(cset.points[nearest_index(x, cset)[0]], want)
+
+
+def oracle_nearest_distance(x, cset, idx):
+    """d(x, E) as decompose, cube_diagnostics and the field's on-set test
+    took it: the root of the summed squares to the gathered nearest point."""
+    return np.sqrt(np.sum((x - cset.points[idx]) ** 2, axis=-1))
+
+
+def oracle_all_pairs_distance(x, cset):
+    """d(x, E) as the approach points took it: the least distance of a
+    matrix of every (row, set point) pair."""
+    return np.sqrt(np.sum((cset.points - x[:, None, :]) ** 2, axis=2)).min(axis=1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((1, 2, 3)), st.integers(0, 2 ** 32 - 1), st.integers(1, 12),
+       st.sampled_from((1.0, 0.37, 1e3)), st.sampled_from((1, 7, INCIDENCE_BLOCK)))
+def test_nearest_index_distance_equals_both_old_distances(dim, seed, n, scale, block):
+    # scaled integer points; rows at half-integers (many ties), on the set
+    # points and anywhere in the box, in blocks of ``block`` pairs
+    rng = np.random.default_rng(seed)
+    pts = scale * np.unique(rng.integers(-2, 3, size=(n, dim)).astype(float), axis=0)
+    cset = CompactSet(pts, ((-3.0 * scale, 3.0 * scale),) * dim)
+    x = np.concatenate([scale * rng.integers(-6, 7, size=(20, dim)) / 2.0, pts,
+                        rng.uniform(-3.0 * scale, 3.0 * scale, size=(20, dim))])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry_module, "INCIDENCE_BLOCK", block)
+        idx, dist = nearest_index(x, cset)
+    assert _same_array(dist, oracle_nearest_distance(x, cset, idx))
+    assert _same_array(dist, oracle_all_pairs_distance(x, cset))
+    assert not dist[20:20 + len(pts)].any()
+    assert np.array_equal(cset.points[idx], [oracle_nearest(q, cset) for q in x])
 
 
 # -- conjugates and the model tail sum: the scalar loops ---------------------------
@@ -1728,6 +1765,18 @@ def test_tabulated_conjugates_are_exact(table, ss, ts):
     assert_omega_star_equals(fn, ss, want)
 
 
+def oracle_bisect(f, lo, hi):
+    """Where the increasing array function f crosses 0 in [lo, hi], per
+    entry: bisection of the whole bracket until no float is left inside."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = (lo < mid) & (mid < hi)
+        if not np.any(live):
+            return mid
+        below = f(mid) < 0.0
+        lo, hi = np.where(live & below, mid, lo), np.where(live & ~below, mid, hi)
+
+
 def oracle_log_power_conjugates(b, scale):
     """The conjugates of ``log_power(b, scale)`` with each root bisected over
     all of its bracket, [s1, 600] or [0, log t_hi]; ``young`` also returns
@@ -1746,7 +1795,7 @@ def oracle_log_power_conjugates(b, scale):
         def gap(s):
             return scale * np.exp(s) * s ** -b * (1.0 - b / s) - tu
 
-        s = fncore_module._bisect(gap, s1, 600.0)
+        s = oracle_bisect(gap, s1, 600.0)
         out[up] = s * tu - fn(np.exp(s))
         return out, up, s, gap
 
@@ -1759,7 +1808,7 @@ def oracle_log_power_conjugates(b, scale):
             v = np.maximum(u, s1)
             return sl - np.where(u < s1, c * np.exp(-u), scale * v ** -b * (1.0 - b / v))
 
-        t = np.minimum(np.exp(fncore_module._bisect(gap, 0.0, log(t_hi))), t_hi)
+        t = np.minimum(np.exp(oracle_bisect(gap, 0.0, log(t_hi))), t_hi)
         out[low] = np.maximum(fn(t) - sl * t, 0.0)
         return out
 

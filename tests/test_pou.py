@@ -66,7 +66,7 @@ def test_trapezoid_single_stage(seq):
     assert b.eval(2.0, 0) == 0.0
     assert b.eval(-1.5, 0) == 0.0
     # realized ramp slope is 1/(2 r_1), inside the certified bound 1/r_1
-    r1 = b.radii[0]
+    r1 = b.canonical.radii[0] * b.r
     x = 9.0 / 8.0 - r1  # middle of the ramp
     h = r1 / 64.0
     slope = (b.eval(x - h, 0) - b.eval(x + h, 0)) / (2.0 * h)
@@ -101,7 +101,7 @@ def test_bump_odd_derivatives_vanish_at_center(bump):
 def test_bump_derivatives_match_finite_differences(bump):
     rng = np.random.default_rng(9)
     xs = rng.uniform(-1.2, 1.2, size=10_000)
-    r = bump.radii
+    r = bump.canonical.radii * bump.r
     for j in range(1, 5):
         h = math.sqrt(6e-7 * r[j] * r[min(j + 1, len(r) - 1)])
         fd = (bump.eval(xs + h, j - 1) - bump.eval(xs - h, j - 1)) / (2.0 * h)
@@ -251,7 +251,7 @@ def test_pou_derivs_match_finite_differences(pou_1d):
     half = dec.expanded_halfwidth(i)
     rng = np.random.default_rng(6)
     xs = (dec.centers[i][0] + rng.uniform(-half, half, 300)).reshape(-1, 1)
-    r = pou_1d.bumps[i][0].radii
+    r = pou_1d.canonical.radii * pou_1d.bumps[i][0].r
     h = math.sqrt(6e-7 * r[2] * r[3])
     tab = phi_tables(pou_1d, i, xs, up_to=2)
     fd = (pou_1d.phi(i, xs + h) - pou_1d.phi(i, xs - h)) / (2.0 * h)

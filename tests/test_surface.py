@@ -1,5 +1,6 @@
 """Every public function and method of the package has a caller in the
-package, and every attribute that a class stores is read in the package.
+package, every attribute that a class stores is read in the package, and
+every public name that two classes define is listed with its reason.
 
 A public name that no code in ``src/ultrajet`` references is surface that
 only tests reach, such as a one-point twin of an array function.  It is
@@ -9,6 +10,9 @@ code (docstrings and comments do not count), so a method counts as called
 when any attribute of that name is read.  A stored attribute (a dataclass
 field, or an assignment to ``self.x``) that nothing reads is state kept for
 tests only, and is deleted the same way unless it is on ``ALLOWED_UNREAD``.
+Since a read of any class's attribute counts, a method whose name another
+class also defines has no caller check of its own: each such name is on
+``SHARED`` with the reason that keeps every definition of it.
 """
 
 import ast
@@ -34,6 +38,36 @@ ALLOWED_UNREAD = {
         "tests/test_geometry.py checks that the collar surrounds every set point",
     "geometry.CubeDecomposition.collar_sides":
         "tests/test_geometry.py checks that the collar surrounds every set point",
+}
+
+SHARED = {
+    "J": "pou.CanonicalBump stores its stage count; pou.PartitionOfUnity.J is that "
+         "count for acceptance criterion 7, which replays every bump derivative below it",
+    "K_max": "seqcore.WeightSequence stores its last index; fncore.WeightMatrix.K_max "
+             "is its rows' for the matrix CSV and the quotient checks",
+    "bound": "pou.CanonicalBump.bound feeds the tensor bump bounds; pou.Bump1D.bound "
+             "is one dilated bump's, which acceptance criterion 7 replays",
+    "eval": "pou.CanonicalBump.eval feeds the tensor bump tables; pou.Bump1D.eval "
+            "is one dilated bump's, which acceptance criterion 7 replays",
+    "dim": "jets.CompactSet.dim is its points' width; geometry.CubeDecomposition "
+           "stores its cubes'",
+    "flags": "a sequence's flags (seqcore.WeightSequence, taken at the first read) and a "
+             "weight's (fncore.WeightFunction, stored): the report prints and checks read both",
+    "witnesses": "a sequence's witnesses (seqcore.WeightSequence, taken at the first read) "
+                 "and a weight's (fncore.WeightFunction, stored): the report prints both",
+    "jet": "cli._Context builds the configured jet once; extend.ExtensionField "
+           "stores the jet it extends",
+    "pou": "cli._Context builds the configured partition once; extend.ExtensionField "
+           "stores the partition it sums over",
+    "x_grid": "cli._Context.x_grid is the configured matrix grid; fncore.WeightMatrix "
+              "stores the grid of its rows",
+    "phi": "fncore.WeightFunction.phi is omega(e^s) for the conjugates; "
+           "pou.PartitionOfUnity.phi is one partition function, whose exact supports "
+           "acceptance criterion 7 checks",
+    "table": "each jets.Preset1D kind tabulates its own derivatives, and jets.Tensor "
+             "their products",
+    "to_dict": "the report form of conditions.Verdict, conditions.ChainCertificate "
+               "and jets.JetCertificate",
 }
 
 
@@ -101,3 +135,36 @@ def test_every_stored_attribute_is_read_in_src():
     unread = {name for name in stored if name.rsplit(".", 1)[-1] not in read}
     assert sorted(unread - ALLOWED_UNREAD.keys()) == []
     assert sorted(ALLOWED_UNREAD.keys() - unread) == []
+
+
+def _methods_by_name():
+    """The classes that define each public method or property (a ``def``,
+    or a ``property`` or ``cached_property`` assigned in the class body)."""
+    owners = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            for sub in cls.body:
+                if isinstance(sub, ast.FunctionDef):
+                    names = [sub.name]
+                elif (isinstance(sub, ast.Assign) and isinstance(sub.value, ast.Call)
+                      and getattr(sub.value.func, "id", None) in ("property", "cached_property")):
+                    names = [t.id for t in sub.targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                for name in names:
+                    if not name.startswith("_"):
+                        owners.setdefault(name, set()).add(f"{path.stem}.{cls.name}")
+    return owners
+
+
+def test_every_method_name_two_classes_define_is_listed():
+    owners = _methods_by_name()
+    for name in _stored_attributes_and_reads()[0]:
+        owner, attr = name.rsplit(".", 1)
+        if attr in owners:
+            owners[attr].add(owner)
+    shared = {name for name, classes in owners.items() if len(classes) > 1}
+    assert sorted(shared - SHARED.keys()) == []
+    # an entry whose name one class alone defines now is stale
+    assert sorted(SHARED.keys() - shared) == []
