@@ -409,20 +409,26 @@ def check_strong_matrix(matrix: WeightMatrix) -> Verdict:
 
 # -- the chain -----------------------------------------------------------------------
 
-def _chain_holds(matrix: WeightMatrix, x, y1, y2, y3, d, ts) -> bool:
-    mx = matrix.row(x).view("m")
-    m1 = matrix.row(y1).view("m")
-    m2 = matrix.row(y2).view("m")
-    m3 = matrix.row(y3).view("m")
-    g_x, ex0 = gamma_under_soft(mx, ts)
-    g1, ex1 = gamma_under_soft(m1, d * ts)
-    g2u, ex2 = gamma_under_soft(m2, d * d * ts)
-    g2b, ex3 = gamma_bar_soft(m2, d * d * ts)
-    g3, ex4 = gamma_bar_soft(m3, d ** 3 * ts)
-    if np.any(ex0 | ex1 | ex2 | ex3 | ex4):
-        return False
-    return bool(np.all(g3 <= g2u) and np.all(g2u <= g2b)
-                and np.all(g2b <= g1) and np.all(2 * g1 <= g_x))
+def _chain_test(matrix: WeightMatrix, x: float, d: np.ndarray, ts: np.ndarray):
+    """The counting-function chain from row x at each D of the column d
+    against the grid ts: a function of (y1, y2, y3) giving one bool per D,
+    or None when x's own indices run out on ts (no chain holds).  Each
+    row's counting indices are taken once, at D^j t for every D and t (j
+    its place in the chain)."""
+    g_x, ex0 = gamma_under_soft(matrix.row(x).view("m"), ts)
+    if np.any(ex0):
+        return None
+
+    @cache
+    def at(y, j, gamma):  # (index, exhausted) of row y at D^j t, a row per D
+        return gamma(matrix.row(y).view("m"), d ** j * ts)
+
+    def holds(y1, y2, y3) -> np.ndarray:
+        (g1, ex1), (g2u, ex2) = at(y1, 1, gamma_under_soft), at(y2, 2, gamma_under_soft)
+        (g2b, ex3), (g3, ex4) = at(y2, 2, gamma_bar_soft), at(y3, 3, gamma_bar_soft)
+        return np.all(~(ex1 | ex2 | ex3 | ex4) & (g3 <= g2u) & (g2u <= g2b)
+                      & (g2b <= g1) & (2 * g1 <= g_x), axis=1)
+    return holds
 
 
 def resolve_chain(matrix: WeightMatrix, x: float) -> ChainCertificate:
@@ -432,8 +438,7 @@ def resolve_chain(matrix: WeightMatrix, x: float) -> ChainCertificate:
 
     Deterministic search order: (y1, y2, y3) ascending lexicographically,
     then D ascending over the geometric grid; the first full success wins.
-    Each row's counting indices are taken once, at D^j t for every D and t
-    (j its place in the chain), and every triple tests all D in one pass.
+    Every triple tests all D in one :func:`_chain_test` pass.
     Raises RangeExhausted when x is off the grid or the grid offers no
     certificate.
     """
@@ -446,28 +451,18 @@ def resolve_chain(matrix: WeightMatrix, x: float) -> ChainCertificate:
     if x not in matrix.rows:
         raise RangeExhausted(f"x={x:g} is not a point of the matrix grid")
     ts = np.geomspace(*CHAIN_T_RANGE, CHAIN_N_T)
-    g_x, ex0 = gamma_under_soft(matrix.row(x).view("m"), ts)
-    d = np.array(GRID_POWERS[:14])[:, None]
-
-    @cache
-    def at(y, j, gamma):  # (index, exhausted) of row y at D^j t, a row per D
-        return gamma(matrix.row(y).view("m"), d ** j * ts)
-
-    xs = () if np.any(ex0) else matrix.x_grid  # exhausted at x: no chain holds
+    holds = _chain_test(matrix, x, np.array(GRID_POWERS[:14])[:, None], ts)
+    xs = () if holds is None else matrix.x_grid
     for y1 in (y for y in xs if y >= 2.0 * x):
         if not splitting_ok(matrix.row(x).log_m, matrix.row(y1).log_m):
             continue
-        g1, ex1 = at(y1, 1, gamma_under_soft)
         for y2 in (y for y in xs if y >= 2.0 * y1):
             if not splitting_ok(matrix.row(y1).log_m, matrix.row(y2).log_m):
                 continue
-            (g2u, ex2), (g2b, ex3) = at(y2, 2, gamma_under_soft), at(y2, 2, gamma_bar_soft)
             for y3 in (y for y in xs if y >= y2):
-                g3, ex4 = at(y3, 3, gamma_bar_soft)
-                holds = np.all(~(ex1 | ex2 | ex3 | ex4) & (g3 <= g2u) & (g2u <= g2b)
-                               & (g2b <= g1) & (2 * g1 <= g_x), axis=1)
-                if holds.any():  # the first D that holds
-                    return ChainCertificate(x, y1, y2, y3, GRID_POWERS[int(np.argmax(holds))],
+                at_d = holds(y1, y2, y3)
+                if at_d.any():  # the first D that holds
+                    return ChainCertificate(x, y1, y2, y3, GRID_POWERS[int(np.argmax(at_d))],
                                             (float(ts[0]), float(ts[-1])), CHAIN_N_T)
     raise RangeExhausted(f"no in-grid chain certificate for x={x:g}")
 
@@ -476,4 +471,5 @@ def verify_chain(matrix: WeightMatrix, cert: ChainCertificate,
                  refine: int = 1) -> bool:
     """Re-verify a certificate on a ``refine`` times denser t grid."""
     ts = np.geomspace(cert.t_range[0], cert.t_range[1], cert.n_t * refine)
-    return _chain_holds(matrix, cert.x, cert.y1, cert.y2, cert.y3, cert.D, ts)
+    holds = _chain_test(matrix, cert.x, np.array([[cert.D]]), ts)
+    return holds is not None and bool(holds(cert.y1, cert.y2, cert.y3)[0])

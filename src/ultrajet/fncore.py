@@ -23,6 +23,7 @@ witness constants; every flag is a finite-range verdict.
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import ceil, isfinite, log, log10
 
 import numpy as np
@@ -46,7 +47,7 @@ DEFAULT_X_GRID = tuple(2.0 ** j for j in range(-4, 7))
 
 
 class WeightFunction:
-    """Evaluable weight with certification grid, flags, and witnesses.
+    """Evaluable weight with flags and witnesses on a certification grid.
 
     ``fn`` must accept numpy arrays of nonnegative reals.  ``t_valid_max``
     bounds the range on which the evaluator is certified (e.g. growth
@@ -54,7 +55,8 @@ class WeightFunction:
     clamped to it.  ``conjugates`` holds the exact ``(phi*(t), omega*(s,
     t_hi))`` array functions every preset attaches; a weight built without
     them has its flags, ``kappa`` and the heir checks, but no conjugate or
-    matrix.  Instances are immutable and thread-safe.
+    matrix.  The flags and witnesses come at the first read of either.
+    Instances are immutable and thread-safe.
     """
 
     def __init__(self, fn, label: str, t_valid_max: float = float("inf"),
@@ -63,12 +65,6 @@ class WeightFunction:
         self.label = label
         self.t_valid_max = t_valid_max
         self.conjugates = conjugates
-        self.flags: dict[str, bool] = {}
-        self.witnesses: dict[str, float] = {}
-        hi = min(GRID_HI, 0.45 * t_valid_max)
-        n = max(8, int(round(GRID_PER_DECADE * np.log10(hi / GRID_LO))))
-        self.grid = np.geomspace(GRID_LO, hi, n)
-        self._compute_flags()
         self.normalized = bool(np.max(self(np.linspace(1e-9, 1.0, 64))) <= 1e-12)
 
     def __call__(self, t):
@@ -80,49 +76,43 @@ class WeightFunction:
         """Log-reparametrized weight ``omega(e^s)``."""
         return self(np.exp(np.asarray(s, dtype=float)))
 
-    # -- flag certification -------------------------------------------------
+    flags = property(lambda self: self._certificates[0])
+    witnesses = property(lambda self: self._certificates[1])
 
-    def _compute_flags(self):
-        t = self.grid
+    @cached_property
+    def _certificates(self) -> tuple:
+        """(flags, witnesses), on GRID_PER_DECADE log-spaced t per decade from
+        GRID_LO to min(GRID_HI, 0.45 t_valid_max), at least 8."""
+        hi = min(GRID_HI, 0.45 * self.t_valid_max)
+        t = np.geomspace(GRID_LO, hi, max(8, int(round(GRID_PER_DECADE * np.log10(hi / GRID_LO)))))
         w = self(t)
         scale = max(1.0, float(np.max(np.abs(w))))
-        self.flags["increasing"] = bool(np.all(np.diff(w) >= -1e-12 * scale))
-
-        w2 = self(2.0 * t)
-        c_dbl = float(np.max(w2 / (w + 1.0)))
-        self.witnesses["doubling_C"] = c_dbl
-        self.flags["doubling"] = bool(log(max(c_dbl, 1.0)) <= LOG_C_CAP)
-
+        c_dbl = float(np.max(self(2.0 * t) / (w + 1.0)))
         c_lin = float(np.max(w / (t + 1.0)))
-        self.witnesses["linear_C"] = c_lin
-        self.flags["linear_bound"] = bool(log(max(c_lin, 1.0)) <= LOG_C_CAP)
 
         # log t = o(omega): growth of omega/log t over the last quarter (not
         # certified on a grid that ends below 10)
-        mask = t > 10.0
-        ratio = w[mask] / np.log(t[mask])
+        ratio = w[t > 10.0] / np.log(t[t > 10.0])
         q3 = (3 * len(ratio)) // 4
-        grew = len(ratio) > 0 and ratio[-1] >= 1.05 * ratio[q3] and ratio[-1] >= 10.0
-        self.flags["log_small"] = bool(grew)
+        log_small = len(ratio) > 0 and ratio[-1] >= 1.05 * ratio[q3] and ratio[-1] >= 10.0
 
         s = np.log(t[t >= 1e-4])
-        ph = self.phi(s)
-        slopes = np.diff(ph) / np.diff(s)
-        self.flags["convex_phi"] = bool(np.all(np.diff(slopes) >= -1e-7 * scale))
-
+        slopes = np.diff(self.phi(s)) / np.diff(s)
         sl_t = np.diff(w) / np.diff(t)
-        self.flags["concave"] = bool(np.all(np.diff(sl_t) <= 1e-7 * scale))
-
         r = w / t
         q3 = (3 * len(r)) // 4
         dec = bool(np.all(np.diff(r[q3:]) <= 1e-15 * scale))
-        self.flags["o_of_t"] = bool(dec and r[-1] <= 0.5 * np.max(r))
-        self.witnesses["o_of_t_final_ratio"] = float(r[-1])
-
         nonqa, q_fit, tail = _tail_integrability(self)
-        self.flags["non_quasianalytic"] = nonqa
-        self.witnesses["tail_integral_exponent"] = q_fit
-        self.witnesses["tail_integral_estimate"] = tail
+        flags = {"increasing": bool(np.all(np.diff(w) >= -1e-12 * scale)),
+                 "doubling": bool(log(max(c_dbl, 1.0)) <= LOG_C_CAP),
+                 "linear_bound": bool(log(max(c_lin, 1.0)) <= LOG_C_CAP),
+                 "log_small": bool(log_small),
+                 "convex_phi": bool(np.all(np.diff(slopes) >= -1e-7 * scale)),
+                 "concave": bool(np.all(np.diff(sl_t) <= 1e-7 * scale)),
+                 "o_of_t": bool(dec and r[-1] <= 0.5 * np.max(r)),
+                 "non_quasianalytic": nonqa}
+        return flags, {"doubling_C": c_dbl, "linear_C": c_lin, "o_of_t_final_ratio": float(r[-1]),
+                       "tail_integral_exponent": q_fit, "tail_integral_estimate": tail}
 
     def __repr__(self):
         return f"WeightFunction({self.label!r})"

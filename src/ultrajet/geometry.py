@@ -44,7 +44,12 @@ def nearest_index(x, cset: CompactSet) -> tuple:
     """Index of the Euclidean-nearest set point of each row of x, and the
     distance to it (the root of the least sum of (p - x)^2 over the
     coordinates); ties go to the lexicographically smallest point.  Blocks
-    of rows meet every point, at most INCIDENCE_BLOCK pairs per block."""
+    of rows meet every point, at most INCIDENCE_BLOCK pairs per block.
+
+    A row whose least square is subnormal or 0 ranks its points again on
+    the differences divided by its smallest nonzero max-norm difference
+    (an exact hit ranks first), and takes the distance as :func:`_norms`
+    does, so that squares that underflow neither tie nor vanish."""
     x = np.asarray(x, dtype=float).reshape(-1, cset.dim)
     # points in lexicographic order, so that argmin's first minimum breaks ties
     lex = np.lexsort(cset.points.T[::-1])
@@ -52,10 +57,20 @@ def nearest_index(x, cset: CompactSet) -> tuple:
     idx, dist = np.empty(len(x), dtype=np.intp), np.empty(len(x))
     step = max(1, INCIDENCE_BLOCK // len(pts))
     for lo in range(0, len(x), step):
-        d2 = np.sum((pts - x[lo:lo + step, None, :]) ** 2, axis=2)
+        v = pts - x[lo:lo + step, None, :]
+        d2 = np.sum(v ** 2, axis=2)
         k = np.argmin(d2, axis=1)
+        least = d2[np.arange(len(k)), k]
+        dist[lo:lo + step] = np.sqrt(least)
+        low = np.flatnonzero(least < np.finfo(float).tiny)
+        if len(low):
+            w = v[low]
+            size = np.abs(w).max(axis=2)
+            s = np.where(size > 0.0, size, np.inf).min(axis=1)[:, None, None]
+            with np.errstate(over="ignore"):  # far points scale to inf
+                k[low] = np.argmin(np.sum((w / s) ** 2, axis=2), axis=1)
+            dist[lo + low] = _norms(w[np.arange(len(low)), k[low]])
         idx[lo:lo + step] = lex[k]
-        dist[lo:lo + step] = np.sqrt(d2[np.arange(len(k)), k])
     return idx, dist
 
 
@@ -235,43 +250,32 @@ def cube_diagnostics(dec: CubeDecomposition, samples_per_cube: int = 16,
     diam Q_i / 3 <= d(x,E) <= 9 diam Q_i;
     |xhat_i - x| <= 2 d(x_i,E); |xhat_i - xhat| <= 4 d(x_i,E).
 
-    The samples of all cubes are one draw, cube by cube as from one stream;
-    they meet the set in blocks of cubes of at most INCIDENCE_BLOCK
-    (sample, point) pairs.  A violation names the first bad (cube, sample,
-    check).
+    The samples of all cubes are one draw, cube by cube as from one stream,
+    and meet the set in one :func:`nearest_index` call.  A violation names
+    the first bad (cube, sample, check).
     """
     rng = np.random.default_rng(seed)
-    pts = dec.cset.points
     half = (dec.sides * EXPANSION / 2.0)[:, None, None]
     xs = dec.centers[:, None, :] + rng.uniform(
         -half, half, size=(dec.n_cubes, samples_per_cube, dec.dim))
+    near, d_x = (a.reshape(xs.shape[:2]) for a in nearest_index(xs, dec.cset))
+    anchor = dec.nearest_points[:, None, :]
     d_i = dec.center_dist[:, None]
+    d_i_floor, d_x_floor = np.maximum(d_i, 1e-300), np.maximum(d_x, 1e-300)
     diam = dec.diam()[:, None]
-    d_i_floor = np.maximum(d_i, 1e-300)
+    ratios = np.stack([d_i / d_x_floor, d_x / d_i_floor, d_x / diam, diam / d_x_floor,
+                       _norms(anchor - xs) / d_i_floor,
+                       _norms(anchor - dec.cset.points[near]) / d_i_floor], axis=-1)
     names = ("center_over_point", "point_over_center", "point_over_diam",
              "diam_over_point", "anchor_travel", "anchor_spread")
     bounds = (3.0, 2.0, 9.0, 3.0, 2.0, 4.0)
-    limits = np.array(bounds) * (1.0 + 1e-9)
-    worst = dict.fromkeys(names, 0.0)
-    step = max(1, INCIDENCE_BLOCK // max(1, samples_per_cube * len(pts)))
-    for lo in range(0, dec.n_cubes, step):
-        block = slice(lo, lo + step)
-        x = xs[block]
-        near, d_x = (a.reshape(x.shape[:2]) for a in nearest_index(x, dec.cset))
-        travel = _norms(dec.nearest_points[block, None, :] - x)
-        spread = _norms(dec.nearest_points[block, None, :] - pts[near])
-        d_x_floor = np.maximum(d_x, 1e-300)
-        ratios = np.stack([d_i[block] / d_x_floor, d_x / d_i_floor[block],
-                           d_x / diam[block], diam[block] / d_x_floor,
-                           travel / d_i_floor[block], spread / d_i_floor[block]], axis=-1)
-        bad = ratios > limits
-        if bad.any():
-            b, k, c = np.unravel_index(np.argmax(bad), bad.shape)
-            raise InvariantViolation(
-                f"{names[c]} = {ratios[b, k, c]:g} > {bounds[c]} at cube "
-                f"{lo + b}, x={x[b, k]}")
-        for name, column in zip(names, np.moveaxis(ratios, -1, 0)):
-            worst[name] = float(np.fmax.reduce(column, axis=None, initial=worst[name]))
+    bad = ratios > np.array(bounds) * (1.0 + 1e-9)
+    if bad.any():
+        i, k, c = np.unravel_index(np.argmax(bad), bad.shape)
+        raise InvariantViolation(
+            f"{names[c]} = {ratios[i, k, c]:g} > {bounds[c]} at cube {i}, x={xs[i, k]}")
+    worst = {name: float(np.fmax.reduce(column, axis=None, initial=0.0))
+             for name, column in zip(names, np.moveaxis(ratios, -1, 0))}
     worst["max_overlap"] = dec.max_overlap()
     b1, B1 = dec.neighbor_diam_ratios()
     worst["b1"], worst["B1"] = b1, B1

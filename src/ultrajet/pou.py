@@ -245,13 +245,11 @@ def _tensor_bump_derivs(canonical: CanonicalBump, x, centers, radii, owner,
     """Derivative tables, |m| <= up_to, of tensor bumps at the rows of x:
     row n takes the bump prod_d b((x_d - c_d) / r) with center
     centers[owner[n]] and half-width radii[owner[n]].  One canonical
-    evaluation per (axis, order) over all rows."""
+    evaluation per order over the whole (rows, dim) table."""
     u = (x - centers[owner]) / np.asarray(radii, dtype=float)[owner, None]
-    scales = [np.array([float(r) ** j for r in radii])[owner]
+    tables = [canonical.eval(u, j) / np.array([float(r) ** j for r in radii])[owner, None]
               for j in range(up_to + 1)]
-    axes = [[canonical.eval(u[:, d], j) / scales[j] for j in range(up_to + 1)]
-            for d in range(x.shape[1])]
-    return {m: prod(axes[d][j] for d, j in enumerate(m))
+    return {m: prod(tables[j][:, d] for d, j in enumerate(m))
             for m in multi_indices(x.shape[1], up_to)}
 
 

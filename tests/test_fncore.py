@@ -1,5 +1,6 @@
 import math
 import warnings
+from contextlib import suppress
 from functools import partial
 from types import SimpleNamespace
 
@@ -8,7 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ultrajet import cli, conditions, fncore, seqcore
-from ultrajet.errors import GridExhausted, InvariantViolation, NotLittleO, QuasianalyticInput
+from ultrajet.errors import (
+    GridExhausted,
+    InvariantViolation,
+    NotLittleO,
+    QuasianalyticInput,
+    UltrajetError,
+)
 from ultrajet.fncore import (
     WeightMatrix,
     gevrey_dual,
@@ -20,6 +27,8 @@ from ultrajet.fncore import (
     weight_matrix,
     young_conjugate_grid,
 )
+
+from test_config_fuzz import _SMALL as FUZZ_CONFIG
 
 
 def conj_sup(fun, x, lo, hi, n=4001):
@@ -325,6 +334,47 @@ def test_weight_without_conjugates_has_flags_but_no_conjugate():
                  partial(weight_matrix, fn, K_max=8)):
         with pytest.raises(ValueError, match="bare: no exact conjugates"):
             call()
+
+
+def _fresh_weights() -> list:
+    """A new weight of every preset and of every weight of the fuzzed configs."""
+    entries = [{"name": kind, "preset": kind, "params": params}
+               for kind, params in PRESET_PARAMS.items()]
+    entries += [dict(e, name=f"fuzz_{e['name']}") for e in FUZZ_CONFIG["weights"]]
+    ctx = cli._Context({
+        "K_max": 64, "weights": entries,
+        "sequences": [{"name": "S", "generator": "gevrey", "params": {"s": 1.0}}]})
+    return [ctx.weight(e["name"]) for e in entries]
+
+
+def test_building_a_weight_computes_no_certificate(monkeypatch):
+    calls = []
+    tail = fncore._tail_integrability
+    monkeypatch.setattr(fncore, "_tail_integrability", lambda fn: calls.append(fn) or tail(fn))
+    weights = _fresh_weights()
+    assert calls == []
+    for n, fn in enumerate(weights, 1):
+        assert fn.flags and len(calls) == n
+        assert fn.witnesses and calls == weights[:n]
+
+
+FIRST_READS = {
+    "kappa": lambda fn: kappa(fn, [4.0]),
+    "weight_matrix": lambda fn: weight_matrix(fn, K_max=16),
+    "conjugates": lambda fn: (young_conjugate_grid(fn, np.array([1.0, 5.0])),
+                              omega_conjugate_grid(fn, np.array([0.5]))),
+}
+
+
+@pytest.mark.parametrize("first", FIRST_READS)
+def test_weight_certificates_do_not_depend_on_the_first_read(first):
+    for want, fn in zip(_fresh_weights(), _fresh_weights()):
+        with suppress(UltrajetError, ValueError):  # a quasianalytic weight has no kappa
+            FIRST_READS[first](fn)
+        assert list(fn.flags.items()) == list(want.flags.items())
+        assert list(fn.witnesses) == list(want.witnesses)
+        assert (np.array(list(fn.witnesses.values())).tobytes()
+                == np.array(list(want.witnesses.values())).tobytes())
 
 
 def test_omega_conjugate_decreasing_convex():

@@ -33,6 +33,21 @@ def test_nearest_tie_break():
     assert cs.points[nearest_index([[0.0], [0.5], [1.0]], cs)[0], 0].tolist() == [-1.0, 1.0, 1.0]
 
 
+def test_nearest_index_ranks_points_whose_squared_distances_underflow():
+    # every square of a difference underflows to 0: the lexicographic tie
+    # rule alone would give the point -1e-300 at distance 0 to both queries
+    cs = CompactSet(np.array([[-1e-300], [1e-300]]), ((-1.0, 1.0),))
+    idx, dist = nearest_index([[5e-301], [1e-300], [-5e-301]], cs)
+    assert idx.tolist() == [1, 1, 0]
+    assert dist.tolist() == [5e-301, 0.0, 5e-301]
+    # in 2D the nearest point is not the one of least max-norm difference;
+    # the far point's scaled square overflows to inf
+    pair = CompactSet(np.array([[2e-300, 2e-300], [2.5e-300, 0.0], [1.0, 1.0]]),
+                      ((-1.0, 1.0),) * 2)
+    idx, dist = nearest_index([[0.0, 0.0]], pair)
+    assert idx.tolist() == [1] and dist.tolist() == [2.5e-300]
+
+
 def test_nearest_matches_linear_scan():
     rng = np.random.default_rng(11)
     pts = rng.uniform(-2, 2, size=(7, 2))

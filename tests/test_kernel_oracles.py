@@ -57,6 +57,7 @@ from ultrajet.conditions import (
     check_quotient_root_domination,
     check_strong_matrix,
     resolve_chain,
+    verify_chain,
 )
 import ultrajet.extend as extend_module
 from ultrajet.extend import (
@@ -1261,17 +1262,24 @@ MUTATED_COVER = replace(LINE_COVER, center_dist=LINE_COVER.center_dist * np.wher
 @example((EMPTY_COVER, 16, 0))
 @example((MUTATED_COVER, 32, 0))
 def test_cube_diagnostics_equal_oracle(case):
+    """Also with INCIDENCE_BLOCK at 1 and 7 in geometry, so that the blocks
+    of nearest_index split the samples of one cube."""
     dec, samples, seed = case
     try:
         want = oracle_cube_diagnostics(dec, samples, seed)
     except InvariantViolation as exc:
-        with pytest.raises(InvariantViolation) as got:
-            cube_diagnostics(dec, samples, seed)
-        assert str(got.value) == str(exc)
-        return
-    got = cube_diagnostics(dec, samples, seed)
-    assert got.keys() == want.keys()
-    assert all(_bits(got[k]) == _bits(want[k]) for k in want)
+        want = exc
+    for block in (INCIDENCE_BLOCK, 1, 7):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry_module, "INCIDENCE_BLOCK", block)
+            if isinstance(want, InvariantViolation):
+                with pytest.raises(InvariantViolation) as got:
+                    cube_diagnostics(dec, samples, seed)
+                assert str(got.value) == str(want)
+                continue
+            got = cube_diagnostics(dec, samples, seed)
+        assert got.keys() == want.keys()
+        assert all(_bits(got[k]) == _bits(want[k]) for k in want)
 
 
 # -- the Whitney cover: the breadth-first loop and the per-point nearest scan -------
@@ -2736,6 +2744,37 @@ def test_resolve_chain_equals_loop_oracle(fn, k_max, x):
         assert str(got.value) == str(exc)
         return
     assert resolve_chain(mat, x) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(weights, st.sampled_from((16, 32, 64)),
+       st.one_of(st.sampled_from(DEFAULT_X_GRID), st.sampled_from((0.75, 3.0, 100.0)),
+                 st.floats(0.05, 10.0)),
+       st.sampled_from((1, 3, 10)), st.integers(0, 2 ** 32 - 1))
+@example(power(0.884), 32, 1.0, 10, 0)  # x's own indices run out
+@example(power(0.5), 64, 0.25, 3, 0)
+@example(power(0.4), 16, 0.5, 10, 1464)  # (0.5, 0.5, 2, D=4) holds on 48 t, not on 480
+def test_verify_chain_equals_oracle_on_the_refined_grid(fn, k_max, x, refine, seed):
+    """The certificate that resolve_chain finds, it with D halved and with
+    y3 one grid step lower, and a drawn certificate on the grid's rows."""
+    mat = weight_matrix(fn, K_max=k_max)
+    grid = mat.x_grid
+    rng = np.random.default_rng(seed)
+    y1, y2, y3 = sorted(rng.choice(grid, 3).tolist())
+    certs = [ChainCertificate(x if float(x) in mat.rows else grid[0], y1, y2, y3,
+                              float(rng.choice(GRID_POWERS[:14])), (0.05, 1e3), 48)]
+    try:
+        found = resolve_chain(mat, x)
+    except UltrajetError:
+        found = None
+    if found is not None:
+        lower = [y for y in grid if y < found.y3]
+        certs += [found, replace(found, D=found.D / 2.0)]
+        certs += [replace(found, y3=lower[-1])] if lower else []
+    for cert in certs:
+        ts = np.geomspace(*cert.t_range, cert.n_t * refine)
+        assert verify_chain(mat, cert, refine) is oracle_chain_holds(
+            mat, cert.x, cert.y1, cert.y2, cert.y3, cert.D, ts)
 
 
 def oracle_splitting_ok(a, b):

@@ -51,10 +51,12 @@ SHARED = {
             "is one dilated bump's, which acceptance criterion 7 replays",
     "dim": "jets.CompactSet.dim is its points' width; geometry.CubeDecomposition "
            "stores its cubes'",
-    "flags": "a sequence's flags (seqcore.WeightSequence, taken at the first read) and a "
-             "weight's (fncore.WeightFunction, stored): the report prints and checks read both",
-    "witnesses": "a sequence's witnesses (seqcore.WeightSequence, taken at the first read) "
-                 "and a weight's (fncore.WeightFunction, stored): the report prints both",
+    "flags": "a sequence's flags (seqcore.WeightSequence) and a weight's "
+             "(fncore.WeightFunction), each taken at the first read: the report prints "
+             "and checks read both",
+    "witnesses": "a sequence's witnesses (seqcore.WeightSequence) and a weight's "
+                 "(fncore.WeightFunction), each taken at the first read: the report "
+                 "prints both",
     "jet": "cli._Context builds the configured jet once; extend.ExtensionField "
            "stores the jet it extends",
     "pou": "cli._Context builds the configured partition once; extend.ExtensionField "
