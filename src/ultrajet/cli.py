@@ -679,14 +679,18 @@ def _run_pou(ctx: _Context, report: dict, out: Path) -> int:
     return 0 if dev < 1e-10 else 1
 
 
+def _schedule_entries(fld, report: dict, **between) -> dict:
+    """The certificate entries of the field's schedule: L, mode, ``between``,
+    then whether a degree was capped, which also warns."""
+    if cap := bool(np.any(fld.sched.capped)):
+        report["warnings"].append("degree schedule capped at the jet order")
+    return {"L": fld.sched.L, "mode": fld.sched.mode, **between, "degree_cap_hit": cap}
+
+
 def _run_extend(ctx: _Context, report: dict, out: Path) -> int:
     fld = ctx.field
-    report["certificates"].append({
-        "kind": "extension", "L": fld.sched.L, "mode": fld.sched.mode,
-        "jet_certificate": fld.jet.certificate.to_dict(),
-        "degree_cap_hit": bool(np.any(fld.sched.capped))})
-    if bool(np.any(fld.sched.capped)):
-        report["warnings"].append("degree schedule capped at the jet order")
+    report["certificates"].append({"kind": "extension", **_schedule_entries(
+        fld, report, jet_certificate=fld.jet.certificate.to_dict())})
     if _section(ctx.cfg, "output")["csv"]:
         jet = fld.jet
         n_points, n_multi = jet.values.shape
@@ -710,15 +714,10 @@ def _run_verify(ctx: _Context, report: dict, out: Path) -> int:
                         approach_scales=ec["approach_scales"],
                         growth_orders=ec["growth_orders"],
                         grid_points=ec["grid_points"])
-    report["residual_tables"].append(rep["residuals"])
-    report["certificates"].append({
-        "kind": "verification", "fit": rep["fit"], "growth": rep["growth"],
-        "taylor_bounds": rep["taylor_bounds"], "L": rep["L"],
-        "mode": rep["mode"], "degree_cap_hit": rep["degree_cap_hit"]})
-    if rep["degree_cap_hit"]:
-        report["warnings"].append("degree schedule capped at the jet order")
+    table = rep.pop("residuals")  # the rest, fit to taylor_bounds, is the certificate
+    report["residual_tables"].append(table)
+    report["certificates"].append({"kind": "verification", **rep, **_schedule_entries(fld, report)})
     if _section(ctx.cfg, "output")["csv"]:
-        table = rep["residuals"]
         _write_csv(out / "residuals.csv", ["alpha", "d", "residual", "capped"],
                    [[",".join(map(str, r["alpha"])) for r in table],
                     [r["d"] for r in table], [r["residual"] for r in table],

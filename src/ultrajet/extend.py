@@ -330,50 +330,53 @@ def derivative_bounds(field: ExtensionField, up_to: int) -> dict:
 
 # -- verification -------------------------------------------------------------------
 
-def _approach_points(cset, d: float, box) -> tuple:
-    """Points at distance exactly d from the set (axis directions), inside
-    the box, and the index of their nearest set point: per set point and
-    axis, the step -d, then +d.  A step that rounds onto the set (or so
-    close to it that the field reads the stored jet there) is dropped: its
-    residual would be 0 by construction.  So is a step nearer to another set
-    point, up to 1e-12 times the largest of d, 1 and its coordinates."""
-    pts = np.repeat(cset.points, 2 * cset.dim, axis=0)
-    rows = np.arange(len(pts))
+def _approach_points(cset, scales, box) -> tuple:
+    """The approach table of every scale d of ``scales``, from one
+    nearest-point pass: the scale index, the point and the index of the
+    nearest set point of each kept step, in scale order.  A scale d steps
+    from every set point along every axis by -d, then by +d.  A step
+    that leaves the box or rounds onto the set (or so close to it that the
+    field reads the stored jet there) is dropped: its residual would be 0
+    by construction.  So is a step nearer to another set point, up to 1e-12
+    times the largest of d, 1 and its coordinates."""
+    start = np.repeat(cset.points, 2 * cset.dim, axis=0)  # the steps of one scale
+    rows = np.arange(len(scales) * len(start))
+    scale_of, pts = rows // len(start), start[rows % len(start)]
+    d = np.asarray(scales, dtype=float)[scale_of]
     pts[rows, rows // 2 % cset.dim] += np.where(rows % 2, d, -d)
     lo, hi = np.array(box, dtype=float).T
     near, dist = nearest_index(pts, cset)
     keep = np.all((lo <= pts) & (pts <= hi), axis=1) & (dist >= ON_SET) & (
-        np.abs(dist - d) < 1e-12 * np.maximum(max(d, 1.0), np.abs(pts).max(axis=1)))
-    return pts[keep], near[keep]
+        np.abs(dist - d) < 1e-12 * np.maximum(np.maximum(d, 1.0), np.abs(pts).max(axis=1)))
+    return scale_of[keep], pts[keep], near[keep]
 
 
 def _taylor_bounds(field: ExtensionField, target_seq: WeightSequence,
-                   approach) -> dict:
+                   d, pts, anchors) -> dict:
     """Realized constants of the two Taylor-field bounds at the approach
-    points: per scale, the degree p = 2 gamma_bar(L d), and every alpha with
-    |alpha| <= min(p, 4).  The points of all scales of one degree share
-    their powers and one :func:`_taylor_sums` call per alpha, each point
-    with its own d in the increment ratio.  Each constant is the largest
+    points ``pts``, each with its scale ``d`` and nearest set point: the
+    degree p = 2 gamma_bar(L d), and every alpha with |alpha| <= min(p, 4).
+    The points of one degree share their powers and one
+    :func:`_taylor_sums` call per alpha.  Each constant is the largest
     ratio; NaN never counts."""
     jet, L = field.jet, field.sched.L
     s_all = np.exp(target_seq.logM[: jet.A_max + 2])
     field_C = increment_C = 0.0
-    gb, _ = gamma_bar_soft(field.sched.s_prime, L * np.array([a[0] for a in approach]))
+    gb, _ = gamma_bar_soft(field.sched.s_prime, L * d)
     degrees = np.minimum(2 * gb, jet.A_max)
     for p in np.unique(degrees).tolist():
-        group = [a for a, q in zip(approach, degrees) if q == p]
-        pts, anchors = (np.concatenate([a[k] for a in group]) for k in (1, 2))
-        d = np.concatenate([np.full(len(a[1]), a[0]) for a in group])
-        powers = (pts - jet.cset.points[anchors])[:, None, :] ** np.arange(p + 1)[:, None]
+        k = degrees == p
+        at = anchors[k]
+        powers = (pts[k] - jet.cset.points[at])[:, None, :] ** np.arange(p + 1)[:, None]
         for alpha in multi_indices(jet.cset.dim, min(p, 4)):
             tot = sum(alpha)
-            t_val = _taylor_sums(jet.values, anchors, powers, (alpha,), p - tot)[:, 0]
+            t_val = _taylor_sums(jet.values, at, powers, (alpha,), p - tot)[:, 0]
             denom = (2.0 * L) ** (tot + 1) * s_all[tot]
             field_C = np.fmax.reduce(np.abs(t_val) / denom, initial=field_C)
             if tot < p:
-                diff = np.abs(t_val - jet.values[anchors, jet.rank(alpha)])
+                diff = np.abs(t_val - jet.values[at, jet.rank(alpha)])
                 small_s = np.exp(target_seq.log_m[tot + 1])
-                denom2 = (2.0 * L) ** (tot + 1) * factorial(tot) * small_s * d
+                denom2 = (2.0 * L) ** (tot + 1) * factorial(tot) * small_s * d[k]
                 increment_C = np.fmax.reduce(diff / denom2, initial=increment_C)
     return {"field_bound_C": float(field_C), "increment_bound_C": float(increment_C)}
 
@@ -381,22 +384,19 @@ def _taylor_bounds(field: ExtensionField, target_seq: WeightSequence,
 def verify(field: ExtensionField, target_seq: WeightSequence, orders,
            approach_scales, growth_orders: int | None = None,
            grid_points: int = 800) -> dict:
-    """Verification report: residuals, growth certificate, Taylor bounds.
+    """Verification report: residuals, fit, growth certificate, Taylor bounds.
 
-    One evaluation pass covers the approach points of every scale, in scale
-    order, then the growth grid.  Each row of it depends on that point
-    alone, so a scale reads its own rows: its residual, and whether any
-    cube it meets had its degree capped.  The fit takes every K = 2^i,
-    i in FIT_K_POWERS, in one envelope query, and keeps the first K with
-    the least finite C'."""
+    One evaluation pass covers the approach table of every scale, then the
+    growth grid.  Each row of it depends on that point alone, so a scale
+    reads its own rows: its residual, and whether any cube it meets had its
+    degree capped.  The fit takes every K = 2^i, i in FIT_K_POWERS, in one
+    envelope query, and keeps the first K with the least finite C'."""
     jet = field.jet
     dec = field.pou.dec
     cset = jet.cset
-    approach = []  # per scale with points: (d, points, their nearest set point)
-    for d in approach_scales:
-        pts, anchors = _approach_points(cset, float(d), dec.box)
-        if len(pts):
-            approach.append((float(d), pts, anchors))
+    scales = np.asarray(approach_scales, dtype=float)
+    scale_of, pts, anchors = _approach_points(cset, scales, dec.box)
+    kept, starts, counts = np.unique(scale_of, return_index=True, return_counts=True)
 
     alphas = [tuple(a) if isinstance(a, (tuple, list)) else (int(a),) for a in orders]
     for alpha in alphas:
@@ -405,20 +405,18 @@ def verify(field: ExtensionField, target_seq: WeightSequence, orders,
     g_ord = growth_orders if growth_orders is not None else max(map(sum, alphas))
     growth_multis = multi_indices(dec.dim, g_ord)
     grid = box_grid(dec.box, int(round(grid_points ** (1.0 / dec.dim))))
-    edges = np.cumsum([0] + [len(a[1]) for a in approach]).tolist()
-    vals, point, cube = field._grids(
-        np.concatenate([a[1] for a in approach] + [grid]),
-        list(dict.fromkeys((alphas if approach else []) + growth_multis)))
-    capped = [bool(np.any(field.sched.capped[cube[(lo <= point) & (point < hi)]]))
-              for lo, hi in zip(edges, edges[1:])]
+    n = len(pts)
+    verified = alphas if n else []
+    vals, point, cube = field._grids(np.concatenate([pts, grid]),
+                                     list(dict.fromkeys(verified + growth_multis)))
+    capped = np.isin(kept, scale_of[point[(point < n) & field.sched.capped[cube]]])
     residuals = []
-    for alpha in alphas:
-        for (d, pts, anchors), lo, hi, cap in zip(approach, edges, edges[1:], capped):
-            ref = jet.values[anchors, jet.rank(alpha)]
-            residuals.append({
-                "alpha": list(alpha), "d": d,
-                "residual": float(np.max(np.abs(vals[alpha][lo:hi] - ref))),
-                "capped": cap, "n_points": len(pts)})
+    for alpha in verified:
+        err = np.abs(vals[alpha][:n] - jet.values[anchors, jet.rank(alpha)])
+        for d, r, cap, m in zip(scales[kept].tolist(), np.maximum.reduceat(err, starts).tolist(),
+                                capped.tolist(), counts.tolist()):
+            residuals.append({"alpha": list(alpha), "d": d, "residual": r,
+                              "capped": cap, "n_points": m})
 
     fit = None
     clean = [r for r in residuals if not r["capped"]]
@@ -435,7 +433,7 @@ def verify(field: ExtensionField, target_seq: WeightSequence, orders,
             fit = {"K": float(K[best]), "C_prime": float(needed[best])}
 
     # growth certificate: certified bounds (grid-free), sampled sups reported
-    sups = {m: float(np.max(np.abs(vals[m][edges[-1]:]))) for m in growth_multis}
+    sups = {m: float(np.max(np.abs(vals[m][n:]))) for m in growth_multis}
     bounds = derivative_bounds(field, g_ord)
     if not np.isfinite(list(bounds.values())).all():
         raise BoundOverflow(f"certified sup bounds {list(bounds.values())} are not all finite")
@@ -448,6 +446,4 @@ def verify(field: ExtensionField, target_seq: WeightSequence, orders,
               "certified_bounds": {str(list(m)): v for m, v in bounds.items()},
               "grid_points": len(grid)}
     return {"residuals": residuals, "fit": fit, "growth": growth,
-            "taylor_bounds": _taylor_bounds(field, target_seq, approach),
-            "jet_certificate_C": jet.certificate.C, "L": field.sched.L, "mode": field.sched.mode,
-            "degree_cap_hit": bool(np.any(field.sched.capped))}
+            "taylor_bounds": _taylor_bounds(field, target_seq, scales[scale_of], pts, anchors)}

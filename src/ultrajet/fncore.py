@@ -236,6 +236,8 @@ def omega_of_sequence(seq: WeightSequence) -> WeightFunction:
     concave k log t - log M_k - s t, each at t = k/s clamped to the range."""
     env = _MinAffineEnvelope(np.asarray(seq.logM))
     t_valid = float(np.exp(env.slopes[-1])) if len(env.slopes) else float("inf")
+    if 0.45 * t_valid <= GRID_LO:  # the certification grid would end before GRID_LO
+        raise ValueError(f"growth profile valid only up to t = {t_valid:g}, too small to certify")
     k, log_m = env.vertices.astype(float), seq.logM[env.vertices]
     least = int(np.argmin(log_m))
 

@@ -206,6 +206,20 @@ def test_bad_weight_params_are_config_errors(tmp_path, entry):
     assert load_report(tmp_path / "out")["errors"][0]["kind"] == "config"
 
 
+@pytest.mark.parametrize("mu", [5e-324, 1e-7], ids=["subnormal", "below_grid_start"])
+def test_growth_profile_too_short_to_certify_is_config_error(tmp_path, mu):
+    # t_valid_max = mu: 5e-324 made the grid length int(-inf), an
+    # OverflowError; 1e-7 a grid falling from GRID_LO = 1e-6 to 4.5e-8
+    cfg = {"sequences": [{"name": "S", "generator": "mu_table",
+                          "params": {"mu": [1.0] + [mu] * 4}}],
+           "weights": [{"name": "w", "preset": "omega_of_sequence",
+                        "params": {"sequence": "S"}}]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run("fn", str(path), str(tmp_path / "out")) == 2
+    assert [e["kind"] for e in load_report(tmp_path / "out")["errors"]] == ["config"]
+
+
 def test_bad_sequence_params_are_config_errors():
     for entry in ({"name": "S", "generator": "gevrey", "params": {}},
                   {"name": "S", "generator": "gevrey", "params": {"s": -1}},
@@ -1028,6 +1042,26 @@ def test_verify_in_chain_mode_config(tmp_path):
     ver = next(c for c in rep["certificates"] if c["kind"] == "verification")
     assert ver["mode"] == "matrix"
     assert ver["fit"] is not None
+
+
+def test_extend_and_verify_report_the_schedule_of_the_field(tmp_path):
+    # the bundled config caps degrees at its jet order A_max 12
+    path = CONFIGS / "sin_gevrey2_all.json"
+    sched = cli._Context(validate_config(json.loads(path.read_text()), "verify")).field.sched
+    assert np.any(sched.capped)
+    keys = {"extension": ["kind", "L", "mode", "jet_certificate", "degree_cap_hit"],
+            "verification": ["kind", "fit", "growth", "taylor_bounds", "L", "mode",
+                             "degree_cap_hit"]}
+    for command, kinds in (("extend", ["extension"]), ("verify", ["verification"]),
+                           ("all", ["extension", "verification"])):
+        assert run(command, str(path), str(tmp_path / command)) == 0
+        rep = load_report(tmp_path / command)
+        certs = [c for c in rep["certificates"] if c["kind"] in keys]
+        assert [c["kind"] for c in certs] == kinds
+        for c in certs:
+            assert list(c) == keys[c["kind"]]
+            assert (c["L"], c["mode"], c["degree_cap_hit"]) == (sched.L, sched.mode, True)
+        assert rep["warnings"].count("degree schedule capped at the jet order") == 1
 
 
 def test_main_entry_point(tmp_path):

@@ -11,7 +11,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ultrajet.cli import _PIPELINES, run
 
@@ -44,6 +44,14 @@ _ONE_D["extension"] = {"orders": [0, 1], "approach_scales": [0.125], "grid_point
                        "cutoff_radius": 0.25}
 _ONE_D["checks"] = [{"check": "good", "weight": "lp"},
                     {"check": "mixed_tail", "mu": "S", "nu": "Q"}]
+# the growth profile of a quotient table with float entries, and a check of it
+_PROFILE = {
+    "schema_version": 1, "seed": 0, "K_max": 64, "x_grid": {"min_pow": -2, "max_pow": 3},
+    "sequences": [{"name": "T", "generator": "mu_table", "params": {"mu": [1.0, 2.5, 4.0, 6.5]}}],
+    "weights": [{"name": "w", "preset": "omega_of_sequence", "params": {"sequence": "T"}}],
+    "checks": [{"check": "strong", "weight": "w"}],
+    "output": {"csv": False},
+}
 
 # replacement values: every JSON type, small numbers of each sign and no
 # large ones (a large order or depth is slow, not wrong)
@@ -111,7 +119,7 @@ def test_perturbed_configs_exit_cleanly_with_strict_report(cfg, command):
 def float_magnitude_configs(draw):
     """A base config with one or two of its float leaves set to a size
     10^e, e in [-323.3, 307] (5e-324 to 1e307), of either sign."""
-    cfg = copy.deepcopy(draw(st.sampled_from((_SMALL, _ONE_D))))
+    cfg = copy.deepcopy(draw(st.sampled_from((_SMALL, _ONE_D, _PROFILE))))
     leaves = []  # (parent, key) of every float
     for path in _paths(cfg):
         parent = cfg
@@ -127,8 +135,13 @@ def float_magnitude_configs(draw):
     return cfg
 
 
+_TINY_QUOTIENTS = copy.deepcopy(_PROFILE)  # a growth profile valid only up to t = 5e-324
+_TINY_QUOTIENTS["sequences"][0]["params"]["mu"] = [1.0] + [5e-324] * 4
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(float_magnitude_configs(), st.sampled_from(sorted(_PIPELINES)))
+@example(_TINY_QUOTIENTS, "fn")
 def test_float_magnitudes_exit_cleanly_with_strict_report(cfg, command):
     _exits_cleanly_with_strict_report(cfg, command)

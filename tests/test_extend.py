@@ -348,7 +348,7 @@ def test_growth_certificate_stability(sin_field):
 def test_taylor_field_bounds(sin_field):
     rep = verify(sin_field, gevrey(1.0), orders=[0, 1],
                  approach_scales=[0.1, 0.02], grid_points=100)
-    cert_c = rep["jet_certificate_C"]
+    cert_c = sin_field.jet.certificate.C
     assert rep["taylor_bounds"]["field_bound_C"] <= cert_c * (1.0 + 1e-9)
     assert rep["taylor_bounds"]["increment_bound_C"] <= cert_c * (1.0 + 1e-9)
 
@@ -368,7 +368,7 @@ def test_matrix_mode_schedule_and_field(pair_setup):
     rep = verify(fld, mat.row(1.0), orders=[0, 1, 2],
                  approach_scales=[2.0 ** -k for k in range(3, 9)],
                  grid_points=150)
-    assert rep["mode"] == "matrix"
+    assert fld.sched.mode == "matrix"
     assert rep["fit"] is not None
     by_alpha = {}
     for r in rep["residuals"]:

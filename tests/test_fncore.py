@@ -125,6 +125,15 @@ def test_profile_with_four_certified_decades_builds():
     assert fn.witnesses["tail_integral_exponent"] > 1.0
 
 
+def test_profile_valid_only_below_the_grid_start_is_a_value_error():
+    # 0.45 t_valid_max must exceed GRID_LO = 1e-6: t_valid_max = mu here
+    for mu in (5e-324, 1e-7, 2.2e-6):
+        with pytest.raises(ValueError, match="too small to certify"):
+            omega_of_sequence(seqcore.from_mu([1.0] + [mu] * 4))
+    fn = omega_of_sequence(seqcore.from_mu([1.0] + [2.3e-6] * 4))
+    assert fn.flags["increasing"]
+
+
 def test_profile_valid_below_ten_builds():
     # mu_k = k up to 16 leaves no grid point above 10 to certify log t = o(omega)
     fn = omega_of_sequence(seqcore.quotient_power(1.0, K_max=16))

@@ -25,8 +25,8 @@ and per-sample loops, and the level passes of
 ``extend.derivative_bounds`` against the breadth-first queue, the per-point
 tie scan and the per-cube folds, the one-pass ``derivative_grids`` and the
 batched Taylor bounds of ``verify`` against the per-cube sums and the
-per-point loop, ``verify``'s one evaluation pass and one fit query against
-a pass per approach scale and a query per K, and the blocked ``fncore.splitting_ok`` against its full
+per-point loop, ``verify``'s one approach table, one evaluation pass and
+one fit query against a table and a pass per approach scale and a query per K, and the blocked ``fncore.splitting_ok`` against its full
 arrays, bit for bit."""
 
 import json
@@ -802,13 +802,15 @@ def test_taylor_bounds_bitwise_equal_per_point_loop(case, L, poison):
         values[:, 0] = np.inf
         jet = replace(jet, values=values)
     field = replace(field, jet=jet, sched=replace(field.sched, L=L, s_prime=SEQ.view("m")))
+    scales = np.array([0.25, 0.0625, 2.0 ** -6])
     approach = []
-    for d in (0.25, 0.0625, 2.0 ** -6):
-        pts, anchors = _approach_points(jet.cset, d, field.pou.dec.box)
+    for d in scales.tolist():
+        _, pts, anchors = _approach_points(jet.cset, [d], field.pou.dec.box)
         if len(pts):
             approach.append((d, pts, anchors))
+    scale_of, pts, anchors = _approach_points(jet.cset, scales, field.pou.dec.box)
     with np.errstate(invalid="ignore"):
-        got = _taylor_bounds(field, SEQ, approach)
+        got = _taylor_bounds(field, SEQ, scales[scale_of], pts, anchors)
         want = oracle_taylor_bounds(field, SEQ, approach)
     assert got.keys() == want.keys()
     assert all(_bits(got[k]) == _bits(want[k]) for k in want)
@@ -822,7 +824,7 @@ def oracle_verify(field, target_seq, orders, approach_scales, growth_orders=None
     jet, dec, cset = field.jet, field.pou.dec, field.jet.cset
     approach = []
     for d in approach_scales:
-        pts, _ = _approach_points(cset, float(d), dec.box)
+        _, pts, _ = _approach_points(cset, [float(d)], dec.box)
         if len(pts):
             approach.append((float(d), pts, nearest_index(pts, cset)[0]))
     alphas = [tuple(a) if isinstance(a, (tuple, list)) else (int(a),) for a in orders]
@@ -908,6 +910,29 @@ def test_verify_one_pass_equals_per_scale_oracle(case, data):
         got = _outcome(verify, field, SEQ, orders, scales, **kwargs)
         want = _outcome(oracle_verify, field, SEQ, orders, scales, **kwargs)
     assert got == want
+
+
+@pytest.mark.parametrize("cap_beyond, capped", [
+    (0.1, [True, True, False, True]), (0.15, [False, False, False, True])])
+def test_verify_row_groups_of_the_approach_table_equal_oracle(cap_beyond, capped):
+    # the set {-0.5, 0.6} in [-1, 1]: the scale 0.125 twice gives two row
+    # groups; 0.75 keeps no step (two leave the box, two are nearer the other
+    # point) between two scales that keep steps; 0.45 keeps 3 (1.05 leaves)
+    cset = CompactSet(np.array([[-0.5], [0.6]]), ((-1.0, 1.0),))
+    dec = decompose(cset.box, cset, depth_cap=6)
+    rng = np.random.default_rng(0)
+    jet = Ultrajet(cset, 4, rng.uniform(-3.0, 3.0, size=(2, 5)),
+                   certificate=SimpleNamespace(C=1.0))
+    sched = DegreeSchedule(dec=dec, degrees=rng.integers(0, 5, dec.n_cubes),
+                           capped=dec.cube_dist > cap_beyond, L=8.0, mode="single",
+                           s_prime=SEQ.view("m"))
+    field = ExtensionField(jet=jet, pou=build_pou(dec, SEQ, order_cap=2), sched=sched)
+    args = (field, SEQ, [0, 1, 2], [0.125, 0.125, 0.75, 0.0625, 0.45])
+    rows = [(r["d"], r["n_points"], r["capped"])
+            for r in verify(*args, grid_points=30)["residuals"]]
+    assert rows == list(zip([0.125, 0.125, 0.0625, 0.45], [4, 4, 4, 3], capped)) * 3
+    assert _outcome(verify, *args, grid_points=30) == _outcome(oracle_verify, *args,
+                                                               grid_points=30)
 
 
 @settings(max_examples=20, deadline=None)
