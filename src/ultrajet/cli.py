@@ -207,7 +207,9 @@ _SECTIONS = {
         "target_sequence": _default(None, _or_null(_STR)),
         "growth_orders": _default(None, _or_null(_int_in(0))),
         "grid_points": _default(800, _int_in(1)),
-        "cutoff_radius": _default(None, _or_null(_POSITIVE)),
+        # the cutoff was removed; the key stays so that older echoes rerun
+        "cutoff_radius": _default(None, _Spec("null: the cutoff was removed",
+                                              lambda v: v is None)),
         "chain_x": _default(1.0, _REAL)},
     "output": {"csv": _default(True, _BOOL)},
 }
@@ -479,7 +481,7 @@ class _Context:
             sched = extmod.schedule(pu.dec, source, L, A_max=jet.A_max)
         except ValueError as exc:
             raise ConfigError(f"extension: {exc}") from None
-        return extmod.extend(jet, pu, sched, cutoff_radius=ec["cutoff_radius"])
+        return extmod.extend(jet, pu, sched)
 
 
 # -- report plumbing --------------------------------------------------------------

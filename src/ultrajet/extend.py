@@ -19,7 +19,7 @@ two Taylor-field bounds that drive the construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from math import comb, factorial
 
@@ -43,14 +43,7 @@ from .jets import (
     _taylor_sums,
     multi_indices,
 )
-from .pou import (
-    CanonicalBump,
-    PartitionOfUnity,
-    _complement,
-    _complement_bounds,
-    _tensor_bump_bounds,
-    _tensor_bump_derivs,
-)
+from .pou import PartitionOfUnity
 from .seqcore import (
     SequenceView,
     WeightSequence,
@@ -125,37 +118,6 @@ def schedule(dec: CubeDecomposition, source, L: float, A_max: int) -> DegreeSche
                           mode=mode, s_prime=s_prime)
 
 
-@dataclass(frozen=True, eq=False)
-class _UnionBump:
-    """Smooth cutoff equal to one near every set point: the complement of
-    the product of per-point tensor bump complements of half-width radius."""
-
-    canonical: CanonicalBump
-    points: np.ndarray
-    radius: float
-
-    def derivs(self, pts: np.ndarray, up_to: int) -> dict:
-        n_set = len(self.points)
-        psi = _tensor_bump_derivs(self.canonical, np.repeat(pts, n_set, axis=0),
-                                  self.points, [self.radius] * n_set,
-                                  np.tile(np.arange(n_set), len(pts)), up_to)
-        multis = multi_indices(self.points.shape[1], up_to)
-        prod = _complement({m: v[0::n_set] for m, v in psi.items()})
-        for a in range(1, n_set):
-            fac = _complement({m: v[a::n_set] for m, v in psi.items()})
-            prod = _leibniz_fold(prod, fac, multis)
-        return _complement(prod)
-
-    def bounds(self, up_to: int) -> dict:
-        """Certified sup bounds for the derivatives, by the same fold."""
-        dim = self.points.shape[1]
-        prod = fac = _complement_bounds(
-            _tensor_bump_bounds(self.canonical, self.radius, dim, up_to))
-        for _ in range(len(self.points) - 1):
-            prod = _leibniz_fold(prod, fac, multi_indices(dim, up_to))
-        return _complement_bounds(prod)
-
-
 @dataclass(frozen=True)
 class ExtensionField:
     """Evaluable extension with exact derivatives up to the partition cap."""
@@ -163,7 +125,6 @@ class ExtensionField:
     jet: Ultrajet
     pou: PartitionOfUnity
     sched: DegreeSchedule
-    cutoff: object = field(repr=False, default=None)
 
     def derivative_grid(self, x, alpha) -> np.ndarray:
         """d^alpha f on an array of points: :meth:`derivative_grids` for
@@ -182,19 +143,17 @@ class ExtensionField:
     @np.errstate(over="ignore", invalid="ignore")
     def _grids(self, x, alphas) -> tuple:
         """:meth:`derivative_grids` and the incident (point, cube) pairs.  The
-        partition tables, the cutoff tables, the nearest set points and the
-        Taylor sums of each beta are taken once for all the orders.  A value
-        that overflows raises BoundOverflow instead of a warning."""
+        partition tables, the nearest set points and the Taylor sums of each
+        beta are taken once for all the orders.  d^alpha of sum_i phi_i T_i
+        adds the Leibniz terms in beta order, then each point's pairs in
+        ascending cube order.  A value that overflows raises BoundOverflow
+        instead of a warning."""
         alphas = [tuple(a) for a in alphas]
         top = max((sum(a) for a in alphas), default=0)
         pts = np.asarray(x, dtype=float).reshape(-1, self.pou.dec.dim)
         point, cube, tables = self.pou.pair_derivs(pts, top)
-        taylor = {}
-
-        def cube_sum(alpha):
-            """d^alpha of sum_i phi_i T_i over the pairs, without the cutoff
-            and the on-set values: the Leibniz terms in beta order, then
-            each point's pairs in ascending cube order."""
+        taylor, out = {}, {}
+        for alpha in alphas:
             acc = np.zeros(len(point))
             for beta, gamma, coef in _leibniz_terms(alpha):
                 if beta not in taylor:
@@ -203,21 +162,8 @@ class ExtensionField:
                 acc[rows] += coef * tables[gamma][rows] * t
             # bincount adds in pair order, so each point's cubes ascend; it
             # counts in ints when there is no pair
-            out = np.bincount(point, weights=acc, minlength=len(pts))
-            return out.astype(float, copy=False)
-
-        if self.cutoff is None:
-            out = {alpha: cube_sum(alpha) for alpha in alphas}
-        else:
-            cut = self.cutoff.derivs(pts, top)
-            sums, out = {}, {}
-            for alpha in alphas:
-                acc = np.zeros(len(pts))
-                for beta, gamma, coef in _leibniz_terms(alpha):
-                    if beta not in sums:
-                        sums[beta] = cube_sum(beta)
-                    acc += coef * cut[gamma] * sums[beta]
-                out[alpha] = acc
+            sums = np.bincount(point, weights=acc, minlength=len(pts))
+            out[alpha] = sums.astype(float, copy=False)
         near, dist = nearest_index(pts, self.jet.cset)
         on_set = dist < ON_SET
         if np.any(on_set):
@@ -252,16 +198,13 @@ class ExtensionField:
         return self.derivative_grid(x, (0,) * self.jet.cset.dim)
 
 
-def extend(jet: Ultrajet, pou: PartitionOfUnity, sched: DegreeSchedule,
-           cutoff_radius: float | None = None) -> ExtensionField:
+def extend(jet: Ultrajet, pou: PartitionOfUnity, sched: DegreeSchedule) -> ExtensionField:
     """Assemble the extension field.
 
     Requires a certified jet (the schedule's L should be at least the guard
     multiple of the certificate rho), a partition built on the schedule's
     decomposition of the jet's set, and scheduled degrees of at most the
-    jet's stored order (else OrderCapExceeded).  ``cutoff_radius`` switches
-    on multiplication by a smooth cutoff equal to one on
-    {d(x, E) <= cutoff_radius}.
+    jet's stored order (else OrderCapExceeded).
     """
     if pou.dec is not sched.dec:
         raise IncompatibleGeometry("partition and schedule use different covers")
@@ -275,10 +218,7 @@ def extend(jet: Ultrajet, pou: PartitionOfUnity, sched: DegreeSchedule,
     if np.any(sched.degrees > jet.A_max):
         raise OrderCapExceeded(f"scheduled degree {int(sched.degrees.max())} exceeds "
                                f"stored order {jet.A_max}")
-    cut = None
-    if cutoff_radius is not None:
-        cut = _UnionBump(pou.canonical, jet.cset.points, float(cutoff_radius))
-    return ExtensionField(jet=jet, pou=pou, sched=sched, cutoff=cut)
+    return ExtensionField(jet=jet, pou=pou, sched=sched)
 
 
 def default_L(jet: Ultrajet, guard: float = DEFAULT_GUARD) -> float:
@@ -322,10 +262,7 @@ def derivative_bounds(field: ExtensionField, up_to: int) -> dict:
     per_cube = _leibniz_fold(_taylor_sup_bounds(field, multis),
                              field.pou.phi_bounds(up_to), multis)
     overlap = dec.max_overlap() + 1
-    out = {m: overlap * float(np.fmax.reduce(per_cube[m], initial=0.0)) for m in multis}
-    if field.cutoff is not None:
-        out = _leibniz_fold(out, field.cutoff.bounds(up_to), multis)
-    return out
+    return {m: overlap * float(np.fmax.reduce(per_cube[m], initial=0.0)) for m in multis}
 
 
 # -- verification -------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .errors import (
     QuasianalyticInput,
 )
 from .jets import INCIDENCE_BLOCK
-from .seqcore import WeightSequence, _decay_exponent, _log_convex, _MinAffineEnvelope, _row_flags
+from .seqcore import WeightSequence, _decay_exponent, _log_convex, _row_flags
 
 LOG_C_CAP = 40.0 * log(2.0)
 
@@ -234,7 +234,7 @@ def omega_of_sequence(seq: WeightSequence) -> WeightFunction:
     max_k (k s - log M_k), so phi* interpolates log M between the vertices
     (from the least one on, as s >= 0), and omega* is the largest of the
     concave k log t - log M_k - s t, each at t = k/s clamped to the range."""
-    env = _MinAffineEnvelope(np.asarray(seq.logM))
+    env = seq.view("M").envelope  # the hull omega_assoc reads
     t_valid = float(np.exp(env.slopes[-1])) if len(env.slopes) else float("inf")
     if 0.45 * t_valid <= GRID_LO:  # the certification grid would end before GRID_LO
         raise ValueError(f"growth profile valid only up to t = {t_valid:g}, too small to certify")

@@ -385,9 +385,12 @@ def _norms(v: np.ndarray) -> np.ndarray:
 def certify_orders(seq: WeightSequence, A_max: int, P_max: int | None) -> tuple:
     """The remainder degree P_max (A_max when None) that :func:`certify`
     takes for a jet of stored order A_max, and the order max(A_max,
-    P_max + 1) of ``seq`` that it reads; raises OrderCapExceeded when P_max
-    exceeds A_max or the sequence table is shorter.  Needs no jet table."""
+    P_max + 1) of ``seq`` that it reads; raises ValueError when P_max is
+    negative and OrderCapExceeded when it exceeds A_max or the sequence
+    table is shorter.  Needs no jet table."""
     P_max = A_max if P_max is None else P_max
+    if P_max < 0:
+        raise ValueError(f"P_max {P_max} is negative")
     if P_max > A_max:
         raise OrderCapExceeded(f"P_max {P_max} exceeds stored order {A_max}")
     n_need = max(A_max, P_max + 1)
@@ -423,7 +426,7 @@ def certify(jet: Ultrajet, seq: WeightSequence, rho: float,
     den = np.array([rho_k[k] * M[k] for k in range(jet.A_max + 1)])
     best, at = _first_max(np.abs(jet.values) / den[degree], 0.0)
     binding = () if at is None else ("value", at[0], jet.multi[at[1]])
-    if n > 1 and P_max >= 0:
+    if n > 1:
         p_of, alpha_of, groups = _certify_plan(jet.cset.dim, P_max)
         q_of = p_of + 1 - degree[alpha_of]
         lead = np.array([rho_k[p + 1] * M[p + 1] for p in p_of.tolist()])

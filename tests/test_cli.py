@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ultrajet import cli, jets, pou, seqcore
+from ultrajet import cli, extend as extend_module, jets, pou, seqcore
 from ultrajet.cli import _jet_preset, _write_csv, main, run, validate_config
 from ultrajet.errors import ConfigError
 from ultrajet.jets import CompactSet, jet_from_preset
@@ -1016,16 +1016,52 @@ def test_strict_escalates_warnings(tmp_path):
 
 
 def test_extend_with_cutoff_config(tmp_path):
+    # the cutoff was removed: its key takes null alone, and a radius is a
+    # config error that names the key
     cfg = json.loads((CONFIGS / "sin_gevrey2_all.json").read_text())
+    cfg["extension"]["cutoff_radius"] = None
+    assert validate_config(cfg, "extend")["extension"]["cutoff_radius"] is None
     cfg["extension"]["cutoff_radius"] = 0.25
-    cfg["decomposition"]["depth_cap"] = 10
     path = tmp_path / "cut.json"
     path.write_text(json.dumps(cfg))
-    assert run("extend", str(path), str(tmp_path / "out")) == 0
-    lines = (tmp_path / "out" / "field_samples.csv").read_text().strip().split("\n")
-    rows = [(float(a), float(b)) for a, b in (ln.split(",") for ln in lines[1:])]
-    far = [v for x, v in rows if abs(abs(x) - 1.0) > 0.6]
-    assert far and all(v == 0.0 for v in far)
+    assert run("extend", str(path), str(tmp_path / "out")) == 2
+    err = load_report(tmp_path / "out")["errors"][0]
+    assert err["kind"] == "config"
+    assert "extension.cutoff_radius" in err["message"]
+
+
+def _with_sequence_T(**extension):
+    """The bundled 1D config with a second sequence T (Gevrey, s = 3) and
+    the given extension settings."""
+    cfg = json.loads((CONFIGS / "sin_gevrey2_all.json").read_text())
+    cfg["sequences"].append({"name": "T", "generator": "gevrey", "params": {"s": 3.0}})
+    cfg["extension"].update(extension)
+    return cfg
+
+
+def test_verify_measures_growth_in_the_target_sequence(tmp_path):
+    cfg = _with_sequence_T(target_sequence="T")
+    path = tmp_path / "target.json"
+    path.write_text(json.dumps(cfg))
+    assert run("verify", str(path), str(tmp_path / "out")) == 0
+    ver = next(c for c in load_report(tmp_path / "out")["certificates"]
+               if c["kind"] == "verification")
+    assert ver["growth"]["row"] == "T"
+    ctx = cli._Context(validate_config(cfg, "verify"))
+    ec = cfg["extension"]
+    want = extend_module.verify(ctx.field, ctx.sequence("T"), orders=ec["orders"],
+                                approach_scales=ec["approach_scales"],
+                                grid_points=ec["grid_points"])
+    assert ver["growth"] == want["growth"]
+
+
+def test_extension_schedules_on_the_source_sequence(tmp_path):
+    cfg = _with_sequence_T(source_sequence="T")
+    path = tmp_path / "source.json"
+    path.write_text(json.dumps(cfg))
+    assert run("verify", str(path), str(tmp_path / "out")) == 0
+    ctx = cli._Context(validate_config(cfg, "verify"))
+    assert ctx.field.sched.s_prime.source.label == "T"
 
 
 def test_verify_in_chain_mode_config(tmp_path):

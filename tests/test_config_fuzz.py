@@ -40,8 +40,7 @@ _SMALL = {
 _ONE_D = copy.deepcopy(_SMALL)
 _ONE_D.update(compact_set={"points": [-1.0, 1.0]}, output={"csv": True},
               jet={"preset": {"kind": "sin"}, "A_max": 6, "source_sequence": "S"})
-_ONE_D["extension"] = {"orders": [0, 1], "approach_scales": [0.125], "grid_points": 20,
-                       "cutoff_radius": 0.25}
+_ONE_D["extension"] = {"orders": [0, 1], "approach_scales": [0.125], "grid_points": 20}
 _ONE_D["checks"] = [{"check": "good", "weight": "lp"},
                     {"check": "mixed_tail", "mu": "S", "nu": "Q"}]
 # the growth profile of a quotient table with float entries, and a check of it

@@ -430,16 +430,3 @@ def test_point_flags_mark_set_and_collar(sin_field):
     v = sin_field.value(pts)
     assert np.all(np.isfinite(v))
     assert v[0] == math.sin(1.0)
-
-
-def test_cutoff_localizes_field(pair_setup):
-    cs, dec, seq, pou = pair_setup
-    jet = jet_from_preset(Sin(1.0), cs, A_max=12)
-    jet = jet.with_certificate(certify(jet, seq, rho=1.0, P_max=12))
-    sched = schedule(dec, seq, L=64.0, A_max=12)
-    fld = extend(jet, pou, sched, cutoff_radius=0.25)
-    far = np.array([[2.5], [-2.7], [0.0]])
-    assert np.all(fld.value(far) == 0.0)
-    near = np.array([[1.0 + 2.0 ** -6], [-1.0 - 2.0 ** -6]])
-    plain = extend(jet, pou, sched)
-    assert np.allclose(fld.value(near), plain.value(near), rtol=0, atol=0)

@@ -117,6 +117,24 @@ def test_omega_of_sequence_matches_seqcore():
                             rel_tol=1e-12, abs_tol=1e-12)
 
 
+def test_growth_profile_builds_one_hull_of_its_sequence(monkeypatch):
+    # the profile takes the hull of log M from the sequence's M view, the
+    # one omega_assoc reads, so that table gets one envelope
+    seq = seqcore.gevrey(1.0, K_max=64)
+    built = []
+    init = seqcore._MinAffineEnvelope.__init__
+
+    def counting_init(self, y):
+        built.append(np.array(y))
+        init(self, y)
+
+    monkeypatch.setattr(seqcore._MinAffineEnvelope, "__init__", counting_init)
+    fn = omega_of_sequence(seq)
+    assert math.isclose(float(fn(17.0)), seqcore.omega_assoc(seq, 17.0),
+                        rel_tol=1e-12, abs_tol=1e-12)
+    assert sum(np.array_equal(y, seq.logM) for y in built) == 1
+
+
 def test_profile_with_four_certified_decades_builds():
     # gevrey(2) at K_max 32 is valid up to 32^3, which leaves four decades
     # for the tail trend: the fitted exponent then uses those four sums

@@ -16,6 +16,7 @@ from ultrajet.jets import (
     Ultrajet,
     _norms,
     certify,
+    certify_orders,
     jet_from_preset,
     multi_indices,
     taylor_grid,
@@ -228,6 +229,16 @@ def test_certify_sin_pair_finite(pair_1d):
     jet = jet_from_preset(Sin(1.0), pair_1d, A_max=12)
     cert = certify(jet, gevrey(1.0), rho=1.0, P_max=12)
     assert np.isfinite(cert.C) and cert.C > 0
+
+
+def test_negative_remainder_degree_is_rejected(pair_1d):
+    # a negative P_max once skipped every remainder and certified the values alone
+    with pytest.raises(ValueError, match="P_max -3"):
+        certify_orders(gevrey(1.0), 4, -3)
+    jet = jet_from_preset(Sin(1.0), pair_1d, A_max=4)
+    with pytest.raises(ValueError, match="P_max -3"):
+        certify(jet, gevrey(1.0), 1.0, P_max=-3)
+    assert certify_orders(gevrey(1.0), 4, 0) == (0, 4)
 
 
 def test_certify_points_closer_than_1e_154_keeps_a_finite_constant():

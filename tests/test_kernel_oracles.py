@@ -63,7 +63,6 @@ import ultrajet.extend as extend_module
 from ultrajet.extend import (
     DegreeSchedule,
     ExtensionField,
-    _UnionBump,
     _approach_points,
     _halving_constant,
     _taylor_bounds,
@@ -130,7 +129,6 @@ from ultrajet.jets import (
 import ultrajet.pou as pou_module
 from ultrajet.pou import (
     RADII_BUDGET,
-    Bump1D,
     CanonicalBump,
     _PiecewisePoly,
     _complement_bounds,
@@ -449,10 +447,7 @@ def oracle_cube_derivative_bounds(field, up_to):
                               oracle_phi_bounds(field.pou, i, up_to), multis)
                 for i in range(dec.n_cubes)]
     overlap = dec.max_overlap() + 1
-    out = {m: overlap * max([0.0] + [t[m] for t in per_cube]) for m in multis}
-    if field.cutoff is not None:
-        out = _leibniz_fold(out, field.cutoff.bounds(up_to), multis)
-    return out
+    return {m: overlap * max([0.0] + [t[m] for t in per_cube]) for m in multis}
 
 
 def oracle_mask(dec, i, pts, expansion=EXPANSION):
@@ -481,43 +476,6 @@ def oracle_cubes_containing(dec, x):
     half = dec.sides * (EXPANSION / 2.0)
     inside = np.all(np.abs(dec.centers - x) <= half[:, None], axis=1)
     return np.where(inside)[0]
-
-
-def oracle_union_bumps(cutoff):
-    dim = cutoff.points.shape[1]
-    return [[Bump1D(canonical=cutoff.canonical, center=float(a[d]),
-                    r=cutoff.radius) for d in range(dim)]
-            for a in cutoff.points]
-
-
-def oracle_union_derivs(cutoff, pts, up_to):
-    dim = cutoff.points.shape[1]
-    multis = multi_indices(dim, up_to)
-    prod = None
-    for axes in oracle_union_bumps(cutoff):
-        fac = {}
-        for m in multis:
-            v = np.ones(len(pts))
-            for d in range(dim):
-                v = v * axes[d].eval(pts[:, d], int(m[d]))
-            fac[m] = (1.0 - v) if sum(m) == 0 else -v
-        prod = fac if prod is None else _leibniz_fold(prod, fac, multis)
-    return {m: (1.0 - prod[m]) if sum(m) == 0 else -prod[m] for m in multis}
-
-
-def oracle_union_bound(cutoff, m):
-    dim = cutoff.points.shape[1]
-    multis = multi_indices(dim, sum(m))
-    prod = None
-    for axes in oracle_union_bumps(cutoff):
-        fac = {}
-        for mm in multis:
-            b = 1.0
-            for d in range(dim):
-                b *= axes[d].bound(int(mm[d]))
-            fac[mm] = 1.0 if sum(mm) == 0 else b
-        prod = fac if prod is None else _leibniz_fold(prod, fac, multis)
-    return 1.0 if sum(m) == 0 else float(prod[tuple(m)])
 
 
 def oracle_cube_sum(field, pts, alpha, memo):
@@ -552,13 +510,7 @@ def oracle_row(cset, a) -> int:
 
 def oracle_derivative_grid(field, pts, alpha, memo):
     """``memo`` is one dict per field and pts, shared across alphas."""
-    if field.cutoff is None:
-        out = oracle_cube_sum(field, pts, alpha, memo)
-    else:
-        cut = oracle_union_derivs(field.cutoff, pts, sum(alpha))
-        out = np.zeros(len(pts))
-        for beta, gamma, coef in _leibniz_terms(alpha):
-            out += coef * cut[gamma] * oracle_cube_sum(field, pts, beta, memo)
+    out = oracle_cube_sum(field, pts, alpha, memo)
     on_set = oracle_point_flags(field, pts)["on_set"]
     for k in np.where(on_set)[0]:
         out[k] = field.jet.values[oracle_row(field.jet.cset, pts[k]), field.jet.rank(alpha)]
@@ -582,14 +534,6 @@ def oracle_derivative_bounds(field, up_to, memo):
                         * memo["taylor", i, beta])
             per_point_max = max(per_point_max, acc)
         out[m] = overlap * per_point_max
-    if field.cutoff is not None:
-        folded = {}
-        for m in multis:
-            acc = 0.0
-            for beta, gamma, coef in _leibniz_terms(m):
-                acc += coef * oracle_union_bound(field.cutoff, gamma) * out[beta]
-            folded[m] = acc
-        out = folded
     return out
 
 
@@ -601,8 +545,8 @@ SEQ = gevrey(1.0)
 @st.composite
 def field_cases(draw):
     """An extension field with random jet values and per-cube degrees on the
-    cover of a random set of distinct points, with or without a cutoff, an
-    order up_to <= order_cap and sample points (the set points among them)."""
+    cover of a random set of distinct points, an order up_to <= order_cap
+    and sample points (the set points among them)."""
     dim = draw(st.sampled_from((1, 2)))
     depth = draw(st.integers(3, 6))
     order_cap = draw(st.integers(1, 4))
@@ -622,10 +566,7 @@ def field_cases(draw):
                            capped=np.zeros(dec.n_cubes, dtype=bool), L=1.0,
                            mode="single", s_prime=None)
     assert np.array_equal(dec.nearest_idx, [oracle_row(cset, a) for a in dec.nearest_points])
-    cutoff = None
-    if draw(st.booleans()):
-        cutoff = _UnionBump(pou.canonical, pts, draw(st.sampled_from((0.1, 0.25, 0.3))))
-    field = ExtensionField(jet=jet, pou=pou, sched=sched, cutoff=cutoff)
+    field = ExtensionField(jet=jet, pou=pou, sched=sched)
     x = np.concatenate([rng.uniform(-1.0, 1.0, size=(60, dim)), pts])
     return field, up_to, x
 
@@ -701,30 +642,19 @@ def test_point_flags_and_on_set_values_equal_oracle(case):
             assert values[k] == field.jet.values[oracle_row(field.jet.cset, q[k]), field.jet.rank(alpha)]
 
 
-def _with_cutoff(field, on):
-    """The field without a cutoff, or with its own or a 0.25 one."""
-    if not on:
-        return replace(field, cutoff=None)
-    if field.cutoff is not None:
-        return field
-    return replace(field, cutoff=_UnionBump(field.pou.canonical, field.jet.cset.points, 0.25))
-
-
 def _grids_equal_oracle(field, up_to, x, block):
     """Every order of one derivative_grids call, with INCIDENCE_BLOCK set to
     ``block`` in extend, is bit for bit the one-order call and the oracle."""
     alphas = multi_indices(field.jet.cset.dim, up_to)
-    for on in (False, True):
-        fld = _with_cutoff(field, on)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(extend_module, "INCIDENCE_BLOCK", block)
-            grids = fld.derivative_grids(x, alphas)
-        assert list(grids) == alphas
-        memo = {}
-        for alpha in alphas:
-            want = oracle_derivative_grid(fld, x, alpha, memo)
-            assert _same_array(grids[alpha], want)
-            assert _same_array(fld.derivative_grid(x, alpha), want)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extend_module, "INCIDENCE_BLOCK", block)
+        grids = field.derivative_grids(x, alphas)
+    assert list(grids) == alphas
+    memo = {}
+    for alpha in alphas:
+        want = oracle_derivative_grid(field, x, alpha, memo)
+        assert _same_array(grids[alpha], want)
+        assert _same_array(field.derivative_grid(x, alpha), want)
 
 
 @settings(max_examples=10, deadline=None)
@@ -1422,15 +1352,26 @@ EXHAUSTED = (((-1.0, 1.0),), CompactSet(np.array([[0.0], [0.5]]), ((-1.0, 1.0),)
 @example(FACES_3D)
 @example(EXHAUSTED)
 def test_decompose_bitwise_equals_oracle(case):
+    """Also with INCIDENCE_BLOCK at 1 and 7 in geometry, so that the blocks
+    of the nearest-point and cube-distance passes split every level."""
     box, cset, depth_cap, scale = case
     try:
         want = oracle_decompose(box, cset, depth_cap, min_feature_scale=scale)
     except DepthExhausted as exc:
-        with pytest.raises(DepthExhausted) as got:
-            decompose(box, cset, depth_cap, min_feature_scale=scale)
-        assert str(got.value) == str(exc)
-        return
-    got = decompose(box, cset, depth_cap, min_feature_scale=scale)
+        want = exc
+    for block in (INCIDENCE_BLOCK, 1, 7):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry_module, "INCIDENCE_BLOCK", block)
+            if isinstance(want, DepthExhausted):
+                with pytest.raises(DepthExhausted) as got:
+                    decompose(box, cset, depth_cap, min_feature_scale=scale)
+                assert str(got.value) == str(want)
+                continue
+            got = decompose(box, cset, depth_cap, min_feature_scale=scale)
+        _decompositions_equal(got, want)
+
+
+def _decompositions_equal(got, want):
     for f in fields(CubeDecomposition):
         a, b = getattr(got, f.name), getattr(want, f.name)
         if f.name == "neighbor_pairs":
