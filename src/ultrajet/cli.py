@@ -170,7 +170,7 @@ _CHECK_PARAMS["chain"]["x"] = _default(1.0, _REAL)
 _TOP = {
     "schema_version": _default(SCHEMA_VERSION, _Spec(
         f"schema version {SCHEMA_VERSION}", lambda v: _INT.ok(v) and v == SCHEMA_VERSION)),
-    "seed": _default(0, _int_in(0)), "K_max": _default(128, _int_in(1)),
+    "seed": _default(0, _int_in(0)), "K_max": _default(seqcore.DEFAULT_K_MAX, _int_in(1)),
     "x_grid": _default({}), "weights": _default([]), "sequences": _default([]),
     "compact_set": _default(None), "jet": _default(None),
     "decomposition": _default({}), "pou": _default({}), "extension": _default({}),
@@ -196,8 +196,8 @@ _SECTIONS = {
             "order_cap": _default(4, _int_in(0, 12)),
             "sequence": _default(None, _or_null(_STR))},
     "extension": {
-        "L_guard": _default(64.0, _Spec("a real number >= 1",
-                                        lambda v: _is_real(v) and v >= 1)),
+        "L_guard": _default(extmod.DEFAULT_GUARD, _Spec(
+            "a real number >= 1", lambda v: _is_real(v) and v >= 1)),
         "orders": _default([0, 1, 2]),  # checked for verify (_validate_orders)
         "approach_scales": _default([2.0 ** -k for k in range(3, 9)], _Spec(
             f"a list of real numbers in (0, {MAX_COORDINATE:g}]", lambda v: isinstance(v, list)

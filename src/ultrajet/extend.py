@@ -35,12 +35,12 @@ from .geometry import (
     nearest_index,
 )
 from .jets import (
-    INCIDENCE_BLOCK,
     Ultrajet,
     _leibniz_fold,
     _leibniz_terms,
     _taylor_plan,
     _taylor_sums,
+    blocks,
     multi_indices,
 )
 from .pou import PartitionOfUnity
@@ -183,15 +183,15 @@ class ExtensionField:
         rows = np.flatnonzero(q_of >= 0)
         sums = np.empty(len(rows))
         top = int(q_of.max(initial=0))
-        step = max(1, INCIDENCE_BLOCK // comb(top + dim, dim))
-        for lo in range(0, len(rows), step):
-            g = rows[lo:lo + step]
+        for block in blocks(len(rows), comb(top + dim, dim)):
+            g = rows[block]
             anchor, q_g = self.pou.dec.nearest_idx[cube[g]], q_of[g]
             dx = pts[point[g]] - jet.cset.points[anchor]
             powers = dx[:, None, :] ** np.arange(top + 1)[:, None]  # [r, k, d] = dx_d^k
             for q in np.unique(q_g).tolist():
                 k = np.flatnonzero(q_g == q)
-                sums[lo + k] = _taylor_sums(jet.values, anchor[k], powers[k], (beta,), q)[:, 0]
+                sums[block.start + k] = _taylor_sums(jet.values, anchor[k], powers[k],
+                                                     (beta,), q)[:, 0]
         return rows, sums
 
     def value(self, x) -> np.ndarray:

@@ -34,8 +34,8 @@ from .errors import (
     NotLittleO,
     QuasianalyticInput,
 )
-from .jets import INCIDENCE_BLOCK
-from .seqcore import WeightSequence, _decay_exponent, _log_convex, _row_flags
+from . import jets
+from .seqcore import DEFAULT_K_MAX, WeightSequence, _decay_exponent, _log_convex, _row_flags
 
 LOG_C_CAP = 40.0 * log(2.0)
 
@@ -363,7 +363,7 @@ def splitting_ok(a: np.ndarray, b: np.ndarray):
     k_max, ok, lo = a2.shape[-1] - 1, np.ones(len(a2), dtype=bool), 0
     while lo <= k_max and ok.any():
         width = k_max - lo + 1  # the columns of row lo
-        j = np.arange(lo, min(lo + max(1, INCIDENCE_BLOCK // (width * len(a2))), k_max + 1))
+        j = np.arange(lo, min(lo + max(1, jets.INCIDENCE_BLOCK // (width * len(a2))), k_max + 1))
         jk = j[:, None] + np.arange(width)
         inside = jk <= k_max
         over = np.take(a2, np.where(inside, jk, k_max), axis=1) - b2[:, j, None]
@@ -434,7 +434,7 @@ class WeightMatrix:
 
 
 def weight_matrix(fn: WeightFunction, x_grid=DEFAULT_X_GRID,
-                  K_max: int = 128) -> WeightMatrix:
+                  K_max: int = DEFAULT_K_MAX) -> WeightMatrix:
     """Matrix of weight sequences exp(phi*(x k)/x) spanned by ``fn``.
 
     The parameter grid must be closed under doubling below its maximum so

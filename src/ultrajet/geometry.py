@@ -23,7 +23,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DepthExhausted, InvariantViolation
-from .jets import INCIDENCE_BLOCK, CompactSet, _norms
+from .jets import CompactSet, _norms, blocks
 
 EXPANSION = 9.0 / 8.0  # expanded cube Q* has the same center, 9/8 the side
 MAX_GRID_POINTS = 160_000
@@ -40,51 +40,43 @@ def box_grid(box, per_axis: int) -> np.ndarray:
     return np.column_stack([m.ravel() for m in mesh[::-1]])
 
 
-def nearest_index(x, cset: CompactSet) -> tuple:
+def nearest_index(x, cset: CompactSet, half: float = 0.0) -> tuple:
     """Index of the Euclidean-nearest set point of each row of x, and the
-    distance to it (the root of the least sum of (p - x)^2 over the
-    coordinates); ties go to the lexicographically smallest point.  Blocks
-    of rows meet every point, at most INCIDENCE_BLOCK pairs per block.
+    distance to it: the root of the least sum over the coordinates of
+    (p - c)^2, c the point p clamped into the closed cube of half-side
+    ``half`` about the row (the row itself when ``half`` is 0).  Ties go to
+    the lexicographically smallest point.  Blocks of rows meet every point.
 
-    A row whose least square is subnormal or 0 ranks its points again on
-    the differences divided by its smallest nonzero max-norm difference
-    (an exact hit ranks first), and takes the distance as :func:`_norms`
-    does, so that squares that underflow neither tie nor vanish."""
+    A row whose least square is subnormal or 0 and whose nearest difference
+    is not 0 ranks its points again on the differences divided by 2^k, the
+    power of two at its smallest nonzero max-norm difference, and takes 2^k
+    times the root of that same sum.  The division is exact, so squares that
+    underflow neither tie nor vanish, and a set scaled by a power of two
+    gets the scaled distances and the same ranks."""
     x = np.asarray(x, dtype=float).reshape(-1, cset.dim)
     # points in lexicographic order, so that argmin's first minimum breaks ties
-    lex = np.lexsort(cset.points.T[::-1])
+    lex = cset.lex_order
     pts = cset.points[lex]
     idx, dist = np.empty(len(x), dtype=np.intp), np.empty(len(x))
-    step = max(1, INCIDENCE_BLOCK // len(pts))
-    for lo in range(0, len(x), step):
-        v = pts - x[lo:lo + step, None, :]
+    for rows in blocks(len(x), len(pts)):
+        c = x[rows, None, :]
+        v = pts - np.clip(pts, c - half, c + half) if half else pts - c
         d2 = np.sum(v ** 2, axis=2)
         k = np.argmin(d2, axis=1)
         least = d2[np.arange(len(k)), k]
-        dist[lo:lo + step] = np.sqrt(least)
+        dist[rows] = np.sqrt(least)
         low = np.flatnonzero(least < np.finfo(float).tiny)
+        low = low[v[low, k[low]].any(axis=1)]  # an exact hit keeps its rank
         if len(low):
             w = v[low]
             size = np.abs(w).max(axis=2)
-            s = np.where(size > 0.0, size, np.inf).min(axis=1)[:, None, None]
+            s = np.ldexp(1.0, np.frexp(np.where(size > 0.0, size, np.inf).min(axis=1))[1] - 1)
             with np.errstate(over="ignore"):  # far points scale to inf
-                k[low] = np.argmin(np.sum((w / s) ** 2, axis=2), axis=1)
-            dist[lo + low] = _norms(w[np.arange(len(low)), k[low]])
-        idx[lo:lo + step] = lex[k]
+                d2 = np.sum((w / s[:, None, None]) ** 2, axis=2)
+            k[low] = np.argmin(d2, axis=1)
+            dist[rows.start + low] = s * np.sqrt(d2[np.arange(len(low)), k[low]])
+        idx[rows] = lex[k]
     return idx, dist
-
-
-def _cube_distances(centers: np.ndarray, side: float, pts: np.ndarray) -> np.ndarray:
-    """Distance from each closed cube of the given side to the nearest set
-    point (exact for finite sets: clamp each point into the cube), in
-    blocks of at most INCIDENCE_BLOCK (cube, point) pairs."""
-    out = np.empty(len(centers))
-    step = max(1, INCIDENCE_BLOCK // len(pts))
-    for lo in range(0, len(centers), step):
-        c = centers[lo:lo + step, None, :]
-        clamped = np.clip(pts, c - side / 2.0, c + side / 2.0)
-        out[lo:lo + step] = np.sqrt(np.sum((pts - clamped) ** 2, axis=2).min(axis=1))
-    return out
 
 
 @dataclass(frozen=True)
@@ -128,14 +120,13 @@ class CubeDecomposition:
         INCIDENCE_BLOCK comparisons per block, so memory is linear in x."""
         pts = np.asarray(x, dtype=float).reshape(-1, self.dim)
         half = self.sides * (expansion / 2.0)
-        step = max(1, INCIDENCE_BLOCK // max(1, self.n_cubes))
         pairs = [np.zeros((2, 0), dtype=np.intp)]
-        for lo in range(0, len(pts), step):
+        for rows in blocks(len(pts), self.n_cubes):
             inside = True
             for d, c in enumerate(self.centers.T):
-                inside = inside & (np.abs(pts[lo:lo + step, d, None] - c) <= half)
+                inside = inside & (np.abs(pts[rows, d, None] - c) <= half)
             point, cube = np.nonzero(inside)
-            pairs.append(np.stack([lo + point, cube]))
+            pairs.append(np.stack([rows.start + point, cube]))
         return tuple(np.concatenate(pairs, axis=1))
 
     def cubes_containing(self, x) -> np.ndarray:
@@ -170,9 +161,8 @@ def decompose(box, cset: CompactSet, depth_cap: int,
         raise ValueError("box must have positive side length")
     if max(sides0) - min(sides0) > 1e-12 * max(sides0):
         raise ValueError("box must be a cube (equal side lengths)")
-    pts = cset.points
     for d in range(dim):
-        if np.any(pts[:, d] < box[d][0]) or np.any(pts[:, d] > box[d][1]):
+        if np.any(cset.points[:, d] < box[d][0]) or np.any(cset.points[:, d] > box[d][1]):
             raise ValueError("set must lie inside the box")
     if depth_cap < 1:
         raise ValueError("depth_cap must be at least 1")
@@ -187,7 +177,7 @@ def decompose(box, cset: CompactSet, depth_cap: int,
     acc_centers, acc_sides, acc_dist = [], [], []
     level = root_center[None, :]
     for depth in range(depth_cap + 1):
-        d_cube = _cube_distances(level, side, pts)
+        d_cube = nearest_index(level, cset, side / 2.0)[1]
         diam = side * sqrt_n
         accept = d_cube >= diam
         far = accept & (d_cube > 4.0 * diam + 1e-12 * diam)
@@ -213,18 +203,16 @@ def decompose(box, cset: CompactSet, depth_cap: int,
 
     # neighbors: a gap test of every pair, blocks of cubes against all cubes
     half = sides * (EXPANSION / 2.0)
-    tol = 1e-12 * max(float(sides0[0]), 1.0)
-    step = max(1, INCIDENCE_BLOCK // max(1, n))
+    tol = 1e-12 * float(sides0[0])
     pairs = [np.zeros((2, 0), dtype=np.intp)]
-    for lo in range(0, n, step):
+    for rows in blocks(n, n):
         meet = True
         for c in centers.T:
-            gap = np.abs(c - c[lo:lo + step, None]) - (half + half[lo:lo + step, None])
-            meet = meet & (gap <= tol)
-        rows = np.arange(meet.shape[0])
-        meet[rows, lo + rows] = False
+            meet = meet & (np.abs(c - c[rows, None]) - (half + half[rows, None]) <= tol)
+        own = np.arange(rows.stop - rows.start)
+        meet[own, rows.start + own] = False
         i, j = np.nonzero(meet)
-        pairs.append(np.stack([lo + i, j]))
+        pairs.append(np.stack([rows.start + i, j]))
 
     col_sides = np.full(len(col_dist), side)
     collar_radius = float(np.max(col_dist + col_sides * sqrt_n, initial=0.0))
@@ -241,8 +229,7 @@ def decompose(box, cset: CompactSet, depth_cap: int,
                              collar_radius=collar_radius, cset=cset)
 
 
-def cube_diagnostics(dec: CubeDecomposition, samples_per_cube: int = 16,
-                     seed: int = 0) -> dict:
+def cube_diagnostics(dec: CubeDecomposition, samples_per_cube: int, seed: int) -> dict:
     """Sample the expanded cubes and verify the center/point comparison
     inequalities; returns the worst realized ratios.
 

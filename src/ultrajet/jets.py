@@ -19,7 +19,7 @@ arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import comb, factorial, prod
 
@@ -34,6 +34,13 @@ DEFAULT_A_MAX = 12
 # pairs, point-cube pairs, shifted copies of points), so that their memory
 # stays linear in each input
 INCIDENCE_BLOCK = 1 << 14
+
+
+def blocks(n: int, per_row: int) -> list:
+    """The row slices of a pass over n rows of per_row entries each: at most
+    INCIDENCE_BLOCK // per_row rows a slice, and at least one."""
+    step = max(1, INCIDENCE_BLOCK // max(1, per_row))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 @lru_cache(maxsize=None)
@@ -123,6 +130,9 @@ class CompactSet:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
+
+    # the point indices in lexicographic order of the coordinates
+    lex_order = cached_property(lambda self: np.lexsort(self.points.T[::-1]))
 
 
 # -- presets with exact derivative recurrences ----------------------------------
@@ -433,10 +443,9 @@ def certify(jet: Ultrajet, seq: WeightSequence, rho: float,
         fact = np.array([float(factorial(q)) for q in q_of.tolist()])
         # pair k is (a, b) = (k // (n - 1), the (k % (n - 1))-th point other
         # than a), so the pairs run in (a, b) order, a block at a time
-        step = max(1, INCIDENCE_BLOCK // max(
-            _taylor_plan(jet.cset.dim, alphas, q)[0].size for *_, alphas, q in groups))
-        for lo in range(0, n * (n - 1), step):
-            a, b = np.divmod(np.arange(lo, min(lo + step, n * (n - 1))), n - 1)
+        for rows in blocks(n * (n - 1), max(
+                _taylor_plan(jet.cset.dim, alphas, q)[0].size for *_, alphas, q in groups)):
+            a, b = np.divmod(np.arange(rows.start, rows.stop), n - 1)
             b += b >= a
             diff = jet.cset.points[b] - jet.cset.points[a]
             # |b - a| as np.linalg.norm takes it (one BLAS dot per pair) and

@@ -34,13 +34,13 @@ from math import comb, prod
 import numpy as np
 
 from .errors import OrderCapExceeded, QuasianalyticInput, StageOverflow
-from .geometry import CubeDecomposition
-from .jets import INCIDENCE_BLOCK, _leibniz_fold, multi_indices
+from .geometry import EXPANSION, CubeDecomposition
+from .jets import _leibniz_fold, blocks, multi_indices
 from .seqcore import WeightSequence
 
-# radii must fit in this fraction of the half-width so that the plateau
+# radii must fit in half the expansion margin of the half-width so that the plateau
 # still covers [-r, r] while the support stays inside [-9r/8, 9r/8]
-RADII_BUDGET = 1.0 / 16.0
+RADII_BUDGET = (EXPANSION - 1.0) / 2.0
 # binomial rows C(k, i), i <= k, for the shifted antiderivatives of the
 # stages; a stage of degree k has about 2^k pieces, so the rows cover every
 # bump that fits in memory
@@ -170,7 +170,7 @@ class CanonicalBump:
         with np.errstate(over="ignore"):  # 1/r of a tiny radius
             if not np.isfinite([self.bound(j) for j in range(self.J)]).all():
                 raise StageOverflow(f"radius {radii[-1]:g} overflows the derivative bounds")
-        self.a = float(np.nextafter(9.0 / 8.0 - s, -np.inf))
+        self.a = float(np.nextafter(EXPANSION - s, -np.inf))
         suffix = np.concatenate([np.cumsum(radii[::-1])[::-1], [0.0]])
         # stages[m] = indicator convolved with radii m..J (1-based m)
         stage = _PiecewisePoly(np.array([-self.a, self.a]),
@@ -204,10 +204,8 @@ class CanonicalBump:
         shifts = np.matmul(signs[:, None, :], self.radii[:j, None])[:, 0, 0]
         shifts = shifts.reshape((-1,) + (1,) * u.ndim)
         out = np.zeros_like(u)
-        step = max(1, INCIDENCE_BLOCK // max(1, u.size))
-        for lo in range(0, 2 ** j, step):
-            for sign, copy in zip(np.prod(signs[lo:lo + step], axis=1),
-                                  stage(u + shifts[lo:lo + step])):
+        for rows in blocks(2 ** j, u.size):
+            for sign, copy in zip(np.prod(signs[rows], axis=1), stage(u + shifts[rows])):
                 out += sign * copy
         scale = float(np.prod(1.0 / (2.0 * self.radii[:j])))
         return scale * out

@@ -7,13 +7,12 @@ import pytest
 from ultrajet.errors import DepthExhausted
 from ultrajet.geometry import (
     EXPANSION,
-    INCIDENCE_BLOCK,
     box_grid,
     cube_diagnostics,
     decompose,
     nearest_index,
 )
-from ultrajet.jets import CompactSet
+from ultrajet.jets import INCIDENCE_BLOCK, CompactSet
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +119,25 @@ def test_collar_shrinks_with_depth():
              for d in (4, 6, 8, 10)]
     assert all(a > b for a, b in zip(radii, radii[1:]))
     assert radii[-1] < radii[0] / 16.0
+
+
+@pytest.mark.parametrize("dim, depth_cap", [(1, 8), (2, 6), (3, 4)])
+def test_cover_scales_by_powers_of_two(dim, depth_cap):
+    # the cover is defined by distances to the set alone, so the set scaled
+    # by 2^e has the cover scaled by 2^e, bit for bit: at 2^-40 the box is
+    # narrower than an absolute gap tolerance of 1e-12, and at 2^-600 every
+    # square of a difference underflows
+    pts = np.array([[0.0] * dim, [0.5, 0.25, -0.5][:dim]])
+    box = ((-3.0, 3.0),) * dim
+    want = decompose(box, CompactSet(pts, box), depth_cap)
+    for e in (-40, -600):
+        scaled = ((np.ldexp(-3.0, e), np.ldexp(3.0, e)),) * dim
+        got = decompose(scaled, CompactSet(np.ldexp(pts, e), scaled), depth_cap)
+        assert got.n_cubes == want.n_cubes
+        assert np.array_equal(got.nearest_idx, want.nearest_idx)
+        assert np.array_equal(got.neighbor_pairs, want.neighbor_pairs)
+        for name in ("centers", "sides", "center_dist", "cube_dist", "collar_radius"):
+            assert np.array_equal(getattr(got, name), np.ldexp(getattr(want, name), e)), name
 
 
 def test_depth_exhausted():

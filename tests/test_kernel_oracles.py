@@ -59,7 +59,6 @@ from ultrajet.conditions import (
     resolve_chain,
     verify_chain,
 )
-import ultrajet.extend as extend_module
 from ultrajet.extend import (
     DegreeSchedule,
     ExtensionField,
@@ -81,7 +80,6 @@ from ultrajet.errors import (
     TailUnbounded,
     UltrajetError,
 )
-import ultrajet.fncore as fncore_module
 from ultrajet.fncore import (
     DEFAULT_X_GRID,
     GRID_HI,
@@ -99,10 +97,8 @@ from ultrajet.fncore import (
     weight_matrix,
     young_conjugate_grid,
 )
-import ultrajet.geometry as geometry_module
 from ultrajet.geometry import (
     EXPANSION,
-    INCIDENCE_BLOCK,
     box_grid,
     CubeDecomposition,
     cube_diagnostics,
@@ -111,6 +107,7 @@ from ultrajet.geometry import (
 )
 import ultrajet.jets as jets_module
 from ultrajet.jets import (
+    INCIDENCE_BLOCK,
     CompactSet,
     Sin,
     Tensor,
@@ -126,7 +123,6 @@ from ultrajet.jets import (
     multi_indices,
     taylor_grid,
 )
-import ultrajet.pou as pou_module
 from ultrajet.pou import (
     RADII_BUDGET,
     CanonicalBump,
@@ -644,10 +640,10 @@ def test_point_flags_and_on_set_values_equal_oracle(case):
 
 def _grids_equal_oracle(field, up_to, x, block):
     """Every order of one derivative_grids call, with INCIDENCE_BLOCK set to
-    ``block`` in extend, is bit for bit the one-order call and the oracle."""
+    ``block`` in jets, is bit for bit the one-order call and the oracle."""
     alphas = multi_indices(field.jet.cset.dim, up_to)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(extend_module, "INCIDENCE_BLOCK", block)
+        mp.setattr(jets_module, "INCIDENCE_BLOCK", block)
         grids = field.derivative_grids(x, alphas)
     assert list(grids) == alphas
     memo = {}
@@ -1164,11 +1160,11 @@ def _bump_points(bump, j, rng):
 @given(canonical_bumps(), st.integers(0, 2 ** 32 - 1), st.sampled_from((1, 200, INCIDENCE_BLOCK)))
 @example(WORKLOAD_BUMPS[1], 0, INCIDENCE_BLOCK)
 def test_bump_eval_bitwise_equals_per_shift_oracle(bump, seed, block):
-    """Every derivative j <= J - 1, with INCIDENCE_BLOCK in pou at ``block``,
+    """Every derivative j <= J - 1, with INCIDENCE_BLOCK in jets at ``block``,
     on a flat and a two-row point array; and the 2D tensor tables."""
     rng = np.random.default_rng(seed)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pou_module, "INCIDENCE_BLOCK", block)
+        mp.setattr(jets_module, "INCIDENCE_BLOCK", block)
         for j in range(bump.J):
             u = _bump_points(bump, j, rng)
             for pts in (u, u.reshape(2, -1)):
@@ -1217,7 +1213,7 @@ MUTATED_COVER = replace(LINE_COVER, center_dist=LINE_COVER.center_dist * np.wher
 @example((EMPTY_COVER, 16, 0))
 @example((MUTATED_COVER, 32, 0))
 def test_cube_diagnostics_equal_oracle(case):
-    """Also with INCIDENCE_BLOCK at 1 and 7 in geometry, so that the blocks
+    """Also with INCIDENCE_BLOCK at 1 and 7 in jets, so that the blocks
     of nearest_index split the samples of one cube."""
     dec, samples, seed = case
     try:
@@ -1226,7 +1222,7 @@ def test_cube_diagnostics_equal_oracle(case):
         want = exc
     for block in (INCIDENCE_BLOCK, 1, 7):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(geometry_module, "INCIDENCE_BLOCK", block)
+            mp.setattr(jets_module, "INCIDENCE_BLOCK", block)
             if isinstance(want, InvariantViolation):
                 with pytest.raises(InvariantViolation) as got:
                     cube_diagnostics(dec, samples, seed)
@@ -1291,7 +1287,7 @@ def oracle_decompose(box, cset, depth_cap, min_feature_scale=None):
     neighbors = []
     for i in range(n):
         gap = np.abs(centers - centers[i]) - (half + half[i])[:, None]
-        meet = np.all(gap <= 1e-12 * max(root_side, 1.0), axis=1)
+        meet = np.all(gap <= 1e-12 * root_side, axis=1)
         meet[i] = False
         neighbors.append(np.where(meet)[0])
     col_centers = np.asarray(col_centers).reshape(-1, dim)
@@ -1352,7 +1348,7 @@ EXHAUSTED = (((-1.0, 1.0),), CompactSet(np.array([[0.0], [0.5]]), ((-1.0, 1.0),)
 @example(FACES_3D)
 @example(EXHAUSTED)
 def test_decompose_bitwise_equals_oracle(case):
-    """Also with INCIDENCE_BLOCK at 1 and 7 in geometry, so that the blocks
+    """Also with INCIDENCE_BLOCK at 1 and 7 in jets, so that the blocks
     of the nearest-point and cube-distance passes split every level."""
     box, cset, depth_cap, scale = case
     try:
@@ -1361,7 +1357,7 @@ def test_decompose_bitwise_equals_oracle(case):
         want = exc
     for block in (INCIDENCE_BLOCK, 1, 7):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(geometry_module, "INCIDENCE_BLOCK", block)
+            mp.setattr(jets_module, "INCIDENCE_BLOCK", block)
             if isinstance(want, DepthExhausted):
                 with pytest.raises(DepthExhausted) as got:
                     decompose(box, cset, depth_cap, min_feature_scale=scale)
@@ -1429,15 +1425,21 @@ def oracle_all_pairs_distance(x, cset):
        st.sampled_from((1.0, 0.37, 1e3)), st.sampled_from((1, 7, INCIDENCE_BLOCK)))
 def test_nearest_index_distance_equals_both_old_distances(dim, seed, n, scale, block):
     # scaled integer points; rows at half-integers (many ties), on the set
-    # points and anywhere in the box, in blocks of ``block`` pairs
+    # points and anywhere in the box, in blocks of ``block`` pairs; and all
+    # of it scaled by 2^-600, where every square of a difference underflows
     rng = np.random.default_rng(seed)
     pts = scale * np.unique(rng.integers(-2, 3, size=(n, dim)).astype(float), axis=0)
     cset = CompactSet(pts, ((-3.0 * scale, 3.0 * scale),) * dim)
     x = np.concatenate([scale * rng.integers(-6, 7, size=(20, dim)) / 2.0, pts,
                         rng.uniform(-3.0 * scale, 3.0 * scale, size=(20, dim))])
+    small = CompactSet(np.ldexp(pts, -600), ((np.ldexp(-3.0 * scale, -600),
+                                              np.ldexp(3.0 * scale, -600)),) * dim)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry_module, "INCIDENCE_BLOCK", block)
+        mp.setattr(jets_module, "INCIDENCE_BLOCK", block)
         idx, dist = nearest_index(x, cset)
+        small_idx, small_dist = nearest_index(np.ldexp(x, -600), small)
+    assert np.array_equal(small_idx, idx)
+    assert _same_array(small_dist, np.ldexp(dist, -600))
     assert _same_array(dist, oracle_nearest_distance(x, cset, idx))
     assert _same_array(dist, oracle_all_pairs_distance(x, cset))
     assert not dist[20:20 + len(pts)].any()
@@ -2769,7 +2771,7 @@ def test_splitting_ok_blocks_equal_full_array_oracle(k_max, seed, kind, block):
     elif kind == "last_anti_diagonal":
         a[k_max] += 2.0 * c + 1e-3
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fncore_module, "INCIDENCE_BLOCK", block)
+        mp.setattr(jets_module, "INCIDENCE_BLOCK", block)
         got = splitting_ok(a, b)
     assert got == oracle_splitting_ok(a, b)
     if kind != "random":

@@ -12,7 +12,9 @@ field, or an assignment to ``self.x``) that nothing reads is state kept for
 tests only, and is deleted the same way unless it is on ``ALLOWED_UNREAD``.
 Since a read of any class's attribute counts, a method whose name another
 class also defines has no caller check of its own: each such name is on
-``SHARED`` with the reason that keeps every definition of it.
+``SHARED`` with the reason that keeps every definition of it.  The block
+size of the array passes over two inputs is bound in ``jets`` alone, so that
+one patch of ``jets.INCIDENCE_BLOCK`` splits every pass of a call.
 """
 
 import ast
@@ -170,3 +172,18 @@ def test_every_method_name_two_classes_define_is_listed():
     assert sorted(shared - SHARED.keys()) == []
     # an entry whose name one class alone defines now is stale
     assert sorted(SHARED.keys() - shared) == []
+
+
+def test_only_jets_binds_the_block_size():
+    binders = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {n for a in node.names for n in (a.name.rsplit(".", 1)[-1], a.asname)}
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names = {node.id}
+            else:
+                continue
+            if "INCIDENCE_BLOCK" in names:
+                binders.add(path.stem)
+    assert binders == {"jets"}
