@@ -560,7 +560,10 @@ def kappa(fn: WeightFunction, t):
     above = np.cumsum(np.pad(gaps, ((0, 0), (0, 1)))[:, ::-1], axis=1)[:, ::-1]
     head = above[0] + acc
     if rem is None:
-        last4 = _simpson_log(g, np.outer(u, 10.0 ** np.arange(n_dec - 4, n_dec)), 10.0)
+        # decade starts t 10 10 ... as the top decades take them: near a zero
+        # of omega, t 10^k one ulp off changes a decade sum more than its size
+        starts = np.cumprod(np.column_stack([u, np.full((len(u), n_dec - 1), 10.0)]), axis=1)
+        last4 = _simpson_log(g, starts[:, -4:], 10.0)
         head, rem = head - above[1], _tail_remainder(last4[inv], n_dec, what)
     out = ts * (head[inv] + rem)
     return out if np.ndim(t) else float(out[0])

@@ -2203,6 +2203,9 @@ def kappa_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(kappa_cases())
 @example((log_power(1.04), float(np.exp(2.04)), np.array([1.0, 1e8])))  # d^-1.05, not d^-0.92
+# t 100 is one ulp above t 10 10, where omega leaves 0: d^--559.91, not d^--559.96
+@example((omega_of_sequence(gevrey(1.0, K_max=256)), float("inf"),
+          np.array([1.0, 0.001000000000000001])))
 def test_kappa_matches_per_t_oracle(case):
     fn, kink, ts = case
     try:
