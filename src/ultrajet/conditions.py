@@ -15,7 +15,9 @@ with the witness point that violates it by the reported margin.
 The row-pair conditions of a weight matrix (goodness, quotient-root
 domination, the concave matrix form) share one search for the first y >= x
 needing the least constant; they and almost increase share one log-domain
-verdict, ``_log_verdict``: log C against LOG_CAP, exponents capped at 700.
+verdict, ``_log_verdict``: log C against LOG_C_CAP, exponents capped at 700.
+The cap C <= 2^40 is seqcore's C_CAP; a failing verdict's counterexample gives
+where, then needed_C, reference_C, margin and mode (``_counterexample``).
 """
 
 from __future__ import annotations
@@ -23,17 +25,15 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cache
-from math import log
 from typing import Optional
 
 import numpy as np
 
 from .errors import BoundOverflow, NotLittleO, QuasianalyticInput, RangeExhausted, TailUnbounded
 from .fncore import WeightFunction, WeightMatrix, kappa, splitting_ok
-from .seqcore import WeightSequence, descendant, gamma_bar_soft, gamma_under_soft
+from .seqcore import (C_CAP, LOG_C_CAP, WeightSequence, descendant, gamma_bar_soft,
+                      gamma_under_soft)
 
-LOG_CAP = 40.0 * log(2.0)
-C_CAP = 2.0 ** 40
 TREND_GROWTH = 1.1
 GRID_POWERS = tuple(2.0 ** i for i in range(41))
 CHAIN_T_RANGE, CHAIN_N_T = (0.05, 1e3), 48  # the chain search's t grid, in its certificate
@@ -118,7 +118,15 @@ def trend_diverging(values: np.ndarray, positions: np.ndarray | None = None):
     return trending, growth, np.argmax(v, axis=-1)
 
 
-def _linear_verdict(name: str, needed: np.ndarray, positions, pos_key: str,
+def _counterexample(locator: dict, needed: float, margin: float, mode: str = "cap",
+                    reference: float = C_CAP) -> dict:
+    """A failing verdict's counterexample: the ``locator`` keys, then the
+    needed constant, the reference it exceeds, by what margin, and how."""
+    return {**locator, "needed_C": needed, "reference_C": reference, "margin": margin,
+            "mode": mode}
+
+
+def _linear_verdict(name: str, needed: np.ndarray, positions: np.ndarray, pos_key: str,
                     tested_range: dict, details: dict | None = None,
                     trend_positions: np.ndarray | None = None) -> Verdict:
     """Verdict for a condition linear in its constant: the exact smallest
@@ -133,15 +141,9 @@ def _linear_verdict(name: str, needed: np.ndarray, positions, pos_key: str,
         return Verdict(name, True, {"C": max(c_exact, 1.0)},
                        tested_range=tested_range, details=details)
     c_ref = float(np.max(needed[: len(needed) // 2])) if trending else C_CAP
-    pos = positions[i_max]
-    counter = {
-        pos_key: float(pos) if np.isscalar(pos) or isinstance(pos, (int, float))
-        else [float(p) for p in np.atleast_1d(pos)],
-        "needed_C": float(needed[i_max]),
-        "reference_C": c_ref,
-        "margin": float(needed[i_max] / max(c_ref, 1e-300)),
-        "mode": "trend" if trending else "cap",
-    }
+    counter = _counterexample({pos_key: float(positions[i_max])}, float(needed[i_max]),
+                              float(needed[i_max] / max(c_ref, 1e-300)),
+                              "trend" if trending else "cap", c_ref)
     return Verdict(name, False, {"C_range": c_exact, "C_reference": c_ref},
                    counterexample=counter, tested_range=tested_range,
                    details=details)
@@ -218,15 +220,14 @@ def _log_verdict(name: str, log_c: float, const: str, locator: dict,
                  tested_range: dict, details: dict | None = None,
                  witnesses: dict | None = None) -> Verdict:
     """Verdict for a condition whose constant is found in the log domain:
-    it holds when log C <= LOG_CAP; a failure names where by ``locator``
+    it holds when log C <= LOG_C_CAP; a failure names where by ``locator``
     and reports the needed constant with its exponent capped at 700."""
     details = details or {}
-    if log_c <= LOG_CAP:
+    if log_c <= LOG_C_CAP:
         return Verdict(name, True, witnesses or {const: float(np.exp(max(log_c, 0.0)))},
                        tested_range=tested_range, details=details)
-    counter = {**locator, "needed_C": float(np.exp(min(log_c, 700.0))),
-               "reference_C": C_CAP,
-               "margin": float(np.exp(min(log_c - LOG_CAP, 700.0))), "mode": "cap"}
+    counter = _counterexample(locator, float(np.exp(min(log_c, 700.0))),
+                              float(np.exp(min(log_c - LOG_C_CAP, 700.0))))
     return Verdict(name, False, witnesses or {f"log_{const}_range": log_c},
                    counterexample=counter, tested_range=tested_range,
                    details=details)
@@ -298,8 +299,7 @@ def check_descendant(seq: WeightSequence) -> Verdict:
     dominated = float(np.max(sig / np.exp(seq.log_mu[1:out.K_max + 1])))
     mixed_c = float(np.max(seq.quotient_tail_sums()[:out.K_max] * sig / k))
     holds = monotone and dominated <= C_CAP and mixed_c <= C_CAP
-    counter = None if holds else {"monotone": monotone, "needed_C": dominated,
-                                  "reference_C": C_CAP, "margin": 1.0, "mode": "cap"}
+    counter = None if holds else _counterexample({"monotone": monotone}, dominated, 1.0)
     return Verdict(f"descendant[{seq.label}]", holds,
                    {"C_domination": dominated, "C_mixed_tail": mixed_c},
                    counterexample=counter, tested_range={"K_max": out.K_max})
@@ -322,8 +322,7 @@ def check_doubling_absorption(fn: WeightFunction) -> Verdict:
                            tested_range=rng)
     gap = 2.0 * w - fn(np.minimum(GRID_POWERS[-1] * ts, fn.t_valid_max * 0.45))
     i = int(np.argmax(gap))
-    counter = {"t": float(ts[i]), "needed_C": float(gap[i]),
-               "reference_C": C_CAP, "margin": float(gap[i] / C_CAP), "mode": "cap"}
+    counter = _counterexample({"t": float(ts[i])}, float(gap[i]), float(gap[i] / C_CAP))
     return Verdict(f"doubling_absorption[{fn.label}]", False,
                    {"max_gap_at_cap": float(np.max(gap))},
                    counterexample=counter, tested_range=rng)
@@ -380,8 +379,8 @@ def check_strong_matrix(matrix: WeightMatrix) -> Verdict:
         with suppress(QuasianalyticInput, TailUnbounded):
             suffix[i], tailed[i] = matrix.row(x).quotient_tail_sums(), True
     if not tailed[-1]:  # the x past the last row with a tail has no y >= x
-        counter = {"x": xs[max(np.flatnonzero(tailed), default=-1) + 1], "needed_C": float("inf"),
-                   "reference_C": C_CAP, "margin": float("inf"), "mode": "tail"}
+        counter = _counterexample({"x": xs[max(np.flatnonzero(tailed), default=-1) + 1]},
+                                  float("inf"), float("inf"), "tail")
         return Verdict("strong_matrix", False, {}, counter, rng, details={"exists_holds": False})
     pairs = np.triu(np.ones((n, n), dtype=bool)) & tailed  # (x, y) with y >= x
     k = np.arange(1, k_max + 1, dtype=float)

@@ -35,9 +35,8 @@ from .errors import (
     QuasianalyticInput,
 )
 from . import jets
-from .seqcore import DEFAULT_K_MAX, WeightSequence, _decay_exponent, _log_convex, _row_flags
-
-LOG_C_CAP = 40.0 * log(2.0)
+from .seqcore import (DEFAULT_K_MAX, LOG_C_CAP, WeightSequence, _decay_exponent, _log_convex,
+                      _row_flags)
 
 # default certification grid: 64 points per decade on [1e-6, 1e9]
 GRID_LO, GRID_HI, GRID_PER_DECADE = 1e-6, 1e9, 64
@@ -504,12 +503,11 @@ def _tail_remainder(last4: np.ndarray, n_dec: int, what: str) -> np.ndarray:
     return rem
 
 
-def _decade_tail_integral(g, t0: float, rel_tol: float = 1e-12,
-                          max_decades: int = 60, what: str = "integral",
+def _decade_tail_integral(g, t0: float, max_decades: int = 60, what: str = "integral",
                           t_cap: float = float("inf"), fit_remainder: bool = True):
     """``int_{t0}^inf g(u) du`` as (decade total, remainder, decade sums), the
     decades in one pass, up to the first d >= 3 whose running sum is positive
-    and gains at most ``rel_tol`` (remainder 0), else to ``max_decades`` or
+    and gains at most 1e-12 of it (remainder 0), else to ``max_decades`` or
     ``t_cap``, the certified range of g (remainder :func:`_tail_remainder`,
     None unless ``fit_remainder``; under four decades QuasianalyticInput)."""
     if isfinite(t_cap):
@@ -520,7 +518,7 @@ def _decade_tail_integral(g, t0: float, rel_tol: float = 1e-12,
         max_decades = min(max_decades, avail)
     sums = _simpson_log(g, np.cumprod(np.r_[t0, np.full(max_decades - 1, 10.0)]), 10.0)
     acc = np.cumsum(sums)
-    stop = np.flatnonzero((np.arange(max_decades) >= 3) & (acc > 0) & (sums <= rel_tol * acc))
+    stop = np.flatnonzero((np.arange(max_decades) >= 3) & (acc > 0) & (sums <= 1e-12 * acc))
     if len(stop):
         return float(acc[stop[0]]), 0.0, sums[:stop[0] + 1]
     rem = _tail_remainder(sums[None, -4:], max_decades, what)[0] if fit_remainder else None

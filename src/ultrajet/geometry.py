@@ -248,11 +248,12 @@ def cube_diagnostics(dec: CubeDecomposition, samples_per_cube: int, seed: int) -
     near, d_x = (a.reshape(xs.shape[:2]) for a in nearest_index(xs, dec.cset))
     anchor = dec.nearest_points[:, None, :]
     d_i = dec.center_dist[:, None]
-    d_i_floor, d_x_floor = np.maximum(d_i, 1e-300), np.maximum(d_x, 1e-300)
     diam = dec.diam()[:, None]
-    ratios = np.stack([d_i / d_x_floor, d_x / d_i_floor, d_x / diam, diam / d_x_floor,
-                       _norms(anchor - xs) / d_i_floor,
-                       _norms(anchor - dec.cset.points[near]) / d_i_floor], axis=-1)
+    # every expanded cube lies at a positive distance from the set: no ratio
+    # divides by 0, and each is scale-free
+    ratios = np.stack([d_i / d_x, d_x / d_i, d_x / diam, diam / d_x,
+                       _norms(anchor - xs) / d_i,
+                       _norms(anchor - dec.cset.points[near]) / d_i], axis=-1)
     names = ("center_over_point", "point_over_center", "point_over_diam",
              "diam_over_point", "anchor_travel", "anchor_spread")
     bounds = (3.0, 2.0, 9.0, 3.0, 2.0, 4.0)

@@ -11,9 +11,8 @@ tables from exact derivative recurrences, so tests can treat them as ground
 truth.  Certification finds the smallest constant making the two growth bounds
 (pointwise derivative bound, and scaled remainder bound at every pair and
 degree) hold over all stored data: the remainders over all point pairs are
-taken in one array pass (in blocks of bounded size), each Taylor sum the
-one a :func:`taylor_grid` call takes, so the constant is exact for that
-arithmetic.
+taken in one array pass (in blocks of bounded size), each Taylor sum one
+:func:`_taylor_sums` dot, so the constant is exact for that arithmetic.
 """
 
 from __future__ import annotations
@@ -315,22 +314,6 @@ def _taylor_sums(values: np.ndarray, anchors: np.ndarray, powers: np.ndarray,
     sums = np.matmul(coef[:, :, None, :],
                      np.ascontiguousarray(monomials)[:, None, :, None])
     return sums[:, :, 0, 0]
-
-
-def taylor_grid(jet: Ultrajet, a_index: int, p: int, alpha, x) -> np.ndarray:
-    """Derivative of the degree-p Taylor field from base point a, evaluated
-    on an array of points: sum over beta >= alpha, |beta| <= p of
-    F^beta(a) (x-a)^{beta-alpha} / (beta-alpha)!, one dot per point."""
-    alpha = tuple(alpha)
-    if p > jet.A_max:
-        raise OrderCapExceeded(f"degree {p} exceeds stored order {jet.A_max}")
-    if sum(alpha) > p:
-        raise OrderCapExceeded(f"derivative {alpha} exceeds degree {p}")
-    dim = jet.cset.dim
-    q = p - sum(alpha)
-    dx = np.asarray(x, dtype=float).reshape(-1, dim) - jet.cset.points[a_index]
-    powers = dx[:, None, :] ** np.arange(q + 1)[:, None]  # [r, k, d] = dx_d^k
-    return _taylor_sums(jet.values, np.full(len(dx), a_index), powers, (alpha,), q)[:, 0]
 
 
 # -- certification ----------------------------------------------------------------------

@@ -34,6 +34,10 @@ DIVERGENCE_FLOOR = 1.0e6
 # Exponent margin above 1 for a fitted power tail to count as summable.
 TAIL_EXPONENT_MARGIN = 0.05
 
+# The cap C <= 2^40 of every finite-range constant, in flags and verdicts alike.
+C_CAP = 2.0 ** 40
+LOG_C_CAP = 40.0 * log(2.0)
+
 # the structural flags and witnesses of a sequence, in report order
 _FLAGS = ("log_convex", "weight_sequence", "strongly_log_convex", "non_quasianalytic",
           "moderate_growth")
@@ -184,7 +188,7 @@ def _row_flags(logM: np.ndarray) -> list:
 
     # moderate growth via the quotient form mu_k <= C * M_k^{1/k}
     c_mg = np.max(mu_tail - roots, axis=1)
-    moderate = weight_seq & (c_mg <= 40.0 * log(2.0))
+    moderate = weight_seq & (c_mg <= LOG_C_CAP)
 
     @cache
     def pairs():

@@ -704,6 +704,24 @@ def test_doubling_absorption_fails_on_a_step_past_every_constant(tmp_path):
     assert math.isclose(counter["margin"], 909.5, rel_tol=1e-4)
 
 
+def test_check_warns_when_the_concavity_equivalence_forms_disagree(tmp_path):
+    # the scaling form fails on this table where the matrix form holds
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "K_max": 16,
+        "weights": [{"name": "w", "preset": "tabulated", "params": {
+            "ts": [1.0, 2.740619865197784, 15.27001531841382, 1769.134523541308,
+                   12647.055368487689, 21845.053093359184, 43620.92406903621],
+            "values": [0.0, 0.38067311430136336, 7.654732619270954, 38.06905066814099,
+                       842.186167248475, 1154.611645823686, 3080.7309386171446]}}],
+        "checks": [{"check": "concavity_equivalence", "weight": "w"}]}))
+    assert run("check", str(path), str(tmp_path / "out")) == 1
+    rep = load_report(tmp_path / "out")
+    assert rep["warnings"] == ["concavity equivalence forms disagree on w"]
+    assert [(v["name"], v["holds"]) for v in rep["verdicts"]] == [
+        ("concave_scaling[w]", False), ("concave_matrix_form", True)]
+
+
 def test_matrix_skips_an_unnormalized_weight_with_a_warning(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({

@@ -19,7 +19,8 @@ from ultrajet.conditions import (
     verify_chain,
 )
 from ultrajet.errors import QuasianalyticInput, RangeExhausted, TailUnbounded
-from ultrajet.fncore import WeightMatrix, kappa, log_power, power, weight_matrix
+from ultrajet.fncore import (WeightMatrix, kappa, log_power, omega_of_sequence, power,
+                             weight_matrix)
 from ultrajet.seqcore import from_mu, gevrey, quotient_power
 
 from test_kernel_oracles import oracle_good_via_conjugate_secants
@@ -202,6 +203,21 @@ def test_doubling_absorption_power(sqrt_fn):
     v = check_doubling_absorption(sqrt_fn)
     assert v.holds
     assert v.witness_constants["H"] <= 4.0
+
+
+def test_doubling_absorption_stops_its_search_at_the_weight_range():
+    # a growth profile is valid up to mu_K only: H = 32 takes the t grid past
+    # it, so the search ends there, no H of 1 ... 16 absorbing the doubling
+    fn = omega_of_sequence(gevrey(4.0, K_max=64))
+    ts = conditions._default_t_grid(fn)
+    tried = [h for h in conditions.GRID_POWERS if ts[-1] * h <= fn.t_valid_max]
+    assert tried == [1.0, 2.0, 4.0, 8.0, 16.0]
+    assert all(np.max(2.0 * fn(ts) - fn(h * ts)) > h for h in tried)
+    v = check_doubling_absorption(fn)
+    assert v.holds is False
+    assert math.isclose(v.witness_constants["max_gap_at_cap"], 51.26, rel_tol=1e-4)
+    assert v.counterexample["mode"] == "cap"
+    assert v.counterexample["needed_C"] == v.witness_constants["max_gap_at_cap"]
 
 
 def test_quotient_root_domination(sqrt_matrix):

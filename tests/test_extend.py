@@ -21,7 +21,7 @@ from ultrajet.jets import CompactSet, Poly, Sin, Ultrajet, certify, jet_from_pre
 from ultrajet.pou import build_pou
 from ultrajet.seqcore import gamma_bar_soft, gevrey
 
-from test_kernel_oracles import oracle_point_flags
+from test_kernel_oracles import oracle_point_flags, reference_taylor_grid
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -233,13 +233,12 @@ def test_field_equals_taylor_inside_plateau(sin_field):
     dec = sin_field.pou.dec
     sched = sin_field.sched
     # pick a cube, a point deep in its plateau with no earlier overlap
-    from ultrajet.jets import taylor_grid
     hits = 0
     for i in range(dec.n_cubes):
         x = dec.centers[i].reshape(1, -1)
         if sin_field.pou.phi(i, x)[0] == 1.0 and len(dec.cubes_containing(x[0])) == 1:
             v = sin_field.value(x)[0]
-            t = taylor_grid(sin_field.jet, int(dec.nearest_idx[i]),
+            t = reference_taylor_grid(sin_field.jet, int(dec.nearest_idx[i]),
                             int(sched.degrees[i]), (0,), x)[0]
             assert v == t
             hits += 1

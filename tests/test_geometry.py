@@ -170,6 +170,22 @@ def test_diagnostics_2d_many_samples(dec_origin_2d):
     assert rep["max_overlap"] <= 12 ** 4
 
 
+def test_cube_diagnostics_are_scale_free():
+    # the same cover scaled by 2^-600 and 2^-1000, where the distances to the
+    # set fall below 1e-300: an absolute floor on them would shrink every
+    # ratio over a distance (center_over_point to 0.35 from 1.46 at 2^-1000)
+    names = ("center_over_point", "point_over_center", "point_over_diam",
+             "diam_over_point", "anchor_travel", "anchor_spread")
+    worst = []
+    for scale in (1.0, 2.0 ** -600, 2.0 ** -1000):
+        box = ((-3.0 * scale, 3.0 * scale),) * 2
+        cs = CompactSet(np.array([[0.0, 0.0], [0.5, 0.25]]) * scale, box)
+        rep = cube_diagnostics(decompose(box, cs, depth_cap=6), samples_per_cube=32, seed=0)
+        worst.append(np.array([rep[name] for name in names]))
+    for other in worst[1:]:
+        assert np.allclose(other, worst[0], rtol=1e-12, atol=0.0)
+
+
 def test_center_at_expanded_cube_has_no_anchor_spread(dec_origin_1d):
     dec = dec_origin_1d
     for i in (0, dec.n_cubes // 2, dec.n_cubes - 1):

@@ -14,7 +14,8 @@ Since a read of any class's attribute counts, a method whose name another
 class also defines has no caller check of its own: each such name is on
 ``SHARED`` with the reason that keeps every definition of it.  The block
 size of the array passes over two inputs is bound in ``jets`` alone, so that
-one patch of ``jets.INCIDENCE_BLOCK`` splits every pass of a call.
+one patch of ``jets.INCIDENCE_BLOCK`` splits every pass of a call, and the
+cap C <= 2^40 of the finite-range flags and verdicts in ``seqcore`` alone.
 """
 
 import ast
@@ -30,8 +31,6 @@ ALLOWED = {
     "geometry.CubeDecomposition.cubes_containing":
         "acceptance criteria 8 and 9 pick a point's cubes with it",
     "pou.PartitionOfUnity.bumps": "acceptance criterion 7 reads the one-axis bumps",
-    "jets.taylor_grid": "the per-point Taylor field, the reference that the "
-                        "Taylor-sum oracles compare the shared kernel against",
 }
 
 
@@ -187,3 +186,24 @@ def test_only_jets_binds_the_block_size():
             if "INCIDENCE_BLOCK" in names:
                 binders.add(path.stem)
     assert binders == {"jets"}
+
+
+def test_only_seqcore_defines_the_cap():
+    """No module but seqcore binds a name of the cap (C_CAP, LOG_C_CAP or
+    LOG_CAP, also as an import alias), or writes the cap out as ``2.0 ** 40``
+    or ``40.0 * log(2.0)``."""
+    names, spelled = {"C_CAP", "LOG_C_CAP", "LOG_CAP"}, {"2.0 ** 40", "40.0 * log(2.0)"}
+    definers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                hit = node.id in names
+            elif isinstance(node, ast.ImportFrom):
+                hit = any(a.asname in names for a in node.names)
+            elif isinstance(node, ast.BinOp):
+                hit = ast.unparse(node) in spelled
+            else:
+                continue
+            if hit:
+                definers.add(path.stem)
+    assert definers == {"seqcore"}
