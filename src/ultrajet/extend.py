@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .jets import (
     _leibniz_terms,
     _taylor_plan,
     _taylor_sums,
-    blocks,
     multi_indices,
 )
 from .pou import PartitionOfUnity
@@ -175,24 +174,13 @@ class ExtensionField:
 
     def _pair_taylor(self, pts, point, cube, beta) -> tuple:
         """d^beta T_cube at pts[point], for the (point, cube) pairs whose
-        degree p_cube is at least |beta|: those pairs and their sums, in
-        blocks of at most INCIDENCE_BLOCK (pair x term) entries that share
-        their powers, one :func:`_taylor_sums` call per Taylor degree."""
-        jet, dim = self.jet, self.jet.cset.dim
+        degree p_cube is at least |beta|: those pairs and their sums, one
+        :func:`_taylor_sums` call at the degree p_cube - |beta| of each pair."""
         q_of = self.sched.degrees[cube] - sum(beta)
         rows = np.flatnonzero(q_of >= 0)
-        sums = np.empty(len(rows))
-        top = int(q_of.max(initial=0))
-        for block in blocks(len(rows), comb(top + dim, dim)):
-            g = rows[block]
-            anchor, q_g = self.pou.dec.nearest_idx[cube[g]], q_of[g]
-            dx = pts[point[g]] - jet.cset.points[anchor]
-            powers = dx[:, None, :] ** np.arange(top + 1)[:, None]  # [r, k, d] = dx_d^k
-            for q in np.unique(q_g).tolist():
-                k = np.flatnonzero(q_g == q)
-                sums[block.start + k] = _taylor_sums(jet.values, anchor[k], powers[k],
-                                                     (beta,), q)[:, 0]
-        return rows, sums
+        anchor = self.pou.dec.nearest_idx[cube[rows]]
+        dx = pts[point[rows]] - self.jet.cset.points[anchor]
+        return rows, _taylor_sums(self.jet.values, anchor, dx, (beta,), q_of[rows, None])[:, 0]
 
     def value(self, x) -> np.ndarray:
         return self.derivative_grid(x, (0,) * self.jet.cset.dim)
@@ -292,29 +280,27 @@ def _taylor_bounds(field: ExtensionField, target_seq: WeightSequence,
                    d, pts, anchors) -> dict:
     """Realized constants of the two Taylor-field bounds at the approach
     points ``pts``, each with its scale ``d`` and nearest set point: the
-    degree p = 2 gamma_bar(L d), and every alpha with |alpha| <= min(p, 4).
-    The points of one degree share their powers and one
-    :func:`_taylor_sums` call per alpha.  Each constant is the largest
-    ratio; NaN never counts."""
+    degree p = 2 gamma_bar(L d), and every alpha with |alpha| <= min(p, 4),
+    from one :func:`_taylor_sums` call at the degree p - |alpha| of each
+    (point, alpha).  Each constant is the largest ratio; NaN never counts."""
     jet, L = field.jet, field.sched.L
     s_all = np.exp(target_seq.logM[: jet.A_max + 2])
     field_C = increment_C = 0.0
     gb, _ = gamma_bar_soft(field.sched.s_prime, L * d)
     degrees = np.minimum(2 * gb, jet.A_max)
-    for p in np.unique(degrees).tolist():
-        k = degrees == p
-        at = anchors[k]
-        powers = (pts[k] - jet.cset.points[at])[:, None, :] ** np.arange(p + 1)[:, None]
-        for alpha in multi_indices(jet.cset.dim, min(p, 4)):
-            tot = sum(alpha)
-            t_val = _taylor_sums(jet.values, at, powers, (alpha,), p - tot)[:, 0]
-            denom = (2.0 * L) ** (tot + 1) * s_all[tot]
-            field_C = np.fmax.reduce(np.abs(t_val) / denom, initial=field_C)
-            if tot < p:
-                diff = np.abs(t_val - jet.values[at, jet.rank(alpha)])
-                small_s = np.exp(target_seq.log_m[tot + 1])
-                denom2 = (2.0 * L) ** (tot + 1) * factorial(tot) * small_s * d[k]
-                increment_C = np.fmax.reduce(diff / denom2, initial=increment_C)
+    alphas = multi_indices(jet.cset.dim, min(int(degrees.max(initial=0)), 4))
+    q = degrees[:, None] - np.array([sum(alpha) for alpha in alphas])
+    sums = _taylor_sums(jet.values, anchors, pts - jet.cset.points[anchors], tuple(alphas), q)
+    for alpha, t_val, q_alpha in zip(alphas, sums.T, q.T):
+        tot = sum(alpha)
+        denom = (2.0 * L) ** (tot + 1) * s_all[tot]
+        field_C = np.fmax.reduce(np.abs(t_val) / denom, initial=field_C)
+        k = q_alpha > 0  # |alpha| < p
+        if k.any():
+            diff = np.abs(t_val[k] - jet.values[anchors[k], jet.rank(alpha)])
+            small_s = np.exp(target_seq.log_m[tot + 1])
+            denom2 = (2.0 * L) ** (tot + 1) * factorial(tot) * small_s * d[k]
+            increment_C = np.fmax.reduce(diff / denom2, initial=increment_C)
     return {"field_bound_C": float(field_C), "increment_bound_C": float(increment_C)}
 
 

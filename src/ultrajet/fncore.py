@@ -504,12 +504,12 @@ def _tail_remainder(last4: np.ndarray, n_dec: int, what: str) -> np.ndarray:
 
 
 def _decade_tail_integral(g, t0: float, max_decades: int = 60, what: str = "integral",
-                          t_cap: float = float("inf"), fit_remainder: bool = True):
+                          t_cap: float = float("inf")):
     """``int_{t0}^inf g(u) du`` as (decade total, remainder, decade sums), the
     decades in one pass, up to the first d >= 3 whose running sum is positive
     and gains at most 1e-12 of it (remainder 0), else to ``max_decades`` or
-    ``t_cap``, the certified range of g (remainder :func:`_tail_remainder`,
-    None unless ``fit_remainder``; under four decades QuasianalyticInput)."""
+    ``t_cap``, the certified range of g (remainder None: the caller fits it;
+    under four decades QuasianalyticInput)."""
     if isfinite(t_cap):
         avail = int(np.floor(np.log10(t_cap / t0))) if t_cap > 0 else 0
         if avail < 4:
@@ -521,8 +521,7 @@ def _decade_tail_integral(g, t0: float, max_decades: int = 60, what: str = "inte
     stop = np.flatnonzero((np.arange(max_decades) >= 3) & (acc > 0) & (sums <= 1e-12 * acc))
     if len(stop):
         return float(acc[stop[0]]), 0.0, sums[:stop[0] + 1]
-    rem = _tail_remainder(sums[None, -4:], max_decades, what)[0] if fit_remainder else None
-    return float(acc[-1]), rem, sums
+    return float(acc[-1]), None, sums
 
 
 def kappa(fn: WeightFunction, t):
@@ -549,8 +548,7 @@ def kappa(fn: WeightFunction, t):
 
     u, inv = np.unique(ts, return_inverse=True)
     what = f"kappa[{fn.label}]"
-    acc, rem, top = _decade_tail_integral(g, u[-1], what=what, t_cap=0.45 * fn.t_valid_max,
-                                          fit_remainder=False)
+    acc, rem, top = _decade_tail_integral(g, u[-1], what=what, t_cap=0.45 * fn.t_valid_max)
     n_dec, ratio = len(top), u[1:] / u[:-1]
     panels = 2 * max(4, ceil(64.0 * log10(ratio.max(initial=1.0))))
     lo = np.outer([1.0] if rem is not None else [1.0, 10.0 ** n_dec], u[:-1])
@@ -570,10 +568,12 @@ def kappa(fn: WeightFunction, t):
 def _tail_integrability(fn: WeightFunction):
     """Certificate for ``int_0^inf omega(t)/(1+t^2) dt < inf`` with a decade
     trend analysis; returns (ok, fitted exponent, tail estimate)."""
+    what = f"tail[{fn.label}]"
     try:
         acc, rem, sums = _decade_tail_integral(lambda u: fn(u) / (1.0 + u ** 2), 1.0,
-                                               max_decades=24, what=f"tail[{fn.label}]",
+                                               max_decades=24, what=what,
                                                t_cap=0.45 * fn.t_valid_max)
+        rem = _tail_remainder(sums[None, -4:], len(sums), what)[0] if rem is None else rem
     except QuasianalyticInput:
         return False, 0.0, float("inf")
     xs = np.linspace(0.0, 1.0, 257)

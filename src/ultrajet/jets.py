@@ -5,20 +5,21 @@ A jet is a complete table of values F^alpha(a) for every multi-index up to
 an order cap and every point of a finite set in R^d, any d >= 1.  The
 multi-index kernel here (graded multi-indices and their ranks, Leibniz
 terms, Taylor plans) serves every dimension and every module, and one kernel
-takes every Taylor sum of a jet, one dot per sum, so that a sum does not
-depend on the other sums of its call.  Preset generators produce the
-tables from exact derivative recurrences, so tests can treat them as ground
-truth.  Certification finds the smallest constant making the two growth bounds
-(pointwise derivative bound, and scaled remainder bound at every pair and
-degree) hold over all stored data: the remainders over all point pairs are
-taken in one array pass (in blocks of bounded size), each Taylor sum one
-:func:`_taylor_sums` dot, so the constant is exact for that arithmetic.
+takes every Taylor sum of a jet from offsets and a degree per sum, one dot
+per sum, so that a sum does not depend on the other sums of its call.
+Preset generators produce the tables from exact derivative recurrences, so
+tests can treat them as ground truth.  Certification finds the smallest
+constant making the two growth bounds (pointwise derivative bound, and scaled
+remainder bound at every pair and degree) hold over all stored data: the
+remainders over all point pairs are taken in one array pass, one
+:func:`_taylor_sums` call a block of pairs, so the constant is exact for
+that arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import product
 from math import comb, factorial, prod
 
@@ -294,61 +295,53 @@ def jet_from_preset(preset, cset: CompactSet, A_max: int = DEFAULT_A_MAX) -> Ult
 
 # -- Taylor fields ----------------------------------------------------------------
 
-def _taylor_sums(values: np.ndarray, anchors: np.ndarray, powers: np.ndarray,
-                 alphas: tuple, q: int) -> np.ndarray:
-    """Degree-q Taylor sums sum_gamma F^{alpha+gamma}(a) dx^gamma / gamma!
+def _taylor_sums(values: np.ndarray, anchors: np.ndarray, offsets: np.ndarray,
+                 alphas: tuple, q) -> np.ndarray:
+    """Taylor sums sum_{|gamma| <= q} F^{alpha+gamma}(a) dx^gamma / gamma!
     from the value table, one row per offset and one column per alpha of
-    ``alphas``: row r from the point anchors[r], at the offset with
-    powers[r, k, d] = dx_d^k, k <= q at least.  The coefficients are
-    gathered once per point from the least to the greatest anchor, then
-    copied to the rows; each sum is one BLAS dot of two unit-stride vectors,
-    so a row does not depend on the other rows."""
-    ranks, exponents, inv_fact, _ = _taylor_plan(powers.shape[2], alphas, q)
-    monomials = powers[:, exponents[0], 0]
-    for d in range(1, powers.shape[2]):
-        monomials = monomials * powers[:, exponents[d], d]
-    lo = anchors.min(initial=len(values))  # an empty call gathers nothing
-    base = values[lo:anchors.max(initial=0) + 1]
-    coef = np.take(np.take(base, ranks, axis=1) * inv_fact, anchors - lo, axis=0)
-    # unit strides (np.take's output is C-contiguous too) keep each sum one dot
-    sums = np.matmul(coef[:, :, None, :],
-                     np.ascontiguousarray(monomials)[:, None, :, None])
-    return sums[:, :, 0, 0]
+    ``alphas``: row r from the point anchors[r] at dx = offsets[r], entry
+    (r, j) of degree q[r, j] (``q`` an int array that broadcasts to the
+    table; an entry of degree q < 0 is NaN).  Each degree's rectangle, its
+    rows by its columns, gathers its coefficients once per point and takes
+    each sum as one BLAS dot of two unit-stride vectors, so an entry does not
+    depend on the other entries.  Rows go in blocks of at most
+    INCIDENCE_BLOCK entries of the largest rectangle."""
+    q, out = np.atleast_2d(q), np.full((len(anchors), len(alphas)), np.nan)
+    plans = []  # per degree: its rows (a mask of q's rows), its columns and their Taylor plan
+    for degree in range(q.max(initial=-1) + 1):
+        hit = q == degree  # "|" spreads a q of one column over every column
+        cols = (hit.any(axis=0) | np.zeros(len(alphas), bool)).nonzero()[0].tolist()
+        if cols:
+            plans.append((degree, hit.any(axis=1), cols,
+                          _taylor_plan(offsets.shape[1], tuple([alphas[c] for c in cols]), degree)))
+    exponents = np.arange(q.max(initial=0) + 1)[:, None]  # up to the top degree of the call
+    for block in blocks(len(anchors), max((plan[0].size for *_, plan in plans), default=1)):
+        powers = offsets[block, None, :] ** exponents  # [r, k, d] = dx_d^k
+        for degree, rows, cols, (ranks, exps, inv_fact, _) in plans:
+            # a q that varies by column alone gives every degree all the rows
+            r = slice(None) if q.shape[0] == 1 else rows[block].nonzero()[0]
+            pw, at = powers[r], anchors[block][r]
+            monomials = reduce(np.multiply, [pw[:, e, d] for d, e in enumerate(exps)])
+            lo = at.min(initial=len(values))  # a block without the degree gathers nothing
+            coef = values[lo:at.max(initial=0) + 1].take(ranks, axis=1) * inv_fact
+            coef = coef.take(at - lo, axis=0)  # from each point to its rows
+            # unit strides (take's output is C-contiguous) keep each sum one dot
+            sums = np.matmul(coef[:, :, None, :],
+                             np.ascontiguousarray(monomials)[:, None, :, None])[:, :, 0, 0]
+            ix = (block, cols) if q.shape[0] == 1 else ((block.start + r)[:, None], cols)
+            # only a q that varies along both axes puts other degrees in a rectangle
+            out[ix] = sums if 1 in q.shape else np.where(q[ix] == degree, sums, out[ix])
+    return out
 
 
 # -- certification ----------------------------------------------------------------------
 
 def _certify_plan(dim: int, P_max: int) -> tuple:
     """The remainder candidates (p, alpha) of one pair of points in the order
-    :func:`certify` scans them, p ascending, then alpha graded: the p and the
-    rank of alpha of each candidate, and per Taylor degree q = p - |alpha|
-    the positions of its candidates, the ranks of their alphas, the alphas
-    and q."""
-    cands = [(p, alpha) for p in range(P_max + 1) for alpha in _graded(dim, p)]
-    position = {c: k for k, c in enumerate(cands)}
-    ranks = _ranks(dim, P_max)
-    groups = tuple((np.array([position[sum(a) + q, a] for a in alphas]),
-                    np.array([ranks[a] for a in alphas]), alphas, q)
-                   for q in range(P_max + 1) for alphas in [_graded(dim, P_max - q)])
-    return (np.array([p for p, _ in cands]),
-            np.array([ranks[a] for _, a in cands]), groups)
-
-
-def _remainders(jet: Ultrajet, a: np.ndarray, b: np.ndarray, diff: np.ndarray,
-                groups: tuple) -> np.ndarray:
-    """|F^alpha(b) - (degree p - |alpha| Taylor field of F^alpha from a)(b)|
-    for the point pairs (a[r], b[r]), one row per pair (at ``diff`` = b - a)
-    and one column per candidate of :func:`_certify_plan`: one
-    :func:`_taylor_sums` call per Taylor degree, all on the same powers.
-    Values past the float range come out inf or NaN, with no warning."""
-    powers = diff[:, None, :] ** np.arange(len(groups))[:, None]  # [r, k, d] = dx_d^k
-    at_b = jet.values[b]
-    out = np.empty((len(a), sum(len(g[0]) for g in groups)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for position, alpha_rank, alphas, q in groups:
-            out[:, position] = np.abs(at_b[:, alpha_rank]
-                                      - _taylor_sums(jet.values, a, powers, alphas, q))
-    return out
+    :func:`certify` scans them, p ascending, then alpha graded: the p, the
+    rank of alpha and alpha of each candidate."""
+    p_of, alphas = zip(*[(p, alpha) for p in range(P_max + 1) for alpha in _graded(dim, p)])
+    return np.array(p_of), np.array([_ranks(dim, P_max)[a] for a in alphas]), alphas
 
 
 def _first_max(ratios: np.ndarray, best) -> tuple:
@@ -398,12 +391,13 @@ def certify(jet: Ultrajet, seq: WeightSequence, rho: float,
     """Smallest constant C making both growth bounds hold over all stored
     data: the largest ratio over the values (a, alpha), scaled by rho^|alpha|
     M_|alpha|, and the remainders (a, b, p <= P_max, alpha), scaled by
-    rho^{p+1} M_{p+1} |b-a|^q / q!, q = p+1-|alpha|.  ``binding`` names the
-    first largest ratio in that order, values first.  A jet value that is
-    not finite raises BoundOverflow before any ratio is formed, and so does a
-    C that is not finite (a ratio over a scale that underflows).  One array
-    pass over the pairs (a, b), a != b, in (a, b) order, in blocks of at most
-    INCIDENCE_BLOCK (pair x alpha x term) entries.
+    rho^{p+1} M_{p+1} |b-a|^{q+1} / (q+1)!, q = p-|alpha|.  ``binding`` names
+    the first largest ratio in that order, values first.  A jet value that
+    is not finite raises BoundOverflow before any ratio is formed, and so
+    does a C that is not finite (a ratio over a scale that underflows).  One
+    array pass over the pairs (a, b), a != b, in (a, b) order, in blocks of
+    at most INCIDENCE_BLOCK (pair x candidate) entries: one
+    :func:`_taylor_sums` call a block, at the Taylor degree q per candidate.
     """
     P_max, n_need = certify_orders(seq, jet.A_max, P_max)
     if not np.all(np.isfinite(jet.values)):  # a NaN ratio never binds: C could come out finite
@@ -420,14 +414,13 @@ def certify(jet: Ultrajet, seq: WeightSequence, rho: float,
     best, at = _first_max(np.abs(jet.values) / den[degree], 0.0)
     binding = () if at is None else ("value", at[0], jet.multi[at[1]])
     if n > 1:
-        p_of, alpha_of, groups = _certify_plan(jet.cset.dim, P_max)
-        q_of = p_of + 1 - degree[alpha_of]
+        p_of, alpha_of, alphas = _certify_plan(jet.cset.dim, P_max)
+        q_of = p_of - degree[alpha_of]  # the Taylor degree of each candidate
         lead = np.array([rho_k[p + 1] * M[p + 1] for p in p_of.tolist()])
-        fact = np.array([float(factorial(q)) for q in q_of.tolist()])
+        fact = np.array([float(factorial(q + 1)) for q in q_of.tolist()])
         # pair k is (a, b) = (k // (n - 1), the (k % (n - 1))-th point other
         # than a), so the pairs run in (a, b) order, a block at a time
-        for rows in blocks(n * (n - 1), max(
-                _taylor_plan(jet.cset.dim, alphas, q)[0].size for *_, alphas, q in groups)):
+        for rows in blocks(n * (n - 1), len(p_of)):
             a, b = np.divmod(np.arange(rows.start, rows.stop), n - 1)
             b += b >= a
             diff = jet.cset.points[b] - jet.cset.points[a]
@@ -440,8 +433,9 @@ def certify(jet: Ultrajet, seq: WeightSequence, rho: float,
             except OverflowError:
                 raise BoundOverflow(f"remainder scale {dist.max():g}^{P_max + 1} of a point "
                                     "pair overflows") from None
-            scale = lead * np.array(powers)[:, q_of] / fact
-            best, at = _first_max(_remainders(jet, a, b, diff, groups) / scale, best)
+            scale = lead * np.array(powers)[:, q_of + 1] / fact
+            taylor = _taylor_sums(jet.values, a, diff, alphas, q_of)
+            best, at = _first_max(np.abs(jet.values[b[:, None], alpha_of] - taylor) / scale, best)
             if at is not None:
                 binding = ("remainder", int(a[at[0]]), int(b[at[0]]), int(p_of[at[1]]),
                            jet.multi[alpha_of[at[1]]])

@@ -65,6 +65,8 @@ from ultrajet.extend import (
     _taylor_bounds,
     _taylor_sup_bounds,
     derivative_bounds,
+    extend,
+    schedule,
     verify,
 )
 from ultrajet.errors import (
@@ -107,13 +109,13 @@ import ultrajet.jets as jets_module
 from ultrajet.jets import (
     INCIDENCE_BLOCK,
     CompactSet,
+    Exp,
     Sin,
     Tensor,
     Ultrajet,
     _certify_plan,
     _leibniz_fold,
     _leibniz_terms,
-    _remainders,
     _taylor_plan,
     _taylor_sums,
     certify,
@@ -200,8 +202,7 @@ def kernel_taylor_grid(jet, a_index, p, alpha, x):
     alpha = tuple(alpha)
     q = p - sum(alpha)
     dx = np.asarray(x, dtype=float).reshape(-1, jet.cset.dim) - jet.cset.points[a_index]
-    powers = dx[:, None, :] ** np.arange(q + 1)[:, None]  # [r, k, d] = dx_d^k
-    return _taylor_sums(jet.values, np.full(len(dx), a_index), powers, (alpha,), q)[:, 0]
+    return _taylor_sums(jet.values, np.full(len(dx), a_index), dx, (alpha,), q)[:, 0]
 
 
 def reference_taylor_grid(jet, a_index, p, alpha, x):
@@ -296,41 +297,50 @@ def test_taylor_grid_matches_oracle(case):
 
 @st.composite
 def taylor_sum_cases(draw):
-    """A random value table on 1-5 points in dimension 1-3, a Taylor degree
-    q <= 8, 1-6 alphas whose degree-q Taylor fields the table holds, 1-8
-    offsets from anchors in any order, and how many powers past q the
-    caller took."""
+    """A random value table on 1-5 points in dimension 1-3, 1-6 alphas, 1-8
+    offsets from anchors in any order, and a Taylor degree in [-1, 8] per
+    (offset, alpha) that the table holds: one per entry (mixed within a
+    row), one per row or one per alpha, in the shape that broadcasts."""
     dim = draw(st.sampled_from((1, 2, 3)))
-    q = draw(st.integers(0, 8))
-    A_max = q + draw(st.integers(0, 2))
+    A_max = draw(st.integers(0, 10))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     pts = np.unique(np.round(rng.uniform(-2.0, 2.0, size=(draw(st.integers(1, 5)), dim)), 3),
                     axis=0)
     jet = Ultrajet(CompactSet(pts, ((-3.0, 3.0),) * dim), A_max,
                    rng.normal(size=(len(pts), len(multi_indices(dim, A_max)))))
-    alphas = tuple(draw(st.lists(st.sampled_from(multi_indices(dim, A_max - q)),
+    alphas = tuple(draw(st.lists(st.sampled_from(multi_indices(dim, A_max)),
                                  min_size=1, max_size=6)))
     anchors = np.array(draw(st.lists(st.integers(0, len(pts) - 1), min_size=1, max_size=8)))
     x = rng.uniform(-3.0, 3.0, size=(len(anchors), dim))
-    return jet, alphas, q, anchors, x, draw(st.integers(0, 3))
+    top = np.array([min(8, A_max - sum(alpha)) for alpha in alphas])  # per alpha
+    shape = draw(st.sampled_from(((len(anchors), len(alphas)), (len(anchors), 1),
+                                  (len(alphas),))))
+    q = rng.integers(-1, (top if shape[-1] == len(alphas) else top.min()) + 1, size=shape)
+    return jet, alphas, q, anchors, x
 
 
 @settings(max_examples=150, deadline=None)
 @given(taylor_sum_cases())
 def test_taylor_sums_bitwise_equal_reference(case):
-    """Each sum is reference_taylor_grid's bit for bit, and a row's sums are
-    the same bytes alone as inside the larger call."""
-    jet, alphas, q, anchors, x, extra = case
+    """Each sum of degree q >= 0 is reference_taylor_grid's bit for bit, and
+    the same bytes alone as inside the larger call; each of degree -1 is
+    NaN.  No anchor gives an empty table."""
+    jet, alphas, q, anchors, x = case
     dx = x - jet.cset.points[anchors]
-    powers = dx[:, None, :] ** np.arange(q + 1 + extra)[:, None]
-    got = _taylor_sums(jet.values, anchors, powers, alphas, q)
+    got = _taylor_sums(jet.values, anchors, dx, alphas, q)
     assert got.shape == (len(anchors), len(alphas))
-    for r, a in enumerate(anchors.tolist()):
-        want = [reference_taylor_grid(jet, a, sum(alpha) + q, alpha, x[r])[0]
-                for alpha in alphas]
-        assert _same_array(got[r], np.array(want))
-        alone = _taylor_sums(jet.values, anchors[r:r + 1], powers[r:r + 1], alphas, q)
-        assert _same_array(alone[0], got[r])
+    degree = np.broadcast_to(q, got.shape)
+    for (r, j), q_rj in np.ndenumerate(degree):
+        if q_rj < 0:
+            assert np.isnan(got[r, j])
+            continue
+        alpha, a = alphas[j], int(anchors[r])
+        want = reference_taylor_grid(jet, a, sum(alpha) + int(q_rj), alpha, x[r])
+        alone = _taylor_sums(jet.values, anchors[r:r + 1], dx[r:r + 1], (alpha,), q_rj)
+        assert _same_array(got[r, j:j + 1], want)
+        assert _same_array(alone[0], want)
+    empty = _taylor_sums(jet.values, anchors[:0], dx[:0], alphas, q[:0] if q.ndim == 2 else q)
+    assert empty.shape == (0, len(alphas))
 
 
 @settings(max_examples=150, deadline=None)
@@ -1075,19 +1085,54 @@ def test_certify_bitwise_equals_oracle(case):
 @settings(max_examples=40, deadline=None)
 @given(certify_cases())
 def test_certify_remainders_bitwise_equal_taylor_grid(case):
+    """certify's remainders |F^alpha(b) - T|, T from one kernel call over
+    every pair and candidate, are the per-point Taylor field's bit for bit."""
     jet, _, _, P_max = case
     n = len(jet.cset.points)
-    p_of, alpha_of, groups = _certify_plan(jet.cset.dim, P_max)
+    p_of, alpha_of, alphas = _certify_plan(jet.cset.dim, P_max)
+    assert alphas == tuple(jet.multi[al] for al in alpha_of.tolist())
     if n == 1:
         return  # no pair
     a, b = np.nonzero(~np.eye(n, dtype=bool))  # every pair a != b, in (a, b) order
-    table = _remainders(jet, a, b, jet.cset.points[b] - jet.cset.points[a], groups)
+    q_of = p_of - np.array([sum(alpha) for alpha in alphas])
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = np.abs(jet.values[b[:, None], alpha_of] - _taylor_sums(
+            jet.values, a, jet.cset.points[b] - jet.cset.points[a], alphas, q_of))
     for row, (i, j) in enumerate(zip(a, b)):
         pt = jet.cset.points[j][None, :]
         want = [abs(jet.values[j, al]
                     - reference_taylor_grid(jet, i, p, jet.multi[al], pt)[0])
                 for p, al in zip(p_of, alpha_of)]
         assert table[row].tobytes() == np.array(want).tobytes()
+
+
+def test_block_of_64_entries_changes_no_bit():
+    """With INCIDENCE_BLOCK at 64 in jets, certify (C and binding), the
+    Taylor-field bounds and derivative_grids are their default-block
+    results bit for bit: 64 entries split the pairs of certify and of the
+    field, and the rows of every Taylor-sum call."""
+    cset = CompactSet(np.array([[-0.5, 0.3], [0.6, -0.4], [0.1, 1.1], [-1.2, -0.9]]),
+                      ((-3.0, 3.0),) * 2)
+    jet = jet_from_preset(Tensor(Sin(), Exp(0.5)), cset, 8)
+    dec = decompose(cset.box, cset, depth_cap=6)  # cube degrees 0-8 at L = 1
+    pou = build_pou(dec, SEQ, order_cap=2)
+    scales = np.array([0.25, 0.125, 0.0625])
+    scale_of, pts, anchors = _approach_points(cset, scales, dec.box)
+    x = box_grid(dec.box, 30)
+
+    def results():
+        cert = certify(jet, SEQ, rho=1.0)
+        field = extend(jet.with_certificate(cert), pou, schedule(dec, SEQ, L=1.0, A_max=8))
+        return (cert, _taylor_bounds(field, SEQ, scales[scale_of], pts, anchors),
+                field.derivative_grids(x, multi_indices(2, 2)))
+
+    want = results()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jets_module, "INCIDENCE_BLOCK", 64)
+        got = results()
+    assert _bits(got[0].C) == _bits(want[0].C) and got[0].binding == want[0].binding
+    assert all(_bits(got[1][k]) == _bits(want[1][k]) for k in want[1])
+    assert all(_same_array(got[2][m], want[2][m]) for m in want[2])
 
 
 @st.composite

@@ -1,21 +1,23 @@
-"""Every public function and method of the package has a caller in the
-package, every attribute that a class stores is read in the package, and
-every public name that two classes define is listed with its reason.
+"""Every public function, method and property of the package has a caller
+in the package, every attribute that a class stores is read in the package,
+and every public name that two classes define is listed with its reason.
 
 A public name that no code in ``src/ultrajet`` references is surface that
 only tests reach, such as a one-point twin of an array function.  It is
 deleted and its tests move onto what the package calls, unless it is on
 ``ALLOWED`` with its reason.  References are found by name in the parsed
 code (docstrings and comments do not count), so a method counts as called
-when any attribute of that name is read.  A stored attribute (a dataclass
-field, or an assignment to ``self.x``) that nothing reads is state kept for
-tests only, and is deleted the same way unless it is on ``ALLOWED_UNREAD``.
-Since a read of any class's attribute counts, a method whose name another
-class also defines has no caller check of its own: each such name is on
-``SHARED`` with the reason that keeps every definition of it.  The block
-size of the array passes over two inputs is bound in ``jets`` alone, so that
-one patch of ``jets.INCIDENCE_BLOCK`` splits every pass of a call, and the
-cap C <= 2^40 of the finite-range flags and verdicts in ``seqcore`` alone.
+when any attribute of that name is read; only reads count, so the
+assignment that defines a property is no reference to it.  A stored
+attribute (a dataclass field, or an assignment to ``self.x``) that nothing
+reads is state kept for tests only, and is deleted the same way unless it
+is on ``ALLOWED_UNREAD``.  Since a read of any class's attribute counts, a
+method whose name another class also defines has no caller check of its
+own: each such name is on ``SHARED`` with the reason that keeps every
+definition of it.  The block size of the array passes over two inputs is
+bound in ``jets`` alone, so that one patch of ``jets.INCIDENCE_BLOCK``
+splits every pass of a call, and the cap C <= 2^40 of the finite-range
+flags and verdicts in ``seqcore`` alone.
 """
 
 import ast
@@ -31,6 +33,8 @@ ALLOWED = {
     "geometry.CubeDecomposition.cubes_containing":
         "acceptance criteria 8 and 9 pick a point's cubes with it",
     "pou.PartitionOfUnity.bumps": "acceptance criterion 7 reads the one-axis bumps",
+    "geometry.CubeDecomposition.neighbors":
+        "perfbench/tracer.py counts geometry.max_overlap of traced runs with it",
 }
 
 
@@ -74,7 +78,22 @@ SHARED = {
 }
 
 
+def _public_members(cls: ast.ClassDef) -> list:
+    """The public methods and properties of a class: a ``def``, or a
+    ``property`` or ``cached_property`` assigned in the class body."""
+    names = []
+    for sub in cls.body:
+        if isinstance(sub, ast.FunctionDef):
+            names.append(sub.name)
+        elif (isinstance(sub, ast.Assign) and isinstance(sub.value, ast.Call)
+              and getattr(sub.value.func, "id", None) in ("property", "cached_property")):
+            names += [t.id for t in sub.targets if isinstance(t, ast.Name)]
+    return [name for name in names if not name.startswith("_")]
+
+
 def _public_definitions_and_references():
+    """The public functions, methods and properties, and every name that is
+    read (an assignment to a name is no reference to it)."""
     defined, referenced = [], set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -82,13 +101,11 @@ def _public_definitions_and_references():
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
                 defined.append(f"{path.stem}.{node.name}")
             elif isinstance(node, ast.ClassDef):
-                defined += [f"{path.stem}.{node.name}.{sub.name}" for sub in node.body
-                            if isinstance(sub, ast.FunctionDef)
-                            and not sub.name.startswith("_")]
+                defined += [f"{path.stem}.{node.name}.{name}" for name in _public_members(node)]
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 referenced.add(node.attr)
     return defined, referenced
 
@@ -141,23 +158,13 @@ def test_every_stored_attribute_is_read_in_src():
 
 
 def _methods_by_name():
-    """The classes that define each public method or property (a ``def``,
-    or a ``property`` or ``cached_property`` assigned in the class body)."""
+    """The classes that define each public method or property."""
     owners = {}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
-            for sub in cls.body:
-                if isinstance(sub, ast.FunctionDef):
-                    names = [sub.name]
-                elif (isinstance(sub, ast.Assign) and isinstance(sub.value, ast.Call)
-                      and getattr(sub.value.func, "id", None) in ("property", "cached_property")):
-                    names = [t.id for t in sub.targets if isinstance(t, ast.Name)]
-                else:
-                    continue
-                for name in names:
-                    if not name.startswith("_"):
-                        owners.setdefault(name, set()).add(f"{path.stem}.{cls.name}")
+            for name in _public_members(cls):
+                owners.setdefault(name, set()).add(f"{path.stem}.{cls.name}")
     return owners
 
 
