@@ -24,6 +24,7 @@ import argparse
 import json
 import sys
 from functools import cached_property
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _ascii
 from math import inf, isfinite
 from pathlib import Path
@@ -497,7 +498,7 @@ def _write(path: Path, text: str) -> None:
     """``text`` as a new file at ``path``: a rerun replaces the old file
     instead of truncating it, so a link to the old one keeps its bytes."""
     path.unlink(missing_ok=True)
-    path.write_text(text, newline="\n")
+    path.write_bytes(text.encode())
 
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
@@ -505,10 +506,9 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
     as "%.17g" (17 significant digits, which read back the same double; the
     bytes of ``format(v, ".17g")``), any other column by ``str``."""
     columns = [np.asarray(c) for c in columns]
-    fmt = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in columns)
-    lines = [",".join(header)]
-    lines += [fmt % row for row in zip(*(c.tolist() for c in columns))]
-    _write(path, "\n".join(lines) + "\n")
+    fmt = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
+    cells = tuple(chain.from_iterable(zip(*(c.tolist() for c in columns))))
+    _write(path, ",".join(header) + "\n" + fmt * len(columns[0]) % cells)
 
 
 def _encode(v, parts: list, pad: str = "\n") -> None:
@@ -727,7 +727,7 @@ def _run_verify(ctx: _Context, report: dict, out: Path) -> int:
     report["certificates"].append({"kind": "verification", **rep, **_schedule_entries(fld, report)})
     if _section(ctx.cfg, "output")["csv"]:
         _write_csv(out / "residuals.csv", ["alpha", "d", "residual", "capped"],
-                   [[",".join(map(str, r["alpha"])) for r in table],
+                   [[" ".join(map(str, r["alpha"])) for r in table],
                     [r["d"] for r in table], [r["residual"] for r in table],
                     [int(r["capped"]) for r in table]])
     if rep["fit"] is None:

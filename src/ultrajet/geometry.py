@@ -58,15 +58,18 @@ def nearest_index(x, cset: CompactSet, half: float = 0.0) -> tuple:
     lex = cset.lex_order
     pts = cset.points[lex]
     idx, dist = np.empty(len(x), dtype=np.intp), np.empty(len(x))
+    tiny = np.finfo(float).tiny
     for rows in blocks(len(x), len(pts)):
         c = x[rows, None, :]
-        v = pts - np.clip(pts, c - half, c + half) if half else pts - c
-        d2 = np.sum(v ** 2, axis=2)
-        k = np.argmin(d2, axis=1)
+        # a clamp that gives -0 for +0 leaves every square and max-norm as it is
+        v = pts - np.minimum(np.maximum(pts, c - half), c + half) if half else pts - c
+        d2 = np.add.reduce(v * v, axis=2)
+        k = d2.argmin(axis=1)
         least = d2[np.arange(len(k)), k]
-        dist[rows] = np.sqrt(least)
-        low = np.flatnonzero(least < np.finfo(float).tiny)
-        low = low[v[low, k[low]].any(axis=1)]  # an exact hit keeps its rank
+        np.sqrt(least, out=dist[rows])
+        low = np.flatnonzero(least < tiny)
+        if len(low):
+            low = low[v[low, k[low]].any(axis=1)]  # an exact hit keeps its rank
         if len(low):
             w = v[low]
             size = np.abs(w).max(axis=2)
@@ -116,17 +119,19 @@ class CubeDecomposition:
     def incidence(self, x, expansion: float = EXPANSION) -> tuple:
         """The (point, cube) pairs with x[point] in cube grown ``expansion``
         times about its center, sorted by point, then cube.  Blocks of
-        points meet every cube, one axis at a time and at most
-        INCIDENCE_BLOCK comparisons per block, so memory is linear in x."""
+        points meet every cube on the first axis, at most INCIDENCE_BLOCK
+        comparisons per block, so memory is linear in x; each further axis
+        tests only the pairs that are left."""
         pts = np.asarray(x, dtype=float).reshape(-1, self.dim)
         half = self.sides * (expansion / 2.0)
         pairs = [np.zeros((2, 0), dtype=np.intp)]
         for rows in blocks(len(pts), self.n_cubes):
-            inside = True
-            for d, c in enumerate(self.centers.T):
-                inside = inside & (np.abs(pts[rows, d, None] - c) <= half)
-            point, cube = np.nonzero(inside)
-            pairs.append(np.stack([rows.start + point, cube]))
+            point, cube = np.nonzero(np.abs(pts[rows, 0, None] - self.centers[:, 0]) <= half)
+            point += rows.start
+            for d in range(1, self.dim):
+                keep = np.abs(pts[point, d] - self.centers[cube, d]) <= half[cube]
+                point, cube = point[keep], cube[keep]
+            pairs.append(np.stack([point, cube]))
         return tuple(np.concatenate(pairs, axis=1))
 
     def cubes_containing(self, x) -> np.ndarray:
@@ -187,7 +192,7 @@ def decompose(box, cset: CompactSet, depth_cap: int,
                 f"cube at {level[k]} ({side=}) too far from the set: "
                 f"{float(d_cube[k])} > 4 * {diam}")
         acc_centers.append(level[accept])
-        acc_sides.append(np.full(np.count_nonzero(accept), side))
+        acc_sides.append(side)
         acc_dist.append(d_cube[accept])
         if depth == depth_cap:
             col_centers, col_dist = level[~accept], d_cube[~accept]
@@ -196,23 +201,25 @@ def decompose(box, cset: CompactSet, depth_cap: int,
         side = side / 2.0
 
     centers = np.concatenate(acc_centers)
-    sides = np.concatenate(acc_sides)
+    sides = np.repeat(acc_sides, [len(d) for d in acc_dist])
     cube_dist = np.concatenate(acc_dist)
     n = len(sides)
     near_idx, center_dist = nearest_index(centers, cset)
 
     # neighbors: a gap test of every pair, blocks of cubes against all cubes
+    # on the first axis, then each further axis on the pairs that are left
     half = sides * (EXPANSION / 2.0)
     tol = 1e-12 * float(sides0[0])
     pairs = [np.zeros((2, 0), dtype=np.intp)]
     for rows in blocks(n, n):
-        meet = True
-        for c in centers.T:
-            meet = meet & (np.abs(c - c[rows, None]) - (half + half[rows, None]) <= tol)
-        own = np.arange(rows.stop - rows.start)
-        meet[own, rows.start + own] = False
-        i, j = np.nonzero(meet)
-        pairs.append(np.stack([rows.start + i, j]))
+        c = centers[:, 0]
+        i, j = np.nonzero(np.abs(c - c[rows, None]) - (half + half[rows, None]) <= tol)
+        i += rows.start
+        keep = i != j
+        for d in range(1, dim):
+            i, j, c = i[keep], j[keep], centers[:, d]
+            keep = np.abs(c[j] - c[i]) - (half[j] + half[i]) <= tol
+        pairs.append(np.stack([i[keep], j[keep]]))
 
     col_sides = np.full(len(col_dist), side)
     collar_radius = float(np.max(col_dist + col_sides * sqrt_n, initial=0.0))
@@ -251,19 +258,19 @@ def cube_diagnostics(dec: CubeDecomposition, samples_per_cube: int, seed: int) -
     diam = dec.diam()[:, None]
     # every expanded cube lies at a positive distance from the set: no ratio
     # divides by 0, and each is scale-free
-    ratios = np.stack([d_i / d_x, d_x / d_i, d_x / diam, diam / d_x,
-                       _norms(anchor - xs) / d_i,
-                       _norms(anchor - dec.cset.points[near]) / d_i], axis=-1)
+    ratios = (d_i / d_x, d_x / d_i, d_x / diam, diam / d_x,
+              _norms(anchor - xs) / d_i, _norms(anchor - dec.cset.points[near]) / d_i)
     names = ("center_over_point", "point_over_center", "point_over_diam",
              "diam_over_point", "anchor_travel", "anchor_spread")
     bounds = (3.0, 2.0, 9.0, 3.0, 2.0, 4.0)
-    bad = ratios > np.array(bounds) * (1.0 + 1e-9)
-    if bad.any():
+    worst = {name: float(np.fmax.reduce(r, axis=None, initial=0.0))
+             for name, r in zip(names, ratios)}
+    if any(w > b * (1.0 + 1e-9) for w, b in zip(worst.values(), bounds)):
+        ratios = np.stack(ratios, axis=-1)
+        bad = ratios > np.array(bounds) * (1.0 + 1e-9)
         i, k, c = np.unravel_index(np.argmax(bad), bad.shape)
         raise InvariantViolation(
             f"{names[c]} = {ratios[i, k, c]:g} > {bounds[c]} at cube {i}, x={xs[i, k]}")
-    worst = {name: float(np.fmax.reduce(column, axis=None, initial=0.0))
-             for name, column in zip(names, np.moveaxis(ratios, -1, 0))}
     worst["max_overlap"] = dec.max_overlap()
     b1, B1 = dec.neighbor_diam_ratios()
     worst["b1"], worst["B1"] = b1, B1

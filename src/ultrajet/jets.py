@@ -81,6 +81,14 @@ def _leibniz_fold(left: dict, right: dict, multis) -> dict:
     return out
 
 
+def _read_only(*arrays) -> tuple:
+    """The arrays, each made read-only: a cached plan is shared by every
+    caller, so a write into it raises instead of changing later calls."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @lru_cache(maxsize=None)
 def _taylor_plan(dim: int, alphas: tuple, q: int) -> tuple:
     """Terms of the degree-q Taylor fields of F^alpha, alpha in ``alphas``,
@@ -88,11 +96,12 @@ def _taylor_plan(dim: int, alphas: tuple, q: int) -> tuple:
     the exponents gamma (one array per coordinate), 1/gamma! and |gamma|."""
     gammas = [g for g in product(range(q + 1), repeat=dim) if sum(g) <= q]
     ranks = _ranks(dim, max(map(sum, alphas)) + q)
-    return (np.array([[ranks[tuple(a + g for a, g in zip(alpha, gam))] for gam in gammas]
-                      for alpha in alphas], dtype=np.intp),
-            tuple(np.array(column, dtype=np.intp) for column in zip(*gammas)),
-            np.array([1.0 / prod(map(factorial, g)) for g in gammas]),
-            np.array([sum(g) for g in gammas]))
+    ranks, *exps, inv_fact, order = _read_only(
+        np.array([[ranks[tuple(a + g for a, g in zip(alpha, gam))] for gam in gammas]
+                  for alpha in alphas], dtype=np.intp),
+        *(np.array(column, dtype=np.intp) for column in zip(*gammas)),
+        np.array([1.0 / prod(map(factorial, g)) for g in gammas]), np.array(list(map(sum, gammas))))
+    return ranks, tuple(exps), inv_fact, order
 
 
 @dataclass(frozen=True)
@@ -282,18 +291,32 @@ def jet_from_preset(preset, cset: CompactSet, A_max: int = DEFAULT_A_MAX) -> Ult
     if len(tensor.axes) != cset.dim:
         raise ValueError(f"preset has {len(tensor.axes)} axes but the set "
                          f"has dimension {cset.dim}")
-    multi = _graded(cset.dim, A_max)
-    vals = np.empty((len(cset.points), len(multi)))
+    multi = tuple(np.array(_graded(cset.dim, A_max)).T)  # one gather per point
+    vals = np.empty((len(cset.points), len(multi[0])))
     # derivatives past the float range come out inf or NaN with no warning:
     # certify and the field evaluation report them as BoundOverflow
     with np.errstate(over="ignore", invalid="ignore"):
         for i, pt in enumerate(cset.points):
-            table = tensor.table(pt, A_max)
-            vals[i] = [table[m] for m in multi]
+            vals[i] = tensor.table(pt, A_max)[multi]
     return Ultrajet(cset, A_max, vals)
 
 
 # -- Taylor fields ----------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _degree_plans(dim: int, alphas: tuple, q) -> tuple:
+    """Per degree of ``q`` (an int array that broadcasts to the rows by the
+    columns of ``alphas``; cached as the tuple of one row): the degree, its
+    rows (a mask of q's rows), its columns and their Taylor plan."""
+    q, plans = np.atleast_2d(q), []
+    for degree in range(q.max(initial=-1) + 1):
+        hit = q == degree  # "|" spreads a q of one column over every column
+        cols = (hit.any(axis=0) | np.zeros(len(alphas), bool)).nonzero()[0].tolist()
+        if cols:
+            plans.append((degree, *_read_only(hit.any(axis=1)), cols,
+                          _taylor_plan(dim, tuple([alphas[c] for c in cols]), degree)))
+    return tuple(plans)
+
 
 def _taylor_sums(values: np.ndarray, anchors: np.ndarray, offsets: np.ndarray,
                  alphas: tuple, q) -> np.ndarray:
@@ -307,24 +330,22 @@ def _taylor_sums(values: np.ndarray, anchors: np.ndarray, offsets: np.ndarray,
     depend on the other entries.  Rows go in blocks of at most
     INCIDENCE_BLOCK entries of the largest rectangle."""
     q, out = np.atleast_2d(q), np.full((len(anchors), len(alphas)), np.nan)
-    plans = []  # per degree: its rows (a mask of q's rows), its columns and their Taylor plan
-    for degree in range(q.max(initial=-1) + 1):
-        hit = q == degree  # "|" spreads a q of one column over every column
-        cols = (hit.any(axis=0) | np.zeros(len(alphas), bool)).nonzero()[0].tolist()
-        if cols:
-            plans.append((degree, hit.any(axis=1), cols,
-                          _taylor_plan(offsets.shape[1], tuple([alphas[c] for c in cols]), degree)))
+    # a q that varies by column alone, as certify's, groups the same on every call
+    plans = (_degree_plans(offsets.shape[1], alphas, tuple(q[0].tolist())) if q.shape[0] == 1
+             else _degree_plans.__wrapped__(offsets.shape[1], alphas, q))
     exponents = np.arange(q.max(initial=0) + 1)[:, None]  # up to the top degree of the call
     for block in blocks(len(anchors), max((plan[0].size for *_, plan in plans), default=1)):
         powers = offsets[block, None, :] ** exponents  # [r, k, d] = dx_d^k
+        at = anchors[block]
+        lo = at.min()  # the points of the block's rows lie in one window of the table
+        window, at = values[lo:at.max() + 1], at - lo
         for degree, rows, cols, (ranks, exps, inv_fact, _) in plans:
             # a q that varies by column alone gives every degree all the rows
             r = slice(None) if q.shape[0] == 1 else rows[block].nonzero()[0]
-            pw, at = powers[r], anchors[block][r]
+            pw = powers[r]
             monomials = reduce(np.multiply, [pw[:, e, d] for d, e in enumerate(exps)])
-            lo = at.min(initial=len(values))  # a block without the degree gathers nothing
-            coef = values[lo:at.max(initial=0) + 1].take(ranks, axis=1) * inv_fact
-            coef = coef.take(at - lo, axis=0)  # from each point to its rows
+            coef = window.take(ranks, axis=1) * inv_fact
+            coef = coef.take(at[r], axis=0)  # from each point to its rows
             # unit strides (take's output is C-contiguous) keep each sum one dot
             sums = np.matmul(coef[:, :, None, :],
                              np.ascontiguousarray(monomials)[:, None, :, None])[:, :, 0, 0]
@@ -336,12 +357,16 @@ def _taylor_sums(values: np.ndarray, anchors: np.ndarray, offsets: np.ndarray,
 
 # -- certification ----------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _certify_plan(dim: int, P_max: int) -> tuple:
     """The remainder candidates (p, alpha) of one pair of points in the order
     :func:`certify` scans them, p ascending, then alpha graded: the p, the
-    rank of alpha and alpha of each candidate."""
+    rank of alpha, alpha, the Taylor degree q = p - |alpha| and (q + 1)! of
+    each candidate."""
     p_of, alphas = zip(*[(p, alpha) for p in range(P_max + 1) for alpha in _graded(dim, p)])
-    return np.array(p_of), np.array([_ranks(dim, P_max)[a] for a in alphas]), alphas
+    q_of = [p - sum(alpha) for p, alpha in zip(p_of, alphas)]
+    return (*_read_only(np.array(p_of), np.array([_ranks(dim, P_max)[a] for a in alphas])), alphas,
+            *_read_only(np.array(q_of), np.array([float(factorial(q + 1)) for q in q_of])))
 
 
 def _first_max(ratios: np.ndarray, best) -> tuple:
@@ -410,14 +435,12 @@ def certify(jet: Ultrajet, seq: WeightSequence, rho: float,
         rho_k = [rho ** k for k in range((n_need if n > 1 else jet.A_max) + 1)]
     except OverflowError:
         raise BoundOverflow(f"rho^k leaves the float range for rho = {rho:g}") from None
-    den = np.array([rho_k[k] * M[k] for k in range(jet.A_max + 1)])
-    best, at = _first_max(np.abs(jet.values) / den[degree], 0.0)
+    rho_M = np.array(rho_k) * M[:len(rho_k)]  # rho^k M_k
+    best, at = _first_max(np.abs(jet.values) / rho_M[degree], 0.0)
     binding = () if at is None else ("value", at[0], jet.multi[at[1]])
     if n > 1:
-        p_of, alpha_of, alphas = _certify_plan(jet.cset.dim, P_max)
-        q_of = p_of - degree[alpha_of]  # the Taylor degree of each candidate
-        lead = np.array([rho_k[p + 1] * M[p + 1] for p in p_of.tolist()])
-        fact = np.array([float(factorial(q + 1)) for q in q_of.tolist()])
+        p_of, alpha_of, alphas, q_of, fact = _certify_plan(jet.cset.dim, P_max)
+        lead = rho_M[p_of + 1]
         # pair k is (a, b) = (k // (n - 1), the (k % (n - 1))-th point other
         # than a), so the pairs run in (a, b) order, a block at a time
         for rows in blocks(n * (n - 1), len(p_of)):
@@ -425,15 +448,16 @@ def certify(jet: Ultrajet, seq: WeightSequence, rho: float,
             b += b >= a
             diff = jet.cset.points[b] - jet.cset.points[a]
             # |b - a| as np.linalg.norm takes it (one BLAS dot per pair) and
-            # its powers as Python floats: every ratio is then bit for bit the
-            # per-term one (the oracle in tests/test_kernel_oracles.py)
-            dist = _norms(diff)
+            # its powers as Python floats, once per distance ((a, b) and (b, a)
+            # share one): every ratio is then bit for bit the per-term one (the
+            # oracle in tests/test_kernel_oracles.py)
+            dist, of_pair = np.unique(_norms(diff), return_inverse=True)
             try:
-                powers = [[d ** q for q in range(P_max + 2)] for d in dist.tolist()]
+                powers = np.array([[d ** q for q in range(P_max + 2)] for d in dist.tolist()])
             except OverflowError:
                 raise BoundOverflow(f"remainder scale {dist.max():g}^{P_max + 1} of a point "
                                     "pair overflows") from None
-            scale = lead * np.array(powers)[:, q_of + 1] / fact
+            scale = lead * powers[of_pair[:, None], q_of + 1] / fact
             taylor = _taylor_sums(jet.values, a, diff, alphas, q_of)
             best, at = _first_max(np.abs(jet.values[b[:, None], alpha_of] - taylor) / scale, best)
             if at is not None:

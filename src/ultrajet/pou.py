@@ -56,16 +56,17 @@ class _PiecewisePoly:
 
     __slots__ = ("breaks", "mids", "coeffs", "cumint", "plateau_lo", "plateau_hi")
 
-    def __init__(self, breaks, coeffs, plateau):
+    def __init__(self, breaks, coeffs, plateau, mids=None):
         self.breaks = np.asarray(breaks, dtype=float)
-        self.mids = 0.5 * (self.breaks[:-1] + self.breaks[1:])
+        self.mids = 0.5 * (self.breaks[:-1] + self.breaks[1:]) if mids is None else mids
         self.coeffs = np.asarray(coeffs, dtype=float)  # (P, deg+1), ascending
         self.plateau_lo, self.plateau_hi = plateau
         # exact piece integrals in local coordinates (odd powers cancel)
         n = self.coeffs.shape[1]
-        halfw = (np.diff(self.breaks) / 2.0)[:, None]
+        halfw = ((self.breaks[1:] - self.breaks[:-1]) / 2.0)[:, None]
         terms = self.coeffs * (halfw ** _POWERS[:n]) * _PIECE_FACTORS[:n]
-        self.cumint = np.concatenate([[0.0], np.cumsum(np.sum(terms, axis=1))])
+        self.cumint = np.zeros(len(terms) + 1)
+        np.add.reduce(terms, axis=1).cumsum(out=self.cumint[1:])
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -80,15 +81,16 @@ class _PiecewisePoly:
             u = xt - self.mids[idx]
             c = self.coeffs[idx]
             val = np.zeros_like(xt)
-            for k in range(c.shape[1] - 1, -1, -1):
-                val = val * u + c[:, k]
+            for k in range(c.shape[1] - 1, -1, -1):  # Horner in place
+                val *= u
+                val += c[:, k]
             out[todo] = val
         return out
 
     def piece(self, y):
         """Index of the piece holding y (the nearest end piece outside)."""
-        return np.clip(np.searchsorted(self.breaks, y, side="right") - 1,
-                       0, len(self.mids) - 1)
+        idx = self.breaks.searchsorted(y, side="right") - 1
+        return np.minimum(np.maximum(idx, 0), len(self.mids) - 1)
 
 
 def _edge_integrals(g: _PiecewisePoly, y: np.ndarray, q: np.ndarray,
@@ -101,17 +103,20 @@ def _edge_integrals(g: _PiecewisePoly, y: np.ndarray, q: np.ndarray,
     mid = g.mids[q]
     anti = np.zeros((n, len(y)))
     np.divide(g.coeffs[q].T, _POWERS[:n - 1, None], out=anti[1:])
-    gamma = np.empty((n, len(y)))
-    gamma[0] = 1.0
-    gamma[1:] = y - mid
-    np.cumprod(gamma, axis=0, out=gamma)  # gamma^t, one product at a time
+    # gamma^t in row n - 1 - t: the rows from n - 1 - k on are gamma^(k - i), i <= k
+    power = np.empty((n, len(y)))
+    power[-1] = 1.0
+    np.subtract(y, mid, out=power[:-1])
+    for t in range(n - 3, -1, -1):
+        power[t] *= power[t + 1]  # one product at a time
     shifted = np.zeros((n, len(y)))
     for k in range(1, n):
-        shifted[:k + 1] += (anti[k] * _BINOMIAL[k, :k + 1, None]) * gamma[k::-1]
+        shifted[:k + 1] += (anti[k] * _BINOMIAL[k, :k + 1, None]) * power[n - 1 - k:]
     x = g.breaks[q] - mid
-    left = anti[-1] + x * 0  # Horner, as numpy's polyval
+    left = anti[-1] + x * 0  # Horner in place, as numpy's polyval
     for k in range(n - 2, -1, -1):
-        left = anti[k] + left * x
+        left *= x
+        left += anti[k]
     shifted[0] -= left
     return shifted
 
@@ -121,33 +126,35 @@ def _convolve_uniform(g: _PiecewisePoly, r: float,
     """Moving average of g over [x - r, x + r], divided by 2r, as an exact
     piecewise polynomial, every piece in one pass.  ``plateau`` is the known
     exact-1 interval of the result, used for snapping."""
-    breaks = np.sort(np.concatenate([g.breaks - r, g.breaks + r]))
-    breaks = breaks[np.concatenate([[True], breaks[1:] != breaks[:-1]])]
-    mids = 0.5 * (breaks[:-1] + breaks[1:])
+    breaks = np.concatenate([g.breaks - r, g.breaks + r])
+    breaks.sort()
+    if (repeat := breaks[1:] == breaks[:-1]).any():  # keep the first of equal breaks
+        breaks = breaks[np.concatenate([[True], ~repeat])]
+    lo, hi = breaks[:-1], breaks[1:]
+    mids = 0.5 * (lo + hi)
     n = g.coeffs.shape[1] + 1  # result degree = input degree + 1
     coeffs = np.zeros((len(mids), n))
-    lo, hi = breaks[:-1], breaks[1:]
     flat = (plateau[0] <= lo) & (hi <= plateau[1])
     coeffs[flat, 0] = 1.0
     work = np.nonzero(~flat)[0]
-    yp, ym = mids[work] + r, mids[work] - r
+    yp, ym = y = mids[work] + np.array([[r], [-r]])  # the upper and lower window edges
     # integral of g over its full pieces left of each window edge: none left
     # of the support, all right of it, and inside it the index of its piece
-    full = np.searchsorted(g.breaks, [yp, ym], side="right") - 1
-    np.clip(full, 0, len(g.mids), out=full)
+    full = np.maximum(g.breaks.searchsorted(y, side="right") - 1, 0)  # at most len(g.mids)
     poly = np.zeros((n, len(work)))
     poly[0] = g.cumint[full[0]] - g.cumint[full[1]]
     # plus the partial integrals (polynomials in u) at the upper edges inside
     # g's support, minus those at the lower: both ascend, so each is one run
-    up, down = (slice(np.searchsorted(y, g.breaks[0], side="right"),
-                      np.searchsorted(y, g.breaks[-1])) for y in (yp, ym))
+    # (an edge is below the end when it is at most the float below the end)
+    ends = np.array([g.breaks[0], np.nextafter(g.breaks[-1], -np.inf)])
+    up, down = (slice(*e.searchsorted(ends, side="right").tolist()) for e in (yp, ym))
     edges = _edge_integrals(g, np.concatenate([yp[up], ym[down]]),
                             np.concatenate([full[0][up], full[1][down]]), n)
     n_up = up.stop - up.start
     poly[:, up] += edges[:, :n_up]
     poly[:, down] -= edges[:, n_up:]
     coeffs[work] = (1.0 / (2.0 * r)) * poly.T
-    return _PiecewisePoly(breaks, coeffs, plateau)
+    return _PiecewisePoly(breaks, coeffs, plateau, mids)
 
 
 class CanonicalBump:
@@ -168,7 +175,7 @@ class CanonicalBump:
         self.radii = radii
         self.J = len(radii)
         with np.errstate(over="ignore"):  # 1/r of a tiny radius
-            if not np.isfinite([self.bound(j) for j in range(self.J)]).all():
+            if not np.isfinite(np.cumprod(1.0 / radii[:-1])).all():  # bound(j), j < J
                 raise StageOverflow(f"radius {radii[-1]:g} overflows the derivative bounds")
         self.a = float(np.nextafter(EXPANSION - s, -np.inf))
         suffix = np.concatenate([np.cumsum(radii[::-1])[::-1], [0.0]])
@@ -244,8 +251,10 @@ def _tensor_bump_derivs(canonical: CanonicalBump, x, centers, radii, owner,
     row n takes the bump prod_d b((x_d - c_d) / r) with center
     centers[owner[n]] and half-width radii[owner[n]].  One canonical
     evaluation per order over the whole (rows, dim) table."""
-    u = (x - centers[owner]) / np.asarray(radii, dtype=float)[owner, None]
-    tables = [canonical.eval(u, j) / np.array([float(r) ** j for r in radii])[owner, None]
+    radii = np.asarray(radii, dtype=float)
+    u = (x - centers[owner]) / radii[owner, None]
+    level, of_row = np.unique(radii, return_inverse=True)  # r^j once per side
+    tables = [canonical.eval(u, j) / np.array([r ** j for r in level.tolist()])[of_row[owner], None]
               for j in range(up_to + 1)]
     return {m: prod(tables[j][:, d] for d, j in enumerate(m))
             for m in multi_indices(x.shape[1], up_to)}

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -816,6 +817,22 @@ def test_csv_columns_keep_per_cell_format(tmp_path):
     want = ["i,f,s"] + [f"{i},{format(v, '.17g')},{s}"
                         for i, (v, s) in enumerate(zip(floats, labels))]
     assert (tmp_path / "t.csv").read_text() == "\n".join(want) + "\n"
+    _write_csv(tmp_path / "empty.csv", ["i", "f", "s"], [np.arange(0), np.array([]), []])
+    assert (tmp_path / "empty.csv").read_text() == "i,f,s\n"  # a table with no rows
+
+
+def test_residuals_csv_has_one_cell_per_column_in_two_dimensions(tmp_path):
+    """A multi-index is one cell, its entries joined by spaces as in jet_table.csv."""
+    cfg = _jet_config([[-0.5, 0.25], [0.75, -0.5]], {"kind": "tensor", "axes": [SIN, EXP]})
+    cfg["extension"] = {"orders": [[0, 0], [1, 0]], "approach_scales": [0.125, 0.0625, 0.03125]}
+    path = tmp_path / "planar.json"
+    path.write_text(json.dumps(cfg))
+    run("verify", str(path), str(tmp_path / "out"))
+    with open(tmp_path / "out" / "residuals.csv", newline="") as f:
+        header, *rows = csv.reader(f)
+    assert header == ["alpha", "d", "residual", "capped"] and rows
+    assert all(len(row) == len(header) for row in rows)
+    assert {tuple(map(int, row[0].split(" "))) for row in rows} == {(0, 0), (1, 0)}
 
 
 def test_chain_x_stays_optional():

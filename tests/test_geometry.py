@@ -12,6 +12,7 @@ from ultrajet.geometry import (
     decompose,
     nearest_index,
 )
+import ultrajet.jets as jets_module
 from ultrajet.jets import INCIDENCE_BLOCK, CompactSet
 
 
@@ -236,7 +237,9 @@ def test_incident_cubes_are_neighbors():
     assert pairs > 1000
 
 
-def test_incidence_matches_brute_force_3d():
+def test_incidence_matches_brute_force_3d(monkeypatch):
+    """Also with INCIDENCE_BLOCK at 1 and 7 in jets, so that the blocks of
+    the pass split the points."""
     cs = CompactSet(np.array([[0.0, 0.0, 0.0], [0.5, 0.25, -0.5]]),
                     ((-1.0, 1.0),) * 3)
     dec = decompose(((-1.0, 1.0),) * 3, cs, depth_cap=3)
@@ -253,4 +256,9 @@ def test_incidence_matches_brute_force_3d():
         point, cube = dec.incidence(x, expansion=expansion)
         assert np.array_equal(point, want_point)
         assert np.array_equal(cube, want_cube)
+        for block in (1, 7):
+            monkeypatch.setattr(jets_module, "INCIDENCE_BLOCK", block)
+            assert all(np.array_equal(got, want) for got, want in
+                       zip(dec.incidence(x, expansion=expansion), (point, cube)))
+            monkeypatch.undo()
     assert np.array_equal(dec.cubes_containing(x[0]), cube[point == 0])

@@ -13,7 +13,10 @@ from ultrajet.jets import (
     Sum1D,
     Tensor,
     Ultrajet,
+    _certify_plan,
+    _degree_plans,
     _norms,
+    _taylor_plan,
     certify,
     certify_orders,
     jet_from_preset,
@@ -303,3 +306,13 @@ def test_certify_2d_tensor():
     jet = jet_from_preset(Tensor(Sin(1.0), Exp(0.5)), cs, A_max=6)
     cert = certify(jet, gevrey(1.0), rho=2.0, P_max=6)
     assert np.isfinite(cert.C)
+
+
+def test_cached_plans_are_read_only():
+    """Every caller shares a cached plan, so a write into one raises."""
+    ranks, exponents, inv_fact, order = _taylor_plan(2, ((0, 1), (1, 0)), 2)
+    p_of, alpha_of, _, q_of, fact = _certify_plan(2, 3)
+    masks = [rows for _, rows, _, _ in _degree_plans(1, ((0,), (1,)), (0, 1))]
+    for plan in (ranks, *exponents, inv_fact, order, p_of, alpha_of, q_of, fact, *masks):
+        with pytest.raises(ValueError):
+            plan[(0,) * plan.ndim] = 1

@@ -587,8 +587,34 @@ def field_cases(draw):
     return field, up_to, x
 
 
+def boundary_case_3d():
+    """A field on a depth-3 cover in R^3 whose samples lie exactly on two
+    faces and two corners of every seventh expanded cube, then one float
+    beyond each, where ``<=`` decides the incidence; order 1."""
+    box = ((-1.0, 1.0),) * 3
+    cset = CompactSet(np.array([[0.25, -0.5, 0.125], [-0.5, 0.5, -0.25]]), box)
+    dec = decompose(box, cset, depth_cap=3)
+    rng = np.random.default_rng(3)
+    jet = Ultrajet(cset, 3, rng.uniform(-3.0, 3.0, size=(2, len(multi_indices(3, 3)))))
+    sched = DegreeSchedule(dec=dec, degrees=rng.integers(0, 4, dec.n_cubes),
+                           capped=np.zeros(dec.n_cubes, dtype=bool), L=1.0,
+                           mode="single", s_prime=None)
+    steps = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [1.0, -1.0, 1.0], [-1.0, -1.0, -1.0]])
+    i = np.arange(0, dec.n_cubes, 7)
+    step, c = np.tile(steps, (len(i), 1)), dec.centers[i].repeat(len(steps), axis=0)
+    h = (dec.sides[i] * EXPANSION / 2.0).repeat(len(steps))[:, None]
+    on = beyond = c + h * step  # dyadic: on the face or corner exactly
+    while (inside := (np.abs(beyond - c) <= h) & (step != 0)).any():  # the first float beyond
+        beyond = np.where(inside, np.nextafter(beyond, beyond + step), beyond)
+    for k, rows in zip(i, np.split(np.arange(len(on)), len(i))):
+        assert oracle_mask(dec, k, on[rows]).all() and not oracle_mask(dec, k, beyond[rows]).any()
+    field = ExtensionField(jet=jet, pou=build_pou(dec, SEQ, order_cap=1), sched=sched)
+    return field, 1, np.concatenate([on, beyond, cset.points])
+
+
 @settings(max_examples=40, deadline=None)
 @given(field_cases())
+@example(boundary_case_3d())
 def test_partition_and_incidence_equal_oracle(case):
     field, up_to, x = case
     pou, dec = field.pou, field.pou.dec
@@ -1058,12 +1084,16 @@ def certify_cases(draw):
 
 ONE_POINT = jet_from_preset(Sin(), CompactSet(np.array([[0.5]]), ((-3.0, 3.0),)), 6)
 PAIR = jet_from_preset(Sin(1.3, 0.2), CompactSet(np.array([[0.1], [0.4]]), ((-3.0, 3.0),)), 8)
+# equally spaced: every distance but the largest repeats
+EVEN = jet_from_preset(Sin(0.9, 0.4), CompactSet(np.arange(-1.5, 1.75, 0.5)[:, None],
+                                                  ((-3.0, 3.0),)), 10)
 
 
 @settings(max_examples=80, deadline=None)
 @given(certify_cases())
 @example((ONE_POINT, gevrey(1.0, K_max=8), 1.0, 6))
 @example((PAIR, gevrey(1.0, K_max=10), 2.0, 3))  # P_max < A_max
+@example((EVEN, gevrey(1.0, K_max=12), 1.0, 10))
 def test_certify_bitwise_equals_oracle(case):
     """Also with INCIDENCE_BLOCK at 1 and 7 in jets, so that blocks of pairs
     split the rows of one base point."""
@@ -1089,7 +1119,7 @@ def test_certify_remainders_bitwise_equal_taylor_grid(case):
     every pair and candidate, are the per-point Taylor field's bit for bit."""
     jet, _, _, P_max = case
     n = len(jet.cset.points)
-    p_of, alpha_of, alphas = _certify_plan(jet.cset.dim, P_max)
+    p_of, alpha_of, alphas, *_ = _certify_plan(jet.cset.dim, P_max)
     assert alphas == tuple(jet.multi[al] for al in alpha_of.tolist())
     if n == 1:
         return  # no pair
@@ -1393,6 +1423,9 @@ ONE_POINT_2D = (SQUARE, CompactSet(np.array([[0.25, -0.5]]), SQUARE), 4, None)
 FACES_3D = (((-1.0, 1.0),) * 3, CompactSet(np.array([[-1.0, 0.0, 1.0], [1.0, 1.0, -1.0]]),
                                            ((-1.0, 1.0),) * 3), 2, None)
 EXHAUSTED = (((-1.0, 1.0),), CompactSet(np.array([[0.0], [0.5]]), ((-1.0, 1.0),)), 1, 0.1)
+# many cube pairs meet on the first axis and part on a later one
+SPREAD_3D = (((-1.0, 1.0),) * 3, CompactSet(np.array([[0.25, -0.5, 0.125], [-0.5, 0.5, -0.25]]),
+                                            ((-1.0, 1.0),) * 3), 3, None)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1400,6 +1433,7 @@ EXHAUSTED = (((-1.0, 1.0),), CompactSet(np.array([[0.0], [0.5]]), ((-1.0, 1.0),)
 @example(ONE_POINT_2D)
 @example(FACES_3D)
 @example(EXHAUSTED)
+@example(SPREAD_3D)
 def test_decompose_bitwise_equals_oracle(case):
     """Also with INCIDENCE_BLOCK at 1 and 7 in jets, so that the blocks
     of the nearest-point and cube-distance passes split every level."""

@@ -153,6 +153,15 @@ def test_stage_overflow_and_quasianalytic(seq, dec_1d):
     cap = max_delta(seq, 8)
     with pytest.raises(StageOverflow):
         CanonicalBump(4.0 * cap * np.exp(-seq.log_mu[1:9]))
+    # bound(j), j < J, the product of the first j of 1/r: these radii
+    # overflow at the last order only, and one radius fewer does not
+    tiny = [0.03, 1e-160, 1e-160, 1e-160]
+    with np.errstate(over="ignore"):
+        per_order = [np.prod(1.0 / np.array(tiny[:j])) for j in range(len(tiny))]
+    assert np.isfinite(per_order[:-1]).all() and not np.isfinite(per_order[-1])
+    with pytest.raises(StageOverflow):
+        CanonicalBump(tiny)
+    assert [CanonicalBump(tiny[:-1]).bound(j) for j in range(3)] == per_order[:-1]
     with pytest.raises(QuasianalyticInput):
         build_pou(dec_1d, quotient_power(1.0), order_cap=0)
 
