@@ -511,34 +511,44 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
     _write(path, ",".join(header) + "\n" + fmt * len(columns[0]) % cells)
 
 
+# the JSON text of a scalar by its exact type, a non-finite float as a string
+_SCALARS = {str: _ascii, int: int.__repr__, type(None): lambda v: "null",
+            float: lambda v: float.__repr__(v) if isfinite(v) else f'"{float.__repr__(v)}"',
+            bool: {True: "true", False: "false"}.__getitem__}
+
+
 def _encode(v, parts: list, pad: str = "\n") -> None:
     """Append to ``parts`` the text of ``json.dumps(v, indent=2, allow_nan=False)``
-    at the indentation ``pad``, with each non-finite float spelled as the
-    string "inf", "-inf" or "nan", so the report is strict JSON."""
-    if isinstance(v, float):
-        parts.append(float.__repr__(v) if isfinite(v) else f'"{float.__repr__(v)}"')
-    elif isinstance(v, str):
-        parts.append(_ascii(v))
-    elif v is None or v is True or v is False:
-        parts.append("null" if v is None else "true" if v else "false")
-    elif isinstance(v, int):
-        parts.append(int.__repr__(v))
+    at the indentation ``pad``, each non-finite float spelled as the string "inf",
+    "-inf" or "nan" (strict JSON); a container writes its scalar entries itself."""
+    if (scalar := _SCALARS.get(type(v))) is not None:
+        parts.append(scalar(v))
     elif isinstance(v, dict):
-        inner = pad + "  "
-        for i, (k, x) in enumerate(v.items()):
-            if not isinstance(k, (str, int, float, type(None))):
+        sep, inner = "{" + pad + "  ", pad + "  "
+        for k, x in v.items():
+            if type(k) is not str and not isinstance(k, (str, int, float, type(None))):
                 raise TypeError(f"keys must be str, int, float, bool or None, "
                                 f"not {type(k).__name__}")
-            key = k if isinstance(k, str) else json.dumps(k, allow_nan=False)  # as json spells it
-            parts.append(f'{"," if i else "{"}{inner}{_ascii(key)}: ')
-            _encode(x, parts, inner)
+            k = k if isinstance(k, str) else json.dumps(k, allow_nan=False)  # as json spells it
+            if (scalar := _SCALARS.get(type(x))) is None:
+                parts.append(f"{sep}{_ascii(k)}: ")
+                _encode(x, parts, inner)
+            else:
+                parts.append(f"{sep}{_ascii(k)}: {scalar(x)}")
+            sep = "," + inner
         parts.append(pad + "}" if v else "{}")
     elif isinstance(v, (list, tuple)):
-        inner = pad + "  "
-        for i, x in enumerate(v):
-            parts.append(("," if i else "[") + inner)
-            _encode(x, parts, inner)
+        sep, inner = "[" + pad + "  ", pad + "  "
+        for x in v:
+            if (scalar := _SCALARS.get(type(x))) is None:
+                parts.append(sep)
+                _encode(x, parts, inner)
+            else:
+                parts.append(sep + scalar(x))
+            sep = "," + inner
         parts.append(pad + "]" if v else "[]")
+    elif isinstance(v, (float, str, int)):  # a subclass, spelled as its base type
+        parts.append(_SCALARS[next(t for t in (float, str, int) if isinstance(v, t))](v))
     else:
         raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import BoundOverflow, NotLittleO, QuasianalyticInput, RangeExhausted, TailUnbounded
 from .fncore import WeightFunction, WeightMatrix, kappa, splitting_ok
-from .seqcore import (C_CAP, LOG_C_CAP, WeightSequence, descendant, gamma_bar_soft,
+from .seqcore import (C_CAP, LOG_C_CAP, WeightSequence, _diff, descendant, gamma_bar_soft,
                       gamma_under_soft)
 
 TREND_GROWTH = 1.1
@@ -110,12 +110,12 @@ def trend_diverging(values: np.ndarray, positions: np.ndarray | None = None):
         if positions is not None:  # the log-scale last half, if it has 4 samples
             late = np.asarray(positions, dtype=float) >= np.sqrt(float(positions[-1]))
             half = v[..., late] if np.count_nonzero(late) >= 4 else half
-        monotone = np.all(np.diff(half) >= -1e-3 * np.abs(half[..., :-1]), axis=-1)
+        monotone = (_diff(half) >= -1e-3 * np.abs(half[..., :-1])).all(axis=-1)
         growth = half[..., -1] / np.maximum(half[..., 0], 1e-300)
         trending = monotone & (growth >= TREND_GROWTH)
     if v.ndim == 1:
-        return bool(trending), float(growth), int(np.argmax(v))
-    return trending, growth, np.argmax(v, axis=-1)
+        return bool(trending), float(growth), int(v.argmax())
+    return trending, growth, v.argmax(axis=-1)
 
 
 def _counterexample(locator: dict, needed: float, margin: float, mode: str = "cap",
@@ -133,14 +133,14 @@ def _linear_verdict(name: str, needed: np.ndarray, positions: np.ndarray, pos_ke
     constant is the max of the pointwise needed values; failure by cap or
     by divergence trend."""
     needed = np.asarray(needed, dtype=float)
-    c_exact = float(np.max(needed))
+    c_exact = float(needed.max())
     trending, growth, i_max = trend_diverging(needed, positions=trend_positions)
     details = dict(details or {})
     details["trend_growth"] = growth
     if c_exact <= C_CAP and not trending:
         return Verdict(name, True, {"C": max(c_exact, 1.0)},
                        tested_range=tested_range, details=details)
-    c_ref = float(np.max(needed[: len(needed) // 2])) if trending else C_CAP
+    c_ref = float(needed[: len(needed) // 2].max()) if trending else C_CAP
     counter = _counterexample({pos_key: float(positions[i_max])}, float(needed[i_max]),
                               float(needed[i_max] / max(c_ref, 1e-300)),
                               "trend" if trending else "cap", c_ref)
@@ -211,7 +211,7 @@ def _row_search(matrix: WeightMatrix, left: np.ndarray,
     best = np.nanargmin(np.where(np.eye(n, dtype=bool) & np.isnan(top), -np.inf, top), axis=1)
     c = top[rows, best]
     found = [(float(ci), xs[b], int(k) + 1) for ci, b, k in
-             zip(c, best.tolist(), np.argmax(need[rows, best], axis=-1).tolist())]
+             zip(c, best.tolist(), need[rows, best].argmax(axis=-1).tolist())]
     i = 0 if np.isnan(c[0]) else int(np.nanargmax(c))
     return found, (found[i][0], xs[i], *found[i][1:])
 
@@ -260,7 +260,7 @@ def check_mixed_tail(mu_seq: WeightSequence, nu_seq: WeightSequence) -> Verdict:
     kk = min(mu_seq.K_max, nu_seq.K_max)
     with np.errstate(over="ignore"):
         mu = np.exp(mu_seq.log_mu[1:kk + 1])
-    if not np.all(np.isfinite(mu)):
+    if not np.isfinite(mu).all():
         raise BoundOverflow(f"{mu_seq.label}: mu_{np.argmin(np.isfinite(mu)) + 1} overflows")
     needed = suffix[:kk] * mu / k[:kk]
     rng = {"K_max": kk}
@@ -278,10 +278,10 @@ def check_almost_increasing(seq: WeightSequence) -> Verdict:
     la = _quotient_over_index(seq.log_mu)
     pref, pref_arg = _prefix_max(la)
     need = pref - la
-    i_max = int(np.argmax(need))
+    i_max = int(need.argmax())
     log_c = float(need[i_max])
     roots = _root(seq.log_m)
-    log_c_root = float(np.max(_prefix_max(roots)[0] - roots))
+    log_c_root = float((_prefix_max(roots)[0] - roots).max())
     wit = {"C": float(np.exp(min(max(log_c, 0.0), 700.0))),
            "C_root_variant": float(np.exp(min(max(log_c_root, 0.0), 700.0)))}
     return _log_verdict(f"almost_increasing[{seq.label}]", log_c, "C",
@@ -295,9 +295,9 @@ def check_descendant(seq: WeightSequence) -> Verdict:
     out = descendant(seq)
     k = np.arange(1, out.K_max + 1, dtype=float)
     sig = np.exp(out.log_mu[1:])
-    monotone = bool(np.all(np.diff(sig / k) >= -1e-12))
-    dominated = float(np.max(sig / np.exp(seq.log_mu[1:out.K_max + 1])))
-    mixed_c = float(np.max(seq.quotient_tail_sums()[:out.K_max] * sig / k))
+    monotone = bool((_diff(sig / k) >= -1e-12).all())
+    dominated = float((sig / np.exp(seq.log_mu[1:out.K_max + 1])).max())
+    mixed_c = float((seq.quotient_tail_sums()[:out.K_max] * sig / k).max())
     holds = monotone and dominated <= C_CAP and mixed_c <= C_CAP
     counter = None if holds else _counterexample({"monotone": monotone}, dominated, 1.0)
     return Verdict(f"descendant[{seq.label}]", holds,
@@ -317,14 +317,14 @@ def check_doubling_absorption(fn: WeightFunction) -> Verdict:
         if ts[-1] * h > fn.t_valid_max:
             break
         gap = 2.0 * w - fn(h * ts)
-        if float(np.max(gap)) <= h:
+        if float(gap.max()) <= h:
             return Verdict(f"doubling_absorption[{fn.label}]", True, {"H": h},
                            tested_range=rng)
     gap = 2.0 * w - fn(np.minimum(GRID_POWERS[-1] * ts, fn.t_valid_max * 0.45))
-    i = int(np.argmax(gap))
+    i = int(gap.argmax())
     counter = _counterexample({"t": float(ts[i])}, float(gap[i]), float(gap[i] / C_CAP))
     return Verdict(f"doubling_absorption[{fn.label}]", False,
-                   {"max_gap_at_cap": float(np.max(gap))},
+                   {"max_gap_at_cap": float(gap.max())},
                    counterexample=counter, tested_range=rng)
 
 
@@ -348,7 +348,7 @@ def check_concavity_equivalence(fn: WeightFunction,
     ts = _default_t_grid(fn, lo=10.0, hi=min(1e8, 0.04 * fn.t_valid_max) / lam[-1])
     w = fn(ts)
     mask = w > 0
-    needed = np.array([np.max(fn(la * ts[mask]) / (la * w[mask])) for la in lam])
+    needed = np.array([(fn(la * ts[mask]) / (la * w[mask])).max() for la in lam])
     rng = {"t_lo": float(ts[0]), "t_hi": float(ts[-1]), "lambda_max": float(lam[-1])}
     v_scaling = _linear_verdict(f"concave_scaling[{fn.label}]", needed, lam,
                                 "lambda", rng)
@@ -391,7 +391,7 @@ def check_strong_matrix(matrix: WeightMatrix) -> Verdict:
     c = needed.max(axis=-1)
     holds = (c <= C_CAP) & ~trend_diverging(needed, positions=k)[0]
     const = np.maximum(c, 1.0)  # holding pairs first by C <= C_CAP, then failing
-    best = np.argmin(np.where(pairs, np.where(holds, const, 2.0 * C_CAP), np.inf), axis=1)
+    best = np.where(pairs, np.where(holds, const, 2.0 * C_CAP), np.inf).argmin(axis=1)
     held, c_best = holds[np.arange(n), best], const[np.arange(n), best]
     details = {"exists_holds": bool(held.any()), "exists_x": [x for x, h in zip(xs, held) if h],
                "per_x": {f"{x:g}": {"y": xs[b], "holds": bool(h), "C": float(cb) if h else None}
@@ -415,7 +415,7 @@ def _chain_test(matrix: WeightMatrix, x: float, d: np.ndarray, ts: np.ndarray):
     row's counting indices are taken once, at D^j t for every D and t (j
     its place in the chain)."""
     g_x, ex0 = gamma_under_soft(matrix.row(x).view("m"), ts)
-    if np.any(ex0):
+    if ex0.any():
         return None
 
     @cache
@@ -425,8 +425,8 @@ def _chain_test(matrix: WeightMatrix, x: float, d: np.ndarray, ts: np.ndarray):
     def holds(y1, y2, y3) -> np.ndarray:
         (g1, ex1), (g2u, ex2) = at(y1, 1, gamma_under_soft), at(y2, 2, gamma_under_soft)
         (g2b, ex3), (g3, ex4) = at(y2, 2, gamma_bar_soft), at(y3, 3, gamma_bar_soft)
-        return np.all(~(ex1 | ex2 | ex3 | ex4) & (g3 <= g2u) & (g2u <= g2b)
-                      & (g2b <= g1) & (2 * g1 <= g_x), axis=1)
+        return (~(ex1 | ex2 | ex3 | ex4) & (g3 <= g2u) & (g2u <= g2b)
+                & (g2b <= g1) & (2 * g1 <= g_x)).all(axis=1)
     return holds
 
 
@@ -461,7 +461,7 @@ def resolve_chain(matrix: WeightMatrix, x: float) -> ChainCertificate:
             for y3 in (y for y in xs if y >= y2):
                 at_d = holds(y1, y2, y3)
                 if at_d.any():  # the first D that holds
-                    return ChainCertificate(x, y1, y2, y3, GRID_POWERS[int(np.argmax(at_d))],
+                    return ChainCertificate(x, y1, y2, y3, GRID_POWERS[int(at_d.argmax())],
                                             (float(ts[0]), float(ts[-1])), CHAIN_N_T)
     raise RangeExhausted(f"no in-grid chain certificate for x={x:g}")
 

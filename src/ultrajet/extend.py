@@ -38,6 +38,7 @@ from .jets import (
     Ultrajet,
     _leibniz_fold,
     _leibniz_terms,
+    _sum_squares,
     _taylor_plan,
     _taylor_sums,
     multi_indices,
@@ -227,7 +228,7 @@ def _taylor_sup_bounds(field: ExtensionField, multis) -> dict:
     signs = np.array(list(product((-1.0, 1.0), repeat=dec.dim)))
     corners = (dec.centers[:, None, :] + signs * half[:, None, None]
                - dec.nearest_points[:, None, :])
-    r_max = np.sqrt(np.sum(corners * corners, axis=2)).max(axis=1)
+    r_max = np.sqrt(_sum_squares(corners)).max(axis=1)
     # q[b, i] = p_i - |beta_b|, the Taylor degree of row (cube i, beta_b)
     q_of = field.sched.degrees[None, :] - np.array([sum(b) for b in multis])[:, None]
     out = np.zeros(q_of.shape)

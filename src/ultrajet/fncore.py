@@ -14,7 +14,8 @@ finite maxima of the piecewise forms (the discrete Legendre transform) for
 growth profiles and tables.  The conjugates take arrays of any shape
 (there are no scalar twins).  A weight matrix flags all its rows in one
 pass.  The averaged tail transform integrates each gap of its query grid
-once, not decades per t.
+once, and each t its last four decades where those above the largest t do
+not settle (``log_power``; ``power`` past an exponent of about 0.8).
 
 Asymptotic properties (doubling, linear bound, little-o of t, tail
 integrability) are certified on a finite log-spaced grid with reported
@@ -35,8 +36,8 @@ from .errors import (
     QuasianalyticInput,
 )
 from . import jets
-from .seqcore import (DEFAULT_K_MAX, LOG_C_CAP, WeightSequence, _decay_exponent, _log_convex,
-                      _row_flags)
+from .seqcore import (DEFAULT_K_MAX, LOG_C_CAP, WeightSequence, _decay_exponent, _diff,
+                      _log_convex, _row_flags)
 
 # default certification grid: 64 points per decade on [1e-6, 1e9]
 GRID_LO, GRID_HI, GRID_PER_DECADE = 1e-6, 1e9, 64
@@ -55,7 +56,8 @@ class WeightFunction:
     t_hi))`` array functions every preset attaches; a weight built without
     them has its flags, ``kappa`` and the heir checks, but no conjugate or
     matrix.  The flags and witnesses come at the first read of either.
-    Instances are immutable and thread-safe.
+    Instances are immutable and thread-safe: ``kappa``'s memo of each query
+    grid only ever gains entries equal to what a recomputation gives.
     """
 
     def __init__(self, fn, label: str, t_valid_max: float = float("inf"),
@@ -64,7 +66,8 @@ class WeightFunction:
         self.label = label
         self.t_valid_max = t_valid_max
         self.conjugates = conjugates
-        self.normalized = bool(np.max(self(np.linspace(1e-9, 1.0, 64))) <= 1e-12)
+        self._kappas: dict = {}
+        self.normalized = bool(self(np.linspace(1e-9, 1.0, 64)).max() <= 1e-12)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -85,9 +88,9 @@ class WeightFunction:
         hi = min(GRID_HI, 0.45 * self.t_valid_max)
         t = np.geomspace(GRID_LO, hi, max(8, int(round(GRID_PER_DECADE * np.log10(hi / GRID_LO)))))
         w = self(t)
-        scale = max(1.0, float(np.max(np.abs(w))))
-        c_dbl = float(np.max(self(2.0 * t) / (w + 1.0)))
-        c_lin = float(np.max(w / (t + 1.0)))
+        scale = max(1.0, float(np.abs(w).max()))
+        c_dbl = float((self(2.0 * t) / (w + 1.0)).max())
+        c_lin = float((w / (t + 1.0)).max())
 
         # log t = o(omega): growth of omega/log t over the last quarter (not
         # certified on a grid that ends below 10)
@@ -96,19 +99,19 @@ class WeightFunction:
         log_small = len(ratio) > 0 and ratio[-1] >= 1.05 * ratio[q3] and ratio[-1] >= 10.0
 
         s = np.log(t[t >= 1e-4])
-        slopes = np.diff(self.phi(s)) / np.diff(s)
-        sl_t = np.diff(w) / np.diff(t)
+        slopes = _diff(self.phi(s)) / _diff(s)
+        sl_t = _diff(w) / _diff(t)
         r = w / t
         q3 = (3 * len(r)) // 4
-        dec = bool(np.all(np.diff(r[q3:]) <= 1e-15 * scale))
+        dec = bool((_diff(r[q3:]) <= 1e-15 * scale).all())
         nonqa, q_fit, tail = _tail_integrability(self)
-        flags = {"increasing": bool(np.all(np.diff(w) >= -1e-12 * scale)),
+        flags = {"increasing": bool((_diff(w) >= -1e-12 * scale).all()),
                  "doubling": bool(log(max(c_dbl, 1.0)) <= LOG_C_CAP),
                  "linear_bound": bool(log(max(c_lin, 1.0)) <= LOG_C_CAP),
                  "log_small": bool(log_small),
-                 "convex_phi": bool(np.all(np.diff(slopes) >= -1e-7 * scale)),
-                 "concave": bool(np.all(np.diff(sl_t) <= 1e-7 * scale)),
-                 "o_of_t": bool(dec and r[-1] <= 0.5 * np.max(r)),
+                 "convex_phi": bool((_diff(slopes) >= -1e-7 * scale).all()),
+                 "concave": bool((_diff(sl_t) <= 1e-7 * scale).all()),
+                 "o_of_t": bool(dec and r[-1] <= 0.5 * r.max()),
                  "non_quasianalytic": nonqa}
         return flags, {"doubling_C": c_dbl, "linear_C": c_lin, "o_of_t_final_ratio": float(r[-1]),
                        "tail_integral_exponent": q_fit, "tail_integral_estimate": tail}
@@ -135,11 +138,10 @@ def power(alpha: float, normalized: bool = True) -> WeightFunction:
         t = np.exp(np.clip((log(alpha) - np.log(s)) / (1.0 - alpha), log(1e-9), log(t_hi)))
         return np.maximum(t ** alpha - shift - s * t, 0.0)
 
-    def fn(t):  # expm1 keeps t^alpha - 1 accurate for tiny alpha
-        if not normalized:
+    def fn(t):  # expm1 keeps t^alpha - 1 accurate for tiny alpha; log t is clamped at
+        if not normalized:  # the least normal float, as omega is 0 below t = 1 either way
             return t ** alpha
-        with np.errstate(divide="ignore"):
-            return np.maximum(0.0, np.expm1(alpha * np.log(t)))
+        return np.maximum(0.0, np.expm1(alpha * np.log(np.maximum(t, 2.2250738585072014e-308))))
 
     return WeightFunction(fn, f"power({alpha:g}{'' if normalized else ',raw'})",
                           conjugates=(young, omega_star))
@@ -175,13 +177,17 @@ def log_power(b: float, scale: float = 1.0) -> WeightFunction:
 
     def fn(t):
         t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        mid = (t > 1.0) & (t < t1)
-        out[mid] = w1 * np.log(t[mid]) / s1
-        hi = t >= t1
-        with np.errstate(over="ignore"):
-            out[hi] = scale * t[hi] / np.log(t[hi]) ** b
-        far = hi & (out == 0.0)  # omega >= w1 > 0 there, so (log t)^b overflowed
+        if not t.ndim or t.size and not t.min() >= t1:  # masks, unless every t is past the bridge
+            out = np.zeros_like(t)
+            mid = (t > 1.0) & (t < t1)
+            out[mid] = w1 * np.log(t[mid]) / s1
+            hi = t >= t1
+            out[hi] = fn(t[hi])  # an array past the bridge, or empty
+            return out
+        with np.errstate(over="ignore", invalid="ignore"):
+            out, lt = scale * t, np.log(t)
+            out /= np.power(lt, b, out=lt)
+        far = ~(out > 0.0)  # omega >= w1 > 0 here: (log t)^b overflowed, to 0 or inf / inf
         if far.any():
             out[far] = np.exp(log(scale) + np.log(t[far]) - b * np.log(np.log(t[far])))
         return out
@@ -312,7 +318,7 @@ def _bisect(f, lo, hi, near):
     while True:
         mid = 0.5 * (lo + hi)
         live = (lo < mid) & (mid < hi)
-        if not np.any(live):
+        if not live.any():
             return mid
         below = f(mid) < 0.0
         lo, hi = np.where(live & below, mid, lo), np.where(live & ~below, mid, hi)
@@ -336,14 +342,14 @@ def young_conjugate_grid(fn: WeightFunction, ts) -> np.ndarray:
     vanishing at 0.
     """
     t = np.asarray(ts, dtype=float)
-    if np.any(t < 0):
+    if (t < 0).any():
         raise ValueError("t must be nonnegative")
     young = _conjugates(fn)[0]
     shape, t = t.shape, t.ravel()
     s_cap = min(_S_CAP, log(fn.t_valid_max) if isfinite(fn.t_valid_max) else _S_CAP)
     # at t = 0 the supremum is -phi(0): phi does not decrease
     stuck = (t > 0) & (s_cap * t - fn.phi(s_cap) >= 0.5 * s_cap * t - fn.phi(0.5 * s_cap))
-    if np.any(stuck):
+    if stuck.any():
         raise GridExhausted(f"conjugate argmax of {fn.label} still rising at "
                             f"s={s_cap:g} (t={t[stuck][0]:g})")
     return young(t).reshape(shape)
@@ -365,7 +371,7 @@ def splitting_ok(a: np.ndarray, b: np.ndarray):
         j = np.arange(lo, min(lo + max(1, jets.INCIDENCE_BLOCK // (width * len(a2))), k_max + 1))
         jk = j[:, None] + np.arange(width)
         inside = jk <= k_max
-        over = np.take(a2, np.where(inside, jk, k_max), axis=1) - b2[:, j, None]
+        over = a2.take(np.where(inside, jk, k_max), axis=1) - b2[:, j, None]
         over -= b2[:, None, :width]  # (a_{j+k} - b_j) - b_k
         ok &= ~((over > MATRIX_TOL) & inside).reshape(len(a2), -1).any(axis=1)
         lo = j[-1] + 1
@@ -410,12 +416,12 @@ class WeightMatrix:
         log_M, log_mu = self.stack("logM"), self.stack("log_mu")
         w0_off = np.abs(log_M[:, 0]) > 1e-9
         bad = w0_off | ~_log_convex(log_M)
-        if np.any(bad):
+        if bad.any():
             i = int(np.argmax(bad))
             raise InvariantViolation(f"row {xs[i]:g}: " + ("W_0 != 1" if w0_off[i]
                                                           else "not log-convex"))
-        falls = np.any(log_mu[:-1] > log_mu[1:] + MATRIX_TOL, axis=1)
-        if np.any(falls):
+        falls = (log_mu[:-1] > log_mu[1:] + MATRIX_TOL).any(axis=1)
+        if falls.any():
             i = int(np.argmax(falls))
             raise InvariantViolation(f"quotients not monotone {xs[i]:g} -> {xs[i + 1]:g}")
         # each pair (x, 2x) and each pair (x, 4x) of the grid in one pass
@@ -425,8 +431,8 @@ class WeightMatrix:
         split, double = np.zeros((2, len(xs)), dtype=bool)
         split[i2] = ~splitting_ok(log_M[i2], log_M[j2])
         ks = np.arange(2, self.K_max // 2 + 1)
-        double[i4] = np.any(log_mu[i4][:, 2 * ks] > log_mu[j4][:, ks] + MATRIX_TOL, axis=1)
-        if np.any(split | double):
+        double[i4] = (log_mu[i4][:, 2 * ks] > log_mu[j4][:, ks] + MATRIX_TOL).any(axis=1)
+        if (split | double).any():
             i = int(np.argmax(split | double))
             raise InvariantViolation(f"{'splitting' if split[i] else 'index-doubling'} bound "
                                      f"fails at x={xs[i]:g}")
@@ -465,7 +471,7 @@ def omega_conjugate_grid(fn: WeightFunction, ss) -> np.ndarray:
     otherwise); decreasing and convex in s.
     """
     s = np.asarray(ss, dtype=float)
-    if np.any(s <= 0):
+    if (s <= 0).any():
         raise ValueError("s must be positive")
     if not fn.flags["o_of_t"]:
         raise NotLittleO(f"{fn.label}: o(t) certificate absent")
@@ -478,13 +484,15 @@ def omega_conjugate_grid(fn: WeightFunction, ss) -> np.ndarray:
 
 def _simpson_log(g, lo: np.ndarray, ratio, n: int = 32) -> np.ndarray:
     """Integral of g over [lo, lo*ratio] in log coordinates by the composite
-    Simpson rule on n panels, per entry of lo (any shape; ratio broadcasts)."""
+    Simpson rule on n panels, per entry of lo (any shape; ratio broadcasts);
+    scales the new array that ``g`` returns in place."""
     h = np.log(np.asarray(ratio, dtype=float))[..., None] / n
     w = np.ones(n + 1)
     w[1:-1:2], w[2:-1:2] = 4.0, 2.0
     u = lo[..., None] * np.exp(h * np.arange(n + 1))
-    vals = g(u) * u  # d(u) = u d(log u)
-    return (h / 3.0) * vals @ w
+    vals = g(u)
+    vals *= u  # d(u) = u d(log u)
+    return np.multiply(vals, h / 3.0, out=vals) @ w
 
 
 def _tail_remainder(last4: np.ndarray, n_dec: int, what: str) -> np.ndarray:
@@ -496,7 +504,7 @@ def _tail_remainder(last4: np.ndarray, n_dec: int, what: str) -> np.ndarray:
     geo = r <= 0.95
     rem = np.where(geo, last * r / (1.0 - np.where(geo, r, 0.0)), np.nan)
     q = _decay_exponent(last4[~geo], n_dec)
-    if np.any(q <= 1.05):
+    if (q <= 1.05).any():
         raise QuasianalyticInput(
             f"{what}: decade sums decay like d^-{q[q <= 1.05][0]:.2f}, not summable")
     rem[~geo] = last[~geo] * n_dec / (q - 1.0)
@@ -516,9 +524,9 @@ def _decade_tail_integral(g, t0: float, max_decades: int = 60, what: str = "inte
             raise QuasianalyticInput(
                 f"{what}: only {avail} certified decades above t0, cannot certify tail")
         max_decades = min(max_decades, avail)
-    sums = _simpson_log(g, np.cumprod(np.r_[t0, np.full(max_decades - 1, 10.0)]), 10.0)
-    acc = np.cumsum(sums)
-    stop = np.flatnonzero((np.arange(max_decades) >= 3) & (acc > 0) & (sums <= 1e-12 * acc))
+    sums = _simpson_log(g, np.concatenate(([t0], np.full(max_decades - 1, 10.0))).cumprod(), 10.0)
+    acc = sums.cumsum()
+    stop = ((np.arange(max_decades) >= 3) & (acc > 0) & (sums <= 1e-12 * acc)).nonzero()[0]
     if len(stop):
         return float(acc[stop[0]]), 0.0, sums[:stop[0] + 1]
     return float(acc[-1]), None, sums
@@ -528,21 +536,27 @@ def kappa(fn: WeightFunction, t):
     """Averaged tail transform ``t * int_t^inf omega(u)/u^2 du``.
 
     Always at least omega(t) for increasing omega; concave; o(t) at
-    infinity.  Requires a non-quasianalytic weight.
-
-    One pass for all t: the gaps of the sorted distinct t (Simpson, 128 panels
-    per decade of the widest, at least 8) summed from the top, plus the decades
-    above the largest t; if those do not settle, each t takes ``[t, t 10^N]``
-    (less the gaps of t 10^N) plus a remainder fitted to its last four decades.
+    infinity.  Requires a non-quasianalytic weight.  The weight keeps the
+    values of each grid: a second call on it returns a copy.
     """
     if not fn.flags["non_quasianalytic"]:
         raise QuasianalyticInput(f"{fn.label}: tail integral not certified finite")
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if not np.all(np.isfinite(ts) & (ts > 0)):
+    if not (np.isfinite(ts) & (ts > 0)).all():
         raise ValueError("t must be positive and finite")
     if ts.size == 0:
         return ts
+    if (key := (ts.shape, ts.tobytes())) not in fn._kappas:
+        fn._kappas[key] = _kappa_pass(fn, ts.ravel()).reshape(ts.shape)
+    out = fn._kappas[key].copy()
+    return out if np.ndim(t) else float(out[0])
 
+
+def _kappa_pass(fn: WeightFunction, ts: np.ndarray) -> np.ndarray:
+    """kappa at a flat array of positive finite ts in one pass: the gaps of the
+    sorted distinct t (Simpson, 128 panels per decade of the widest, at least 8)
+    from the top, the decades above the largest t and, if those do not settle, each
+    t's [t, t 10^N] (less the gaps of t 10^N) and a remainder fit to its last four."""
     def g(u):
         return fn(u) / u ** 2
 
@@ -553,7 +567,7 @@ def kappa(fn: WeightFunction, t):
     panels = 2 * max(4, ceil(64.0 * log10(ratio.max(initial=1.0))))
     lo = np.outer([1.0] if rem is not None else [1.0, 10.0 ** n_dec], u[:-1])
     gaps = _simpson_log(g, lo, ratio, panels)
-    above = np.cumsum(np.pad(gaps, ((0, 0), (0, 1)))[:, ::-1], axis=1)[:, ::-1]
+    above = np.concatenate((gaps, np.zeros((len(gaps), 1))), axis=1)[:, ::-1].cumsum(axis=1)[:, ::-1]
     head = above[0] + acc
     if rem is None:
         # decade starts t 10 10 ... as the top decades take them: near a zero
@@ -561,8 +575,7 @@ def kappa(fn: WeightFunction, t):
         starts = np.cumprod(np.column_stack([u, np.full((len(u), n_dec - 1), 10.0)]), axis=1)
         last4 = _simpson_log(g, starts[:, -4:], 10.0)
         head, rem = head - above[1], _tail_remainder(last4[inv], n_dec, what)
-    out = ts * (head[inv] + rem)
-    return out if np.ndim(t) else float(out[0])
+    return ts * (head[inv] + rem)
 
 
 def _tail_integrability(fn: WeightFunction):
@@ -577,6 +590,7 @@ def _tail_integrability(fn: WeightFunction):
     except QuasianalyticInput:
         return False, 0.0, float("inf")
     xs = np.linspace(0.0, 1.0, 257)
-    head = float(np.trapezoid(fn(xs) / (1.0 + xs ** 2), xs))
+    y = fn(xs) / (1.0 + xs ** 2)
+    head = float((_diff(xs) * (y[1:] + y[:-1]) / 2.0).sum())  # np.trapezoid's operations
     return True, float(_decay_exponent(sums[-5:], len(sums))), head + acc + float(rem)
 

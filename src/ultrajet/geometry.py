@@ -23,7 +23,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DepthExhausted, InvariantViolation
-from .jets import CompactSet, _norms, blocks
+from .jets import CompactSet, _norms, _sum_squares, blocks
 
 EXPANSION = 9.0 / 8.0  # expanded cube Q* has the same center, 9/8 the side
 MAX_GRID_POINTS = 160_000
@@ -63,7 +63,7 @@ def nearest_index(x, cset: CompactSet, half: float = 0.0) -> tuple:
         c = x[rows, None, :]
         # a clamp that gives -0 for +0 leaves every square and max-norm as it is
         v = pts - np.minimum(np.maximum(pts, c - half), c + half) if half else pts - c
-        d2 = np.add.reduce(v * v, axis=2)
+        d2 = _sum_squares(v)
         k = d2.argmin(axis=1)
         least = d2[np.arange(len(k)), k]
         np.sqrt(least, out=dist[rows])

@@ -372,11 +372,21 @@ def _certify_plan(dim: int, P_max: int) -> tuple:
 def _first_max(ratios: np.ndarray, best) -> tuple:
     """The largest ratio and the index of its first occurrence (row-major)
     when it exceeds ``best``, else (best, None).  NaN never counts."""
-    flat = np.where(np.isnan(ratios), -np.inf, ratios).ravel()
-    k = int(np.argmax(flat))
+    flat = ratios.ravel()
+    if np.isnan(flat[k := int(flat.argmax())]):  # argmax stops at a first NaN
+        flat = np.where(np.isnan(flat), -np.inf, flat)
+        k = int(flat.argmax())
     if flat[k] > best:
         return flat[k], tuple(int(v) for v in np.unravel_index(k, ratios.shape))
     return best, None
+
+
+def _sum_squares(v: np.ndarray) -> np.ndarray:
+    """Sum of v * v over the last axis; in 1D and 2D without the reduction (one add commutes)."""
+    sq = v * v
+    if v.shape[-1] > 2:
+        return np.add.reduce(sq, axis=-1)
+    return sq[..., 0] + sq[..., 1] if v.shape[-1] == 2 else sq[..., 0]
 
 
 def _norms(v: np.ndarray) -> np.ndarray:

@@ -47,6 +47,11 @@ _WITNESSES = ("weight_sequence_growth", "nonqa_tail_exponent", "nonqa_tail_estim
 _LOG_FACTORIALS = np.zeros(0)  # log k! for k < len, read-only; grows by doubling
 
 
+def _diff(a: np.ndarray) -> np.ndarray:
+    """``np.diff`` along the last axis: the same subtraction, without its fixed cost."""
+    return a[..., 1:] - a[..., :-1]
+
+
 def _log_factorial(k: int) -> float:
     """log k! = log Gamma(x), x = k + 1, by the float operations of Cephes
     ``lgam`` (S. Moshier), so bit-equal to SciPy's ``gammaln``: the log of the
@@ -104,16 +109,16 @@ def _fit_quotient_model(mu_tail: np.ndarray) -> np.ndarray:
     k = mu_tail.shape[1]
     j = np.arange(max(3, k // 2), k + 1, dtype=float)
     lj = np.log(j)
-    a = np.vstack([np.ones_like(lj), lj, np.log(lj)]).T
+    a = np.array([np.ones_like(lj), lj, np.log(lj)]).T
     return np.linalg.lstsq(a, mu_tail[:, max(3, k // 2) - 1:].T, rcond=None)[0]
 
 
 def _decay_exponent(sums: np.ndarray, n_dec: int) -> np.ndarray:
     """Per row, minus the least-squares slope of log(sums) on log(last decades <= n_dec)."""
     x = np.log(np.arange(n_dec - sums.shape[-1] + 1, n_dec + 1, dtype=float))
-    x -= x.mean()
+    x -= x.sum() / len(x)  # np.mean's operations, without its fixed cost
     y = np.log(np.maximum(sums, 1e-300))
-    return -((y - y.mean(axis=-1, keepdims=True)) @ x) / (x @ x)
+    return -((y - y.sum(axis=-1, keepdims=True) / y.shape[-1]) @ x) / (x @ x)
 
 
 def _model_tail_sum(log_c, p, q, k0: float, max_decades: int = 200):
@@ -136,7 +141,7 @@ def _model_tail_sum(log_c, p, q, k0: float, max_decades: int = 200):
     live, incs, acc = np.arange(len(p)), np.empty((len(p), 0)), np.zeros((len(p), 1))
     # increments fall about 10^(1 - p) a decade and stop 1e-14 below the sum:
     # a first block of 32 decades pays only if a sum may stop in it (p >= 1.5)
-    lo, hi = 0, 32 if np.any(p >= 1.5) else max_decades
+    lo, hi = 0, 32 if (p >= 1.5).any() else max_decades
     while len(live) and lo < max_decades:
         d = np.arange(lo, min(hi, max_decades))
         us = u0 + log(10.0) * (d[:, None] + np.arange(n + 1) / n)
@@ -145,10 +150,10 @@ def _model_tail_sum(log_c, p, q, k0: float, max_decades: int = 200):
         # one dot per decade: a matrix-vector product may sum in another order
         new = log(10.0) / n / 3.0 * np.vecdot(vals, w)
         incs = np.concatenate((incs, new), axis=1)  # every decade so far
-        acc = np.cumsum(np.concatenate((acc[:, -1:], new), axis=1), axis=1)[:, 1:]
+        acc = np.concatenate((acc[:, -1:], new), axis=1).cumsum(axis=1)[:, 1:]
         small = (d >= 3) & (new <= 1e-14 * np.maximum(acc, 1e-300))
         stop = small | (d >= 7) & (new >= 0.999 * incs[:, d - 1])
-        rows, at = np.arange(len(live)), np.argmax(stop, axis=1)
+        rows, at = np.arange(len(live)), stop.argmax(axis=1)
         done, ok = stop[rows, at], small[rows, at]
         converged[live[done]] = ok[done]
         tail[live[done]] = np.where(ok, acc[rows, at], float("inf"))[done]
@@ -164,8 +169,8 @@ def _model_tail_sum(log_c, p, q, k0: float, max_decades: int = 200):
 
 def _log_convex(logM: np.ndarray) -> np.ndarray:
     """Per row of a (rows, K+1) log M table: log quotients >= 0 and non-decreasing, to 1e-12."""
-    log_mu = np.diff(logM, axis=1)
-    return np.all(log_mu >= -1e-12, axis=1) & np.all(np.diff(log_mu, axis=1) >= -1e-12, axis=1)
+    log_mu = _diff(logM)
+    return (log_mu >= -1e-12).all(axis=1) & (_diff(log_mu) >= -1e-12).all(axis=1)
 
 
 def _row_flags(logM: np.ndarray) -> list:
@@ -173,13 +178,13 @@ def _row_flags(logM: np.ndarray) -> list:
     structural (flags, witnesses); one pass, but the tail sums of all rows
     are one :func:`_model_tail_sum` call, made at the first row's read."""
     k = logM.shape[1] - 1
-    mu_tail = np.diff(logM, axis=1)
+    mu_tail = _diff(logM)
     log_convex = _log_convex(logM)
     roots = logM[:, 1:] / np.arange(1, k + 1)
     weight_seq, growth = _certify_divergence(roots)
     weight_seq &= logM[:, -1] >= log(DIVERGENCE_FLOOR)
-    m_quot = np.diff(logM - log_factorials(k), axis=1)
-    strongly = log_convex & np.all(np.diff(m_quot, axis=1) >= -1e-12, axis=1)
+    m_quot = _diff(logM - log_factorials(k))
+    strongly = log_convex & (_diff(m_quot) >= -1e-12).all(axis=1)
 
     # summability of sum 1/mu_k, with a fitted slowly-varying power tail
     # beyond K_max: mu_j modelled as c j^p (log j)^q on the last half
@@ -187,7 +192,7 @@ def _row_flags(logM: np.ndarray) -> list:
     fit = p_fit > 1.0 - TAIL_EXPONENT_MARGIN
 
     # moderate growth via the quotient form mu_k <= C * M_k^{1/k}
-    c_mg = np.max(mu_tail - roots, axis=1)
+    c_mg = (mu_tail - roots).max(axis=1)
     moderate = weight_seq & (c_mg <= LOG_C_CAP)
 
     @cache
@@ -228,13 +233,13 @@ class _MinAffineEnvelope:
         self.vertices = np.asarray(hull, dtype=np.int64)
         vy = y[self.vertices]
         vk = ks[self.vertices]
-        self.slopes = np.diff(vy) / np.diff(vk) if len(hull) > 1 else np.empty(0)
+        self.slopes = _diff(vy) / _diff(vk) if len(hull) > 1 else np.empty(0)
         self._y = y
 
     def query(self, theta):
         """Return (min value, smallest argmin, exhausted) for slope(s) theta."""
         theta = np.asarray(theta, dtype=float)
-        idx = np.searchsorted(self.slopes, -theta, side="left")
+        idx = self.slopes.searchsorted(-theta, side="left")
         arg = self.vertices[idx]
         val = self._y[arg] + arg * theta
         exhausted = arg == len(self._y) - 1
@@ -265,7 +270,7 @@ class WeightSequence:
         self.logM.flags.writeable = False
         self.K_max = len(logM) - 1
         self.label = label
-        self.log_mu = np.concatenate([[0.0], np.diff(self.logM)])
+        self.log_mu = np.concatenate([[0.0], _diff(self.logM)])
         self.log_mu.flags.writeable = False
         self.log_m = self.logM - log_factorials(self.K_max)
         self.log_m.flags.writeable = False
@@ -295,7 +300,7 @@ class WeightSequence:
             raise TailUnbounded(f"{self.label or 'sequence'}: {why}, "
                                 "tail sum not certified finite")
         inv = np.exp(-self.log_mu[1:])
-        suffix = np.cumsum(inv[::-1])[::-1]
+        suffix = inv[::-1].cumsum()[::-1]
         return suffix + self.witnesses["nonqa_tail_estimate"]
 
     def __repr__(self):
@@ -325,7 +330,7 @@ class SequenceView:
 
     @cached_property
     def quotient_running_max(self) -> np.ndarray:
-        return np.maximum.accumulate(np.diff(self.log_values()))
+        return np.maximum.accumulate(_diff(self.log_values()))
 
 
 # -- generators ------------------------------------------------------------
@@ -384,7 +389,7 @@ def gamma_under_soft(view: SequenceView, t) -> tuple[np.ndarray, np.ndarray]:
     K_max - 1 where no stored quotient reaches 1/t."""
     t = np.asarray(t, dtype=float)
     rm = view.quotient_running_max
-    idx = np.searchsorted(rm, -np.log(t), side="left")
+    idx = rm.searchsorted(-np.log(t), side="left")
     exhausted = idx >= len(rm)
     return np.minimum(idx, len(rm) - 1), exhausted
 
@@ -395,14 +400,14 @@ def omega_assoc(seq: WeightSequence, t):
     RangeExhausted names the first t, in input order, whose supremum sits
     at K_max."""
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
+    if (t <= 0).any():
         raise ValueError("t must be positive")
     if not seq.flags["weight_sequence"]:
         raise NotAWeightSequence(
             f"{seq.label or 'sequence'}: weight_sequence flag not set")
     # sup_k (k*log t - logM_k) = -min_k (logM_k + k*(-log t))
     val, _, exhausted = seq.view("M").envelope.query(-np.log(t))
-    if np.any(exhausted):
+    if exhausted.any():
         bad = t.reshape(-1)[np.flatnonzero(exhausted)[0]]
         raise RangeExhausted(
             f"growth supremum attained at K_max={seq.K_max} for t={bad:g}")

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ultrajet import cli, extend as extend_module, jets, pou, seqcore
 from ultrajet.cli import _jet_preset, _write_csv, main, run, validate_config
@@ -961,9 +961,14 @@ def encoded(v) -> str:
 
 REPORT_FLOATS = st.one_of(st.floats(), st.sampled_from(
     [0.0, -0.0, 5e-324, -5e-324, 1e300, 1.7976931348623157e308, math.inf, -math.inf, math.nan]))
+class _Label(str):
+    """A str subclass: a container spells it as its base type, as json does."""
+
+
 REPORT_LEAVES = st.one_of(st.text(), st.sampled_from(['"', "\\", "\n\t\x00\x1f", "é€😀"]),
                           st.booleans(), st.none(), st.integers(), REPORT_FLOATS,
-                          st.integers(-2**200, 2**200))
+                          st.integers(-2**200, 2**200), REPORT_FLOATS.map(np.float64),
+                          st.text(max_size=3).map(_Label))
 REPORT_KEYS = st.one_of(st.text(), st.integers(-2**70, 2**70), st.booleans(), st.none(),
                         st.floats(allow_nan=False, allow_infinity=False))
 REPORTS = st.recursive(REPORT_LEAVES, lambda inner: st.one_of(
@@ -973,6 +978,10 @@ REPORTS = st.recursive(REPORT_LEAVES, lambda inner: st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(REPORTS)
+@example([(), [[], {}], ({},), [[[]]], {"": {"": []}}])  # nested empty containers
+@example({1: [math.inf, -math.inf, math.nan], None: (-0.0, 5e-324), True: {2.5: ()},
+          False: [(math.nan,), {-7: math.inf}], -2**70: _Label("k")})
+@example((np.float64(math.inf), [np.float64(-0.0), _Label('"')], {"a": (None, True)}))
 def test_report_encoder_equals_json_dumps(report):
     assert encoded(report) == json.dumps(oracle_finite(report), indent=2, allow_nan=False)
 

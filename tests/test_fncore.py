@@ -102,6 +102,18 @@ def test_log_power_tail_where_log_power_of_t_overflows():
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
+def test_log_power_tail_where_scale_t_overflows_too():
+    # 2 t overflows past t = 9e307 and (log t)^109 past log t = 673: their
+    # quotient was inf / inf = nan, with a RuntimeWarning
+    fn = log_power(109.0, 2.0)
+    t = np.array([1e308, 1.7e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fn(t)
+    want = [math.exp(math.log(2.0) + math.log(v) - 109.0 * math.log(math.log(v))) for v in t.tolist()]
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
 def test_linear_weight_is_quasianalytic_and_not_o_of_t():
     fn = fncore.WeightFunction(lambda t: np.asarray(t, dtype=float), label="t")
     assert not fn.flags["non_quasianalytic"]
@@ -495,6 +507,27 @@ def test_kappa_rejects_non_finite_t():
 def test_kappa_of_no_points_is_empty():
     for fn in (power(0.5), omega_of_sequence(seqcore.gevrey(1.0, K_max=256))):
         assert kappa(fn, []).shape == (0,)
+
+
+def test_kappa_memo_hands_out_copies_and_keys_by_weight_and_grid():
+    # a weight keeps kappa's values per query grid: each call returns the
+    # same bits in a new array, a write into one result reaches no other,
+    # and a grid of other values or shape, or another weight, is its own entry
+    fn = log_power(2.5)
+    ts = np.geomspace(1e-2, 1e8, 40)
+    first, second = kappa(fn, ts), kappa(fn, ts)
+    assert first is not second and first.tobytes() == second.tobytes()
+    first[:] = -1.0
+    assert kappa(fn, ts).tobytes() == second.tobytes()
+    assert kappa(fn, ts[::-1]).tobytes() == second[::-1].tobytes()
+    square = kappa(fn, ts.reshape(5, 8))
+    assert square.shape == (5, 8) and square.tobytes() == second.tobytes()
+    assert isinstance(kappa(fn, ts[3]), float) and kappa(fn, ts[3]) == kappa(fn, ts[3:4])[0]
+    # a fresh weight of the same preset gives the same bits, another preset its own
+    assert kappa(log_power(2.5), ts).tobytes() == second.tobytes()
+    other = power(0.5)
+    assert kappa(other, ts).tobytes() == kappa(power(0.5), ts).tobytes() != second.tobytes()
+    assert kappa(fn, ts).tobytes() == second.tobytes()
 
 
 def kappa_power_closed(alpha, t):

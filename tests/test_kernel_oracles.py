@@ -7,7 +7,8 @@ conjugates of every ``fncore`` preset against one bounded scalar
 minimisation per point, against the hull formulas of growth profiles and
 the breakpoint maxima of tables, and against dense scans, the
 Newton-started root bisections of ``log_power`` against bisections of the
-whole bracket, the one-pass
+whole bracket, the unmasked ``log_power`` evaluator past its bridge
+against the masked pass over every t, the one-pass
 averaged tail transform ``fncore.kappa`` against its per-t decade loop
 and ``np.polyfit`` remainders, the batched row flags and array tail sums
 of ``seqcore`` against the per-row flag pass and the
@@ -17,7 +18,8 @@ per-decade loop, the cached log k! table of ``seqcore`` against SciPy's
 against the conjugate secants of the generating weight, the pair table of
 ``check_strong_matrix`` against one ``check_mixed_tail`` per pair and the
 one-pass ``WeightMatrix`` validation against its per-pair loop, the chain lookup
-of ``conditions.resolve_chain`` against its per-D loop, the array passes of ``jets.certify``,
+of ``conditions.resolve_chain`` against its per-D loop, the array passes of ``jets.certify``
+(its largest ratio against a copy of the table without NaN),
 the bump stages and stacked bump derivatives of ``pou`` and
 ``geometry.cube_diagnostics`` against their per-term, per-piece, per-shift
 and per-sample loops, and the level passes of
@@ -1112,6 +1114,37 @@ def test_certify_bitwise_equals_oracle(case):
             assert got.binding == binding
 
 
+def oracle_first_max(ratios, best):
+    """The largest ratio past ``best`` and its first index, on a copy of the
+    table with every NaN made -inf."""
+    flat = np.where(np.isnan(ratios), -np.inf, ratios).ravel()
+    k = int(np.argmax(flat))
+    if flat[k] > best:
+        return flat[k], tuple(int(v) for v in np.unravel_index(k, ratios.shape))
+    return best, None
+
+
+NAN = float("nan")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda cols: st.tuples(
+    st.lists(st.lists(st.one_of(st.floats(), st.sampled_from([NAN, 0.0, -0.0, 1.0])),
+                      min_size=cols, max_size=cols), min_size=1, max_size=4),
+    st.one_of(st.floats(allow_nan=False), st.sampled_from([0.0, 1.0])))))
+@example(([[NAN, 1.0, 3.0], [2.0, 0.5, 3.0]], 0.0))  # a NaN before the maximum
+@example(([[1.0, NAN, 0.5]], 0.0))  # at the maximum's place
+@example(([[1.0, 3.0], [NAN, 2.0]], 0.0))  # after it
+@example(([[NAN, NAN], [NAN, NAN]], 0.0))  # all NaN
+@example(([[NAN, 2.0]], 5.0))  # nothing past best
+def test_first_max_equals_nan_free_copy_oracle(case):
+    # argmax stops at the first NaN, so only then is the table copied without them
+    table, best = case
+    ratios = np.array(table, dtype=float)
+    (got, at), (want, want_at) = jets_module._first_max(ratios, best), oracle_first_max(ratios, best)
+    assert _bits(got) == _bits(want) and at == want_at
+
+
 @settings(max_examples=40, deadline=None)
 @given(certify_cases())
 def test_certify_remainders_bitwise_equal_taylor_grid(case):
@@ -1938,6 +1971,61 @@ def test_log_power_conjugates_equal_full_bracket_bisection(case):
     got = omega_star(ss, 1e12)
     assert_matches_oracle(got, want)
     assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1e-300, np.abs(want)))
+
+
+def oracle_log_power_eval(b, scale, t):
+    """``log_power(b, scale)`` by masks over every t: 0 up to 1, the bridge
+    w1 log t / s1 below e^s1, scale t / (log t)^b from e^s1 on, in logs where
+    (log t)^b overflows."""
+    s1 = b + 1.0
+    t1 = np.exp(s1)
+    w1 = scale * t1 / s1 ** b
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    mid = (t > 1.0) & (t < t1)
+    out[mid] = w1 * np.log(t[mid]) / s1
+    hi = t >= t1
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[hi] = scale * t[hi] / np.log(t[hi]) ** b
+    far = hi & ~(out > 0.0)
+    if far.any():
+        out[far] = np.exp(log(scale) + np.log(t[far]) - b * np.log(np.log(t[far])))
+    return out
+
+
+@st.composite
+def log_power_points(draw):
+    """A log_power weight and t: wholly past the bridge e^(b+1), straddling
+    it (with 0 and 1), at it and its neighbouring floats, empty, or one t as
+    a 0-d array; b from 109 on puts (log t)^b past the float range for large t."""
+    b = draw(st.one_of(st.floats(0.05, 8.0), st.floats(109.0, 140.0)))
+    scale = draw(st.floats(0.05, 20.0))
+    t1 = float(np.exp(b + 1.0))
+    at = [t1, float(np.nextafter(t1, 0.0)), float(np.nextafter(t1, np.inf))]
+    kind = draw(st.sampled_from(("past", "straddling", "at", "empty", "0-d")))
+    ts = [10.0 ** x for x in draw(st.lists(st.floats(-3.0, 308.0), min_size=1, max_size=40))]
+    if kind == "past":
+        ts = [max(t, t1) for t in ts] + draw(st.lists(st.sampled_from(at[::2]), max_size=2))
+    elif kind == "straddling":
+        ts = draw(st.permutations(ts + [0.0, 1.0] + at))
+    elif kind == "at":
+        ts = draw(st.lists(st.sampled_from(at), min_size=1, max_size=6))
+    return b, scale, (np.asarray(ts[0]) if kind == "0-d" else np.array([] if kind == "empty"
+                                                                        else ts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_power_points())
+@example((120.0, 2.0, np.exp(np.array([300.0, 371.0, 372.0, 600.0, 700.0]))))
+@example((120.0, 2.0, np.asarray(np.exp(600.0))))  # phi(s_cap) of the conjugate's cap test
+@example((109.0, 2.0, np.array([1e308])))  # scale t and (log t)^b both overflow
+def test_log_power_evaluator_equals_masked_oracle(case):
+    # an array wholly past the bridge takes one pass without masks; any
+    # other, and a 0-d t, the masked pass, which hands its tail to the first
+    b, scale, t = case
+    got = np.asarray(log_power(b, scale)(t))
+    want = oracle_log_power_eval(b, scale, t)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=300, deadline=None)

@@ -19,7 +19,10 @@ bound in ``jets`` alone, so that one patch of ``jets.INCIDENCE_BLOCK``
 splits every pass of a call, and the cap C <= 2^40 of the finite-range
 flags and verdicts in ``seqcore`` alone.  In ``cli`` one helper turns a
 library ``ValueError`` into a config error, and one writes every output
-file.
+file.  The state that outlives a ``cli.run`` (a module-level or class-level
+function under ``cache`` or ``lru_cache``, or a name bound by ``global``) is
+listed on ``PROCESS_STATE`` with its reason, so no cross-run result cache
+comes in unnoticed; a memo kept on an object that a run builds is not such state.
 """
 
 import ast
@@ -78,6 +81,45 @@ SHARED = {
     "to_dict": "the report form of conditions.Verdict, conditions.ChainCertificate "
                "and jets.JetCertificate",
 }
+
+PROCESS_STATE = {
+    "jets._graded": "the multi-indices of a dimension by degree: a plan, the same in every run",
+    "jets._ranks": "the rank of each multi-index: a plan, the same in every run",
+    "jets._leibniz_terms": "the Leibniz pairs and binomials of a multi-index: a plan",
+    "jets._taylor_plan": "the read-only gather plan of a Taylor sum: a plan",
+    "jets._degree_plans": "the read-only degree groups of a Taylor sum: a plan",
+    "jets._certify_plan": "the read-only pair plan of a jet certificate: a plan",
+    "seqcore._LOG_FACTORIALS": "log k! by libm, grown by doubling: every table it holds has "
+                               "the same value at each k",
+}
+
+
+def _is_cache(decorator) -> bool:
+    """``cache``, ``lru_cache``, ``lru_cache(...)``, also as ``functools.<name>``."""
+    node = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)) in (
+        "cache", "lru_cache")
+
+
+def _process_state() -> set:
+    """The module- and class-level functions under a cache decorator, and
+    the names that a ``global`` statement binds, as module.name."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bodies = [tree.body] + [n.body for n in tree.body if isinstance(n, ast.ClassDef)]
+        found |= {f"{path.stem}.{node.name}" for body in bodies for node in body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and any(map(_is_cache, node.decorator_list))}
+        found |= {f"{path.stem}.{name}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Global) for name in node.names}
+    return found
+
+
+def test_only_the_listed_state_outlives_a_run():
+    state = _process_state()
+    assert sorted(state - PROCESS_STATE.keys()) == []
+    assert sorted(PROCESS_STATE.keys() - state) == []
 
 
 def _public_members(cls: ast.ClassDef) -> list:
