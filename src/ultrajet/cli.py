@@ -91,6 +91,7 @@ _BOOL = _Spec("true or false", lambda v: isinstance(v, bool))
 _LIST = _Spec("a list", lambda v: isinstance(v, list))
 _OBJECT = _Spec("an object", lambda v: isinstance(v, dict))
 _PARTS = _Spec("a non-empty list", lambda v: isinstance(v, list) and len(v) > 0)
+_REALS = _Spec("a list of real numbers", lambda v: isinstance(v, list) and all(map(_is_real, v)))
 
 
 class _Kind(NamedTuple):
@@ -116,7 +117,7 @@ _WEIGHT_PRESETS = {
     "gevrey_dual": _Kind({"s": _POSITIVE}, _calls(fncore.gevrey_dual), ("normalized",)),
     "omega_of_sequence": _Kind({"sequence": _STR}, lambda ctx, name, sequence:
                                fncore.omega_of_sequence(ctx.sequence(sequence))),
-    "tabulated": _Kind({"ts": _LIST, "values": _LIST}, lambda ctx, name, **kw:
+    "tabulated": _Kind({"ts": _REALS, "values": _REALS}, lambda ctx, name, **kw:
                        fncore.tabulated(**kw, label=name)),
 }
 # a mu_table is as long as its table and a descendant as its source, so
@@ -125,7 +126,7 @@ _SEQ_GENERATORS = {
     "gevrey": _Kind({"s": _POSITIVE}, _calls(seqcore.gevrey), ("K_max",)),
     "quotient_power": _Kind({"p": _REAL, "scale": _optional(_POSITIVE)},
                             _calls(seqcore.quotient_power), ("K_max",)),
-    "mu_table": _Kind({"mu": _LIST}, lambda ctx, name, mu:
+    "mu_table": _Kind({"mu": _REALS}, lambda ctx, name, mu:
                       seqcore.from_mu(mu, label=name)),
     "descendant_of": _Kind({"sequence": _STR}, lambda ctx, name, sequence:
                            seqcore.descendant(ctx.sequence(sequence))),
@@ -141,8 +142,7 @@ _JET_KINDS = {
     "sin": _Kind({"a": _optional(_REAL), "b": _optional(_REAL)}, jets.Sin),
     "exp": _Kind({"a": _optional(_REAL)}, jets.Exp),
     "runge": _Kind({"c": _optional(_REAL)}, jets.Runge),
-    "poly": _Kind({"coeffs": _Spec("a list of real numbers", lambda v: isinstance(
-        v, list) and all(map(_is_real, v)))}, jets.Poly),
+    "poly": _Kind({"coeffs": _REALS}, jets.Poly),
     "product": _Kind({"factors": _PARTS}, jets.Product1D),
     "sum": _Kind({"terms": _PARTS}, jets.Sum1D),
     "tensor": _Kind({"axes": _PARTS}, jets.Tensor),

@@ -28,12 +28,7 @@ import numpy as np
 from .conditions import ChainCertificate, check_almost_increasing
 from .errors import BoundOverflow, IncompatibleGeometry, OrderCapExceeded, RangeExhausted
 from .fncore import WeightMatrix
-from .geometry import (
-    EXPANSION,
-    CubeDecomposition,
-    box_grid,
-    nearest_index,
-)
+from .geometry import CubeDecomposition, box_grid, nearest_index
 from .jets import (
     Ultrajet,
     _leibniz_fold,
@@ -224,9 +219,8 @@ def _taylor_sup_bounds(field: ExtensionField, multis) -> dict:
     share one stacked plan; sums of absolute terms are no Taylor sums of the
     jet, so each row's is taken here, the BLAS dot a 1-D ``@`` takes."""
     jet, dec = field.jet, field.pou.dec
-    half = dec.sides * EXPANSION / 2.0
     signs = np.array(list(product((-1.0, 1.0), repeat=dec.dim)))
-    corners = (dec.centers[:, None, :] + signs * half[:, None, None]
+    corners = (dec.centers[:, None, :] + signs * dec._half_star[:, None, None]
                - dec.nearest_points[:, None, :])
     r_max = np.sqrt(_sum_squares(corners)).max(axis=1)
     # q[b, i] = p_i - |beta_b|, the Taylor degree of row (cube i, beta_b)
@@ -285,7 +279,8 @@ def _taylor_bounds(field: ExtensionField, target_seq: WeightSequence,
     from one :func:`_taylor_sums` call at the degree p - |alpha| of each
     (point, alpha).  Each constant is the largest ratio; NaN never counts."""
     jet, L = field.jet, field.sched.L
-    s_all = np.exp(target_seq.logM[: jet.A_max + 2])
+    with np.errstate(over="ignore"):  # a weight past the float range: its ratios are 0
+        s_all = np.exp(target_seq.logM[: jet.A_max + 2])
     field_C = increment_C = 0.0
     gb, _ = gamma_bar_soft(field.sched.s_prime, L * d)
     degrees = np.minimum(2 * gb, jet.A_max)
@@ -361,10 +356,11 @@ def verify(field: ExtensionField, target_seq: WeightSequence, orders,
     bounds = derivative_bounds(field, g_ord)
     if not np.isfinite(list(bounds.values())).all():
         raise BoundOverflow(f"certified sup bounds {list(bounds.values())} are not all finite")
-    W = np.exp(target_seq.logM[: g_ord + 1])
-    M1 = max(1.0, max((bounds[m] / W[sum(m)]) ** (1.0 / (sum(m) + 1.0))
-                      for m in bounds))
-    C_growth = max(bounds[m] / (M1 ** (sum(m) + 1) * W[sum(m)]) for m in bounds)
+    with np.errstate(over="ignore"):  # a weight or power past the float range: a ratio 0
+        W = np.exp(target_seq.logM[: g_ord + 1])
+        M1 = max(1.0, max((bounds[m] / W[sum(m)]) ** (1.0 / (sum(m) + 1.0))
+                          for m in bounds))
+        C_growth = max(bounds[m] / (M1 ** (sum(m) + 1) * W[sum(m)]) for m in bounds)
     growth = {"M1": M1, "C": float(C_growth), "row": target_seq.label,
               "grid_sups": {str(list(m)): v for m, v in sups.items()},
               "certified_bounds": {str(list(m)): v for m, v in bounds.items()},

@@ -272,8 +272,9 @@ def tabulated(ts, values, label: str = "tabulated") -> WeightFunction:
     breakpoints, 0 and the s cap."""
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
-    if np.any(np.diff(ts) <= 0) or np.any(np.diff(values) < 0):
-        raise ValueError("table must be strictly increasing in t, non-decreasing in w")
+    if (len(ts) < 2 or len(ts) != len(values)
+            or np.any(np.diff(ts) <= 0) or np.any(np.diff(values) < 0)):
+        raise ValueError("table needs 2+ (t, w) points, t strictly increasing, w non-decreasing")
     slope = (values[-1] - values[-2]) / (ts[-1] - ts[-2])
     left_slope = values[0] / ts[0] if ts[0] > 0 else 0.0
     edges = np.clip(np.log(np.maximum(ts, 1e-300)), 0.0, _S_CAP)
@@ -284,8 +285,9 @@ def tabulated(ts, values, label: str = "tabulated") -> WeightFunction:
     def fn(t):
         t = np.asarray(t, dtype=float)
         out = np.interp(t, ts, values)
-        out = np.where(t > ts[-1], values[-1] + slope * (t - ts[-1]), out)
-        return np.where(t < ts[0], left_slope * t, out)
+        with np.errstate(over="ignore"):  # a steep line past the float range is inf
+            out = np.where(t > ts[-1], values[-1] + slope * (t - ts[-1]), out)
+            return np.where(t < ts[0], left_slope * t, out)
 
     def young(t):
         peak = np.clip(np.log(np.maximum(t, 1e-300))[:, None] - log_b, lo, hi)

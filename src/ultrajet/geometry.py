@@ -16,7 +16,7 @@ product order) is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import product
 
@@ -82,6 +82,26 @@ def nearest_index(x, cset: CompactSet, half: float = 0.0) -> tuple:
     return idx, dist
 
 
+def _box_pairs(a, a_half, b, b_half, tol: float = 0.0) -> tuple:
+    """The (i, j) pairs, sorted by i, then j, whose boxes a[i] +- a_half[i]
+    and b[j] +- b_half[j] meet on every axis d up to ``tol``:
+    |a_d - b_d| - (a_half_i + b_half_j) <= tol.  ``a_half`` may be one
+    number for every row (0 for points), which is added to b_half alone.
+    Blocks of rows of a meet every b on the first axis, at most
+    INCIDENCE_BLOCK comparisons per block, so memory is linear in each
+    input; each further axis tests only the pairs that are left."""
+    half_a = (lambda *k: a_half[k]) if np.ndim(a_half) else (lambda *k: a_half)
+    pairs = [np.zeros((2, 0), dtype=np.intp)]
+    for rows in blocks(len(a), len(b)):
+        i, j = np.nonzero(np.abs(a[rows, 0, None] - b[:, 0]) - (half_a(rows, None) + b_half) <= tol)
+        i += rows.start
+        for d in range(1, a.shape[1]):
+            keep = np.abs(a[i, d] - b[j, d]) - (half_a(i) + b_half[j]) <= tol
+            i, j = i[keep], j[keep]
+        pairs.append(np.stack([i, j]))
+    return tuple(np.concatenate(pairs, axis=1))
+
+
 @dataclass(frozen=True)
 class CubeDecomposition:
     """Accepted cubes (breadth-first creation order) plus the collar."""
@@ -102,6 +122,8 @@ class CubeDecomposition:
 
     # (N, dim), the nearest set point to each center
     nearest_points = cached_property(lambda self: self.cset.points[self.nearest_idx])
+    # (N,), the half-width 9/16 side of each expanded cube Q_i*
+    _half_star = cached_property(lambda self: self.sides * (EXPANSION / 2.0))
     # per cube i, the j of its pairs (i, j), split from neighbor_pairs at the first read
     neighbors = cached_property(lambda self: tuple(np.split(self.neighbor_pairs[1], np.cumsum(
         np.bincount(self.neighbor_pairs[0], minlength=self.n_cubes)))[:-1]))
@@ -114,25 +136,15 @@ class CubeDecomposition:
         return self.sides * np.sqrt(self.dim)
 
     def expanded_halfwidth(self, i) -> float:
-        return float(self.sides[i]) * EXPANSION / 2.0
+        return float(self._half_star[i])
 
-    def incidence(self, x, expansion: float = EXPANSION) -> tuple:
-        """The (point, cube) pairs with x[point] in cube grown ``expansion``
-        times about its center, sorted by point, then cube.  Blocks of
-        points meet every cube on the first axis, at most INCIDENCE_BLOCK
-        comparisons per block, so memory is linear in x; each further axis
-        tests only the pairs that are left."""
+    def incidence(self, x) -> tuple:
+        """The (point, cube) pairs with x[point] in the expanded cube Q*,
+        sorted by point, then cube: the box pairs of the points (half-width
+        0) and the Q* at tolerance 0, each decided as ``|x - c| <= half``
+        decides it on every axis."""
         pts = np.asarray(x, dtype=float).reshape(-1, self.dim)
-        half = self.sides * (expansion / 2.0)
-        pairs = [np.zeros((2, 0), dtype=np.intp)]
-        for rows in blocks(len(pts), self.n_cubes):
-            point, cube = np.nonzero(np.abs(pts[rows, 0, None] - self.centers[:, 0]) <= half)
-            point += rows.start
-            for d in range(1, self.dim):
-                keep = np.abs(pts[point, d] - self.centers[cube, d]) <= half[cube]
-                point, cube = point[keep], cube[keep]
-            pairs.append(np.stack([point, cube]))
-        return tuple(np.concatenate(pairs, axis=1))
+        return _box_pairs(pts, 0.0, self.centers, self._half_star)
 
     def cubes_containing(self, x) -> np.ndarray:
         """Indices of accepted cubes whose expanded cube contains x."""
@@ -203,23 +215,7 @@ def decompose(box, cset: CompactSet, depth_cap: int,
     centers = np.concatenate(acc_centers)
     sides = np.repeat(acc_sides, [len(d) for d in acc_dist])
     cube_dist = np.concatenate(acc_dist)
-    n = len(sides)
     near_idx, center_dist = nearest_index(centers, cset)
-
-    # neighbors: a gap test of every pair, blocks of cubes against all cubes
-    # on the first axis, then each further axis on the pairs that are left
-    half = sides * (EXPANSION / 2.0)
-    tol = 1e-12 * float(sides0[0])
-    pairs = [np.zeros((2, 0), dtype=np.intp)]
-    for rows in blocks(n, n):
-        c = centers[:, 0]
-        i, j = np.nonzero(np.abs(c - c[rows, None]) - (half + half[rows, None]) <= tol)
-        i += rows.start
-        keep = i != j
-        for d in range(1, dim):
-            i, j, c = i[keep], j[keep], centers[:, d]
-            keep = np.abs(c[j] - c[i]) - (half[j] + half[i]) <= tol
-        pairs.append(np.stack([i[keep], j[keep]]))
 
     col_sides = np.full(len(col_dist), side)
     collar_radius = float(np.max(col_dist + col_sides * sqrt_n, initial=0.0))
@@ -228,12 +224,15 @@ def decompose(box, cset: CompactSet, depth_cap: int,
             f"collar radius {collar_radius:g} exceeds the minimum feature "
             f"scale {min_feature_scale:g} at depth {depth_cap}")
 
-    return CubeDecomposition(dim=dim, box=box, depth_cap=depth_cap,
-                             centers=centers, sides=sides,
-                             nearest_idx=near_idx, center_dist=center_dist, cube_dist=cube_dist,
-                             neighbor_pairs=tuple(np.concatenate(pairs, axis=1)),
-                             collar_centers=col_centers, collar_sides=col_sides,
-                             collar_radius=collar_radius, cset=cset)
+    dec = CubeDecomposition(dim=dim, box=box, depth_cap=depth_cap,
+                            centers=centers, sides=sides, neighbor_pairs=None,
+                            nearest_idx=near_idx, center_dist=center_dist, cube_dist=cube_dist,
+                            collar_centers=col_centers, collar_sides=col_sides,
+                            collar_radius=collar_radius, cset=cset)
+    # neighbors: the pairs i != j of Q_i* meeting Q_j*, with a tolerance relative to the box
+    i, j = _box_pairs(centers, dec._half_star, centers, dec._half_star, tol=1e-12 * sides0[0])
+    keep = i != j
+    return replace(dec, neighbor_pairs=(i[keep], j[keep]))
 
 
 def cube_diagnostics(dec: CubeDecomposition, samples_per_cube: int, seed: int) -> dict:
@@ -249,7 +248,7 @@ def cube_diagnostics(dec: CubeDecomposition, samples_per_cube: int, seed: int) -
     the first bad (cube, sample, check).
     """
     rng = np.random.default_rng(seed)
-    half = (dec.sides * EXPANSION / 2.0)[:, None, None]
+    half = dec._half_star[:, None, None]
     xs = dec.centers[:, None, :] + rng.uniform(
         -half, half, size=(dec.n_cubes, samples_per_cube, dec.dim))
     near, d_x = (a.reshape(xs.shape[:2]) for a in nearest_index(xs, dec.cset))
@@ -272,7 +271,6 @@ def cube_diagnostics(dec: CubeDecomposition, samples_per_cube: int, seed: int) -
         raise InvariantViolation(
             f"{names[c]} = {ratios[i, k, c]:g} > {bounds[c]} at cube {i}, x={xs[i, k]}")
     worst["max_overlap"] = dec.max_overlap()
-    b1, B1 = dec.neighbor_diam_ratios()
-    worst["b1"], worst["B1"] = b1, B1
+    worst["b1"], worst["B1"] = dec.neighbor_diam_ratios()
     worst["samples_per_cube"] = samples_per_cube
     return worst

@@ -196,7 +196,7 @@ class Runge(Preset1D):
         den = np.array([1.0, 0.0, c])
         p = np.array([1.0])
         out = np.empty(up_to + 1)
-        base = 1.0 + c * x * x
+        base = np.float64(1.0 + c * x * x)  # its powers overflow to inf, not an error
         for k in range(up_to + 1):
             out[k] = npoly.polyval(x, p) / base ** (k + 1)
             dp = npoly.polyder(p) if len(p) > 1 else np.array([0.0])
@@ -293,9 +293,9 @@ def jet_from_preset(preset, cset: CompactSet, A_max: int = DEFAULT_A_MAX) -> Ult
                          f"has dimension {cset.dim}")
     multi = tuple(np.array(_graded(cset.dim, A_max)).T)  # one gather per point
     vals = np.empty((len(cset.points), len(multi[0])))
-    # derivatives past the float range come out inf or NaN with no warning:
-    # certify and the field evaluation report them as BoundOverflow
-    with np.errstate(over="ignore", invalid="ignore"):
+    # derivatives past the float range or at a pole come out inf or NaN with
+    # no warning: certify and the field evaluation report them as BoundOverflow
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i, pt in enumerate(cset.points):
             vals[i] = tensor.table(pt, A_max)[multi]
     return Ultrajet(cset, A_max, vals)

@@ -34,7 +34,7 @@ from math import comb, prod
 import numpy as np
 
 from .errors import OrderCapExceeded, QuasianalyticInput, StageOverflow
-from .geometry import EXPANSION, CubeDecomposition
+from .geometry import EXPANSION, CubeDecomposition, _box_pairs
 from .jets import _leibniz_fold, blocks, multi_indices
 from .seqcore import WeightSequence
 
@@ -379,11 +379,11 @@ class PartitionOfUnity:
                            minlength=len(pts)).astype(float, copy=False)
 
     def covered(self, x) -> np.ndarray:
-        """Points lying in some (unexpanded) cube, where the sum is one."""
+        """Points lying in some (unexpanded) cube, where the sum is one: the
+        points, boxes of half-width 0, that meet a cube (half-width side/2)."""
         pts = np.asarray(x, dtype=float).reshape(-1, self.dec.dim)
-        out = np.zeros(len(pts), dtype=bool)
-        out[self.dec.incidence(pts, expansion=1.0)[0]] = True
-        return out
+        point = _box_pairs(pts, 0.0, self.dec.centers, self.dec.sides / 2.0)[0]
+        return np.bincount(point, minlength=len(pts)) > 0
 
 
 def build_pou(dec: CubeDecomposition, seq: WeightSequence,

@@ -340,7 +340,7 @@ def from_mu(mu_values, label: str = "") -> WeightSequence:
     mu = np.asarray(mu_values, dtype=float)
     if np.any(mu <= 0) or not np.all(np.isfinite(mu)):
         raise ValueError("quotients must be positive and finite")
-    if abs(mu[0] - 1.0) > 1e-12:
+    if not len(mu) or abs(mu[0] - 1.0) > 1e-12:  # an empty table has no mu_0
         raise ValueError("mu_0 must equal 1")
     return WeightSequence(np.cumsum(np.log(mu)), label=label)
 
@@ -451,6 +451,7 @@ def descendant(seq: WeightSequence) -> WeightSequence:
     suffix = seq.quotient_tail_sums()
     ks = np.arange(1, seq.K_max + 1, dtype=float)
     tau = ks * np.exp(-seq.log_mu[1:]) + suffix
-    sigma = tau[0] * ks / tau
+    with np.errstate(divide="ignore", invalid="ignore"):  # from_mu refuses an inf or NaN
+        sigma = tau[0] * ks / tau  # of a tau that underflows to 0
     return from_mu(np.concatenate([[1.0], sigma]),
                    label=f"descendant({seq.label})")

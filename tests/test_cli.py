@@ -408,6 +408,19 @@ def test_overflowing_jet_certificate_is_bound_overflow(tmp_path, command):
     assert [e["kind"] for e in load_report(tmp_path / "out")["errors"]] == ["BoundOverflow"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["extend", "verify"])
+def test_runge_jet_at_its_pole_is_bound_overflow(tmp_path, command):
+    # 1 - x^2 is 0 at the set points +-1: the jet table divides by zero there,
+    # with no warning, and certify stops at the inf value
+    cfg = json.loads((CONFIGS / "sin_gevrey2_all.json").read_text())
+    cfg["jet"]["preset"] = {"kind": "runge", "c": -1.0}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(command, str(path), str(tmp_path / "out")) == 1
+    assert [e["kind"] for e in load_report(tmp_path / "out")["errors"]] == ["BoundOverflow"]
+
+
 @pytest.mark.parametrize("command", ["extend", "verify"])
 def test_far_apart_points_are_bound_overflow(tmp_path, command):
     # the remainder scale |b - a|^q of two points 2e30 apart leaves the float
@@ -668,6 +681,21 @@ def test_library_value_error_while_building_is_config_error(tmp_path):
         assert run(command, str(path), str(tmp_path / command)) == 2
         err = load_report(tmp_path / command)["errors"][-1]
         assert err["kind"] == "config" and err["message"].startswith("pou: ")
+
+
+@pytest.mark.parametrize("ts, values", [([1.0], [0.0]), ([], []), ([1.0, 2.0], [0.0])],
+                         ids=["one_point", "no_point", "unequal_lengths"])
+def test_tabulated_weight_of_fewer_than_two_points_is_config_error(tmp_path, ts, values):
+    # the final slope read the last two entries: IndexError, a traceback and no report
+    cfg = {"weights": [{"name": "w", "preset": "tabulated",
+                        "params": {"ts": ts, "values": values}}],
+           "checks": [{"check": "strong", "weight": "w"}]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    for command in ("fn", "matrix", "check", "all"):
+        assert run(command, str(path), str(tmp_path / command)) == 2
+        err = load_report(tmp_path / command)["errors"][-1]
+        assert err["kind"] == "config" and "'w'" in err["message"]
 
 
 @pytest.mark.parametrize("entry", [

@@ -57,6 +57,47 @@ _FALLING_POU["sequences"].append({"name": "W", "generator": "mu_table", "params"
     "mu": [1.0, 4.0, 2.0] + [k ** 2.5 for k in range(3, 65)]}})
 _FALLING_POU["pou"]["sequence"] = "W"
 
+# a row of each table that the bases above leave out: a tabulated weight,
+# mu_table and descendant_of sequences, a jet of every one-variable kind
+# but sin and exp, and a degree schedule from a weight matrix
+_ROWS = copy.deepcopy(_ONE_D)
+_ROWS["weights"].append({"name": "tab", "preset": "tabulated",
+                         "params": {"ts": [1.0, 2.0, 8.0], "values": [0.0, 0.5, 2.0]}})
+_ROWS["sequences"] += [{"name": "T", "generator": "mu_table",
+                        "params": {"mu": [1.0, 2.0, 3.5, 5.0, 7.0, 9.5, 12.0, 15.0]}},
+                       {"name": "D", "generator": "descendant_of", "params": {"sequence": "S"}}]
+_ROWS["jet"] = {"preset": {"kind": "sum", "terms": [
+    {"kind": "product", "factors": [{"kind": "poly", "coeffs": [1.0, -0.5, 0.25]},
+                                    {"kind": "runge", "c": 1.0}]},
+    {"kind": "sin"}]}, "A_max": 6, "source_sequence": "S"}
+_ROWS["extension"]["schedule"] = "omega"
+_ROWS["checks"] = [{"check": "good", "weight": "tab"},
+                   {"check": "descendant", "sequence": "D"},
+                   {"check": "almost_increasing", "sequence": "T"}]
+
+
+def _rows(edit):
+    """A copy of _ROWS with ``edit`` applied."""
+    cfg = copy.deepcopy(_ROWS)
+    edit(cfg)
+    return cfg
+
+
+# what _ROWS found, each a traceback before: a table of one point (it had no
+# final slope), a table entry that is no number, an empty quotient table
+_ONE_POINT_TABLE = _rows(lambda c: c["weights"][2].update(params={"ts": [1.0], "values": [0.0]}))
+_OBJECT_IN_TABLE = _rows(lambda c: c["weights"][2]["params"].update(ts=[{}, 2.0, 8.0]))
+_EMPTY_MU = _rows(lambda c: c["sequences"][2]["params"].update(mu=[]))
+# ... and each a traceback or a RuntimeWarning: the Runge powers of a far
+# point, a steep table line, the descendant and the growth weights of a
+# fast sequence, and the powers of M1 for a large jet
+_FAR_RUNGE = _rows(lambda c: c.update(compact_set={"points": [1e23, 1.0]}))
+_STEEP_TABLE = _rows(lambda c: c["weights"][2]["params"].update(values=[0.0, 0.5, 1e49]))
+_FAST_GEVREY = _rows(lambda c: c["sequences"][0]["params"].update(s=1000.0))
+_FASTER_WEIGHT = _rows(lambda c: c["sequences"][0]["params"].update(s=100.0))
+_LARGE_JET = _rows(lambda c: c["jet"]["preset"]["terms"][0]["factors"][0].update(
+    coeffs=[1e154, -0.5, 0.25]))
+
 # replacement values: every JSON type, small numbers of each sign and no
 # large ones (a large order or depth is slow, not wrong)
 _VALUES = st.sampled_from([None, True, 0, 1, 2, 3, -1, 0.5, 1.5, -2.5, float("nan"),
@@ -75,7 +116,7 @@ def _paths(node, prefix=()):
 
 @st.composite
 def perturbed_configs(draw):
-    cfg = copy.deepcopy(draw(st.sampled_from((_SMALL, _ONE_D))))
+    cfg = copy.deepcopy(draw(st.sampled_from((_SMALL, _ONE_D, _ROWS))))
     for _ in range(draw(st.integers(1, 2))):
         paths = list(_paths(cfg))
         if not paths:
@@ -116,6 +157,9 @@ def _exits_cleanly_with_strict_report(cfg, command):
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(perturbed_configs(), st.sampled_from(sorted(_PIPELINES)))
 @example(_FALLING_POU, "pou")
+@example(_ONE_POINT_TABLE, "fn")
+@example(_OBJECT_IN_TABLE, "fn")
+@example(_EMPTY_MU, "seq")
 def test_perturbed_configs_exit_cleanly_with_strict_report(cfg, command):
     _exits_cleanly_with_strict_report(cfg, command)
 
@@ -124,7 +168,7 @@ def test_perturbed_configs_exit_cleanly_with_strict_report(cfg, command):
 def float_magnitude_configs(draw):
     """A base config with one or two of its float leaves set to a size
     10^e, e in [-323.3, 307] (5e-324 to 1e307), of either sign."""
-    cfg = copy.deepcopy(draw(st.sampled_from((_SMALL, _ONE_D, _PROFILE))))
+    cfg = copy.deepcopy(draw(st.sampled_from((_SMALL, _ONE_D, _PROFILE, _ROWS))))
     leaves = []  # (parent, key) of every float
     for path in _paths(cfg):
         parent = cfg
@@ -148,5 +192,10 @@ _TINY_QUOTIENTS["sequences"][0]["params"]["mu"] = [1.0] + [5e-324] * 4
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(float_magnitude_configs(), st.sampled_from(sorted(_PIPELINES)))
 @example(_TINY_QUOTIENTS, "fn")
+@example(_FAR_RUNGE, "extend")
+@example(_STEEP_TABLE, "matrix")
+@example(_FAST_GEVREY, "seq")
+@example(_FASTER_WEIGHT, "verify")
+@example(_LARGE_JET, "verify")
 def test_float_magnitudes_exit_cleanly_with_strict_report(cfg, command):
     _exits_cleanly_with_strict_report(cfg, command)

@@ -7,6 +7,7 @@ import pytest
 from ultrajet.errors import DepthExhausted
 from ultrajet.geometry import (
     EXPANSION,
+    _box_pairs,
     box_grid,
     cube_diagnostics,
     decompose,
@@ -248,17 +249,18 @@ def test_incidence_matches_brute_force_3d(monkeypatch):
     x = np.concatenate([_cover_samples(dec, rng, per_cube=2), odd,
                         rng.uniform(-1.0, 1.0, size=(500, 3))])
     assert len(x) > 4 * (INCIDENCE_BLOCK // dec.n_cubes)  # several blocks
-    for expansion in (1.0, EXPANSION):
-        half = dec.sides * (expansion / 2.0)
+    # the cubes themselves (as PartitionOfUnity.covered takes them), then Q*
+    for half in (dec.sides / 2.0, dec.sides * (EXPANSION / 2.0)):
         inside = np.all(np.abs(x[:, None, :] - dec.centers[None, :, :])
                         <= half[None, :, None], axis=2)
         want_point, want_cube = np.nonzero(inside)  # row-major: by point, then cube
-        point, cube = dec.incidence(x, expansion=expansion)
+        point, cube = _box_pairs(x, 0.0, dec.centers, half)
         assert np.array_equal(point, want_point)
         assert np.array_equal(cube, want_cube)
         for block in (1, 7):
             monkeypatch.setattr(jets_module, "INCIDENCE_BLOCK", block)
             assert all(np.array_equal(got, want) for got, want in
-                       zip(dec.incidence(x, expansion=expansion), (point, cube)))
+                       zip(_box_pairs(x, 0.0, dec.centers, half), (point, cube)))
             monkeypatch.undo()
+    assert all(np.array_equal(got, want) for got, want in zip(dec.incidence(x), (point, cube)))
     assert np.array_equal(dec.cubes_containing(x[0]), cube[point == 0])

@@ -353,6 +353,7 @@ def test_taylor_sup_bound_matches_oracle(case, degree, side):
     anchor = jet.cset.points[a_index]
     dec = SimpleNamespace(dim=dim, nearest_points=anchor[None, :],
                           nearest_idx=np.array([a_index]), sides=np.array([side]),
+                          _half_star=np.array([side * (EXPANSION / 2.0)]),
                           centers=(anchor + 1.5 * side)[None, :])
     field = SimpleNamespace(jet=jet, pou=SimpleNamespace(dec=dec),
                             sched=SimpleNamespace(degrees=np.array([min(degree, jet.A_max)])))
@@ -468,8 +469,9 @@ def oracle_cube_derivative_bounds(field, up_to):
     return {m: overlap * max([0.0] + [t[m] for t in per_cube]) for m in multis}
 
 
-def oracle_mask(dec, i, pts, expansion=EXPANSION):
-    half = dec.sides[i] * expansion / 2.0
+def oracle_mask(dec, i, pts, half=None):
+    """The points in the box of half-width ``half`` about center i, Q_i* by default."""
+    half = dec.sides[i] * EXPANSION / 2.0 if half is None else half
     return np.all(np.abs(pts - dec.centers[i]) <= half, axis=1)
 
 
@@ -486,7 +488,7 @@ def oracle_sum_phi(pou, pts):
 def oracle_covered(pou, pts):
     out = np.zeros(len(pts), dtype=bool)
     for i in range(pou.dec.n_cubes):
-        out |= oracle_mask(pou.dec, i, pts, expansion=1.0)
+        out |= oracle_mask(pou.dec, i, pts, half=pou.dec.sides[i] / 2.0)
     return out
 
 
